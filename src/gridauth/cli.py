@@ -57,7 +57,9 @@ EXIT_DENIED = 1
 EXIT_INPUT = 2
 EXIT_STATE = 3
 
-STATE_VERSION = 1
+STATE_VERSION = 2
+#: version 2 stores a subset of version 1's keys, so both restore alike
+READABLE_STATE_VERSIONS = (1, 2)
 
 
 class StateFileError(Exception):
@@ -131,7 +133,7 @@ def _load_state(path: str) -> dict | None:
         raise StateFileError(f"cannot read state file {path!r}: {exc}") from None
     if not isinstance(data, dict) or data.get("format") != "gridauth-state":
         raise StateFileError(f"{path!r} is not a gridauth state file")
-    if data.get("version") != STATE_VERSION:
+    if data.get("version") not in READABLE_STATE_VERSIONS:
         raise StateFileError(
             f"state file version {data.get('version')!r} unsupported"
         )
@@ -166,13 +168,21 @@ def _make_engine(args, state: dict | None) -> JobManager:
     )
     registry = _parse_vo_keys(getattr(args, "vo_key", None))
     if state is not None:
-        return JobManager.restore(
-            state,
-            resource_policy=resource,
-            vo_policies=vo_docs,
-            gridmap=gridmap,
-            key_registry=registry,
-        )
+        try:
+            return JobManager.restore(
+                state,
+                resource_policy=resource,
+                vo_policies=vo_docs,
+                gridmap=gridmap,
+                key_registry=registry,
+            )
+        except PolicyError:
+            raise  # a policy of the wrong kind is bad input, not bad state
+        except (KeyError, TypeError, ValueError) as exc:
+            raise StateFileError(
+                f"state file {args.state!r} is incomplete or malformed: "
+                f"{type(exc).__name__}: {exc}"
+            ) from None
     pool_names = [
         name.strip()
         for name in (getattr(args, "pool", None) or "").split(",")
@@ -250,7 +260,6 @@ def cmd_manage(args) -> int:
         job = engine.manage(
             args.job, action, cred, token=token, priority=args.priority
         )
-        _save_state(args.state, engine)
         if action is JobAction.STATUS:
             print(
                 f"job={job.id} state={job.state.value} owner={job.owner} "
@@ -258,6 +267,7 @@ def cmd_manage(args) -> int:
                 f"priority={job.priority}"
             )
         else:
+            _save_state(args.state, engine)
             print(f"job={job.id} state={job.state.value}")
     return EXIT_OK
 

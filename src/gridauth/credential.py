@@ -200,7 +200,6 @@ class CapabilityClaims:
 @dataclass(frozen=True)
 class CapabilityToken:
     claims: CapabilityClaims
-    issuer_vo: str
     mac: bytes
 
 
@@ -243,16 +242,16 @@ def sign_capability(vo_key: bytes, claims: CapabilityClaims) -> CapabilityToken:
     mac = hmac.new(
         vo_key, canonical_claims_text(claims).encode("utf-8"), hashlib.sha256
     ).digest()
-    return CapabilityToken(claims=claims, issuer_vo=claims.vo, mac=mac)
+    return CapabilityToken(claims=claims, mac=mac)
 
 
 def verify_capability(
     registry: Mapping, token: CapabilityToken, now: int
 ) -> CapabilityClaims:
     """Return the claims iff the MAC checks out and the token is fresh."""
-    key = registry.get(token.issuer_vo)
+    key = registry.get(token.claims.vo)
     if key is None:
-        raise UnknownIssuerError(f"no key registered for vo '{token.issuer_vo}'")
+        raise UnknownIssuerError(f"no key registered for vo '{token.claims.vo}'")
     expected = hmac.new(
         key, canonical_claims_text(token.claims).encode("utf-8"), hashlib.sha256
     ).digest()
@@ -301,9 +300,12 @@ def load_token(text: str) -> CapabilityToken:
         if not line.strip():
             continue
         key, sep, value = line.partition(":")
-        if not sep or key.strip() not in ("subject", "vo", "groups", "expiry"):
+        key = key.strip()
+        if not sep or key not in ("subject", "vo", "groups", "expiry"):
             raise CredentialFormatError(f"line {lineno}: unexpected line in token")
-        fields[key.strip()] = value.strip()
+        if key in fields:
+            raise CredentialFormatError(f"line {lineno}: duplicate field '{key}'")
+        fields[key] = value.strip()
     if in_fragment or fragment is None:
         raise CredentialFormatError("token is missing its policy fragment")
     for required in ("subject", "vo", "expiry"):
@@ -323,4 +325,4 @@ def load_token(text: str) -> CapabilityToken:
         expiry=expiry,
         policy_fragment="\n".join(fragment) + "\n",
     )
-    return CapabilityToken(claims=claims, issuer_vo=claims.vo, mac=mac)
+    return CapabilityToken(claims=claims, mac=mac)

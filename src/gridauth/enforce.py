@@ -1,11 +1,12 @@
 """Enforcement primitives: dynamic accounts, sandbox limits, usage ledger.
 
 The account pool hands out pre-created local accounts to grid users who
-have no static mapping; each lease carries a sandbox configuration and
-a TTL that the job manager renews while the job lives.  The allocation
-ledger charges VO and per-member cpu-second budgets at admission and
-refunds the unconsumed remainder when a job settles.  Limits are
-inclusive: usage may equal a cap, exceeding it is a breach.
+have no static mapping; each lease carries only a TTL that the job
+manager renews while the job lives, since the job itself holds its
+owner and its sandbox.  The allocation ledger charges VO and per-member
+cpu-second budgets at admission and refunds the unconsumed remainder
+when a job settles.  Limits are inclusive: usage may equal a cap,
+exceeding it is a breach.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ class LedgerUnderflowError(EnforcementError):
 
 @dataclass(frozen=True)
 class SandboxSpec:
-    """Per-lease resource caps; None means the dimension is unlimited."""
+    """Per-job resource caps; None means the dimension is unlimited."""
 
     max_cpu: int | None = None
     max_memory: int | None = None
@@ -85,8 +86,6 @@ def record_usage(spec: SandboxSpec, sample: UsageSample) -> str | None:
 @dataclass
 class AccountLease:
     account: str
-    subject: str
-    spec: SandboxSpec
     expires_at: int
 
 
@@ -105,18 +104,11 @@ class DynamicAccountPool:
     def free_accounts(self) -> tuple:
         return tuple(self._free)
 
-    @property
-    def leases(self) -> tuple:
-        return tuple(self._leased.values())
-
-    def size(self) -> int:
-        return len(self._free) + len(self._leased)
-
-    def lease(self, subject: str, spec: SandboxSpec, now: int, ttl: int) -> AccountLease:
+    def lease(self, now: int, ttl: int) -> AccountLease:
         if not self._free:
             raise PoolExhaustedError("no dynamic accounts available")
         account = self._free.popleft()
-        lease = AccountLease(account, subject, spec, now + ttl)
+        lease = AccountLease(account, now + ttl)
         self._leased[account] = lease
         return lease
 
@@ -124,16 +116,12 @@ class DynamicAccountPool:
         if self._leased.get(lease.account) is not lease:
             raise UnknownLeaseError(f"no active lease on {lease.account!r}")
         del self._leased[lease.account]
-        lease.spec = SandboxSpec()  # scrubbed before going back in the pool
         self._free.append(lease.account)
 
     def renew(self, lease: AccountLease, now: int, ttl: int) -> None:
         if self._leased.get(lease.account) is not lease:
             raise UnknownLeaseError(f"no active lease on {lease.account!r}")
         lease.expires_at = now + ttl
-
-    def expired(self, now: int) -> list:
-        return [l for l in self._leased.values() if l.expires_at <= now]
 
 
 @dataclass

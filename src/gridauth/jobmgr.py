@@ -43,6 +43,7 @@ from .policy import (
     MustContain,
     OrSpec,
     PolicyDocument,
+    PolicyError,
     RangeSpec,
     parse_policy,
 )
@@ -118,11 +119,9 @@ class Job:
     id: str
     owner: str
     vo: str | None
-    jobtag: str | None
     request: RslRequest
     state: JobState
     account: str
-    dynamic_account: bool
     reserved: int
     consumed: int
     priority: int
@@ -135,6 +134,10 @@ class Job:
     @property
     def count(self) -> int:
         return self.request.get("count") or 1
+
+    @property
+    def jobtag(self) -> str | None:
+        return self.request.get("jobtag")
 
 
 @dataclass(frozen=True)
@@ -196,12 +199,12 @@ class JobManager:
         lease_ttl: int = DEFAULT_LEASE_TTL,
     ):
         if resource_policy is not None and resource_policy.source != "resource":
-            raise ValueError("resource_policy must have source 'resource'")
+            raise PolicyError("resource_policy must have source 'resource'")
         self.resource_policy = resource_policy
         self.vo_policies: dict[str, PolicyDocument] = {}
         for doc in vo_policies:
             if doc.source != "vo":
-                raise ValueError(f"policy '{doc.name}' is not a vo document")
+                raise PolicyError(f"policy '{doc.name}' is not a vo document")
             self.vo_policies[doc.name] = doc
         self.gridmap = gridmap or GridMapFile({})
         self.pool = pool or DynamicAccountPool()
@@ -291,23 +294,21 @@ class JobManager:
 
         accounted = False
         reserved = decision.charged_estimate or 0
-        if cred.vo is not None and vo_doc is not None:
-            if vo_doc.allocation is not None or cred.subject in vo_doc.member_quotas:
-                accounted = True
-                self.ledger.register_vo(cred.vo, vo_doc.allocation)
-                if cred.subject in vo_doc.member_quotas:
-                    self.ledger.set_member_quota(
-                        cred.vo, cred.subject, vo_doc.member_quotas[cred.subject]
-                    )
-                self.ledger.reserve(cred.vo, cred.subject, reserved)
+        if cred.vo is not None and vo_doc is not None and vo_doc.accounts_for(cred.subject):
+            accounted = True
+            self.ledger.register_vo(cred.vo, vo_doc.allocation)
+            if cred.subject in vo_doc.member_quotas:
+                self.ledger.set_member_quota(
+                    cred.vo, cred.subject, vo_doc.member_quotas[cred.subject]
+                )
+            self.ledger.reserve(cred.vo, cred.subject, reserved)
 
         sandbox = self._sandbox_for(cred, request, decision, vo_doc)
         account = self.gridmap.lookup(cred.subject)
-        dynamic = False
         lease = None
         if account is None:
             try:
-                lease = self.pool.lease(cred.subject, sandbox, self.clock, self.lease_ttl)
+                lease = self.pool.lease(self.clock, self.lease_ttl)
             except PoolExhaustedError:
                 if accounted:
                     self.ledger.settle(cred.vo, cred.subject, reserved, 0)
@@ -315,20 +316,16 @@ class JobManager:
                     f"no local account for {cred.subject} and the dynamic pool is empty"
                 ) from None
             account = lease.account
-            dynamic = True
 
         job_id = f"j{self._next_seq}"
         self._next_seq += 1
-        jobtag = request.get("jobtag")
         job = Job(
             id=job_id,
             owner=cred.subject,
             vo=cred.vo,
-            jobtag=jobtag,
             request=request,
             state=JobState.PENDING,
             account=account,
-            dynamic_account=dynamic,
             reserved=reserved,
             consumed=0,
             priority=0,
@@ -523,12 +520,7 @@ class JobManager:
             "pool": {
                 "free": list(self.pool.free_accounts),
                 "leased": {
-                    job_id: {
-                        "account": lease.account,
-                        "subject": lease.subject,
-                        "spec": self._spec_to_dict(lease.spec),
-                        "expires_at": lease.expires_at,
-                    }
+                    job_id: {"account": lease.account, "expires_at": lease.expires_at}
                     for job_id, lease in self._leases.items()
                 },
             },
@@ -561,11 +553,9 @@ class JobManager:
             "id": job.id,
             "owner": job.owner,
             "vo": job.vo,
-            "jobtag": job.jobtag,
             "request": serialize_rsl(job.request),
             "state": job.state.value,
             "account": job.account,
-            "dynamic_account": job.dynamic_account,
             "reserved": job.reserved,
             "consumed": job.consumed,
             "priority": job.priority,
@@ -603,12 +593,7 @@ class JobManager:
         # rebuild the pool with leases attached to their jobs
         engine.pool = DynamicAccountPool(state["pool"]["free"])
         for job_id, entry in state["pool"]["leased"].items():
-            lease = AccountLease(
-                account=entry["account"],
-                subject=entry["subject"],
-                spec=cls._spec_from_dict(entry["spec"]),
-                expires_at=entry["expires_at"],
-            )
+            lease = AccountLease(entry["account"], entry["expires_at"])
             engine.pool._leased[lease.account] = lease
             engine._leases[job_id] = lease
         for data in state["jobs"]:
@@ -616,11 +601,9 @@ class JobManager:
                 id=data["id"],
                 owner=data["owner"],
                 vo=data["vo"],
-                jobtag=data["jobtag"],
                 request=parse_rsl(data["request"]),
                 state=JobState(data["state"]),
                 account=data["account"],
-                dynamic_account=data["dynamic_account"],
                 reserved=data["reserved"],
                 consumed=data["consumed"],
                 priority=data["priority"],

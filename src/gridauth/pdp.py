@@ -108,7 +108,9 @@ class PolicySourceSet:
 
 
 def eval_assertion(assertion, req: RslRequest) -> str | None:
-    """Evaluate one assertion; None when satisfied, else the violation.
+    """Evaluate one require or forbid assertion; None when satisfied, else
+    the violation.  ``attr`` assertions form unions that `eval_block`
+    checks itself.
 
     A numeric spec tested against a non-integer value (or vice versa)
     counts as a violation with a reason, never an error: a malformed
@@ -124,25 +126,14 @@ def eval_assertion(assertion, req: RslRequest) -> str | None:
                 f"fails {assertion.spec.describe()}"
             )
         return None
-    if isinstance(assertion, MustNotContain):
-        if value is None:
-            return None
-        if assertion.spec is None:
-            return f"forbid attr {assertion.attr}: attribute present"
-        if assertion.spec.allows(value):
-            return (
-                f"forbid attr {assertion.attr}: value {render_value(value)} "
-                f"matches {assertion.spec.describe()}"
-            )
-        return None
-    # MayContain: vacuous when absent; union semantics live in eval_block,
-    # this checks membership in the single spec.
     if value is None:
         return None
-    if not assertion.spec.allows(value):
+    if assertion.spec is None:
+        return f"forbid attr {assertion.attr}: attribute present"
+    if assertion.spec.allows(value):
         return (
-            f"attr {assertion.attr}: value {render_value(value)} "
-            f"fails {assertion.spec.describe()}"
+            f"forbid attr {assertion.attr}: value {render_value(value)} "
+            f"matches {assertion.spec.describe()}"
         )
     return None
 
@@ -220,12 +211,6 @@ def _evaluate_source(name: str, doc: PolicyDocument, q: AuthzQuery, trace: list)
     return permitted
 
 
-def _accounting_active(vo_doc: PolicyDocument | None, subject: str) -> bool:
-    if vo_doc is None:
-        return False
-    return vo_doc.allocation is not None or subject in vo_doc.member_quotas
-
-
 def decide(q: AuthzQuery, sources: PolicySourceSet) -> Decision:
     """Evaluate a query against every consulted source and combine."""
     if q.action is not JobAction.START and q.owner is not None:
@@ -255,10 +240,12 @@ def decide(q: AuthzQuery, sources: PolicySourceSet) -> Decision:
     if q.action is JobAction.START:
         maxcputime = q.request.get("maxcputime")
         if maxcputime is None:
-            accounting = q.credential.vo is not None and _accounting_active(
-                sources.vo, q.credential.subject
-            )
-            if all_permit and accounting:
+            # a permit with a claimed vo means the vo document was consulted
+            if (
+                all_permit
+                and q.credential.vo is not None
+                and sources.vo.accounts_for(q.credential.subject)
+            ):
                 trace.append(
                     TraceEntry(
                         "accounting", None, "deny", "accounting-requires-maxcputime"

@@ -275,6 +275,10 @@ class PolicyDocument:
         if self.source == "vo" and self.trust:
             raise MisplacedClauseError("trust clauses belong to resource documents")
 
+    def accounts_for(self, subject: str) -> bool:
+        """Whether jobs ``subject`` starts under this document are charged."""
+        return self.allocation is not None or subject in self.member_quotas
+
 
 def applicable_blocks(doc: PolicyDocument, cred: "GridCredential") -> list:
     """Blocks whose matcher matches the credential, in document order."""

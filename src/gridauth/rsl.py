@@ -52,13 +52,6 @@ class JobAction(enum.Enum):
     RESUME = "resume"
     SET_PRIORITY = "set_priority"
 
-    @property
-    def is_management(self) -> bool:
-        return self is not JobAction.START
-
-
-MANAGEMENT_ACTIONS = frozenset(a for a in JobAction if a.is_management)
-
 
 class RslError(ValueError):
     """Base class for every structured RSL rejection."""

@@ -234,7 +234,7 @@ class ScenarioRunner:
             )
             return
         self.caps[label] = token
-        self.registry[token.issuer_vo] = key
+        self.registry[token.claims.vo] = key
         self._record(lineno, label, StepOutcome("issue-cap", True))
 
     def _submit(self, lineno: int, rest: list) -> None:

@@ -377,7 +377,7 @@ def test_a5_brute_force_agreement():
 # ---------------------------------------------------------------------------
 
 
-def _check_structures(eng: JobManager, pool_size: int):
+def _check_structures(eng: JobManager, pool_accounts: list):
     # ledger conservation: vo usage == live reservations + settled consumption
     expected: dict[str, int] = {}
     for job in eng.jobs.values():
@@ -399,11 +399,14 @@ def _check_structures(eng: JobManager, pool_size: int):
                 assert member["used"] <= member["quota"]
             member_sum += member["used"]
         assert member_sum <= acct["used"]
-    # no lost accounts
-    assert eng.pool.size() == pool_size
-    assert not (
-        set(eng.pool.free_accounts) & {l.account for l in eng.pool.leases}
-    )
+    # no lost accounts: the free accounts and those of live unmapped jobs
+    # partition the pool
+    leased = [
+        job.account
+        for job in eng.jobs.values()
+        if job.state not in TERMINAL_STATES and eng.gridmap.lookup(job.owner) is None
+    ]
+    assert sorted(list(eng.pool.free_accounts) + leased) == sorted(pool_accounts)
 
 
 def _single_step_targets():
@@ -501,7 +504,7 @@ def test_a6_structural_properties():
                     violations += 1
                 elif new not in (multi_step[old] if ticked else one_step.get(old, set())):
                     violations += 1
-            _check_structures(eng, len(pool_accounts))
+            _check_structures(eng, pool_accounts)
 
     assert total_ops >= 10_000
     assert violations == 0

@@ -3,13 +3,17 @@
 from __future__ import annotations
 
 import json
+import os
+import shutil
 from pathlib import Path
 
 import pytest
 
 from gridauth.cli import main
+from gridauth.jobmgr import JobManager
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+STATE_V1 = Path(__file__).resolve().parent / "data" / "state-v1"
 
 SITE_POL = """\
 policy "site" source resource {
@@ -269,6 +273,49 @@ class TestSubmitManageTickLedger:
         (site / "state.json").write_text('{"format": "something-else"}')
         assert main(["ledger", "--state", _p(site, "state.json")]) == 3
 
+    def test_truncated_state_exits_three(self, site, capsys):
+        state = site / "state.json"
+        state.write_text('{"format": "gridauth-state", "version": 1, "engine": {}}')
+        assert main(["ledger", "--state", str(state)]) == 3
+        assert "incomplete or malformed: KeyError" in capsys.readouterr().err
+
+        state.unlink()
+        assert main(_submit_args(site)) == 0
+        data = json.loads(state.read_text())
+        del data["engine"]["jobs"][0]["owner"]
+        state.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(["tick", "--state", str(state), "--dt", "1"]) == 3
+        assert "KeyError: 'owner'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("version", [0, 3])
+    def test_unsupported_state_version_exits_three(self, site, capsys, version):
+        assert main(_submit_args(site)) == 0
+        state = site / "state.json"
+        data = json.loads(state.read_text())
+        data["version"] = version
+        state.write_text(json.dumps(data))
+        assert main(["ledger", "--state", str(state)]) == 3
+        assert f"version {version} unsupported" in capsys.readouterr().err
+
+    def test_status_leaves_state_file_untouched(self, site, capsys):
+        assert main(_submit_args(site)) == 0
+        state = site / "state.json"
+        os.utime(state, ns=(10**18, 10**18))
+        before = state.read_bytes()
+        code = main([
+            "manage",
+            "--state", str(state),
+            "--resource-policy", _p(site, "site.pol"),
+            "--vo-policy", _p(site, "fusion.pol"),
+            "--cred", _p(site, "alice.cred"),
+            "--job", "j1",
+            "--action", "status",
+        ])
+        assert code == 0
+        assert state.read_bytes() == before
+        assert state.stat().st_mtime_ns == 10**18
+
     def test_tick_without_state_exits_three(self, site):
         assert main(["tick", "--state", _p(site, "state.json"), "--dt", "1"]) == 3
 
@@ -289,6 +336,78 @@ class TestSubmitManageTickLedger:
         first = run(tmp_path_factory.mktemp("one"))
         second = run(tmp_path_factory.mktemp("two"))
         assert first == second
+
+
+class TestStateVersion1:
+    """A version-1 state file written by the CLI before version 2 existed.
+
+    It holds a live job on a dynamic account with a jobtag (j2), a pending
+    one on a dynamic account (j5), a done job (j3), a canceled one (j4) and
+    ledger entries.  The expected outputs are what that CLI printed.
+    """
+
+    DROPPED_JOB_KEYS = {"dynamic_account", "jobtag"}
+
+    @pytest.fixture
+    def v1(self, tmp_path):
+        for path in STATE_V1.iterdir():
+            shutil.copy(path, tmp_path / path.name)
+        return tmp_path
+
+    def test_commands_print_what_version_1_printed(self, v1, capsys):
+        state = str(v1 / "state.json")
+        assert main(["ledger", "--state", state]) == 0
+        assert capsys.readouterr().out == (
+            "vo=fusion used=1255/5000\n"
+            "member=/O=Grid/CN=alice used=602/2000\n"
+            "member=/O=Grid/CN=dave used=653/unlimited\n"
+        )
+        # carol may query j2 only through its jobtag grant
+        code = main([
+            "manage",
+            "--state", state,
+            "--resource-policy", str(v1 / "site.pol"),
+            "--vo-policy", str(v1 / "fusion.pol"),
+            "--cred", str(v1 / "carol.cred"),
+            "--job", "j2",
+            "--action", "status",
+        ])
+        assert code == 0
+        assert capsys.readouterr().out == (
+            "job=j2 state=active owner=/O=Grid/CN=dave consumed=8 reserved=600 priority=0\n"
+        )
+        assert json.loads((v1 / "state.json").read_text())["version"] == 1
+
+        assert main(["tick", "--state", state, "--dt", "4"]) == 0
+        assert capsys.readouterr().out == (
+            "t=4 job=j5 event=activate detail=state=active\n"
+            "t=7 job=j5 event=done detail=state=done consumed=3 refunded=47\n"
+        )
+        data = json.loads((v1 / "state.json").read_text())
+        assert data["version"] == 2
+        for job in data["engine"]["jobs"]:
+            assert not self.DROPPED_JOB_KEYS & job.keys()
+        assert data["engine"]["pool"] == {
+            "free": ["dyn01", "dyn02"],
+            "leased": {"j2": {"account": "dyn00", "expires_at": 3608}},
+        }
+        assert main(["ledger", "--state", state]) == 0
+        assert capsys.readouterr().out == (
+            "vo=fusion used=1208/5000\n"
+            "member=/O=Grid/CN=alice used=602/2000\n"
+            "member=/O=Grid/CN=dave used=606/unlimited\n"
+        )
+
+    def test_restore_keeps_everything_but_the_dropped_keys(self):
+        engine = json.loads((STATE_V1 / "state.json").read_text())["engine"]
+        manager = JobManager.restore(engine)
+        assert manager.job_record("j2").jobtag == "fusion-prod"
+        for job in engine["jobs"]:
+            for key in self.DROPPED_JOB_KEYS:
+                del job[key]
+        for lease in engine["pool"]["leased"].values():
+            del lease["subject"], lease["spec"]
+        assert manager.snapshot() == engine
 
 
 class TestIssueCap:

@@ -199,6 +199,12 @@ class TestSignVerify:
         with pytest.raises(BadSignatureError):
             verify_capability({"fusion": KEY}, load_token(text), now=0)
 
+    def test_duplicate_token_field_rejected(self):
+        text = format_token(sign_capability(KEY, _claims()))
+        doubled = text.replace("vo: fusion\n", "vo: astro\nvo: fusion\n")
+        with pytest.raises(CredentialFormatError, match="duplicate field 'vo'"):
+            load_token(doubled)
+
 
 class TestRejectionTotality:
     @given(st.text(max_size=80))

@@ -22,11 +22,13 @@ from gridauth.pdp import (
     explain,
 )
 from gridauth.policy import (
+    AnySubject,
     MayContain,
     MustContain,
     MustNotContain,
     PolicyDocument,
     RangeSpec,
+    SubjectBlock,
     matcher_matches,
     parse_policy,
 )
@@ -100,6 +102,13 @@ class TestQueryInvariants:
             PolicySourceSet(resource=SCENARIO2_VO)
 
 
+def _eval_start(assertion, attrs: dict) -> str | None:
+    """One assertion through eval_block, the path ``attr`` unions take."""
+    block = SubjectBlock(AnySubject(), {JobAction.START}, assertions=(assertion,))
+    q = AuthzQuery(ALICE, JobAction.START, "site", request=RslRequest(attrs))
+    return eval_block(block, q)
+
+
 class TestEvalAssertion:
     def test_must_contain_missing_attribute(self):
         req = RslRequest({"count": 1})
@@ -112,8 +121,11 @@ class TestEvalAssertion:
         assert reason == "forbid attr queue: attribute present"
 
     def test_may_contain_membership(self):
-        req = RslRequest({"count": 3})
-        assert eval_assertion(MayContain("count", RangeSpec(1, 4)), req) is None
+        assert _eval_start(MayContain("count", RangeSpec(1, 4)), {"count": 3}) is None
+        assert (
+            _eval_start(MayContain("count", RangeSpec(1, 4)), {"count": 5})
+            == "attr count: value 5 fails range 1..4"
+        )
 
     def test_type_mismatch_is_violation_not_error(self):
         req = RslRequest({"weird": "abc"})
@@ -124,7 +136,7 @@ class TestEvalAssertion:
         from gridauth.policy import EnumSpec
 
         req = RslRequest({"arguments": ["a", "b"]})
-        reason = eval_assertion(MayContain("arguments", EnumSpec(("a",))), req)
+        reason = _eval_start(MayContain("arguments", EnumSpec(("a",))), req.attributes)
         assert reason == 'attr arguments: value "a" "b" fails in {"a"}'
         # presence checks still work on list-valued attributes
         assert eval_assertion(MustContain("arguments", None), req) is None
@@ -336,7 +348,6 @@ class TestDecidePush:
         token = sign_capability(KEY, claims)
         bad = type(token)(
             claims=token.claims,
-            issuer_vo=token.issuer_vo,
             mac=bytes([token.mac[0] ^ 1]) + token.mac[1:],
         )
         q = _start_query(ALICE, '&(executable="/opt/vo/apps/transp")(count=1)')

@@ -163,10 +163,6 @@ class TestJobAction:
             "set_priority",
         }
 
-    def test_management_split(self):
-        assert not JobAction.START.is_management
-        assert all(a.is_management for a in JobAction if a is not JobAction.START)
-
 
 # -- properties -------------------------------------------------------------
 
