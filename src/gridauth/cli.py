@@ -79,7 +79,7 @@ def _read(path: str, what: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as f:
             return f.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {what} {path!r}: {exc}") from None
 
 
@@ -129,7 +129,7 @@ def _load_state(path: str) -> dict | None:
     try:
         with open(path, "r", encoding="utf-8") as f:
             data = json.load(f)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise StateFileError(f"cannot read state file {path!r}: {exc}") from None
     if not isinstance(data, dict) or data.get("format") != "gridauth-state":
         raise StateFileError(f"{path!r} is not a gridauth state file")

@@ -21,6 +21,10 @@ lines.  Value specs are enumerations (with ``*`` globs, anchored),
 integer ranges, ``max``/``min`` bounds, regular expressions
 (unanchored search, egrep style), or ``or`` combinations.
 
+Quoted strings follow RSL's syntax (only ``\\"`` and ``\\\\`` escape), and
+the tokenizer takes its string pattern from ``rsl``.  Syntax errors carry
+a 1-based line and a 1-based column counted in characters.
+
 Documents are immutable after parsing and safe to share between
 concurrent evaluations.
 """
@@ -29,8 +33,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple
 
+from . import rsl
 from .rsl import JobAction, RslValue, quote_string
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -291,85 +296,46 @@ def applicable_blocks(doc: PolicyDocument, cred: "GridCredential") -> list:
 # Tokenizer
 # ---------------------------------------------------------------------------
 
-_WORD_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_-]*")
-_TOKEN_INT_RE = re.compile(r"-?[0-9]+")
-_ATTR_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+# ``bad`` takes any character the others cannot, so the matches tile the text
+_TOKEN_RE = re.compile(
+    r"(?P<ws>[ \t\r\n]+|#[^\n]*)"
+    rf"|(?P<string>{rsl.STRING_PATTERN})"
+    r"|(?P<word>[A-Za-z_][A-Za-z0-9_-]*)"
+    r"|(?P<int>-?[0-9]+)"
+    r"|(?P<sym>\.\.|[{};,])"
+    r"|(?P<bad>(?s:.))"
+)
+#: how the text of each kind of token becomes its value
+_TOKEN_VALUE = {"string": rsl.unquote_string, "int": int, "word": str, "sym": str}
 
 _ACTIONS = {a.value: a for a in JobAction}
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # word | string | int | sym | eof
     value: object
-    line: int
-    col: int
+    pos: int
+
+
+def _line_col(text: str, pos: int) -> tuple[int, int]:
+    """1-based line and column, counted in characters, of ``text[pos]``."""
+    line_start = text.rfind("\n", 0, pos) + 1
+    return text.count("\n", 0, line_start) + 1, pos - line_start + 1
 
 
 def _tokenize(text: str) -> list:
     tokens: list[_Token] = []
-    pos, line, col = 0, 1, 1
-
-    def advance(n: int) -> None:
-        nonlocal pos, line, col
-        for _ in range(n):
-            if text[pos] == "\n":
-                line += 1
-                col = 1
+    for m in _TOKEN_RE.finditer(text):
+        kind, pos = m.lastgroup, m.start()
+        if kind == "bad":
+            if text[pos] == '"':
+                message, pos = rsl.string_error(text, pos)
             else:
-                col += 1
-            pos += 1
-
-    while pos < len(text):
-        ch = text[pos]
-        if ch in " \t\r\n":
-            advance(1)
-            continue
-        if ch == "#":
-            while pos < len(text) and text[pos] != "\n":
-                advance(1)
-            continue
-        tline, tcol = line, col
-        if ch == '"':
-            advance(1)
-            out = []
-            while True:
-                if pos >= len(text):
-                    raise PolicySyntaxError("unterminated string", tline, tcol)
-                c = text[pos]
-                if c == '"':
-                    advance(1)
-                    break
-                if c == "\\":
-                    if pos + 1 >= len(text) or text[pos + 1] not in '"\\':
-                        raise PolicySyntaxError("invalid escape", line, col)
-                    out.append(text[pos + 1])
-                    advance(2)
-                else:
-                    out.append(c)
-                    advance(1)
-            tokens.append(_Token("string", "".join(out), tline, tcol))
-            continue
-        m = _WORD_RE.match(text, pos)
-        if m:
-            tokens.append(_Token("word", m.group(), tline, tcol))
-            advance(len(m.group()))
-            continue
-        m = _TOKEN_INT_RE.match(text, pos)
-        if m:
-            tokens.append(_Token("int", int(m.group()), tline, tcol))
-            advance(len(m.group()))
-            continue
-        if text.startswith("..", pos):
-            tokens.append(_Token("sym", "..", tline, tcol))
-            advance(2)
-            continue
-        if ch in "{};,":
-            tokens.append(_Token("sym", ch, tline, tcol))
-            advance(1)
-            continue
-        raise PolicySyntaxError(f"unexpected character {ch!r}", tline, tcol)
-    tokens.append(_Token("eof", None, line, col))
+                message = f"unexpected character {text[pos]!r}"
+            raise PolicySyntaxError(message, *_line_col(text, pos))
+        if kind != "ws":
+            tokens.append(_Token(kind, _TOKEN_VALUE[kind](m.group()), pos))
+    tokens.append(_Token("eof", None, len(text)))
     return tokens
 
 
@@ -380,6 +346,7 @@ def _tokenize(text: str) -> list:
 
 class _PolicyParser:
     def __init__(self, text: str):
+        self.text = text
         self.tokens = _tokenize(text)
         self.idx = 0
 
@@ -387,8 +354,11 @@ class _PolicyParser:
     def tok(self) -> _Token:
         return self.tokens[self.idx]
 
-    def error(self, message: str) -> PolicySyntaxError:
-        return PolicySyntaxError(message, self.tok.line, self.tok.col)
+    def error(self, message: str, tok: _Token | None = None) -> PolicySyntaxError:
+        return PolicySyntaxError(message, *_line_col(self.text, (tok or self.tok).pos))
+
+    def line(self, tok: _Token) -> int:
+        return _line_col(self.text, tok.pos)[0]
 
     def next(self) -> _Token:
         t = self.tok
@@ -405,17 +375,15 @@ class _PolicyParser:
         if not self.accept_word(word):
             raise self.error(f"expected '{word}'")
 
-    def expect_sym(self, sym: str) -> None:
-        if self.tok.kind == "sym" and self.tok.value == sym:
-            self.idx += 1
-            return
-        raise self.error(f"expected '{sym}'")
-
     def accept_sym(self, sym: str) -> bool:
         if self.tok.kind == "sym" and self.tok.value == sym:
             self.idx += 1
             return True
         return False
+
+    def expect_sym(self, sym: str) -> None:
+        if not self.accept_sym(sym):
+            raise self.error(f"expected '{sym}'")
 
     def expect_string(self) -> str:
         if self.tok.kind != "string":
@@ -454,7 +422,7 @@ class _PolicyParser:
                 self.expect_sym(";")
                 if source != "resource":
                     raise MisplacedClauseError(
-                        f"line {tok.line}: trust clauses belong to resource documents"
+                        f"line {self.line(tok)}: trust clauses belong to resource documents"
                     )
                 trust.append(vo_name)
             elif self.accept_word("allocation"):
@@ -464,16 +432,12 @@ class _PolicyParser:
                 self.expect_sym(";")
                 if source != "vo":
                     raise MisplacedClauseError(
-                        f"line {tok.line}: allocation clauses belong to vo documents"
+                        f"line {self.line(tok)}: allocation clauses belong to vo documents"
                     )
                 if allocation is not None:
-                    raise PolicySyntaxError(
-                        "duplicate allocation clause", tok.line, tok.col
-                    )
+                    raise self.error("duplicate allocation clause", tok)
                 if amount < 0:
-                    raise PolicySyntaxError(
-                        "allocation must be non-negative", tok.line, tok.col
-                    )
+                    raise self.error("allocation must be non-negative", tok)
                 allocation = amount
             elif self.accept_word("member-quota"):
                 tok = self.tokens[self.idx - 1]
@@ -483,16 +447,12 @@ class _PolicyParser:
                 self.expect_sym(";")
                 if source != "vo":
                     raise MisplacedClauseError(
-                        f"line {tok.line}: member-quota clauses belong to vo documents"
+                        f"line {self.line(tok)}: member-quota clauses belong to vo documents"
                     )
                 if dn in quotas:
-                    raise PolicySyntaxError(
-                        f"duplicate member-quota for {dn!r}", tok.line, tok.col
-                    )
+                    raise self.error(f"duplicate member-quota for {dn!r}", tok)
                 if amount < 0:
-                    raise PolicySyntaxError(
-                        "member-quota must be non-negative", tok.line, tok.col
-                    )
+                    raise self.error("member-quota must be non-negative", tok)
                 quotas[dn] = amount
             elif self.accept_word("subject"):
                 blocks.append(self.parse_block())
@@ -544,7 +504,7 @@ class _PolicyParser:
                 self.expect_sym(";")
                 if tags and JobAction.START in actions:
                     raise MisplacedClauseError(
-                        f"line {tok.line}: jobtag grants cannot apply to 'start'"
+                        f"line {self.line(tok)}: jobtag grants cannot apply to 'start'"
                     )
                 for action in actions:
                     if tags and action not in unrestricted:
@@ -593,9 +553,9 @@ class _PolicyParser:
         raise self.error("expected a job action")
 
     def parse_attr_name(self) -> str:
-        if self.tok.kind != "word" or not _ATTR_NAME_RE.match(str(self.tok.value)):
+        if self.tok.kind != "word" or not rsl.NAME_RE.fullmatch(self.tok.value):
             raise self.error("expected an attribute name")
-        return str(self.next().value).lower()
+        return self.next().value.lower()
 
     def parse_spec(self) -> ValueSpec:
         alternatives = [self.parse_primary_spec()]
@@ -620,7 +580,7 @@ class _PolicyParser:
             hi = self.expect_int()
             if lo > hi:
                 raise BadRangeError(
-                    f"line {tok.line}: empty range {lo}..{hi}"
+                    f"line {self.line(tok)}: empty range {lo}..{hi}"
                 )
             return RangeSpec(lo, hi)
         if self.accept_word("matches"):
@@ -628,7 +588,7 @@ class _PolicyParser:
             try:
                 return RegexSpec(pattern)
             except BadRegexError as exc:
-                raise BadRegexError(f"line {tok.line}: {exc}") from None
+                raise BadRegexError(f"line {self.line(tok)}: {exc}") from None
         if self.accept_word("max"):
             return MaxSpec(self.expect_int())
         if self.accept_word("min"):

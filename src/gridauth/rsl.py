@@ -16,6 +16,10 @@ policy evaluation can treat values uniformly: ``count``, ``maxmemory``
 and ``maxcputime`` must be positive integers, ``arguments`` is always a
 string list, and the remaining well-known names hold single strings.
 Unknown attributes are legal and left entirely to policy.
+
+Quoted strings are shared with the policy DSL: this module owns their
+syntax (``quote_string`` and its inverse ``unquote_string``), and
+``policy`` tokenizes strings with the same ``STRING_PATTERN``.
 """
 
 from __future__ import annotations
@@ -37,9 +41,18 @@ TEXT_ATTRIBUTES = frozenset(
 )
 WELL_KNOWN_ATTRIBUTES = INT_ATTRIBUTES | TEXT_ATTRIBUTES | {"arguments"}
 
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _NORMALIZED_NAME_RE = re.compile(r"[a-z_][a-z0-9_]*\Z")
 _INT_RE = re.compile(r"-?[0-9]+")
+
+# A quoted string whose only escapes are \" and \\; _OPEN_STRING lacks the
+# closing quote, so it stops where a failing string goes wrong.
+_OPEN_STRING = r'"[^"\\]*(?:\\["\\][^"\\]*)*'
+#: a complete quoted string, as emitted by ``quote_string``
+STRING_PATTERN = _OPEN_STRING + '"'
+_STRING_RE = re.compile(STRING_PATTERN)
+_OPEN_STRING_RE = re.compile(_OPEN_STRING)
+_ESCAPE_RE = re.compile(r'\\(["\\])')
 
 
 class JobAction(enum.Enum):
@@ -175,7 +188,7 @@ class _Parser:
     def parse_clause(self) -> tuple[str, RslValue]:
         self.expect("(")
         self.skip_ws()
-        m = _NAME_RE.match(self.text, self.pos)
+        m = NAME_RE.match(self.text, self.pos)
         if not m:
             raise self.error("bad clause", "attribute name")
         name = m.group()
@@ -189,20 +202,16 @@ class _Parser:
         return name, value
 
     def parse_value(self, name: str) -> RslValue:
-        if self.pos < len(self.text) and self.text[self.pos] == '"':
+        if self.text.startswith('"', self.pos):
             strings = [self.parse_string()]
-            while True:
-                mark = self.pos
+            self.skip_ws()
+            while self.text.startswith('"', self.pos):
+                if name.lower() != "arguments":
+                    raise self.error(
+                        "multiple string values are only allowed for 'arguments'"
+                    )
+                strings.append(self.parse_string())
                 self.skip_ws()
-                if self.pos < len(self.text) and self.text[self.pos] == '"':
-                    if name.lower() != "arguments":
-                        raise self.error(
-                            "multiple string values are only allowed for 'arguments'"
-                        )
-                    strings.append(self.parse_string())
-                else:
-                    self.pos = mark
-                    break
             if name.lower() == "arguments":
                 return strings
             return strings[0]
@@ -216,25 +225,13 @@ class _Parser:
         raise self.error("bad value", "integer or quoted string")
 
     def parse_string(self) -> str:
-        start = self.pos
-        self.expect('"')
-        out: list[str] = []
-        while True:
-            if self.pos >= len(self.text):
-                self.pos = start
-                raise self.error("unterminated string")
-            ch = self.text[self.pos]
-            if ch == '"':
-                self.pos += 1
-                return "".join(out)
-            if ch == "\\":
-                if self.pos + 1 >= len(self.text) or self.text[self.pos + 1] not in '"\\':
-                    raise self.error("invalid escape", r'\" or \\')
-                out.append(self.text[self.pos + 1])
-                self.pos += 2
-            else:
-                out.append(ch)
-                self.pos += 1
+        m = _STRING_RE.match(self.text, self.pos)
+        if m is None:
+            message, self.pos = string_error(self.text, self.pos)
+            expected = r'\" or \\' if message == "invalid escape" else None
+            raise self.error(message, expected)
+        self.pos = m.end()
+        return unquote_string(m.group())
 
 
 def parse_rsl(text: str) -> RslRequest:
@@ -248,6 +245,24 @@ def parse_rsl(text: str) -> RslRequest:
 
 def quote_string(s: str) -> str:
     return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
+def unquote_string(token: str) -> str:
+    """The text of a quoted string that ``STRING_PATTERN`` matched."""
+    body = token[1:-1]
+    return _ESCAPE_RE.sub(r"\1", body) if "\\" in body else body
+
+
+def string_error(text: str, start: int) -> tuple[str, int]:
+    """Why the string opening at ``text[start]`` does not match, and where.
+
+    The string is either unterminated (reported at its opening quote) or
+    holds an invalid escape (reported at the backslash).
+    """
+    end = _OPEN_STRING_RE.match(text, start).end()
+    if end == len(text):
+        return "unterminated string", start
+    return "invalid escape", end
 
 
 def render_value(value: RslValue) -> str:

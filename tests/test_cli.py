@@ -267,6 +267,23 @@ class TestSubmitManageTickLedger:
         args[args.index(_p(site, "job.rsl"))] = _p(site, "nope.rsl")
         assert main(args) == 2
 
+    @pytest.mark.parametrize(
+        "name, what",
+        [("site.pol", "policy"), ("alice.cred", "credential"), ("job.rsl", "rsl")],
+    )
+    def test_non_utf8_input_exits_two_and_names_the_file(self, site, capsys, name, what):
+        (site / name).write_bytes(b"\xff" + (site / name).read_bytes())
+        assert main(_submit_args(site)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read {what} {_p(site, name)!r}: 'utf-8' codec")
+
+    def test_non_utf8_state_exits_three(self, site, capsys):
+        state = site / "state.json"
+        state.write_bytes(b"\xff\xfe{}")
+        assert main(["ledger", "--state", str(state)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"state error: cannot read state file {str(state)!r}: 'utf-8'")
+
     def test_corrupt_state_exits_three(self, site, capsys):
         (site / "state.json").write_text("{ not json")
         assert main(_submit_args(site)) == 3

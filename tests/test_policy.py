@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,7 @@ from gridauth.policy import (
     BadRegexError,
     EnumSpec,
     Group,
+    Identity,
     MaxSpec,
     MayContain,
     MinSpec,
@@ -24,6 +26,7 @@ from gridauth.policy import (
     MustContain,
     MustNotContain,
     OrSpec,
+    PolicyDocument,
     PolicySyntaxError,
     RangeSpec,
     RegexSpec,
@@ -121,6 +124,57 @@ class TestParse:
         with pytest.raises(PolicySyntaxError) as exc:
             parse_policy('# heading\npolicy "p" source vo {\n  bogus;\n}')
         assert exc.value.line == 3
+
+    @pytest.mark.parametrize(
+        "text, message, line, col",
+        [
+            # an unterminated string is reported at its opening quote
+            ('policy "p', "unterminated string", 1, 8),
+            ('policy "p" source resource {\n trust vo "ab\ncd;', "unterminated string", 2, 11),
+            # an invalid escape is reported at its backslash
+            ('policy "a\\nb"', "invalid escape", 1, 10),
+            ('policy "a\nb\\q"', "invalid escape", 2, 2),
+            ('policy "ab\\', "invalid escape", 1, 11),
+            # a column counts characters, a tab or a CR among them
+            ('policy\t"p" @', "unexpected character '@'", 1, 12),
+            ("policy\r-", "unexpected character '-'", 1, 8),
+            ('policy "p"\r\n  source vo { $ }', "unexpected character '$'", 2, 15),
+            ('# say "hi\npolicy "p" ~', "unexpected character '~'", 2, 12),
+            ('policy "é" é', "unexpected character 'é'", 1, 12),
+            # end of input
+            ('policy "p" source vo', "expected '{'", 1, 21),
+            ('policy "p" source vo {\n subject any {\n', "unexpected end of subject block", 3, 1),
+            # a clause check points at the clause's keyword
+            (
+                'policy "p" source vo {\n allocation 1 cpu-seconds;\n\tallocation 2 cpu-seconds;',
+                "duplicate allocation clause", 3, 2,
+            ),
+        ],
+    )
+    def test_syntax_error_positions(self, text, message, line, col):
+        with pytest.raises(PolicySyntaxError) as exc:
+            parse_policy(text)
+        assert type(exc.value) is PolicySyntaxError
+        assert (exc.value.line, exc.value.col) == (line, col)
+        assert str(exc.value) == f"line {line}, col {col}: {message}"
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (
+                'policy "p" source vo {\n\n  trust vo "x";\n}',
+                "line 3: trust clauses belong to resource documents",
+            ),
+            (
+                'policy "p" source resource {\n  # c\n  allocation 5 cpu-seconds;\n}',
+                "line 3: allocation clauses belong to vo documents",
+            ),
+        ],
+    )
+    def test_misplaced_clause_names_its_line(self, text, message):
+        with pytest.raises(MisplacedClauseError) as exc:
+            parse_policy(text)
+        assert str(exc.value) == message
 
     def test_action_list_with_grants(self):
         doc = parse_policy(
@@ -352,7 +406,42 @@ class TestRejectionTotality:
             pass
 
 
+def _compiles(pattern: str) -> bool:
+    try:
+        re.compile(pattern)
+    except re.error:
+        return False
+    return True
+
+
+@st.composite
+def documents_with_arbitrary_strings(draw):
+    """Documents whose every quoted string is arbitrary text."""
+    text = st.text(max_size=12) | st.text('"\\#\n\r\t {};,.*é', max_size=12)
+    texts = st.lists(text, min_size=1, max_size=3)
+    blocks = (
+        SubjectBlock(
+            matcher=Identity(draw(text)),
+            allowed_actions=frozenset({JobAction.CANCEL}),
+            jobtag_grants={JobAction.CANCEL: frozenset(draw(texts))},
+            assertions=(
+                MayContain("queue", EnumSpec(tuple(draw(texts)))),
+                MustNotContain("executable", RegexSpec(draw(text.filter(_compiles)))),
+            ),
+        ),
+        SubjectBlock(matcher=Group(draw(text)), allowed_actions=frozenset({JobAction.START})),
+    )
+    return PolicyDocument(
+        name=draw(text), source="vo", blocks=blocks, member_quotas={draw(text): 5}
+    )
+
+
 class TestRoundTrip:
+    @given(documents_with_arbitrary_strings())
+    @settings(max_examples=200, deadline=None)
+    def test_arbitrary_strings_round_trip(self, doc):
+        assert parse_policy(format_policy(doc)) == doc
+
     def test_format_parse_round_trip_fixed(self):
         text = (
             'policy "fusion" source vo {\n'

@@ -73,6 +73,24 @@ class TestParse:
         with pytest.raises(RslSyntaxError):
             parse_rsl('&(queue="open')
 
+    @pytest.mark.parametrize(
+        "text, message, position, expected",
+        [
+            ('&(queue="open', "unterminated string", 8, None),
+            ('&(queue="a\\"', "unterminated string", 8, None),
+            ('&(arguments="a" "b', "unterminated string", 16, None),
+            ('&(stdout="a\\nb")', "invalid escape", 11, r'\" or \\'),
+            ('&(stdout="ab\\', "invalid escape", 12, r'\" or \\'),
+        ],
+    )
+    def test_string_error_positions(self, text, message, position, expected):
+        with pytest.raises(RslSyntaxError) as exc:
+            parse_rsl(text)
+        assert exc.value.position == position
+        assert exc.value.expected == expected
+        suffix = f" (expected {expected})" if expected else ""
+        assert str(exc.value) == f"{message} at offset {position}{suffix}"
+
     def test_missing_paren(self):
         with pytest.raises(RslSyntaxError) as exc:
             parse_rsl("&(count=1")
