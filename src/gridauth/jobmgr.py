@@ -3,12 +3,35 @@
 Submission and management requests each pass one enforcement point that
 asks the decision point before anything changes; a denied request
 leaves no state behind.  Admitted jobs move through a fixed lifecycle
-(pending, active, suspended, and the absorbing done/failed/canceled)
-driven by `tick`, which advances simulated time one second at a step:
-pending jobs activate (highest priority first, then submission order),
-every active job consumes ``count`` cpu-seconds per simulated second,
-and jobs whose total consumption reaches their profiled runtime settle
-their reservation and complete.  Sandbox breaches kill the job instead.
+(pending, active, suspended, and the absorbing done/failed/canceled).
+
+Simulated time moves only in `tick(dt)`, and its result is that of
+``dt`` one-second steps.  Each step activates the pending jobs (highest
+priority first, then submission order) at the second it starts, then
+advances the clock; every active job consumes ``count`` cpu-seconds,
+capped at its profiled runtime, and is killed if that breaches its
+sandbox or completes once its consumption reaches the runtime; then each
+dynamic-account lease is renewed to ``clock + lease_ttl``, except that
+an active job whose lease has expired (``expires_at <= clock``) fails
+with a lease fault.  Every ending settles the job's reservation.
+
+Nothing arrives and no management request runs inside one `tick`, so
+the steps need not be taken one at a time: `tick` jumps between events.
+Pending jobs can only activate at step 1, and after step k an active
+job has consumed ``min(consumed + count*k, runtime)``.  So each live job
+is visited once and the step at which it ends is computed in closed
+form: step 1 if its memory or disk cap is already exceeded, the first
+step whose consumption exceeds its cpu cap (a cpu breach wins a tie with
+completion), or the step at which it reaches its runtime.  One
+`record_usage` call at that step confirms the outcome.  A lease fault
+hits an active job at step 1 if its lease's ``expires_at`` is at most
+the tick's start + 1; otherwise at step 2 if ``lease_ttl <= 1`` (the
+renewal at step 1 expires at once); otherwise never.  Endings are
+applied by step, usage before lease faults within a step, then in
+submission or lease order, each at its own clock second.  The survivors'
+consumption is then set once and their leases renewed once to
+``end + lease_ttl``.  The work per call grows with the live jobs only,
+not with ``dt`` or with the jobs that have finished.
 
 All mutations go through one engine instance and are serialized by the
 caller; records returned to callers are snapshots.
@@ -101,6 +124,13 @@ TRANSITIONS: Mapping = {
 }
 
 
+def _require_int(value, what: str) -> int:
+    # bool is an int subclass, but true/false in a state file is no figure
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, not {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class SimProfile:
     """What the simulated job would really do if it ran."""
@@ -110,11 +140,13 @@ class SimProfile:
     disk: int = 0  # MB
 
     def __post_init__(self):
-        if self.runtime < 0 or self.memory_peak < 0 or self.disk < 0:
-            raise ValueError("profile figures must be non-negative")
+        for figure in (self.runtime, self.memory_peak, self.disk):
+            _require_int(figure, "profile figure")
+            if figure < 0:
+                raise ValueError("profile figures must be non-negative")
 
 
-@dataclass
+@dataclass(slots=True)
 class Job:
     id: str
     owner: str
@@ -140,7 +172,7 @@ class Job:
         return self.request.get("jobtag")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Event:
     t: int
     job: str
@@ -185,6 +217,26 @@ def _policy_caps(decision: Decision, docs: Mapping, attr: str) -> list:
     return caps
 
 
+def _consumed_after(job: Job, steps: int) -> int:
+    """An active job's consumption after ``steps`` more seconds of running."""
+    return min(job.consumed + job.count * steps, job.profile.runtime)
+
+
+def _end_step(job: Job) -> int:
+    """The first step at which an active job breaches its sandbox or completes."""
+    spec, profile = job.sandbox, job.profile
+    if (spec.max_memory is not None and profile.memory_peak > spec.max_memory) or (
+        spec.max_disk is not None and profile.disk > spec.max_disk
+    ):
+        return 1
+    # consumption reaches the runtime at this step ...
+    step = -((job.consumed - profile.runtime) // job.count)
+    if spec.max_cpu is not None and profile.runtime > spec.max_cpu:
+        # ... unless it first exceeds the cpu cap
+        step = min(step, (spec.max_cpu - job.consumed) // job.count + 1)
+    return max(step, 1)
+
+
 class JobManager:
     """Gatekeeper, job-manager instances, clock and bookkeeping in one place."""
 
@@ -214,6 +266,7 @@ class JobManager:
 
         self.clock = 0
         self.jobs: dict[str, Job] = {}
+        self._live: dict[str, Job] = {}  # the non-terminal jobs, in submission order
         self.events: list[Event] = []
         self.ledger = AllocationLedger()
         self._leases: dict[str, AccountLease] = {}
@@ -336,6 +389,7 @@ class JobManager:
             accounted=accounted,
         )
         self.jobs[job_id] = job
+        self._live[job_id] = job
         if lease is not None:
             self._leases[job_id] = lease
         self._emit(job_id, "submit", f"owner={cred.subject} state=pending reserved={reserved}")
@@ -427,6 +481,7 @@ class JobManager:
         if lease is not None:
             self.pool.release(lease)
         job.ended_at = self.clock
+        del self._live[job.id]
 
     # -- clock ------------------------------------------------------------
 
@@ -435,26 +490,44 @@ class JobManager:
         if dt <= 0:
             raise ValueError("dt must be positive")
         first_new = len(self.events)
-        for _ in range(dt):
-            self._step()
-        return self.events[first_new:]
-
-    def _step(self) -> None:
+        start = self.clock
         pending = sorted(
-            (j for j in self.jobs.values() if j.state is JobState.PENDING),
+            (j for j in self._live.values() if j.state is JobState.PENDING),
             key=lambda j: (-j.priority, j.submitted_at, int(j.id[1:])),
         )
         for job in pending:
             self._transition(job, "activate")
             self._emit(job.id, "activate", "state=active")
 
-        self.clock += 1
-
-        for job in list(self.jobs.values()):
+        # (step, phase, order, job): phase 0 ends on usage, phase 1 on an
+        # expired lease; a second's usage is checked before its leases
+        endings = []
+        running = [j for j in self._live.values() if j.state is JobState.ACTIVE]
+        for order, job in enumerate(running):
+            step = _end_step(job)
+            if step <= dt:
+                endings.append((step, 0, order, job))
+        for order, (job_id, lease) in enumerate(self._leases.items()):
+            job = self._live[job_id]
             if job.state is not JobState.ACTIVE:
                 continue
-            delta = min(job.count, job.profile.runtime - job.consumed)
-            tentative = job.consumed + delta
+            if lease.expires_at <= start + 1:
+                endings.append((1, 1, order, job))
+            elif self.lease_ttl <= 1 and dt >= 2:
+                endings.append((2, 1, order, job))
+        endings.sort(key=lambda e: e[:3])
+
+        for step, phase, _, job in endings:
+            if job.state is not JobState.ACTIVE:
+                continue  # ended earlier in the other phase
+            self.clock = start + step
+            tentative = _consumed_after(job, step)
+            if phase == 1:
+                job.consumed = tentative
+                self._transition(job, "fault")
+                self._emit(job.id, "failed", "state=failed fault=lease-expired")
+                self._settle(job)
+                continue
             sample = UsageSample(
                 cpu=tentative, memory=job.profile.memory_peak, disk=job.profile.disk
             )
@@ -467,10 +540,8 @@ class JobManager:
                     job.consumed = tentative
                 self._transition(job, "limit_kill")
                 self._emit(job.id, "failed", f"state=failed limit={breach}")
-                self._settle(job)
-                continue
-            job.consumed = tentative
-            if job.consumed >= job.profile.runtime:
+            else:
+                job.consumed = tentative
                 self._transition(job, "complete")
                 refund = max(job.reserved - job.consumed, 0)
                 self._emit(
@@ -478,20 +549,16 @@ class JobManager:
                     "done",
                     f"state=done consumed={job.consumed} refunded={refund}",
                 )
-                self._settle(job)
+            self._settle(job)
 
-        # leases stay fresh while their job lives; an expired lease under
-        # a running job is a simulator fault
-        for job_id, lease in list(self._leases.items()):
-            job = self.jobs[job_id]
-            if job.state in TERMINAL_STATES:
-                continue
-            if lease.expires_at <= self.clock and job.state is JobState.ACTIVE:
-                self._transition(job, "fault")
-                self._emit(job_id, "failed", "state=failed fault=lease-expired")
-                self._settle(job)
-            else:
-                self.pool.renew(lease, self.clock, self.lease_ttl)
+        self.clock = start + dt
+        for job in running:
+            if job.state is JobState.ACTIVE:
+                job.consumed = _consumed_after(job, dt)
+        # leases stay fresh while their job lives
+        for lease in self._leases.values():
+            self.pool.renew(lease, self.clock, self.lease_ttl)
+        return self.events[first_new:]
 
     # -- inspection -------------------------------------------------------
 
@@ -585,18 +652,14 @@ class JobManager:
             gridmap=gridmap,
             key_registry=key_registry,
             target=state["target"],
-            lease_ttl=state["lease_ttl"],
+            lease_ttl=_require_int(state["lease_ttl"], "lease_ttl"),
         )
-        engine.clock = state["clock"]
-        engine._next_seq = state["next_seq"]
+        engine.clock = _require_int(state["clock"], "clock")
+        engine._next_seq = _require_int(state["next_seq"], "next_seq")
         engine.ledger = AllocationLedger.from_dict(state["ledger"])
-        # rebuild the pool with leases attached to their jobs
-        engine.pool = DynamicAccountPool(state["pool"]["free"])
-        for job_id, entry in state["pool"]["leased"].items():
-            lease = AccountLease(entry["account"], entry["expires_at"])
-            engine.pool._leased[lease.account] = lease
-            engine._leases[job_id] = lease
         for data in state["jobs"]:
+            for key in ("reserved", "consumed", "priority", "submitted_at"):
+                _require_int(data[key], f"job {data['id']} {key}")
             job = Job(
                 id=data["id"],
                 owner=data["owner"],
@@ -614,6 +677,20 @@ class JobManager:
                 accounted=data["accounted"],
             )
             engine.jobs[job.id] = job
+            if job.state not in TERMINAL_STATES:
+                engine._live[job.id] = job
+        # rebuild the pool with leases attached to their live jobs
+        engine.pool = DynamicAccountPool(state["pool"]["free"])
+        for job_id, entry in state["pool"]["leased"].items():
+            if job_id not in engine._live:
+                raise ValueError(
+                    f"lease on {entry['account']!r} names no live job {job_id!r}"
+                )
+            lease = AccountLease(
+                entry["account"], _require_int(entry["expires_at"], "expires_at")
+            )
+            engine.pool._leased[lease.account] = lease
+            engine._leases[job_id] = lease
         engine.events = [
             Event(e["t"], e["job"], e["name"], e["detail"]) for e in state["events"]
         ]

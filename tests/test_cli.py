@@ -415,6 +415,37 @@ class TestStateVersion1:
             "member=/O=Grid/CN=dave used=606/unlimited\n"
         )
 
+    @pytest.mark.parametrize(
+        "path, value, message",
+        [
+            (("pool", "leased", "j999"), {"account": "dyn09", "expires_at": 3604},
+             "names no live job 'j999'"),
+            (("pool", "leased", "j3"), {"account": "dyn09", "expires_at": 3604},
+             "names no live job 'j3'"),
+            (("jobs", 0, "consumed"), "x", "job j1 consumed must be an integer, not 'x'"),
+            (("jobs", 4, "priority"), None, "job j5 priority must be an integer"),
+            (("jobs", 4, "profile", "runtime"), 2.5, "profile figure must be an integer"),
+            (("clock",), True, "clock must be an integer, not True"),
+            (("lease_ttl",), "3600", "lease_ttl must be an integer"),
+            (("pool", "leased", "j2", "expires_at"), "later", "expires_at must be an integer"),
+        ],
+        ids=["unknown-lease-job", "done-lease-job", "text-consumed", "null-priority",
+             "float-runtime", "bool-clock", "text-lease-ttl", "text-expiry"],
+    )
+    def test_malformed_state_fails_closed_at_tick(self, v1, capsys, path, value, message):
+        state = v1 / "state.json"
+        data = json.loads(state.read_text())
+        entry = data["engine"]
+        for key in path[:-1]:
+            entry = entry[key]
+        entry[path[-1]] = value
+        state.write_text(json.dumps(data))
+        before = state.read_bytes()
+        assert main(["tick", "--state", str(state), "--dt", "1"]) == 3
+        err = capsys.readouterr().err
+        assert "incomplete or malformed: ValueError" in err and message in err
+        assert state.read_bytes() == before
+
     def test_restore_keeps_everything_but_the_dropped_keys(self):
         engine = json.loads((STATE_V1 / "state.json").read_text())["engine"]
         manager = JobManager.restore(engine)

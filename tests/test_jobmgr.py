@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from gridauth import jobmgr
 from gridauth.credential import GridCredential, GridMapFile, sign_capability
 from gridauth.enforce import DynamicAccountPool, QuotaExceededError
 from gridauth.jobmgr import (
@@ -388,6 +389,76 @@ class TestTick:
     def test_tick_requires_positive_dt(self):
         with pytest.raises(ValueError):
             _engine().tick(0)
+
+
+class TestEventJump:
+    """`tick(dt)` costs the same whatever ``dt`` and however many jobs ended."""
+
+    def test_huge_dt_lands_each_closed_form_ending(self):
+        eng = _engine(
+            vo=VO_PLAIN,
+            pool=("dyn00", "dyn01", "dyn02"),
+            gridmap=GridMapFile({ALICE.subject: "alice_l"}),
+        )
+        held = eng.gatekeeper_submit(BOB, '&(executable="/x")', SimProfile(runtime=50))
+        eng.tick(1)
+        eng.manage(held, JobAction.SUSPEND, BOB)
+        done = eng.gatekeeper_submit(BOB, '&(executable="/x")(count=2)', SimProfile(runtime=10**6 + 1))
+        killed = eng.gatekeeper_submit(
+            BOB, '&(executable="/x")(count=3)(maxcputime=100)', SimProfile(runtime=1000)
+        )
+        running = eng.gatekeeper_submit(ALICE, '&(executable="/x")', SimProfile(runtime=10**12))
+        events = eng.tick(10**9)
+        end = 1 + 10**9
+        assert [e.line for e in events] == [
+            f"t=1 job={done} event=activate detail=state=active",
+            f"t=1 job={killed} event=activate detail=state=active",
+            f"t=1 job={running} event=activate detail=state=active",
+            # cap 300 is first exceeded at 3 cpu-seconds a second on step 101
+            f"t=102 job={killed} event=failed detail=state=failed limit=cpu",
+            # 10**6 + 1 cpu-seconds at 2 a second take ceil(500000.5) steps
+            f"t={1 + 500001} job={done} event=done detail=state=done consumed={10**6 + 1} refunded=0",
+        ]
+        assert (eng.job_record(killed).consumed, eng.job_record(killed).ended_at) == (300, 102)
+        assert eng.job_record(done).ended_at == 1 + 500001
+        assert eng.job_record(held).consumed == 1
+        assert eng.job_record(running).consumed == 10**9
+        assert eng.job_record(running).ended_at is None
+        assert eng.clock == end
+        # the suspended job's lease was renewed as of the tick's last second
+        assert eng.snapshot()["pool"]["leased"][held]["expires_at"] == end + 3600
+
+    def test_work_grows_with_live_jobs_only(self, monkeypatch):
+        eng = _engine(vo=VO_PLAIN)
+        eng.gatekeeper_submit(ALICE, '&(executable="/x")', SimProfile(runtime=0))
+        eng.tick(1)
+        state = eng.snapshot()
+        finished = state["jobs"][0]
+        state["jobs"] = [dict(finished, id=f"j{i}") for i in range(1, 10_001)]
+        state["next_seq"] = 10_001
+        eng = JobManager.restore(
+            state, resource_policy=RESOURCE, vo_policies=[VO_PLAIN], gridmap=GRIDMAP
+        )
+
+        calls = []
+        real = jobmgr.record_usage
+
+        def counted(spec, sample):
+            calls.append(sample)
+            return real(spec, sample)
+
+        monkeypatch.setattr(jobmgr, "record_usage", counted)
+        assert eng.tick(1000) == []
+        assert calls == []
+        assert eng.clock == 1001
+
+        live = [
+            eng.gatekeeper_submit(ALICE, '&(executable="/x")', SimProfile(runtime=runtime))
+            for runtime in (0, 5, 999, 1000, 1001, 10**6)
+        ]
+        eng.tick(1000)
+        assert len(calls) <= len(live)
+        assert [eng.job_record(j).state for j in live] == [JobState.DONE] * 4 + [JobState.ACTIVE] * 2
 
 
 class TestJobRecord:
