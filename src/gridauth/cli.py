@@ -57,9 +57,9 @@ EXIT_DENIED = 1
 EXIT_INPUT = 2
 EXIT_STATE = 3
 
-STATE_VERSION = 2
-#: version 2 stores a subset of version 1's keys, so both restore alike
-READABLE_STATE_VERSIONS = (1, 2)
+STATE_VERSION = 3
+#: versions 1 and 2 also store a lease TTL and expiry, which restore checks and drops
+READABLE_STATE_VERSIONS = (1, 2, 3)
 
 
 class StateFileError(Exception):

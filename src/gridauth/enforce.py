@@ -1,9 +1,9 @@
 """Enforcement primitives: dynamic accounts, sandbox limits, usage ledger.
 
 The account pool hands out pre-created local accounts to grid users who
-have no static mapping; each lease carries only a TTL that the job
-manager renews while the job lives, since the job itself holds its
-owner and its sandbox.  The allocation ledger charges VO and per-member
+have no static mapping.  A lease lasts exactly as long as its job: the
+job records which account it holds, and the pool gets the account back
+when the job ends.  The allocation ledger charges VO and per-member
 cpu-second budgets at admission and refunds the unconsumed remainder
 when a job settles.  Limits are inclusive: usage may equal a cap,
 exceeding it is a breach.
@@ -83,18 +83,12 @@ def record_usage(spec: SandboxSpec, sample: UsageSample) -> str | None:
     return None
 
 
-@dataclass
-class AccountLease:
-    account: str
-    expires_at: int
-
-
 class DynamicAccountPool:
-    """FIFO pool of local accounts leased to one subject at a time."""
+    """FIFO pool of local accounts, each leased to one live job at a time."""
 
-    def __init__(self, accounts: Iterable[str] = ()):
+    def __init__(self, accounts: Iterable[str] = (), leased: Iterable[str] = ()):
         self._free: deque = deque()
-        self._leased: dict[str, AccountLease] = {}
+        self._leased: set = set(leased)
         for name in accounts:
             if name in self._free:
                 raise EnforcementError(f"duplicate account {name!r}")
@@ -104,24 +98,21 @@ class DynamicAccountPool:
     def free_accounts(self) -> tuple:
         return tuple(self._free)
 
-    def lease(self, now: int, ttl: int) -> AccountLease:
+    def lease(self) -> str:
         if not self._free:
             raise PoolExhaustedError("no dynamic accounts available")
         account = self._free.popleft()
-        lease = AccountLease(account, now + ttl)
-        self._leased[account] = lease
-        return lease
+        self._leased.add(account)
+        return account
 
-    def release(self, lease: AccountLease) -> None:
-        if self._leased.get(lease.account) is not lease:
-            raise UnknownLeaseError(f"no active lease on {lease.account!r}")
-        del self._leased[lease.account]
-        self._free.append(lease.account)
+    def release(self, account: str) -> None:
+        if account not in self._leased:
+            raise UnknownLeaseError(f"no active lease on {account!r}")
+        self._leased.remove(account)
+        self._free.append(account)
 
-    def renew(self, lease: AccountLease, now: int, ttl: int) -> None:
-        if self._leased.get(lease.account) is not lease:
-            raise UnknownLeaseError(f"no active lease on {lease.account!r}")
-        lease.expires_at = now + ttl
+    # never called: perfbench/spans.py fetches it as __dict__["renew"] to count calls
+    def renew(self, *_) -> None: ...
 
 
 @dataclass

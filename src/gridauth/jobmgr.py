@@ -10,10 +10,9 @@ Simulated time moves only in `tick(dt)`, and its result is that of
 priority first, then submission order) at the second it starts, then
 advances the clock; every active job consumes ``count`` cpu-seconds,
 capped at its profiled runtime, and is killed if that breaches its
-sandbox or completes once its consumption reaches the runtime; then each
-dynamic-account lease is renewed to ``clock + lease_ttl``, except that
-an active job whose lease has expired (``expires_at <= clock``) fails
-with a lease fault.  Every ending settles the job's reservation.
+sandbox or completes once its consumption reaches the runtime.  Every
+ending settles the job's reservation and hands its dynamic account, if
+it holds one, back to the pool: a lease lasts exactly as long as its job.
 
 Nothing arrives and no management request runs inside one `tick`, so
 the steps need not be taken one at a time: `tick` jumps between events.
@@ -23,15 +22,11 @@ is visited once and the step at which it ends is computed in closed
 form: step 1 if its memory or disk cap is already exceeded, the first
 step whose consumption exceeds its cpu cap (a cpu breach wins a tie with
 completion), or the step at which it reaches its runtime.  One
-`record_usage` call at that step confirms the outcome.  A lease fault
-hits an active job at step 1 if its lease's ``expires_at`` is at most
-the tick's start + 1; otherwise at step 2 if ``lease_ttl <= 1`` (the
-renewal at step 1 expires at once); otherwise never.  Endings are
-applied by step, usage before lease faults within a step, then in
-submission or lease order, each at its own clock second.  The survivors'
-consumption is then set once and their leases renewed once to
-``end + lease_ttl``.  The work per call grows with the live jobs only,
-not with ``dt`` or with the jobs that have finished.
+`record_usage` call at that step confirms the outcome.  Endings are
+applied by step, then in submission order, each at its own clock second,
+and the survivors' consumption is then set once.  The work per call
+grows with the live jobs only, not with ``dt`` or with the jobs that
+have finished.
 
 All mutations go through one engine instance and are serialized by the
 caller; records returned to callers are snapshots.
@@ -45,9 +40,9 @@ from typing import Iterable, Mapping
 
 from .credential import CapabilityToken, GridCredential, GridMapFile
 from .enforce import (
-    AccountLease,
     AllocationLedger,
     DynamicAccountPool,
+    EnforcementError,
     PoolExhaustedError,
     SandboxSpec,
     UsageSample,
@@ -71,8 +66,6 @@ from .policy import (
     parse_policy,
 )
 from .rsl import JobAction, RslRequest, parse_rsl, serialize_rsl
-
-DEFAULT_LEASE_TTL = 3600
 
 
 class JobManagerError(Exception):
@@ -120,7 +113,6 @@ TRANSITIONS: Mapping = {
     (JobState.SUSPENDED, "cancel"): JobState.CANCELED,
     (JobState.ACTIVE, "complete"): JobState.DONE,
     (JobState.ACTIVE, "limit_kill"): JobState.FAILED,
-    (JobState.ACTIVE, "fault"): JobState.FAILED,
 }
 
 
@@ -248,7 +240,6 @@ class JobManager:
         pool: DynamicAccountPool | None = None,
         key_registry: Mapping | None = None,
         target: str = "site",
-        lease_ttl: int = DEFAULT_LEASE_TTL,
     ):
         if resource_policy is not None and resource_policy.source != "resource":
             raise PolicyError("resource_policy must have source 'resource'")
@@ -262,14 +253,13 @@ class JobManager:
         self.pool = pool or DynamicAccountPool()
         self.key_registry = dict(key_registry or {})
         self.target = target
-        self.lease_ttl = lease_ttl
 
         self.clock = 0
         self.jobs: dict[str, Job] = {}
         self._live: dict[str, Job] = {}  # the non-terminal jobs, in submission order
         self.events: list[Event] = []
         self.ledger = AllocationLedger()
-        self._leases: dict[str, AccountLease] = {}
+        self._pooled: set = set()  # ids of the live jobs on dynamic accounts
         self._next_seq = 1
 
         for doc in self.vo_policies.values():
@@ -358,17 +348,16 @@ class JobManager:
 
         sandbox = self._sandbox_for(cred, request, decision, vo_doc)
         account = self.gridmap.lookup(cred.subject)
-        lease = None
-        if account is None:
+        pooled = account is None
+        if pooled:
             try:
-                lease = self.pool.lease(self.clock, self.lease_ttl)
+                account = self.pool.lease()
             except PoolExhaustedError:
                 if accounted:
                     self.ledger.settle(cred.vo, cred.subject, reserved, 0)
                 raise NoAccountsAvailableError(
                     f"no local account for {cred.subject} and the dynamic pool is empty"
                 ) from None
-            account = lease.account
 
         job_id = f"j{self._next_seq}"
         self._next_seq += 1
@@ -390,8 +379,8 @@ class JobManager:
         )
         self.jobs[job_id] = job
         self._live[job_id] = job
-        if lease is not None:
-            self._leases[job_id] = lease
+        if pooled:
+            self._pooled.add(job_id)
         self._emit(job_id, "submit", f"owner={cred.subject} state=pending reserved={reserved}")
         return job_id
 
@@ -477,9 +466,9 @@ class JobManager:
     def _settle(self, job: Job) -> None:
         if job.accounted:
             self.ledger.settle(job.vo, job.owner, job.reserved, job.consumed)
-        lease = self._leases.pop(job.id, None)
-        if lease is not None:
-            self.pool.release(lease)
+        if job.id in self._pooled:
+            self._pooled.remove(job.id)
+            self.pool.release(job.account)
         job.ended_at = self.clock
         del self._live[job.id]
 
@@ -499,35 +488,18 @@ class JobManager:
             self._transition(job, "activate")
             self._emit(job.id, "activate", "state=active")
 
-        # (step, phase, order, job): phase 0 ends on usage, phase 1 on an
-        # expired lease; a second's usage is checked before its leases
+        # (step, order, job), in the order the endings happen
         endings = []
         running = [j for j in self._live.values() if j.state is JobState.ACTIVE]
         for order, job in enumerate(running):
             step = _end_step(job)
             if step <= dt:
-                endings.append((step, 0, order, job))
-        for order, (job_id, lease) in enumerate(self._leases.items()):
-            job = self._live[job_id]
-            if job.state is not JobState.ACTIVE:
-                continue
-            if lease.expires_at <= start + 1:
-                endings.append((1, 1, order, job))
-            elif self.lease_ttl <= 1 and dt >= 2:
-                endings.append((2, 1, order, job))
-        endings.sort(key=lambda e: e[:3])
+                endings.append((step, order, job))
+        endings.sort(key=lambda e: e[:2])
 
-        for step, phase, _, job in endings:
-            if job.state is not JobState.ACTIVE:
-                continue  # ended earlier in the other phase
+        for step, _, job in endings:
             self.clock = start + step
             tentative = _consumed_after(job, step)
-            if phase == 1:
-                job.consumed = tentative
-                self._transition(job, "fault")
-                self._emit(job.id, "failed", "state=failed fault=lease-expired")
-                self._settle(job)
-                continue
             sample = UsageSample(
                 cpu=tentative, memory=job.profile.memory_peak, disk=job.profile.disk
             )
@@ -555,9 +527,6 @@ class JobManager:
         for job in running:
             if job.state is JobState.ACTIVE:
                 job.consumed = _consumed_after(job, dt)
-        # leases stay fresh while their job lives
-        for lease in self._leases.values():
-            self.pool.renew(lease, self.clock, self.lease_ttl)
         return self.events[first_new:]
 
     # -- inspection -------------------------------------------------------
@@ -581,15 +550,11 @@ class JobManager:
             "clock": self.clock,
             "next_seq": self._next_seq,
             "target": self.target,
-            "lease_ttl": self.lease_ttl,
             "jobs": [self._job_to_dict(j) for j in self.jobs.values()],
             "ledger": self.ledger.to_dict(),
             "pool": {
                 "free": list(self.pool.free_accounts),
-                "leased": {
-                    job_id: {"account": lease.account, "expires_at": lease.expires_at}
-                    for job_id, lease in self._leases.items()
-                },
+                "leased": [job_id for job_id in self._live if job_id in self._pooled],
             },
             "events": [
                 {"t": e.t, "job": e.job, "name": e.name, "detail": e.detail}
@@ -652,7 +617,6 @@ class JobManager:
             gridmap=gridmap,
             key_registry=key_registry,
             target=state["target"],
-            lease_ttl=_require_int(state["lease_ttl"], "lease_ttl"),
         )
         engine.clock = _require_int(state["clock"], "clock")
         engine._next_seq = _require_int(state["next_seq"], "next_seq")
@@ -679,18 +643,41 @@ class JobManager:
             engine.jobs[job.id] = job
             if job.state not in TERMINAL_STATES:
                 engine._live[job.id] = job
-        # rebuild the pool with leases attached to their live jobs
-        engine.pool = DynamicAccountPool(state["pool"]["free"])
-        for job_id, entry in state["pool"]["leased"].items():
-            if job_id not in engine._live:
+                if job.accounted:
+                    # the job's settlement needs its VO and member records
+                    try:
+                        engine.ledger.member_used(job.vo, job.owner)
+                    except EnforcementError as exc:
+                        raise ValueError(f"live job {job.id} cannot settle: {exc}") from None
+        free, leased = state["pool"]["free"], state["pool"]["leased"]
+        # versions 1 and 2 map each job id to its account and a lease expiry;
+        # the figures are checked, then dropped
+        old_format = isinstance(leased, dict)
+        if old_format:
+            _require_int(state["lease_ttl"], "lease_ttl")
+        holders: dict = {}  # account -> the live job leasing it
+        for job_id in leased:
+            job = engine._live.get(job_id)
+            if job is None:
+                raise ValueError(f"a lease names no live job {job_id!r}")
+            account = job.account
+            if account in holders:
                 raise ValueError(
-                    f"lease on {entry['account']!r} names no live job {job_id!r}"
+                    f"account {account!r} is leased to both {holders[account]} and {job_id}"
                 )
-            lease = AccountLease(
-                entry["account"], _require_int(entry["expires_at"], "expires_at")
-            )
-            engine.pool._leased[lease.account] = lease
-            engine._leases[job_id] = lease
+            if account in free:
+                raise ValueError(f"account {account!r} is both free and leased to {job_id}")
+            if old_format:
+                entry = leased[job_id]
+                _require_int(entry["expires_at"], "expires_at")
+                if entry["account"] != account:
+                    raise ValueError(
+                        f"lease on {entry['account']!r} names job {job_id}, "
+                        f"which runs on {account!r}"
+                    )
+            holders[account] = job_id
+        engine.pool = DynamicAccountPool(free, leased=holders)
+        engine._pooled = set(holders.values())
         engine.events = [
             Event(e["t"], e["job"], e["name"], e["detail"]) for e in state["events"]
         ]

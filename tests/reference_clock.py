@@ -1,16 +1,15 @@
 """Reference clock: advance a JobManager one simulated second at a time.
 
 This is the stepper `JobManager.tick` replaced.  It drives the engine
-through its own `_transition`, `_emit` and `_settle`, scans every job
-every second and renews every lease every second, so it is slow but
-plainly right.  The differential tests check that `tick(dt)` leaves the
+through its own `_transition`, `_emit` and `_settle` and scans every
+job every second, so it is slow but plainly right.  The differential tests check that `tick(dt)` leaves the
 engine exactly as `reference_tick(engine, dt)` does.
 """
 
 from __future__ import annotations
 
 from gridauth.enforce import UsageSample, record_usage
-from gridauth.jobmgr import TERMINAL_STATES, JobManager, JobState
+from gridauth.jobmgr import JobManager, JobState
 
 
 def reference_tick(engine: JobManager, dt: int) -> list:
@@ -63,16 +62,3 @@ def _step(engine: JobManager) -> None:
                 f"state=done consumed={job.consumed} refunded={refund}",
             )
             engine._settle(job)
-
-    # leases stay fresh while their job lives; an expired lease under
-    # a running job is a simulator fault
-    for job_id, lease in list(engine._leases.items()):
-        job = engine.jobs[job_id]
-        if job.state in TERMINAL_STATES:
-            continue
-        if lease.expires_at <= engine.clock and job.state is JobState.ACTIVE:
-            engine._transition(job, "fault")
-            engine._emit(job_id, "failed", "state=failed fault=lease-expired")
-            engine._settle(job)
-        else:
-            engine.pool.renew(lease, engine.clock, engine.lease_ttl)

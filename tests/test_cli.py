@@ -14,6 +14,7 @@ from gridauth.jobmgr import JobManager
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 STATE_V1 = Path(__file__).resolve().parent / "data" / "state-v1"
+STATE_V2 = Path(__file__).resolve().parent / "data" / "state-v2"
 
 SITE_POL = """\
 policy "site" source resource {
@@ -305,7 +306,7 @@ class TestSubmitManageTickLedger:
         assert main(["tick", "--state", str(state), "--dt", "1"]) == 3
         assert "KeyError: 'owner'" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("version", [0, 3])
+    @pytest.mark.parametrize("version", [0, 4])
     def test_unsupported_state_version_exits_three(self, site, capsys, version):
         assert main(_submit_args(site)) == 0
         state = site / "state.json"
@@ -401,13 +402,11 @@ class TestStateVersion1:
             "t=7 job=j5 event=done detail=state=done consumed=3 refunded=47\n"
         )
         data = json.loads((v1 / "state.json").read_text())
-        assert data["version"] == 2
+        assert data["version"] == 3
         for job in data["engine"]["jobs"]:
             assert not self.DROPPED_JOB_KEYS & job.keys()
-        assert data["engine"]["pool"] == {
-            "free": ["dyn01", "dyn02"],
-            "leased": {"j2": {"account": "dyn00", "expires_at": 3608}},
-        }
+        assert "lease_ttl" not in data["engine"]
+        assert data["engine"]["pool"] == {"free": ["dyn01", "dyn02"], "leased": ["j2"]}
         assert main(["ledger", "--state", state]) == 0
         assert capsys.readouterr().out == (
             "vo=fusion used=1208/5000\n"
@@ -420,6 +419,13 @@ class TestStateVersion1:
         [
             (("pool", "leased", "j999"), {"account": "dyn09", "expires_at": 3604},
              "names no live job 'j999'"),
+            (("pool", "free"), ["dyn00"], "account 'dyn00' is both free and leased to j2"),
+            (("jobs", 4, "account"), "dyn00", "account 'dyn00' is leased to both j2 and j5"),
+            (("pool", "leased", "j5", "account"), "dyn01",
+             "lease on 'dyn01' names job j5, which runs on 'dyn02'"),
+            (("ledger",), {}, "live job j1 cannot settle: vo 'fusion' is not registered"),
+            (("ledger", "fusion", "members"), {},
+             "live job j1 cannot settle: '/O=Grid/CN=alice' has no record under vo 'fusion'"),
             (("pool", "leased", "j3"), {"account": "dyn09", "expires_at": 3604},
              "names no live job 'j3'"),
             (("jobs", 0, "consumed"), "x", "job j1 consumed must be an integer, not 'x'"),
@@ -429,8 +435,9 @@ class TestStateVersion1:
             (("lease_ttl",), "3600", "lease_ttl must be an integer"),
             (("pool", "leased", "j2", "expires_at"), "later", "expires_at must be an integer"),
         ],
-        ids=["unknown-lease-job", "done-lease-job", "text-consumed", "null-priority",
-             "float-runtime", "bool-clock", "text-lease-ttl", "text-expiry"],
+        ids=["unknown-lease-job", "free-and-leased", "leased-twice", "lease-on-other-account",
+             "ledger-lacks-vo", "ledger-lacks-member", "done-lease-job", "text-consumed",
+             "null-priority", "float-runtime", "bool-clock", "text-lease-ttl", "text-expiry"],
     )
     def test_malformed_state_fails_closed_at_tick(self, v1, capsys, path, value, message):
         state = v1 / "state.json"
@@ -453,9 +460,70 @@ class TestStateVersion1:
         for job in engine["jobs"]:
             for key in self.DROPPED_JOB_KEYS:
                 del job[key]
-        for lease in engine["pool"]["leased"].values():
-            del lease["subject"], lease["spec"]
+        del engine["lease_ttl"]
+        engine["pool"]["leased"] = list(engine["pool"]["leased"])
         assert manager.snapshot() == engine
+
+
+class TestStateVersion2:
+    """A version-2 state file written by the CLI before version 3 existed.
+
+    It holds an active job on a mapped account (j1), an active one on a
+    dynamic account with a jobtag (j2), a done job (j3), a pending one on
+    a dynamic account (j4) and ledger entries; every lease still carries
+    an ``expires_at`` and the engine a ``lease_ttl``.  The expected
+    outputs are what that CLI printed.
+    """
+
+    @pytest.fixture
+    def v2(self, tmp_path):
+        for path in STATE_V2.iterdir():
+            shutil.copy(path, tmp_path / path.name)
+        return tmp_path
+
+    def test_commands_print_what_version_2_printed(self, v2, capsys):
+        state = str(v2 / "state.json")
+        assert main(["ledger", "--state", state]) == 0
+        assert capsys.readouterr().out == (
+            "vo=fusion used=1223/5000\n"
+            "member=/O=Grid/CN=alice used=600/2000\n"
+            "member=/O=Grid/CN=dave used=623/unlimited\n"
+        )
+        code = main([
+            "manage",
+            "--state", state,
+            "--resource-policy", str(v2 / "site.pol"),
+            "--vo-policy", str(v2 / "fusion.pol"),
+            "--cred", str(v2 / "carol.cred"),
+            "--job", "j2",
+            "--action", "status",
+        ])
+        assert code == 0
+        assert capsys.readouterr().out == (
+            "job=j2 state=active owner=/O=Grid/CN=dave consumed=10 reserved=600 priority=0\n"
+        )
+        assert json.loads((v2 / "state.json").read_text())["version"] == 2
+
+        assert main(["tick", "--state", state, "--dt", "10"]) == 0
+        assert capsys.readouterr().out == (
+            "t=5 job=j4 event=activate detail=state=active\n"
+            "t=11 job=j4 event=done detail=state=done consumed=6 refunded=14\n"
+        )
+        assert main(["ledger", "--state", state]) == 0
+        assert capsys.readouterr().out == (
+            "vo=fusion used=1209/5000\n"
+            "member=/O=Grid/CN=alice used=600/2000\n"
+            "member=/O=Grid/CN=dave used=609/unlimited\n"
+        )
+
+    def test_next_write_is_version_3(self, v2):
+        state = v2 / "state.json"
+        assert main(["tick", "--state", str(state), "--dt", "1"]) == 0
+        text = state.read_text()
+        data = json.loads(text)
+        assert data["version"] == 3
+        assert data["engine"]["pool"] == {"free": ["dyn01"], "leased": ["j2", "j4"]}
+        assert "lease_ttl" not in text and "expires_at" not in text
 
 
 class TestIssueCap:

@@ -38,7 +38,6 @@ GHOST = GridCredential("/O=Grid/CN=ghost", expiry=10**9)
 CREDS = {c.subject: c for c in (ALICE, BOB, LOCAL, GHOST)}
 # bob and ghost are unmapped, so their jobs run on leased dynamic accounts
 GRIDMAP = GridMapFile({ALICE.subject: "alice_l", LOCAL.subject: "local_l"})
-LEASE_TTLS = (0, 1, 2, 3600)
 MANAGEMENT = (
     JobAction.SUSPEND,
     JobAction.RESUME,
@@ -48,13 +47,12 @@ MANAGEMENT = (
 )
 
 
-def _engine(lease_ttl: int) -> JobManager:
+def _engine() -> JobManager:
     return JobManager(
         resource_policy=RESOURCE,
         vo_policies=[VO],
         gridmap=GRIDMAP,
         pool=DynamicAccountPool(f"dyn{i}" for i in range(5)),
-        lease_ttl=lease_ttl,
     )
 
 
@@ -96,12 +94,9 @@ def _dt(rng: random.Random) -> int:
     return rng.choice([500, rng.randint(41, 500)])
 
 
-def _stale(rng: random.Random, state: dict) -> dict:
-    """The state as a file would hold it, with stale leases and some disk caps."""
+def _as_stored(rng: random.Random, state: dict) -> dict:
+    """The state as a file would hold it, with some disk caps added."""
     state = json.loads(json.dumps(state))
-    state["lease_ttl"] = rng.choice(LEASE_TTLS)
-    for entry in state["pool"]["leased"].values():
-        entry["expires_at"] = state["clock"] + rng.choice((-5, -1, 0, 1, 2, 3, 100))
     for job in state["jobs"]:
         if job["ended_at"] is None and rng.random() < 0.3:
             job["sandbox"]["max_disk"] = rng.randint(1, 60)
@@ -127,12 +122,11 @@ def test_event_jump_tick_matches_per_second_stepper():
     ticks = restores = 0
     seen: set = set()
     for _ in range(40):
-        jump = _engine(rng.choice(LEASE_TTLS))
-        stepped = _engine(jump.lease_ttl)
+        jump, stepped = _engine(), _engine()
         for _ in range(120):
             roll = rng.random()
             if roll < 0.04:
-                state = _stale(rng, jump.snapshot())
+                state = _as_stored(rng, jump.snapshot())
                 assert stepped.snapshot() == jump.snapshot()
                 jump, stepped = _restore(state), _restore(state)
                 restores += 1
@@ -154,5 +148,4 @@ def test_event_jump_tick_matches_per_second_stepper():
                 assert _apply(jump, op) == _apply(stepped, op)
     assert ticks >= 2000 and restores >= 50
     # every way a job can end was exercised
-    assert {"limit=cpu", "limit=memory", "limit=disk", "fault=lease-expired",
-            "consumed=0"} <= seen
+    assert {"limit=cpu", "limit=memory", "limit=disk", "consumed=0"} <= seen

@@ -26,51 +26,34 @@ from gridauth.enforce import (
 class TestPool:
     def test_fifo_then_exhausted(self):
         pool = DynamicAccountPool(["u1", "u2"])
-        first = pool.lease(now=0, ttl=10)
-        assert first.account == "u1"
-        second = pool.lease(now=0, ttl=10)
-        assert second.account == "u2"
+        assert pool.lease() == "u1"
+        assert pool.lease() == "u2"
         with pytest.raises(PoolExhaustedError):
-            pool.lease(now=0, ttl=10)
+            pool.lease()
 
     def test_release_returns_account(self):
         pool = DynamicAccountPool(["u1"])
-        lease = pool.lease(now=0, ttl=10)
-        pool.release(lease)
+        pool.release(pool.lease())
         assert pool.free_accounts == ("u1",)
-        again = pool.lease(now=3, ttl=10)
-        assert again.account == "u1"
-        assert again.expires_at == 13
+        assert pool.lease() == "u1"
 
     def test_double_release(self):
         pool = DynamicAccountPool(["u1"])
-        lease = pool.lease(now=0, ttl=10)
-        pool.release(lease)
+        account = pool.lease()
+        pool.release(account)
         with pytest.raises(UnknownLeaseError):
-            pool.release(lease)
+            pool.release(account)
 
     def test_one_subject_may_hold_two_leases(self):
         pool = DynamicAccountPool(["u1", "u2"])
-        a = pool.lease(now=0, ttl=10)
-        b = pool.lease(now=0, ttl=10)
-        assert {a.account, b.account} == {"u1", "u2"}
+        assert {pool.lease(), pool.lease()} == {"u1", "u2"}
 
     def test_release_preserves_size(self):
         pool = DynamicAccountPool(["u1", "u2", "u3"])
-        lease = pool.lease(now=0, ttl=10)
-        assert sorted(pool.free_accounts + (lease.account,)) == ["u1", "u2", "u3"]
-        pool.release(lease)
+        account = pool.lease()
+        assert sorted(pool.free_accounts + (account,)) == ["u1", "u2", "u3"]
+        pool.release(account)
         assert sorted(pool.free_accounts) == ["u1", "u2", "u3"]
-
-    def test_renewal_and_expiry(self):
-        pool = DynamicAccountPool(["u1"])
-        lease = pool.lease(now=0, ttl=5)
-        assert lease.expires_at == 5
-        pool.renew(lease, now=5, ttl=5)
-        assert lease.expires_at == 10
-        pool.release(lease)
-        with pytest.raises(UnknownLeaseError):
-            pool.renew(lease, now=6, ttl=5)
 
     @given(ops=st.lists(st.integers(0, 1), max_size=60))
     @settings(max_examples=100, deadline=None)
@@ -80,13 +63,12 @@ class TestPool:
         for op in ops:
             if op == 0:
                 try:
-                    live.append(pool.lease(0, 10))
+                    live.append(pool.lease())
                 except PoolExhaustedError:
                     assert len(live) == 4
             elif live:
                 pool.release(live.pop())
-            leased = [l.account for l in live]
-            assert sorted(pool.free_accounts + tuple(leased)) == [f"u{i}" for i in range(4)]
+            assert sorted(pool.free_accounts + tuple(live)) == [f"u{i}" for i in range(4)]
 
 
 class TestRecordUsage:

@@ -358,17 +358,6 @@ class TestTick:
         # request silent: the permitting block's cap bounds the sandbox
         assert eng.job_record(job_id2).sandbox.max_cpu == 2 * 40
 
-    def test_lease_expiry_with_live_job_is_a_fault(self):
-        eng = _engine(vo=VO_PLAIN, pool=("dyn00",), gridmap=GridMapFile({}), lease_ttl=0)
-        job_id = eng.gatekeeper_submit(
-            ALICE, '&(executable="/opt/vo/apps/transp")', SimProfile(runtime=100)
-        )
-        eng.tick(1)
-        job = eng.job_record(job_id)
-        assert job.state is JobState.FAILED
-        assert "fault=lease-expired" in eng.event_lines()[-1]
-        assert eng.pool.free_accounts == ("dyn00",)  # account reclaimed
-
     def test_dynamic_account_released_on_completion(self):
         eng = _engine(vo=VO_PLAIN, pool=("dyn00",), gridmap=GridMapFile({}))
         eng.gatekeeper_submit(
@@ -425,8 +414,6 @@ class TestEventJump:
         assert eng.job_record(running).consumed == 10**9
         assert eng.job_record(running).ended_at is None
         assert eng.clock == end
-        # the suspended job's lease was renewed as of the tick's last second
-        assert eng.snapshot()["pool"]["leased"][held]["expires_at"] == end + 3600
 
     def test_work_grows_with_live_jobs_only(self, monkeypatch):
         eng = _engine(vo=VO_PLAIN)
@@ -599,7 +586,7 @@ class TestStructuralProperties:
                     assert any(
                         (old, event) in legal_moves and TRANSITIONS[(old, event)] is new
                         for event in ("activate", "suspend", "resume", "cancel",
-                                      "complete", "limit_kill", "fault")
+                                      "complete", "limit_kill")
                     )
                 if old in TERMINAL_STATES:
                     assert new == old
