@@ -2,19 +2,36 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import shutil
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gridauth.cli import main
-from gridauth.jobmgr import JobManager
+from gridauth.cli import StateFileError, _load_state, main
+from gridauth.credential import GridMapFile, load_credential
+from gridauth.enforce import DynamicAccountPool, QuotaExceededError
+from gridauth.jobmgr import (
+    DeniedByPolicyError,
+    IllegalTransitionError,
+    JobManager,
+    NoAccountsAvailableError,
+    SimProfile,
+    UnknownJobError,
+)
+from gridauth.policy import parse_policy
+from gridauth.rsl import JobAction
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 STATE_V1 = Path(__file__).resolve().parent / "data" / "state-v1"
 STATE_V2 = Path(__file__).resolve().parent / "data" / "state-v2"
+STATE_V3 = Path(__file__).resolve().parent / "data" / "state-v3"
 
 SITE_POL = """\
 policy "site" source resource {
@@ -89,6 +106,18 @@ def _submit_args(site, cred="alice.cred", rsl="job.rsl", runtime="200"):
         "--rsl", _p(site, rsl),
         "--map", _p(site, "gridmap"),
         "--runtime", runtime,
+    ]
+
+
+def _manage_args(site, job, action, cred="alice.cred"):
+    return [
+        "manage",
+        "--state", _p(site, "state.json"),
+        "--resource-policy", _p(site, "site.pol"),
+        "--vo-policy", _p(site, "fusion.pol"),
+        "--cred", _p(site, cred),
+        "--job", job,
+        "--action", action,
     ]
 
 
@@ -223,9 +252,8 @@ class TestSubmitManageTickLedger:
         args[args.index(_p(site, "fusion.pol"))] = _p(site, "strict.pol")
         assert main(args) == 1
         assert "denied" in capsys.readouterr().err
-        assert not (site / "state.json").exists() or json.loads(
-            (site / "state.json").read_text()
-        )["engine"]["jobs"] == []
+        assert not (site / "state.json").exists()
+        assert not (site / "state.json.journal").exists()
 
     def test_quota_exceeded_exits_one(self, site, capsys):
         assert main(_submit_args(site)) == 0
@@ -306,7 +334,7 @@ class TestSubmitManageTickLedger:
         assert main(["tick", "--state", str(state), "--dt", "1"]) == 3
         assert "KeyError: 'owner'" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("version", [0, 4])
+    @pytest.mark.parametrize("version", [0, 5])
     def test_unsupported_state_version_exits_three(self, site, capsys, version):
         assert main(_submit_args(site)) == 0
         state = site / "state.json"
@@ -315,6 +343,44 @@ class TestSubmitManageTickLedger:
         state.write_text(json.dumps(data))
         assert main(["ledger", "--state", str(state)]) == 3
         assert f"version {version} unsupported" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", [
+        '{"format": "gridauth-state", "version": 3}',
+        '{"format": "gridauth-state", "version": 4, "journal_bytes": 0}',
+        '{"format": "gridauth-state", "version": 2, "engine": []}',
+    ], ids=["v3-no-engine", "v4-no-engine", "list-engine"])
+    def test_state_without_engine_exits_three(self, site, capsys, text):
+        state = site / "state.json"
+        state.write_text(text)
+        assert main(["ledger", "--state", str(state)]) == 3
+        assert capsys.readouterr().err == f"state error: state file {str(state)!r} holds no engine\n"
+
+    @pytest.mark.parametrize("journal_bytes", [None, "12", True, -1, 1.5])
+    def test_snapshot_without_journal_bytes_exits_three(self, site, capsys, journal_bytes):
+        assert main(_submit_args(site)) == 0
+        state = site / "state.json"
+        data = json.loads(state.read_text())
+        if journal_bytes is None:
+            del data["journal_bytes"]
+        else:
+            data["journal_bytes"] = journal_bytes
+        state.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(["ledger", "--state", str(state)]) == 3
+        assert "state error: " in capsys.readouterr().err
+        assert main(["tick", "--state", str(state), "--dt", "1"]) == 3
+
+    @pytest.mark.parametrize("command", ["ledger", "tick", "submit"])
+    def test_state_in_missing_directory_exits_three(self, site, capsys, command):
+        state = str(site / "no" / "such" / "s.json")
+        argv = {
+            "ledger": ["ledger", "--state", state],
+            "tick": ["tick", "--state", state, "--dt", "1"],
+            "submit": _submit_args(site)[:1] + ["--state", state] + _submit_args(site)[3:],
+        }[command]
+        assert main(argv) == 3
+        assert capsys.readouterr().err.startswith(f"state error: cannot lock state file {state!r}")
+        assert not (site / "no").exists()
 
     def test_status_leaves_state_file_untouched(self, site, capsys):
         assert main(_submit_args(site)) == 0
@@ -402,11 +468,21 @@ class TestStateVersion1:
             "t=7 job=j5 event=done detail=state=done consumed=3 refunded=47\n"
         )
         data = json.loads((v1 / "state.json").read_text())
-        assert data["version"] == 3
-        for job in data["engine"]["jobs"]:
+        assert data["version"] == 4
+        # the snapshot keeps the live jobs; the journal has the rest
+        assert [job["id"] for job in data["engine"]["jobs"]] == ["j1", "j2"]
+        assert data["engine"]["events"] == []
+        journal = (v1 / "state.json.journal").read_bytes()
+        assert data["journal_bytes"] == len(journal)
+        lines = [json.loads(line) for line in journal.splitlines()]
+        assert [next(iter(line)) for line in lines] == ["event"] * 13 + ["job"] * 3
+        assert [line["job"]["id"] for line in lines[13:]] == ["j3", "j4", "j5"]
+        whole = _load_state(state)
+        assert [job["id"] for job in whole["jobs"]] == ["j1", "j2", "j3", "j4", "j5"]
+        for job in whole["jobs"]:
             assert not self.DROPPED_JOB_KEYS & job.keys()
-        assert "lease_ttl" not in data["engine"]
-        assert data["engine"]["pool"] == {"free": ["dyn01", "dyn02"], "leased": ["j2"]}
+        assert "lease_ttl" not in whole
+        assert whole["pool"] == {"free": ["dyn01", "dyn02"], "leased": ["j2"]}
         assert main(["ledger", "--state", state]) == 0
         assert capsys.readouterr().out == (
             "vo=fusion used=1208/5000\n"
@@ -434,10 +510,17 @@ class TestStateVersion1:
             (("clock",), True, "clock must be an integer, not True"),
             (("lease_ttl",), "3600", "lease_ttl must be an integer"),
             (("pool", "leased", "j2", "expires_at"), "later", "expires_at must be an integer"),
+            (("events", 0, "t"), "x", "event 0 t must be an integer, not 'x'"),
+            (("events", 3, "t"), False, "event 3 t must be an integer, not False"),
+            (("events", 1, "job"), 2, "event 1 job must be a string, not 2"),
+            (("events", 2, "name"), None, "event 2 name must be a string, not None"),
+            (("events", 4, "detail"), ["state=active"], "event 4 detail must be a string"),
         ],
         ids=["unknown-lease-job", "free-and-leased", "leased-twice", "lease-on-other-account",
              "ledger-lacks-vo", "ledger-lacks-member", "done-lease-job", "text-consumed",
-             "null-priority", "float-runtime", "bool-clock", "text-lease-ttl", "text-expiry"],
+             "null-priority", "float-runtime", "bool-clock", "text-lease-ttl", "text-expiry",
+             "text-event-time", "bool-event-time", "int-event-job", "null-event-name",
+             "list-event-detail"],
     )
     def test_malformed_state_fails_closed_at_tick(self, v1, capsys, path, value, message):
         state = v1 / "state.json"
@@ -516,14 +599,424 @@ class TestStateVersion2:
             "member=/O=Grid/CN=dave used=609/unlimited\n"
         )
 
-    def test_next_write_is_version_3(self, v2):
+    def test_next_write_is_version_4(self, v2):
         state = v2 / "state.json"
         assert main(["tick", "--state", str(state), "--dt", "1"]) == 0
         text = state.read_text()
         data = json.loads(text)
-        assert data["version"] == 3
+        assert data["version"] == 4
         assert data["engine"]["pool"] == {"free": ["dyn01"], "leased": ["j2", "j4"]}
         assert "lease_ttl" not in text and "expires_at" not in text
+        assert "expires_at" not in (v2 / "state.json.journal").read_text()
+
+
+class TestStateVersion3:
+    """A version-3 state file written by the CLI before version 4 existed.
+
+    Three submits with a dynamic pool, ``tick --dt 5``, one more submit and
+    alice suspending her job: a suspended job on a mapped account (j1), an
+    active one on a dynamic account with a jobtag (j2), a done job (j3), a
+    pending one on a dynamic account (j4) and ledger entries, all in one
+    file.  The expected outputs are what that CLI printed.
+    """
+
+    @pytest.fixture
+    def v3(self, tmp_path):
+        for path in STATE_V3.iterdir():
+            shutil.copy(path, tmp_path / path.name)
+        return tmp_path
+
+    def test_commands_print_what_version_3_printed(self, v3, capsys):
+        state = str(v3 / "state.json")
+        assert main(["ledger", "--state", state]) == 0
+        assert capsys.readouterr().out == (
+            "vo=fusion used=1223/5000\n"
+            "member=/O=Grid/CN=alice used=600/2000\n"
+            "member=/O=Grid/CN=dave used=623/unlimited\n"
+        )
+        assert main(_manage_args(v3, "j2", "status", cred="carol.cred")) == 0
+        assert capsys.readouterr().out == (
+            "job=j2 state=active owner=/O=Grid/CN=dave consumed=10 reserved=600 priority=0\n"
+        )
+        assert main(_manage_args(v3, "j3", "status", cred="dave.cred")) == 0
+        assert capsys.readouterr().out == (
+            "job=j3 state=done owner=/O=Grid/CN=dave consumed=3 reserved=50 priority=0\n"
+        )
+        assert main(_manage_args(v3, "j3", "cancel", cred="dave.cred")) == 1
+        assert capsys.readouterr().err == "refused: cannot cancel job j3 in state done\n"
+        assert json.loads((v3 / "state.json").read_text())["version"] == 3
+        assert not (v3 / "state.json.journal").exists()
+
+        assert main(["tick", "--state", state, "--dt", "10"]) == 0
+        assert capsys.readouterr().out == (
+            "t=5 job=j4 event=activate detail=state=active\n"
+            "t=11 job=j4 event=done detail=state=done consumed=6 refunded=14\n"
+        )
+        assert main(["ledger", "--state", state]) == 0
+        assert capsys.readouterr().out == (
+            "vo=fusion used=1209/5000\n"
+            "member=/O=Grid/CN=alice used=600/2000\n"
+            "member=/O=Grid/CN=dave used=609/unlimited\n"
+        )
+
+    def test_next_write_is_version_4(self, v3):
+        state = v3 / "state.json"
+        (v3 / "state.json.journal").write_text("left over from an older site\n")
+        assert main(["tick", "--state", str(state), "--dt", "10"]) == 0
+        data = json.loads(state.read_text())
+        assert data["version"] == 4
+        assert [job["id"] for job in data["engine"]["jobs"]] == ["j1", "j2"]
+        assert data["engine"]["pool"] == {"free": ["dyn01", "dyn02"], "leased": ["j2"]}
+        # the journal starts afresh and holds the whole history
+        assert data["journal_bytes"] == (v3 / "state.json.journal").stat().st_size
+        expected = JobManager.restore(json.loads((STATE_V3 / "state.json").read_text())["engine"])
+        expected.tick(10)
+        assert _load_state(str(state)) == expected.snapshot()
+
+
+def _make_busy(site) -> None:
+    """A site with a done job (j1), a live one (j2) and a committed journal."""
+    (site / "small.rsl").write_text('&(executable="/opt/vo/apps/transp")(maxcputime=300)\n')
+    assert main(_submit_args(site, runtime="2")) == 0
+    assert main(_submit_args(site, cred="bob.cred", rsl="small.rsl")) == 0
+    assert main(["tick", "--state", _p(site, "state.json"), "--dt", "5"]) == 0
+
+
+def _files(site) -> dict:
+    """The bytes and mtime of the snapshot and the journal."""
+    return {
+        name: (path.read_bytes(), path.stat().st_mtime_ns)
+        for name in ("state.json", "state.json.journal")
+        if (path := site / name).exists()
+    }
+
+
+class TestJournal:
+    """Version 4: the snapshot, the journal beside it, and the commit rule."""
+
+    @pytest.fixture
+    def busy(self, site, capsys):
+        _make_busy(site)
+        capsys.readouterr()
+        for path in (site / "state.json", site / "state.json.journal"):
+            os.utime(path, ns=(10**18, 10**18))
+        return site
+
+    def test_snapshot_holds_the_live_site_and_the_journal_the_rest(self, busy):
+        raw = (busy / "state.json").read_text()
+        data = json.loads(raw)
+        assert raw == json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"
+        assert sorted(data) == ["engine", "format", "journal_bytes", "version"]
+        assert [job["id"] for job in data["engine"]["jobs"]] == ["j2"]
+        assert data["engine"]["events"] == []
+        journal = (busy / "state.json.journal").read_text().splitlines()
+        assert len(journal) == 6 and json.loads(journal[-1])["job"]["id"] == "j1"
+        assert data["journal_bytes"] == (busy / "state.json.journal").stat().st_size
+
+    @pytest.mark.parametrize("tail", [
+        '{"event":{"detail":"state=active","job":"j9","name":"activate","t":7}}\n',
+        '{"event":{"detail":"state=act',
+        '{"job":{"id":"j9"}}\n{"event":{"detail":"x","job":"j9",',
+    ], ids=["whole-line", "cut-line", "both"])
+    def test_uncommitted_tail_is_ignored_then_dropped(self, busy, capsys, tail):
+        state = _p(busy, "state.json")
+        journal = busy / "state.json.journal"
+        committed = journal.read_bytes()
+        before = _load_state(state)
+        with journal.open("a") as f:
+            f.write(tail)
+        assert _load_state(state) == before
+        assert main(["ledger", "--state", state]) == 0
+        assert main(_manage_args(busy, "j1", "status")) == 0
+        assert main(_submit_args(busy, cred="bob.cred", rsl="small.rsl")) == 0
+        capsys.readouterr()
+        text = journal.read_bytes()
+        assert text.startswith(committed) and b"j9" not in text
+        assert json.loads((busy / "state.json").read_text())["journal_bytes"] == len(text)
+        assert len(_load_state(state)["events"]) == len(before["events"]) + 1
+
+    @pytest.mark.parametrize("command", ["ledger", "tick", "submit", "status", "done-status"])
+    @pytest.mark.parametrize("cut", [1, None], ids=["short", "missing"])
+    def test_short_journal_exits_three_and_changes_nothing(self, busy, capsys, command, cut):
+        journal = busy / "state.json.journal"
+        if cut is None:
+            journal.unlink()
+        else:
+            with journal.open("r+b") as f:
+                f.truncate(journal.stat().st_size - cut)
+        before = _files(busy)
+        argv = {
+            "ledger": ["ledger", "--state", _p(busy, "state.json")],
+            "tick": ["tick", "--state", _p(busy, "state.json"), "--dt", "1"],
+            "submit": _submit_args(busy),
+            "status": _manage_args(busy, "j2", "status", cred="bob.cred"),
+            "done-status": _manage_args(busy, "j1", "status"),
+        }[command]
+        assert main(argv) == 3
+        assert "but the snapshot covers" in capsys.readouterr().err
+        assert _files(busy) == before
+
+    def test_stale_tmp_is_harmless(self, busy, capsys):
+        state = _p(busy, "state.json")
+        tmp = busy / "state.json.tmp"
+        tmp.write_text('{"format": "gridauth-state", "version": 4, "engine": {"half')
+        before = _load_state(state)
+        assert main(["ledger", "--state", state]) == 0
+        assert _load_state(state) == before
+        assert main(_submit_args(busy, cred="bob.cred", rsl="small.rsl")) == 0
+        assert not tmp.exists()
+        assert [job["id"] for job in _load_state(state)["jobs"]] == ["j1", "j2", "j3"]
+
+    def test_finished_job_is_read_from_the_journal_and_never_written(self, busy, capsys):
+        before = _files(busy)
+        assert main(_manage_args(busy, "j1", "status")) == 0
+        assert capsys.readouterr().out == (
+            "job=j1 state=done owner=/O=Grid/CN=alice consumed=2 reserved=600 priority=0\n"
+        )
+        assert main(_manage_args(busy, "j1", "cancel")) == 1
+        assert capsys.readouterr().err == "refused: cannot cancel job j1 in state done\n"
+        assert main(_manage_args(busy, "j1", "suspend")) == 1
+        capsys.readouterr()
+        assert main(_manage_args(busy, "j9", "status")) == 2
+        assert capsys.readouterr().err == "error: no such job 'j9'\n"
+        assert _files(busy) == before
+
+    def test_reads_leave_both_files_untouched(self, busy, capsys):
+        before = _files(busy)
+        assert main(["ledger", "--state", _p(busy, "state.json")]) == 0
+        assert main(_manage_args(busy, "j2", "status", cred="bob.cred")) == 0
+        assert _files(busy) == before
+
+    @pytest.mark.parametrize("n, change, message", [
+        (0, ("event", "t", "x"), "journal line 1 t must be an integer, not 'x'"),
+        (1, ("event", "t", True), "journal line 2 t must be an integer, not True"),
+        (3, ("event", "detail", 3), "journal line 4 detail must be a string, not 3"),
+        (4, ("event", "job", None), "journal line 5 job must be a string, not None"),
+        (5, ("job", "state", "active"), "journal line 6 holds no event or finished job"),
+        (5, ("job", "id", "j2"), "a job is stored twice"),
+        (2, "{not json", "JSONDecodeError"),
+        (2, {"event": {}, "job": {}}, "journal line 3 is not a one-key object"),
+        (2, {"note": "hello"}, "journal line 3 holds no event or finished job"),
+        (2, [1, 2], "journal line 3 is not a one-key object"),
+    ], ids=["text-time", "bool-time", "int-detail", "null-job", "live-job", "duplicate-job",
+            "not-json", "two-keys", "unknown-kind", "list"])
+    def test_malformed_committed_line_exits_three(self, busy, capsys, n, change, message):
+        journal = busy / "state.json.journal"
+        lines = journal.read_text().splitlines()
+        if isinstance(change, tuple):
+            kind, key, value = change
+            entry = json.loads(lines[n])
+            entry[kind][key] = value
+            lines[n] = json.dumps(entry)
+        else:
+            lines[n] = change if isinstance(change, str) else json.dumps(change)
+        _commit_journal(busy, "".join(line + "\n" for line in lines).encode())
+        before = _files(busy)
+        # only a command that reads the whole history sees the fault
+        assert main(_manage_args(busy, "j1", "status")) == 3
+        err = capsys.readouterr().err
+        assert "incomplete or malformed" in err and message in err
+        assert _files(busy) == before
+        with pytest.raises(StateFileError, match="incomplete or malformed"):
+            _load_state(_p(busy, "state.json"))
+
+    def test_journal_bytes_ending_mid_line_exits_three(self, busy, capsys):
+        journal = busy / "state.json.journal"
+        text = journal.read_bytes()
+        _commit_journal(busy, text[:-3])
+        journal.write_bytes(text)
+        assert main(_manage_args(busy, "j1", "status")) == 3
+        assert "bytes end mid-line" in capsys.readouterr().err
+
+
+def _commit_journal(site, text: bytes) -> None:
+    """Write ``text`` as the journal and make the snapshot cover all of it."""
+    (site / "state.json.journal").write_bytes(text)
+    state = site / "state.json"
+    data = json.loads(state.read_text())
+    data["journal_bytes"] = len(text)
+    state.write_text(json.dumps(data))
+
+
+class _Crash(BaseException):
+    """A process dying mid-write: no handler in the CLI catches it."""
+
+
+class TestCrashDuringWrite:
+    """A crash at any point of a write loads to the site before or after it."""
+
+    TICK = ["tick", "--dt", "500"]  # j2 finishes: new events and a job record
+
+    @pytest.fixture
+    def busy(self, site, capsys):
+        _make_busy(site)
+        capsys.readouterr()
+        return site
+
+    def _tick(self, site):
+        return main(self.TICK[:1] + ["--state", _p(site, "state.json")] + self.TICK[1:])
+
+    def test_every_cut_of_the_journal_tail_loads_to_before(self, busy, capsys):
+        state, journal, tmp = (busy / name for name in ("state.json", "state.json.journal",
+                                                      "state.json.tmp"))
+        old_snapshot, old_journal = state.read_bytes(), journal.read_bytes()
+        before = _load_state(str(state))
+        assert self._tick(busy) == 0
+        after = _load_state(str(state))
+        new_snapshot, new_journal = state.read_bytes(), journal.read_bytes()
+        assert before != after and new_journal.startswith(old_journal)
+        tail = new_journal[len(old_journal):]
+        # until the replace, the old snapshot is in place: the journal holds
+        # any prefix of the new lines and the tmp any prefix of the new snapshot
+        for cut in range(len(tail) + 1):
+            state.write_bytes(old_snapshot)
+            journal.write_bytes(old_journal + tail[:cut])
+            tmp.write_bytes(new_snapshot[:cut])
+            assert _load_state(str(state)) == before
+        # after it, the new snapshot covers the whole tail
+        state.write_bytes(new_snapshot)
+        assert _load_state(str(state)) == after
+        # a crashed write redone from the old snapshot writes the same bytes
+        state.write_bytes(old_snapshot)
+        journal.write_bytes(old_journal + tail[: len(tail) // 2])
+        assert self._tick(busy) == 0
+        assert (state.read_bytes(), journal.read_bytes()) == (new_snapshot, new_journal)
+
+    @pytest.mark.parametrize("calls", range(4), ids=lambda n: f"after-{n}-calls")
+    def test_crash_at_each_sync_or_replace(self, busy, capsys, monkeypatch, calls):
+        state = _p(busy, "state.json")
+        before = _load_state(state)
+        engine = JobManager.restore(before)
+        engine.tick(500)
+        after = engine.snapshot()
+        made = []
+
+        def crashing(real):
+            def call(*args):
+                if len(made) == calls:
+                    raise _Crash
+                made.append(real)
+                return real(*args)
+            return call
+
+        # a write makes four such calls: fsync the journal, fsync the tmp,
+        # replace the snapshot, fsync the directory
+        with monkeypatch.context() as patch:
+            for name in ("fsync", "replace"):
+                patch.setattr(os, name, crashing(getattr(os, name)))
+            with pytest.raises(_Crash):
+                self._tick(busy)
+        assert _load_state(state) == (before if calls < 3 else after)
+        if calls < 3:
+            assert self._tick(busy) == 0
+            assert _load_state(state) == after
+
+
+class TestCliMatchesEngine:
+    """Random submit, tick and manage sequences through ``main`` give the
+    outputs, exit codes and site of the same calls on one in-process engine."""
+
+    USERS = {"alice": ALICE_CRED, "bob": BOB_CRED}
+    ACTIONS = ("status", "suspend", "resume", "cancel", "set_priority")
+
+    #: a manage picks a known job by index, or none for index 0, and is
+    #: sent by that job's owner unless it names a user
+    COMMANDS = st.one_of(
+        st.tuples(st.just("submit"), st.sampled_from(sorted(USERS)), st.integers(1, 20),
+                  st.sampled_from((5, 50, 200))),
+        st.tuples(st.just("tick"), st.integers(1, 20)),
+        st.tuples(st.just("manage"), st.sampled_from(("owner", "owner") + tuple(USERS)),
+                  st.integers(0, 7), st.sampled_from(ACTIONS)),
+        st.tuples(st.just("ledger")),
+    )
+
+    @staticmethod
+    def _cli(base: Path, command) -> list:
+        state = ["--state", str(base / "state.json")]
+        policies = ["--resource-policy", str(base / "site.pol"),
+                    "--vo-policy", str(base / "fusion.pol"), "--map", str(base / "gridmap")]
+        kind = command[0]
+        if kind == "submit":
+            _, user, runtime, maxcpu = command
+            (base / "job.rsl").write_text(
+                f'&(executable="/opt/vo/apps/transp")(count=1)(maxcputime={maxcpu})\n')
+            return ["submit"] + state + policies + [
+                "--cred", str(base / f"{user}.cred"), "--rsl", str(base / "job.rsl"),
+                "--runtime", str(runtime), "--pool", "dyn00,dyn01"]
+        if kind == "tick":
+            return ["tick"] + state + ["--dt", str(command[1])]
+        if kind == "ledger":
+            return ["ledger"] + state
+        _, user, job_id, action = command
+        return ["manage"] + state + policies + [
+            "--cred", str(base / f"{user}.cred"), "--job", job_id, "--action", action,
+            "--priority", "3"]
+
+    @staticmethod
+    def _model(engine: JobManager, creds: dict, started: bool, command) -> tuple:
+        kind = command[0]
+        if kind in ("tick", "ledger") and not started:
+            return 3, ""
+        try:
+            if kind == "submit":
+                _, user, runtime, maxcpu = command
+                rsl = f'&(executable="/opt/vo/apps/transp")(count=1)(maxcputime={maxcpu})\n'
+                job = engine.job_record(
+                    engine.gatekeeper_submit(creds[user], rsl, SimProfile(runtime=runtime)))
+                return 0, f"job={job.id} state={job.state.value} reserved={job.reserved}\n"
+            if kind == "tick":
+                return 0, "".join(event.line + "\n" for event in engine.tick(command[1]))
+            if kind == "ledger":
+                report = engine.ledger_report()
+                return 0, report + "\n" if report else ""
+            _, user, job_id, action = command
+            job = engine.manage(job_id, JobAction(action), creds[user], priority=3)
+        except (DeniedByPolicyError, QuotaExceededError, NoAccountsAvailableError,
+                IllegalTransitionError):
+            return 1, ""
+        except UnknownJobError:
+            return 2, ""
+        if action == "status":
+            return 0, (f"job={job.id} state={job.state.value} owner={job.owner} "
+                       f"consumed={job.consumed} reserved={job.reserved} "
+                       f"priority={job.priority}\n")
+        return 0, f"job={job.id} state={job.state.value}\n"
+
+    @given(commands=st.lists(COMMANDS, min_size=1, max_size=14))
+    @settings(max_examples=100, deadline=None)
+    def test_cli_matches_one_engine(self, commands):
+        creds = {user: load_credential(text) for user, text in self.USERS.items()}
+        engine = JobManager(
+            resource_policy=parse_policy(SITE_POL),
+            vo_policies=[parse_policy(FUSION_POL)],
+            gridmap=GridMapFile({"/O=Grid/CN=alice": "alice_l"}),
+            pool=DynamicAccountPool(["dyn00", "dyn01"]),
+        )
+        with tempfile.TemporaryDirectory() as tmp:
+            base = Path(tmp)
+            for name, text in {"site.pol": SITE_POL, "fusion.pol": FUSION_POL,
+                               "alice.cred": ALICE_CRED, "bob.cred": BOB_CRED,
+                               "gridmap": '"/O=Grid/CN=alice" alice_l\n'}.items():
+                (base / name).write_text(text)
+            state = base / "state.json"
+            owners = {cred.subject: user for user, cred in creds.items()}
+            for command in commands:
+                if command[0] == "manage":
+                    _, user, n, action = command
+                    ids = list(engine.jobs)
+                    job_id = ids[n % len(ids)] if ids and n else "j99"
+                    if user == "owner":
+                        user = owners[engine.jobs[job_id].owner] if job_id in ids else "alice"
+                    command = ("manage", user, job_id, action)
+                expected = self._model(engine, creds, state.exists(), command)
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                    code = main(self._cli(base, command))
+                assert (code, out.getvalue()) == expected, command
+                if state.exists():
+                    assert _load_state(str(state)) == engine.snapshot(), command
+                else:
+                    assert not engine.events
 
 
 class TestIssueCap:
