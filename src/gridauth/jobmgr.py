@@ -63,7 +63,6 @@ from .policy import (
     PolicyDocument,
     PolicyError,
     RangeSpec,
-    parse_policy,
 )
 from .rsl import JobAction, RslRequest, parse_rsl, serialize_rsl
 
@@ -155,13 +154,16 @@ class Job:
     sandbox: SandboxSpec
     accounted: bool
 
+    # a request stores its attribute names lower-case, so the hot reads
+    # below skip ``RslRequest.get``
+
     @property
     def count(self) -> int:
-        return self.request.get("count") or 1
+        return self.request.attributes.get("count") or 1
 
     @property
     def jobtag(self) -> str | None:
-        return self.request.get("jobtag")
+        return self.request.attributes.get("jobtag")
 
 
 @dataclass(frozen=True, slots=True)
@@ -287,27 +289,20 @@ class JobManager:
             )
         job.state = new_state
 
-    def _decide(
-        self, q: AuthzQuery, token: CapabilityToken | None
-    ) -> tuple[Decision, PolicyDocument | None]:
-        """Run the PDP; also return the VO document the decision used."""
+    def _decide(self, q: AuthzQuery, token: CapabilityToken | None) -> Decision:
+        """Run the PDP, in push mode when a token is presented."""
         if self.resource_policy is None:
             raise ValueError("no resource policy configured")
         if token is not None:
-            decision = decide_push(
+            return decide_push(
                 q, self.resource_policy, token, self.key_registry, now=self.clock
             )
-            vo_doc = None
-            if decision.permitted:
-                vo_doc = parse_policy(token.claims.policy_fragment)
-            return decision, vo_doc
         vo_doc = (
             self.vo_policies.get(q.credential.vo)
             if q.credential.vo is not None
             else None
         )
-        decision = decide(q, PolicySourceSet(self.resource_policy, vo_doc))
-        return decision, vo_doc
+        return decide(q, PolicySourceSet(self.resource_policy, vo_doc))
 
     # -- gatekeeper -------------------------------------------------------
 
@@ -331,10 +326,11 @@ class JobManager:
             target=self.target,
             request=request,
         )
-        decision, vo_doc = self._decide(query, token)
+        decision = self._decide(query, token)
         if not decision.permitted:
             raise DeniedByPolicyError(decision)
 
+        vo_doc = decision.vo_document
         accounted = False
         reserved = decision.charged_estimate or 0
         if cred.vo is not None and vo_doc is not None and vo_doc.accounts_for(cred.subject):
@@ -435,7 +431,7 @@ class JobManager:
             jobtag=job.jobtag,
             owner=job.owner,
         )
-        decision, _ = self._decide(query, token)
+        decision = self._decide(query, token)
         if not decision.permitted:
             raise DeniedByPolicyError(decision)
 

@@ -13,13 +13,23 @@ combines outcomes:
 
 Pull mode (`decide`) evaluates locally available documents; push mode
 (`decide_push`) verifies a capability token, reconstructs the VO
-document from its embedded fragment and delegates to `decide`.  All
-entry points are pure functions over immutable inputs.
+document from its embedded fragment and delegates to `decide`.  A pushed
+token binds its subject and its VO: unless both equal the credential's
+(a credential naming no VO never matches), the query is denied before
+the fragment is parsed, with reason ``subject-mismatch`` or
+``vo-mismatch``.  The fragment is parsed once per decision, and a
+permitted start's `Decision` carries the VO document it was decided
+against, so the gatekeeper needs no second parse.
+
+Documents are compiled and indexed when they are built (see
+`SubjectBlock` and `PolicyDocument`), so a decision takes a source's
+applicable blocks from the index, in document order.  All entry points
+are pure functions over immutable inputs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .credential import (
     BadSignatureError,
@@ -33,13 +43,11 @@ from .credential import (
 from .policy import (
     MayContain,
     MustContain,
-    MustNotContain,
     PolicyDocument,
     PolicyError,
     SubjectBlock,
     applicable_blocks,
     format_policy,
-    matcher_matches,
     parse_policy,
 )
 from .rsl import JobAction, RslRequest, render_value
@@ -89,6 +97,13 @@ class Decision:
     effect: str  # "permit" | "deny"
     trace: tuple
     charged_estimate: int | None = None
+    #: on a permitted start, the VO document of the sources it was
+    #: decided against, whose accounting and caps admission applies: the
+    #: local one in pull mode, the token's parsed fragment in push mode.
+    #: None otherwise, so that a kept decision keeps no fragment alive.
+    vo_document: PolicyDocument | None = field(
+        default=None, compare=False, repr=False
+    )
 
     @property
     def permitted(self) -> bool:
@@ -108,15 +123,22 @@ class PolicySourceSet:
 
 
 def eval_assertion(assertion, req: RslRequest) -> str | None:
-    """Evaluate one require or forbid assertion; None when satisfied, else
-    the violation.  ``attr`` assertions form unions that `eval_block`
-    checks itself.
+    """Evaluate one assertion; None when satisfied, else the violation.
+    A block's ``attr`` lines for one attribute form a union, which its
+    ``checks`` hold as one `MayContain`.
 
     A numeric spec tested against a non-integer value (or vice versa)
     counts as a violation with a reason, never an error: a malformed
     clause must not fail open or abort the decision.
     """
     value = req.get(assertion.attr)
+    if isinstance(assertion, MayContain):
+        if value is None or assertion.spec.allows(value):
+            return None
+        return (
+            f"attr {assertion.attr}: value {render_value(value)} "
+            f"fails {assertion.spec.describe()}"
+        )
     if isinstance(assertion, MustContain):
         if value is None:
             return f"require attr {assertion.attr}: attribute missing"
@@ -162,41 +184,21 @@ def eval_block(block: SubjectBlock, q: AuthzQuery) -> str | None:
         return None
 
     req = q.request
-    may_specs: dict[str, list] = {}
-    for a in block.assertions:
-        if isinstance(a, MayContain):
-            may_specs.setdefault(a.attr, []).append(a.spec)
-
-    union_checked: set[str] = set()
-    for a in block.assertions:
-        if isinstance(a, (MustContain, MustNotContain)):
-            reason = eval_assertion(a, req)
-            if reason is not None:
-                return reason
-        elif a.attr not in union_checked:
-            union_checked.add(a.attr)
-            value = req.get(a.attr)
-            if value is None:
-                continue
-            specs = may_specs[a.attr]
-            if not any(spec.allows(value) for spec in specs):
-                union = " or ".join(spec.describe() for spec in specs)
-                return f"attr {a.attr}: value {render_value(value)} fails {union}"
+    for check in block.checks:
+        reason = eval_assertion(check, req)
+        if reason is not None:
+            return reason
 
     if block.closed_world:
-        allowed_names = block.allowed_attribute_names()
+        accepted = block.accepted_names
         for name in req.attributes:
-            if name not in allowed_names:
+            if name not in accepted:
                 return f"closed-world rejects attribute '{name}'"
     return None
 
 
 def _evaluate_source(name: str, doc: PolicyDocument, q: AuthzQuery, trace: list) -> bool:
-    indices = [
-        i
-        for i, b in enumerate(doc.blocks)
-        if matcher_matches(b.matcher, q.credential.subject, q.credential.groups)
-    ]
+    indices = doc.applicable_indices(q.credential.subject, q.credential.groups)
     if not indices:
         trace.append(TraceEntry(name, None, "deny", "no applicable blocks"))
         return False
@@ -255,12 +257,10 @@ def decide(q: AuthzQuery, sources: PolicySourceSet) -> Decision:
         else:
             charged = (q.request.get("count") or 1) * maxcputime
 
-    effect = "permit" if all_permit else "deny"
-    return Decision(
-        effect=effect,
-        trace=tuple(trace),
-        charged_estimate=charged if effect == "permit" else None,
-    )
+    if not all_permit:
+        return Decision("deny", tuple(trace), None)
+    vo_document = sources.vo if q.action is JobAction.START else None
+    return Decision("permit", tuple(trace), charged, vo_document)
 
 
 def derive_capability(
@@ -317,7 +317,11 @@ def decide_push(
     registry,
     now: int,
 ) -> Decision:
-    """Decide from a pushed capability instead of a local VO document."""
+    """Decide from a pushed capability instead of a local VO document.
+
+    The token's MAC and expiry are checked on every call; a permitted
+    start carries the fragment it parsed as its ``vo_document``.
+    """
     try:
         claims = verify_capability(registry, token, now)
     except (UnknownIssuerError, BadSignatureError, ExpiredTokenError) as exc:
@@ -327,6 +331,8 @@ def decide_push(
         return Decision(
             "deny", (TraceEntry("vo", None, "deny", "subject-mismatch"),), None
         )
+    if claims.vo != q.credential.vo:
+        return Decision("deny", (TraceEntry("vo", None, "deny", "vo-mismatch"),), None)
     try:
         fragment = parse_policy(claims.policy_fragment)
     except PolicyError as exc:

@@ -233,13 +233,31 @@ def matcher_matches(matcher: Matcher, subject: str, groups: Iterable[str]) -> bo
     return True
 
 
+#: the names an open block accepts, shared, since every ``frozenset()``
+#: call makes a new object
+_NO_NAMES: frozenset = frozenset()
+
+
 @dataclass(frozen=True)
 class SubjectBlock:
+    """One subject block, compiled for evaluation when it is built.
+
+    ``checks`` lists the assertions in document order, with the ``attr``
+    lines of each attribute merged into one `MayContain` at the first
+    of them, whose spec is their union (an `OrSpec` when there are
+    several); ``accepted_names`` are the attributes a closed-world block
+    accepts (empty for an open block).  Neither takes part in equality
+    or ``repr``.
+    """
+
     matcher: Matcher
     allowed_actions: frozenset = frozenset()
     jobtag_grants: Mapping = field(default_factory=dict)
     assertions: tuple = ()
     closed_world: bool = False
+
+    checks: tuple = field(init=False, repr=False, compare=False)
+    accepted_names: frozenset = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "allowed_actions", frozenset(self.allowed_actions))
@@ -249,21 +267,47 @@ class SubjectBlock:
             raise MisplacedClauseError("jobtag grants cannot apply to 'start'")
         object.__setattr__(self, "jobtag_grants", grants)
 
-    def allowed_attribute_names(self) -> frozenset:
-        """Names a closed-world block accepts in a request."""
-        return frozenset(
-            a.attr for a in self.assertions if isinstance(a, (MayContain, MustContain))
-        )
+        unions: dict[str, list] = {}
+        for a in self.assertions:
+            if isinstance(a, MayContain):
+                unions.setdefault(a.attr, []).append(a.spec)
+        checks = []
+        for a in self.assertions:
+            if not isinstance(a, MayContain):
+                checks.append(a)
+            elif a.attr in unions:  # the attribute's first attr line
+                specs = unions.pop(a.attr)
+                checks.append(a if len(specs) == 1 else MayContain(a.attr, OrSpec(specs)))
+        object.__setattr__(self, "checks", tuple(checks))
+        accepted = _NO_NAMES
+        if self.closed_world:
+            accepted = frozenset(
+                a.attr
+                for a in self.assertions
+                if isinstance(a, (MayContain, MustContain))
+            )
+        object.__setattr__(self, "accepted_names", accepted)
 
 
 @dataclass(frozen=True)
 class PolicyDocument:
+    """A policy document, indexed for evaluation when it is built.
+
+    The index maps each identity DN and each group name to the positions
+    of the blocks that match on it, and keeps the positions of the
+    ``any`` blocks; it takes no part in equality or ``repr``.
+    """
+
     name: str
     source: str
     blocks: tuple = ()
     trust: tuple = ()
     allocation: int | None = None
     member_quotas: Mapping = field(default_factory=dict)
+
+    _by_dn: Mapping = field(init=False, repr=False, compare=False)
+    _by_group: Mapping = field(init=False, repr=False, compare=False)
+    _any: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.source not in ("resource", "vo"):
@@ -280,16 +324,39 @@ class PolicyDocument:
         if self.source == "vo" and self.trust:
             raise MisplacedClauseError("trust clauses belong to resource documents")
 
+        by_dn: dict[str, list] = {}
+        by_group: dict[str, list] = {}
+        any_blocks: list[int] = []
+        for i, block in enumerate(self.blocks):
+            matcher = block.matcher
+            if isinstance(matcher, Identity):
+                by_dn.setdefault(matcher.dn, []).append(i)
+            elif isinstance(matcher, Group):
+                by_group.setdefault(matcher.name, []).append(i)
+            else:
+                any_blocks.append(i)
+        object.__setattr__(self, "_by_dn", by_dn)
+        object.__setattr__(self, "_by_group", by_group)
+        object.__setattr__(self, "_any", tuple(any_blocks))
+
     def accounts_for(self, subject: str) -> bool:
         """Whether jobs ``subject`` starts under this document are charged."""
         return self.allocation is not None or subject in self.member_quotas
 
+    def applicable_indices(self, subject: str, groups: frozenset) -> list:
+        """Positions of the blocks matching ``subject`` or one of the set
+        ``groups``, in ascending order."""
+        found = [*self._any, *self._by_dn.get(subject, ())]
+        by_group = self._by_group
+        for group in groups:
+            found += by_group.get(group, ())
+        found.sort()
+        return found
+
 
 def applicable_blocks(doc: PolicyDocument, cred: "GridCredential") -> list:
     """Blocks whose matcher matches the credential, in document order."""
-    return [
-        b for b in doc.blocks if matcher_matches(b.matcher, cred.subject, cred.groups)
-    ]
+    return [doc.blocks[i] for i in doc.applicable_indices(cred.subject, cred.groups)]
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ A1  combined resource/VO accounting scenario, exact ledger lines
 A2  per-group fine-grain permit/deny matrix with first failed assertion
 A3  VO-wide management, byte-exact event log, owner baseline
 A4  push == pull over >= 1000 randomized (credential, policy, request)
+    when the token's VO is the credential's; push denies otherwise
 A5  decision point agrees with the brute-force oracle on >= 1000 cases
 A6  state-machine safety and ledger conservation over >= 10^4 random ops
 A7  baseline mode: owner-only management, mapped users submit
@@ -15,6 +16,7 @@ A7  baseline mode: owner-only management, mapped users submit
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import random
 import time
@@ -39,6 +41,7 @@ from gridauth.jobmgr import (
 from gridauth.pdp import (
     AuthzQuery,
     PolicySourceSet,
+    TraceEntry,
     decide,
     decide_push,
     derive_capability,
@@ -300,11 +303,12 @@ def test_a3_tagged_job_management():
 # ---------------------------------------------------------------------------
 
 
-@criterion("A4 push/pull equivalence over 1000 randomized triples")
+@criterion("A4 push/pull equivalence over 1000 randomized triples, VO binding")
 def test_a4_push_equals_pull():
     started = time.perf_counter()
     rng = random.Random(0xA4)
     compared = 0
+    mismatched = 0
     attempts = 0
     while compared < 1000:
         attempts += 1
@@ -312,7 +316,15 @@ def test_a4_push_equals_pull():
         cred = rand_credential(rng)
         vo_doc = rand_policy(rng, "vo", min_blocks=1, with_accounting=True)
         resource_doc = rand_policy(rng, "resource", name="site")
-        query = rand_query(rng, cred, with_budget=True)
+        # the token is issued to ``cred``; the query may present another VO
+        presented = rng.choice(
+            (cred,) * 8
+            + (
+                dataclasses.replace(cred, vo="astro"),
+                dataclasses.replace(cred, vo=None, groups=frozenset()),
+            )
+        )
+        query = rand_query(rng, presented, with_budget=True)
 
         pull = decide(query, PolicySourceSet(resource_doc, vo_doc))
         try:
@@ -326,6 +338,11 @@ def test_a4_push_equals_pull():
         token = sign_capability(KEY, claims)
         push = decide_push(query, resource_doc, token, {vo_doc.name: KEY}, now=0)
 
+        if presented.vo != cred.vo:
+            assert push.effect == "deny"
+            assert push.trace == (TraceEntry("vo", None, "deny", "vo-mismatch"),)
+            mismatched += 1
+            continue
         assert push.effect == pull.effect
         assert push.charged_estimate == pull.charged_estimate
         applicable = [
@@ -348,6 +365,7 @@ def test_a4_push_equals_pull():
 
     elapsed = time.perf_counter() - started
     assert compared == 1000
+    assert mismatched >= 100
     assert elapsed < 10.0
 
 

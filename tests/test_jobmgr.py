@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import random
+import sys
 
 import pytest
 
-from gridauth import jobmgr
+from gridauth import jobmgr, policy
 from gridauth.credential import GridCredential, GridMapFile, sign_capability
 from gridauth.enforce import DynamicAccountPool, QuotaExceededError
 from gridauth.jobmgr import (
@@ -166,6 +167,30 @@ class TestSubmit:
         with pytest.raises(DeniedByPolicyError):
             eng.manage(job_id, JobAction.CANCEL, CAROL, token=bad)
 
+    @pytest.mark.parametrize("vo", ["astro", None])
+    def test_push_with_another_vo_changes_nothing(self, vo):
+        # a fusion token presented with an astro (or VO-less) credential
+        eng = _engine(vo=None, pool=("dyn00",))
+        token = sign_capability(KEY, derive_capability(VO_ACCOUNTING, GHOST, expiry=10**9))
+        groups = {"members"} if vo else ()
+        cred = GridCredential(GHOST.subject, expiry=10**9, vo=vo, groups=groups)
+        with pytest.raises(DeniedByPolicyError) as exc:
+            eng.gatekeeper_submit(cred, TRANSP, SimProfile(runtime=10), token=token)
+        assert str(exc.value) == "denied by policy: vo-mismatch"
+        assert eng.ledger.to_dict() == {}
+        assert eng.pool.free_accounts == ("dyn00",)
+        assert eng.jobs == {} and eng.event_lines() == []
+
+    def test_job_count_and_jobtag_ignore_case(self):
+        eng = _engine(vo=VO_PLAIN)
+        job_id = eng.gatekeeper_submit(
+            ALICE, '&(executable="/x")(COUNT=3)(JobTag="t")', SimProfile(runtime=9)
+        )
+        job = eng.job_record(job_id)
+        assert (job.count, job.jobtag) == (3, "t")
+        eng.tick(1)
+        assert eng.job_record(job_id).consumed == 3
+
     def test_jobtag_recorded_from_request(self):
         eng = _engine()
         job_id = eng.gatekeeper_submit(
@@ -174,6 +199,51 @@ class TestSubmit:
             SimProfile(runtime=5),
         )
         assert eng.job_record(job_id).jobtag == "fusion-prod"
+
+
+def _count_policy_parses(monkeypatch) -> list:
+    """Count `parse_policy` calls from every gridauth module that binds it."""
+    calls = []
+    real = policy.parse_policy
+
+    def counted(text):
+        calls.append(text)
+        return real(text)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("gridauth") and getattr(module, "parse_policy", None) is real:
+            monkeypatch.setattr(module, "parse_policy", counted)
+    return calls
+
+
+class TestFragmentParsedOnce:
+    def test_valid_token_parses_its_fragment_once(self, monkeypatch):
+        eng = _engine(vo=None)
+        token = sign_capability(KEY, derive_capability(VO_ACCOUNTING, ALICE, expiry=10**9))
+        calls = _count_policy_parses(monkeypatch)
+        job_id = eng.gatekeeper_submit(ALICE, TRANSP, SimProfile(runtime=10), token=token)
+        assert calls == [token.claims.policy_fragment]
+        assert eng.job_record(job_id).reserved == 600
+
+    @pytest.mark.parametrize("kind", ["bad-mac", "expired", "wrong-subject", "wrong-vo"])
+    def test_refused_token_parses_nothing(self, monkeypatch, kind):
+        eng = _engine(vo=None)
+        eng.clock = 100
+        cred, expiry = ALICE, 10**9
+        if kind == "expired":
+            expiry = 100
+        elif kind == "wrong-subject":
+            cred = BOB
+        token = sign_capability(KEY, derive_capability(VO_ACCOUNTING, cred, expiry=expiry))
+        if kind == "bad-mac":
+            token = type(token)(claims=token.claims, mac=bytes(32))
+        presented = ALICE
+        if kind == "wrong-vo":
+            presented = GridCredential(ALICE.subject, expiry=10**9, vo="astro")
+        calls = _count_policy_parses(monkeypatch)
+        with pytest.raises(DeniedByPolicyError):
+            eng.gatekeeper_submit(presented, TRANSP, SimProfile(runtime=10), token=token)
+        assert calls == []
 
 
 class TestManage:

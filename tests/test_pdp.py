@@ -14,6 +14,7 @@ from gridauth.pdp import (
     InvalidQueryError,
     NoApplicableBlocksError,
     PolicySourceSet,
+    TraceEntry,
     decide,
     decide_push,
     derive_capability,
@@ -364,6 +365,36 @@ class TestDecidePush:
         assert d.effect == "deny"
         assert d.trace[0].reason == "subject-mismatch"
 
+    @pytest.mark.parametrize("vo", ["astro", None])
+    def test_vo_mismatch_denies_before_the_fragment(self, vo):
+        # a fusion token presented with an astro or a VO-less credential
+        claims = derive_capability(SCENARIO2_VO, ALICE, expiry=10**9)
+        token = sign_capability(KEY, claims)
+        cred = GridCredential(
+            ALICE.subject, expiry=10**9, vo=vo, groups=ALICE.groups if vo else ()
+        )
+        q = _start_query(cred, '&(executable="/opt/vo/apps/transp")(count=1)')
+        d = decide_push(q, OPEN_RESOURCE, token, {"fusion": KEY, "astro": KEY}, now=0)
+        assert d.effect == "deny"
+        assert d.trace == (TraceEntry("vo", None, "deny", "vo-mismatch"),)
+        assert d.vo_document is None
+
+    def test_subject_is_checked_before_vo(self):
+        bob = GridCredential("/O=Grid/CN=bob", expiry=10**9, vo="fusion", groups={"analysts"})
+        token = sign_capability(KEY, derive_capability(SCENARIO2_VO, bob, expiry=10**9))
+        astro = GridCredential(ALICE.subject, expiry=10**9, vo="astro")
+        q = _start_query(astro, '&(executable="/opt/vo/apps/transp")(count=1)')
+        d = decide_push(q, OPEN_RESOURCE, token, {"fusion": KEY}, now=0)
+        assert d.trace == (TraceEntry("vo", None, "deny", "subject-mismatch"),)
+
+    def test_decision_carries_the_parsed_fragment(self):
+        claims = derive_capability(SCENARIO2_VO, ALICE, expiry=10**9)
+        token = sign_capability(KEY, claims)
+        q = _start_query(ALICE, '&(executable="/opt/vo/apps/transp")(count=1)')
+        d = decide_push(q, OPEN_RESOURCE, token, {"fusion": KEY}, now=0)
+        assert d.permitted
+        assert d.vo_document == parse_policy(claims.policy_fragment)
+
     def test_expired_token_denies(self):
         claims = derive_capability(SCENARIO2_VO, ALICE, expiry=50)
         token = sign_capability(KEY, claims)
@@ -402,6 +433,29 @@ class TestExplain:
         lines = explain(d).splitlines()
         assert "resource/block[0]: permit" in lines
         assert "vo/block[1]: permit" in lines
+
+
+class TestDecisionVoDocument:
+    def test_only_a_permitted_start_carries_the_document(self):
+        q = _start_query(ALICE, '&(executable="/opt/vo/apps/transp")(count=1)')
+        d = decide(q, PolicySourceSet(OPEN_RESOURCE, SCENARIO2_VO))
+        assert d.vo_document is SCENARIO2_VO
+        # only an admission needs it
+        denied = _start_query(ALICE, '&(executable="/bin/sh")')
+        assert decide(denied, PolicySourceSet(OPEN_RESOURCE, SCENARIO2_VO)).vo_document is None
+        managed = _mgmt_query(CAROL, JobAction.SUSPEND, jobtag="fusion-prod")
+        d = decide(managed, PolicySourceSet(OPEN_RESOURCE, ADMINS_VO))
+        assert d.permitted and d.vo_document is None
+        owner = _mgmt_query(ALICE, JobAction.STATUS, owner=ALICE.subject)
+        assert decide(owner, PolicySourceSet(OPEN_RESOURCE, SCENARIO2_VO)).vo_document is None
+
+    def test_document_takes_no_part_in_equality_or_repr(self):
+        q = _start_query(ALICE, '&(executable="/opt/vo/apps/transp")(count=1)')
+        with_vo = decide(q, PolicySourceSet(OPEN_RESOURCE, SCENARIO2_VO))
+        other = type(with_vo)(with_vo.effect, with_vo.trace, with_vo.charged_estimate)
+        assert with_vo == other and hash(with_vo) == hash(other)
+        assert repr(with_vo) == repr(other)
+        assert "vo_document" not in repr(with_vo)
 
 
 class TestProperties:

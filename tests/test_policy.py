@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
 import re
@@ -11,9 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
-from generators import rand_policy
+from generators import rand_block, rand_credential, rand_policy
 from gridauth.credential import GridCredential
 from gridauth.policy import (
+    AnySubject,
     BadRangeError,
     BadRegexError,
     EnumSpec,
@@ -33,6 +35,7 @@ from gridauth.policy import (
     SubjectBlock,
     applicable_blocks,
     format_policy,
+    matcher_matches,
     parse_policy,
     validate_policy,
 )
@@ -475,3 +478,144 @@ class TestRoundTrip:
             source = rng.choice(("resource", "vo"))
             doc = rand_policy(rng, source, with_accounting=(source == "vo"))
             assert parse_policy(format_policy(doc)) == doc
+
+
+# ---------------------------------------------------------------------------
+# Compiled form: per-block checks and the document's matcher index
+# ---------------------------------------------------------------------------
+
+
+def _recompiled(block: SubjectBlock) -> tuple:
+    """``(checks, accepted_names)`` recomputed from the block's assertions."""
+    unions: dict = {}
+    for a in block.assertions:
+        if isinstance(a, MayContain):
+            unions.setdefault(a.attr, []).append(a.spec)
+    checks, seen = [], set()
+    for a in block.assertions:
+        if not isinstance(a, MayContain):
+            checks.append(a)
+        elif a.attr not in seen:
+            seen.add(a.attr)
+            specs = unions[a.attr]
+            checks.append(MayContain(a.attr, specs[0] if len(specs) == 1 else OrSpec(specs)))
+    names = {a.attr for a in block.assertions if isinstance(a, (MayContain, MustContain))}
+    return tuple(checks), frozenset(names if block.closed_world else ())
+
+
+def _scanned(doc: PolicyDocument, cred: GridCredential) -> list:
+    return [
+        i
+        for i, b in enumerate(doc.blocks)
+        if matcher_matches(b.matcher, cred.subject, cred.groups)
+    ]
+
+
+PINNED = parse_policy(
+    'policy "p" source vo { allocation 10 cpu-seconds;'
+    ' subject identity "/O=Grid/CN=alice" { allow action start; attr count max 4;'
+    " require attr jobtag; attr count range 8..9; closed-world; }"
+    ' subject any { allow action cancel on jobtag "t"; } }'
+)
+
+
+class TestCompiledForm:
+    def test_index_candidates_equal_a_scan(self):
+        rng = random.Random(0x1DE)
+        extra = (
+            SubjectBlock(Identity("/O=Test/CN=u1")),
+            SubjectBlock(AnySubject()),
+            SubjectBlock(Group("g1")),
+        )
+        for _ in range(500):
+            blocks = [rand_block(rng) for _ in range(rng.randrange(0, 12))]
+            # repeated DNs, groups and several any blocks
+            for block in rng.sample(extra, rng.randrange(0, 4)):
+                blocks.insert(rng.randrange(len(blocks) + 1), block)
+            doc = PolicyDocument("big", rng.choice(("resource", "vo")), blocks=blocks)
+            cred = rand_credential(rng, vo=rng.choice(("fusion", None)))
+            expected = _scanned(doc, cred)
+            assert doc.applicable_indices(cred.subject, cred.groups) == expected
+            assert applicable_blocks(doc, cred) == [doc.blocks[i] for i in expected]
+
+    def test_index_edge_cases(self):
+        doc = PolicyDocument(
+            "p",
+            "vo",
+            blocks=(
+                SubjectBlock(Identity("/O=Grid/CN=alice")),
+                SubjectBlock(AnySubject()),
+                SubjectBlock(Group("g")),
+                SubjectBlock(Identity("/O=Grid/CN=alice")),
+                SubjectBlock(AnySubject()),
+            ),
+        )
+        assert doc.applicable_indices("/O=Grid/CN=alice", frozenset({"g"})) == [0, 1, 2, 3, 4]
+        assert doc.applicable_indices("/O=Grid/CN=alice", frozenset()) == [0, 1, 3, 4]
+        assert doc.applicable_indices("/O=Grid/CN=bob", frozenset()) == [1, 4]
+        assert PolicyDocument("e", "vo").applicable_indices("x", frozenset({"g"})) == []
+
+    def test_checks_and_names_equal_a_recomputation(self):
+        rng = random.Random(0xC0)
+        for _ in range(500):
+            block = rand_block(rng)
+            assert (block.checks, block.accepted_names) == _recompiled(block)
+        block = PINNED.blocks[0]
+        assert block.checks == (
+            MayContain("count", OrSpec((MaxSpec(4), RangeSpec(8, 9)))),
+            MustContain("jobtag"),
+        )
+        assert block.accepted_names == {"count", "jobtag"}
+
+    def test_replace_recomputes(self):
+        block = PINNED.blocks[0]
+        changed = dataclasses.replace(
+            block, assertions=(MustNotContain("queue"), MayContain("queue", MaxSpec(1)))
+        )
+        assert changed.checks == (MustNotContain("queue"), MayContain("queue", MaxSpec(1)))
+        assert changed.accepted_names == {"queue"}
+        assert (changed.checks, changed.accepted_names) == _recompiled(changed)
+
+        doc = dataclasses.replace(PINNED, blocks=(SubjectBlock(Group("g")),) + PINNED.blocks)
+        assert doc.applicable_indices("/O=Grid/CN=alice", frozenset({"g"})) == [0, 1, 2]
+        assert doc.applicable_indices("/O=Grid/CN=bob", frozenset()) == [2]
+
+    def test_equality_repr_and_text_are_unchanged(self):
+        again = PolicyDocument(
+            PINNED.name, PINNED.source, blocks=list(PINNED.blocks), allocation=10
+        )
+        assert again == PINNED and again is not PINNED
+        assert [f.name for f in dataclasses.fields(SubjectBlock) if f.compare] == [
+            "matcher",
+            "allowed_actions",
+            "jobtag_grants",
+            "assertions",
+            "closed_world",
+        ]
+        assert repr(PINNED) == (
+            "PolicyDocument(name='p', source='vo', blocks=(SubjectBlock("
+            "matcher=Identity(dn='/O=Grid/CN=alice'), "
+            "allowed_actions=frozenset({<JobAction.START: 'start'>}), jobtag_grants={}, "
+            "assertions=(MayContain(attr='count', spec=MaxSpec(bound=4)), "
+            "MustContain(attr='jobtag', spec=None), "
+            "MayContain(attr='count', spec=RangeSpec(lo=8, hi=9))), closed_world=True), "
+            "SubjectBlock(matcher=AnySubject(), "
+            "allowed_actions=frozenset({<JobAction.CANCEL: 'cancel'>}), "
+            "jobtag_grants={<JobAction.CANCEL: 'cancel'>: frozenset({'t'})}, "
+            "assertions=(), closed_world=False)), trust=(), allocation=10, member_quotas={})"
+        )
+        assert format_policy(PINNED) == (
+            'policy "p" source vo {\n'
+            "  allocation 10 cpu-seconds;\n"
+            '  subject identity "/O=Grid/CN=alice" {\n'
+            "    allow action start;\n"
+            "    attr count max 4;\n"
+            "    require attr jobtag;\n"
+            "    attr count range 8..9;\n"
+            "    closed-world;\n"
+            "  }\n"
+            "  subject any {\n"
+            '    allow action cancel on jobtag "t";\n'
+            "  }\n"
+            "}\n"
+        )
