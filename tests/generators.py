@@ -98,7 +98,9 @@ def rand_block(rng: random.Random) -> SubjectBlock:
     if rng.random() < 0.7:
         allowed.add(JobAction.START)
     grants = {}
-    for action in allowed:
+    # sorted: a set of enum members iterates in an order that varies with
+    # string hashing, and the draws below must not
+    for action in sorted(allowed, key=lambda a: a.value):
         if action is not JobAction.START and rng.random() < 0.4:
             grants[action] = frozenset(rng.sample(JOBTAGS, rng.randrange(1, 3)))
     assertions = tuple(rand_assertion(rng) for _ in range(rng.randrange(0, 5)))
