@@ -17,9 +17,11 @@ document from its embedded fragment and delegates to `decide`.  A pushed
 token binds its subject and its VO: unless both equal the credential's
 (a credential naming no VO never matches), the query is denied before
 the fragment is parsed, with reason ``subject-mismatch`` or
-``vo-mismatch``.  The fragment is parsed once per decision, and a
-permitted start's `Decision` carries the VO document it was decided
-against, so the gatekeeper needs no second parse.
+``vo-mismatch``.  The fragment is parsed once on every call, with no
+cache: a pushed capability costs one parse per request, which the
+policy tokenizer keeps cheap.  A permitted start's `Decision` carries
+the VO document it was decided against, so the gatekeeper needs no
+second parse.
 
 Documents are compiled and indexed when they are built (see
 `SubjectBlock` and `PolicyDocument`), so a decision takes a source's

@@ -17,13 +17,17 @@ identity, a group, or anyone) and states what they may do:
 
 VO documents may additionally carry an ``allocation`` and per-member
 ``member-quota`` clauses; resource documents may declare ``trust vo``
-lines.  Value specs are enumerations (with ``*`` globs, anchored),
-integer ranges, ``max``/``min`` bounds, regular expressions
+lines.  Value specs are enumerations (with ``*`` globs, anchored; plain
+values are tested by set membership and a spec's globs by one compiled
+alternation), integer ranges, ``max``/``min`` bounds, regular expressions
 (unanchored search, egrep style), or ``or`` combinations.
 
 Quoted strings follow RSL's syntax (only ``\\"`` and ``\\\\`` escape), and
-the tokenizer takes its string pattern from ``rsl``.  Syntax errors carry
-a 1-based line and a 1-based column counted in characters.
+the tokenizer takes its string pattern from ``rsl``; integers are signed
+64-bit, as in RSL.  The tokenizer makes one regex match per token and keeps
+only the token's text, which tells its kind.  Token offsets are recomputed
+only for an error, which carries a 1-based line and a 1-based column
+counted in characters; a bad character anywhere outranks any other error.
 
 Documents are immutable after parsing and safe to share between
 concurrent evaluations.
@@ -32,8 +36,9 @@ concurrent evaluations.
 from __future__ import annotations
 
 import re
+import string
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 from . import rsl
 from .rsl import JobAction, RslValue, quote_string
@@ -70,30 +75,32 @@ class MisplacedClauseError(PolicyError):
 # ---------------------------------------------------------------------------
 
 
-def _glob_regex(pattern: str) -> re.Pattern:
-    # '*' matches any character run; the whole value must match.
-    return re.compile("(?s)" + ".*".join(re.escape(p) for p in pattern.split("*")) + r"\Z")
-
-
 @dataclass(frozen=True)
 class EnumSpec:
-    """Membership in a set of literal values; ``*`` acts as a glob."""
+    """Membership in a set of literal values; ``*`` acts as a glob.
+
+    A ``*`` matches any run of characters, newlines included.
+    """
 
     values: tuple
 
-    _matchers: tuple = field(init=False, repr=False, compare=False)
+    _literals: frozenset = field(init=False, repr=False, compare=False)
+    _globs: re.Pattern = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.values:
             raise PolicyError("enumeration spec may not be empty")
-        object.__setattr__(self, "values", tuple(self.values))
-        object.__setattr__(
-            self, "_matchers", tuple(_glob_regex(v) for v in self.values)
-        )
+        values = tuple(self.values)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "_literals", frozenset(v for v in values if "*" not in v))
+        # re.escape writes each '*' as '\*' and nothing else as that pair
+        globs = "|".join(re.escape(v).replace("\\*", ".*") for v in values if "*" in v)
+        # with no glob, '(?!)' matches nothing
+        object.__setattr__(self, "_globs", re.compile(f"(?s:{globs})\\Z" if globs else "(?!)"))
 
     def allows(self, value: RslValue) -> bool:
-        return isinstance(value, str) and any(
-            m.match(value) for m in self._matchers
+        return isinstance(value, str) and (
+            value in self._literals or self._globs.match(value) is not None
         )
 
     def describe(self) -> str:
@@ -363,25 +370,22 @@ def applicable_blocks(doc: PolicyDocument, cred: "GridCredential") -> list:
 # Tokenizer
 # ---------------------------------------------------------------------------
 
-# ``bad`` takes any character the others cannot, so the matches tile the text
+# One match per token: the whitespace and comments before a token, then the
+# token's text in group 1 (a word, ``..``/``{};,``, a quoted string, an
+# integer, "" at the end of the text, or any other single character, a bad
+# one), so the matches tile the text.  A token's text tells its kind: a
+# string keeps its quotes, so no string or integer equals a keyword.
 _TOKEN_RE = re.compile(
-    r"(?P<ws>[ \t\r\n]+|#[^\n]*)"
-    rf"|(?P<string>{rsl.STRING_PATTERN})"
-    r"|(?P<word>[A-Za-z_][A-Za-z0-9_-]*)"
-    r"|(?P<int>-?[0-9]+)"
-    r"|(?P<sym>\.\.|[{};,])"
-    r"|(?P<bad>(?s:.))"
+    r"(?:[ \t\r\n]+|#[^\n]*)*"
+    r"([A-Za-z_][A-Za-z0-9_-]*|\.\.|[{};,]"
+    rf"|{rsl.STRING_PATTERN}|-?[0-9]+|\Z|(?s:.))"
 )
-#: how the text of each kind of token becomes its value
-_TOKEN_VALUE = {"string": rsl.unquote_string, "int": int, "word": str, "sym": str}
+#: the one-character texts that are whole tokens; any other one-character
+#: text, a lone '"', '-' or '.' included, is a bad character
+_ONE_CHAR_TOKENS = frozenset(string.ascii_letters + string.digits + "_{};,")
+_INT_FIRST = frozenset("-0123456789")
 
 _ACTIONS = {a.value: a for a in JobAction}
-
-
-class _Token(NamedTuple):
-    kind: str  # word | string | int | sym | eof
-    value: object
-    pos: int
 
 
 def _line_col(text: str, pos: int) -> tuple[int, int]:
@@ -390,20 +394,18 @@ def _line_col(text: str, pos: int) -> tuple[int, int]:
     return text.count("\n", 0, line_start) + 1, pos - line_start + 1
 
 
-def _tokenize(text: str) -> list:
-    tokens: list[_Token] = []
+def _bad_character(text: str) -> PolicySyntaxError | None:
+    """The error for the first bad character of ``text``, if it has one."""
     for m in _TOKEN_RE.finditer(text):
-        kind, pos = m.lastgroup, m.start()
-        if kind == "bad":
-            if text[pos] == '"':
+        token = m[1]
+        if len(token) == 1 and token not in _ONE_CHAR_TOKENS:
+            pos = m.start(1)
+            if token == '"':
                 message, pos = rsl.string_error(text, pos)
             else:
-                message = f"unexpected character {text[pos]!r}"
-            raise PolicySyntaxError(message, *_line_col(text, pos))
-        if kind != "ws":
-            tokens.append(_Token(kind, _TOKEN_VALUE[kind](m.group()), pos))
-    tokens.append(_Token("eof", None, len(text)))
-    return tokens
+                message = f"unexpected character {token!r}"
+            return PolicySyntaxError(message, *_line_col(text, pos))
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -412,121 +414,109 @@ def _tokenize(text: str) -> list:
 
 
 class _PolicyParser:
+    """Recursive descent over the token texts; ``i`` indexes the next one."""
+
     def __init__(self, text: str):
         self.text = text
-        self.tokens = _tokenize(text)
-        self.idx = 0
+        self.tokens = _TOKEN_RE.findall(text)
+        self.i = 0
 
-    @property
-    def tok(self) -> _Token:
-        return self.tokens[self.idx]
+    def error(self, message: str, at: int | None = None) -> PolicySyntaxError:
+        """A syntax error at token ``at``, by default the one just taken."""
+        return PolicySyntaxError(message, *self.where(self.i - 1 if at is None else at))
 
-    def error(self, message: str, tok: _Token | None = None) -> PolicySyntaxError:
-        return PolicySyntaxError(message, *_line_col(self.text, (tok or self.tok).pos))
+    def where(self, at: int) -> tuple[int, int]:
+        """Line and column of token ``at``; offsets are found only for errors."""
+        offsets = [m.start(1) for m in _TOKEN_RE.finditer(self.text)]
+        return _line_col(self.text, offsets[at])
 
-    def line(self, tok: _Token) -> int:
-        return _line_col(self.text, tok.pos)[0]
+    def check_home(self, clause: str, at: int, source: str, home: str) -> None:
+        if source != home:
+            raise MisplacedClauseError(
+                f"line {self.where(at)[0]}: {clause} clauses belong to {home} documents"
+            )
 
-    def next(self) -> _Token:
-        t = self.tok
-        self.idx += 1
-        return t
+    def take(self) -> str:
+        token = self.tokens[self.i]
+        self.i += 1
+        return token
 
-    def accept_word(self, word: str) -> bool:
-        if self.tok.kind == "word" and self.tok.value == word:
-            self.idx += 1
+    def accept(self, token: str) -> bool:
+        if self.tokens[self.i] == token:
+            self.i += 1
             return True
         return False
 
-    def expect_word(self, word: str) -> None:
-        if not self.accept_word(word):
-            raise self.error(f"expected '{word}'")
-
-    def accept_sym(self, sym: str) -> bool:
-        if self.tok.kind == "sym" and self.tok.value == sym:
-            self.idx += 1
-            return True
-        return False
-
-    def expect_sym(self, sym: str) -> None:
-        if not self.accept_sym(sym):
-            raise self.error(f"expected '{sym}'")
+    def expect(self, token: str) -> None:
+        if self.take() != token:
+            raise self.error(f"expected '{token}'")
 
     def expect_string(self) -> str:
-        if self.tok.kind != "string":
+        token = self.take()
+        if token[:1] != '"' or len(token) == 1:  # a lone '"' is a bad character
             raise self.error("expected a quoted string")
-        return self.next().value
+        return rsl.unquote_string(token)
 
     def expect_int(self) -> int:
-        if self.tok.kind != "int":
+        token = self.take()
+        if token[:1] not in _INT_FIRST or token == "-":
             raise self.error("expected an integer")
-        return self.next().value
+        value = rsl.int64(token)
+        if value is None:
+            raise self.error("integer out of signed 64-bit range")
+        return value
 
     def parse_document(self) -> PolicyDocument:
-        self.expect_word("policy")
+        self.expect("policy")
         name = self.expect_string()
-        self.expect_word("source")
-        if self.accept_word("resource"):
-            source = "resource"
-        elif self.accept_word("vo"):
-            source = "vo"
-        else:
+        self.expect("source")
+        source = self.take()
+        if source != "resource" and source != "vo":
             raise self.error("expected 'resource' or 'vo'")
-        self.expect_sym("{")
+        self.expect("{")
 
         blocks: list[SubjectBlock] = []
         trust: list[str] = []
         allocation: int | None = None
         quotas: dict[str, int] = {}
 
-        while not self.accept_sym("}"):
-            if self.tok.kind == "eof":
-                raise self.error("unexpected end of policy")
-            if self.accept_word("trust"):
-                tok = self.tokens[self.idx - 1]
-                self.expect_word("vo")
+        while (keyword := self.take()) != "}":
+            at = self.i - 1
+            if keyword == "subject":
+                blocks.append(self.parse_block())
+            elif keyword == "trust":
+                self.expect("vo")
                 vo_name = self.expect_string()
-                self.expect_sym(";")
-                if source != "resource":
-                    raise MisplacedClauseError(
-                        f"line {self.line(tok)}: trust clauses belong to resource documents"
-                    )
+                self.expect(";")
+                self.check_home("trust", at, source, "resource")
                 trust.append(vo_name)
-            elif self.accept_word("allocation"):
-                tok = self.tokens[self.idx - 1]
+            elif keyword == "allocation":
                 amount = self.expect_int()
-                self.expect_word("cpu-seconds")
-                self.expect_sym(";")
-                if source != "vo":
-                    raise MisplacedClauseError(
-                        f"line {self.line(tok)}: allocation clauses belong to vo documents"
-                    )
+                self.expect("cpu-seconds")
+                self.expect(";")
+                self.check_home("allocation", at, source, "vo")
                 if allocation is not None:
-                    raise self.error("duplicate allocation clause", tok)
+                    raise self.error("duplicate allocation clause", at)
                 if amount < 0:
-                    raise self.error("allocation must be non-negative", tok)
+                    raise self.error("allocation must be non-negative", at)
                 allocation = amount
-            elif self.accept_word("member-quota"):
-                tok = self.tokens[self.idx - 1]
+            elif keyword == "member-quota":
                 dn = self.expect_string()
                 amount = self.expect_int()
-                self.expect_word("cpu-seconds")
-                self.expect_sym(";")
-                if source != "vo":
-                    raise MisplacedClauseError(
-                        f"line {self.line(tok)}: member-quota clauses belong to vo documents"
-                    )
+                self.expect("cpu-seconds")
+                self.expect(";")
+                self.check_home("member-quota", at, source, "vo")
                 if dn in quotas:
-                    raise self.error(f"duplicate member-quota for {dn!r}", tok)
+                    raise self.error(f"duplicate member-quota for {dn!r}", at)
                 if amount < 0:
-                    raise self.error("member-quota must be non-negative", tok)
+                    raise self.error("member-quota must be non-negative", at)
                 quotas[dn] = amount
-            elif self.accept_word("subject"):
-                blocks.append(self.parse_block())
+            elif keyword == "":
+                raise self.error("unexpected end of policy")
             else:
                 raise self.error("expected 'subject', 'trust', 'allocation' or 'member-quota'")
 
-        if self.tok.kind != "eof":
+        if self.take() != "":
             raise self.error("trailing input after policy")
         return PolicyDocument(
             name=name,
@@ -538,40 +528,43 @@ class _PolicyParser:
         )
 
     def parse_block(self) -> SubjectBlock:
-        if self.accept_word("identity"):
-            matcher: Matcher = Identity(self.expect_string())
-        elif self.accept_word("group"):
-            matcher = Group(self.expect_string())
-        elif self.accept_word("any"):
-            matcher = AnySubject()
+        kind = self.take()
+        if kind == "any":
+            matcher: Matcher = AnySubject()
+        elif kind == "identity" or kind == "group":
+            name = self.expect_string()
+            matcher = Identity(name) if kind == "identity" else Group(name)
         else:
             raise self.error("expected 'identity', 'group' or 'any'")
-        self.expect_sym("{")
+        self.expect("{")
 
         unrestricted: set[JobAction] = set()
         restricted: dict[JobAction, set] = {}
         assertions: list[Assertion] = []
         closed_world = False
 
-        while not self.accept_sym("}"):
-            if self.tok.kind == "eof":
-                raise self.error("unexpected end of subject block")
-            if self.accept_word("allow"):
-                tok = self.tokens[self.idx - 1]
-                self.expect_word("action")
+        while (keyword := self.take()) != "}":
+            if keyword == "attr":
+                name = self.parse_attr_name()
+                spec = self.parse_spec()
+                self.expect(";")
+                assertions.append(MayContain(name, spec))
+            elif keyword == "allow":
+                at = self.i - 1
+                self.expect("action")
                 actions = [self.parse_action()]
-                while self.accept_sym(","):
+                while self.accept(","):
                     actions.append(self.parse_action())
                 tags: list[str] = []
-                if self.accept_word("on"):
-                    self.expect_word("jobtag")
+                if self.accept("on"):
+                    self.expect("jobtag")
                     tags.append(self.expect_string())
-                    while self.accept_sym(","):
+                    while self.accept(","):
                         tags.append(self.expect_string())
-                self.expect_sym(";")
+                self.expect(";")
                 if tags and JobAction.START in actions:
                     raise MisplacedClauseError(
-                        f"line {self.line(tok)}: jobtag grants cannot apply to 'start'"
+                        f"line {self.where(at)[0]}: jobtag grants cannot apply to 'start'"
                     )
                 for action in actions:
                     if tags and action not in unrestricted:
@@ -579,26 +572,18 @@ class _PolicyParser:
                     elif not tags:
                         unrestricted.add(action)
                         restricted.pop(action, None)
-            elif self.accept_word("attr"):
+            elif keyword == "require" or keyword == "forbid":
+                self.expect("attr")
                 name = self.parse_attr_name()
-                spec = self.parse_spec()
-                self.expect_sym(";")
-                assertions.append(MayContain(name, spec))
-            elif self.accept_word("require"):
-                self.expect_word("attr")
-                name = self.parse_attr_name()
-                spec = None if self.tok.kind == "sym" and self.tok.value == ";" else self.parse_spec()
-                self.expect_sym(";")
-                assertions.append(MustContain(name, spec))
-            elif self.accept_word("forbid"):
-                self.expect_word("attr")
-                name = self.parse_attr_name()
-                spec = None if self.tok.kind == "sym" and self.tok.value == ";" else self.parse_spec()
-                self.expect_sym(";")
-                assertions.append(MustNotContain(name, spec))
-            elif self.accept_word("closed-world"):
-                self.expect_sym(";")
+                spec = None if self.tokens[self.i] == ";" else self.parse_spec()
+                self.expect(";")
+                assertion = MustContain if keyword == "require" else MustNotContain
+                assertions.append(assertion(name, spec))
+            elif keyword == "closed-world":
+                self.expect(";")
                 closed_world = True
+            elif keyword == "":
+                raise self.error("unexpected end of subject block")
             else:
                 raise self.error(
                     "expected 'allow', 'attr', 'require', 'forbid' or 'closed-world'"
@@ -615,57 +600,64 @@ class _PolicyParser:
         )
 
     def parse_action(self) -> JobAction:
-        if self.tok.kind == "word" and self.tok.value in _ACTIONS:
-            return _ACTIONS[self.next().value]
-        raise self.error("expected a job action")
+        action = _ACTIONS.get(self.take())
+        if action is None:
+            raise self.error("expected a job action")
+        return action
 
     def parse_attr_name(self) -> str:
-        if self.tok.kind != "word" or not rsl.NAME_RE.fullmatch(self.tok.value):
+        token = self.take()
+        if not rsl.NAME_RE.fullmatch(token):
             raise self.error("expected an attribute name")
-        return self.next().value.lower()
+        return token.lower()
 
     def parse_spec(self) -> ValueSpec:
         alternatives = [self.parse_primary_spec()]
-        while self.accept_word("or"):
+        while self.accept("or"):
             alternatives.append(self.parse_primary_spec())
         if len(alternatives) == 1:
             return alternatives[0]
         return OrSpec(tuple(alternatives))
 
     def parse_primary_spec(self) -> ValueSpec:
-        tok = self.tok
-        if self.accept_word("in"):
-            self.expect_sym("{")
+        at = self.i
+        keyword = self.take()
+        if keyword == "in":
+            self.expect("{")
             values = [self.expect_string()]
-            while self.accept_sym(","):
+            while self.accept(","):
                 values.append(self.expect_string())
-            self.expect_sym("}")
+            self.expect("}")
             return EnumSpec(tuple(values))
-        if self.accept_word("range"):
+        if keyword == "range":
             lo = self.expect_int()
-            self.expect_sym("..")
+            self.expect("..")
             hi = self.expect_int()
             if lo > hi:
-                raise BadRangeError(
-                    f"line {self.line(tok)}: empty range {lo}..{hi}"
-                )
+                raise BadRangeError(f"line {self.where(at)[0]}: empty range {lo}..{hi}")
             return RangeSpec(lo, hi)
-        if self.accept_word("matches"):
+        if keyword == "matches":
             pattern = self.expect_string()
             try:
                 return RegexSpec(pattern)
             except BadRegexError as exc:
-                raise BadRegexError(f"line {self.line(tok)}: {exc}") from None
-        if self.accept_word("max"):
+                raise BadRegexError(f"line {self.where(at)[0]}: {exc}") from None
+        if keyword == "max":
             return MaxSpec(self.expect_int())
-        if self.accept_word("min"):
+        if keyword == "min":
             return MinSpec(self.expect_int())
         raise self.error("expected a value spec ('in', 'range', 'matches', 'max', 'min')")
 
 
 def parse_policy(text: str) -> PolicyDocument:
     """Parse DSL text into a document; all regexes are pre-compiled."""
-    return _PolicyParser(text).parse_document()
+    try:
+        return _PolicyParser(text).parse_document()
+    except PolicyError:
+        # a bad character anywhere in the text outranks any other error
+        if (bad := _bad_character(text)) is not None:
+            raise bad from None
+        raise
 
 
 # ---------------------------------------------------------------------------

@@ -218,8 +218,8 @@ class _Parser:
         m = _INT_RE.match(self.text, self.pos)
         if m:
             self.pos = m.end()
-            value = int(m.group())
-            if not INT64_MIN <= value <= INT64_MAX:
+            value = int64(m.group())
+            if value is None:
                 raise self.error("integer out of signed 64-bit range")
             return value
         raise self.error("bad value", "integer or quoted string")
@@ -241,6 +241,23 @@ def parse_rsl(text: str) -> RslRequest:
     AttributeTypeError; never anything else, for any input string.
     """
     return _Parser(text).parse()
+
+
+def int64(literal: str) -> int | None:
+    """The value of an ``INT`` literal, or None outside signed 64-bit.
+
+    A literal of more than 19 digits after its sign and leading zeros is
+    refused before ``int()`` sees it, whose digit limit would raise.
+    """
+    if len(literal) <= 18:  # at most 18 digits, always in range
+        return int(literal)
+    digits = literal.lstrip("-").lstrip("0")
+    if len(digits) > 19:
+        return None
+    value = int(digits or "0")
+    if literal[0] == "-":
+        value = -value
+    return value if INT64_MIN <= value <= INT64_MAX else None
 
 
 def quote_string(s: str) -> str:

@@ -148,6 +148,12 @@ class TestSignVerify:
         with pytest.raises(InvalidClaimsError):
             sign_capability(KEY, _claims(policy_fragment="not a policy"))
 
+    def test_fragment_with_an_over_long_integer_is_invalid(self):
+        fragment = FRAGMENT.replace("allow action start;", f"attr count max {'9' * 5000};")
+        assert fragment != FRAGMENT
+        with pytest.raises(InvalidClaimsError, match="integer out of signed 64-bit range"):
+            sign_capability(KEY, _claims(policy_fragment=fragment))
+
     def test_fragment_must_be_vo_source(self):
         with pytest.raises(InvalidClaimsError):
             sign_capability(

@@ -2,13 +2,21 @@
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
+import hmac
 import random
 
 import pytest
 
 import oracle
 from generators import rand_credential, rand_policy, rand_query
-from gridauth.credential import GridCredential, sign_capability
+from gridauth.credential import (
+    CapabilityToken,
+    GridCredential,
+    canonical_claims_text,
+    sign_capability,
+)
 from gridauth.pdp import (
     AuthzQuery,
     InvalidQueryError,
@@ -394,6 +402,21 @@ class TestDecidePush:
         d = decide_push(q, OPEN_RESOURCE, token, {"fusion": KEY}, now=0)
         assert d.permitted
         assert d.vo_document == parse_policy(claims.policy_fragment)
+
+    def test_over_long_integer_in_fragment_denies(self):
+        # sign_capability refuses such claims, so the token is MACed by hand
+        claims = derive_capability(SCENARIO2_VO, ALICE, expiry=10**9)
+        fragment = claims.policy_fragment.replace("1..512", "1.." + "5" * 5000)
+        assert fragment != claims.policy_fragment
+        claims = dataclasses.replace(claims, policy_fragment=fragment)
+        mac = hmac.new(KEY, canonical_claims_text(claims).encode("utf-8"), hashlib.sha256)
+        token = CapabilityToken(claims=claims, mac=mac.digest())
+        q = _start_query(ALICE, '&(executable="/opt/vo/apps/transp")(count=1)')
+        d = decide_push(q, OPEN_RESOURCE, token, {"fusion": KEY}, now=0)
+        assert d.effect == "deny"
+        (entry,) = d.trace
+        assert entry.reason.startswith("invalid policy fragment: line ")
+        assert entry.reason.endswith(": integer out of signed 64-bit range")
 
     def test_expired_token_denies(self):
         claims = derive_capability(SCENARIO2_VO, ALICE, expiry=50)

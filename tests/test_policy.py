@@ -179,6 +179,42 @@ class TestParse:
             parse_policy(text)
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize(
+        "literal, value",
+        [
+            ("9223372036854775807", 2**63 - 1),
+            ("-9223372036854775808", -(2**63)),
+            ("-0", 0),
+            ("0" * 5000 + "7", 7),  # leading zeros do not count
+        ],
+        ids=["max", "min", "minus-zero", "leading-zeros"],
+    )
+    def test_int64_literals_in_range(self, literal, value):
+        doc = parse_policy(
+            f'policy "p" source vo {{ subject any {{ attr count min {literal}; }} }}'
+        )
+        assert doc.blocks[0].assertions[0].spec == MinSpec(value)
+
+    @pytest.mark.parametrize(
+        "literal",
+        ["9223372036854775808", "-9223372036854775809", "9" * 5000, "-" + "1" * 4301],
+        ids=["max+1", "min-1", "5000-digits", "negative-4301-digits"],
+    )
+    def test_out_of_range_literal_is_a_syntax_error_at_the_literal(self, literal):
+        # more than 4300 digits would make int() raise a plain ValueError
+        text = f'policy "p" source vo {{\n  subject any {{\n\tattr count range 1..{literal}; }} }}'
+        with pytest.raises(PolicySyntaxError) as exc:
+            parse_policy(text)
+        assert type(exc.value) is PolicySyntaxError
+        assert (exc.value.line, exc.value.col) == (3, 22)
+        assert str(exc.value) == "line 3, col 22: integer out of signed 64-bit range"
+
+    def test_bad_character_outranks_an_out_of_range_literal(self):
+        text = 'policy "p" source vo {\n  allocation 99999999999999999999 cpu-seconds; @ }'
+        with pytest.raises(PolicySyntaxError) as exc:
+            parse_policy(text)
+        assert str(exc.value) == "line 2, col 48: unexpected character '@'"
+
     def test_action_list_with_grants(self):
         doc = parse_policy(
             'policy "p" source vo { subject group "admins" {'
@@ -395,6 +431,42 @@ class TestGlobDifferential:
     def test_enum_glob_agrees_with_segment_scanner(self, pattern, value):
         # regex translation on one side, greedy segment scan on the other
         assert EnumSpec((pattern,)).allows(value) == oracle.glob_match(pattern, value)
+
+
+def _reference_allows(values, value) -> bool:
+    """The per-value matcher EnumSpec replaced: one anchored regex a value."""
+    return isinstance(value, str) and any(
+        re.compile("(?s)" + ".*".join(re.escape(p) for p in v.split("*")) + r"\Z").match(value)
+        for v in values
+    )
+
+
+#: regex metacharacters, runs of '*', backslashes and newlines
+_ENUM_TEXT = st.text(alphabet="ab*\\.^$|()[]{}?+\n\r\t-#é", max_size=8)
+
+
+class TestEnumSpecMatching:
+    @given(
+        values=st.lists(
+            st.one_of(_ENUM_TEXT, st.sampled_from(["", "*", "**", "a**b", "\\*"])),
+            min_size=1,
+            max_size=4,
+        ),
+        value=st.one_of(
+            _ENUM_TEXT,
+            st.text(max_size=6),
+            st.integers(),
+            st.booleans(),
+            st.lists(st.text(alphabet="ab*", max_size=3), max_size=2),
+            st.none(),
+        ),
+        data=st.data(),
+    )
+    @settings(max_examples=1000, deadline=None)
+    def test_allows_equals_a_regex_per_value(self, values, value, data):
+        if data.draw(st.booleans()):  # often test one of the values itself
+            value = data.draw(st.sampled_from(values))
+        assert EnumSpec(tuple(values)).allows(value) == _reference_allows(values, value)
 
 
 class TestRejectionTotality:

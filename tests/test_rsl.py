@@ -113,6 +113,23 @@ class TestParse:
         with pytest.raises(RslSyntaxError):
             parse_rsl(f"&(big={INT64_MAX + 1})")
 
+    @pytest.mark.parametrize(
+        "literal",
+        ["9" * 5000, "-" + "1" * 4301, "9223372036854775808"],
+        ids=["5000-digits", "negative-4301-digits", "max+1"],
+    )
+    def test_out_of_range_literal_is_a_syntax_error(self, literal):
+        # more than 4300 digits would make int() raise a plain ValueError
+        with pytest.raises(RslSyntaxError) as exc:
+            parse_rsl(f"&(big={literal})")
+        assert type(exc.value) is RslSyntaxError
+        offset = len("&(big=") + len(literal)
+        assert exc.value.position == offset
+        assert str(exc.value) == f"integer out of signed 64-bit range at offset {offset}"
+
+    def test_leading_zeros_do_not_count(self):
+        assert parse_rsl("&(big=" + "0" * 5000 + "42)").get("big") == 42
+
     @pytest.mark.parametrize("name", sorted(INT_ATTRIBUTES))
     def test_int_attributes_must_be_positive_ints(self, name):
         assert parse_rsl(f"&({name}=7)").get(name) == 7
