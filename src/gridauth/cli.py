@@ -20,6 +20,7 @@ Exit codes: 0 success/permit, 1 denied or illegal, 2 bad input,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -328,7 +329,8 @@ def _make_engine(args, state: dict | None) -> JobManager:
             )
         except PolicyError:
             raise  # a policy of the wrong kind is bad input, not bad state
-        except (KeyError, TypeError, ValueError) as exc:
+        # AttributeError: a list where the ledger holds an object
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise _malformed(args.state, exc) from None
     pool_names = [
         name.strip()
@@ -483,7 +485,9 @@ def cmd_scenario(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """Built once: building costs far more than a parse, which leaves it as is."""
     parser = argparse.ArgumentParser(
         prog="gridauth",
         description="Fine-grain authorization simulator for grid job management.",
@@ -566,7 +570,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     if not hasattr(args, "func"):
         parser.print_help()

@@ -242,10 +242,24 @@ class AllocationLedger:
 
     @classmethod
     def from_dict(cls, data: dict) -> "AllocationLedger":
+        """The inverse of `to_dict`; a bad figure raises ValueError."""
         ledger = cls()
         for vo, acct in data.items():
-            account = _VoAccount(allocation=acct["allocation"], used=acct["used"])
+            ledger._vos[vo] = account = _VoAccount(
+                _figure(acct["allocation"], f"vo {vo} allocation", bound=True),
+                _figure(acct["used"], f"vo {vo} used"),
+            )
             for dn, m in acct["members"].items():
-                account.members[dn] = _MemberAccount(quota=m["quota"], used=m["used"])
-            ledger._vos[vo] = account
+                account.members[dn] = _MemberAccount(
+                    _figure(m["quota"], f"member {dn} quota", bound=True),
+                    _figure(m["used"], f"member {dn} used"),
+                )
         return ledger
+
+
+def _figure(value, what: str, bound: bool = False) -> int | None:
+    """``value`` if it is a non-negative int, or None for an unlimited bound."""
+    # bool is an int subclass, but true/false in a state file is no figure
+    if not (bound and value is None) and (type(value) is not int or value < 0):
+        raise ValueError(f"ledger {what} must be a non-negative integer, not {value!r}")
+    return value

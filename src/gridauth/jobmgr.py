@@ -2,8 +2,11 @@
 
 Submission and management requests each pass one enforcement point that
 asks the decision point before anything changes; a denied request
-leaves no state behind.  Admitted jobs move through a fixed lifecycle
-(pending, active, suspended, and the absorbing done/failed/canceled).
+leaves no state behind.  An admitted job's sandbox takes the cpu and
+memory caps that `pdp.sandbox_limits` derives from the permit; the
+engine knows nothing of policy semantics.  Admitted jobs move through a
+fixed lifecycle (pending, active, suspended, and the absorbing
+done/failed/canceled).
 
 Simulated time moves only in `tick(dt)`, and its result is that of
 ``dt`` one-second steps.  Each step activates the pending jobs (highest
@@ -35,6 +38,7 @@ caller; records returned to callers are snapshots.
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass, replace
 from typing import Iterable, Mapping
 
@@ -54,16 +58,9 @@ from .pdp import (
     PolicySourceSet,
     decide,
     decide_push,
+    sandbox_limits,
 )
-from .policy import (
-    MaxSpec,
-    MayContain,
-    MustContain,
-    OrSpec,
-    PolicyDocument,
-    PolicyError,
-    RangeSpec,
-)
+from .policy import PolicyDocument, PolicyError
 from .rsl import JobAction, RslRequest, parse_rsl, serialize_rsl
 
 
@@ -176,39 +173,6 @@ class Event:
     @property
     def line(self) -> str:
         return f"t={self.t} job={self.job} event={self.name} detail={self.detail}"
-
-
-def _spec_upper(spec) -> int | None:
-    if isinstance(spec, MaxSpec):
-        return spec.bound
-    if isinstance(spec, RangeSpec):
-        return spec.hi
-    if isinstance(spec, OrSpec):
-        uppers = [_spec_upper(alt) for alt in spec.alternatives]
-        if any(u is None for u in uppers):
-            return None
-        return max(uppers)
-    return None
-
-
-def _policy_caps(decision: Decision, docs: Mapping, attr: str) -> list:
-    """Upper bounds the permitting blocks place on an integer attribute."""
-    caps = []
-    for entry in decision.trace:
-        if entry.outcome != "permit" or entry.block is None:
-            continue
-        doc = docs.get(entry.source)
-        if doc is None:
-            continue
-        block = doc.blocks[entry.block]
-        for a in block.assertions:
-            if isinstance(a, (MayContain, MustContain)) and a.attr == attr:
-                upper = _spec_upper(a.spec) if a.spec is not None else None
-                # the attribute itself is a positive integer, so only
-                # positive bounds are meaningful sandbox caps
-                if upper is not None and upper >= 1:
-                    caps.append(upper)
-    return caps
 
 
 def _consumed_after(job: Job, steps: int) -> int:
@@ -329,6 +293,8 @@ class JobManager:
         decision = self._decide(query, token)
         if not decision.permitted:
             raise DeniedByPolicyError(decision)
+        max_cpu, max_memory = sandbox_limits(decision, request, self.resource_policy)
+        sandbox = SandboxSpec(max_cpu, max_memory, groups=cred.groups)
 
         vo_doc = decision.vo_document
         accounted = False
@@ -342,7 +308,6 @@ class JobManager:
                 )
             self.ledger.reserve(cred.vo, cred.subject, reserved)
 
-        sandbox = self._sandbox_for(cred, request, decision, vo_doc)
         account = self.gridmap.lookup(cred.subject)
         pooled = account is None
         if pooled:
@@ -379,34 +344,6 @@ class JobManager:
             self._pooled.add(job_id)
         self._emit(job_id, "submit", f"owner={cred.subject} state=pending reserved={reserved}")
         return job_id
-
-    def _sandbox_for(
-        self,
-        cred: GridCredential,
-        request: RslRequest,
-        decision: Decision,
-        vo_doc: PolicyDocument | None,
-    ) -> SandboxSpec:
-        """Caps from the request, tightened by the permitting blocks."""
-        docs = {"resource": self.resource_policy, "vo": vo_doc}
-        count = request.get("count") or 1
-
-        cpu_bounds = _policy_caps(decision, docs, "maxcputime")
-        if request.get("maxcputime") is not None:
-            cpu_bounds.append(request.get("maxcputime"))
-        max_cpu = count * min(cpu_bounds) if cpu_bounds else None
-
-        mem_bounds = _policy_caps(decision, docs, "maxmemory")
-        if request.get("maxmemory") is not None:
-            mem_bounds.append(request.get("maxmemory"))
-        max_memory = min(mem_bounds) if mem_bounds else None
-
-        return SandboxSpec(
-            max_cpu=max_cpu,
-            max_memory=max_memory,
-            max_disk=None,
-            groups=cred.groups,
-        )
 
     # -- job manager ------------------------------------------------------
 
@@ -558,24 +495,6 @@ class JobManager:
             ],
         }
 
-    @staticmethod
-    def _spec_to_dict(spec: SandboxSpec) -> dict:
-        return {
-            "max_cpu": spec.max_cpu,
-            "max_memory": spec.max_memory,
-            "max_disk": spec.max_disk,
-            "groups": sorted(spec.groups),
-        }
-
-    @staticmethod
-    def _spec_from_dict(data: dict) -> SandboxSpec:
-        return SandboxSpec(
-            max_cpu=data["max_cpu"],
-            max_memory=data["max_memory"],
-            max_disk=data["max_disk"],
-            groups=frozenset(data["groups"]),
-        )
-
     def _job_to_dict(self, job: Job) -> dict:
         return {
             "id": job.id,
@@ -594,7 +513,12 @@ class JobManager:
                 "memory_peak": job.profile.memory_peak,
                 "disk": job.profile.disk,
             },
-            "sandbox": self._spec_to_dict(job.sandbox),
+            "sandbox": {
+                "max_cpu": job.sandbox.max_cpu,
+                "max_memory": job.sandbox.max_memory,
+                "max_disk": job.sandbox.max_disk,
+                "groups": sorted(job.sandbox.groups),
+            },
             "accounted": job.accounted,
         }
 
@@ -618,8 +542,15 @@ class JobManager:
         engine._next_seq = _require_int(state["next_seq"], "next_seq")
         engine.ledger = AllocationLedger.from_dict(state["ledger"])
         for data in state["jobs"]:
+            job_id = data["id"]  # as `gatekeeper_submit` numbers them
+            if not (isinstance(job_id, str) and re.fullmatch("j[1-9][0-9]*", job_id)):
+                raise ValueError(f"job id {job_id!r} is not j<n>")
+            if job_id in engine.jobs:
+                raise ValueError(f"job {job_id} is stored twice")
+            if int(job_id[1:]) >= engine._next_seq:
+                raise ValueError(f"job {job_id} is not below next_seq {engine._next_seq}")
             for key in ("reserved", "consumed", "priority", "submitted_at"):
-                _require_int(data[key], f"job {data['id']} {key}")
+                _require_int(data[key], f"job {job_id} {key}")
             job = Job(
                 id=data["id"],
                 owner=data["owner"],
@@ -633,7 +564,12 @@ class JobManager:
                 submitted_at=data["submitted_at"],
                 ended_at=data["ended_at"],
                 profile=SimProfile(**data["profile"]),
-                sandbox=cls._spec_from_dict(data["sandbox"]),
+                sandbox=SandboxSpec(
+                    data["sandbox"]["max_cpu"],
+                    data["sandbox"]["max_memory"],
+                    data["sandbox"]["max_disk"],
+                    data["sandbox"]["groups"],
+                ),
                 accounted=data["accounted"],
             )
             engine.jobs[job.id] = job

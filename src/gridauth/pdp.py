@@ -27,6 +27,10 @@ Documents are compiled and indexed when they are built (see
 `SubjectBlock` and `PolicyDocument`), so a decision takes a source's
 applicable blocks from the index, in document order.  All entry points
 are pure functions over immutable inputs.
+
+A permitted start obliges the site to run the job within the caps of
+its permitting blocks; `sandbox_limits` derives them at admission, the
+only user, rather than inside `decide`.
 """
 
 from __future__ import annotations
@@ -45,9 +49,11 @@ from .credential import (
 from .policy import (
     MayContain,
     MustContain,
+    MustNotContain,
     PolicyDocument,
     PolicyError,
     SubjectBlock,
+    _interval,
     applicable_blocks,
     format_policy,
     parse_policy,
@@ -263,6 +269,32 @@ def decide(q: AuthzQuery, sources: PolicySourceSet) -> Decision:
         return Decision("deny", tuple(trace), None)
     vo_document = sources.vo if q.action is JobAction.START else None
     return Decision("permit", tuple(trace), charged, vo_document)
+
+
+def sandbox_limits(
+    decision: Decision, request: RslRequest, resource_doc: PolicyDocument
+) -> tuple:
+    """``(max_cpu, max_memory)`` for a permitted start; None is no limit.
+
+    Each is the least of the request's own value and every upper bound
+    of at least 1 that a permitting block of a consulted source sets on
+    the attribute in its ``checks`` (an ``or`` with an open end sets
+    none); ``max_cpu`` is then multiplied by ``count``.
+    """
+    attrs = request.attributes  # names are stored lower-case
+    caps = {"maxcputime": attrs.get("maxcputime"), "maxmemory": attrs.get("maxmemory")}
+    for entry in decision.trace:
+        if entry.outcome == "permit" and entry.block is not None:
+            doc = resource_doc if entry.source == "resource" else decision.vo_document
+            for check in doc.blocks[entry.block].checks:
+                if check.attr in caps and not isinstance(check, MustNotContain):
+                    upper = (_interval(check.spec) or (None, None))[1]
+                    cap = caps[check.attr]
+                    # the attribute is positive, so a bound below 1 caps nothing
+                    if upper is not None and upper >= 1 and (cap is None or upper < cap):
+                        caps[check.attr] = upper
+    cpu, memory = caps.values()
+    return (None if cpu is None else (attrs.get("count") or 1) * cpu), memory
 
 
 def derive_capability(

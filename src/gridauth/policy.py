@@ -728,12 +728,21 @@ class Diagnostic:
 
 
 def _interval(spec: ValueSpec):
+    """The integer interval ``(lo, hi)`` a numeric spec spans, None marking
+    an open end; an `OrSpec` spans the hull of its alternatives.  None when
+    the spec (or an alternative) is not numeric."""
     if isinstance(spec, RangeSpec):
         return spec.lo, spec.hi
     if isinstance(spec, MaxSpec):
         return None, spec.bound
     if isinstance(spec, MinSpec):
         return spec.bound, None
+    if isinstance(spec, OrSpec):
+        ends = [_interval(alt) for alt in spec.alternatives]
+        if None in ends:
+            return None
+        los, his = zip(*ends)
+        return (None if None in los else min(los)), (None if None in his else max(his))
     return None
 
 
@@ -761,11 +770,11 @@ def _spec_implies(required: ValueSpec | None, forbidden: ValueSpec | None) -> bo
         return all(forbidden.allows(v) for v in required.values)
     ri = _interval(required)
     if ri is not None:
-        fi = _interval(forbidden)
-        if fi is not None:
-            return _interval_contains(fi, ri)
+        # a hull is wider than the union it covers
         if isinstance(forbidden, OrSpec):
             return any(_spec_implies(required, alt) for alt in forbidden.alternatives)
+        fi = _interval(forbidden)
+        return fi is not None and _interval_contains(fi, ri)
     return False
 
 

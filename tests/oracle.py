@@ -145,3 +145,54 @@ def brute_decide(query, resource_doc, vo_doc) -> str:
         if not source_permits(vo_doc, query):
             return "deny"
     return "permit"
+
+
+def spec_cap(spec):
+    """The largest integer a spec allows, found by probing the integers it
+    names and one far beyond them; None when it allows arbitrarily large
+    values or has a non-numeric alternative."""
+    numbers, todo = [], [spec]
+    while todo:
+        s = todo.pop()
+        if isinstance(s, OrSpec):
+            todo.extend(s.alternatives)
+        elif isinstance(s, (EnumSpec, RegexSpec)):
+            return None
+        elif isinstance(s, RangeSpec):
+            numbers += [s.lo, s.hi]
+        else:
+            numbers.append(s.bound)
+    if spec_allows(spec, 2**63 - 1):
+        return None
+    return max(n for n in numbers if spec_allows(spec, n))
+
+
+def sandbox_caps(query, resource_doc, vo_doc) -> tuple:
+    """``(max_cpu, max_memory)`` of a permitted start, read off each
+    permitting block's raw assertions: a block's ``attr`` lines on one
+    attribute cap as one union, each ``require attr`` spec on its own."""
+    attrs = dict(query.request.attributes)
+    caps = {"maxcputime": [], "maxmemory": []}
+    docs = [resource_doc] if query.credential.vo is None else [resource_doc, vo_doc]
+    subject, groups = query.credential.subject, query.credential.groups
+    for doc in docs:
+        for b in doc.blocks:
+            if not (matcher_applies(b.matcher, subject, groups) and block_permits(b, query)):
+                continue
+            for attr, found in caps.items():
+                union = [a.spec for a in b.assertions if isinstance(a, MayContain) and a.attr == attr]
+                specs = [OrSpec(tuple(union))] if union else []
+                specs += [
+                    a.spec
+                    for a in b.assertions
+                    if isinstance(a, MustContain) and a.attr == attr and a.spec is not None
+                ]
+                for s in specs:
+                    cap = spec_cap(s)
+                    if cap is not None and cap >= 1:
+                        found.append(cap)
+    for attr, found in caps.items():
+        if attr in attrs:
+            found.append(attrs[attr])
+    cpu = min(caps["maxcputime"]) * attrs.get("count", 1) if caps["maxcputime"] else None
+    return cpu, (min(caps["maxmemory"]) if caps["maxmemory"] else None)

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridauth.cli import StateFileError, _load_state, main
+from gridauth.cli import StateFileError, _load_state, _parser, main
 from gridauth.credential import GridMapFile, load_credential
 from gridauth.enforce import DynamicAccountPool, QuotaExceededError
 from gridauth.jobmgr import (
@@ -119,6 +119,22 @@ def _manage_args(site, job, action, cred="alice.cred"):
         "--job", job,
         "--action", action,
     ]
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["tick", "--help"], 0),
+    (["tick", "--state", "s", "--dt", "soon"], 2),
+    (["bogus"], 2),
+])
+def test_one_parser_serves_every_call(capsys, argv, code):
+    printed = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == code
+        printed.append(capsys.readouterr())
+    assert printed[0] == printed[1] and printed[0] != ("", "")
+    assert _parser() is _parser()
 
 
 class TestCheck:
@@ -515,12 +531,37 @@ class TestStateVersion1:
             (("events", 1, "job"), 2, "event 1 job must be a string, not 2"),
             (("events", 2, "name"), None, "event 2 name must be a string, not None"),
             (("events", 4, "detail"), ["state=active"], "event 4 detail must be a string"),
+            (("ledger", "fusion", "used"), "x",
+             "ledger vo fusion used must be a non-negative integer, not 'x'"),
+            (("ledger", "fusion", "used"), -5,
+             "ledger vo fusion used must be a non-negative integer, not -5"),
+            (("ledger", "fusion", "used"), None,
+             "ledger vo fusion used must be a non-negative integer, not None"),
+            (("ledger", "fusion", "allocation"), 2.5,
+             "ledger vo fusion allocation must be a non-negative integer, not 2.5"),
+            (("ledger", "fusion", "allocation"), -1,
+             "ledger vo fusion allocation must be a non-negative integer, not -1"),
+            (("ledger", "fusion", "members", "/O=Grid/CN=alice", "used"), True,
+             "ledger member /O=Grid/CN=alice used must be a non-negative integer, not True"),
+            (("ledger", "fusion", "members", "/O=Grid/CN=dave", "quota"), "10",
+             "ledger member /O=Grid/CN=dave quota must be a non-negative integer, not '10'"),
+            (("ledger", "fusion", "members", "/O=Grid/CN=dave", "quota"), -1,
+             "ledger member /O=Grid/CN=dave quota must be a non-negative integer, not -1"),
+            (("jobs", 2, "id"), "x3", "job id 'x3' is not j<n>"),
+            (("jobs", 2, "id"), "j03", "job id 'j03' is not j<n>"),
+            (("jobs", 2, "id"), 3, "job id 3 is not j<n>"),
+            (("jobs", 2, "id"), "j1", "job j1 is stored twice"),
+            (("next_seq",), 5, "job j5 is not below next_seq 5"),
+            (("jobs", 2, "id"), "j7", "job j7 is not below next_seq 6"),
         ],
         ids=["unknown-lease-job", "free-and-leased", "leased-twice", "lease-on-other-account",
              "ledger-lacks-vo", "ledger-lacks-member", "done-lease-job", "text-consumed",
              "null-priority", "float-runtime", "bool-clock", "text-lease-ttl", "text-expiry",
              "text-event-time", "bool-event-time", "int-event-job", "null-event-name",
-             "list-event-detail"],
+             "list-event-detail", "text-vo-used", "negative-vo-used", "null-vo-used",
+             "float-allocation", "negative-allocation", "bool-member-used", "text-quota",
+             "negative-quota", "bad-job-id", "zero-padded-job-id", "int-job-id",
+             "duplicate-job-id", "next-seq-reused", "job-id-past-next-seq"],
     )
     def test_malformed_state_fails_closed_at_tick(self, v1, capsys, path, value, message):
         state = v1 / "state.json"
@@ -674,6 +715,40 @@ class TestStateVersion3:
         assert _load_state(str(state)) == expected.snapshot()
 
 
+    @pytest.mark.parametrize("path, value, message", [
+        (("next_seq",), 1, "ValueError: job j1 is not below next_seq 1"),
+        (("jobs", 2, "id"), "j1", "ValueError: job j1 is stored twice"),
+        (("jobs", 2, "id"), "job3", "ValueError: job id 'job3' is not j<n>"),
+        (("ledger", "fusion", "used"), "x",
+         "ValueError: ledger vo fusion used must be a non-negative integer, not 'x'"),
+        (("ledger",), [], "AttributeError: 'list' object has no attribute 'items'"),
+        (("ledger", "fusion", "members"), [["/O=Grid/CN=alice", 600]],
+         "AttributeError: 'list' object has no attribute 'items'"),
+    ], ids=["next-seq-reused", "duplicate-job-id", "bad-job-id", "text-vo-used", "list-ledger",
+            "list-members"])
+    def test_malformed_state_fails_closed_at_submit(self, v3, capsys, path, value, message):
+        # with next_seq 1, a submit would replace alice's suspended j1
+        state = v3 / "state.json"
+        data = json.loads(state.read_text())
+        entry = data["engine"]
+        for key in path[:-1]:
+            entry = entry[key]
+        entry[path[-1]] = value
+        state.write_text(json.dumps(data))
+        (v3 / "job.rsl").write_text(RSL)
+        before = _files(v3)
+        for command in (
+            ["submit", "--state", str(state), "--resource-policy", _p(v3, "site.pol"),
+             "--vo-policy", _p(v3, "fusion.pol"), "--cred", _p(v3, "dave.cred"),
+             "--rsl", _p(v3, "job.rsl"), "--runtime", "5"],
+            ["tick", "--state", str(state), "--dt", "2000"],
+        ):
+            assert main(command) == 3
+            err = capsys.readouterr().err
+            assert f"incomplete or malformed: {message}" in err
+            assert _files(v3) == before
+
+
 def _make_busy(site) -> None:
     """A site with a done job (j1), a live one (j2) and a committed journal."""
     (site / "small.rsl").write_text('&(executable="/opt/vo/apps/transp")(maxcputime=300)\n')
@@ -819,6 +894,16 @@ class TestJournal:
         assert _files(busy) == before
         with pytest.raises(StateFileError, match="incomplete or malformed"):
             _load_state(_p(busy, "state.json"))
+
+    def test_job_stored_twice_in_the_snapshot_exits_three(self, busy, capsys):
+        state = busy / "state.json"
+        data = json.loads(state.read_text())
+        data["engine"]["jobs"] *= 2
+        state.write_text(json.dumps(data))
+        before = _files(busy)
+        assert main(["ledger", "--state", str(state)]) == 3
+        assert "job j2 is stored twice" in capsys.readouterr().err
+        assert _files(busy) == before
 
     def test_journal_bytes_ending_mid_line_exits_three(self, busy, capsys):
         journal = busy / "state.json.journal"

@@ -428,6 +428,92 @@ class TestTick:
         # request silent: the permitting block's cap bounds the sandbox
         assert eng.job_record(job_id2).sandbox.max_cpu == 2 * 40
 
+    def test_attr_lines_union_into_one_cap(self):
+        # two attr lines form one union: a request the union permits runs
+        # under its own value, not under the tighter line
+        vo = parse_policy(
+            'policy "fusion" source vo { subject group "members" { allow action start;'
+            " attr maxcputime max 100; attr maxcputime max 500; } }"
+        )
+        eng = _engine(vo=vo)
+        job_id = eng.gatekeeper_submit(
+            ALICE, '&(executable="/x")(maxcputime=300)', SimProfile(runtime=300)
+        )
+        assert eng.job_record(job_id).sandbox.max_cpu == 300
+        eng.tick(400)
+        job = eng.job_record(job_id)
+        assert (job.state, job.consumed) == (JobState.DONE, 300)
+        silent = eng.gatekeeper_submit(ALICE, '&(executable="/x")', SimProfile(runtime=1))
+        assert eng.job_record(silent).sandbox.max_cpu == 500
+
+    def test_attr_and_require_on_one_attribute_take_the_minimum(self):
+        vo = parse_policy(
+            'policy "fusion" source vo { subject group "members" { allow action start;'
+            " attr maxcputime max 500; require attr maxcputime range 1..200; } }"
+        )
+        eng = _engine(vo=vo)
+        with pytest.raises(DeniedByPolicyError):
+            eng.gatekeeper_submit(
+                ALICE, '&(executable="/x")(maxcputime=250)', SimProfile(runtime=1)
+            )
+        job_id = eng.gatekeeper_submit(
+            ALICE, '&(executable="/x")(count=3)(maxcputime=200)', SimProfile(runtime=1)
+        )
+        assert eng.job_record(job_id).sandbox.max_cpu == 3 * 200
+
+    def test_tightest_source_caps_a_silent_request(self):
+        resource = parse_policy(
+            'policy "site" source resource { trust vo "fusion"; subject any {'
+            " allow action start; attr maxcputime max 120; } }"
+        )
+        vo = parse_policy(
+            'policy "fusion" source vo { subject group "members" { allow action start;'
+            " attr maxcputime max 500; } }"
+        )
+        eng = JobManager(resource_policy=resource, vo_policies=[vo], gridmap=GRIDMAP)
+        job_id = eng.gatekeeper_submit(
+            ALICE, '&(executable="/x")(count=2)', SimProfile(runtime=1)
+        )
+        assert eng.job_record(job_id).sandbox.max_cpu == 2 * 120
+
+    def test_maxmemory_cap(self):
+        vo = parse_policy(
+            'policy "fusion" source vo { subject group "members" { allow action start;'
+            " attr maxmemory range 1..256 or max 512; attr maxcputime min 10 or max 5; } }"
+        )
+        eng = _engine(vo=vo)
+        silent = eng.gatekeeper_submit(ALICE, '&(executable="/x")', SimProfile(runtime=1))
+        # the hull of the union bounds memory; an or with an open end caps nothing
+        assert eng.job_record(silent).sandbox.max_memory == 512
+        assert eng.job_record(silent).sandbox.max_cpu is None
+        tighter = eng.gatekeeper_submit(
+            ALICE, '&(executable="/x")(maxmemory=128)', SimProfile(runtime=1, memory_peak=200)
+        )
+        assert eng.job_record(tighter).sandbox.max_memory == 128
+        eng.tick(1)
+        assert eng.job_record(tighter).state is JobState.FAILED
+        assert eng.event_lines()[-1].endswith("limit=memory")
+
+    def test_push_and_pull_give_one_sandbox(self):
+        vo = parse_policy(
+            'policy "fusion" source vo {\n'
+            '  subject group "members" { allow action start;'
+            " attr maxcputime max 100; attr maxcputime max 400; attr maxmemory max 64; }\n"
+            '  subject any { allow action start; require attr maxcputime range 0..300; }\n'
+            "}\n"
+        )
+        token = sign_capability(KEY, derive_capability(vo, ALICE, expiry=10**6))
+        for rsl in (
+            '&(executable="/x")(count=2)(maxcputime=250)',
+            '&(executable="/x")(maxcputime=350)',
+        ):
+            pulled, pushed = _engine(vo=vo), _engine(vo=None)
+            pull_id = pulled.gatekeeper_submit(ALICE, rsl, SimProfile(runtime=1))
+            push_id = pushed.gatekeeper_submit(ALICE, rsl, SimProfile(runtime=1), token=token)
+            assert pulled.job_record(pull_id).sandbox == pushed.job_record(push_id).sandbox
+        assert pushed.job_record(push_id).sandbox.max_cpu == 350
+        assert pulled.job_record(pull_id).sandbox.max_memory == 64
+
     def test_dynamic_account_released_on_completion(self):
         eng = _engine(vo=VO_PLAIN, pool=("dyn00",), gridmap=GridMapFile({}))
         eng.gatekeeper_submit(

@@ -29,12 +29,18 @@ from gridauth.pdp import (
     eval_assertion,
     eval_block,
     explain,
+    sandbox_limits,
 )
 from gridauth.policy import (
     AnySubject,
+    EnumSpec,
+    Group,
+    MaxSpec,
     MayContain,
+    MinSpec,
     MustContain,
     MustNotContain,
+    OrSpec,
     PolicyDocument,
     RangeSpec,
     SubjectBlock,
@@ -479,6 +485,60 @@ class TestDecisionVoDocument:
         assert with_vo == other and hash(with_vo) == hash(other)
         assert repr(with_vo) == repr(other)
         assert "vo_document" not in repr(with_vo)
+
+
+def _rand_cap_spec(rng, depth=0):
+    n = rng.choice((-3, 0, 1, 7, 50, 120, 400))
+    kind = rng.randrange(4 if depth else 5)
+    if kind == 0:
+        return MaxSpec(n)
+    if kind == 1:
+        return RangeSpec(*sorted((n, rng.choice((0, 1, 60, 300)))))
+    if kind == 2:
+        return MinSpec(n)
+    if kind == 3:
+        return EnumSpec(("x",)) if rng.random() < 0.3 else MaxSpec(n)
+    return OrSpec((_rand_cap_spec(rng, 1), _rand_cap_spec(rng, 1)))
+
+
+def _rand_cap_policy(rng, source):
+    """A document whose blocks bound maxcputime, maxmemory and count."""
+    blocks = []
+    for _ in range(rng.randrange(1, 4)):
+        assertions = []
+        for _ in range(rng.randrange(0, 5)):
+            attr = rng.choice(("maxcputime", "maxcputime", "maxmemory", "count"))
+            kind = rng.choice((MayContain, MayContain, MustContain, MustNotContain))
+            spec = None if kind is not MayContain and rng.random() < 0.3 else _rand_cap_spec(rng)
+            assertions.append(kind(attr, spec))
+        blocks.append(SubjectBlock(
+            matcher=rng.choice((AnySubject(), Group("analysts"), Group("other"))),
+            allowed_actions={JobAction.START},
+            assertions=tuple(assertions),
+        ))
+    return PolicyDocument(name="fusion" if source == "vo" else "site", source=source,
+                          blocks=tuple(blocks))
+
+
+class TestSandboxLimits:
+    def test_agreement_with_brute_force_oracle(self):
+        rng = random.Random("sandbox-limits/1")
+        permits = 0
+        for _ in range(3000):
+            res, vo = _rand_cap_policy(rng, "resource"), _rand_cap_policy(rng, "vo")
+            cred = ALICE if rng.random() < 0.8 else LOCAL
+            request = RslRequest({"executable": "/x"} | {
+                attr: rng.choice(values)
+                for attr, values in (("count", (1, 3)), ("maxcputime", (1, 40, 100, 350)),
+                                     ("maxmemory", (2, 64, 500)))
+                if rng.random() < 0.5
+            })
+            q = AuthzQuery(credential=cred, action=JobAction.START, target="site", request=request)
+            d = decide(q, PolicySourceSet(res, vo))
+            if d.permitted:
+                permits += 1
+                assert sandbox_limits(d, request, res) == oracle.sandbox_caps(q, res, vo)
+        assert permits >= 500
 
 
 class TestProperties:

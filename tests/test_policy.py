@@ -375,6 +375,15 @@ class TestValidate:
         assert [d.code for d in diags] == ["always-deny"]
         assert _brute_force_unsatisfiable(doc.blocks[0])
 
+    def test_range_in_the_gap_of_a_forbidden_or_is_not_flagged(self):
+        # the or's hull 1..30 covers 12..15, but neither alternative does
+        doc = parse_policy(
+            'policy "p" source vo { subject any { allow action start;'
+            " require attr count range 12..15; forbid attr count range 1..10 or range 20..30; } }"
+        )
+        assert validate_policy(doc) == []
+        assert not _brute_force_unsatisfiable(doc.blocks[0])
+
     def test_overlap_without_containment_is_not_flagged(self):
         doc = parse_policy(
             'policy "p" source vo { subject any {'
