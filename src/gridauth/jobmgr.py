@@ -17,19 +17,31 @@ sandbox or completes once its consumption reaches the runtime.  Every
 ending settles the job's reservation and hands its dynamic account, if
 it holds one, back to the pool: a lease lasts exactly as long as its job.
 
-Nothing arrives and no management request runs inside one `tick`, so
-the steps need not be taken one at a time: `tick` jumps between events.
-Pending jobs can only activate at step 1, and after step k an active
-job has consumed ``min(consumed + count*k, runtime)``.  So each live job
-is visited once and the step at which it ends is computed in closed
-form: step 1 if its memory or disk cap is already exceeded, the first
-step whose consumption exceeds its cpu cap (a cpu breach wins a tie with
-completion), or the step at which it reaches its runtime.  One
-`record_usage` call at that step confirms the outcome.  Endings are
-applied by step, then in submission order, each at its own clock second,
-and the survivors' consumption is then set once.  The work per call
-grows with the live jobs only, not with ``dt`` or with the jobs that
-have finished.
+Nothing arrives and no management request runs inside one `tick`, so the
+steps need not be taken one at a time: `tick` jumps between events.
+Pending jobs can only activate at step 1, and after step k an active job
+has consumed ``min(consumed + count*k, runtime)``.  So the second at
+which an active job ends has a closed form: the first second if its
+memory or disk cap is already exceeded, the first second whose
+consumption exceeds its cpu cap (a cpu breach wins a tie with
+completion), or the second at which it reaches its runtime.  Nor does
+that second move while the job stays active, so it is computed once,
+when `tick` schedules the job: at activation, or at the start of the
+first tick after a resume or a restore (the clock cannot move before
+then, so an unscheduled job's ``consumed`` stays current).  Scheduling
+enters the end second in a heap, and the job keeps ``consumed`` as it
+stood at the second it was scheduled; `job_record`, `snapshot`, suspend
+and cancel work out the current figure from the seconds gone since.  A
+suspend or a cancel voids the heap entry, which is dropped when it
+surfaces or when void entries outnumber valid ones.
+
+A tick therefore touches only the pending jobs it activates, the jobs
+it schedules and the jobs that end within it; jobs that run on through
+it are not visited.  Endings are applied in order of their second, then
+of submission, each at its own clock second, and one `record_usage`
+call confirms each outcome.  Apart from a logarithm per heap operation,
+the work per call grows with none of ``dt``, the running jobs or the
+jobs that have finished.
 
 All mutations go through one engine instance and are serialized by the
 caller; records returned to callers are snapshots.
@@ -38,6 +50,7 @@ caller; records returned to callers are snapshots.
 from __future__ import annotations
 
 import enum
+import heapq
 import re
 from dataclasses import dataclass, replace
 from typing import Iterable, Mapping
@@ -223,6 +236,15 @@ class JobManager:
         self.clock = 0
         self.jobs: dict[str, Job] = {}
         self._live: dict[str, Job] = {}  # the non-terminal jobs, in submission order
+        self._pending: dict[str, Job] = {}  # the pending jobs, in submission order
+        # active jobs the next tick schedules: resumed or restored ones
+        self._unscheduled: dict[str, Job] = {}
+        # scheduled job id -> (second at which its `consumed` stands, generation)
+        self._scheduled: dict[str, tuple] = {}
+        # heap of (end second, submission number, generation, job); an entry
+        # whose generation `_scheduled` does not hold for its job is void
+        self._ends: list = []
+        self._generation = 0
         self.events: list[Event] = []
         self.ledger = AllocationLedger()
         self._pooled: set = set()  # ids of the live jobs on dynamic accounts
@@ -340,6 +362,7 @@ class JobManager:
         )
         self.jobs[job_id] = job
         self._live[job_id] = job
+        self._pending[job_id] = job
         if pooled:
             self._pooled.add(job_id)
         self._emit(job_id, "submit", f"owner={cred.subject} state=pending reserved={reserved}")
@@ -386,12 +409,17 @@ class JobManager:
             return self.job_record(job_id)
 
         event = action.value  # suspend | resume | cancel
+        was_active = job.state is JobState.ACTIVE
         self._transition(job, event)
+        if was_active:
+            self._unschedule(job)
         if action is JobAction.SUSPEND:
             self._emit(job_id, "suspend", f"state=suspended by={cred.subject}")
         elif action is JobAction.RESUME:
+            self._unscheduled[job_id] = job
             self._emit(job_id, "resume", f"state=active by={cred.subject}")
         else:
+            self._pending.pop(job_id, None)
             self._emit(job_id, "cancel", f"state=canceled by={cred.subject}")
             self._settle(job)
         return self.job_record(job_id)
@@ -413,26 +441,30 @@ class JobManager:
             raise ValueError("dt must be positive")
         first_new = len(self.events)
         start = self.clock
-        pending = sorted(
-            (j for j in self._live.values() if j.state is JobState.PENDING),
+        activated = sorted(
+            self._pending.values(),
             key=lambda j: (-j.priority, j.submitted_at, int(j.id[1:])),
         )
-        for job in pending:
+        self._pending.clear()
+        for job in activated:
             self._transition(job, "activate")
             self._emit(job.id, "activate", "state=active")
+            self._schedule(job)
+        for job in self._unscheduled.values():
+            if job.state is JobState.ACTIVE:
+                self._schedule(job)
+        self._unscheduled.clear()
 
-        # (step, order, job), in the order the endings happen
-        endings = []
-        running = [j for j in self._live.values() if j.state is JobState.ACTIVE]
-        for order, job in enumerate(running):
-            step = _end_step(job)
-            if step <= dt:
-                endings.append((step, order, job))
-        endings.sort(key=lambda e: e[:2])
-
-        for step, _, job in endings:
-            self.clock = start + step
-            tentative = _consumed_after(job, step)
+        horizon = start + dt
+        ends, scheduled = self._ends, self._scheduled
+        while ends and ends[0][0] <= horizon:
+            end, _, generation, job = heapq.heappop(ends)
+            since, valid = scheduled.get(job.id, (None, None))
+            if valid != generation:
+                continue  # suspended or canceled after it was scheduled
+            del scheduled[job.id]
+            self.clock = end
+            tentative = _consumed_after(job, end - since)
             sample = UsageSample(
                 cpu=tentative, memory=job.profile.memory_peak, disk=job.profile.disk
             )
@@ -455,12 +487,33 @@ class JobManager:
                     f"state=done consumed={job.consumed} refunded={refund}",
                 )
             self._settle(job)
-
-        self.clock = start + dt
-        for job in running:
-            if job.state is JobState.ACTIVE:
-                job.consumed = _consumed_after(job, dt)
+        self.clock = horizon
+        if len(ends) > 2 * len(scheduled):
+            # void entries outnumber valid ones: keep only the valid ones
+            self._ends = [e for e in ends if scheduled.get(e[3].id, (None, None))[1] == e[2]]
+            heapq.heapify(self._ends)
         return self.events[first_new:]
+
+    def _schedule(self, job: Job) -> None:
+        """Enter an active job's end second in the heap, as of the current second."""
+        self._generation += 1
+        self._scheduled[job.id] = (self.clock, self._generation)
+        heapq.heappush(
+            self._ends,
+            (self.clock + _end_step(job), int(job.id[1:]), self._generation, job),
+        )
+
+    def _unschedule(self, job: Job) -> None:
+        """Store a job's consumption as of now and void its heap entry."""
+        job.consumed = self._consumed_now(job)
+        self._scheduled.pop(job.id, None)
+
+    def _consumed_now(self, job: Job) -> int:
+        """A job's consumption at the current second."""
+        entry = self._scheduled.get(job.id)
+        if entry is None:
+            return job.consumed
+        return _consumed_after(job, self.clock - entry[0])
 
     # -- inspection -------------------------------------------------------
 
@@ -468,7 +521,7 @@ class JobManager:
         job = self.jobs.get(job_id)
         if job is None:
             raise UnknownJobError(f"no such job '{job_id}'")
-        return replace(job)
+        return replace(job, consumed=self._consumed_now(job))
 
     def event_lines(self) -> list:
         return [e.line for e in self.events]
@@ -504,7 +557,7 @@ class JobManager:
             "state": job.state.value,
             "account": job.account,
             "reserved": job.reserved,
-            "consumed": job.consumed,
+            "consumed": self._consumed_now(job),
             "priority": job.priority,
             "submitted_at": job.submitted_at,
             "ended_at": job.ended_at,
@@ -541,16 +594,33 @@ class JobManager:
         engine.clock = _require_int(state["clock"], "clock")
         engine._next_seq = _require_int(state["next_seq"], "next_seq")
         engine.ledger = AllocationLedger.from_dict(state["ledger"])
+        last_seq = 0
         for data in state["jobs"]:
             job_id = data["id"]  # as `gatekeeper_submit` numbers them
             if not (isinstance(job_id, str) and re.fullmatch("j[1-9][0-9]*", job_id)):
                 raise ValueError(f"job id {job_id!r} is not j<n>")
             if job_id in engine.jobs:
                 raise ValueError(f"job {job_id} is stored twice")
-            if int(job_id[1:]) >= engine._next_seq:
+            seq = int(job_id[1:])
+            if seq >= engine._next_seq:
                 raise ValueError(f"job {job_id} is not below next_seq {engine._next_seq}")
+            # ties between endings in one second go by submission number
+            if seq < last_seq:
+                raise ValueError(f"job {job_id} is stored out of submission order")
+            last_seq = seq
             for key in ("reserved", "consumed", "priority", "submitted_at"):
                 _require_int(data[key], f"job {job_id} {key}")
+            # figures a scheduled end second would turn into nonsense
+            if data["reserved"] < 0:
+                raise ValueError(f"job {job_id} reserved {data['reserved']} is negative")
+            profile = SimProfile(**data["profile"])
+            if not 0 <= data["consumed"] <= profile.runtime:
+                raise ValueError(
+                    f"job {job_id} consumed {data['consumed']} is outside 0..{profile.runtime}"
+                )
+            for key in ("max_cpu", "max_memory", "max_disk"):
+                if data["sandbox"][key] is not None:
+                    _require_int(data["sandbox"][key], f"job {job_id} {key}")
             job = Job(
                 id=data["id"],
                 owner=data["owner"],
@@ -563,7 +633,7 @@ class JobManager:
                 priority=data["priority"],
                 submitted_at=data["submitted_at"],
                 ended_at=data["ended_at"],
-                profile=SimProfile(**data["profile"]),
+                profile=profile,
                 sandbox=SandboxSpec(
                     data["sandbox"]["max_cpu"],
                     data["sandbox"]["max_memory"],
@@ -575,6 +645,10 @@ class JobManager:
             engine.jobs[job.id] = job
             if job.state not in TERMINAL_STATES:
                 engine._live[job.id] = job
+                if job.state is JobState.PENDING:
+                    engine._pending[job.id] = job
+                elif job.state is JobState.ACTIVE:
+                    engine._unscheduled[job.id] = job
                 if job.accounted:
                     # the job's settlement needs its VO and member records
                     try:

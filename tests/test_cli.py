@@ -553,6 +553,15 @@ class TestStateVersion1:
             (("jobs", 2, "id"), "j1", "job j1 is stored twice"),
             (("next_seq",), 5, "job j5 is not below next_seq 5"),
             (("jobs", 2, "id"), "j7", "job j7 is not below next_seq 6"),
+            (("jobs", 0, "id"), "j3", "job j2 is stored out of submission order"),
+            (("jobs", 0, "consumed"), -40, "job j1 consumed -40 is outside 0..400"),
+            (("jobs", 0, "consumed"), 1000000, "job j1 consumed 1000000 is outside 0..400"),
+            (("jobs", 0, "reserved"), -5, "job j1 reserved -5 is negative"),
+            (("jobs", 0, "sandbox", "max_memory"), 2.5,
+             "job j1 max_memory must be an integer, not 2.5"),
+            (("jobs", 1, "sandbox", "max_cpu"), True, "job j2 max_cpu must be an integer, not True"),
+            (("jobs", 1, "sandbox", "max_disk"), "10",
+             "job j2 max_disk must be an integer, not '10'"),
         ],
         ids=["unknown-lease-job", "free-and-leased", "leased-twice", "lease-on-other-account",
              "ledger-lacks-vo", "ledger-lacks-member", "done-lease-job", "text-consumed",
@@ -561,7 +570,9 @@ class TestStateVersion1:
              "list-event-detail", "text-vo-used", "negative-vo-used", "null-vo-used",
              "float-allocation", "negative-allocation", "bool-member-used", "text-quota",
              "negative-quota", "bad-job-id", "zero-padded-job-id", "int-job-id",
-             "duplicate-job-id", "next-seq-reused", "job-id-past-next-seq"],
+             "duplicate-job-id", "next-seq-reused", "job-id-past-next-seq",
+             "job-out-of-order", "negative-consumed", "consumed-past-runtime",
+             "negative-reserved", "float-memory-cap", "bool-cpu-cap", "text-disk-cap"],
     )
     def test_malformed_state_fails_closed_at_tick(self, v1, capsys, path, value, message):
         state = v1 / "state.json"

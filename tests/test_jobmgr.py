@@ -537,7 +537,8 @@ class TestTick:
 
 
 class TestEventJump:
-    """`tick(dt)` costs the same whatever ``dt`` and however many jobs ended."""
+    """`tick(dt)` costs the same whatever ``dt``, however many jobs ended and
+    however many run on through it."""
 
     def test_huge_dt_lands_each_closed_form_ending(self):
         eng = _engine(
@@ -602,6 +603,80 @@ class TestEventJump:
         eng.tick(1000)
         assert len(calls) <= len(live)
         assert [eng.job_record(j).state for j in live] == [JobState.DONE] * 4 + [JobState.ACTIVE] * 2
+
+    def test_tick_without_endings_visits_no_running_job(self, monkeypatch):
+        eng = _engine(vo=VO_PLAIN)
+        for runtime in (10, 20, 10**6):
+            eng.gatekeeper_submit(ALICE, '&(executable="/x")', SimProfile(runtime=runtime))
+        eng.tick(1)  # activates and schedules all three
+
+        calls = []
+        real = jobmgr._end_step
+
+        def counted(job):
+            calls.append(job.id)
+            return real(job)
+
+        monkeypatch.setattr(jobmgr, "_end_step", counted)
+        assert eng.tick(5) == []
+        assert calls == []
+        assert [e.job for e in eng.tick(4)] == ["j1"]  # ends at t=10
+        assert calls == []
+
+    def test_suspend_and_resume_at_one_clock(self):
+        eng = _engine(vo=VO_PLAIN)
+        job_id = eng.gatekeeper_submit(ALICE, '&(executable="/x")', SimProfile(runtime=10))
+        eng.tick(3)
+        eng.manage(job_id, JobAction.SUSPEND, ALICE)
+        eng.manage(job_id, JobAction.RESUME, ALICE)
+        assert eng.job_record(job_id).consumed == 3
+        events = eng.tick(100)
+        # the entry voided by the suspend ends nothing: one ending, at t=10
+        assert [e.line for e in events] == [
+            f"t=10 job={job_id} event=done detail=state=done consumed=10 refunded=0"
+        ]
+
+    def test_current_consumption_between_ticks(self):
+        eng = _engine(vo=VO_PLAIN)
+        job_id = eng.gatekeeper_submit(
+            ALICE, '&(executable="/x")(count=2)', SimProfile(runtime=100)
+        )
+        eng.tick(1)
+        eng.tick(4)
+        assert eng.job_record(job_id).consumed == 10
+        assert eng.snapshot()["jobs"][0]["consumed"] == 10
+        assert eng.manage(job_id, JobAction.STATUS, ALICE).consumed == 10
+        eng.manage(job_id, JobAction.SUSPEND, ALICE)
+        eng.tick(7)
+        assert eng.manage(job_id, JobAction.STATUS, ALICE).consumed == 10
+
+    def test_restored_active_job_ends_when_it_would_have(self):
+        eng = _engine(vo=VO_PLAIN)
+        job_id = eng.gatekeeper_submit(
+            ALICE, '&(executable="/x")(count=3)', SimProfile(runtime=100)
+        )
+        eng.tick(10)
+        again = JobManager.restore(
+            eng.snapshot(), resource_policy=RESOURCE, vo_policies=[VO_PLAIN], gridmap=GRIDMAP
+        )
+        assert again.job_record(job_id).consumed == 30
+        assert again.tick(100) == eng.tick(100)
+        # 100 cpu-seconds at 3 a second take ceil(33.3) seconds
+        assert again.job_record(job_id).ended_at == eng.job_record(job_id).ended_at == 34
+        assert again.snapshot() == eng.snapshot()
+
+    def test_suspend_resume_cycles_keep_the_heap_small(self):
+        eng = _engine(vo=VO_PLAIN)
+        job_id = eng.gatekeeper_submit(ALICE, '&(executable="/x")', SimProfile(runtime=10**12))
+        eng.tick(1)
+        for _ in range(1000):
+            eng.manage(job_id, JobAction.SUSPEND, ALICE)
+            eng.tick(1)
+            assert len(eng._ends) <= 2 * len(eng._scheduled)
+            eng.manage(job_id, JobAction.RESUME, ALICE)
+            eng.tick(1)
+            assert len(eng._ends) <= 2 * len(eng._scheduled)
+        assert eng.job_record(job_id).consumed == 1001
 
 
 class TestJobRecord:
