@@ -371,17 +371,17 @@ def applicable_blocks(doc: PolicyDocument, cred: "GridCredential") -> list:
 # ---------------------------------------------------------------------------
 
 # One match per token: the whitespace and comments before a token, then the
-# token's text in group 1 (a word, ``..``/``{};,``, a quoted string, an
-# integer, "" at the end of the text, or any other single character, a bad
-# one), so the matches tile the text.  A token's text tells its kind: a
+# token's text in group 1 (a word, ``..``/``{};,``, a string, closed or not,
+# an integer, "" at the end of the text, or any other single character, a
+# bad one), so the matches tile the text.  A token's text tells its kind: a
 # string keeps its quotes, so no string or integer equals a keyword.
 _TOKEN_RE = re.compile(
     r"(?:[ \t\r\n]+|#[^\n]*)*"
     r"([A-Za-z_][A-Za-z0-9_-]*|\.\.|[{};,]"
-    rf"|{rsl.STRING_PATTERN}|-?[0-9]+|\Z|(?s:.))"
+    rf"|{rsl.STRING_TOKEN}|-?[0-9]+|\Z|(?s:.))"
 )
 #: the one-character texts that are whole tokens; any other one-character
-#: text, a lone '"', '-' or '.' included, is a bad character
+#: text, '-' or '.' included, is a bad character, as is an unclosed string
 _ONE_CHAR_TOKENS = frozenset(string.ascii_letters + string.digits + "_{};,")
 _INT_FIRST = frozenset("-0123456789")
 
@@ -397,14 +397,14 @@ def _line_col(text: str, pos: int) -> tuple[int, int]:
 def _bad_character(text: str) -> PolicySyntaxError | None:
     """The error for the first bad character of ``text``, if it has one."""
     for m in _TOKEN_RE.finditer(text):
-        token = m[1]
-        if len(token) == 1 and token not in _ONE_CHAR_TOKENS:
-            pos = m.start(1)
-            if token == '"':
-                message, pos = rsl.string_error(text, pos)
-            else:
-                message = f"unexpected character {token!r}"
-            return PolicySyntaxError(message, *_line_col(text, pos))
+        token, pos = m[1], m.start(1)
+        if token[:1] == '"' and not rsl.closed_string(token):
+            message, pos = rsl.string_error(text, pos, token)
+        elif len(token) == 1 and token not in _ONE_CHAR_TOKENS:
+            message = f"unexpected character {token!r}"
+        else:
+            continue
+        return PolicySyntaxError(message, *_line_col(text, pos))
     return None
 
 
@@ -453,7 +453,7 @@ class _PolicyParser:
 
     def expect_string(self) -> str:
         token = self.take()
-        if token[:1] != '"' or len(token) == 1:  # a lone '"' is a bad character
+        if token[:1] != '"' or not rsl.closed_string(token):  # an unclosed one is bad
             raise self.error("expected a quoted string")
         return rsl.unquote_string(token)
 

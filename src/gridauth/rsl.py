@@ -17,15 +17,22 @@ and ``maxcputime`` must be positive integers, ``arguments`` is always a
 string list, and the remaining well-known names hold single strings.
 Unknown attributes are legal and left entirely to policy.
 
+Parsing is one pass over a token list: one regex match per token skips
+the whitespace before it (space, tab, CR and LF; the grammar is ASCII)
+and keeps only the token's text, an unclosed string included, so the
+time is linear in the text.  Offsets are found only for an error.  The
+well-known attributes' types are checked once, after the whole parse.
+
 Quoted strings are shared with the policy DSL: this module owns their
-syntax (``quote_string`` and its inverse ``unquote_string``), and
-``policy`` tokenizes strings with the same ``STRING_PATTERN``.
+syntax (``quote_string``, ``unquote_string`` and ``closed_string``), and
+``policy`` tokenizes strings with the same ``STRING_TOKEN``.
 """
 
 from __future__ import annotations
 
 import enum
 import re
+import string
 from dataclasses import dataclass
 
 RslValue = int | str | list
@@ -43,16 +50,23 @@ WELL_KNOWN_ATTRIBUTES = INT_ATTRIBUTES | TEXT_ATTRIBUTES | {"arguments"}
 
 NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _NORMALIZED_NAME_RE = re.compile(r"[a-z_][a-z0-9_]*\Z")
-_INT_RE = re.compile(r"-?[0-9]+")
 
 # A quoted string whose only escapes are \" and \\; _OPEN_STRING lacks the
 # closing quote, so it stops where a failing string goes wrong.
 _OPEN_STRING = r'"[^"\\]*(?:\\["\\][^"\\]*)*'
-#: a complete quoted string, as emitted by ``quote_string``
-STRING_PATTERN = _OPEN_STRING + '"'
-_STRING_RE = re.compile(STRING_PATTERN)
-_OPEN_STRING_RE = re.compile(_OPEN_STRING)
+#: a quoted string, closed or not, as one token; ``closed_string`` tells
+#: which, so an unclosed string is scanned once, not once per quote inside it
+STRING_TOKEN = _OPEN_STRING + '"?'
 _ESCAPE_RE = re.compile(r'\\(["\\])')
+
+# One match per token: the whitespace before a token, then the token's text
+# in group 1 ('&()=', a name, a string, an integer, "" at the end of the
+# text, or any other single character), so the matches tile the text.
+_TOKEN_RE = re.compile(
+    rf"[ \t\r\n]*([&()=]|{NAME_RE.pattern}|{STRING_TOKEN}|-?[0-9]+|\Z|(?s:.))"
+)
+_NAME_FIRST = frozenset(string.ascii_letters + "_")
+_INT_FIRST = frozenset("-0123456789")
 
 
 class JobAction(enum.Enum):
@@ -113,6 +127,11 @@ def _check_attribute(name: str, value: RslValue) -> None:
             raise AttributeTypeError(name, "'arguments' entries must be strings")
     elif not isinstance(value, str):
         raise AttributeTypeError(name, f"unsupported value type {type(value).__name__}")
+    _check_type(name, value)
+
+
+def _check_type(name: str, value: RslValue) -> None:
+    """The well-known attributes' types, which the grammar leaves open."""
     if name in INT_ATTRIBUTES and (not isinstance(value, int) or value <= 0):
         raise AttributeTypeError(name, "must be a positive integer")
     if name in TEXT_ATTRIBUTES and not isinstance(value, str):
@@ -147,91 +166,9 @@ class RslRequest:
         return name.lower() in self.attributes
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def error(self, message: str, expected: str | None = None) -> RslSyntaxError:
-        return RslSyntaxError(message, self.pos, expected)
-
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos] in " \t\r\n":
-            self.pos += 1
-
-    def expect(self, char: str) -> None:
-        if self.pos >= len(self.text) or self.text[self.pos] != char:
-            raise self.error("unexpected input", repr(char))
-        self.pos += 1
-
-    def parse(self) -> RslRequest:
-        self.skip_ws()
-        if self.pos >= len(self.text):
-            raise EmptyRequestError("request is empty")
-        self.expect("&")
-        attrs: dict[str, RslValue] = {}
-        saw_clause = False
-        while True:
-            self.skip_ws()
-            if self.pos >= len(self.text):
-                break
-            name, value = self.parse_clause()
-            lname = name.lower()
-            if lname in attrs:
-                raise DuplicateAttributeError(lname)
-            attrs[lname] = value
-            saw_clause = True
-        if not saw_clause:
-            raise EmptyRequestError("request has no attribute clauses")
-        return RslRequest(attrs)
-
-    def parse_clause(self) -> tuple[str, RslValue]:
-        self.expect("(")
-        self.skip_ws()
-        m = NAME_RE.match(self.text, self.pos)
-        if not m:
-            raise self.error("bad clause", "attribute name")
-        name = m.group()
-        self.pos = m.end()
-        self.skip_ws()
-        self.expect("=")
-        self.skip_ws()
-        value = self.parse_value(name)
-        self.skip_ws()
-        self.expect(")")
-        return name, value
-
-    def parse_value(self, name: str) -> RslValue:
-        if self.text.startswith('"', self.pos):
-            strings = [self.parse_string()]
-            self.skip_ws()
-            while self.text.startswith('"', self.pos):
-                if name.lower() != "arguments":
-                    raise self.error(
-                        "multiple string values are only allowed for 'arguments'"
-                    )
-                strings.append(self.parse_string())
-                self.skip_ws()
-            if name.lower() == "arguments":
-                return strings
-            return strings[0]
-        m = _INT_RE.match(self.text, self.pos)
-        if m:
-            self.pos = m.end()
-            value = int64(m.group())
-            if value is None:
-                raise self.error("integer out of signed 64-bit range")
-            return value
-        raise self.error("bad value", "integer or quoted string")
-
-    def parse_string(self) -> str:
-        m = _STRING_RE.match(self.text, self.pos)
-        if m is None:
-            message, self.pos = string_error(self.text, self.pos)
-            expected = r'\" or \\' if message == "invalid escape" else None
-            raise self.error(message, expected)
-        self.pos = m.end()
-        return unquote_string(m.group())
+def _offset(text: str, at: int) -> int:
+    """The offset of token ``at``; offsets are found only for errors."""
+    return [m.start(1) for m in _TOKEN_RE.finditer(text)][at]
 
 
 def parse_rsl(text: str) -> RslRequest:
@@ -240,7 +177,59 @@ def parse_rsl(text: str) -> RslRequest:
     Raises RslSyntaxError, DuplicateAttributeError, EmptyRequestError or
     AttributeTypeError; never anything else, for any input string.
     """
-    return _Parser(text).parse()
+    tokens = _TOKEN_RE.findall(text)
+    if tokens[0] != "&":
+        if not tokens[0]:
+            raise EmptyRequestError("request is empty")
+        raise RslSyntaxError("unexpected input", _offset(text, 0), "'&'")
+    attrs: dict[str, RslValue] = {}
+    i = 1
+    while tokens[i]:
+        if tokens[i] != "(":
+            raise RslSyntaxError("unexpected input", _offset(text, i), "'('")
+        if tokens[i + 1][:1] not in _NAME_FIRST:
+            raise RslSyntaxError("bad clause", _offset(text, i + 1), "attribute name")
+        if tokens[i + 2] != "=":
+            raise RslSyntaxError("unexpected input", _offset(text, i + 2), "'='")
+        name = tokens[i + 1].lower()
+        i += 3
+        token = tokens[i]
+        if token[:1] == '"':
+            value = []
+            while (token := tokens[i])[:1] == '"':
+                if value and name != "arguments":
+                    message = "multiple string values are only allowed for 'arguments'"
+                    raise RslSyntaxError(message, _offset(text, i))
+                if not closed_string(token):
+                    message, pos = string_error(text, _offset(text, i), token)
+                    expected = r'\" or \\' if message == "invalid escape" else None
+                    raise RslSyntaxError(message, pos, expected)
+                value.append(unquote_string(token))
+                i += 1
+            if name != "arguments":
+                value = value[0]
+        elif token[:1] in _INT_FIRST and token != "-":
+            value = int64(token)
+            if value is None:  # reported at the literal's end
+                pos = _offset(text, i) + len(token)
+                raise RslSyntaxError("integer out of signed 64-bit range", pos)
+            i += 1
+        else:
+            raise RslSyntaxError("bad value", _offset(text, i), "integer or quoted string")
+        if tokens[i] != ")":
+            raise RslSyntaxError("unexpected input", _offset(text, i), "')'")
+        i += 1
+        if name in attrs:
+            raise DuplicateAttributeError(name)
+        attrs[name] = value
+    if not attrs:
+        raise EmptyRequestError("request has no attribute clauses")
+    for name, value in attrs.items():
+        if name in WELL_KNOWN_ATTRIBUTES:
+            _check_type(name, value)
+    request = object.__new__(RslRequest)  # skips __post_init__, whose checks are made
+    object.__setattr__(request, "attributes", attrs)
+    return request
 
 
 def int64(literal: str) -> int | None:
@@ -265,21 +254,29 @@ def quote_string(s: str) -> str:
 
 
 def unquote_string(token: str) -> str:
-    """The text of a quoted string that ``STRING_PATTERN`` matched."""
+    """The text of a closed ``STRING_TOKEN``."""
     body = token[1:-1]
     return _ESCAPE_RE.sub(r"\1", body) if "\\" in body else body
 
 
-def string_error(text: str, start: int) -> tuple[str, int]:
-    """Why the string opening at ``text[start]`` does not match, and where.
+def closed_string(token: str) -> bool:
+    """Whether a ``STRING_TOKEN`` match ends with its closing quote.
 
-    The string is either unterminated (reported at its opening quote) or
-    holds an invalid escape (reported at the backslash).
+    Its last '"' closes it unless an odd run of backslashes escapes it.
     """
-    end = _OPEN_STRING_RE.match(text, start).end()
-    if end == len(text):
-        return "unterminated string", start
-    return "invalid escape", end
+    if len(token) < 2 or token[-1] != '"':
+        return False
+    return token[-2] != "\\" or (len(token) - len(token[:-1].rstrip("\\"))) % 2 == 1
+
+
+def string_error(text: str, start: int, token: str) -> tuple[str, int]:
+    """Why the unclosed string ``token`` at ``text[start]`` fails, and where.
+
+    It is either unterminated (reported at its opening quote) or stops at
+    an invalid escape (reported at the backslash).
+    """
+    end = start + len(token)
+    return ("unterminated string", start) if end == len(text) else ("invalid escape", end)
 
 
 def render_value(value: RslValue) -> str:

@@ -91,6 +91,32 @@ class TestParse:
         suffix = f" (expected {expected})" if expected else ""
         assert str(exc.value) == f"{message} at offset {position}{suffix}"
 
+    @pytest.mark.parametrize(
+        "text, message, position, expected",
+        [
+            ("&(count=1)\x0b", "unexpected input", 10, "'('"),
+            ("&\x0c(count=1)", "unexpected input", 1, "'('"),
+            ("&(count\xa0=1)", "unexpected input", 7, "'='"),
+            ("&(count=1\x85)", "unexpected input", 9, "')'"),
+            ("&(count=1)\u2028", "unexpected input", 10, "'('"),
+            ("&\u3000(count=1)", "unexpected input", 1, "'('"),
+            ("\ufeff&(count=1)", "unexpected input", 0, "'&'"),
+            ("&(count=\u0663)", "bad value", 8, "integer or quoted string"),
+            ("&(x=\uff11)", "bad value", 4, "integer or quoted string"),
+            ("&(c\xf6unt=1)", "unexpected input", 3, "'='"),
+        ],
+        ids=[
+            "vt", "ff", "nbsp", "nel", "line-separator", "ideographic-space",
+            "bom", "arabic-indic-digit", "fullwidth-digit", "non-ascii-letter",
+        ],
+    )
+    def test_grammar_is_ascii_only(self, text, message, position, expected):
+        # Unicode whitespace, digits and letters are none of the grammar's
+        with pytest.raises(RslSyntaxError) as exc:
+            parse_rsl(text)
+        assert (exc.value.position, exc.value.expected) == (position, expected)
+        assert str(exc.value) == f"{message} at offset {position} (expected {expected})"
+
     def test_missing_paren(self):
         with pytest.raises(RslSyntaxError) as exc:
             parse_rsl("&(count=1")
