@@ -7,8 +7,9 @@ persistent simulated site; ``issue-cap`` mints a signed capability;
 
 Simulator state persists between invocations so shell scripts can chain
 them.  ``--state`` names a small versioned JSON snapshot of the live
-site (clock, pool, ledger, live jobs); the events and finished jobs go
-to an append-only ``<state>.journal`` beside it, which only a
+site (clock, pool, ledger, live jobs, each job's request stored as its
+attribute map, so no command re-parses RSL); the events and finished
+jobs go to an append-only ``<state>.journal`` beside it, which only a
 ``manage`` of a finished job reads.  A write appends to the journal,
 then atomically replaces the snapshot, which records how much of the
 journal it covers; the state is locked for the duration of a command.
@@ -65,10 +66,11 @@ EXIT_DENIED = 1
 EXIT_INPUT = 2
 EXIT_STATE = 3
 
-STATE_VERSION = 4
+STATE_VERSION = 5
 #: versions 1-3 hold the whole site in one file; versions 1 and 2 also store a
-#: lease TTL and expiry, which restore checks and drops
-READABLE_STATE_VERSIONS = (1, 2, 3, 4)
+#: lease TTL and expiry, which restore checks and drops; versions 1-4 store
+#: each request as RSL text, version 5 as its attribute map
+READABLE_STATE_VERSIONS = (1, 2, 3, 4, 5)
 _COMPACT = {"sort_keys": True, "separators": (",", ":")}
 
 
@@ -153,17 +155,18 @@ def _check_event(event, where: str, n: int) -> dict:
 def _read_snapshot(path: str) -> tuple[dict | None, int]:
     """The engine dict stored at ``path`` and the journal length it covers.
 
-    A version-4 snapshot holds only what its journal does not: the live
-    jobs and the site's clock, pool and ledger.  An older file holds the
-    whole site and covers no journal.  A missing file reads as
-    ``(None, 0)``.
+    A snapshot of version 4 or later holds only what its journal does
+    not: the live jobs and the site's clock, pool and ledger.  An older
+    file holds the whole site and covers no journal.  A missing file
+    reads as ``(None, 0)``.
     """
     if not os.path.exists(path):
         return None, 0
     try:
         with open(path, "r", encoding="utf-8") as f:
             data = json.load(f)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    # ValueError: also an integer past the int-string digit limit
+    except (OSError, ValueError) as exc:
         raise StateFileError(f"cannot read state file {path!r}: {exc}") from None
     if not isinstance(data, dict) or data.get("format") != "gridauth-state":
         raise StateFileError(f"{path!r} is not a gridauth state file")

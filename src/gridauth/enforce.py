@@ -87,12 +87,13 @@ class DynamicAccountPool:
     """FIFO pool of local accounts, each leased to one live job at a time."""
 
     def __init__(self, accounts: Iterable[str] = (), leased: Iterable[str] = ()):
-        self._free: deque = deque()
+        self._free: deque = deque(accounts)
         self._leased: set = set(leased)
-        for name in accounts:
-            if name in self._free:
+        seen: set = set()
+        for name in self._free:
+            if name in seen:
                 raise EnforcementError(f"duplicate account {name!r}")
-            self._free.append(name)
+            seen.add(name)
 
     @property
     def free_accounts(self) -> tuple:

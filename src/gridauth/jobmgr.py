@@ -74,7 +74,7 @@ from .pdp import (
     sandbox_limits,
 )
 from .policy import PolicyDocument, PolicyError
-from .rsl import JobAction, RslRequest, parse_rsl, serialize_rsl
+from .rsl import JobAction, RslRequest, parse_rsl
 
 
 class JobManagerError(Exception):
@@ -128,8 +128,29 @@ TRANSITIONS: Mapping = {
 def _require_int(value, what: str) -> int:
     # bool is an int subclass, but true/false in a state file is no figure
     if type(value) is not int:
-        raise ValueError(f"{what} must be an integer, not {value!r}")
+        raise _not_int(value, what)
     return value
+
+
+def _not_int(value, what: str) -> ValueError:
+    return ValueError(f"{what} must be an integer, not {value!r}")
+
+
+#: a job id as `gatekeeper_submit` numbers them
+_JOB_ID = re.compile("j[1-9][0-9]*").fullmatch
+
+
+def _stored_request(value, job_id: str) -> RslRequest:
+    """A stored request: an attribute map, or RSL text as versions 1-4 wrote it.
+
+    A map takes every check of `RslRequest`, names, duplicates, int64
+    range, types and emptiness, without tokenizing anything.
+    """
+    if type(value) is dict:
+        return RslRequest(value)
+    if isinstance(value, str):
+        return parse_rsl(value)
+    raise ValueError(f"job {job_id} request must be RSL text or an attribute map, not {value!r}")
 
 
 @dataclass(frozen=True)
@@ -553,7 +574,7 @@ class JobManager:
             "id": job.id,
             "owner": job.owner,
             "vo": job.vo,
-            "request": serialize_rsl(job.request),
+            "request": dict(job.request.attributes),
             "state": job.state.value,
             "account": job.account,
             "reserved": job.reserved,
@@ -596,8 +617,8 @@ class JobManager:
         engine.ledger = AllocationLedger.from_dict(state["ledger"])
         last_seq = 0
         for data in state["jobs"]:
-            job_id = data["id"]  # as `gatekeeper_submit` numbers them
-            if not (isinstance(job_id, str) and re.fullmatch("j[1-9][0-9]*", job_id)):
+            job_id = data["id"]
+            if not (isinstance(job_id, str) and _JOB_ID(job_id)):
                 raise ValueError(f"job id {job_id!r} is not j<n>")
             if job_id in engine.jobs:
                 raise ValueError(f"job {job_id} is stored twice")
@@ -608,8 +629,10 @@ class JobManager:
             if seq < last_seq:
                 raise ValueError(f"job {job_id} is stored out of submission order")
             last_seq = seq
+            # the messages are built only for a figure that fails
             for key in ("reserved", "consumed", "priority", "submitted_at"):
-                _require_int(data[key], f"job {job_id} {key}")
+                if type(data[key]) is not int:
+                    raise _not_int(data[key], f"job {job_id} {key}")
             # figures a scheduled end second would turn into nonsense
             if data["reserved"] < 0:
                 raise ValueError(f"job {job_id} reserved {data['reserved']} is negative")
@@ -619,13 +642,14 @@ class JobManager:
                     f"job {job_id} consumed {data['consumed']} is outside 0..{profile.runtime}"
                 )
             for key in ("max_cpu", "max_memory", "max_disk"):
-                if data["sandbox"][key] is not None:
-                    _require_int(data["sandbox"][key], f"job {job_id} {key}")
+                cap = data["sandbox"][key]
+                if cap is not None and type(cap) is not int:
+                    raise _not_int(cap, f"job {job_id} {key}")
             job = Job(
                 id=data["id"],
                 owner=data["owner"],
                 vo=data["vo"],
-                request=parse_rsl(data["request"]),
+                request=_stored_request(data["request"], job_id),
                 state=JobState(data["state"]),
                 account=data["account"],
                 reserved=data["reserved"],
@@ -662,6 +686,7 @@ class JobManager:
         if old_format:
             _require_int(state["lease_ttl"], "lease_ttl")
         holders: dict = {}  # account -> the live job leasing it
+        free_set = set(free)
         for job_id in leased:
             job = engine._live.get(job_id)
             if job is None:
@@ -671,7 +696,7 @@ class JobManager:
                 raise ValueError(
                     f"account {account!r} is leased to both {holders[account]} and {job_id}"
                 )
-            if account in free:
+            if account in free_set:
                 raise ValueError(f"account {account!r} is both free and leased to {job_id}")
             if old_format:
                 entry = leased[job_id]

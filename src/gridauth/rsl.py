@@ -110,7 +110,16 @@ class AttributeTypeError(RslError):
         super().__init__(f"attribute '{name}': {message}")
 
 
+#: the exact type of a well-known single-value attribute's value
+_SINGLE_VALUE_TYPE = {**dict.fromkeys(INT_ATTRIBUTES, int), **dict.fromkeys(TEXT_ATTRIBUTES, str)}
+
+
 def _check_attribute(name: str, value: RslValue) -> None:
+    # a shortcut for what the checks below accept most often: a well-known
+    # name with a string, or with an integer in 1..INT64_MAX
+    kind = _SINGLE_VALUE_TYPE.get(name)
+    if kind is type(value) and (kind is str or 0 < value <= INT64_MAX):
+        return
     if not _NORMALIZED_NAME_RE.match(name):
         raise AttributeTypeError(name, "invalid attribute name")
     if isinstance(value, bool):
@@ -149,7 +158,9 @@ class RslRequest:
     def __post_init__(self):
         normalized: dict[str, RslValue] = {}
         for name, value in self.attributes.items():
-            lname = name.lower()
+            # a non-ASCII name stays as it is and fails the name check, even
+            # one that lowers to ASCII, as the Kelvin sign lowers to 'k'
+            lname = name.lower() if name.isascii() else name
             if lname in normalized:
                 raise DuplicateAttributeError(lname)
             _check_attribute(lname, value)

@@ -7,6 +7,7 @@ import io
 import json
 import os
 import shutil
+import sys
 import tempfile
 from pathlib import Path
 
@@ -26,12 +27,13 @@ from gridauth.jobmgr import (
     UnknownJobError,
 )
 from gridauth.policy import parse_policy
-from gridauth.rsl import JobAction
+from gridauth.rsl import JobAction, parse_rsl
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 STATE_V1 = Path(__file__).resolve().parent / "data" / "state-v1"
 STATE_V2 = Path(__file__).resolve().parent / "data" / "state-v2"
 STATE_V3 = Path(__file__).resolve().parent / "data" / "state-v3"
+STATE_V4 = Path(__file__).resolve().parent / "data" / "state-v4"
 
 SITE_POL = """\
 policy "site" source resource {
@@ -350,7 +352,29 @@ class TestSubmitManageTickLedger:
         assert main(["tick", "--state", str(state), "--dt", "1"]) == 3
         assert "KeyError: 'owner'" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("version", [0, 5])
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"), reason="no int-string digit limit"
+    )
+    def test_oversized_integer_in_state_exits_three(self, site, capsys):
+        assert main(_submit_args(site)) == 0
+        state = site / "state.json"
+        text = state.read_text()
+        assert '"clock":0,' in text
+        # past the limit on digits that int() converts, json.load raises ValueError
+        state.write_text(text.replace('"clock":0,', '"clock":' + "9" * 5000 + ","))
+        before = _files(site)
+        capsys.readouterr()
+        for argv in (
+            ["ledger", "--state", str(state)],
+            ["tick", "--state", str(state), "--dt", "1"],
+            _submit_args(site),
+        ):
+            assert main(argv) == 3
+            err = capsys.readouterr().err
+            assert err.startswith(f"state error: cannot read state file {str(state)!r}: ")
+        assert _files(site) == before
+
+    @pytest.mark.parametrize("version", [0, 6])
     def test_unsupported_state_version_exits_three(self, site, capsys, version):
         assert main(_submit_args(site)) == 0
         state = site / "state.json"
@@ -484,7 +508,7 @@ class TestStateVersion1:
             "t=7 job=j5 event=done detail=state=done consumed=3 refunded=47\n"
         )
         data = json.loads((v1 / "state.json").read_text())
-        assert data["version"] == 4
+        assert data["version"] == 5
         # the snapshot keeps the live jobs; the journal has the rest
         assert [job["id"] for job in data["engine"]["jobs"]] == ["j1", "j2"]
         assert data["engine"]["events"] == []
@@ -595,6 +619,8 @@ class TestStateVersion1:
         for job in engine["jobs"]:
             for key in self.DROPPED_JOB_KEYS:
                 del job[key]
+            # version 5 stores the request as its attribute map
+            job["request"] = parse_rsl(job["request"]).attributes
         del engine["lease_ttl"]
         engine["pool"]["leased"] = list(engine["pool"]["leased"])
         assert manager.snapshot() == engine
@@ -651,12 +677,12 @@ class TestStateVersion2:
             "member=/O=Grid/CN=dave used=609/unlimited\n"
         )
 
-    def test_next_write_is_version_4(self, v2):
+    def test_next_write_is_version_5(self, v2):
         state = v2 / "state.json"
         assert main(["tick", "--state", str(state), "--dt", "1"]) == 0
         text = state.read_text()
         data = json.loads(text)
-        assert data["version"] == 4
+        assert data["version"] == 5
         assert data["engine"]["pool"] == {"free": ["dyn01"], "leased": ["j2", "j4"]}
         assert "lease_ttl" not in text and "expires_at" not in text
         assert "expires_at" not in (v2 / "state.json.journal").read_text()
@@ -711,12 +737,12 @@ class TestStateVersion3:
             "member=/O=Grid/CN=dave used=609/unlimited\n"
         )
 
-    def test_next_write_is_version_4(self, v3):
+    def test_next_write_is_version_5(self, v3):
         state = v3 / "state.json"
         (v3 / "state.json.journal").write_text("left over from an older site\n")
         assert main(["tick", "--state", str(state), "--dt", "10"]) == 0
         data = json.loads(state.read_text())
-        assert data["version"] == 4
+        assert data["version"] == 5
         assert [job["id"] for job in data["engine"]["jobs"]] == ["j1", "j2"]
         assert data["engine"]["pool"] == {"free": ["dyn01", "dyn02"], "leased": ["j2"]}
         # the journal starts afresh and holds the whole history
@@ -760,6 +786,111 @@ class TestStateVersion3:
             assert _files(v3) == before
 
 
+class TestStateVersion4:
+    """A version-4 site written by the CLI before version 5 existed.
+
+    Three submits with a dynamic pool, ``tick --dt 5``, one more submit and
+    alice suspending her job.  The snapshot holds a suspended job on a
+    mapped account (j1), an active one on a dynamic account with a jobtag
+    and arguments (j2) and a pending one on a dynamic account (j4); the
+    journal holds the events and a done job (j3).  Every request is stored
+    as RSL text.  The expected outputs are what that CLI printed.
+    """
+
+    J2_REQUEST = {
+        "arguments": ["-v", 'run "1"'],
+        "count": 2,
+        "executable": "/opt/vo/apps/transp",
+        "jobtag": "fusion-prod",
+        "maxcputime": 300,
+    }
+
+    @pytest.fixture
+    def v4(self, tmp_path):
+        for path in STATE_V4.iterdir():
+            shutil.copy(path, tmp_path / path.name)
+        return tmp_path
+
+    def test_commands_print_what_version_4_printed(self, v4, capsys):
+        state = str(v4 / "state.json")
+        before = _files(v4)
+        assert main(["ledger", "--state", state]) == 0
+        assert capsys.readouterr().out == (
+            "vo=fusion used=1223/5000\n"
+            "member=/O=Grid/CN=alice used=600/2000\n"
+            "member=/O=Grid/CN=dave used=623/unlimited\n"
+        )
+        assert main(_manage_args(v4, "j2", "status", cred="carol.cred")) == 0
+        assert capsys.readouterr().out == (
+            "job=j2 state=active owner=/O=Grid/CN=dave consumed=10 reserved=600 priority=0\n"
+        )
+        assert main(_manage_args(v4, "j3", "status", cred="dave.cred")) == 0
+        assert capsys.readouterr().out == (
+            "job=j3 state=done owner=/O=Grid/CN=dave consumed=3 reserved=50 priority=0\n"
+        )
+        assert main(_manage_args(v4, "j3", "cancel", cred="dave.cred")) == 1
+        assert capsys.readouterr().err == "refused: cannot cancel job j3 in state done\n"
+        assert _files(v4) == before
+
+        assert main(["tick", "--state", state, "--dt", "10"]) == 0
+        assert capsys.readouterr().out == (
+            "t=5 job=j4 event=activate detail=state=active\n"
+            "t=11 job=j4 event=done detail=state=done consumed=6 refunded=14\n"
+        )
+        assert main(["ledger", "--state", state]) == 0
+        assert capsys.readouterr().out == (
+            "vo=fusion used=1209/5000\n"
+            "member=/O=Grid/CN=alice used=600/2000\n"
+            "member=/O=Grid/CN=dave used=609/unlimited\n"
+        )
+        assert main(_manage_args(v4, "j4", "status", cred="dave.cred")) == 0
+        assert capsys.readouterr().out == (
+            "job=j4 state=done owner=/O=Grid/CN=dave consumed=6 reserved=20 priority=0\n"
+        )
+        assert main(_manage_args(v4, "j2", "suspend", cred="carol.cred")) == 0
+        assert main(_manage_args(v4, "j2", "status", cred="dave.cred")) == 0
+        assert capsys.readouterr().out == (
+            "job=j2 state=suspended\n"
+            "job=j2 state=suspended owner=/O=Grid/CN=dave consumed=30 reserved=600 priority=0\n"
+        )
+
+    def test_next_write_is_version_5_and_appends_to_the_journal(self, v4):
+        state = v4 / "state.json"
+        journal = v4 / "state.json.journal"
+        old = journal.read_bytes()
+        assert main(["tick", "--state", str(state), "--dt", "10"]) == 0
+        data = json.loads(state.read_text())
+        assert data["version"] == 5
+        assert [job["id"] for job in data["engine"]["jobs"]] == ["j1", "j2"]
+        assert data["engine"]["jobs"][1]["request"] == self.J2_REQUEST
+        assert data["engine"]["pool"] == {"free": ["dyn01", "dyn02"], "leased": ["j2"]}
+        new = journal.read_bytes()
+        assert new.startswith(old) and data["journal_bytes"] == len(new) > len(old)
+        expected = JobManager.restore(_load_state(str(STATE_V4 / "state.json")))
+        expected.tick(10)
+        assert JobManager.restore(_load_state(str(state))).snapshot() == expected.snapshot()
+
+    def test_finished_job_manage_reads_both_request_forms(self, v4, capsys):
+        assert main(["tick", "--state", _p(v4, "state.json"), "--dt", "10"]) == 0
+        journal = v4 / "state.json.journal"
+        lines = [json.loads(line) for line in journal.read_text().splitlines()]
+        assert {line["job"]["id"]: line["job"]["request"] for line in lines if "job" in line} == {
+            "j3": '&(executable="/opt/vo/apps/transp")(maxcputime=50)',
+            "j4": {"executable": "/opt/vo/apps/transp", "maxcputime": 20},
+        }
+        capsys.readouterr()
+        before = _files(v4)
+        assert main(_manage_args(v4, "j3", "status", cred="dave.cred")) == 0
+        assert main(_manage_args(v4, "j4", "status", cred="dave.cred")) == 0
+        assert capsys.readouterr().out == (
+            "job=j3 state=done owner=/O=Grid/CN=dave consumed=3 reserved=50 priority=0\n"
+            "job=j4 state=done owner=/O=Grid/CN=dave consumed=6 reserved=20 priority=0\n"
+        )
+        assert main(_manage_args(v4, "j4", "cancel", cred="dave.cred")) == 1
+        assert capsys.readouterr().err == "refused: cannot cancel job j4 in state done\n"
+        assert _files(v4) == before
+
+
 def _make_busy(site) -> None:
     """A site with a done job (j1), a live one (j2) and a committed journal."""
     (site / "small.rsl").write_text('&(executable="/opt/vo/apps/transp")(maxcputime=300)\n')
@@ -778,7 +909,7 @@ def _files(site) -> dict:
 
 
 class TestJournal:
-    """Version 4: the snapshot, the journal beside it, and the commit rule."""
+    """Versions 4 and 5: the snapshot, the journal beside it, and the commit rule."""
 
     @pytest.fixture
     def busy(self, site, capsys):
@@ -923,6 +1054,83 @@ class TestJournal:
         journal.write_bytes(text)
         assert main(_manage_args(busy, "j1", "status")) == 3
         assert "bytes end mid-line" in capsys.readouterr().err
+
+
+class TestStoredRequest:
+    """Version 5 stores each request as its attribute map.
+
+    `restore` checks a map as `RslRequest` does, and still parses a request
+    stored as RSL text; anything else fails closed.
+    """
+
+    SMALL = {"executable": "/opt/vo/apps/transp", "maxcputime": 300}
+
+    @pytest.fixture
+    def busy(self, site, capsys):
+        _make_busy(site)
+        capsys.readouterr()
+        return site
+
+    def _store_request(self, site, value) -> None:
+        """Store ``value`` as the request of the live job, j2."""
+        state = site / "state.json"
+        data = json.loads(state.read_text())
+        assert data["engine"]["jobs"][0]["id"] == "j2"
+        data["engine"]["jobs"][0]["request"] = value
+        state.write_text(json.dumps(data))
+
+    def test_requests_are_stored_as_attribute_maps(self, busy):
+        data = json.loads((busy / "state.json").read_text())
+        assert data["engine"]["jobs"][0]["request"] == self.SMALL
+        journal = (busy / "state.json.journal").read_text().splitlines()
+        assert json.loads(journal[-1])["job"]["request"] == {
+            "count": 1, "executable": "/opt/vo/apps/transp", "maxcputime": 600
+        }
+
+    @pytest.mark.parametrize("value, message", [
+        (300, "ValueError: job j2 request must be RSL text or an attribute map, not 300"),
+        (None, "ValueError: job j2 request must be RSL text or an attribute map, not None"),
+        (["&(count=1)"], "job j2 request must be RSL text or an attribute map, not ['&(count=1)']"),
+        ({}, "EmptyRequestError: request has no attributes"),
+        ({"count": True}, "attribute 'count': boolean values are not part of the value model"),
+        ({"count": 1.0}, "attribute 'count': unsupported value type float"),
+        ({"executable": {"path": "/bin/date"}}, "attribute 'executable': unsupported value type dict"),
+        ({"count": 2**63}, "attribute 'count': integer out of signed 64-bit range"),
+        ({"count": -(2**63) - 1}, "attribute 'count': integer out of signed 64-bit range"),
+        ({"1count": 1}, "attribute '1count': invalid attribute name"),
+        ({"\u212aount": 1}, "invalid attribute name"),  # the Kelvin sign lowers to 'k'
+        ({"queue": ["a", "b"]}, "attribute 'queue': only 'arguments' may hold a string list"),
+        ({"arguments": [1]}, "attribute 'arguments': 'arguments' entries must be strings"),
+        ({"COUNT": 2, "count": 1}, "DuplicateAttributeError: duplicate attribute 'count'"),
+        ({"count": 0}, "attribute 'count': must be a positive integer"),
+        ('&(count=1)(count=2)', "DuplicateAttributeError: duplicate attribute 'count'"),
+    ], ids=["int", "null", "list", "empty-map", "bool", "float", "nested-map", "past-int64",
+            "below-int64", "bad-name", "non-ascii-name", "list-not-arguments", "int-argument",
+            "upper-and-lower-name", "zero-count", "bad-text"])
+    def test_bad_request_fails_closed(self, busy, capsys, value, message):
+        self._store_request(busy, value)
+        before = _files(busy)
+        for argv in (
+            ["ledger", "--state", _p(busy, "state.json")],
+            ["tick", "--state", _p(busy, "state.json"), "--dt", "1"],
+            _manage_args(busy, "j2", "status", cred="bob.cred"),
+            _submit_args(busy, cred="bob.cred"),
+        ):
+            assert main(argv) == 3
+            err = capsys.readouterr().err
+            assert "incomplete or malformed" in err and message in err
+        assert _files(busy) == before
+
+    def test_text_request_in_version_5_still_loads(self, busy, capsys):
+        status = _manage_args(busy, "j2", "status", cred="bob.cred")
+        assert main(status) == 0
+        printed = capsys.readouterr().out
+        self._store_request(busy, '&(MaxCpuTime=300)( executable = "/opt/vo/apps/transp" )')
+        assert main(status) == 0
+        assert capsys.readouterr().out == printed
+        assert main(["tick", "--state", _p(busy, "state.json"), "--dt", "1"]) == 0
+        data = json.loads((busy / "state.json").read_text())
+        assert data["engine"]["jobs"][0]["request"] == self.SMALL
 
 
 def _commit_journal(site, text: bytes) -> None:

@@ -1,10 +1,15 @@
-"""Both parsers reject long adversarial texts in linear time.
+"""Both parsers reject long adversarial texts in linear time, and a large
+dynamic-account pool loads in linear time.
 
 A tokenizer whose string alternative needs the closing quote re-scans an
 unclosed string from each '"' inside it to the end of the text, which is
 quadratic in the length of the string.  Each text here is at least 20000
 characters long and must be rejected in well under a second, with the
 same error as a short text of the same shape.
+
+A pool that looks for duplicates, or a restore that looks for an
+account both free and leased, by scanning the free list once per
+account is quadratic too; every CLI command restores the pool.
 """
 
 from __future__ import annotations
@@ -13,6 +18,9 @@ import time
 
 import pytest
 
+from gridauth.credential import GridCredential
+from gridauth.enforce import DynamicAccountPool, EnforcementError
+from gridauth.jobmgr import JobManager, SimProfile
 from gridauth.policy import PolicySyntaxError, parse_policy
 from gridauth.rsl import RslSyntaxError, parse_rsl
 
@@ -58,3 +66,37 @@ def test_policy(text, message, line, col):
     exc = _rejection(parse_policy, text, PolicySyntaxError)
     assert (exc.line, exc.col) == (line, col)
     assert str(exc) == f"line {line}, col {col}: {message}"
+
+
+#: enough accounts that a scan per account takes seconds
+ACCOUNTS = [f"dyn{i:05d}" for i in range(20000)]
+
+
+def _timed(fn, *args):
+    start = time.perf_counter()
+    result = fn(*args)
+    assert time.perf_counter() - start < 1.0
+    return result
+
+
+def test_pool_of_many_accounts():
+    pool = _timed(DynamicAccountPool, ACCOUNTS)
+    assert pool.free_accounts == tuple(ACCOUNTS)
+    # the first account that repeats an earlier one is named
+    with pytest.raises(EnforcementError) as exc:
+        _timed(DynamicAccountPool, ACCOUNTS + ["dyn00005", "dyn00003", "dyn00005"])
+    assert str(exc.value) == "duplicate account 'dyn00005'"
+
+
+def test_restore_of_many_leases():
+    site = parse_policy('policy "site" source resource { subject any { allow action start; } }')
+    engine = JobManager(site, pool=DynamicAccountPool(ACCOUNTS))
+    cred = GridCredential("/O=Grid/CN=alice", expiry=10**9)
+    for _ in range(4000):
+        engine.gatekeeper_submit(cred, "&(count=1)", SimProfile(runtime=5))
+    state = engine.snapshot()
+    restored = _timed(JobManager.restore, state, site)
+    assert restored.snapshot() == state
+    state["pool"]["free"].append(engine.job_record("j4000").account)
+    with pytest.raises(ValueError, match="'dyn03999' is both free and leased to j4000"):
+        _timed(JobManager.restore, state, site)

@@ -213,6 +213,47 @@ class TestGetAttr:
         assert RslRequest({"count": 4}).get("count") == 4
 
 
+class _Text(str):
+    pass
+
+
+class TestRequestChecks:
+    """`RslRequest` checks a ready-made attribute map as the parser checks text."""
+
+    @pytest.mark.parametrize("attrs", [
+        {"count": INT64_MAX},
+        {"maxmemory": 1},
+        {"executable": ""},
+        {"executable": _Text("/bin/date")},
+        {"arguments": ["a", ""]},
+        {"weird_num": INT64_MIN, "other": "x"},
+    ])
+    def test_accepts(self, attrs):
+        assert RslRequest(attrs).attributes == attrs
+
+    @pytest.mark.parametrize("attrs, message", [
+        ({"count": INT64_MAX + 1}, "attribute 'count': integer out of signed 64-bit range"),
+        ({"weird_num": INT64_MIN - 1}, "attribute 'weird_num': integer out of signed 64-bit range"),
+        ({"count": 0}, "attribute 'count': must be a positive integer"),
+        ({"count": True}, "attribute 'count': boolean values are not part of the value model"),
+        ({"maxcputime": "600"}, "attribute 'maxcputime': must be a positive integer"),
+        ({"maxmemory": 1.0}, "attribute 'maxmemory': unsupported value type float"),
+        ({"executable": 3}, "attribute 'executable': must be a quoted string"),
+        ({"queue": ["a"]}, "attribute 'queue': only 'arguments' may hold a string list"),
+        ({"arguments": "a"}, "attribute 'arguments': must be a list of quoted strings"),
+        ({"arguments": []}, "attribute 'arguments': 'arguments' list may not be empty"),
+        ({"9lives": 1}, "attribute '9lives': invalid attribute name"),
+        # the Kelvin sign lowers to an ASCII 'k', but no RSL name holds it
+        ({"\u212aount": 1}, "attribute '\u212aount': invalid attribute name"),
+        ({"Count": 1, "COUNT": 2}, "duplicate attribute 'count'"),
+        ({}, "request has no attributes"),
+    ])
+    def test_rejects(self, attrs, message):
+        with pytest.raises(RslError) as exc:
+            RslRequest(attrs)
+        assert str(exc.value) == message
+
+
 class TestJobAction:
     def test_exactly_six_actions(self):
         assert {a.value for a in JobAction} == {
