@@ -17,11 +17,18 @@ document from its embedded fragment and delegates to `decide`.  A pushed
 token binds its subject and its VO: unless both equal the credential's
 (a credential naming no VO never matches), the query is denied before
 the fragment is parsed, with reason ``subject-mismatch`` or
-``vo-mismatch``.  The fragment is parsed once on every call, with no
-cache: a pushed capability costs one parse per request, which the
-policy tokenizer keeps cheap.  A permitted start's `Decision` carries
-the VO document it was decided against, so the gatekeeper needs no
-second parse.
+``vo-mismatch``.  The fragment is parsed once per distinct text per
+process, and only after the MAC, expiry and binding checks, which run
+on every call: `_parse_fragment` is a `functools.lru_cache` of at most
+``FRAGMENT_CACHE_SIZE`` (128) documents keyed on the whole fragment
+text, so a forged token that copies a genuine MAC but edits the text
+fails verification before the cache is consulted.  A permitted start's
+`Decision` carries the VO document it was decided against, so the
+gatekeeper needs no second parse.
+
+A trace entry is an immutable value and one policy yields few distinct
+ones, so `_evaluate_source` takes its entries from a cache of at most
+``TRACE_ENTRY_CACHE_SIZE`` (4096) and decisions share them.
 
 Documents are compiled and indexed when they are built (see
 `SubjectBlock` and `PolicyDocument`), so a decision takes a source's
@@ -36,6 +43,7 @@ only user, rather than inside `decide`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .credential import (
     BadSignatureError,
@@ -92,7 +100,13 @@ class AuthzQuery:
             raise InvalidQueryError("management queries carry no job description")
 
 
-@dataclass(frozen=True)
+#: distinct verified fragment texts whose parsed documents a process keeps
+FRAGMENT_CACHE_SIZE = 128
+#: distinct trace entries a process shares between decisions
+TRACE_ENTRY_CACHE_SIZE = 4096
+
+
+@dataclass(frozen=True, slots=True)
 class TraceEntry:
     source: str
     block: int | None
@@ -100,15 +114,19 @@ class TraceEntry:
     reason: str | None = None
 
 
-@dataclass(frozen=True)
+_trace_entry = lru_cache(maxsize=TRACE_ENTRY_CACHE_SIZE)(TraceEntry)
+
+
+@dataclass(frozen=True, slots=True)
 class Decision:
     effect: str  # "permit" | "deny"
     trace: tuple
     charged_estimate: int | None = None
     #: on a permitted start, the VO document of the sources it was
     #: decided against, whose accounting and caps admission applies: the
-    #: local one in pull mode, the token's parsed fragment in push mode.
-    #: None otherwise, so that a kept decision keeps no fragment alive.
+    #: local one in pull mode, in push mode the token's fragment, parsed
+    #: once per distinct text per process and shared with the fragment
+    #: cache (see `_parse_fragment`).  None otherwise.
     vo_document: PolicyDocument | None = field(
         default=None, compare=False, repr=False
     )
@@ -208,16 +226,16 @@ def eval_block(block: SubjectBlock, q: AuthzQuery) -> str | None:
 def _evaluate_source(name: str, doc: PolicyDocument, q: AuthzQuery, trace: list) -> bool:
     indices = doc.applicable_indices(q.credential.subject, q.credential.groups)
     if not indices:
-        trace.append(TraceEntry(name, None, "deny", "no applicable blocks"))
+        trace.append(_trace_entry(name, None, "deny", "no applicable blocks"))
         return False
     permitted = False
     for i in indices:
         reason = eval_block(doc.blocks[i], q)
         if reason is None:
-            trace.append(TraceEntry(name, i, "permit"))
+            trace.append(_trace_entry(name, i, "permit"))
             permitted = True
         else:
-            trace.append(TraceEntry(name, i, "deny", reason))
+            trace.append(_trace_entry(name, i, "deny", reason))
     return permitted
 
 
@@ -337,6 +355,18 @@ def derive_capability(
     )
 
 
+@lru_cache(maxsize=FRAGMENT_CACHE_SIZE)
+def _parse_fragment(text: str) -> PolicyDocument:
+    """The document of a verified fragment text, parsed once per process.
+
+    Calls the module-global `parse_policy`, so that a replacement of it
+    (a counter, a tracer) sees every miss.  A fragment that fails to
+    parse raises, and is not cached.  The document is shared by every
+    decision on the same text; nothing mutates a document.
+    """
+    return parse_policy(text)
+
+
 _TOKEN_FAILURES = {
     UnknownIssuerError: "UnknownIssuer",
     BadSignatureError: "BadSignature",
@@ -353,8 +383,11 @@ def decide_push(
 ) -> Decision:
     """Decide from a pushed capability instead of a local VO document.
 
-    The token's MAC and expiry are checked on every call; a permitted
-    start carries the fragment it parsed as its ``vo_document``.
+    The token's MAC and expiry, then its subject and VO binding, are
+    checked on every call.  Only a token that passes them reaches the
+    fragment, which `_parse_fragment` parses once per distinct text per
+    process (at most ``FRAGMENT_CACHE_SIZE`` texts are kept); a permitted
+    start carries that document as its ``vo_document``.
     """
     try:
         claims = verify_capability(registry, token, now)
@@ -368,7 +401,7 @@ def decide_push(
     if claims.vo != q.credential.vo:
         return Decision("deny", (TraceEntry("vo", None, "deny", "vo-mismatch"),), None)
     try:
-        fragment = parse_policy(claims.policy_fragment)
+        fragment = _parse_fragment(claims.policy_fragment)
     except PolicyError as exc:
         return Decision(
             "deny",

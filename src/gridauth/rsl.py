@@ -33,6 +33,7 @@ from __future__ import annotations
 import enum
 import re
 import string
+import sys
 from dataclasses import dataclass
 
 RslValue = int | str | list
@@ -202,7 +203,8 @@ def parse_rsl(text: str) -> RslRequest:
             raise RslSyntaxError("bad clause", _offset(text, i + 1), "attribute name")
         if tokens[i + 2] != "=":
             raise RslSyntaxError("unexpected input", _offset(text, i + 2), "'='")
-        name = tokens[i + 1].lower()
+        # every request repeats a few names: interned, each is stored once
+        name = sys.intern(tokens[i + 1].lower())
         i += 3
         token = tokens[i]
         if token[:1] == '"':

@@ -2,13 +2,19 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 import sys
 
 import pytest
 
-from gridauth import jobmgr, policy
-from gridauth.credential import GridCredential, GridMapFile, sign_capability
+from gridauth import jobmgr, pdp, policy
+from gridauth.credential import (
+    CapabilityToken,
+    GridCredential,
+    GridMapFile,
+    sign_capability,
+)
 from gridauth.enforce import DynamicAccountPool, QuotaExceededError
 from gridauth.jobmgr import (
     DeniedByPolicyError,
@@ -218,12 +224,32 @@ def _count_policy_parses(monkeypatch) -> list:
 
 class TestFragmentParsedOnce:
     def test_valid_token_parses_its_fragment_once(self, monkeypatch):
+        # the fragment cache lives as long as the process, so an earlier
+        # test may have parsed this very text already
+        pdp._parse_fragment.cache_clear()
         eng = _engine(vo=None)
         token = sign_capability(KEY, derive_capability(VO_ACCOUNTING, ALICE, expiry=10**9))
         calls = _count_policy_parses(monkeypatch)
-        job_id = eng.gatekeeper_submit(ALICE, TRANSP, SimProfile(runtime=10), token=token)
+        half = TRANSP.replace("(maxcputime=600)", "(maxcputime=300)")
+        first = eng.gatekeeper_submit(ALICE, half, SimProfile(runtime=10), token=token)
+        second = eng.gatekeeper_submit(ALICE, half, SimProfile(runtime=10), token=token)
         assert calls == [token.claims.policy_fragment]
-        assert eng.job_record(job_id).reserved == 600
+        assert eng.job_record(first).reserved == eng.job_record(second).reserved == 300
+
+        # a forged token copies the genuine MAC but edits the cached text:
+        # it fails verification, which runs before the cache is consulted
+        forged_claims = dataclasses.replace(
+            token.claims,
+            policy_fragment=token.claims.policy_fragment.replace("600", "6000"),
+        )
+        assert forged_claims.policy_fragment != token.claims.policy_fragment
+        forged = CapabilityToken(claims=forged_claims, mac=token.mac)
+        before = pdp._parse_fragment.cache_info()
+        with pytest.raises(DeniedByPolicyError) as denied:
+            eng.gatekeeper_submit(ALICE, half, SimProfile(runtime=10), token=forged)
+        assert denied.value.decision.trace[0].reason.startswith("BadSignature")
+        assert calls == [token.claims.policy_fragment]
+        assert pdp._parse_fragment.cache_info() == before
 
     @pytest.mark.parametrize("kind", ["bad-mac", "expired", "wrong-subject", "wrong-vo"])
     def test_refused_token_parses_nothing(self, monkeypatch, kind):

@@ -17,8 +17,10 @@ from gridauth.credential import (
     canonical_claims_text,
     sign_capability,
 )
+from gridauth import pdp
 from gridauth.pdp import (
     AuthzQuery,
+    Decision,
     InvalidQueryError,
     NoApplicableBlocksError,
     PolicySourceSet,
@@ -439,6 +441,81 @@ class TestDecidePush:
         d = decide_push(q, OPEN_RESOURCE, token, {}, now=0)
         assert d.effect == "deny"
         assert d.trace[0].reason.startswith("UnknownIssuer")
+
+
+def _pushed_cases(rng, n):
+    """``n`` (resource document, token, queries) triples from the generators."""
+    cases = []
+    while len(cases) < n:
+        cred = rand_credential(rng)
+        vo_doc = rand_policy(rng, "vo", min_blocks=1, with_accounting=True)
+        resource_doc = rand_policy(rng, "resource", name="site")
+        try:
+            claims = derive_capability(vo_doc, cred, expiry=10**9)
+        except NoApplicableBlocksError:
+            continue
+        queries = [rand_query(rng, cred, with_budget=True) for _ in range(3)]
+        cases.append((resource_doc, sign_capability(KEY, claims), queries))
+    return cases
+
+
+def _assert_push_equals_fresh_decide(resource_doc, token, q) -> Decision:
+    """``decide_push`` equals ``decide`` over a freshly parsed fragment."""
+    fresh = parse_policy(token.claims.policy_fragment)
+    want = decide(q, PolicySourceSet(resource_doc, fresh))
+    got = decide_push(q, resource_doc, token, {"fusion": KEY}, now=0)
+    assert (got.effect, got.trace, got.charged_estimate) == (
+        want.effect,
+        want.trace,
+        want.charged_estimate,
+    )
+    assert explain(got) == explain(want)
+    assert got.vo_document == want.vo_document
+    if want.permitted and q.action is JobAction.START:
+        assert sandbox_limits(got, q.request, resource_doc) == sandbox_limits(
+            want, q.request, resource_doc
+        )
+    return got
+
+
+class TestFragmentMemo:
+    """Push decisions through the fragment and trace-entry caches."""
+
+    def test_warm_memo_equals_a_fresh_parse(self):
+        pdp._parse_fragment.cache_clear()
+        permits = 0
+        for resource_doc, token, queries in _pushed_cases(random.Random("memo/1"), 150):
+            for q in queries:  # the first query warms the cache for the others
+                permits += _assert_push_equals_fresh_decide(resource_doc, token, q).permitted
+        info = pdp._parse_fragment.cache_info()
+        assert info.misses <= 150 and info.hits >= 300
+        assert permits >= 50
+
+    def test_more_fragments_than_the_cache_holds(self):
+        pdp._parse_fragment.cache_clear()
+        cases = _pushed_cases(random.Random("memo/2"), pdp.FRAGMENT_CACHE_SIZE + 80)
+        distinct = {token.claims.policy_fragment for _, token, _ in cases}
+        assert len(distinct) > pdp.FRAGMENT_CACHE_SIZE
+        for _ in range(2):  # the second round decides on evicted fragments
+            for resource_doc, token, queries in cases:
+                _assert_push_equals_fresh_decide(resource_doc, token, queries[0])
+        assert pdp._parse_fragment.cache_info().currsize <= pdp.FRAGMENT_CACHE_SIZE
+
+    def test_clearing_the_trace_entry_cache_changes_no_decision(self):
+        cases = _pushed_cases(random.Random("memo/3"), 60)
+
+        def decisions():
+            return [
+                decide_push(q, resource_doc, token, {"fusion": KEY}, now=0)
+                for resource_doc, token, queries in cases
+                for q in queries
+            ]
+
+        before = decisions()
+        pdp._trace_entry.cache_clear()
+        after = decisions()
+        assert after == before
+        assert [explain(d) for d in after] == [explain(d) for d in before]
 
 
 class TestExplain:
