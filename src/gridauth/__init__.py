@@ -22,7 +22,6 @@ from .enforce import (
     AllocationLedger,
     DynamicAccountPool,
     SandboxSpec,
-    UsageSample,
     record_usage,
 )
 from .jobmgr import Event, Job, JobManager, JobState, SimProfile
@@ -57,7 +56,6 @@ __all__ = [
     "RslRequest",
     "SandboxSpec",
     "SimProfile",
-    "UsageSample",
     "applicable_blocks",
     "decide",
     "decide_push",

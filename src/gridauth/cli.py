@@ -66,11 +66,13 @@ EXIT_DENIED = 1
 EXIT_INPUT = 2
 EXIT_STATE = 3
 
-STATE_VERSION = 5
+STATE_VERSION = 6
 #: versions 1-3 hold the whole site in one file; versions 1 and 2 also store a
 #: lease TTL and expiry, which restore checks and drops; versions 1-4 store
-#: each request as RSL text, version 5 as its attribute map
-READABLE_STATE_VERSIONS = (1, 2, 3, 4, 5)
+#: each request as RSL text, versions 5 and 6 as its attribute map; versions
+#: 1-5 also store a disk figure and cap and the credential's groups per job,
+#: which restore drops
+READABLE_STATE_VERSIONS = (1, 2, 3, 4, 5, 6)
 _COMPACT = {"sort_keys": True, "separators": (",", ":")}
 
 
@@ -392,9 +394,7 @@ def cmd_submit(args) -> int:
         engine = _make_engine(args, state)
         cred = _load_cred_file(args.cred)
         token = load_token(_read(args.cap, "capability")) if args.cap else None
-        profile = SimProfile(
-            runtime=args.runtime, memory_peak=args.memory, disk=args.disk
-        )
+        profile = SimProfile(runtime=args.runtime, memory_peak=args.memory)
         job_id = engine.gatekeeper_submit(
             cred, _read(args.rsl, "rsl"), profile, token=token
         )
@@ -529,7 +529,6 @@ def _parser() -> argparse.ArgumentParser:
     submit.add_argument("--pool", metavar="A,B,...", help="dynamic accounts (new state only)")
     submit.add_argument("--runtime", type=int, required=True)
     submit.add_argument("--memory", type=int, default=0)
-    submit.add_argument("--disk", type=int, default=0)
     submit.add_argument("--explain", action="store_true")
     submit.set_defaults(func=cmd_submit)
 

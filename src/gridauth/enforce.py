@@ -5,7 +5,8 @@ have no static mapping.  A lease lasts exactly as long as its job: the
 job records which account it holds, and the pool gets the account back
 when the job ends.  The allocation ledger charges VO and per-member
 cpu-second budgets at admission and refunds the unconsumed remainder
-when a job settles.  Limits are inclusive: usage may equal a cap,
+when a job settles.  A sandbox holds the two caps a policy can set,
+cpu-seconds and memory.  Limits are inclusive: usage may equal a cap,
 exceeding it is a breach.
 """
 
@@ -52,34 +53,21 @@ class SandboxSpec:
 
     max_cpu: int | None = None
     max_memory: int | None = None
-    max_disk: int | None = None
-    groups: frozenset = frozenset()
 
     def __post_init__(self):
-        object.__setattr__(self, "groups", frozenset(self.groups))
-        for name in ("max_cpu", "max_memory", "max_disk"):
+        for name in ("max_cpu", "max_memory"):
             limit = getattr(self, name)
             if limit is not None and limit <= 0:
                 raise EnforcementError(f"{name} must be positive when set")
 
 
-@dataclass(frozen=True)
-class UsageSample:
-    """Cumulative usage of one job; samples are monotonic per job."""
-
-    cpu: int
-    memory: int = 0
-    disk: int = 0
-
-
-def record_usage(spec: SandboxSpec, sample: UsageSample) -> str | None:
-    """First breached dimension in (cpu, memory, disk) order, or None."""
-    if spec.max_cpu is not None and sample.cpu > spec.max_cpu:
+def record_usage(spec: SandboxSpec, cpu: int, memory: int) -> str | None:
+    """First breached dimension of a job's cumulative usage, cpu before
+    memory, or None."""
+    if spec.max_cpu is not None and cpu > spec.max_cpu:
         return "cpu"
-    if spec.max_memory is not None and sample.memory > spec.max_memory:
+    if spec.max_memory is not None and memory > spec.max_memory:
         return "memory"
-    if spec.max_disk is not None and sample.disk > spec.max_disk:
-        return "disk"
     return None
 
 

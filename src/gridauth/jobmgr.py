@@ -2,8 +2,8 @@
 
 Submission and management requests each pass one enforcement point that
 asks the decision point before anything changes; a denied request
-leaves no state behind.  An admitted job's sandbox takes the cpu and
-memory caps that `pdp.sandbox_limits` derives from the permit; the
+leaves no state behind.  An admitted job's sandbox holds only the cpu
+and memory caps that `pdp.sandbox_limits` derives from the permit; the
 engine knows nothing of policy semantics.  Admitted jobs move through a
 fixed lifecycle (pending, active, suspended, and the absorbing
 done/failed/canceled).
@@ -22,7 +22,7 @@ steps need not be taken one at a time: `tick` jumps between events.
 Pending jobs can only activate at step 1, and after step k an active job
 has consumed ``min(consumed + count*k, runtime)``.  So the second at
 which an active job ends has a closed form: the first second if its
-memory or disk cap is already exceeded, the first second whose
+memory cap is already exceeded, the first second whose
 consumption exceeds its cpu cap (a cpu breach wins a tie with
 completion), or the second at which it reaches its runtime.  Nor does
 that second move while the job stays active, so it is computed once,
@@ -52,6 +52,7 @@ from __future__ import annotations
 import enum
 import heapq
 import re
+from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Iterable, Mapping
 
@@ -62,7 +63,6 @@ from .enforce import (
     EnforcementError,
     PoolExhaustedError,
     SandboxSpec,
-    UsageSample,
     record_usage,
 )
 from .pdp import (
@@ -159,10 +159,9 @@ class SimProfile:
 
     runtime: int  # total cpu-seconds the job consumes before finishing
     memory_peak: int = 0  # MB
-    disk: int = 0  # MB
 
     def __post_init__(self):
-        for figure in (self.runtime, self.memory_peak, self.disk):
+        for figure in (self.runtime, self.memory_peak):
             _require_int(figure, "profile figure")
             if figure < 0:
                 raise ValueError("profile figures must be non-negative")
@@ -217,9 +216,7 @@ def _consumed_after(job: Job, steps: int) -> int:
 def _end_step(job: Job) -> int:
     """The first step at which an active job breaches its sandbox or completes."""
     spec, profile = job.sandbox, job.profile
-    if (spec.max_memory is not None and profile.memory_peak > spec.max_memory) or (
-        spec.max_disk is not None and profile.disk > spec.max_disk
-    ):
+    if spec.max_memory is not None and profile.memory_peak > spec.max_memory:
         return 1
     # consumption reaches the runtime at this step ...
     step = -((job.consumed - profile.runtime) // job.count)
@@ -256,7 +253,6 @@ class JobManager:
 
         self.clock = 0
         self.jobs: dict[str, Job] = {}
-        self._live: dict[str, Job] = {}  # the non-terminal jobs, in submission order
         self._pending: dict[str, Job] = {}  # the pending jobs, in submission order
         # active jobs the next tick schedules: resumed or restored ones
         self._unscheduled: dict[str, Job] = {}
@@ -337,7 +333,7 @@ class JobManager:
         if not decision.permitted:
             raise DeniedByPolicyError(decision)
         max_cpu, max_memory = sandbox_limits(decision, request, self.resource_policy)
-        sandbox = SandboxSpec(max_cpu, max_memory, groups=cred.groups)
+        sandbox = SandboxSpec(max_cpu, max_memory)
 
         vo_doc = decision.vo_document
         accounted = False
@@ -382,7 +378,6 @@ class JobManager:
             accounted=accounted,
         )
         self.jobs[job_id] = job
-        self._live[job_id] = job
         self._pending[job_id] = job
         if pooled:
             self._pooled.add(job_id)
@@ -452,7 +447,6 @@ class JobManager:
             self._pooled.remove(job.id)
             self.pool.release(job.account)
         job.ended_at = self.clock
-        del self._live[job.id]
 
     # -- clock ------------------------------------------------------------
 
@@ -486,10 +480,7 @@ class JobManager:
             del scheduled[job.id]
             self.clock = end
             tentative = _consumed_after(job, end - since)
-            sample = UsageSample(
-                cpu=tentative, memory=job.profile.memory_peak, disk=job.profile.disk
-            )
-            breach = record_usage(job.sandbox, sample)
+            breach = record_usage(job.sandbox, tentative, job.profile.memory_peak)
             if breach is not None:
                 if breach == "cpu":
                     # the kill lands the moment the cap is crossed
@@ -561,7 +552,7 @@ class JobManager:
             "ledger": self.ledger.to_dict(),
             "pool": {
                 "free": list(self.pool.free_accounts),
-                "leased": [job_id for job_id in self._live if job_id in self._pooled],
+                "leased": [job_id for job_id in self.jobs if job_id in self._pooled],
             },
             "events": [
                 {"t": e.t, "job": e.job, "name": e.name, "detail": e.detail}
@@ -585,13 +576,10 @@ class JobManager:
             "profile": {
                 "runtime": job.profile.runtime,
                 "memory_peak": job.profile.memory_peak,
-                "disk": job.profile.disk,
             },
             "sandbox": {
                 "max_cpu": job.sandbox.max_cpu,
                 "max_memory": job.sandbox.max_memory,
-                "max_disk": job.sandbox.max_disk,
-                "groups": sorted(job.sandbox.groups),
             },
             "accounted": job.accounted,
         }
@@ -615,6 +603,8 @@ class JobManager:
         engine.clock = _require_int(state["clock"], "clock")
         engine._next_seq = _require_int(state["next_seq"], "next_seq")
         engine.ledger = AllocationLedger.from_dict(state["ledger"])
+        # (vo, None) or (vo, member) -> what the live accounted jobs hold reserved
+        live_reserved: Counter = Counter()
         last_seq = 0
         for data in state["jobs"]:
             job_id = data["id"]
@@ -636,15 +626,23 @@ class JobManager:
             # figures a scheduled end second would turn into nonsense
             if data["reserved"] < 0:
                 raise ValueError(f"job {job_id} reserved {data['reserved']} is negative")
-            profile = SimProfile(**data["profile"])
-            if not 0 <= data["consumed"] <= profile.runtime:
+            # versions 1-5 also store a disk figure and cap, and the groups
+            profile = SimProfile(data["profile"]["runtime"], data["profile"]["memory_peak"])
+            sandbox = data["sandbox"]
+            if sandbox.get("max_disk") is not None:
+                # ignoring the cap would change what the job does
                 raise ValueError(
-                    f"job {job_id} consumed {data['consumed']} is outside 0..{profile.runtime}"
+                    f"job {job_id} max_disk {sandbox['max_disk']!r} is set, "
+                    "but the sandbox enforces no disk cap"
                 )
-            for key in ("max_cpu", "max_memory", "max_disk"):
-                cap = data["sandbox"][key]
-                if cap is not None and type(cap) is not int:
-                    raise _not_int(cap, f"job {job_id} {key}")
+            for key in ("max_cpu", "max_memory"):
+                if sandbox[key] is not None and type(sandbox[key]) is not int:
+                    raise _not_int(sandbox[key], f"job {job_id} {key}")
+            spec = SandboxSpec(sandbox["max_cpu"], sandbox["max_memory"])
+            # the most the job can consume: a cpu kill charges exactly the cap
+            most = profile.runtime if spec.max_cpu is None else min(profile.runtime, spec.max_cpu)
+            if not 0 <= data["consumed"] <= most:
+                raise ValueError(f"job {job_id} consumed {data['consumed']} is outside 0..{most}")
             job = Job(
                 id=data["id"],
                 owner=data["owner"],
@@ -658,17 +656,11 @@ class JobManager:
                 submitted_at=data["submitted_at"],
                 ended_at=data["ended_at"],
                 profile=profile,
-                sandbox=SandboxSpec(
-                    data["sandbox"]["max_cpu"],
-                    data["sandbox"]["max_memory"],
-                    data["sandbox"]["max_disk"],
-                    data["sandbox"]["groups"],
-                ),
+                sandbox=spec,
                 accounted=data["accounted"],
             )
             engine.jobs[job.id] = job
             if job.state not in TERMINAL_STATES:
-                engine._live[job.id] = job
                 if job.state is JobState.PENDING:
                     engine._pending[job.id] = job
                 elif job.state is JobState.ACTIVE:
@@ -679,6 +671,24 @@ class JobManager:
                         engine.ledger.member_used(job.vo, job.owner)
                     except EnforcementError as exc:
                         raise ValueError(f"live job {job.id} cannot settle: {exc}") from None
+                    # and a reservation that covers what it may consume
+                    if job.reserved < most:
+                        raise ValueError(
+                            f"live job {job.id} cannot settle: reserved {job.reserved} "
+                            f"is below the {most} cpu-seconds it may consume"
+                        )
+                    live_reserved[job.vo, None] += job.reserved
+                    live_reserved[job.vo, job.owner] += job.reserved
+        # each refund comes out of the usage of the job's VO and member
+        for (vo, member), reserved in live_reserved.items():
+            if member is None:
+                what, used = f"vo {vo}", engine.ledger.vo_used(vo)
+            else:
+                what, used = f"member {member}", engine.ledger.member_used(vo, member)
+            if used < reserved:
+                raise ValueError(
+                    f"ledger {what} used {used} is below its live reservations {reserved}"
+                )
         free, leased = state["pool"]["free"], state["pool"]["leased"]
         # versions 1 and 2 map each job id to its account and a lease expiry;
         # the figures are checked, then dropped
@@ -688,8 +698,8 @@ class JobManager:
         holders: dict = {}  # account -> the live job leasing it
         free_set = set(free)
         for job_id in leased:
-            job = engine._live.get(job_id)
-            if job is None:
+            job = engine.jobs.get(job_id)
+            if job is None or job.state in TERMINAL_STATES:
                 raise ValueError(f"a lease names no live job {job_id!r}")
             account = job.account
             if account in holders:

@@ -12,7 +12,7 @@ Step forms::
     load-cred   <label> <path>
     issue-cap   <label> policy=<label> cred=<label> key=<hex64> expiry=<int>
     submit      <label> cred=<label> rsl=<text>|rsl-file=<path> runtime=<int>
-                        [memory=<int>] [disk=<int>] [cap=<label>]
+                        [memory=<int>] [cap=<label>]
     manage      <label> job=<label> action=<name> cred=<label>
                         [priority=<int>] [cap=<label>]
     tick        <int>
@@ -258,7 +258,6 @@ class ScenarioRunner:
         profile = SimProfile(
             runtime=_int(kv["runtime"], lineno, "runtime"),
             memory_peak=_int(kv.get("memory", "0"), lineno, "memory"),
-            disk=_int(kv.get("disk", "0"), lineno, "disk"),
         )
         token = None
         if "cap" in kv:

@@ -8,7 +8,7 @@ engine exactly as `reference_tick(engine, dt)` does.
 
 from __future__ import annotations
 
-from gridauth.enforce import UsageSample, record_usage
+from gridauth.enforce import record_usage
 from gridauth.jobmgr import JobManager, JobState
 
 
@@ -38,10 +38,7 @@ def _step(engine: JobManager) -> None:
             continue
         delta = min(job.count, job.profile.runtime - job.consumed)
         tentative = job.consumed + delta
-        sample = UsageSample(
-            cpu=tentative, memory=job.profile.memory_peak, disk=job.profile.disk
-        )
-        breach = record_usage(job.sandbox, sample)
+        breach = record_usage(job.sandbox, tentative, job.profile.memory_peak)
         if breach is not None:
             if breach == "cpu":
                 # the kill lands the moment the cap is crossed

@@ -34,6 +34,7 @@ STATE_V1 = Path(__file__).resolve().parent / "data" / "state-v1"
 STATE_V2 = Path(__file__).resolve().parent / "data" / "state-v2"
 STATE_V3 = Path(__file__).resolve().parent / "data" / "state-v3"
 STATE_V4 = Path(__file__).resolve().parent / "data" / "state-v4"
+STATE_V5 = Path(__file__).resolve().parent / "data" / "state-v5"
 
 SITE_POL = """\
 policy "site" source resource {
@@ -374,7 +375,7 @@ class TestSubmitManageTickLedger:
             assert err.startswith(f"state error: cannot read state file {str(state)!r}: ")
         assert _files(site) == before
 
-    @pytest.mark.parametrize("version", [0, 6])
+    @pytest.mark.parametrize("version", [0, 7])
     def test_unsupported_state_version_exits_three(self, site, capsys, version):
         assert main(_submit_args(site)) == 0
         state = site / "state.json"
@@ -508,7 +509,7 @@ class TestStateVersion1:
             "t=7 job=j5 event=done detail=state=done consumed=3 refunded=47\n"
         )
         data = json.loads((v1 / "state.json").read_text())
-        assert data["version"] == 5
+        assert data["version"] == 6
         # the snapshot keeps the live jobs; the journal has the rest
         assert [job["id"] for job in data["engine"]["jobs"]] == ["j1", "j2"]
         assert data["engine"]["events"] == []
@@ -585,7 +586,16 @@ class TestStateVersion1:
              "job j1 max_memory must be an integer, not 2.5"),
             (("jobs", 1, "sandbox", "max_cpu"), True, "job j2 max_cpu must be an integer, not True"),
             (("jobs", 1, "sandbox", "max_disk"), "10",
-             "job j2 max_disk must be an integer, not '10'"),
+             "job j2 max_disk '10' is set, but the sandbox enforces no disk cap"),
+            (("jobs", 1, "sandbox", "max_disk"), 10,
+             "job j2 max_disk 10 is set, but the sandbox enforces no disk cap"),
+            (("jobs", 1, "sandbox", "max_cpu"), 5, "job j2 consumed 8 is outside 0..5"),
+            (("jobs", 0, "reserved"), 0,
+             "live job j1 cannot settle: reserved 0 is below the 400 cpu-seconds it may consume"),
+            (("ledger", "fusion", "used"), 0,
+             "ledger vo fusion used 0 is below its live reservations 1250"),
+            (("ledger", "fusion", "members", "/O=Grid/CN=dave", "used"), 0,
+             "ledger member /O=Grid/CN=dave used 0 is below its live reservations 650"),
         ],
         ids=["unknown-lease-job", "free-and-leased", "leased-twice", "lease-on-other-account",
              "ledger-lacks-vo", "ledger-lacks-member", "done-lease-job", "text-consumed",
@@ -596,7 +606,9 @@ class TestStateVersion1:
              "negative-quota", "bad-job-id", "zero-padded-job-id", "int-job-id",
              "duplicate-job-id", "next-seq-reused", "job-id-past-next-seq",
              "job-out-of-order", "negative-consumed", "consumed-past-runtime",
-             "negative-reserved", "float-memory-cap", "bool-cpu-cap", "text-disk-cap"],
+             "negative-reserved", "float-memory-cap", "bool-cpu-cap", "text-disk-cap",
+             "set-disk-cap", "consumed-past-cpu-cap", "reserved-below-runtime",
+             "vo-used-below-reservations", "member-used-below-reservations"],
     )
     def test_malformed_state_fails_closed_at_tick(self, v1, capsys, path, value, message):
         state = v1 / "state.json"
@@ -619,6 +631,8 @@ class TestStateVersion1:
         for job in engine["jobs"]:
             for key in self.DROPPED_JOB_KEYS:
                 del job[key]
+            # version 6 stores no disk figure or cap and no groups
+            del job["profile"]["disk"], job["sandbox"]["max_disk"], job["sandbox"]["groups"]
             # version 5 stores the request as its attribute map
             job["request"] = parse_rsl(job["request"]).attributes
         del engine["lease_ttl"]
@@ -677,12 +691,12 @@ class TestStateVersion2:
             "member=/O=Grid/CN=dave used=609/unlimited\n"
         )
 
-    def test_next_write_is_version_5(self, v2):
+    def test_next_write_is_version_6(self, v2):
         state = v2 / "state.json"
         assert main(["tick", "--state", str(state), "--dt", "1"]) == 0
         text = state.read_text()
         data = json.loads(text)
-        assert data["version"] == 5
+        assert data["version"] == 6
         assert data["engine"]["pool"] == {"free": ["dyn01"], "leased": ["j2", "j4"]}
         assert "lease_ttl" not in text and "expires_at" not in text
         assert "expires_at" not in (v2 / "state.json.journal").read_text()
@@ -737,12 +751,12 @@ class TestStateVersion3:
             "member=/O=Grid/CN=dave used=609/unlimited\n"
         )
 
-    def test_next_write_is_version_5(self, v3):
+    def test_next_write_is_version_6(self, v3):
         state = v3 / "state.json"
         (v3 / "state.json.journal").write_text("left over from an older site\n")
         assert main(["tick", "--state", str(state), "--dt", "10"]) == 0
         data = json.loads(state.read_text())
-        assert data["version"] == 5
+        assert data["version"] == 6
         assert [job["id"] for job in data["engine"]["jobs"]] == ["j1", "j2"]
         assert data["engine"]["pool"] == {"free": ["dyn01", "dyn02"], "leased": ["j2"]}
         # the journal starts afresh and holds the whole history
@@ -854,13 +868,13 @@ class TestStateVersion4:
             "job=j2 state=suspended owner=/O=Grid/CN=dave consumed=30 reserved=600 priority=0\n"
         )
 
-    def test_next_write_is_version_5_and_appends_to_the_journal(self, v4):
+    def test_next_write_is_version_6_and_appends_to_the_journal(self, v4):
         state = v4 / "state.json"
         journal = v4 / "state.json.journal"
         old = journal.read_bytes()
         assert main(["tick", "--state", str(state), "--dt", "10"]) == 0
         data = json.loads(state.read_text())
-        assert data["version"] == 5
+        assert data["version"] == 6
         assert [job["id"] for job in data["engine"]["jobs"]] == ["j1", "j2"]
         assert data["engine"]["jobs"][1]["request"] == self.J2_REQUEST
         assert data["engine"]["pool"] == {"free": ["dyn01", "dyn02"], "leased": ["j2"]}
@@ -889,6 +903,32 @@ class TestStateVersion4:
         assert main(_manage_args(v4, "j4", "cancel", cred="dave.cred")) == 1
         assert capsys.readouterr().err == "refused: cannot cancel job j4 in state done\n"
         assert _files(v4) == before
+
+
+@pytest.mark.parametrize("fixture", [STATE_V4, STATE_V5], ids=["v4", "v5"])
+def test_finished_jobs_load_and_the_next_write_drops_disk_and_groups(tmp_path, capsys, fixture):
+    """A version-4 or -5 site, whose jobs store a disk figure and cap and the
+    groups, loads; what the next write adds holds none of them."""
+    for path in fixture.iterdir():
+        shutil.copy(path, tmp_path / path.name)
+    j3 = "job=j3 state=done owner=/O=Grid/CN=dave consumed=3 reserved=50 priority=0\n"
+    assert main(_manage_args(tmp_path, "j3", "status", cred="dave.cred")) == 0
+    assert capsys.readouterr().out == j3
+    old = (tmp_path / "state.json.journal").read_bytes()
+    assert main(["tick", "--state", _p(tmp_path, "state.json"), "--dt", "10"]) == 0
+    snapshot = (tmp_path / "state.json").read_text()
+    assert json.loads(snapshot)["version"] == 6
+    journal = (tmp_path / "state.json.journal").read_bytes()
+    assert journal.startswith(old) and b'"disk"' in old
+    for written in (snapshot, journal[len(old):].decode()):
+        for key in ("disk", "max_disk", "groups"):
+            assert f'"{key}"' not in written
+    capsys.readouterr()
+    assert main(_manage_args(tmp_path, "j3", "status", cred="dave.cred")) == 0
+    assert main(_manage_args(tmp_path, "j4", "status", cred="dave.cred")) == 0
+    assert capsys.readouterr().out == j3 + (
+        "job=j4 state=done owner=/O=Grid/CN=dave consumed=6 reserved=20 priority=0\n"
+    )
 
 
 def _make_busy(site) -> None:
@@ -1057,7 +1097,7 @@ class TestJournal:
 
 
 class TestStoredRequest:
-    """Version 5 stores each request as its attribute map.
+    """Versions 5 and 6 store each request as its attribute map.
 
     `restore` checks a map as `RslRequest` does, and still parses a request
     stored as RSL text; anything else fails closed.

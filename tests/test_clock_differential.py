@@ -82,7 +82,7 @@ def _submission(rng: random.Random, cred: GridCredential) -> tuple:
     memory = rng.randint(0, 200)
     if rng.random() < 0.3:
         clauses.append(f"(maxmemory={rng.randint(1, 200)})")
-    return "".join(clauses), SimProfile(runtime, memory, rng.randint(0, 50))
+    return "".join(clauses), SimProfile(runtime, memory)
 
 
 def _dt(rng: random.Random) -> int:
@@ -94,13 +94,9 @@ def _dt(rng: random.Random) -> int:
     return rng.choice([500, rng.randint(41, 500)])
 
 
-def _as_stored(rng: random.Random, state: dict) -> dict:
-    """The state as a file would hold it, with some disk caps added."""
-    state = json.loads(json.dumps(state))
-    for job in state["jobs"]:
-        if job["ended_at"] is None and rng.random() < 0.3:
-            job["sandbox"]["max_disk"] = rng.randint(1, 60)
-    return state
+def _as_stored(state: dict) -> dict:
+    """The state as a file would hold it."""
+    return json.loads(json.dumps(state))
 
 
 def _apply(engine: JobManager, op: tuple):
@@ -126,7 +122,7 @@ def test_event_jump_tick_matches_per_second_stepper():
         for _ in range(120):
             roll = rng.random()
             if roll < 0.04:
-                state = _as_stored(rng, jump.snapshot())
+                state = _as_stored(jump.snapshot())
                 assert stepped.snapshot() == jump.snapshot()
                 jump, stepped = _restore(state), _restore(state)
                 restores += 1
@@ -148,4 +144,4 @@ def test_event_jump_tick_matches_per_second_stepper():
                 assert _apply(jump, op) == _apply(stepped, op)
     assert ticks >= 2000 and restores >= 50
     # every way a job can end was exercised
-    assert {"limit=cpu", "limit=memory", "limit=disk", "consumed=0"} <= seen
+    assert {"limit=cpu", "limit=memory", "consumed=0"} <= seen

@@ -18,7 +18,6 @@ from gridauth.enforce import (
     UnknownLeaseError,
     UnknownMemberError,
     UnknownVoError,
-    UsageSample,
     record_usage,
 )
 
@@ -74,25 +73,24 @@ class TestPool:
 class TestRecordUsage:
     def test_cpu_breach(self):
         spec = SandboxSpec(max_cpu=100)
-        assert record_usage(spec, UsageSample(cpu=101)) == "cpu"
+        assert record_usage(spec, 101, 0) == "cpu"
 
     def test_limits_inclusive(self):
-        spec = SandboxSpec(max_cpu=100, max_memory=10, max_disk=5)
-        assert record_usage(spec, UsageSample(cpu=100, memory=10, disk=5)) is None
+        spec = SandboxSpec(max_cpu=100, max_memory=10)
+        assert record_usage(spec, 100, 10) is None
 
-    def test_cpu_checked_before_memory_and_disk(self):
-        spec = SandboxSpec(max_cpu=100, max_memory=10, max_disk=5)
-        assert record_usage(spec, UsageSample(cpu=50, memory=11, disk=9)) == "memory"
-        assert record_usage(spec, UsageSample(cpu=101, memory=11, disk=9)) == "cpu"
-        assert record_usage(spec, UsageSample(cpu=50, memory=5, disk=9)) == "disk"
+    def test_cpu_checked_before_memory(self):
+        spec = SandboxSpec(max_cpu=100, max_memory=10)
+        assert record_usage(spec, 50, 11) == "memory"
+        assert record_usage(spec, 101, 11) == "cpu"
 
     def test_unlimited_dimensions(self):
-        assert record_usage(SandboxSpec(), UsageSample(cpu=10**9)) is None
+        assert record_usage(SandboxSpec(), 10**9, 10**9) is None
 
     def test_breach_is_monotonic_for_cumulative_samples(self):
         spec = SandboxSpec(max_cpu=10)
         cumulative = [3, 7, 11, 12, 20]
-        breached = [record_usage(spec, UsageSample(cpu=c)) for c in cumulative]
+        breached = [record_usage(spec, c, 0) for c in cumulative]
         first = breached.index("cpu")
         assert all(b == "cpu" for b in breached[first:])
 

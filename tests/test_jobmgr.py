@@ -613,9 +613,9 @@ class TestEventJump:
         calls = []
         real = jobmgr.record_usage
 
-        def counted(spec, sample):
-            calls.append(sample)
-            return real(spec, sample)
+        def counted(spec, cpu, memory):
+            calls.append(cpu)
+            return real(spec, cpu, memory)
 
         monkeypatch.setattr(jobmgr, "record_usage", counted)
         assert eng.tick(1000) == []
