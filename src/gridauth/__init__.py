@@ -35,7 +35,7 @@ from .pdp import (
     explain,
 )
 from .policy import PolicyDocument, applicable_blocks, format_policy, parse_policy, validate_policy
-from .rsl import JobAction, RslRequest, parse_rsl, serialize_rsl
+from .rsl import JobAction, RslRequest, parse_rsl
 
 __all__ = [
     "AllocationLedger",
@@ -69,7 +69,6 @@ __all__ = [
     "parse_policy",
     "parse_rsl",
     "record_usage",
-    "serialize_rsl",
     "sign_capability",
     "validate_policy",
     "verify_capability",

@@ -5,17 +5,17 @@ directly; ``submit``, ``manage``, ``tick`` and ``ledger`` drive a
 persistent simulated site; ``issue-cap`` mints a signed capability;
 ``scenario`` replays a scripted scenario in memory.
 
-Simulator state persists between invocations so shell scripts can chain
-them.  ``--state`` names a small versioned JSON snapshot of the live
-site (clock, pool, ledger, live jobs, each job's request stored as its
-attribute map, so no command re-parses RSL); the events and finished
-jobs go to an append-only ``<state>.journal`` beside it, which only a
-``manage`` of a finished job reads.  A write appends to the journal,
-then atomically replaces the snapshot, which records how much of the
-journal it covers; the state is locked for the duration of a command.
-Policies, credentials and tokens are passed per invocation as files.
-Exit codes: 0 success/permit, 1 denied or illegal, 2 bad input,
-3 state-file trouble.
+State persists between invocations so shell scripts can chain them.
+``--state`` names a small JSON snapshot of the live site (clock, pool,
+ledger, live jobs, requests as attribute maps, so no command re-parses
+RSL); the events and finished jobs go to an append-only journal beside
+it, which only a ``manage`` of a finished job reads.  A write appends to
+the journal, then atomically replaces the snapshot, which records how
+much of the journal it covers; a command holds a lock on the state.  An
+older state version passes one upgrade step per version (`_UPGRADES`)
+before `JobManager.restore`, which reads only the current version.
+Policies, credentials and tokens are files named per command.  Exit
+codes: 0 success/permit, 1 denied or illegal, 2 bad input, 3 state-file trouble.
 """
 
 from __future__ import annotations
@@ -41,11 +41,11 @@ from .jobmgr import (
     IllegalTransitionError,
     JobManager,
     JobManagerError,
-    JobState,
     NoAccountsAvailableError,
     SimProfile,
     TERMINAL_STATES,
     UnknownJobError,
+    _require_int,
 )
 from .pdp import (
     AuthzQuery,
@@ -66,13 +66,79 @@ EXIT_DENIED = 1
 EXIT_INPUT = 2
 EXIT_STATE = 3
 
-STATE_VERSION = 6
-#: versions 1-3 hold the whole site in one file; versions 1 and 2 also store a
-#: lease TTL and expiry, which restore checks and drops; versions 1-4 store
-#: each request as RSL text, versions 5 and 6 as its attribute map; versions
-#: 1-5 also store a disk figure and cap and the credential's groups per job,
-#: which restore drops
-READABLE_STATE_VERSIONS = (1, 2, 3, 4, 5, 6)
+STATE_VERSION = 7
+_FINISHED = frozenset(state.value for state in TERMINAL_STATES)
+
+
+def _without(record: dict, *keys) -> dict:
+    return {key: value for key, value in record.items() if key not in keys}
+
+
+def _each_job(step):
+    return lambda engine: dict(engine, jobs=[step(job) for job in engine["jobs"]])
+
+
+def _leases_as_list(engine: dict) -> dict:
+    """Versions 1 and 2 map each leased job id to its account and an expiry,
+    and store a lease TTL.  A lease must name its job's account; `restore`
+    refuses one on a job that is not live or on an account held before."""
+    _require_int(engine["lease_ttl"], "lease_ttl")
+    live = {job["id"]: job["account"] for job in engine["jobs"] if job["state"] not in _FINISHED}
+    leases, held = engine["pool"]["leased"], set()
+    for job_id, lease in leases.items():
+        _require_int(lease["expires_at"], "expires_at")
+        account = live.get(job_id)
+        if account is not None and account not in held:
+            held.add(account)
+            if lease["account"] != account:
+                raise ValueError(
+                    f"lease on {lease['account']!r} names job {job_id}, which runs on {account!r}"
+                )
+    return dict(_without(engine, "lease_ttl"), pool=dict(engine["pool"], leased=list(leases)))
+
+
+def _request_as_map(job: dict) -> dict:
+    """Versions 1-4 store a request as RSL text."""
+    request = job["request"]
+    return dict(job, request=parse_rsl(request).attributes) if isinstance(request, str) else job
+
+
+def _without_disk(job: dict) -> dict:
+    """Versions 1-5 also store a disk figure and cap, and the credential's
+    groups; ignoring a set cap would change what the job does."""
+    sandbox = job["sandbox"]
+    if "max_disk" not in sandbox:
+        return job
+    if sandbox["max_disk"] is not None:
+        raise ValueError(f"job {job['id']} max_disk {sandbox['max_disk']!r} is set, "
+                         "but the sandbox enforces no disk cap")
+    return dict(job, profile=_without(job["profile"], "disk"),
+                sandbox=_without(sandbox, "max_disk", "groups"))
+
+
+#: the step that turns each old version's engine dict into the next one's.
+#: Version 2 dropped each job's jobtag and dynamic-account flag, version 4
+#: moved the history to the journal (the dict kept its form), version 7 the
+#: target, which no decision read.  A step passes on a job already in the
+#: next form: a version-4 or -5 site's journal keeps each line as written.
+_UPGRADES = {
+    1: _each_job(lambda job: _without(job, "jobtag", "dynamic_account")),
+    2: _leases_as_list,
+    3: lambda engine: engine,
+    4: _each_job(_request_as_map),
+    5: _each_job(_without_disk),
+    6: lambda engine: _without(engine, "target"),
+}
+READABLE_STATE_VERSIONS = (*_UPGRADES, STATE_VERSION)
+
+
+def _upgrade(engine: dict, version: int) -> dict:
+    """An engine dict of ``version`` as the current version stores it."""
+    for old in range(version, STATE_VERSION):
+        engine = _UPGRADES[old](engine)
+    return engine
+
+
 _COMPACT = {"sort_keys": True, "separators": (",", ":")}
 
 
@@ -181,7 +247,9 @@ def _read_snapshot(path: str) -> tuple[dict | None, int]:
     try:
         for i, event in enumerate(engine.get("events", ())):
             _check_event(event, "event", i)
-    except (KeyError, TypeError, ValueError) as exc:
+        engine = _upgrade(engine, version)
+    # AttributeError: a list where an old version holds an object
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise _malformed(path, exc) from None
     if version < 4:
         return engine, 0
@@ -239,15 +307,16 @@ def _load_state(path: str) -> dict | None:
             (kind, record), = entry.items()
             if kind == "event":
                 events.append(_check_event(record, "journal line", n))
-            elif kind == "job" and JobState(record["state"]) in TERMINAL_STATES:
-                jobs.append(record)
+            elif kind == "job" and record["state"] in _FINISHED:
+                jobs.append(_without_disk(_request_as_map(record)))
             else:
                 raise ValueError(f"journal line {n} holds no event or finished job")
         jobs += engine["jobs"]
         if len({job["id"] for job in jobs}) < len(jobs):
             raise ValueError("a job is stored twice")
         jobs.sort(key=lambda job: int(job["id"][1:]))  # submission order
-    except (KeyError, TypeError, ValueError) as exc:
+    # AttributeError: a list where an old version holds an object
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise _malformed(path, exc) from None
     return dict(engine, jobs=jobs, events=events + engine["events"])
 
@@ -265,7 +334,7 @@ def _save_state(path: str, engine: JobManager, journal_bytes: int = 0) -> None:
     live = []
     tail = [json.dumps({"event": e}, **_COMPACT) for e in state["events"]]
     for job in state["jobs"]:
-        if JobState(job["state"]) in TERMINAL_STATES:
+        if job["state"] in _FINISHED:
             tail.append(json.dumps({"job": job}, **_COMPACT))
         else:
             live.append(job)
@@ -325,13 +394,8 @@ def _make_engine(args, state: dict | None) -> JobManager:
     registry = _parse_vo_keys(getattr(args, "vo_key", None))
     if state is not None:
         try:
-            return JobManager.restore(
-                state,
-                resource_policy=resource,
-                vo_policies=vo_docs,
-                gridmap=gridmap,
-                key_registry=registry,
-            )
+            return JobManager.restore(state, resource_policy=resource, vo_policies=vo_docs,
+                                      gridmap=gridmap, key_registry=registry)
         except PolicyError:
             raise  # a policy of the wrong kind is bad input, not bad state
         # AttributeError: a list where the ledger holds an object
@@ -368,12 +432,7 @@ def cmd_check(args) -> int:
             raise InputError("start checks need --rsl")
         request = parse_rsl(_read(args.rsl, "rsl"))
     query = AuthzQuery(
-        credential=cred,
-        action=action,
-        target=args.target,
-        request=request,
-        jobtag=args.jobtag,
-        owner=args.owner,
+        credential=cred, action=action, request=request, jobtag=args.jobtag, owner=args.owner
     )
     if args.cap:
         token = load_token(_read(args.cap, "capability"))
@@ -515,7 +574,6 @@ def _parser() -> argparse.ArgumentParser:
     )
     check.add_argument("--jobtag")
     check.add_argument("--owner", metavar="DN")
-    check.add_argument("--target", default="site")
     check.add_argument("--now", type=int, default=0)
     check.add_argument("--explain", action="store_true")
     check.set_defaults(func=cmd_check)

@@ -57,6 +57,8 @@ class SandboxSpec:
     def __post_init__(self):
         for name in ("max_cpu", "max_memory"):
             limit = getattr(self, name)
+            if limit is not None and type(limit) is not int:  # true/false is no cap
+                raise EnforcementError(f"{name} must be an integer, not {limit!r}")
             if limit is not None and limit <= 0:
                 raise EnforcementError(f"{name} must be positive when set")
 

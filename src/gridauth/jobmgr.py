@@ -111,6 +111,8 @@ class JobState(enum.Enum):
 
 
 TERMINAL_STATES = frozenset({JobState.DONE, JobState.FAILED, JobState.CANCELED})
+#: each state by its stored value; a lookup is cheaper than `JobState(value)`
+_STATES = {state.value: state for state in JobState}
 
 #: the only lifecycle moves the engine will ever perform
 TRANSITIONS: Mapping = {
@@ -138,19 +140,6 @@ def _not_int(value, what: str) -> ValueError:
 
 #: a job id as `gatekeeper_submit` numbers them
 _JOB_ID = re.compile("j[1-9][0-9]*").fullmatch
-
-
-def _stored_request(value, job_id: str) -> RslRequest:
-    """A stored request: an attribute map, or RSL text as versions 1-4 wrote it.
-
-    A map takes every check of `RslRequest`, names, duplicates, int64
-    range, types and emptiness, without tokenizing anything.
-    """
-    if type(value) is dict:
-        return RslRequest(value)
-    if isinstance(value, str):
-        return parse_rsl(value)
-    raise ValueError(f"job {job_id} request must be RSL text or an attribute map, not {value!r}")
 
 
 @dataclass(frozen=True)
@@ -236,7 +225,6 @@ class JobManager:
         gridmap: GridMapFile | None = None,
         pool: DynamicAccountPool | None = None,
         key_registry: Mapping | None = None,
-        target: str = "site",
     ):
         if resource_policy is not None and resource_policy.source != "resource":
             raise PolicyError("resource_policy must have source 'resource'")
@@ -249,7 +237,6 @@ class JobManager:
         self.gridmap = gridmap or GridMapFile({})
         self.pool = pool or DynamicAccountPool()
         self.key_registry = dict(key_registry or {})
-        self.target = target
 
         self.clock = 0
         self.jobs: dict[str, Job] = {}
@@ -292,20 +279,18 @@ class JobManager:
             )
         job.state = new_state
 
-    def _decide(self, q: AuthzQuery, token: CapabilityToken | None) -> Decision:
-        """Run the PDP, in push mode when a token is presented."""
-        if self.resource_policy is None:
+    def _authorize(self, q: AuthzQuery, token: CapabilityToken | None) -> Decision:
+        """The PDP's permit, in push mode when a token is presented; a denial raises."""
+        resource = self.resource_policy
+        if resource is None:
             raise ValueError("no resource policy configured")
         if token is not None:
-            return decide_push(
-                q, self.resource_policy, token, self.key_registry, now=self.clock
-            )
-        vo_doc = (
-            self.vo_policies.get(q.credential.vo)
-            if q.credential.vo is not None
-            else None
-        )
-        return decide(q, PolicySourceSet(self.resource_policy, vo_doc))
+            decision = decide_push(q, resource, token, self.key_registry, now=self.clock)
+        else:  # the VO document is None for a credential naming no VO or an unknown one
+            decision = decide(q, PolicySourceSet(resource, self.vo_policies.get(q.credential.vo)))
+        if not decision.permitted:
+            raise DeniedByPolicyError(decision)
+        return decision
 
     # -- gatekeeper -------------------------------------------------------
 
@@ -323,15 +308,8 @@ class JobManager:
         no state change persists.
         """
         request = parse_rsl(rsl_text)
-        query = AuthzQuery(
-            credential=cred,
-            action=JobAction.START,
-            target=self.target,
-            request=request,
-        )
-        decision = self._decide(query, token)
-        if not decision.permitted:
-            raise DeniedByPolicyError(decision)
+        query = AuthzQuery(credential=cred, action=JobAction.START, request=request)
+        decision = self._authorize(query, token)
         max_cpu, max_memory = sandbox_limits(decision, request, self.resource_policy)
         sandbox = SandboxSpec(max_cpu, max_memory)
 
@@ -400,16 +378,8 @@ class JobManager:
         job = self.jobs.get(job_id)
         if job is None:
             raise UnknownJobError(f"no such job '{job_id}'")
-        query = AuthzQuery(
-            credential=cred,
-            action=action,
-            target=self.target,
-            jobtag=job.jobtag,
-            owner=job.owner,
-        )
-        decision = self._decide(query, token)
-        if not decision.permitted:
-            raise DeniedByPolicyError(decision)
+        query = AuthzQuery(credential=cred, action=action, jobtag=job.jobtag, owner=job.owner)
+        self._authorize(query, token)
 
         if action is JobAction.STATUS:
             return self.job_record(job_id)
@@ -547,7 +517,6 @@ class JobManager:
         return {
             "clock": self.clock,
             "next_seq": self._next_seq,
-            "target": self.target,
             "jobs": [self._job_to_dict(j) for j in self.jobs.values()],
             "ledger": self.ledger.to_dict(),
             "pool": {
@@ -593,13 +562,9 @@ class JobManager:
         gridmap: GridMapFile | None = None,
         key_registry: Mapping | None = None,
     ) -> "JobManager":
-        engine = cls(
-            resource_policy=resource_policy,
-            vo_policies=vo_policies,
-            gridmap=gridmap,
-            key_registry=key_registry,
-            target=state["target"],
-        )
+        """The engine a `snapshot` of the current state version describes
+        (`gridauth.cli` upgrades older ones); a fault raises ValueError."""
+        engine = cls(resource_policy, vo_policies, gridmap, key_registry=key_registry)
         engine.clock = _require_int(state["clock"], "clock")
         engine._next_seq = _require_int(state["next_seq"], "next_seq")
         engine.ledger = AllocationLedger.from_dict(state["ledger"])
@@ -626,29 +591,37 @@ class JobManager:
             # figures a scheduled end second would turn into nonsense
             if data["reserved"] < 0:
                 raise ValueError(f"job {job_id} reserved {data['reserved']} is negative")
-            # versions 1-5 also store a disk figure and cap, and the groups
-            profile = SimProfile(data["profile"]["runtime"], data["profile"]["memory_peak"])
             sandbox = data["sandbox"]
-            if sandbox.get("max_disk") is not None:
-                # ignoring the cap would change what the job does
-                raise ValueError(
-                    f"job {job_id} max_disk {sandbox['max_disk']!r} is set, "
-                    "but the sandbox enforces no disk cap"
-                )
-            for key in ("max_cpu", "max_memory"):
-                if sandbox[key] is not None and type(sandbox[key]) is not int:
-                    raise _not_int(sandbox[key], f"job {job_id} {key}")
-            spec = SandboxSpec(sandbox["max_cpu"], sandbox["max_memory"])
+            if sandbox.keys() != {"max_cpu", "max_memory"}:  # a cap no code knows goes unenforced
+                raise ValueError(f"job {job_id} sandbox holds {sorted(sandbox)}, not the two caps")
+            try:  # each constructor checks its own figures
+                profile = SimProfile(data["profile"]["runtime"], data["profile"]["memory_peak"])
+                spec = SandboxSpec(sandbox["max_cpu"], sandbox["max_memory"])
+            except ValueError as exc:
+                raise ValueError(f"job {job_id} {exc}") from None
             # the most the job can consume: a cpu kill charges exactly the cap
             most = profile.runtime if spec.max_cpu is None else min(profile.runtime, spec.max_cpu)
             if not 0 <= data["consumed"] <= most:
                 raise ValueError(f"job {job_id} consumed {data['consumed']} is outside 0..{most}")
+            if type(data["request"]) is not dict:
+                raise ValueError(
+                    f"job {job_id} request must be an attribute map, not {data['request']!r}"
+                )
+            job_state = _STATES.get(data["state"])
+            if job_state is None:
+                raise ValueError(f"job {job_id} state {data['state']!r} is not a job state")
+            if type(data["accounted"]) is not bool:
+                raise ValueError(
+                    f"job {job_id} accounted must be true or false, not {data['accounted']!r}"
+                )
             job = Job(
                 id=data["id"],
                 owner=data["owner"],
                 vo=data["vo"],
-                request=_stored_request(data["request"], job_id),
-                state=JobState(data["state"]),
+                # a map takes every check of `RslRequest`: names, duplicates,
+                # int64 range, types and emptiness
+                request=RslRequest(data["request"]),
+                state=job_state,
                 account=data["account"],
                 reserved=data["reserved"],
                 consumed=data["consumed"],
@@ -690,11 +663,8 @@ class JobManager:
                     f"ledger {what} used {used} is below its live reservations {reserved}"
                 )
         free, leased = state["pool"]["free"], state["pool"]["leased"]
-        # versions 1 and 2 map each job id to its account and a lease expiry;
-        # the figures are checked, then dropped
-        old_format = isinstance(leased, dict)
-        if old_format:
-            _require_int(state["lease_ttl"], "lease_ttl")
+        if type(free) is not list or type(leased) is not list:
+            raise ValueError(f"pool free and leased must be lists, not {free!r} and {leased!r}")
         holders: dict = {}  # account -> the live job leasing it
         free_set = set(free)
         for job_id in leased:
@@ -708,14 +678,6 @@ class JobManager:
                 )
             if account in free_set:
                 raise ValueError(f"account {account!r} is both free and leased to {job_id}")
-            if old_format:
-                entry = leased[job_id]
-                _require_int(entry["expires_at"], "expires_at")
-                if entry["account"] != account:
-                    raise ValueError(
-                        f"lease on {entry['account']!r} names job {job_id}, "
-                        f"which runs on {account!r}"
-                    )
             holders[account] = job_id
         engine.pool = DynamicAccountPool(free, leased=holders)
         engine._pooled = set(holders.values())

@@ -1,9 +1,9 @@
 """The policy decision point.
 
-A query carries a credential, an action, a policy target and (for job
-startup) the parsed request.  Evaluation consults the resource document
-always and the VO document whenever the credential claims a VO, then
-combines outcomes:
+A query carries a credential, an action and (for job startup) the
+parsed request.  Evaluation consults the resource document always and
+the VO document whenever the credential claims a VO, then combines
+outcomes:
 
 * within one source, a single permitting subject block suffices;
 * across sources, every consulted source must permit (deny-overrides);
@@ -88,7 +88,7 @@ class AuthzQuery:
 
     credential: GridCredential
     action: JobAction
-    target: str
+    target: str = "site"  # no decision reads it; kept for positional callers
     request: RslRequest | None = None
     jobtag: str | None = None
     owner: str | None = None

@@ -1,4 +1,4 @@
-"""Parsing and canonical serialization of RSL job descriptions.
+"""Parsing of RSL job descriptions.
 
 The accepted dialect is a single conjunction of attribute clauses,
 
@@ -6,10 +6,7 @@ The accepted dialect is a single conjunction of attribute clauses,
 
 where each value is a bare integer, a quoted string, or (for
 ``arguments`` only) a space-separated sequence of quoted strings.
-Attribute names are case-insensitive and stored lowercase.  Parsing and
-serialization are mutually inverse on valid requests, and serialized
-output is a canonical fixed point: attributes sorted by name, minimal
-whitespace, all strings quoted.
+Attribute names are case-insensitive and stored lowercase.
 
 A handful of well-known attribute names carry type constraints so that
 policy evaluation can treat values uniformly: ``count``, ``maxmemory``
@@ -300,11 +297,3 @@ def render_value(value: RslValue) -> str:
         return quote_string(value)
     return " ".join(quote_string(item) for item in value)
 
-
-def serialize_rsl(req: RslRequest) -> str:
-    """Emit the canonical form: sorted attributes, minimal whitespace."""
-    clauses = "".join(
-        f"({name}={render_value(req.attributes[name])})"
-        for name in sorted(req.attributes)
-    )
-    return "&" + clauses

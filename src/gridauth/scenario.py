@@ -6,7 +6,7 @@ manage, tick) or assert (``expect ...``).  Action steps carry a label;
 expectations refer back to those labels.  Relative file paths resolve
 against the script's own directory, so scenario bundles are relocatable.
 
-Step forms::
+Step forms (a key that a step does not list is an error)::
 
     load-policy <label> <path>
     load-cred   <label> <path>
@@ -93,16 +93,27 @@ def _error_name(exc: Exception) -> str:
     return name[: -len("Error")] if name.endswith("Error") else name
 
 
-def _kv(tokens: list, lineno: int) -> dict:
+def _kv(tokens: list, lineno: int, step: str, keys: tuple, required: tuple = ()) -> dict:
+    """The key=value pairs of a step that takes ``keys``; any other key fails."""
     pairs = {}
     for tok in tokens:
         key, sep, value = tok.partition("=")
         if not sep:
             raise ScenarioError(lineno, f"expected key=value, got {tok!r}")
+        if key not in keys:
+            raise ScenarioError(lineno, f"unknown key {key!r}; {step} takes {', '.join(keys)}")
         if key in pairs:
             raise ScenarioError(lineno, f"duplicate key {key!r}")
         pairs[key] = value
+    for key in required:
+        if key not in pairs:
+            raise ScenarioError(lineno, f"{step} needs {key}=")
     return pairs
+
+
+def _failed(kind: str, exc: Exception) -> StepOutcome:
+    decision = getattr(exc, "decision", None)
+    return StepOutcome(kind, False, _error_name(exc), str(exc), None, decision)
 
 
 def _int(value: str, lineno: int, what: str) -> int:
@@ -212,10 +223,8 @@ class ScenarioRunner:
     def _issue_cap(self, lineno: int, rest: list) -> None:
         if not rest:
             raise ScenarioError(lineno, "issue-cap needs a label")
-        label, kv = rest[0], _kv(rest[1:], lineno)
-        for required in ("policy", "cred", "key", "expiry"):
-            if required not in kv:
-                raise ScenarioError(lineno, f"issue-cap needs {required}=")
+        keys = ("policy", "cred", "key", "expiry")
+        label, kv = rest[0], _kv(rest[1:], lineno, "issue-cap", keys, required=keys)
         doc = self.policies.get(kv["policy"])
         cred = self.creds.get(kv["cred"])
         if doc is None or cred is None:
@@ -228,10 +237,7 @@ class ScenarioRunner:
             claims = derive_capability(doc, cred, _int(kv["expiry"], lineno, "expiry"))
             token = sign_capability(key, claims)
         except _DOMAIN_ERRORS as exc:
-            self._record(
-                lineno, label,
-                StepOutcome("issue-cap", False, _error_name(exc), str(exc)),
-            )
+            self._record(lineno, label, _failed("issue-cap", exc))
             return
         self.caps[label] = token
         self.registry[token.claims.vo] = key
@@ -240,7 +246,8 @@ class ScenarioRunner:
     def _submit(self, lineno: int, rest: list) -> None:
         if not rest:
             raise ScenarioError(lineno, "submit needs a label")
-        label, kv = rest[0], _kv(rest[1:], lineno)
+        keys = ("cred", "rsl", "rsl-file", "runtime", "memory", "cap")
+        label, kv = rest[0], _kv(rest[1:], lineno, "submit", keys, required=("runtime",))
         cred = self.creds.get(kv.get("cred", ""))
         if cred is None:
             raise ScenarioError(lineno, "submit references an unknown credential")
@@ -253,38 +260,24 @@ class ScenarioRunner:
                 raise ScenarioError(lineno, f"cannot read rsl file: {exc}") from None
         else:
             raise ScenarioError(lineno, "submit needs rsl= or rsl-file=")
-        if "runtime" not in kv:
-            raise ScenarioError(lineno, "submit needs runtime=")
         profile = SimProfile(
             runtime=_int(kv["runtime"], lineno, "runtime"),
             memory_peak=_int(kv.get("memory", "0"), lineno, "memory"),
         )
-        token = None
-        if "cap" in kv:
-            outcome = self.outcomes.get(kv["cap"])
-            token = self.caps.get(kv["cap"])
-            if token is None:
-                raise ScenarioError(
-                    lineno,
-                    f"cap {kv['cap']!r} unknown or not issued"
-                    + (f" ({outcome.error})" if outcome and outcome.error else ""),
-                )
+        token = self._token(lineno, kv)
         engine = self._require_engine(lineno)
         try:
             job_id = engine.gatekeeper_submit(cred, rsl_text, profile, token=token)
         except _DOMAIN_ERRORS as exc:
-            decision = getattr(exc, "decision", None)
-            self._record(
-                lineno, label,
-                StepOutcome("submit", False, _error_name(exc), str(exc), None, decision),
-            )
+            self._record(lineno, label, _failed("submit", exc))
             return
         self._record(lineno, label, StepOutcome("submit", True, job_id=job_id))
 
     def _manage(self, lineno: int, rest: list) -> None:
         if not rest:
             raise ScenarioError(lineno, "manage needs a label")
-        label, kv = rest[0], _kv(rest[1:], lineno)
+        keys = ("job", "action", "cred", "priority", "cap")
+        label, kv = rest[0], _kv(rest[1:], lineno, "manage", keys)
         cred = self.creds.get(kv.get("cred", ""))
         if cred is None:
             raise ScenarioError(lineno, "manage references an unknown credential")
@@ -298,25 +291,29 @@ class ScenarioRunner:
         priority = (
             _int(kv["priority"], lineno, "priority") if "priority" in kv else None
         )
-        token = self.caps.get(kv["cap"]) if "cap" in kv else None
-        if "cap" in kv and token is None:
-            raise ScenarioError(lineno, f"cap {kv['cap']!r} unknown or not issued")
+        token = self._token(lineno, kv)
         engine = self._require_engine(lineno)
         try:
             job = engine.manage(
                 target.job_id, action, cred, token=token, priority=priority
             )
         except _DOMAIN_ERRORS as exc:
-            decision = getattr(exc, "decision", None)
-            self._record(
-                lineno, label,
-                StepOutcome("manage", False, _error_name(exc), str(exc), None, decision),
-            )
+            self._record(lineno, label, _failed("manage", exc))
             return
         self._record(
             lineno, label,
             StepOutcome("manage", True, job_id=job.id, detail=job.state.value),
         )
+
+    def _token(self, lineno: int, kv: dict):
+        """The capability a step's ``cap=`` names, or None without one."""
+        if "cap" not in kv:
+            return None
+        token, outcome = self.caps.get(kv["cap"]), self.outcomes.get(kv["cap"])
+        if token is None:
+            detail = f" ({outcome.error})" if outcome and outcome.error else ""
+            raise ScenarioError(lineno, f"cap {kv['cap']!r} unknown or not issued{detail}")
+        return token
 
     def _tick(self, lineno: int, rest: list) -> None:
         if len(rest) != 1:
@@ -358,15 +355,8 @@ class ScenarioRunner:
         description = f"{label} {' '.join(rest[1:]) if len(rest) > 1 else 'ok'}"
         if what == "ok":
             self._check(lineno, description, outcome.ok, outcome.detail or "")
-        elif what == "denied":
-            self._check(
-                lineno,
-                description,
-                not outcome.ok and outcome.error == "DeniedByPolicy",
-                f"got {outcome.error or 'ok'}",
-            )
-        elif what.startswith("error="):
-            wanted = what[len("error=") :]
+        elif what == "denied" or what.startswith("error="):
+            wanted = "DeniedByPolicy" if what == "denied" else what[len("error=") :]
             self._check(
                 lineno,
                 description,
@@ -390,16 +380,13 @@ class ScenarioRunner:
         if outcome is None or outcome.job_id is None:
             raise ScenarioError(lineno, f"label {label!r} does not name a job")
         job = self._require_engine(lineno).job_record(outcome.job_id)
-        kv = _kv(rest[1:], lineno)
         actual = {
             "state": job.state.value,
             "consumed": str(job.consumed),
             "reserved": str(job.reserved),
             "priority": str(job.priority),
         }
-        for key, wanted in kv.items():
-            if key not in actual:
-                raise ScenarioError(lineno, f"unknown job field {key!r}")
+        for key, wanted in _kv(rest[1:], lineno, "expect job", tuple(actual)).items():
             self._check(
                 lineno,
                 f"job {label} {key}={wanted}",

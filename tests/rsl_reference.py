@@ -1,9 +1,15 @@
-"""The character-stepping RSL parser that ``gridauth.rsl`` used to have.
+"""Test-only RSL code: the old parser, and the canonical serializer.
 
-It steps over whitespace one character at a time and validates the
-attributes a second time in the ``RslRequest`` constructor.  Only the
-differential tests use it, as the model the token scanner in
-``gridauth.rsl.parse_rsl`` must agree with on every input.
+``parse_rsl`` here is the character-stepping parser that ``gridauth.rsl``
+used to have.  It steps over whitespace one character at a time and
+validates the attributes a second time in the ``RslRequest``
+constructor.  Only the differential tests use it, as the model the token
+scanner in ``gridauth.rsl.parse_rsl`` must agree with on every input.
+
+``serialize_rsl`` renders a request in canonical form, attributes sorted
+by name, minimal whitespace, all strings quoted; it is an exact inverse
+of ``gridauth.rsl.parse_rsl``.  The program stores requests as attribute
+maps, so only the tests and their golden corpus render requests as text.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ from gridauth.rsl import (
     RslSyntaxError,
     RslValue,
     int64,
+    render_value,
     unquote_string,
 )
 
@@ -124,3 +131,12 @@ class _Parser:
 def parse_rsl(text: str) -> RslRequest:
     """Parse RSL text the old way, one character at a time."""
     return _Parser(text).parse()
+
+
+def serialize_rsl(req: RslRequest) -> str:
+    """Emit the canonical form: sorted attributes, minimal whitespace."""
+    clauses = "".join(
+        f"({name}={render_value(req.attributes[name])})"
+        for name in sorted(req.attributes)
+    )
+    return "&" + clauses

