@@ -84,8 +84,7 @@ class JobManagerError(Exception):
 class DeniedByPolicyError(JobManagerError):
     def __init__(self, decision: Decision):
         self.decision = decision
-        reasons = [e.reason for e in decision.trace if e.reason]
-        detail = reasons[0] if reasons else "denied"
+        detail = next((e.reason for e in decision.trace if e.outcome == "deny"), "denied")
         super().__init__(f"denied by policy: {detail}")
 
 
@@ -588,6 +587,12 @@ class JobManager:
             for key in ("reserved", "consumed", "priority", "submitted_at"):
                 if type(data[key]) is not int:
                     raise _not_int(data[key], f"job {job_id} {key}")
+            # a lease, a settlement and the pool take these on as they are
+            for key in ("owner", "account", "vo"):  # a job without a VO stores null
+                if type(data[key]) is not str and (key != "vo" or data[key] is not None):
+                    raise ValueError(f"job {job_id} {key} must be a string, not {data[key]!r}")
+            if data["ended_at"] is not None and type(data["ended_at"]) is not int:
+                raise _not_int(data["ended_at"], f"job {job_id} ended_at")
             # figures a scheduled end second would turn into nonsense
             if data["reserved"] < 0:
                 raise ValueError(f"job {job_id} reserved {data['reserved']} is negative")
@@ -665,6 +670,8 @@ class JobManager:
         free, leased = state["pool"]["free"], state["pool"]["leased"]
         if type(free) is not list or type(leased) is not list:
             raise ValueError(f"pool free and leased must be lists, not {free!r} and {leased!r}")
+        if not all(type(account) is str for account in free):
+            raise ValueError(f"pool free must list account names, not {free!r}")
         holders: dict = {}  # account -> the live job leasing it
         free_set = set(free)
         for job_id in leased:

@@ -26,8 +26,10 @@ fails verification before the cache is consulted.  A permitted start's
 `Decision` carries the VO document it was decided against, so the
 gatekeeper needs no second parse.
 
-A trace entry is an immutable value and one policy yields few distinct
-ones, so `_evaluate_source` takes its entries from a cache of at most
+A trace entry records what failed (the kind, the failing check and the
+offending value), and its `reason` renders the sentence only when read.
+Entries are immutable and one policy yields few distinct ones, so
+`_evaluate_source` takes them from a cache of at most
 ``TRACE_ENTRY_CACHE_SIZE`` (4096) and decisions share them.
 
 Documents are compiled and indexed when they are built (see
@@ -108,11 +110,48 @@ TRACE_ENTRY_CACHE_SIZE = 4096
 
 @dataclass(frozen=True, slots=True)
 class TraceEntry:
+    """A source's or block's outcome and, on a denial, what failed: the
+    ``kind``, the ``check`` (the assertion, or a jobtag failure's
+    ``(action, jobtags)`` grant) and the offending ``value``."""
+
     source: str
     block: int | None
     outcome: str  # "permit" | "deny"
-    reason: str | None = None
+    kind: str | None = None
+    check: object = None
+    value: object = None
 
+    @property
+    def reason(self) -> str | None:
+        return None if self.kind is None else _REASONS[self.kind](self)
+
+
+def _spec_failure(lead: str, verb: str):
+    return lambda e: (
+        f"{lead} {e.check.attr}: value {render_value(e.value)} {verb} {e.check.spec.describe()}"
+    )
+
+
+#: failure kind -> the sentence `TraceEntry.reason` renders for it
+_REASONS = {
+    "action": lambda e: f"action '{e.value.value}' not allowed",
+    "jobtag-only": lambda e: f"action '{e.check[0].value}' granted only on jobtags "
+        + ", ".join(f"'{t}'" for t in sorted(e.check[1])),
+    "jobtag": lambda e: f"jobtag '{e.value}' not in grants for action '{e.check[0].value}'",
+    "attr": _spec_failure("attr", "fails"),
+    "require-missing": lambda e: f"require attr {e.check.attr}: attribute missing",
+    "require-value": _spec_failure("require attr", "fails"),
+    "forbid-present": lambda e: f"forbid attr {e.check.attr}: attribute present",
+    "forbid-value": _spec_failure("forbid attr", "matches"),
+    "closed-world": lambda e: f"closed-world rejects attribute '{e.value}'",
+    "no-blocks": lambda e: "no applicable blocks",
+    "no-vo-document": lambda e: f"no policy document for vo '{e.value}'",
+    "accounting": lambda e: "accounting-requires-maxcputime",
+    **dict.fromkeys(("BadSignature", "Expired", "UnknownIssuer"), lambda e: f"{e.kind}: {e.value}"),
+    **dict.fromkeys(("subject-mismatch", "vo-mismatch"), lambda e: e.kind),
+    "invalid-fragment": lambda e: f"invalid policy fragment: {e.value}",
+    "not-a-vo-fragment": lambda e: "policy fragment is not a vo document",
+}
 
 _trace_entry = lru_cache(maxsize=TRACE_ENTRY_CACHE_SIZE)(TraceEntry)
 
@@ -148,10 +187,10 @@ class PolicySourceSet:
             raise InvalidQueryError("vo slot needs a vo-source document")
 
 
-def eval_assertion(assertion, req: RslRequest) -> str | None:
-    """Evaluate one assertion; None when satisfied, else the violation.
-    A block's ``attr`` lines for one attribute form a union, which its
-    ``checks`` hold as one `MayContain`.
+def eval_assertion(assertion, req: RslRequest) -> tuple | None:
+    """Evaluate one assertion; None when satisfied, else the failure
+    ``(kind, assertion, value)``.  A block's ``attr`` lines for one
+    attribute form a union, which its ``checks`` hold as one `MayContain`.
 
     A numeric spec tested against a non-integer value (or vice versa)
     counts as a violation with a reason, never an error: a malformed
@@ -161,81 +200,73 @@ def eval_assertion(assertion, req: RslRequest) -> str | None:
     if isinstance(assertion, MayContain):
         if value is None or assertion.spec.allows(value):
             return None
-        return (
-            f"attr {assertion.attr}: value {render_value(value)} "
-            f"fails {assertion.spec.describe()}"
-        )
+        return "attr", assertion, value
     if isinstance(assertion, MustContain):
         if value is None:
-            return f"require attr {assertion.attr}: attribute missing"
+            return "require-missing", assertion, None
         if assertion.spec is not None and not assertion.spec.allows(value):
-            return (
-                f"require attr {assertion.attr}: value {render_value(value)} "
-                f"fails {assertion.spec.describe()}"
-            )
+            return "require-value", assertion, value
         return None
     if value is None:
         return None
     if assertion.spec is None:
-        return f"forbid attr {assertion.attr}: attribute present"
+        return "forbid-present", assertion, value
     if assertion.spec.allows(value):
-        return (
-            f"forbid attr {assertion.attr}: value {render_value(value)} "
-            f"matches {assertion.spec.describe()}"
-        )
+        return "forbid-value", assertion, value
     return None
 
 
-def eval_block(block: SubjectBlock, q: AuthzQuery) -> str | None:
-    """Evaluate an applicable block; None means permit, else the reason.
+def eval_block(block: SubjectBlock, q: AuthzQuery) -> tuple | None:
+    """Evaluate an applicable block; None means permit, else the first
+    failure ``(kind, check, value)``.
 
     Checks run in a fixed order (action, then assertions in document
     order, then closed-world) so the first failing assertion reported
     in the trace is deterministic.
     """
     if q.action not in block.allowed_actions:
-        return f"action '{q.action.value}' not allowed"
+        return "action", None, q.action
 
     if q.action is not JobAction.START:
         grants = block.jobtag_grants.get(q.action)
         if grants is None:
             return None
-        rendered = ", ".join(f"'{t}'" for t in sorted(grants))
         if q.jobtag is None:
-            return f"action '{q.action.value}' granted only on jobtags {rendered}"
+            return "jobtag-only", (q.action, grants), None
         if q.jobtag not in grants:
-            return (
-                f"jobtag '{q.jobtag}' not in grants for action '{q.action.value}'"
-            )
+            return "jobtag", (q.action, grants), q.jobtag
         return None
 
     req = q.request
     for check in block.checks:
-        reason = eval_assertion(check, req)
-        if reason is not None:
-            return reason
+        failure = eval_assertion(check, req)
+        if failure is not None:
+            return failure
 
     if block.closed_world:
         accepted = block.accepted_names
         for name in req.attributes:
             if name not in accepted:
-                return f"closed-world rejects attribute '{name}'"
+                return "closed-world", None, name
     return None
 
 
 def _evaluate_source(name: str, doc: PolicyDocument, q: AuthzQuery, trace: list) -> bool:
     indices = doc.applicable_indices(q.credential.subject, q.credential.groups)
     if not indices:
-        trace.append(_trace_entry(name, None, "deny", "no applicable blocks"))
+        trace.append(_trace_entry(name, None, "deny", "no-blocks"))
         return False
     permitted = False
     for i in indices:
-        reason = eval_block(doc.blocks[i], q)
-        if reason is None:
+        failure = eval_block(doc.blocks[i], q)
+        if failure is None:
             trace.append(_trace_entry(name, i, "permit"))
             permitted = True
         else:
-            trace.append(_trace_entry(name, i, "deny", reason))
+            kind, check, value = failure
+            if type(value) is list:  # `arguments`: the cache key must hash
+                value = tuple(value)
+            trace.append(_trace_entry(name, i, "deny", kind, check, value))
     return permitted
 
 
@@ -252,14 +283,7 @@ def decide(q: AuthzQuery, sources: PolicySourceSet) -> Decision:
 
     if q.credential.vo is not None:
         if sources.vo is None:
-            trace.append(
-                TraceEntry(
-                    "vo",
-                    None,
-                    "deny",
-                    f"no policy document for vo '{q.credential.vo}'",
-                )
-            )
+            trace.append(TraceEntry("vo", None, "deny", "no-vo-document", None, q.credential.vo))
             all_permit = False
         else:
             all_permit = _evaluate_source("vo", sources.vo, q, trace) and all_permit
@@ -274,11 +298,7 @@ def decide(q: AuthzQuery, sources: PolicySourceSet) -> Decision:
                 and q.credential.vo is not None
                 and sources.vo.accounts_for(q.credential.subject)
             ):
-                trace.append(
-                    TraceEntry(
-                        "accounting", None, "deny", "accounting-requires-maxcputime"
-                    )
-                )
+                trace.append(TraceEntry("accounting", None, "deny", "accounting"))
                 all_permit = False
         else:
             charged = (q.request.get("count") or 1) * maxcputime
@@ -392,8 +412,8 @@ def decide_push(
     try:
         claims = verify_capability(registry, token, now)
     except (UnknownIssuerError, BadSignatureError, ExpiredTokenError) as exc:
-        reason = f"{_TOKEN_FAILURES[type(exc)]}: {exc}"
-        return Decision("deny", (TraceEntry("vo", None, "deny", reason),), None)
+        entry = TraceEntry("vo", None, "deny", _TOKEN_FAILURES[type(exc)], None, str(exc))
+        return Decision("deny", (entry,), None)
     if claims.subject != q.credential.subject:
         return Decision(
             "deny", (TraceEntry("vo", None, "deny", "subject-mismatch"),), None
@@ -403,17 +423,10 @@ def decide_push(
     try:
         fragment = _parse_fragment(claims.policy_fragment)
     except PolicyError as exc:
-        return Decision(
-            "deny",
-            (TraceEntry("vo", None, "deny", f"invalid policy fragment: {exc}"),),
-            None,
-        )
+        entry = TraceEntry("vo", None, "deny", "invalid-fragment", None, str(exc))
+        return Decision("deny", (entry,), None)
     if fragment.source != "vo":
-        return Decision(
-            "deny",
-            (TraceEntry("vo", None, "deny", "policy fragment is not a vo document"),),
-            None,
-        )
+        return Decision("deny", (TraceEntry("vo", None, "deny", "not-a-vo-fragment"),), None)
     return decide(q, PolicySourceSet(resource=resource_doc, vo=fragment))
 
 

@@ -104,6 +104,64 @@ def block_permits_start(block, attrs: dict) -> bool:
     return True
 
 
+def first_failure(block, query):
+    """None when ``block`` permits the query, else its first failure as
+    ``(kind, name)``: the attribute an assertion or closed-world rejects,
+    or the action an action or jobtag check refuses.  The checks run in
+    the decision point's documented order: action, then the assertions in
+    document order (a block's ``attr`` lines on one attribute are one
+    union, checked at the first of them), then closed-world."""
+    action = query.action
+    if action not in block.allowed_actions:
+        return "action", action
+    if action is not JobAction.START:
+        if action not in block.jobtag_grants:
+            return None
+        if query.jobtag is None:
+            return "jobtag-only", action
+        if query.jobtag not in block.jobtag_grants[action]:
+            return "jobtag", action
+        return None
+    attrs = dict(query.request.attributes)
+    unions_checked = set()
+    for a in block.assertions:
+        value = attrs.get(a.attr)
+        if isinstance(a, MayContain):
+            if a.attr in unions_checked:
+                continue
+            unions_checked.add(a.attr)
+            union = [x.spec for x in block.assertions if isinstance(x, MayContain) and x.attr == a.attr]
+            if value is not None and not any(spec_allows(s, value) for s in union):
+                return "attr", a.attr
+        elif isinstance(a, MustContain):
+            if value is None:
+                return "require-missing", a.attr
+            if a.spec is not None and not spec_allows(a.spec, value):
+                return "require-value", a.attr
+        elif value is not None:
+            if a.spec is None:
+                return "forbid-present", a.attr
+            if spec_allows(a.spec, value):
+                return "forbid-value", a.attr
+    if block.closed_world:
+        named = {a.attr for a in block.assertions if isinstance(a, (MayContain, MustContain))}
+        for attr in attrs:
+            if attr not in named:
+                return "closed-world", attr
+    return None
+
+
+def first_failures(doc, query) -> list:
+    """``(block index, first_failure)`` for each block of ``doc`` that
+    applies to the query's credential, in document order."""
+    subject, groups = query.credential.subject, query.credential.groups
+    return [
+        (i, first_failure(b, query))
+        for i, b in enumerate(doc.blocks)
+        if matcher_applies(b.matcher, subject, groups)
+    ]
+
+
 def block_permits_management(block, action, jobtag) -> bool:
     if action not in block.allowed_actions:
         return False

@@ -599,6 +599,14 @@ class TestStateVersion1:
              "ledger member /O=Grid/CN=dave used 0 is below its live reservations 650"),
             (("jobs", 0, "accounted"), 0, "job j1 accounted must be true or false, not 0"),
             (("jobs", 0, "accounted"), "no", "job j1 accounted must be true or false, not 'no'"),
+            (("jobs", 0, "account"), 5, "job j1 account must be a string, not 5"),
+            (("jobs", 2, "account"), None, "job j3 account must be a string, not None"),
+            (("jobs", 2, "owner"), ["/O=Grid/CN=alice"],
+             "job j3 owner must be a string, not ['/O=Grid/CN=alice']"),
+            (("jobs", 2, "vo"), 7, "job j3 vo must be a string, not 7"),
+            (("jobs", 2, "ended_at"), "2", "job j3 ended_at must be an integer, not '2'"),
+            (("jobs", 3, "ended_at"), True, "job j4 ended_at must be an integer, not True"),
+            (("pool", "free"), ["dyn01", 5], "pool free must list account names, not ['dyn01', 5]"),
         ],
         ids=["unknown-lease-job", "free-and-leased", "leased-twice", "lease-on-other-account",
              "ledger-lacks-vo", "ledger-lacks-member", "done-lease-job", "text-consumed",
@@ -612,7 +620,8 @@ class TestStateVersion1:
              "negative-reserved", "float-memory-cap", "bool-cpu-cap", "text-disk-cap",
              "set-disk-cap", "consumed-past-cpu-cap", "reserved-below-runtime",
              "vo-used-below-reservations", "member-used-below-reservations",
-             "int-accounted", "text-accounted"],
+             "int-accounted", "text-accounted", "int-account", "null-account", "list-owner",
+             "int-vo", "text-ended-at", "bool-ended-at", "int-free-account"],
     )
     def test_malformed_state_fails_closed_at_tick(self, v1, capsys, path, value, message):
         state = v1 / "state.json"

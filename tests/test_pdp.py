@@ -8,6 +8,8 @@ import hmac
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracle
 from generators import rand_credential, rand_policy, rand_query
@@ -119,22 +121,27 @@ class TestQueryInvariants:
             PolicySourceSet(resource=SCENARIO2_VO)
 
 
+def _reason(failure) -> str | None:
+    """The sentence a trace entry renders for an evaluation's failure."""
+    return None if failure is None else TraceEntry("vo", 0, "deny", *failure).reason
+
+
 def _eval_start(assertion, attrs: dict) -> str | None:
     """One assertion through eval_block, the path ``attr`` unions take."""
     block = SubjectBlock(AnySubject(), {JobAction.START}, assertions=(assertion,))
     q = AuthzQuery(ALICE, JobAction.START, "site", request=RslRequest(attrs))
-    return eval_block(block, q)
+    return _reason(eval_block(block, q))
 
 
 class TestEvalAssertion:
     def test_must_contain_missing_attribute(self):
         req = RslRequest({"count": 1})
-        reason = eval_assertion(MustContain("jobtag", None), req)
+        reason = _reason(eval_assertion(MustContain("jobtag", None), req))
         assert reason == "require attr jobtag: attribute missing"
 
     def test_must_not_contain_present(self):
         req = RslRequest({"queue": "batch"})
-        reason = eval_assertion(MustNotContain("queue", None), req)
+        reason = _reason(eval_assertion(MustNotContain("queue", None), req))
         assert reason == "forbid attr queue: attribute present"
 
     def test_may_contain_membership(self):
@@ -146,7 +153,7 @@ class TestEvalAssertion:
 
     def test_type_mismatch_is_violation_not_error(self):
         req = RslRequest({"weird": "abc"})
-        reason = eval_assertion(MustContain("weird", RangeSpec(1, 4)), req)
+        reason = _reason(eval_assertion(MustContain("weird", RangeSpec(1, 4)), req))
         assert reason == 'require attr weird: value "abc" fails range 1..4'
 
     def test_list_values_never_satisfy_value_specs(self):
@@ -158,7 +165,7 @@ class TestEvalAssertion:
         # presence checks still work on list-valued attributes
         assert eval_assertion(MustContain("arguments", None), req) is None
         assert (
-            eval_assertion(MustNotContain("arguments", None), req)
+            _reason(eval_assertion(MustNotContain("arguments", None), req))
             == "forbid attr arguments: attribute present"
         )
 
@@ -181,7 +188,7 @@ class TestEvalBlock:
         )
         assert not oracle.block_permits_start(block, dict(request.attributes))
         q = AuthzQuery(DAVE, JobAction.START, "site", request=request)
-        assert eval_block(block, q) == "closed-world rejects attribute 'queue'"
+        assert _reason(eval_block(block, q)) == "closed-world rejects attribute 'queue'"
 
     def test_jobtag_grant_matches(self):
         block = ADMINS_VO.blocks[1]
@@ -191,12 +198,12 @@ class TestEvalBlock:
     def test_jobtag_grant_mismatch(self):
         block = ADMINS_VO.blocks[1]
         q = _mgmt_query(CAROL, JobAction.SUSPEND, jobtag="other")
-        assert eval_block(block, q) == "jobtag 'other' not in grants for action 'suspend'"
+        assert _reason(eval_block(block, q)) == "jobtag 'other' not in grants for action 'suspend'"
 
     def test_action_not_allowed(self):
         block = ADMINS_VO.blocks[0]
         q = _mgmt_query(ALICE, JobAction.SUSPEND, jobtag="x")
-        assert eval_block(block, q) == "action 'suspend' not allowed"
+        assert _reason(eval_block(block, q)) == "action 'suspend' not allowed"
 
     def test_may_contain_union(self):
         doc = parse_policy(
@@ -207,7 +214,7 @@ class TestEvalBlock:
         bad = AuthzQuery(ALICE, JobAction.START, "site", request=RslRequest({"count": 5}))
         assert eval_block(doc.blocks[0], ok) is None
         assert (
-            eval_block(doc.blocks[0], bad)
+            _reason(eval_block(doc.blocks[0], bad))
             == "attr count: value 5 fails range 1..2 or range 10..20"
         )
 
@@ -696,3 +703,76 @@ class TestProperties:
             q = rand_query(rng, cred)
             expected = oracle.brute_decide(q, res, vo)
             assert decide(q, PolicySourceSet(res, vo)).effect == expected
+
+
+def _failure(entry):
+    """An entry's failure in the oracle's terms: the kind and the
+    attribute or action it names; None for a permit."""
+    if entry.kind is None:
+        return None
+    if entry.kind in ("action", "closed-world"):
+        return entry.kind, entry.value
+    if entry.kind in ("jobtag", "jobtag-only"):
+        return entry.kind, entry.check[0]
+    return entry.kind, entry.check.attr
+
+
+class TestTraceFields:
+    """What a trace entry records, checked field by field."""
+
+    @given(seed=st.integers(0, 2**64 - 1), push=st.booleans())
+    @settings(max_examples=400, deadline=None)
+    def test_first_failures_agree_with_the_oracle(self, seed, push):
+        # the A5 draws for a pull, the A4 draws for a push
+        rng = random.Random(seed)
+        cred = rand_credential(rng, vo="fusion" if push or rng.random() < 0.8 else None)
+        resource_doc = rand_policy(rng, "resource", name="site")
+        vo_doc = None
+        if push or rng.random() < 0.8:
+            vo_doc = rand_policy(rng, "vo", min_blocks=int(push), with_accounting=True)
+        q = rand_query(rng, cred, with_budget=True)
+        if push:
+            try:
+                token = sign_capability(KEY, derive_capability(vo_doc, cred, expiry=10**9))
+            except NoApplicableBlocksError:
+                return
+            d = decide_push(q, resource_doc, token, {"fusion": KEY}, now=0)
+        else:
+            d = decide(q, PolicySourceSet(resource_doc, vo_doc))
+        if d.trace[0].source == "builtin-owner":
+            assert q.owner == cred.subject
+            return
+        for source, doc in (("resource", resource_doc), ("vo", vo_doc)):
+            entries = [e for e in d.trace if e.source == source]
+            if source == "vo" and cred.vo is None:
+                assert entries == []
+            elif doc is None:
+                assert entries == [TraceEntry("vo", None, "deny", "no-vo-document", None, "fusion")]
+            elif not (want := oracle.first_failures(doc, q)):
+                assert entries == [TraceEntry(source, None, "deny", "no-blocks")]
+            elif push and source == "vo":  # the fragment holds only the applicable blocks
+                assert [_failure(e) for e in entries] == [f for _, f in want]
+            else:
+                assert [(e.block, _failure(e)) for e in entries] == want
+            for e in entries:
+                if e.kind in ("attr", "require-value", "forbid-present", "forbid-value"):
+                    assert e.value == q.request.get(e.check.attr)
+
+    def test_equal_failures_share_one_entry(self):
+        text = (
+            'policy "site" source resource { subject any { allow action start;'
+            ' attr arguments in {"-v"}; } subject any { allow action status; } }'
+        )
+        rsl = '&(executable="/x")(arguments="-v" "a b")'
+        first, second = (
+            decide(_start_query(LOCAL, rsl), PolicySourceSet(parse_policy(text))).trace
+            for _ in range(2)
+        )
+        assert first == second
+        assert all(a is b for a, b in zip(first, second))
+        attr, action = first
+        assert (attr.kind, attr.check, attr.value) == (
+            "attr", MayContain("arguments", EnumSpec(("-v",))), ("-v", "a b")
+        )
+        assert attr.reason == 'attr arguments: value "-v" "a b" fails in {"-v"}'
+        assert (action.kind, action.check, action.value) == ("action", None, JobAction.START)
