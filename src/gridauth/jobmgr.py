@@ -172,9 +172,6 @@ class Job:
     sandbox: SandboxSpec
     accounted: bool
 
-    # a request stores its attribute names lower-case, so the hot reads
-    # below skip ``RslRequest.get``
-
     @property
     def count(self) -> int:
         return self.request.attributes.get("count") or 1

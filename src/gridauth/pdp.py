@@ -33,9 +33,13 @@ Entries are immutable and one policy yields few distinct ones, so
 ``TRACE_ENTRY_CACHE_SIZE`` (4096) and decisions share them.
 
 Documents are compiled and indexed when they are built (see
-`SubjectBlock` and `PolicyDocument`), so a decision takes a source's
-applicable blocks from the index, in document order.  All entry points
-are pure functions over immutable inputs.
+`SubjectBlock` and `PolicyDocument`).  A decision takes a source's
+applicable blocks from the index, in document order, and looks the
+query's action up once per source, in the document's per-action table.
+A block's entry in it is the action's refusal, a permit, a jobtag grant
+set, or for a start the block's check plan, which reads the request's
+attributes by their stored, lower-case names.  All entry points are pure
+functions over immutable inputs.
 
 A permitted start obliges the site to run the job within the caps of
 its permitting blocks; `sandbox_limits` derives them at admission, the
@@ -57,12 +61,11 @@ from .credential import (
     verify_capability,
 )
 from .policy import (
-    MayContain,
-    MustContain,
+    PERMITTED,
+    REFUSED,
     MustNotContain,
     PolicyDocument,
     PolicyError,
-    SubjectBlock,
     _interval,
     applicable_blocks,
     format_policy,
@@ -187,78 +190,64 @@ class PolicySourceSet:
             raise InvalidQueryError("vo slot needs a vo-source document")
 
 
-def eval_assertion(assertion, req: RslRequest) -> tuple | None:
-    """Evaluate one assertion; None when satisfied, else the failure
-    ``(kind, assertion, value)``.  A block's ``attr`` lines for one
-    attribute form a union, which its ``checks`` hold as one `MayContain`.
+def _plan_failure(plan: tuple, accepted: frozenset | None, attrs: dict) -> tuple | None:
+    """Check a start request's ``attrs`` against a block's plan; None when
+    it passes, else the first failure ``(kind, assertion, value)``.
 
-    A numeric spec tested against a non-integer value (or vice versa)
-    counts as a violation with a reason, never an error: a malformed
-    clause must not fail open or abort the decision.
+    The steps run in document order, then closed-world (``accepted`` is
+    None for an open block).  A numeric spec tested against a non-integer
+    value (or vice versa) counts as a violation with a reason, never an
+    error: a malformed clause must not fail open or abort the decision.
     """
-    value = req.get(assertion.attr)
-    if isinstance(assertion, MayContain):
-        if value is None or assertion.spec.allows(value):
-            return None
-        return "attr", assertion, value
-    if isinstance(assertion, MustContain):
+    for attr, kind, allows, check in plan:
+        value = attrs.get(attr)
         if value is None:
-            return "require-missing", assertion, None
-        if assertion.spec is not None and not assertion.spec.allows(value):
-            return "require-value", assertion, value
-        return None
-    if value is None:
-        return None
-    if assertion.spec is None:
-        return "forbid-present", assertion, value
-    if assertion.spec.allows(value):
-        return "forbid-value", assertion, value
-    return None
-
-
-def eval_block(block: SubjectBlock, q: AuthzQuery) -> tuple | None:
-    """Evaluate an applicable block; None means permit, else the first
-    failure ``(kind, check, value)``.
-
-    Checks run in a fixed order (action, then assertions in document
-    order, then closed-world) so the first failing assertion reported
-    in the trace is deterministic.
-    """
-    if q.action not in block.allowed_actions:
-        return "action", None, q.action
-
-    if q.action is not JobAction.START:
-        grants = block.jobtag_grants.get(q.action)
-        if grants is None:
-            return None
-        if q.jobtag is None:
-            return "jobtag-only", (q.action, grants), None
-        if q.jobtag not in grants:
-            return "jobtag", (q.action, grants), q.jobtag
-        return None
-
-    req = q.request
-    for check in block.checks:
-        failure = eval_assertion(check, req)
-        if failure is not None:
-            return failure
-
-    if block.closed_world:
-        accepted = block.accepted_names
-        for name in req.attributes:
+            if kind == "require":
+                return "require-missing", check, None
+        elif kind == "attr":
+            if not allows(value):
+                return "attr", check, value
+        elif kind == "require":
+            if allows is not None and not allows(value):
+                return "require-value", check, value
+        elif allows is None:
+            return "forbid-present", check, value
+        elif allows(value):
+            return "forbid-value", check, value
+    if accepted is not None:
+        for name in attrs:
             if name not in accepted:
                 return "closed-world", None, name
     return None
 
 
 def _evaluate_source(name: str, doc: PolicyDocument, q: AuthzQuery, trace: list) -> bool:
+    """Trace each block of ``doc`` that applies to the query's credential,
+    from its entry in the table for the query's action (see
+    `PolicyDocument.tables`), or a ``no-blocks`` denial; whether one
+    block permits."""
     indices = doc.applicable_indices(q.credential.subject, q.credential.groups)
     if not indices:
         trace.append(_trace_entry(name, None, "deny", "no-blocks"))
         return False
+    action = q.action
+    table = doc.tables[action]
+    attrs = None if q.request is None else q.request.attributes
     permitted = False
     for i in indices:
-        failure = eval_block(doc.blocks[i], q)
+        entry = table[i]
+        if entry is REFUSED:
+            failure = "action", None, action
+        elif entry is PERMITTED:
+            failure = None
+        elif attrs is not None:  # a start's entry: (plan, accepted names)
+            failure = _plan_failure(*entry, attrs)
+        elif q.jobtag is None:
+            failure = "jobtag-only", (action, entry), None
+        elif q.jobtag not in entry:
+            failure = "jobtag", (action, entry), q.jobtag
+        else:
+            failure = None
         if failure is None:
             trace.append(_trace_entry(name, i, "permit"))
             permitted = True
@@ -290,7 +279,8 @@ def decide(q: AuthzQuery, sources: PolicySourceSet) -> Decision:
 
     charged: int | None = None
     if q.action is JobAction.START:
-        maxcputime = q.request.get("maxcputime")
+        attrs = q.request.attributes
+        maxcputime = attrs.get("maxcputime")
         if maxcputime is None:
             # a permit with a claimed vo means the vo document was consulted
             if (
@@ -301,7 +291,7 @@ def decide(q: AuthzQuery, sources: PolicySourceSet) -> Decision:
                 trace.append(TraceEntry("accounting", None, "deny", "accounting"))
                 all_permit = False
         else:
-            charged = (q.request.get("count") or 1) * maxcputime
+            charged = (attrs.get("count") or 1) * maxcputime
 
     if not all_permit:
         return Decision("deny", tuple(trace), None)

@@ -29,8 +29,13 @@ only the token's text, which tells its kind.  Token offsets are recomputed
 only for an error, which carries a 1-based line and a 1-based column
 counted in characters; a bad character anywhere outranks any other error.
 
-Documents are immutable after parsing and safe to share between
-concurrent evaluations.
+Attribute names are stored lower-case, as RSL stores them: the parser
+lowers them, and a block built in code with any other name is refused.
+Blocks and documents are compiled when they are built: a document holds
+one table per job action, with one entry per block (a refusal, a permit,
+a jobtag grant set, or for ``start`` the block's check plan).  Documents
+are immutable after parsing and safe to share between concurrent
+evaluations.
 """
 
 from __future__ import annotations
@@ -244,6 +249,16 @@ def matcher_matches(matcher: Matcher, subject: str, groups: Iterable[str]) -> bo
 #: call makes a new object
 _NO_NAMES: frozenset = frozenset()
 
+#: a plan step's check kind, by assertion class
+_CHECK_KINDS = {MayContain: "attr", MustContain: "require", MustNotContain: "forbid"}
+
+#: each action's position in `SubjectBlock.entries`, in the enum's order
+_ACTION_POSITION = {a: i for i, a in enumerate(JobAction)}
+#: table entry: the block does not allow the action
+REFUSED = "refused"
+#: table entry: the block allows a management action on every job
+PERMITTED = "permitted"
+
 
 @dataclass(frozen=True)
 class SubjectBlock:
@@ -253,8 +268,19 @@ class SubjectBlock:
     lines of each attribute merged into one `MayContain` at the first
     of them, whose spec is their union (an `OrSpec` when there are
     several); ``accepted_names`` are the attributes a closed-world block
-    accepts (empty for an open block).  Neither takes part in equality
-    or ``repr``.
+    accepts (empty for an open block).
+
+    ``entries`` holds one entry per `JobAction`, in the enum's order:
+    `REFUSED` when the block does not allow the action; for ``start``,
+    ``(plan, accepted_names or None for an open block)``, the plan
+    holding one ``(name, kind, spec's allows or None, assertion)`` step
+    per check, of kind ``attr``, ``require`` or ``forbid``; for a
+    management action, its jobtag grant set, or `PERMITTED` without one.
+    None of the three takes part in equality or ``repr``.
+
+    Assertion names must be lower-case (``[a-z_][a-z0-9_]*``), as RSL
+    stores them and the parser writes them, so a plan reads a request's
+    attributes by the name as it is stored.
     """
 
     matcher: Matcher
@@ -265,9 +291,11 @@ class SubjectBlock:
 
     checks: tuple = field(init=False, repr=False, compare=False)
     accepted_names: frozenset = field(init=False, repr=False, compare=False)
+    entries: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "allowed_actions", frozenset(self.allowed_actions))
+        allowed = frozenset(self.allowed_actions)
+        object.__setattr__(self, "allowed_actions", allowed)
         object.__setattr__(self, "assertions", tuple(self.assertions))
         grants = {a: frozenset(tags) for a, tags in dict(self.jobtag_grants).items()}
         if JobAction.START in grants:
@@ -276,6 +304,10 @@ class SubjectBlock:
 
         unions: dict[str, list] = {}
         for a in self.assertions:
+            if not (isinstance(a.attr, str) and rsl.NORMALIZED_NAME_RE.match(a.attr)):
+                raise PolicyError(
+                    f"attribute name {a.attr!r} is not lower-case ([a-z_][a-z0-9_]*)"
+                )
             if isinstance(a, MayContain):
                 unions.setdefault(a.attr, []).append(a.spec)
         checks = []
@@ -295,6 +327,19 @@ class SubjectBlock:
             )
         object.__setattr__(self, "accepted_names", accepted)
 
+        entries = [REFUSED] * len(_ACTION_POSITION)
+        for action in allowed:
+            if action is JobAction.START:
+                plan = tuple(
+                    (c.attr, _CHECK_KINDS[type(c)], None if c.spec is None else c.spec.allows, c)
+                    for c in checks
+                )
+                entry = plan, (accepted if self.closed_world else None)
+            else:
+                entry = grants.get(action, PERMITTED)
+            entries[_ACTION_POSITION[action]] = entry
+        object.__setattr__(self, "entries", tuple(entries))
+
 
 @dataclass(frozen=True)
 class PolicyDocument:
@@ -302,7 +347,10 @@ class PolicyDocument:
 
     The index maps each identity DN and each group name to the positions
     of the blocks that match on it, and keeps the positions of the
-    ``any`` blocks; it takes no part in equality or ``repr``.
+    ``any`` blocks.  ``tables`` maps each `JobAction` to the blocks'
+    `SubjectBlock.entries` for it, by block position, so a decision
+    looks its action up once per document.  Neither takes part in
+    equality or ``repr``.
     """
 
     name: str
@@ -315,6 +363,7 @@ class PolicyDocument:
     _by_dn: Mapping = field(init=False, repr=False, compare=False)
     _by_group: Mapping = field(init=False, repr=False, compare=False)
     _any: tuple = field(init=False, repr=False, compare=False)
+    tables: Mapping = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.source not in ("resource", "vo"):
@@ -345,6 +394,10 @@ class PolicyDocument:
         object.__setattr__(self, "_by_dn", by_dn)
         object.__setattr__(self, "_by_group", by_group)
         object.__setattr__(self, "_any", tuple(any_blocks))
+        rows = [block.entries for block in self.blocks]
+        object.__setattr__(self, "tables", {
+            action: tuple(row[k] for row in rows) for action, k in _ACTION_POSITION.items()
+        })
 
     def accounts_for(self, subject: str) -> bool:
         """Whether jobs ``subject`` starts under this document are charged."""

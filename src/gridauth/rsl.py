@@ -47,7 +47,8 @@ TEXT_ATTRIBUTES = frozenset(
 WELL_KNOWN_ATTRIBUTES = INT_ATTRIBUTES | TEXT_ATTRIBUTES | {"arguments"}
 
 NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_NORMALIZED_NAME_RE = re.compile(r"[a-z_][a-z0-9_]*\Z")
+#: an attribute name as a request stores it: ASCII, lower-case
+NORMALIZED_NAME_RE = re.compile(r"[a-z_][a-z0-9_]*\Z")
 
 # A quoted string whose only escapes are \" and \\; _OPEN_STRING lacks the
 # closing quote, so it stops where a failing string goes wrong.
@@ -118,7 +119,7 @@ def _check_attribute(name: str, value: RslValue) -> None:
     kind = _SINGLE_VALUE_TYPE.get(name)
     if kind is type(value) and (kind is str or 0 < value <= INT64_MAX):
         return
-    if not _NORMALIZED_NAME_RE.match(name):
+    if not NORMALIZED_NAME_RE.match(name):
         raise AttributeTypeError(name, "invalid attribute name")
     if isinstance(value, bool):
         raise AttributeTypeError(name, "boolean values are not part of the value model")
@@ -149,7 +150,11 @@ def _check_type(name: str, value: RslValue) -> None:
 
 @dataclass(frozen=True)
 class RslRequest:
-    """A parsed job description: an ordered attribute-name -> value map."""
+    """A parsed job description: an ordered attribute-name -> value map.
+
+    Names are stored lower-case, so ``attributes`` is read with the
+    lower-case name.
+    """
 
     attributes: dict
 
@@ -166,13 +171,6 @@ class RslRequest:
         if not normalized:
             raise EmptyRequestError("request has no attributes")
         object.__setattr__(self, "attributes", normalized)
-
-    def get(self, name: str) -> RslValue | None:
-        """Return the value for ``name`` (case-insensitive), or None."""
-        return self.attributes.get(name.lower())
-
-    def __contains__(self, name: str) -> bool:
-        return name.lower() in self.attributes
 
 
 def _offset(text: str, at: int) -> int:

@@ -93,7 +93,7 @@ class TestSubmit:
         job = eng.job_record(job_id)
         request = parse_rsl(rsl)
         assert job.state is JobState.PENDING
-        assert job.reserved == request.get("count") * request.get("maxcputime")
+        assert job.reserved == request.attributes["count"] * request.attributes["maxcputime"]
         assert eng.ledger.vo_used("fusion") == job.reserved
 
     def test_denied_executable_for_wrong_group(self):

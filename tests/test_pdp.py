@@ -6,6 +6,7 @@ import dataclasses
 import hashlib
 import hmac
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -30,8 +31,6 @@ from gridauth.pdp import (
     decide,
     decide_push,
     derive_capability,
-    eval_assertion,
-    eval_block,
     explain,
     sandbox_limits,
 )
@@ -46,8 +45,10 @@ from gridauth.policy import (
     MustNotContain,
     OrSpec,
     PolicyDocument,
+    PolicyError,
     RangeSpec,
     SubjectBlock,
+    format_policy,
     matcher_matches,
     parse_policy,
 )
@@ -121,27 +122,31 @@ class TestQueryInvariants:
             PolicySourceSet(resource=SCENARIO2_VO)
 
 
-def _reason(failure) -> str | None:
-    """The sentence a trace entry renders for an evaluation's failure."""
-    return None if failure is None else TraceEntry("vo", 0, "deny", *failure).reason
+def _block_reason(block: SubjectBlock, q: AuthzQuery) -> str | None:
+    """``block``'s outcome for ``q``, decided against a resource document
+    holding only that block, made to apply to any subject: None on a
+    permit, else the denial's sentence."""
+    applying = dataclasses.replace(block, matcher=AnySubject())
+    doc = PolicyDocument("one-block", "resource", blocks=(applying,))
+    entry = decide(q, PolicySourceSet(doc)).trace[0]
+    assert (entry.source, entry.block) == ("resource", 0)
+    return entry.reason
 
 
 def _eval_start(assertion, attrs: dict) -> str | None:
-    """One assertion through eval_block, the path ``attr`` unions take."""
+    """One assertion's outcome for a start request, on a one-assertion block."""
     block = SubjectBlock(AnySubject(), {JobAction.START}, assertions=(assertion,))
     q = AuthzQuery(ALICE, JobAction.START, "site", request=RslRequest(attrs))
-    return _reason(eval_block(block, q))
+    return _block_reason(block, q)
 
 
 class TestEvalAssertion:
     def test_must_contain_missing_attribute(self):
-        req = RslRequest({"count": 1})
-        reason = _reason(eval_assertion(MustContain("jobtag", None), req))
+        reason = _eval_start(MustContain("jobtag", None), {"count": 1})
         assert reason == "require attr jobtag: attribute missing"
 
     def test_must_not_contain_present(self):
-        req = RslRequest({"queue": "batch"})
-        reason = _reason(eval_assertion(MustNotContain("queue", None), req))
+        reason = _eval_start(MustNotContain("queue", None), {"queue": "batch"})
         assert reason == "forbid attr queue: attribute present"
 
     def test_may_contain_membership(self):
@@ -152,22 +157,46 @@ class TestEvalAssertion:
         )
 
     def test_type_mismatch_is_violation_not_error(self):
-        req = RslRequest({"weird": "abc"})
-        reason = _reason(eval_assertion(MustContain("weird", RangeSpec(1, 4)), req))
+        reason = _eval_start(MustContain("weird", RangeSpec(1, 4)), {"weird": "abc"})
         assert reason == 'require attr weird: value "abc" fails range 1..4'
 
     def test_list_values_never_satisfy_value_specs(self):
-        from gridauth.policy import EnumSpec
-
-        req = RslRequest({"arguments": ["a", "b"]})
-        reason = _eval_start(MayContain("arguments", EnumSpec(("a",))), req.attributes)
+        attrs = {"arguments": ["a", "b"]}
+        reason = _eval_start(MayContain("arguments", EnumSpec(("a",))), attrs)
         assert reason == 'attr arguments: value "a" "b" fails in {"a"}'
         # presence checks still work on list-valued attributes
-        assert eval_assertion(MustContain("arguments", None), req) is None
+        assert _eval_start(MustContain("arguments", None), attrs) is None
         assert (
-            _reason(eval_assertion(MustNotContain("arguments", None), req))
+            _eval_start(MustNotContain("arguments", None), attrs)
             == "forbid attr arguments: attribute present"
         )
+
+    def test_mixed_case_assertion_names_are_refused(self):
+        # a request stores names lower-case, and a block is checked by the
+        # names it holds, so "Count" would deny count=1 as closed-world
+        # yet never check count=5 against its range
+        for assertion in (
+            MayContain("Count", RangeSpec(1, 2)),
+            MustContain("JOBTAG"),
+            MustNotContain("queue ", None),
+            MustContain("k\u212a"),  # the Kelvin sign lowers to 'k'
+        ):
+            with pytest.raises(PolicyError, match=re.escape(repr(assertion.attr))):
+                SubjectBlock(
+                    AnySubject(), {JobAction.START}, {}, (assertion,), closed_world=True
+                )
+        block = SubjectBlock(
+            AnySubject(), {JobAction.START}, {}, (MayContain("count", RangeSpec(1, 2)),),
+            closed_world=True,
+        )
+        assert _block_reason(block, _start_query(ALICE, "&(COUNT=1)")) is None
+        assert (
+            _block_reason(block, _start_query(ALICE, "&(count=5)"))
+            == "attr count: value 5 fails range 1..2"
+        )
+        assert oracle.first_failure(block, _start_query(ALICE, "&(count=5)")) == ("attr", "count")
+        doc = PolicyDocument("p", "resource", blocks=(block,))
+        assert parse_policy(format_policy(doc)) == doc
 
 
 class TestEvalBlock:
@@ -179,7 +208,7 @@ class TestEvalBlock:
         # the oracle agrees this request satisfies the block
         assert oracle.block_permits_start(block, dict(request.attributes))
         q = AuthzQuery(DAVE, JobAction.START, "site", request=request)
-        assert eval_block(block, q) is None
+        assert _block_reason(block, q) is None
 
     def test_closed_world_rejects_extra_attribute(self):
         block = SCENARIO2_VO.blocks[0]
@@ -188,22 +217,22 @@ class TestEvalBlock:
         )
         assert not oracle.block_permits_start(block, dict(request.attributes))
         q = AuthzQuery(DAVE, JobAction.START, "site", request=request)
-        assert _reason(eval_block(block, q)) == "closed-world rejects attribute 'queue'"
+        assert _block_reason(block, q) == "closed-world rejects attribute 'queue'"
 
     def test_jobtag_grant_matches(self):
         block = ADMINS_VO.blocks[1]
         q = _mgmt_query(CAROL, JobAction.SUSPEND, jobtag="fusion-prod")
-        assert eval_block(block, q) is None
+        assert _block_reason(block, q) is None
 
     def test_jobtag_grant_mismatch(self):
         block = ADMINS_VO.blocks[1]
         q = _mgmt_query(CAROL, JobAction.SUSPEND, jobtag="other")
-        assert _reason(eval_block(block, q)) == "jobtag 'other' not in grants for action 'suspend'"
+        assert _block_reason(block, q) == "jobtag 'other' not in grants for action 'suspend'"
 
     def test_action_not_allowed(self):
         block = ADMINS_VO.blocks[0]
         q = _mgmt_query(ALICE, JobAction.SUSPEND, jobtag="x")
-        assert _reason(eval_block(block, q)) == "action 'suspend' not allowed"
+        assert _block_reason(block, q) == "action 'suspend' not allowed"
 
     def test_may_contain_union(self):
         doc = parse_policy(
@@ -212,9 +241,9 @@ class TestEvalBlock:
         )
         ok = AuthzQuery(ALICE, JobAction.START, "site", request=RslRequest({"count": 11}))
         bad = AuthzQuery(ALICE, JobAction.START, "site", request=RslRequest({"count": 5}))
-        assert eval_block(doc.blocks[0], ok) is None
+        assert _block_reason(doc.blocks[0], ok) is None
         assert (
-            _reason(eval_block(doc.blocks[0], bad))
+            _block_reason(doc.blocks[0], bad)
             == "attr count: value 5 fails range 1..2 or range 10..20"
         )
 
@@ -756,7 +785,7 @@ class TestTraceFields:
                 assert [(e.block, _failure(e)) for e in entries] == want
             for e in entries:
                 if e.kind in ("attr", "require-value", "forbid-present", "forbid-value"):
-                    assert e.value == q.request.get(e.check.attr)
+                    assert e.value == q.request.attributes.get(e.check.attr)
 
     def test_equal_failures_share_one_entry(self):
         text = (

@@ -15,6 +15,8 @@ import oracle
 from generators import rand_block, rand_credential, rand_policy
 from gridauth.credential import GridCredential
 from gridauth.policy import (
+    PERMITTED,
+    REFUSED,
     AnySubject,
     BadRangeError,
     BadRegexError,
@@ -584,6 +586,45 @@ def _recompiled(block: SubjectBlock) -> tuple:
     return tuple(checks), frozenset(names if block.closed_world else ())
 
 
+def _recompiled_tables(doc: PolicyDocument) -> dict:
+    """``tables`` recomputed from each block's allowed actions, jobtag
+    grants and checks."""
+    kinds = {MayContain: "attr", MustContain: "require", MustNotContain: "forbid"}
+    tables = {}
+    for action in JobAction:
+        column = []
+        for block in doc.blocks:
+            if action not in block.allowed_actions:
+                column.append(REFUSED)
+            elif action is JobAction.START:
+                plan = tuple(
+                    (c.attr, kinds[type(c)], None if c.spec is None else c.spec.allows, c)
+                    for c in block.checks
+                )
+                column.append((plan, block.accepted_names if block.closed_world else None))
+            else:
+                column.append(block.jobtag_grants.get(action, PERMITTED))
+        tables[action] = tuple(column)
+    return tables
+
+
+def _random_documents():
+    """500 seeded ``(document, credential)`` pairs: up to 14 random blocks
+    with repeated DNs, groups and several ``any`` blocks."""
+    rng = random.Random(0x1DE)
+    extra = (
+        SubjectBlock(Identity("/O=Test/CN=u1")),
+        SubjectBlock(AnySubject()),
+        SubjectBlock(Group("g1")),
+    )
+    for _ in range(500):
+        blocks = [rand_block(rng) for _ in range(rng.randrange(0, 12))]
+        for block in rng.sample(extra, rng.randrange(0, 4)):
+            blocks.insert(rng.randrange(len(blocks) + 1), block)
+        doc = PolicyDocument("big", rng.choice(("resource", "vo")), blocks=blocks)
+        yield doc, rand_credential(rng, vo=rng.choice(("fusion", None)))
+
+
 def _scanned(doc: PolicyDocument, cred: GridCredential) -> list:
     return [
         i
@@ -602,19 +643,7 @@ PINNED = parse_policy(
 
 class TestCompiledForm:
     def test_index_candidates_equal_a_scan(self):
-        rng = random.Random(0x1DE)
-        extra = (
-            SubjectBlock(Identity("/O=Test/CN=u1")),
-            SubjectBlock(AnySubject()),
-            SubjectBlock(Group("g1")),
-        )
-        for _ in range(500):
-            blocks = [rand_block(rng) for _ in range(rng.randrange(0, 12))]
-            # repeated DNs, groups and several any blocks
-            for block in rng.sample(extra, rng.randrange(0, 4)):
-                blocks.insert(rng.randrange(len(blocks) + 1), block)
-            doc = PolicyDocument("big", rng.choice(("resource", "vo")), blocks=blocks)
-            cred = rand_credential(rng, vo=rng.choice(("fusion", None)))
+        for doc, cred in _random_documents():
             expected = _scanned(doc, cred)
             assert doc.applicable_indices(cred.subject, cred.groups) == expected
             assert applicable_blocks(doc, cred) == [doc.blocks[i] for i in expected]
@@ -648,6 +677,39 @@ class TestCompiledForm:
         )
         assert block.accepted_names == {"count", "jobtag"}
 
+    def test_tables_equal_a_recomputation(self):
+        for doc, _ in _random_documents():
+            assert doc.tables == _recompiled_tables(doc)
+        union, jobtag = PINNED.blocks[0].checks
+        assert PINNED.tables == {
+            JobAction.START: (
+                (
+                    (
+                        ("count", "attr", union.spec.allows, union),
+                        ("jobtag", "require", None, MustContain("jobtag")),
+                    ),
+                    frozenset({"count", "jobtag"}),
+                ),
+                REFUSED,
+            ),
+            JobAction.CANCEL: (REFUSED, frozenset({"t"})),
+            JobAction.STATUS: (REFUSED, REFUSED),
+            JobAction.SUSPEND: (REFUSED, REFUSED),
+            JobAction.RESUME: (REFUSED, REFUSED),
+            JobAction.SET_PRIORITY: (REFUSED, REFUSED),
+        }
+        assert union.spec.allows.__func__ is OrSpec.allows
+        open_block = SubjectBlock(AnySubject(), {JobAction.START, JobAction.STATUS})
+        assert PolicyDocument("e", "vo", blocks=(open_block,)).tables == {
+            JobAction.START: (((), None),),
+            JobAction.STATUS: (PERMITTED,),
+            **dict.fromkeys(
+                (JobAction.CANCEL, JobAction.SUSPEND, JobAction.RESUME, JobAction.SET_PRIORITY),
+                (REFUSED,),
+            ),
+        }
+        assert PolicyDocument("e", "vo").tables == dict.fromkeys(JobAction, ())
+
     def test_replace_recomputes(self):
         block = PINNED.blocks[0]
         changed = dataclasses.replace(
@@ -658,6 +720,7 @@ class TestCompiledForm:
         assert (changed.checks, changed.accepted_names) == _recompiled(changed)
 
         doc = dataclasses.replace(PINNED, blocks=(SubjectBlock(Group("g")),) + PINNED.blocks)
+        assert doc.tables == _recompiled_tables(doc)
         assert doc.applicable_indices("/O=Grid/CN=alice", frozenset({"g"})) == [0, 1, 2]
         assert doc.applicable_indices("/O=Grid/CN=bob", frozenset()) == [2]
 

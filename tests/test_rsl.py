@@ -32,7 +32,7 @@ class TestParse:
     def test_names_lowercased(self):
         req = parse_rsl('&(Executable="/bin/x")(JOBTAG="fusion-prod")')
         assert list(req.attributes) == ["executable", "jobtag"]
-        assert req.get("jobtag") == "fusion-prod"
+        assert req.attributes.get("jobtag") == "fusion-prod"
 
     def test_duplicate_attribute(self):
         with pytest.raises(DuplicateAttributeError) as exc:
@@ -63,7 +63,7 @@ class TestParse:
 
     def test_escapes(self):
         req = parse_rsl(r'&(stdout="a\"b\\c")')
-        assert req.get("stdout") == 'a"b\\c'
+        assert req.attributes.get("stdout") == 'a"b\\c'
 
     def test_bad_escape(self):
         with pytest.raises(RslSyntaxError):
@@ -123,19 +123,19 @@ class TestParse:
         assert exc.value.position == 9
 
     def test_arguments_always_a_list(self):
-        assert parse_rsl('&(arguments="a" "b")').get("arguments") == ["a", "b"]
-        assert parse_rsl('&(arguments="solo")').get("arguments") == ["solo"]
+        assert parse_rsl('&(arguments="a" "b")').attributes.get("arguments") == ["a", "b"]
+        assert parse_rsl('&(arguments="solo")').attributes.get("arguments") == ["solo"]
 
     def test_multi_string_only_for_arguments(self):
         with pytest.raises(RslSyntaxError):
             parse_rsl('&(queue="a" "b")')
 
     def test_negative_int(self):
-        assert parse_rsl("&(nice=-5)").get("nice") == -5
+        assert parse_rsl("&(nice=-5)").attributes.get("nice") == -5
 
     def test_int64_bounds(self):
-        assert parse_rsl(f"&(big={INT64_MAX})").get("big") == INT64_MAX
-        assert parse_rsl(f"&(small={INT64_MIN})").get("small") == INT64_MIN
+        assert parse_rsl(f"&(big={INT64_MAX})").attributes.get("big") == INT64_MAX
+        assert parse_rsl(f"&(small={INT64_MIN})").attributes.get("small") == INT64_MIN
         with pytest.raises(RslSyntaxError):
             parse_rsl(f"&(big={INT64_MAX + 1})")
 
@@ -154,11 +154,11 @@ class TestParse:
         assert str(exc.value) == f"integer out of signed 64-bit range at offset {offset}"
 
     def test_leading_zeros_do_not_count(self):
-        assert parse_rsl("&(big=" + "0" * 5000 + "42)").get("big") == 42
+        assert parse_rsl("&(big=" + "0" * 5000 + "42)").attributes.get("big") == 42
 
     @pytest.mark.parametrize("name", sorted(INT_ATTRIBUTES))
     def test_int_attributes_must_be_positive_ints(self, name):
-        assert parse_rsl(f"&({name}=7)").get(name) == 7
+        assert parse_rsl(f"&({name}=7)").attributes.get(name) == 7
         with pytest.raises(AttributeTypeError):
             parse_rsl(f'&({name}="7")')
         with pytest.raises(AttributeTypeError):
@@ -168,7 +168,7 @@ class TestParse:
 
     @pytest.mark.parametrize("name", sorted(TEXT_ATTRIBUTES))
     def test_text_attributes_must_be_strings(self, name):
-        assert parse_rsl(f'&({name}="x")').get(name) == "x"
+        assert parse_rsl(f'&({name}="x")').attributes.get(name) == "x"
         with pytest.raises(AttributeTypeError):
             parse_rsl(f"&({name}=3)")
 
@@ -178,8 +178,8 @@ class TestParse:
 
     def test_unknown_attributes_pass_through(self):
         req = parse_rsl('&(frobnicate="yes")(weird_num=-12)')
-        assert req.get("frobnicate") == "yes"
-        assert req.get("weird_num") == -12
+        assert req.attributes.get("frobnicate") == "yes"
+        assert req.attributes.get("weird_num") == -12
 
 
 class TestSerialize:
@@ -203,14 +203,16 @@ class TestSerialize:
 
 class TestGetAttr:
     def test_lookup_is_case_insensitive(self):
-        req = RslRequest({"jobtag": "t"})
-        assert req.get("JOBTAG") == "t"
+        # names are stored lower-case, so the lower-case name finds a value
+        # however the request spelled it
+        assert RslRequest({"JOBTAG": "t"}).attributes == {"jobtag": "t"}
+        assert parse_rsl('&(JobTag="t")').attributes == {"jobtag": "t"}
 
     def test_absent(self):
-        assert RslRequest({"queue": "q"}).get("count") is None
+        assert RslRequest({"queue": "q"}).attributes.get("count") is None
 
     def test_int_value(self):
-        assert RslRequest({"count": 4}).get("count") == 4
+        assert RslRequest({"count": 4}).attributes["count"] == 4
 
 
 class _Text(str):
