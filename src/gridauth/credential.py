@@ -227,6 +227,10 @@ def _validate_claims(claims: CapabilityClaims) -> None:
         raise InvalidClaimsError(f"policy fragment does not parse: {exc}") from None
     if fragment.source != "vo":
         raise InvalidClaimsError("policy fragment must be a vo document")
+    if fragment.name != claims.vo:
+        raise InvalidClaimsError(
+            f"policy fragment names vo {fragment.name!r}, not the claims vo {claims.vo!r}"
+        )
     for i, block in enumerate(fragment.blocks):
         if not policy_mod.matcher_matches(block.matcher, claims.subject, claims.groups):
             raise InvalidClaimsError(

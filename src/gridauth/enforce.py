@@ -89,6 +89,10 @@ class DynamicAccountPool:
     def free_accounts(self) -> tuple:
         return tuple(self._free)
 
+    @property
+    def exhausted(self) -> bool:
+        return not self._free
+
     def lease(self) -> str:
         if not self._free:
             raise PoolExhaustedError("no dynamic accounts available")
@@ -122,7 +126,7 @@ class _VoAccount:
 class AllocationLedger:
     """VO-allocation and member-quota accounting in whole cpu-seconds.
 
-    ``reserve`` is all-or-nothing: both bounds are checked before either
+    ``reserve`` is all-or-nothing: both bounds are checked before any
     figure moves.  ``settle`` refunds the unconsumed part of an earlier
     reservation; the consumed part stays charged.
     """
@@ -161,28 +165,53 @@ class AllocationLedger:
             raise UnknownVoError(f"vo '{vo}' is not registered")
         return account
 
-    def reserve(self, vo: str, member: str, amount: int) -> None:
+    def reserve(self, vo: str, member: str, amount: int, terms: tuple | None = None) -> None:
+        """Charge ``amount`` to ``vo`` and ``member``.
+
+        ``terms``, when given, are the ``(allocation, quota)`` of the VO's
+        document, a quota of None leaving the member's own.  The bounds,
+        the terms' when given, are checked before anything moves; the
+        terms are written, registering the VO if it is not, only when
+        the reservation is made.
+        """
+        if amount == 0 and terms is None:
+            return
+        account, record = self._bounded(vo, member, amount, terms)
+        if terms is not None:
+            account = self._vos.setdefault(vo, account)
+            account.allocation, quota = terms
+            if quota is not None:
+                record = record or account.members.setdefault(member, _MemberAccount())
+                record.quota = quota
+        if amount:
+            account.used += amount
+            (record or account.members.setdefault(member, _MemberAccount())).used += amount
+
+    def check_reserve(self, vo: str, member: str, amount: int, terms: tuple | None = None) -> None:
+        """Raise what `reserve` would raise, changing nothing."""
+        self._bounded(vo, member, amount, terms)
+
+    def _bounded(self, vo: str, member: str, amount: int, terms: tuple | None) -> tuple:
+        """The records `reserve` charges, the VO's (a new one for a VO that
+        ``terms`` register) and the member's or None, once ``amount`` fits
+        both bounds."""
         if amount < 0:
             raise ValueError("reservation amount must be non-negative")
-        if amount == 0:
-            return
-        account = self._require_vo(vo)
-        if account.allocation is not None and account.used + amount > account.allocation:
-            raise QuotaExceededError(
-                "vo",
-                f"vo '{vo}' allocation exceeded: "
-                f"{account.used} + {amount} > {account.allocation}",
-            )
+        account = self._require_vo(vo) if terms is None else self._vos.get(vo) or _VoAccount()
+        allocation, quota = (account.allocation, None) if terms is None else terms
         record = account.members.get(member)
-        if record is not None and record.quota is not None:
-            if record.used + amount > record.quota:
-                raise QuotaExceededError(
-                    "member",
-                    f"member '{member}' quota exceeded: "
-                    f"{record.used} + {amount} > {record.quota}",
-                )
-        account.used += amount
-        account.members.setdefault(member, _MemberAccount()).used += amount
+        if quota is None and record is not None:
+            quota = record.quota
+        used = 0 if record is None else record.used
+        if amount and allocation is not None and account.used + amount > allocation:
+            raise QuotaExceededError(
+                "vo", f"vo '{vo}' allocation exceeded: {account.used} + {amount} > {allocation}"
+            )
+        if amount and quota is not None and used + amount > quota:
+            raise QuotaExceededError(
+                "member", f"member '{member}' quota exceeded: {used} + {amount} > {quota}"
+            )
+        return account, record
 
     def settle(self, vo: str, member: str, reserved: int, consumed: int) -> None:
         if consumed > reserved:

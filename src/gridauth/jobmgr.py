@@ -54,14 +54,13 @@ import heapq
 import re
 from collections import Counter
 from dataclasses import dataclass, replace
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .credential import CapabilityToken, GridCredential, GridMapFile
 from .enforce import (
     AllocationLedger,
     DynamicAccountPool,
     EnforcementError,
-    PoolExhaustedError,
     SandboxSpec,
     record_usage,
 )
@@ -181,8 +180,7 @@ class Job:
         return self.request.attributes.get("jobtag")
 
 
-@dataclass(frozen=True, slots=True)
-class Event:
+class Event(NamedTuple):
     t: int
     job: str
     name: str
@@ -300,8 +298,10 @@ class JobManager:
         """Admit a job or raise; admission is atomic.
 
         Raises RslError for malformed requests, DeniedByPolicyError,
-        QuotaExceededError or NoAccountsAvailableError; on any of these
-        no state change persists.
+        QuotaExceededError or NoAccountsAvailableError (a quota refusal
+        first when both hold); each is raised before anything changes.
+        An accounted job's reservation writes the permit's VO terms, its
+        allocation and the member's quota, into the ledger.
         """
         request = parse_rsl(rsl_text)
         query = AuthzQuery(credential=cred, action=JobAction.START, request=request)
@@ -310,28 +310,22 @@ class JobManager:
         sandbox = SandboxSpec(max_cpu, max_memory)
 
         vo_doc = decision.vo_document
-        accounted = False
         reserved = decision.charged_estimate or 0
+        terms = None
         if cred.vo is not None and vo_doc is not None and vo_doc.accounts_for(cred.subject):
-            accounted = True
-            self.ledger.register_vo(cred.vo, vo_doc.allocation)
-            if cred.subject in vo_doc.member_quotas:
-                self.ledger.set_member_quota(
-                    cred.vo, cred.subject, vo_doc.member_quotas[cred.subject]
-                )
-            self.ledger.reserve(cred.vo, cred.subject, reserved)
-
+            terms = vo_doc.allocation, vo_doc.member_quotas.get(cred.subject)
         account = self.gridmap.lookup(cred.subject)
         pooled = account is None
+        if pooled and self.pool.exhausted:
+            if terms is not None:
+                self.ledger.check_reserve(cred.vo, cred.subject, reserved, terms)
+            raise NoAccountsAvailableError(
+                f"no local account for {cred.subject} and the dynamic pool is empty"
+            )
+        if terms is not None:
+            self.ledger.reserve(cred.vo, cred.subject, reserved, terms)
         if pooled:
-            try:
-                account = self.pool.lease()
-            except PoolExhaustedError:
-                if accounted:
-                    self.ledger.settle(cred.vo, cred.subject, reserved, 0)
-                raise NoAccountsAvailableError(
-                    f"no local account for {cred.subject} and the dynamic pool is empty"
-                ) from None
+            account = self.pool.lease()
 
         job_id = f"j{self._next_seq}"
         self._next_seq += 1
@@ -349,7 +343,7 @@ class JobManager:
             ended_at=None,
             profile=profile,
             sandbox=sandbox,
-            accounted=accounted,
+            accounted=terms is not None,
         )
         self.jobs[job_id] = job
         self._pending[job_id] = job

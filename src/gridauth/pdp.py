@@ -17,7 +17,11 @@ document from its embedded fragment and delegates to `decide`.  A pushed
 token binds its subject and its VO: unless both equal the credential's
 (a credential naming no VO never matches), the query is denied before
 the fragment is parsed, with reason ``subject-mismatch`` or
-``vo-mismatch``.  The fragment is parsed once per distinct text per
+``vo-mismatch``.  The fragment must be a VO document named for the
+token's VO; one of another source or naming another VO is denied
+(``not-a-vo-fragment``, ``fragment-vo-mismatch``) before any block is
+evaluated, so its allocation never reaches admission.  The fragment is
+parsed once per distinct text per
 process, and only after the MAC, expiry and binding checks, which run
 on every call: `_parse_fragment` is a `functools.lru_cache` of at most
 ``FRAGMENT_CACHE_SIZE`` (128) documents keyed on the whole fragment
@@ -42,8 +46,9 @@ attributes by their stored, lower-case names.  All entry points are pure
 functions over immutable inputs.
 
 A permitted start obliges the site to run the job within the caps of
-its permitting blocks; `sandbox_limits` derives them at admission, the
-only user, rather than inside `decide`.
+its permitting blocks.  Each block compiles its caps when it is built
+(`SubjectBlock.caps`), and `sandbox_limits` takes their least at
+admission, its only user, rather than inside `decide`.
 """
 
 from __future__ import annotations
@@ -63,10 +68,8 @@ from .credential import (
 from .policy import (
     PERMITTED,
     REFUSED,
-    MustNotContain,
     PolicyDocument,
     PolicyError,
-    _interval,
     applicable_blocks,
     format_policy,
     parse_policy,
@@ -154,6 +157,7 @@ _REASONS = {
     **dict.fromkeys(("subject-mismatch", "vo-mismatch"), lambda e: e.kind),
     "invalid-fragment": lambda e: f"invalid policy fragment: {e.value}",
     "not-a-vo-fragment": lambda e: "policy fragment is not a vo document",
+    "fragment-vo-mismatch": lambda e: f"policy fragment names vo '{e.value}', not the token's",
 }
 
 _trace_entry = lru_cache(maxsize=TRACE_ENTRY_CACHE_SIZE)(TraceEntry)
@@ -304,24 +308,23 @@ def sandbox_limits(
 ) -> tuple:
     """``(max_cpu, max_memory)`` for a permitted start; None is no limit.
 
-    Each is the least of the request's own value and every upper bound
-    of at least 1 that a permitting block of a consulted source sets on
-    the attribute in its ``checks`` (an ``or`` with an open end sets
-    none); ``max_cpu`` is then multiplied by ``count``.
+    Each is the least of the request's own value and the caps of every
+    permitting block of a consulted source, which each block compiles
+    when it is built (`SubjectBlock.caps`: the least upper bound of at
+    least 1 its checks set on ``maxcputime`` or ``maxmemory``; an ``or``
+    with an open end sets none).  ``max_cpu`` is then multiplied by
+    ``count``.
     """
     attrs = request.attributes  # names are stored lower-case
-    caps = {"maxcputime": attrs.get("maxcputime"), "maxmemory": attrs.get("maxmemory")}
+    cpu, memory = attrs.get("maxcputime"), attrs.get("maxmemory")
     for entry in decision.trace:
         if entry.outcome == "permit" and entry.block is not None:
             doc = resource_doc if entry.source == "resource" else decision.vo_document
-            for check in doc.blocks[entry.block].checks:
-                if check.attr in caps and not isinstance(check, MustNotContain):
-                    upper = (_interval(check.spec) or (None, None))[1]
-                    cap = caps[check.attr]
-                    # the attribute is positive, so a bound below 1 caps nothing
-                    if upper is not None and upper >= 1 and (cap is None or upper < cap):
-                        caps[check.attr] = upper
-    cpu, memory = caps.values()
+            block_cpu, block_memory = doc.blocks[entry.block].caps
+            if block_cpu is not None and (cpu is None or block_cpu < cpu):
+                cpu = block_cpu
+            if block_memory is not None and (memory is None or block_memory < memory):
+                memory = block_memory
     return (None if cpu is None else (attrs.get("count") or 1) * cpu), memory
 
 
@@ -396,8 +399,10 @@ def decide_push(
     The token's MAC and expiry, then its subject and VO binding, are
     checked on every call.  Only a token that passes them reaches the
     fragment, which `_parse_fragment` parses once per distinct text per
-    process (at most ``FRAGMENT_CACHE_SIZE`` texts are kept); a permitted
-    start carries that document as its ``vo_document``.
+    process (at most ``FRAGMENT_CACHE_SIZE`` texts are kept).  It must be
+    a VO document named for the token's VO, or the query is denied before
+    any block is evaluated; a permitted start carries that document as
+    its ``vo_document``.
     """
     try:
         claims = verify_capability(registry, token, now)
@@ -417,6 +422,9 @@ def decide_push(
         return Decision("deny", (entry,), None)
     if fragment.source != "vo":
         return Decision("deny", (TraceEntry("vo", None, "deny", "not-a-vo-fragment"),), None)
+    if fragment.name != claims.vo:
+        entry = TraceEntry("vo", None, "deny", "fragment-vo-mismatch", None, fragment.name)
+        return Decision("deny", (entry,), None)
     return decide(q, PolicySourceSet(resource=resource_doc, vo=fragment))
 
 

@@ -33,7 +33,8 @@ Attribute names are stored lower-case, as RSL stores them: the parser
 lowers them, and a block built in code with any other name is refused.
 Blocks and documents are compiled when they are built: a document holds
 one table per job action, with one entry per block (a refusal, a permit,
-a jobtag grant set, or for ``start`` the block's check plan).  Documents
+a jobtag grant set, or for ``start`` the block's check plan), and each
+block holds the sandbox caps a permit by it sets.  Documents
 are immutable after parsing and safe to share between concurrent
 evaluations.
 """
@@ -193,6 +194,25 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _interval(spec: ValueSpec):
+    """The integer interval ``(lo, hi)`` a numeric spec spans, None marking
+    an open end; an `OrSpec` spans the hull of its alternatives.  None when
+    the spec (or an alternative) is not numeric."""
+    if isinstance(spec, RangeSpec):
+        return spec.lo, spec.hi
+    if isinstance(spec, MaxSpec):
+        return None, spec.bound
+    if isinstance(spec, MinSpec):
+        return spec.bound, None
+    if isinstance(spec, OrSpec):
+        ends = [_interval(alt) for alt in spec.alternatives]
+        if None in ends:
+            return None
+        los, his = zip(*ends)
+        return (None if None in los else min(los)), (None if None in his else max(his))
+    return None
+
+
 # ---------------------------------------------------------------------------
 # Assertions, matchers, blocks, documents
 # ---------------------------------------------------------------------------
@@ -276,7 +296,13 @@ class SubjectBlock:
     holding one ``(name, kind, spec's allows or None, assertion)`` step
     per check, of kind ``attr``, ``require`` or ``forbid``; for a
     management action, its jobtag grant set, or `PERMITTED` without one.
-    None of the three takes part in equality or ``repr``.
+
+    ``caps`` is the ``(maxcputime, maxmemory)`` pair of caps a permit by
+    the block sets on a job (see `pdp.sandbox_limits`), None for no cap:
+    the least upper end of at least 1 of the block's ``attr`` and
+    ``require`` checks on the attribute.  A non-numeric spec or an ``or``
+    with an open upper end sets none.  None of these four takes part in
+    equality or ``repr``.
 
     Assertion names must be lower-case (``[a-z_][a-z0-9_]*``), as RSL
     stores them and the parser writes them, so a plan reads a request's
@@ -292,6 +318,7 @@ class SubjectBlock:
     checks: tuple = field(init=False, repr=False, compare=False)
     accepted_names: frozenset = field(init=False, repr=False, compare=False)
     entries: tuple = field(init=False, repr=False, compare=False)
+    caps: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         allowed = frozenset(self.allowed_actions)
@@ -318,6 +345,14 @@ class SubjectBlock:
                 specs = unions.pop(a.attr)
                 checks.append(a if len(specs) == 1 else MayContain(a.attr, OrSpec(specs)))
         object.__setattr__(self, "checks", tuple(checks))
+        caps = {"maxcputime": None, "maxmemory": None}
+        for c in checks:
+            if c.attr in caps and not isinstance(c, MustNotContain):
+                upper, cap = (_interval(c.spec) or (None, None))[1], caps[c.attr]
+                # the attribute is positive, so a bound below 1 caps nothing
+                if upper is not None and upper >= 1 and (cap is None or upper < cap):
+                    caps[c.attr] = upper
+        object.__setattr__(self, "caps", tuple(caps.values()))
         accepted = _NO_NAMES
         if self.closed_world:
             accepted = frozenset(
@@ -778,25 +813,6 @@ class Diagnostic:
     code: str
     message: str
     block: int | None = None
-
-
-def _interval(spec: ValueSpec):
-    """The integer interval ``(lo, hi)`` a numeric spec spans, None marking
-    an open end; an `OrSpec` spans the hull of its alternatives.  None when
-    the spec (or an alternative) is not numeric."""
-    if isinstance(spec, RangeSpec):
-        return spec.lo, spec.hi
-    if isinstance(spec, MaxSpec):
-        return None, spec.bound
-    if isinstance(spec, MinSpec):
-        return spec.bound, None
-    if isinstance(spec, OrSpec):
-        ends = [_interval(alt) for alt in spec.alternatives]
-        if None in ends:
-            return None
-        los, his = zip(*ends)
-        return (None if None in los else min(los)), (None if None in his else max(his))
-    return None
 
 
 def _interval_contains(outer, inner) -> bool:

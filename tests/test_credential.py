@@ -160,6 +160,12 @@ class TestSignVerify:
                 KEY, _claims(policy_fragment='policy "x" source resource { }')
             )
 
+    def test_fragment_must_name_the_claims_vo(self):
+        fragment = FRAGMENT.replace('policy "fusion"', 'policy "other"')
+        assert fragment != FRAGMENT
+        with pytest.raises(InvalidClaimsError, match="names vo 'other', not the claims vo 'fusion'"):
+            sign_capability(KEY, _claims(policy_fragment=fragment))
+
     def test_fragment_blocks_must_apply_to_subject(self):
         fragment = (
             'policy "fusion" source vo {\n'

@@ -191,6 +191,9 @@ def _push_cases() -> list:
     resource_fragment = _hand_mac(dataclasses.replace(
         claims, policy_fragment=claims.policy_fragment.replace("source vo", "source resource")
     ))
+    other_vo_fragment = _hand_mac(dataclasses.replace(
+        claims, policy_fragment=claims.policy_fragment.replace('policy "fusion"', 'policy "other"')
+    ))
     return [
         ("push-permit", ok, token, registry, 0),
         ("push-deny", _start(ANA, ANA_OK.replace('"gold"', '"bronze"')), token, registry, 0),
@@ -204,6 +207,7 @@ def _push_cases() -> list:
         ("push-invalid-fragment", ok, syntax, registry, 0),
         ("push-invalid-fragment-int64", ok, too_long, registry, 0),
         ("push-not-a-vo-fragment", ok, resource_fragment, registry, 0),
+        ("push-fragment-vo-mismatch", ok, other_vo_fragment, registry, 0),
     ]
 
 
@@ -272,6 +276,7 @@ LINE_FORMS = {
     "vo-mismatch": r"vo-mismatch",
     "invalid-fragment": r"invalid policy fragment: .+",
     "not-a-vo-fragment": r"policy fragment is not a vo document",
+    "fragment-vo-mismatch": r"policy fragment names vo '\w+', not the token's",
 }
 
 

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import hmac
 import json
 import random
 import sys
@@ -16,11 +18,13 @@ from gridauth.credential import (
     CapabilityToken,
     GridCredential,
     GridMapFile,
+    canonical_claims_text,
     sign_capability,
 )
 from gridauth.enforce import DynamicAccountPool, QuotaExceededError
 from gridauth.jobmgr import (
     DeniedByPolicyError,
+    Event,
     IllegalTransitionError,
     JobManager,
     JobState,
@@ -32,7 +36,7 @@ from gridauth.jobmgr import (
 )
 from gridauth.pdp import derive_capability
 from gridauth.policy import parse_policy
-from gridauth.rsl import JobAction, parse_rsl
+from gridauth.rsl import JobAction, RslError, parse_rsl
 
 KEY = bytes(range(32))
 
@@ -208,6 +212,150 @@ class TestSubmit:
             SimProfile(runtime=5),
         )
         assert eng.job_record(job_id).jobtag == "fusion-prod"
+
+
+def _hand_mac(claims) -> CapabilityToken:
+    """A token over claims that `sign_capability` would refuse to sign."""
+    text = canonical_claims_text(claims).encode("utf-8")
+    return CapabilityToken(claims=claims, mac=hmac.new(KEY, text, hashlib.sha256).digest())
+
+
+class TestRefusedAdmissionChangesNothing:
+    """Every refusal of a submit, in pull and in push mode, leaves the
+    snapshot byte for byte as it was: the jobs, the ledger (its VO and
+    member records, their figures and their order), the pool and the
+    events."""
+
+    TIGHT = parse_policy(
+        'policy "fusion" source vo { allocation 100 cpu-seconds;'
+        '  member-quota "/O=Grid/CN=ghost" 50 cpu-seconds;'
+        '  member-quota "/O=Grid/CN=alice" 90 cpu-seconds;'
+        '  subject group "members" { allow action start; attr maxcputime max 300; } }'
+    )
+    #: refusal -> (its error, the submitter, the RSL text, the pool)
+    REFUSALS = {
+        "rsl": (RslError, GHOST, "&(count=1)(count=2)", ("dyn00",)),
+        "policy": (DeniedByPolicyError, GHOST, '&(executable="/x")(maxcputime=900)', ("dyn00",)),
+        "accounting": (DeniedByPolicyError, GHOST, '&(executable="/x")', ("dyn00",)),
+        "vo-allocation": (QuotaExceededError, ALICE, '&(executable="/x")(count=2)(maxcputime=60)',
+                          ()),
+        "member-quota": (QuotaExceededError, GHOST, '&(executable="/x")(maxcputime=60)',
+                         ("dyn00",)),
+        "quota-before-pool": (QuotaExceededError, GHOST, '&(executable="/x")(maxcputime=60)', ()),
+        "empty-pool": (NoAccountsAvailableError, GHOST, '&(executable="/x")(maxcputime=10)', ()),
+    }
+
+    @pytest.mark.parametrize("push", [False, True], ids=["pull", "push"])
+    @pytest.mark.parametrize("kind", list(REFUSALS))
+    def test_snapshot_is_unchanged(self, kind, push):
+        error, cred, rsl, pool = self.REFUSALS[kind]
+        # in push mode the site holds no document of the VO
+        eng = _engine(vo=None if push else self.TIGHT, pool=pool)
+        token = None
+        if push:
+            token = sign_capability(KEY, derive_capability(self.TIGHT, cred, expiry=10**9))
+        before = json.dumps(eng.snapshot())
+        with pytest.raises(error):
+            eng.gatekeeper_submit(cred, rsl, SimProfile(runtime=10), token=token)
+        assert json.dumps(eng.snapshot()) == before
+
+    def test_refused_push_keeps_the_local_terms(self):
+        # the site's own fusion document allows 1000 cpu-seconds; a token
+        # whose fragment states 100 is refused, and the ledger keeps 1000
+        eng = _engine(pool=("dyn00",))
+        eng.gatekeeper_submit(ALICE, TRANSP.replace("600", "50"), SimProfile(runtime=10))
+        token = sign_capability(KEY, derive_capability(self.TIGHT, GHOST, expiry=10**9))
+        before = json.dumps(eng.snapshot())
+        for rsl in ('&(executable="/x")(maxcputime=60)', '&(executable="/x")(maxcputime=200)'):
+            with pytest.raises(QuotaExceededError):
+                eng.gatekeeper_submit(GHOST, rsl, SimProfile(runtime=10), token=token)
+            assert json.dumps(eng.snapshot()) == before
+        assert eng.ledger.allocation("fusion") == 1000
+        # an admitted push writes the fragment's terms, as it always has
+        eng.gatekeeper_submit(GHOST, '&(executable="/x")(maxcputime=40)', SimProfile(runtime=10),
+                              token=token)
+        assert eng.ledger_report().splitlines() == [
+            "vo=fusion used=90/100",
+            "member=/O=Grid/CN=alice used=50/600",
+            "member=/O=Grid/CN=bob used=0/600",
+            "member=/O=Grid/CN=ghost used=40/50",
+        ]
+
+    def test_fragment_naming_another_vo_is_refused(self):
+        eng = _engine(pool=("dyn00",))
+        claims = derive_capability(self.TIGHT, GHOST, expiry=10**9)
+        claims = dataclasses.replace(
+            claims, policy_fragment=claims.policy_fragment.replace('policy "fusion"', 'policy "other"')
+        )
+        before = json.dumps(eng.snapshot())
+        with pytest.raises(DeniedByPolicyError) as exc:
+            eng.gatekeeper_submit(GHOST, '&(executable="/x")(maxcputime=60)', SimProfile(runtime=10),
+                                  token=_hand_mac(claims))
+        assert str(exc.value) == "denied by policy: policy fragment names vo 'other', not the token's"
+        assert json.dumps(eng.snapshot()) == before
+
+
+class TestCapsCompiledOnce:
+    @pytest.mark.parametrize("push", [False, True], ids=["pull", "push"])
+    def test_admission_derives_no_interval(self, monkeypatch, push):
+        vo = parse_policy(
+            'policy "fusion" source vo { subject group "members" { allow action start;'
+            " attr maxcputime max 300; require attr maxmemory max 512; } }"
+        )
+        eng = _engine(vo=None if push else vo)
+        token = None
+        if push:
+            token = sign_capability(KEY, derive_capability(vo, ALICE, expiry=10**9))
+            pdp._parse_fragment(token.claims.policy_fragment)  # its blocks are built here
+
+        def interval(spec):
+            raise AssertionError("admission derived a cap from a spec")
+
+        for module in (policy, pdp, jobmgr):
+            monkeypatch.setattr(module, "_interval", interval, raising=False)
+        for rsl, caps in (('&(executable="/x")(count=2)(maxmemory=100)', (600, 100)),
+                          ('&(executable="/x")(maxcputime=20)(maxmemory=9)', (20, 9))):
+            job_id = eng.gatekeeper_submit(ALICE, rsl, SimProfile(runtime=10), token=token)
+            sandbox = eng.job_record(job_id).sandbox
+            assert (sandbox.max_cpu, sandbox.max_memory) == caps
+
+
+class TestEvent:
+    def test_fields_and_line(self):
+        event = Event(3, "j1", "done", "state=done consumed=2 refunded=598")
+        assert Event._fields == ("t", "job", "name", "detail")
+        assert (event.t, event.job, event.name, event.detail) == (
+            3, "j1", "done", "state=done consumed=2 refunded=598"
+        )
+        assert event.line == "t=3 job=j1 event=done detail=state=done consumed=2 refunded=598"
+
+    def test_is_immutable(self):
+        event = Event(0, "j1", "submit", "x")
+        for name in ("t", "job", "name", "detail", "other"):
+            with pytest.raises(AttributeError):
+                setattr(event, name, 1)
+        assert event == Event(0, "j1", "submit", "x")
+
+    def test_restore_and_snapshot_keep_the_events(self):
+        eng = _engine(pool=("dyn00",))
+        eng.gatekeeper_submit(ALICE, TRANSP, SimProfile(runtime=2))
+        eng.gatekeeper_submit(GHOST, TRANSP.replace("600", "100"), SimProfile(runtime=50))
+        eng.tick(3)
+        eng.manage("j2", JobAction.SUSPEND, GHOST)
+        snap = json.loads(json.dumps(eng.snapshot()))
+        assert snap["events"][:2] == [
+            {"t": 0, "job": "j1", "name": "submit",
+             "detail": "owner=/O=Grid/CN=alice state=pending reserved=600"},
+            {"t": 0, "job": "j2", "name": "submit",
+             "detail": "owner=/O=Grid/CN=ghost state=pending reserved=100"},
+        ]
+        assert [list(e) for e in snap["events"]] == [["t", "job", "name", "detail"]] * 6
+        again = JobManager.restore(snap, resource_policy=RESOURCE, vo_policies=[VO_ACCOUNTING],
+                                   gridmap=GRIDMAP)
+        assert again.events == eng.events
+        assert all(type(e) is Event for e in again.events)
+        assert "\n".join(again.event_lines()).encode() == "\n".join(eng.event_lines()).encode()
+        assert again.snapshot()["events"] == snap["events"]
 
 
 def _count_policy_parses(monkeypatch) -> list:

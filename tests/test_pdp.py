@@ -462,6 +462,20 @@ class TestDecidePush:
         assert entry.reason.startswith("invalid policy fragment: line ")
         assert entry.reason.endswith(": integer out of signed 64-bit range")
 
+    def test_fragment_naming_another_vo_denies_before_any_block(self):
+        # sign_capability refuses such claims, so the token is MACed by hand
+        claims = derive_capability(SCENARIO2_VO, ALICE, expiry=10**9)
+        fragment = claims.policy_fragment.replace('policy "fusion"', 'policy "other"')
+        assert fragment != claims.policy_fragment
+        claims = dataclasses.replace(claims, policy_fragment=fragment)
+        mac = hmac.new(KEY, canonical_claims_text(claims).encode("utf-8"), hashlib.sha256)
+        token = CapabilityToken(claims=claims, mac=mac.digest())
+        q = _start_query(ALICE, '&(executable="/opt/vo/apps/transp")(count=1)')
+        d = decide_push(q, OPEN_RESOURCE, token, {"fusion": KEY}, now=0)
+        assert d.trace == (TraceEntry("vo", None, "deny", "fragment-vo-mismatch", None, "other"),)
+        assert d.trace[0].reason == "policy fragment names vo 'other', not the token's"
+        assert d.vo_document is None
+
     def test_expired_token_denies(self):
         claims = derive_capability(SCENARIO2_VO, ALICE, expiry=50)
         token = sign_capability(KEY, claims)

@@ -608,6 +608,37 @@ def _recompiled_tables(doc: PolicyDocument) -> dict:
     return tables
 
 
+def _sandbox_block(rng: random.Random) -> SubjectBlock:
+    """A `rand_block` draw whose ``count`` and ``queue`` assertions are
+    renamed to ``maxcputime`` or ``maxmemory``, so that its checks set
+    caps with numeric, text and mixed specs."""
+    block = rand_block(rng)
+    names = {attr: rng.choice(("maxcputime", "maxmemory")) for attr in ("count", "queue")}
+    return dataclasses.replace(block, assertions=tuple(
+        dataclasses.replace(a, attr=names.get(a.attr, a.attr)) for a in block.assertions
+    ))
+
+
+def _recomputed_caps(block: SubjectBlock) -> tuple:
+    """``caps`` recomputed from the block's checks, with the oracle's probe
+    for the largest value each spec allows."""
+    caps = []
+    for attr in ("maxcputime", "maxmemory"):
+        found = [
+            oracle.spec_cap(c.spec)
+            for c in block.checks
+            if c.attr == attr and c.spec is not None and not isinstance(c, MustNotContain)
+        ]
+        caps.append(min((cap for cap in found if cap is not None and cap >= 1), default=None))
+    return tuple(caps)
+
+
+def _caps_of(body: str) -> tuple:
+    """The caps of the one ``start`` block whose other clauses are ``body``."""
+    text = f'policy "p" source vo {{ subject any {{ allow action start; {body} }} }}'
+    return parse_policy(text).blocks[0].caps
+
+
 def _random_documents():
     """500 seeded ``(document, credential)`` pairs: up to 14 random blocks
     with repeated DNs, groups and several ``any`` blocks."""
@@ -709,6 +740,52 @@ class TestCompiledForm:
             ),
         }
         assert PolicyDocument("e", "vo").tables == dict.fromkeys(JobAction, ())
+
+    def test_caps_equal_a_recomputation(self):
+        rng = random.Random(0xCA95)
+        capped = 0
+        for _ in range(500):
+            block = _sandbox_block(rng)
+            assert block.caps == _recomputed_caps(block)
+            capped += block.caps != (None, None)
+        assert capped > 50
+        assert PINNED.blocks[0].caps == (None, None)  # count is no sandbox attribute
+
+    def test_caps_of_hand_picked_blocks(self):
+        assert _caps_of("") == (None, None)
+        assert _caps_of("require attr maxcputime max 300;") == (300, None)
+        assert _caps_of("require attr maxcputime;") == (None, None)
+        assert _caps_of("forbid attr maxmemory max 100;") == (None, None)
+        assert _caps_of("forbid attr maxcputime range 1..9; attr maxcputime max 20;") == (20, None)
+        # an `or` with an open upper end caps nothing; a closed one caps at its hull
+        assert _caps_of("attr maxcputime max 50 or min 10;") == (None, None)
+        assert _caps_of("attr maxcputime range 1..40 or range 60..90;") == (90, None)
+        assert _caps_of('attr maxmemory in {"big"} or max 7;') == (None, None)
+        # the attributes are positive, so a bound below 1 caps nothing
+        assert _caps_of("attr maxmemory max 0;") == (None, None)
+        assert _caps_of("attr maxmemory range -5..0; require attr maxcputime max 1;") == (1, None)
+        # the least bound within the block, over attr unions and require specs
+        assert _caps_of(
+            "attr maxcputime max 600; require attr maxcputime range 1..400;"
+            " attr maxmemory max 4096; attr maxmemory max 8192;"
+        ) == (400, 8192)
+
+    def test_caps_stay_out_of_equality_repr_and_text(self):
+        caps = {f.name: f for f in dataclasses.fields(SubjectBlock)}["caps"]
+        assert (caps.init, caps.compare, caps.repr) == (False, False, False)
+        block = SubjectBlock(AnySubject(), {JobAction.START}, assertions=(
+            MayContain("maxcputime", MaxSpec(9)), MustContain("maxmemory", RangeSpec(2, 5)),
+        ))
+        assert block.caps == (9, 5)
+        assert "caps" not in repr(block) and "(9, 5)" not in repr(block)
+        twin = dataclasses.replace(block)
+        object.__setattr__(twin, "caps", (1, 1))
+        assert twin == block
+        rng = random.Random(0xCA96)
+        for _ in range(100):
+            doc = PolicyDocument("p", "vo", blocks=[_sandbox_block(rng) for _ in range(3)])
+            again = parse_policy(format_policy(doc))
+            assert [b.caps for b in again.blocks] == [b.caps for b in doc.blocks]
 
     def test_replace_recomputes(self):
         block = PINNED.blocks[0]
