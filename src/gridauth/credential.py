@@ -76,6 +76,20 @@ class GridCredential:
             raise CredentialFormatError("groups require a vo")
 
 
+def _expiry_and_groups(fields: dict) -> tuple:
+    """The ``expiry`` and ``groups`` fields of a credential or token file.
+
+    ``expiry`` is an optional ``-`` and ASCII digits: ``1_000``, ``+7``
+    and non-ASCII digits, which `int` takes too, would load as the
+    integer that a token's MAC covers in its canonical form.
+    """
+    digits = fields["expiry"].removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise CredentialFormatError("expiry must be an integer")
+    groups = frozenset(g.strip() for g in fields.get("groups", "").split(",") if g.strip())
+    return int(fields["expiry"]), groups
+
+
 def load_credential(text: str) -> GridCredential:
     """Parse the line-oriented ``.cred`` format.
 
@@ -100,13 +114,7 @@ def load_credential(text: str) -> GridCredential:
         raise MissingFieldError("subject")
     if "expiry" not in fields:
         raise MissingFieldError("expiry")
-    try:
-        expiry = int(fields["expiry"])
-    except ValueError:
-        raise CredentialFormatError("expiry must be an integer") from None
-    groups = frozenset(
-        g.strip() for g in fields.get("groups", "").split(",") if g.strip()
-    )
+    expiry, groups = _expiry_and_groups(fields)
     return GridCredential(
         subject=fields["subject"],
         expiry=expiry,
@@ -231,11 +239,10 @@ def _validate_claims(claims: CapabilityClaims) -> None:
         raise InvalidClaimsError(
             f"policy fragment names vo {fragment.name!r}, not the claims vo {claims.vo!r}"
         )
-    for i, block in enumerate(fragment.blocks):
-        if not policy_mod.matcher_matches(block.matcher, claims.subject, claims.groups):
-            raise InvalidClaimsError(
-                f"fragment block {i} does not apply to the claims subject"
-            )
+    applies = fragment.applicable_indices(claims.subject, claims.groups)
+    missed = min(set(range(len(fragment.blocks))).difference(applies), default=None)
+    if missed is not None:
+        raise InvalidClaimsError(f"fragment block {missed} does not apply to the claims subject")
 
 
 def sign_capability(vo_key: bytes, claims: CapabilityClaims) -> CapabilityToken:
@@ -315,13 +322,7 @@ def load_token(text: str) -> CapabilityToken:
     for required in ("subject", "vo", "expiry"):
         if required not in fields:
             raise MissingFieldError(required)
-    try:
-        expiry = int(fields["expiry"])
-    except ValueError:
-        raise CredentialFormatError("expiry must be an integer") from None
-    groups = frozenset(
-        g.strip() for g in fields.get("groups", "").split(",") if g.strip()
-    )
+    expiry, groups = _expiry_and_groups(fields)
     claims = CapabilityClaims(
         subject=fields["subject"],
         vo=fields["vo"],

@@ -5,7 +5,11 @@ have no static mapping.  A lease lasts exactly as long as its job: the
 job records which account it holds, and the pool gets the account back
 when the job ends.  The allocation ledger charges VO and per-member
 cpu-second budgets at admission and refunds the unconsumed remainder
-when a job settles.  A sandbox holds the two caps a policy can set,
+when a job settles.  Its terms, a VO's allocation and its members'
+quotas, have one writer, `AllocationLedger.set_terms`: the engine writes
+the loaded VO documents' terms when it is built or restored, and each
+accounted admission writes its permit's, so a report shows the terms
+written last.  A sandbox holds the two caps a policy can set,
 cpu-seconds and memory.  Limits are inclusive: usage may equal a cap,
 exceeding it is a breach.
 """
@@ -14,7 +18,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Mapping
 
 
 class EnforcementError(ValueError):
@@ -134,21 +138,16 @@ class AllocationLedger:
     def __init__(self):
         self._vos: dict[str, _VoAccount] = {}
 
-    def register_vo(self, vo: str, allocation: int | None = None) -> None:
+    def set_terms(self, vo: str, allocation: int | None, quotas: Mapping) -> None:
+        """Write ``vo``'s allocation and the quota of each member ``quotas``
+        names, registering the VO and those members if they are missing."""
         account = self._vos.setdefault(vo, _VoAccount())
         account.allocation = allocation
-
-    def set_member_quota(self, vo: str, member: str, quota: int) -> None:
-        account = self._vos.get(vo)
-        if account is None:
-            raise UnknownVoError(f"vo '{vo}' is not registered")
-        account.members.setdefault(member, _MemberAccount()).quota = quota
+        for member, quota in quotas.items():
+            account.members.setdefault(member, _MemberAccount()).quota = quota
 
     def vos(self) -> tuple:
         return tuple(sorted(self._vos))
-
-    def allocation(self, vo: str) -> int | None:
-        return self._require_vo(vo).allocation
 
     def vo_used(self, vo: str) -> int:
         return self._require_vo(vo).used
@@ -165,40 +164,25 @@ class AllocationLedger:
             raise UnknownVoError(f"vo '{vo}' is not registered")
         return account
 
-    def reserve(self, vo: str, member: str, amount: int, terms: tuple | None = None) -> None:
-        """Charge ``amount`` to ``vo`` and ``member``.
-
-        ``terms``, when given, are the ``(allocation, quota)`` of the VO's
-        document, a quota of None leaving the member's own.  The bounds,
-        the terms' when given, are checked before anything moves; the
-        terms are written, registering the VO if it is not, only when
-        the reservation is made.
-        """
-        if amount == 0 and terms is None:
-            return
-        account, record = self._bounded(vo, member, amount, terms)
-        if terms is not None:
-            account = self._vos.setdefault(vo, account)
-            account.allocation, quota = terms
-            if quota is not None:
-                record = record or account.members.setdefault(member, _MemberAccount())
-                record.quota = quota
+    def reserve(self, vo: str, member: str, amount: int, terms: tuple) -> None:
+        """Charge ``amount`` to ``vo`` and ``member`` under ``terms``, the
+        ``(allocation, quota)`` of the VO's document, a quota of None leaving
+        the member's own.  Both bounds are checked before anything moves;
+        the terms are written only when the reservation is made."""
+        self.check_reserve(vo, member, amount, terms)
+        allocation, quota = terms
+        self.set_terms(vo, allocation, {} if quota is None else {member: quota})
         if amount:
+            account = self._vos[vo]
             account.used += amount
-            (record or account.members.setdefault(member, _MemberAccount())).used += amount
+            account.members.setdefault(member, _MemberAccount()).used += amount
 
-    def check_reserve(self, vo: str, member: str, amount: int, terms: tuple | None = None) -> None:
+    def check_reserve(self, vo: str, member: str, amount: int, terms: tuple) -> None:
         """Raise what `reserve` would raise, changing nothing."""
-        self._bounded(vo, member, amount, terms)
-
-    def _bounded(self, vo: str, member: str, amount: int, terms: tuple | None) -> tuple:
-        """The records `reserve` charges, the VO's (a new one for a VO that
-        ``terms`` register) and the member's or None, once ``amount`` fits
-        both bounds."""
         if amount < 0:
             raise ValueError("reservation amount must be non-negative")
-        account = self._require_vo(vo) if terms is None else self._vos.get(vo) or _VoAccount()
-        allocation, quota = (account.allocation, None) if terms is None else terms
+        allocation, quota = terms
+        account = self._vos.get(vo) or _VoAccount()
         record = account.members.get(member)
         if quota is None and record is not None:
             quota = record.quota
@@ -211,7 +195,6 @@ class AllocationLedger:
             raise QuotaExceededError(
                 "member", f"member '{member}' quota exceeded: {used} + {amount} > {quota}"
             )
-        return account, record
 
     def settle(self, vo: str, member: str, reserved: int, consumed: int) -> None:
         if consumed > reserved:

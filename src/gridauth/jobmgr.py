@@ -248,17 +248,15 @@ class JobManager:
         self._pooled: set = set()  # ids of the live jobs on dynamic accounts
         self._next_seq = 1
 
-        for doc in self.vo_policies.values():
-            self._register_accounting(doc)
+        self._register_accounting()
 
     # -- plumbing ---------------------------------------------------------
 
-    def _register_accounting(self, doc: PolicyDocument) -> None:
-        if doc.allocation is None and not doc.member_quotas:
-            return
-        self.ledger.register_vo(doc.name, doc.allocation)
-        for dn, quota in doc.member_quotas.items():
-            self.ledger.set_member_quota(doc.name, dn, quota)
+    def _register_accounting(self) -> None:
+        """Write the loaded VO documents' terms into the ledger."""
+        for doc in self.vo_policies.values():
+            if doc.allocation is not None or doc.member_quotas:
+                self.ledger.set_terms(doc.name, doc.allocation, doc.member_quotas)
 
     def _emit(self, job_id: str, name: str, detail: str) -> Event:
         event = Event(self.clock, job_id, name, detail)
@@ -682,4 +680,6 @@ class JobManager:
         engine.events = [
             Event(e["t"], e["job"], e["name"], e["detail"]) for e in state["events"]
         ]
+        # the loaded documents' terms replace the stored ones, as an admission's would
+        engine._register_accounting()
         return engine

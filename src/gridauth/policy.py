@@ -44,7 +44,7 @@ from __future__ import annotations
 import re
 import string
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING, Mapping
 
 from . import rsl
 from .rsl import JobAction, RslValue, quote_string
@@ -255,14 +255,6 @@ class AnySubject:
 
 
 Matcher = Identity | Group | AnySubject
-
-
-def matcher_matches(matcher: Matcher, subject: str, groups: Iterable[str]) -> bool:
-    if isinstance(matcher, Identity):
-        return matcher.dn == subject
-    if isinstance(matcher, Group):
-        return matcher.name in groups
-    return True
 
 
 #: the names an open block accepts, shared, since every ``frozenset()``

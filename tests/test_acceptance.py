@@ -47,7 +47,7 @@ from gridauth.pdp import (
     derive_capability,
     NoApplicableBlocksError,
 )
-from gridauth.policy import PolicyDocument, matcher_matches, parse_policy
+from gridauth.policy import PolicyDocument, parse_policy
 from gridauth.rsl import JobAction, parse_rsl
 from gridauth.scenario import run_scenario
 
@@ -348,7 +348,7 @@ def test_a4_push_equals_pull():
         applicable = [
             i
             for i, b in enumerate(vo_doc.blocks)
-            if matcher_matches(b.matcher, cred.subject, cred.groups)
+            if oracle.matcher_applies(b.matcher, cred.subject, cred.groups)
         ]
         pull_permits = {
             e.block

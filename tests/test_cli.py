@@ -236,6 +236,18 @@ class TestSubmitManageTickLedger:
         out = capsys.readouterr().out
         assert out.splitlines()[0] == "vo=fusion used=3/1000"
 
+    def test_edited_vo_policy_terms_reach_the_ledger(self, site, capsys):
+        # the next write that loads the edited document stores its terms
+        assert main(_submit_args(site)) == 0
+        assert main(["tick", "--state", _p(site, "state.json"), "--dt", "3"]) == 0
+        (site / "fusion.pol").write_text(FUSION_POL.replace("1000", "800").replace("600", "700"))
+        assert main(_manage_args(site, "j1", "cancel")) == 0
+        capsys.readouterr()
+        assert main(["ledger", "--state", _p(site, "state.json")]) == 0
+        assert capsys.readouterr().out == (
+            "vo=fusion used=3/800\nmember=/O=Grid/CN=alice used=3/700\n"
+        )
+
     def test_granted_admin_suspends_via_cli(self, site, capsys):
         (site / "mgmt.pol").write_text(
             'policy "fusion" source vo {\n'

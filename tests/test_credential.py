@@ -93,6 +93,36 @@ class TestLoadCredential:
         assert load_credential(format_credential(cred)) == cred
 
 
+#: expiry spellings that `int` takes but a credential or token file may not;
+#: each would load as the integer a token's MAC covers as ``expiry: 1000``
+NON_CANONICAL_EXPIRY = {
+    "underscore": "1_000",
+    "plus sign": "+1000",
+    "arabic-indic digits": "\u0661\u0660\u0660\u0660",
+}
+
+
+class TestStrictExpiry:
+    @pytest.mark.parametrize("spelling", NON_CANONICAL_EXPIRY.values(), ids=NON_CANONICAL_EXPIRY)
+    def test_credential_refuses(self, spelling):
+        with pytest.raises(CredentialFormatError, match="^expiry must be an integer$"):
+            load_credential(f"subject: /CN=x\nexpiry: {spelling}\n")
+
+    @pytest.mark.parametrize("spelling", NON_CANONICAL_EXPIRY.values(), ids=NON_CANONICAL_EXPIRY)
+    def test_token_refuses(self, spelling):
+        text = format_token(sign_capability(KEY, _claims()))
+        assert "expiry: 1000\n" in text
+        with pytest.raises(CredentialFormatError, match="^expiry must be an integer$"):
+            load_token(text.replace("expiry: 1000\n", f"expiry: {spelling}\n"))
+
+    def test_negative_expiry_is_not_positive(self):
+        with pytest.raises(CredentialFormatError, match="^credential expiry must be positive$"):
+            load_credential("subject: /CN=x\nexpiry: -5\n")
+        text = format_token(sign_capability(KEY, _claims()))
+        with pytest.raises(InvalidClaimsError, match="^claims expiry must be positive$"):
+            load_token(text.replace("expiry: 1000\n", "expiry: -5\n"))
+
+
 class TestGridMap:
     def test_lookup_hit(self):
         gm = load_gridmap('"/O=Grid/CN=alice" alice_l\n')
@@ -174,6 +204,19 @@ class TestSignVerify:
         )
         with pytest.raises(InvalidClaimsError):
             sign_capability(KEY, _claims(policy_fragment=fragment))
+
+    def test_first_block_that_misses_the_subject_is_named(self):
+        fragment = (
+            'policy "fusion" source vo {\n'
+            '  subject group "analysts" { allow action start; }\n'
+            '  subject any { allow action status; }\n'
+            '  subject identity "/O=Grid/CN=bob" { allow action cancel; }\n'
+            '  subject group "operators" { allow action start; }\n'
+            "}\n"
+        )
+        with pytest.raises(InvalidClaimsError) as exc:
+            sign_capability(KEY, _claims(policy_fragment=fragment))
+        assert str(exc.value) == "fragment block 2 does not apply to the claims subject"
 
     def test_token_file_round_trip(self):
         token = sign_capability(KEY, _claims())

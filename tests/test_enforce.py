@@ -99,26 +99,29 @@ class TestRecordUsage:
             SandboxSpec(max_cpu=0)
 
 
+#: the terms of the VO document `TestLedger._ledger` registers, its quotas
+#: left to the members' own records
+FUSION = (1000, None)
+
+
 class TestLedger:
     def _ledger(self):
         ledger = AllocationLedger()
-        ledger.register_vo("fusion", 1000)
-        ledger.set_member_quota("fusion", "alice", 600)
-        ledger.set_member_quota("fusion", "bob", 600)
+        ledger.set_terms("fusion", 1000, {"alice": 600, "bob": 600})
         return ledger
 
     def test_member_quota_bound(self):
         ledger = self._ledger()
-        ledger.reserve("fusion", "alice", 600)
+        ledger.reserve("fusion", "alice", 600, FUSION)
         with pytest.raises(QuotaExceededError) as exc:
-            ledger.reserve("fusion", "alice", 1)
+            ledger.reserve("fusion", "alice", 1, FUSION)
         assert exc.value.scope == "member"
 
     def test_vo_bound(self):
         ledger = self._ledger()
-        ledger.reserve("fusion", "alice", 600)
+        ledger.reserve("fusion", "alice", 600, FUSION)
         with pytest.raises(QuotaExceededError) as exc:
-            ledger.reserve("fusion", "bob", 500)
+            ledger.reserve("fusion", "bob", 500, FUSION)
         assert exc.value.scope == "vo"
         # nothing moved
         assert ledger.vo_used("fusion") == 600
@@ -126,37 +129,77 @@ class TestLedger:
 
     def test_zero_reserve_is_a_no_op(self):
         ledger = self._ledger()
-        ledger.reserve("fusion", "alice", 0)
+        before = ledger.to_dict()
+        ledger.reserve("fusion", "alice", 0, FUSION)
+        ledger.reserve("fusion", "carol", 0, FUSION)
         assert ledger.vo_used("fusion") == 0
+        assert ledger.to_dict() == before
 
     def test_unknown_vo(self):
+        # reads and settlements need a registered VO; a reservation
+        # registers its VO under the terms it carries
+        ledger = self._ledger()
         with pytest.raises(UnknownVoError):
-            self._ledger().reserve("astro", "alice", 1)
+            ledger.vo_used("astro")
+        with pytest.raises(UnknownVoError):
+            ledger.settle("astro", "alice", 1, 0)
+        ledger.reserve("astro", "alice", 1, (10, 5))
+        assert ledger.vos() == ("astro", "fusion")
+        assert ledger.report().splitlines()[:2] == [
+            "vo=astro used=1/10",
+            "member=alice used=1/5",
+        ]
 
     def test_member_without_quota_is_bounded_by_vo_only(self):
         ledger = self._ledger()
-        ledger.reserve("fusion", "carol", 900)
+        ledger.reserve("fusion", "carol", 900, FUSION)
         assert ledger.member_used("fusion", "carol") == 900
         with pytest.raises(QuotaExceededError) as exc:
-            ledger.reserve("fusion", "carol", 200)
+            ledger.reserve("fusion", "carol", 200, FUSION)
         assert exc.value.scope == "vo"
+
+    def test_refused_reserve_writes_no_terms(self):
+        ledger = self._ledger()
+        ledger.reserve("fusion", "alice", 100, FUSION)
+        before = ledger.to_dict()
+        # refused by the new allocation, by the new quota, and by a member's own
+        # quota under a larger allocation; each leaves every figure as it was
+        for member, amount, terms in (
+            ("alice", 450, (500, None)),
+            ("carol", 60, (2000, 50)),
+            ("bob", 700, (2000, None)),
+        ):
+            with pytest.raises(QuotaExceededError):
+                ledger.reserve("fusion", member, amount, terms)
+            assert ledger.to_dict() == before
+        with pytest.raises(QuotaExceededError):
+            ledger.reserve("astro", "zed", 11, (10, None))
+        assert ledger.vos() == ("fusion",)
+        # an admitted reservation writes its terms
+        ledger.reserve("fusion", "carol", 50, (2000, 50))
+        assert ledger.report().splitlines() == [
+            "vo=fusion used=150/2000",
+            "member=alice used=100/600",
+            "member=bob used=0/600",
+            "member=carol used=50/50",
+        ]
 
     def test_settle_refunds_unconsumed(self):
         ledger = self._ledger()
-        ledger.reserve("fusion", "alice", 100)
+        ledger.reserve("fusion", "alice", 100, FUSION)
         ledger.settle("fusion", "alice", 100, 40)
         assert ledger.vo_used("fusion") == 40
         assert ledger.member_used("fusion", "alice") == 40
 
     def test_settle_full_consumption_refunds_nothing(self):
         ledger = self._ledger()
-        ledger.reserve("fusion", "alice", 100)
+        ledger.reserve("fusion", "alice", 100, FUSION)
         ledger.settle("fusion", "alice", 100, 100)
         assert ledger.vo_used("fusion") == 100
 
     def test_settle_over_reservation_underflows(self):
         ledger = self._ledger()
-        ledger.reserve("fusion", "alice", 100)
+        ledger.reserve("fusion", "alice", 100, FUSION)
         with pytest.raises(LedgerUnderflowError):
             ledger.settle("fusion", "alice", 100, 150)
 
@@ -167,7 +210,7 @@ class TestLedger:
 
     def test_report_format(self):
         ledger = self._ledger()
-        ledger.reserve("fusion", "alice", 600)
+        ledger.reserve("fusion", "alice", 600, FUSION)
         assert ledger.report().splitlines() == [
             "vo=fusion used=600/1000",
             "member=alice used=600/600",
@@ -176,9 +219,8 @@ class TestLedger:
 
     def test_unlimited_allocation_report(self):
         ledger = AllocationLedger()
-        ledger.register_vo("astro", None)
-        ledger.set_member_quota("astro", "zed", 10)
-        ledger.reserve("astro", "zed", 5)
+        ledger.set_terms("astro", None, {"zed": 10})
+        ledger.reserve("astro", "zed", 5, (None, None))
         assert ledger.report().splitlines() == [
             "vo=astro used=5/unlimited",
             "member=zed used=5/10",
@@ -186,7 +228,7 @@ class TestLedger:
 
     def test_round_trips_through_dict(self):
         ledger = self._ledger()
-        ledger.reserve("fusion", "alice", 250)
+        ledger.reserve("fusion", "alice", 250, FUSION)
         again = AllocationLedger.from_dict(ledger.to_dict())
         assert again.report() == ledger.report()
 
@@ -210,11 +252,9 @@ class TestLedgerRandomized:
     def test_invariants_hold_under_random_interleavings(self):
         rng = random.Random(0xAB)
         ledger = AllocationLedger()
-        ledger.register_vo("fusion", 1000)
-        ledger.register_vo("astro", None)
-        ledger.set_member_quota("fusion", "alice", 600)
-        ledger.set_member_quota("fusion", "bob", 400)
-        ledger.set_member_quota("astro", "zed", 50)
+        ledger.set_terms("fusion", 1000, {"alice": 600, "bob": 400})
+        ledger.set_terms("astro", None, {"zed": 50})
+        terms = {"fusion": (1000, None), "astro": (None, None)}
         members = {"fusion": ["alice", "bob", "carol"], "astro": ["zed", "quinn"]}
         outstanding = []  # (vo, member, amount)
         for _ in range(10_000):
@@ -228,7 +268,7 @@ class TestLedgerRandomized:
             else:
                 amount = rng.randint(0, 120)
                 try:
-                    ledger.reserve(vo, member, amount)
+                    ledger.reserve(vo, member, amount, terms[vo])
                 except QuotaExceededError:
                     pass
                 else:

@@ -35,7 +35,7 @@ from gridauth.jobmgr import (
     UnknownJobError,
 )
 from gridauth.pdp import derive_capability
-from gridauth.policy import parse_policy
+from gridauth.policy import format_policy, parse_policy
 from gridauth.rsl import JobAction, RslError, parse_rsl
 
 KEY = bytes(range(32))
@@ -158,7 +158,7 @@ class TestSubmit:
         job = eng.job_record(job_id)
         assert job.reserved == 600
         # the pushed fragment's allocation and quota registered in the ledger
-        assert eng.ledger.allocation("fusion") == 1000
+        assert eng.ledger.to_dict()["fusion"]["allocation"] == 1000
         assert eng.ledger.member_used("fusion", ALICE.subject) == 600
 
     def test_push_management(self):
@@ -270,7 +270,7 @@ class TestRefusedAdmissionChangesNothing:
             with pytest.raises(QuotaExceededError):
                 eng.gatekeeper_submit(GHOST, rsl, SimProfile(runtime=10), token=token)
             assert json.dumps(eng.snapshot()) == before
-        assert eng.ledger.allocation("fusion") == 1000
+        assert eng.ledger.to_dict()["fusion"]["allocation"] == 1000
         # an admitted push writes the fragment's terms, as it always has
         eng.gatekeeper_submit(GHOST, '&(executable="/x")(maxcputime=40)', SimProfile(runtime=10),
                               token=token)
@@ -1026,6 +1026,52 @@ class TestPersistence:
         again.tick(50)
         assert again.event_lines() == eng.event_lines()
         assert again.ledger_report() == eng.ledger_report()
+
+    def _restore(self, eng: JobManager, vo_policies) -> JobManager:
+        return JobManager.restore(eng.snapshot(), resource_policy=RESOURCE,
+                                  vo_policies=vo_policies, gridmap=GRIDMAP,
+                                  key_registry={"fusion": KEY})
+
+    def test_restore_takes_the_loaded_documents_terms(self):
+        eng = _engine()
+        eng.gatekeeper_submit(ALICE, TRANSP.replace("600", "40"), SimProfile(runtime=10))
+        edited = parse_policy(
+            format_policy(VO_ACCOUNTING)
+            .replace("allocation 1000", "allocation 50")
+            .replace("600 cpu-seconds", "45 cpu-seconds", 1)
+        )
+        again = self._restore(eng, [edited])
+        assert again.ledger_report().splitlines() == [
+            "vo=fusion used=40/50",
+            "member=/O=Grid/CN=alice used=40/45",
+            "member=/O=Grid/CN=bob used=0/600",
+        ]
+        # as a fresh engine with that document would judge the next admission
+        assert _engine(vo=edited).ledger_report().splitlines()[0] == "vo=fusion used=0/50"
+        with pytest.raises(QuotaExceededError):
+            again.gatekeeper_submit(BOB, TRANSP.replace("600", "20"), SimProfile(runtime=10))
+        again.gatekeeper_submit(ALICE, TRANSP.replace("600", "5"), SimProfile(runtime=5))
+        assert again.ledger_report().splitlines()[:2] == [
+            "vo=fusion used=45/50",
+            "member=/O=Grid/CN=alice used=45/45",
+        ]
+        # the unedited document leaves the stored ledger as it was
+        assert self._restore(eng, [VO_ACCOUNTING]).snapshot() == eng.snapshot()
+
+    def test_pushed_vo_keeps_its_stored_terms(self):
+        # the site holds no fusion document; the token's fragment wrote the terms
+        eng = _engine(vo=None)
+        token = sign_capability(KEY, derive_capability(VO_ACCOUNTING, ALICE, expiry=10**9))
+        eng.gatekeeper_submit(ALICE, TRANSP.replace("600", "40"), SimProfile(runtime=10),
+                              token=token)
+        astro = parse_policy(
+            'policy "astro" source vo { allocation 70 cpu-seconds;'
+            ' subject any { allow action start; } }'
+        )
+        for vo_policies in ([], [astro]):
+            again = self._restore(eng, vo_policies)
+            assert again.ledger.to_dict()["fusion"] == eng.ledger.to_dict()["fusion"]
+        assert again.ledger_report().splitlines()[0] == "vo=astro used=0/70"
 
 
 class TestRestoreRoundTrip:

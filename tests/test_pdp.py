@@ -49,7 +49,6 @@ from gridauth.policy import (
     RangeSpec,
     SubjectBlock,
     format_policy,
-    matcher_matches,
     parse_policy,
 )
 from gridauth.rsl import JobAction, RslRequest, parse_rsl
@@ -367,7 +366,7 @@ def _assert_push_equals_pull(rng, cred, vo_doc, resource_doc, query) -> bool:
     applicable = [
         i
         for i, b in enumerate(vo_doc.blocks)
-        if matcher_matches(b.matcher, cred.subject, cred.groups)
+        if oracle.matcher_applies(b.matcher, cred.subject, cred.groups)
     ]
     pull_permits = {
         e.block

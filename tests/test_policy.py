@@ -37,7 +37,6 @@ from gridauth.policy import (
     SubjectBlock,
     applicable_blocks,
     format_policy,
-    matcher_matches,
     parse_policy,
     validate_policy,
 )
@@ -660,7 +659,7 @@ def _scanned(doc: PolicyDocument, cred: GridCredential) -> list:
     return [
         i
         for i, b in enumerate(doc.blocks)
-        if matcher_matches(b.matcher, cred.subject, cred.groups)
+        if oracle.matcher_applies(b.matcher, cred.subject, cred.groups)
     ]
 
 
