@@ -28,14 +28,13 @@ import sys
 from contextlib import contextmanager
 
 from .credential import (
-    CredentialError,
     load_credential,
     load_gridmap,
     load_token,
     format_token,
     sign_capability,
 )
-from .enforce import DynamicAccountPool, EnforcementError, QuotaExceededError
+from .enforce import DynamicAccountPool, QuotaExceededError
 from .jobmgr import (
     DeniedByPolicyError,
     IllegalTransitionError,
@@ -44,12 +43,10 @@ from .jobmgr import (
     NoAccountsAvailableError,
     SimProfile,
     TERMINAL_STATES,
-    UnknownJobError,
     _require_int,
 )
 from .pdp import (
     AuthzQuery,
-    InvalidQueryError,
     NoApplicableBlocksError,
     decide,
     decide_push,
@@ -58,7 +55,7 @@ from .pdp import (
     PolicySourceSet,
 )
 from .policy import PolicyError, parse_policy
-from .rsl import JobAction, RslError, parse_rsl
+from .rsl import JobAction, parse_rsl
 from .scenario import ScenarioError, run_scenario
 
 EXIT_OK = 0
@@ -656,17 +653,7 @@ def main(argv=None) -> int:
     except ScenarioError as exc:
         print(f"script error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (
-        InputError,
-        UnknownJobError,
-        RslError,
-        PolicyError,
-        CredentialError,
-        EnforcementError,
-        JobManagerError,
-        InvalidQueryError,
-        ValueError,
-    ) as exc:
+    except (InputError, JobManagerError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

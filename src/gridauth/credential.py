@@ -22,6 +22,8 @@ KEY_BYTES = 32
 MAC_BYTES = 32
 
 _ACCOUNT_RE = re.compile(r"[a-z_][a-z0-9_-]*\Z")
+#: the canonical form of an integer, the only one a token's MAC covers
+_EXPIRY_RE = re.compile(r"-?(0|[1-9][0-9]*)\Z")
 
 _POLICY_BEGIN = "---BEGIN POLICY---"
 _POLICY_END = "---END POLICY---"
@@ -79,12 +81,12 @@ class GridCredential:
 def _expiry_and_groups(fields: dict) -> tuple:
     """The ``expiry`` and ``groups`` fields of a credential or token file.
 
-    ``expiry`` is an optional ``-`` and ASCII digits: ``1_000``, ``+7``
-    and non-ASCII digits, which `int` takes too, would load as the
-    integer that a token's MAC covers in its canonical form.
+    ``expiry`` is an optional ``-`` and ASCII digits with no leading zero:
+    ``1_000``, ``+7``, ``007`` and non-ASCII digits, which `int` takes
+    too, would load as the integer that a token's MAC covers in its
+    canonical form.
     """
-    digits = fields["expiry"].removeprefix("-")
-    if not (digits.isascii() and digits.isdigit()):
+    if not _EXPIRY_RE.match(fields["expiry"]):
         raise CredentialFormatError("expiry must be an integer")
     groups = frozenset(g.strip() for g in fields.get("groups", "").split(",") if g.strip())
     return int(fields["expiry"]), groups

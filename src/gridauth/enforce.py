@@ -2,16 +2,16 @@
 
 The account pool hands out pre-created local accounts to grid users who
 have no static mapping.  A lease lasts exactly as long as its job: the
-job records which account it holds, and the pool gets the account back
-when the job ends.  The allocation ledger charges VO and per-member
+pool records which job holds each leased account, and gets the account
+back when the job ends.  The allocation ledger charges VO and per-member
 cpu-second budgets at admission and refunds the unconsumed remainder
 when a job settles.  Its terms, a VO's allocation and its members'
 quotas, have one writer, `AllocationLedger.set_terms`: the engine writes
-the loaded VO documents' terms when it is built or restored, and each
-accounted admission writes its permit's, so a report shows the terms
-written last.  A sandbox holds the two caps a policy can set,
-cpu-seconds and memory.  Limits are inclusive: usage may equal a cap,
-exceeding it is a breach.
+the loaded VO documents' terms when it is built or restored (a member a
+document sets no quota for has none), and each accounted admission
+writes its permit's, so a report shows the terms written last.  A
+sandbox holds the two caps a policy can set, cpu-seconds and memory.
+Limits are inclusive: usage may equal a cap, exceeding it is a breach.
 """
 
 from __future__ import annotations
@@ -78,11 +78,26 @@ def record_usage(spec: SandboxSpec, cpu: int, memory: int) -> str | None:
 
 
 class DynamicAccountPool:
-    """FIFO pool of local accounts, each leased to one live job at a time."""
+    """FIFO pool of local accounts, each leased to one live job at a time.
 
-    def __init__(self, accounts: Iterable[str] = (), leased: Iterable[str] = ()):
+    ``leases`` maps each job that holds an account to it.  The constructor
+    takes the free accounts and ``(job id, account)`` lease pairs, and
+    refuses an account listed twice among them.
+    """
+
+    def __init__(self, accounts: Iterable[str] = (), leases: Iterable = ()):
         self._free: deque = deque(accounts)
-        self._leased: set = set(leased)
+        self.leases: dict = {}
+        free, holders = set(self._free), {}  # holders: account -> the job leasing it
+        # ValueError, not EnforcementError: `JobManager.restore` reports these
+        # faults of a stored pool under that name
+        for job_id, name in leases:
+            if name in holders:
+                raise ValueError(f"account {name!r} is leased to both {holders[name]} and {job_id}")
+            if name in free:
+                raise ValueError(f"account {name!r} is both free and leased to {job_id}")
+            holders[name] = job_id
+            self.leases[job_id] = name
         seen: set = set()
         for name in self._free:
             if name in seen:
@@ -97,18 +112,16 @@ class DynamicAccountPool:
     def exhausted(self) -> bool:
         return not self._free
 
-    def lease(self) -> str:
+    def lease(self, job_id: str) -> str:
         if not self._free:
             raise PoolExhaustedError("no dynamic accounts available")
-        account = self._free.popleft()
-        self._leased.add(account)
+        self.leases[job_id] = account = self._free.popleft()
         return account
 
-    def release(self, account: str) -> None:
-        if account not in self._leased:
-            raise UnknownLeaseError(f"no active lease on {account!r}")
-        self._leased.remove(account)
-        self._free.append(account)
+    def release(self, job_id: str) -> None:
+        if job_id not in self.leases:
+            raise UnknownLeaseError(f"no active lease for job {job_id!r}")
+        self._free.append(self.leases.pop(job_id))
 
     # never called: perfbench/spans.py fetches it as __dict__["renew"] to count calls
     def renew(self, *_) -> None: ...
@@ -140,11 +153,16 @@ class AllocationLedger:
 
     def set_terms(self, vo: str, allocation: int | None, quotas: Mapping) -> None:
         """Write ``vo``'s allocation and the quota of each member ``quotas``
-        names, registering the VO and those members if they are missing."""
+        names, registering the VO and those members if they are missing.
+        A quota of None removes the member's, and with it a record that
+        holds no usage."""
         account = self._vos.setdefault(vo, _VoAccount())
         account.allocation = allocation
         for member, quota in quotas.items():
-            account.members.setdefault(member, _MemberAccount()).quota = quota
+            record = account.members.setdefault(member, _MemberAccount())
+            record.quota = quota
+            if quota is None and record.used == 0:  # as `settle` drops a refunded one
+                del account.members[member]
 
     def vos(self) -> tuple:
         return tuple(sorted(self._vos))

@@ -245,7 +245,6 @@ class JobManager:
         self._generation = 0
         self.events: list[Event] = []
         self.ledger = AllocationLedger()
-        self._pooled: set = set()  # ids of the live jobs on dynamic accounts
         self._next_seq = 1
 
         self._register_accounting()
@@ -253,10 +252,14 @@ class JobManager:
     # -- plumbing ---------------------------------------------------------
 
     def _register_accounting(self) -> None:
-        """Write the loaded VO documents' terms into the ledger."""
+        """Write the loaded VO documents' terms into the ledger; a member the
+        ledger holds under a VO whose document sets them no quota has none."""
+        held = self.ledger.to_dict()
         for doc in self.vo_policies.values():
             if doc.allocation is not None or doc.member_quotas:
-                self.ledger.set_terms(doc.name, doc.allocation, doc.member_quotas)
+                members = held[doc.name]["members"] if doc.name in held else {}
+                quotas = dict.fromkeys(members) | doc.member_quotas
+                self.ledger.set_terms(doc.name, doc.allocation, quotas)
 
     def _emit(self, job_id: str, name: str, detail: str) -> Event:
         event = Event(self.clock, job_id, name, detail)
@@ -313,8 +316,7 @@ class JobManager:
         if cred.vo is not None and vo_doc is not None and vo_doc.accounts_for(cred.subject):
             terms = vo_doc.allocation, vo_doc.member_quotas.get(cred.subject)
         account = self.gridmap.lookup(cred.subject)
-        pooled = account is None
-        if pooled and self.pool.exhausted:
+        if account is None and self.pool.exhausted:
             if terms is not None:
                 self.ledger.check_reserve(cred.vo, cred.subject, reserved, terms)
             raise NoAccountsAvailableError(
@@ -322,11 +324,10 @@ class JobManager:
             )
         if terms is not None:
             self.ledger.reserve(cred.vo, cred.subject, reserved, terms)
-        if pooled:
-            account = self.pool.lease()
-
         job_id = f"j{self._next_seq}"
         self._next_seq += 1
+        if account is None:
+            account = self.pool.lease(job_id)
         job = Job(
             id=job_id,
             owner=cred.subject,
@@ -345,8 +346,6 @@ class JobManager:
         )
         self.jobs[job_id] = job
         self._pending[job_id] = job
-        if pooled:
-            self._pooled.add(job_id)
         self._emit(job_id, "submit", f"owner={cred.subject} state=pending reserved={reserved}")
         return job_id
 
@@ -401,9 +400,8 @@ class JobManager:
     def _settle(self, job: Job) -> None:
         if job.accounted:
             self.ledger.settle(job.vo, job.owner, job.reserved, job.consumed)
-        if job.id in self._pooled:
-            self._pooled.remove(job.id)
-            self.pool.release(job.account)
+        if job.id in self.pool.leases:
+            self.pool.release(job.id)
         job.ended_at = self.clock
 
     # -- clock ------------------------------------------------------------
@@ -509,7 +507,7 @@ class JobManager:
             "ledger": self.ledger.to_dict(),
             "pool": {
                 "free": list(self.pool.free_accounts),
-                "leased": [job_id for job_id in self.jobs if job_id in self._pooled],
+                "leased": [job_id for job_id in self.jobs if job_id in self.pool.leases],
             },
             "events": [
                 {"t": e.t, "job": e.job, "name": e.name, "detail": e.detail}
@@ -661,22 +659,13 @@ class JobManager:
             raise ValueError(f"pool free and leased must be lists, not {free!r} and {leased!r}")
         if not all(type(account) is str for account in free):
             raise ValueError(f"pool free must list account names, not {free!r}")
-        holders: dict = {}  # account -> the live job leasing it
-        free_set = set(free)
+        leases = []
         for job_id in leased:
             job = engine.jobs.get(job_id)
             if job is None or job.state in TERMINAL_STATES:
                 raise ValueError(f"a lease names no live job {job_id!r}")
-            account = job.account
-            if account in holders:
-                raise ValueError(
-                    f"account {account!r} is leased to both {holders[account]} and {job_id}"
-                )
-            if account in free_set:
-                raise ValueError(f"account {account!r} is both free and leased to {job_id}")
-            holders[account] = job_id
-        engine.pool = DynamicAccountPool(free, leased=holders)
-        engine._pooled = set(holders.values())
+            leases.append((job_id, job.account))
+        engine.pool = DynamicAccountPool(free, leases)
         engine.events = [
             Event(e["t"], e["job"], e["name"], e["detail"]) for e in state["events"]
         ]

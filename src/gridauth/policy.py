@@ -257,10 +257,6 @@ class AnySubject:
 Matcher = Identity | Group | AnySubject
 
 
-#: the names an open block accepts, shared, since every ``frozenset()``
-#: call makes a new object
-_NO_NAMES: frozenset = frozenset()
-
 #: a plan step's check kind, by assertion class
 _CHECK_KINDS = {MayContain: "attr", MustContain: "require", MustNotContain: "forbid"}
 
@@ -276,24 +272,25 @@ PERMITTED = "permitted"
 class SubjectBlock:
     """One subject block, compiled for evaluation when it is built.
 
-    ``checks`` lists the assertions in document order, with the ``attr``
-    lines of each attribute merged into one `MayContain` at the first
-    of them, whose spec is their union (an `OrSpec` when there are
-    several); ``accepted_names`` are the attributes a closed-world block
-    accepts (empty for an open block).
+    The block's checks are its assertions in document order, with the
+    ``attr`` lines of each attribute merged into one `MayContain` at the
+    first of them, whose spec is their union (an `OrSpec` when there are
+    several).  They are kept only in the two compiled fields below.
 
     ``entries`` holds one entry per `JobAction`, in the enum's order:
     `REFUSED` when the block does not allow the action; for ``start``,
-    ``(plan, accepted_names or None for an open block)``, the plan
-    holding one ``(name, kind, spec's allows or None, assertion)`` step
-    per check, of kind ``attr``, ``require`` or ``forbid``; for a
-    management action, its jobtag grant set, or `PERMITTED` without one.
+    ``(plan, accepted)``, the plan holding one ``(name, kind, spec's
+    allows or None, assertion)`` step per check, of kind ``attr``,
+    ``require`` or ``forbid``, and ``accepted`` the names of the ``attr``
+    and ``require`` checks of a closed-world block, or None for an open
+    one; for a management action, its jobtag grant set, or `PERMITTED`
+    without one.
 
     ``caps`` is the ``(maxcputime, maxmemory)`` pair of caps a permit by
     the block sets on a job (see `pdp.sandbox_limits`), None for no cap:
     the least upper end of at least 1 of the block's ``attr`` and
     ``require`` checks on the attribute.  A non-numeric spec or an ``or``
-    with an open upper end sets none.  None of these four takes part in
+    with an open upper end sets none.  Neither field takes part in
     equality or ``repr``.
 
     Assertion names must be lower-case (``[a-z_][a-z0-9_]*``), as RSL
@@ -307,8 +304,6 @@ class SubjectBlock:
     assertions: tuple = ()
     closed_world: bool = False
 
-    checks: tuple = field(init=False, repr=False, compare=False)
-    accepted_names: frozenset = field(init=False, repr=False, compare=False)
     entries: tuple = field(init=False, repr=False, compare=False)
     caps: tuple = field(init=False, repr=False, compare=False)
 
@@ -336,7 +331,6 @@ class SubjectBlock:
             elif a.attr in unions:  # the attribute's first attr line
                 specs = unions.pop(a.attr)
                 checks.append(a if len(specs) == 1 else MayContain(a.attr, OrSpec(specs)))
-        object.__setattr__(self, "checks", tuple(checks))
         caps = {"maxcputime": None, "maxmemory": None}
         for c in checks:
             if c.attr in caps and not isinstance(c, MustNotContain):
@@ -345,14 +339,6 @@ class SubjectBlock:
                 if upper is not None and upper >= 1 and (cap is None or upper < cap):
                     caps[c.attr] = upper
         object.__setattr__(self, "caps", tuple(caps.values()))
-        accepted = _NO_NAMES
-        if self.closed_world:
-            accepted = frozenset(
-                a.attr
-                for a in self.assertions
-                if isinstance(a, (MayContain, MustContain))
-            )
-        object.__setattr__(self, "accepted_names", accepted)
 
         entries = [REFUSED] * len(_ACTION_POSITION)
         for action in allowed:
@@ -361,7 +347,8 @@ class SubjectBlock:
                     (c.attr, _CHECK_KINDS[type(c)], None if c.spec is None else c.spec.allows, c)
                     for c in checks
                 )
-                entry = plan, (accepted if self.closed_world else None)
+                names = (a.attr for a in self.assertions if not isinstance(a, MustNotContain))
+                entry = plan, (frozenset(names) if self.closed_world else None)
             else:
                 entry = grants.get(action, PERMITTED)
             entries[_ACTION_POSITION[action]] = entry

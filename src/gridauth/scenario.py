@@ -69,7 +69,6 @@ class ScenarioError(Exception):
 
 @dataclass
 class StepOutcome:
-    kind: str
     ok: bool
     error: str | None = None
     detail: str | None = None
@@ -111,9 +110,9 @@ def _kv(tokens: list, lineno: int, step: str, keys: tuple, required: tuple = ())
     return pairs
 
 
-def _failed(kind: str, exc: Exception) -> StepOutcome:
+def _failed(exc: Exception) -> StepOutcome:
     decision = getattr(exc, "decision", None)
-    return StepOutcome(kind, False, _error_name(exc), str(exc), None, decision)
+    return StepOutcome(False, _error_name(exc), str(exc), None, decision)
 
 
 def _int(value: str, lineno: int, what: str) -> int:
@@ -237,11 +236,11 @@ class ScenarioRunner:
             claims = derive_capability(doc, cred, _int(kv["expiry"], lineno, "expiry"))
             token = sign_capability(key, claims)
         except _DOMAIN_ERRORS as exc:
-            self._record(lineno, label, _failed("issue-cap", exc))
+            self._record(lineno, label, _failed(exc))
             return
         self.caps[label] = token
         self.registry[token.claims.vo] = key
-        self._record(lineno, label, StepOutcome("issue-cap", True))
+        self._record(lineno, label, StepOutcome(True))
 
     def _submit(self, lineno: int, rest: list) -> None:
         if not rest:
@@ -269,9 +268,9 @@ class ScenarioRunner:
         try:
             job_id = engine.gatekeeper_submit(cred, rsl_text, profile, token=token)
         except _DOMAIN_ERRORS as exc:
-            self._record(lineno, label, _failed("submit", exc))
+            self._record(lineno, label, _failed(exc))
             return
-        self._record(lineno, label, StepOutcome("submit", True, job_id=job_id))
+        self._record(lineno, label, StepOutcome(True, job_id=job_id))
 
     def _manage(self, lineno: int, rest: list) -> None:
         if not rest:
@@ -298,11 +297,11 @@ class ScenarioRunner:
                 target.job_id, action, cred, token=token, priority=priority
             )
         except _DOMAIN_ERRORS as exc:
-            self._record(lineno, label, _failed("manage", exc))
+            self._record(lineno, label, _failed(exc))
             return
         self._record(
             lineno, label,
-            StepOutcome("manage", True, job_id=job.id, detail=job.state.value),
+            StepOutcome(True, job_id=job.id, detail=job.state.value),
         )
 
     def _token(self, lineno: int, kv: dict):

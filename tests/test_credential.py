@@ -99,6 +99,7 @@ NON_CANONICAL_EXPIRY = {
     "underscore": "1_000",
     "plus sign": "+1000",
     "arabic-indic digits": "\u0661\u0660\u0660\u0660",
+    "leading zero": "01000",
 }
 
 

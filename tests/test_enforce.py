@@ -25,49 +25,81 @@ from gridauth.enforce import (
 class TestPool:
     def test_fifo_then_exhausted(self):
         pool = DynamicAccountPool(["u1", "u2"])
-        assert pool.lease() == "u1"
-        assert pool.lease() == "u2"
+        assert pool.lease("j1") == "u1"
+        assert pool.lease("j2") == "u2"
+        assert pool.leases == {"j1": "u1", "j2": "u2"}
         with pytest.raises(PoolExhaustedError):
-            pool.lease()
+            pool.lease("j3")
+        assert pool.leases == {"j1": "u1", "j2": "u2"}
 
     def test_release_returns_account(self):
         pool = DynamicAccountPool(["u1"])
-        pool.release(pool.lease())
+        pool.lease("j1")
+        pool.release("j1")
         assert pool.free_accounts == ("u1",)
-        assert pool.lease() == "u1"
+        assert pool.leases == {}
+        assert pool.lease("j2") == "u1"
 
     def test_double_release(self):
         pool = DynamicAccountPool(["u1"])
-        account = pool.lease()
-        pool.release(account)
+        pool.lease("j1")
+        pool.release("j1")
+        with pytest.raises(UnknownLeaseError, match="^no active lease for job 'j1'$"):
+            pool.release("j1")
         with pytest.raises(UnknownLeaseError):
-            pool.release(account)
+            pool.release("j2")
+        assert pool.free_accounts == ("u1",)
 
     def test_one_subject_may_hold_two_leases(self):
         pool = DynamicAccountPool(["u1", "u2"])
-        assert {pool.lease(), pool.lease()} == {"u1", "u2"}
+        assert {pool.lease("j1"), pool.lease("j2")} == {"u1", "u2"}
 
     def test_release_preserves_size(self):
         pool = DynamicAccountPool(["u1", "u2", "u3"])
-        account = pool.lease()
+        account = pool.lease("j1")
         assert sorted(pool.free_accounts + (account,)) == ["u1", "u2", "u3"]
-        pool.release(account)
+        pool.release("j1")
         assert sorted(pool.free_accounts) == ["u1", "u2", "u3"]
+
+    def test_constructor_takes_leases(self):
+        pool = DynamicAccountPool(["u1"], [("j4", "u3"), ("j2", "u2")])
+        assert pool.leases == {"j4": "u3", "j2": "u2"}
+        assert pool.free_accounts == ("u1",)
+        pool.release("j2")
+        assert pool.free_accounts == ("u1", "u2")
+
+    @pytest.mark.parametrize(
+        "accounts, leases, message",
+        [
+            (["u1"], [("j1", "u1")], "account 'u1' is both free and leased to j1"),
+            ([], [("j1", "u1"), ("j2", "u1")], "account 'u1' is leased to both j1 and j2"),
+            ([], [("j1", "u1"), ("j1", "u1")], "account 'u1' is leased to both j1 and j1"),
+        ],
+        ids=["free-and-leased", "two-jobs", "one-job-twice"],
+    )
+    def test_constructor_refuses_an_account_listed_twice(self, accounts, leases, message):
+        with pytest.raises(ValueError) as exc:
+            DynamicAccountPool(accounts, leases)
+        # `JobManager.restore` reports these under the name ValueError
+        assert (type(exc.value), str(exc.value)) == (ValueError, message)
 
     @given(ops=st.lists(st.integers(0, 1), max_size=60))
     @settings(max_examples=100, deadline=None)
     def test_no_lost_accounts(self, ops):
         pool = DynamicAccountPool([f"u{i}" for i in range(4)])
         live = []
-        for op in ops:
+        for seq, op in enumerate(ops):
             if op == 0:
                 try:
-                    live.append(pool.lease())
+                    pool.lease(f"j{seq}")
+                    live.append(f"j{seq}")
                 except PoolExhaustedError:
                     assert len(live) == 4
             elif live:
                 pool.release(live.pop())
-            assert sorted(pool.free_accounts + tuple(live)) == [f"u{i}" for i in range(4)]
+            assert list(pool.leases) == live
+            leased = tuple(pool.leases.values())
+            assert sorted(pool.free_accounts + leased) == [f"u{i}" for i in range(4)]
 
 
 class TestRecordUsage:

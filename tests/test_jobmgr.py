@@ -1058,6 +1058,30 @@ class TestPersistence:
         # the unedited document leaves the stored ledger as it was
         assert self._restore(eng, [VO_ACCOUNTING]).snapshot() == eng.snapshot()
 
+    def test_deleted_member_quota_stops_applying(self):
+        eng = _engine()
+        eng.gatekeeper_submit(ALICE, TRANSP, SimProfile(runtime=200))
+        eng.tick(200)
+        assert "member=/O=Grid/CN=alice used=200/600" in eng.ledger_report().splitlines()
+        text = format_policy(VO_ACCOUNTING)
+        line = 'member-quota "/O=Grid/CN=alice" 600 cpu-seconds;'
+        assert line in text
+        again = self._restore(eng, [parse_policy(text.replace(line, ""))])
+        # her quota is gone, as in a fresh engine with that document
+        again.gatekeeper_submit(ALICE, TRANSP.replace("600", "500"), SimProfile(runtime=5))
+        assert again.ledger_report().splitlines() == [
+            "vo=fusion used=700/1000",
+            "member=/O=Grid/CN=alice used=700/unlimited",
+            "member=/O=Grid/CN=bob used=0/600",
+        ]
+        # a member with no usage left and no quota has no record, as settling leaves it
+        bob = line.replace("alice", "bob")
+        again = self._restore(again, [parse_policy(text.replace(line, "").replace(bob, ""))])
+        assert again.ledger_report().splitlines() == [
+            "vo=fusion used=700/1000",
+            "member=/O=Grid/CN=alice used=700/unlimited",
+        ]
+
     def test_pushed_vo_keeps_its_stored_terms(self):
         # the site holds no fusion document; the token's fragment wrote the terms
         eng = _engine(vo=None)

@@ -568,7 +568,9 @@ class TestRoundTrip:
 
 
 def _recompiled(block: SubjectBlock) -> tuple:
-    """``(checks, accepted_names)`` recomputed from the block's assertions."""
+    """``(checks, accepted names)`` recomputed from the block's assertions:
+    the checks a ``start`` plan runs, and the names a closed-world block
+    accepts, or None for an open block."""
     unions: dict = {}
     for a in block.assertions:
         if isinstance(a, MayContain):
@@ -582,12 +584,19 @@ def _recompiled(block: SubjectBlock) -> tuple:
             specs = unions[a.attr]
             checks.append(MayContain(a.attr, specs[0] if len(specs) == 1 else OrSpec(specs)))
     names = {a.attr for a in block.assertions if isinstance(a, (MayContain, MustContain))}
-    return tuple(checks), frozenset(names if block.closed_world else ())
+    return tuple(checks), (frozenset(names) if block.closed_world else None)
+
+
+def _start_entry(block: SubjectBlock) -> tuple:
+    """The block's compiled ``start`` entry, as its ``(checks, accepted
+    names)``, read from a one-block document's table."""
+    plan, accepted = PolicyDocument("p", "vo", blocks=(block,)).tables[JobAction.START][0]
+    return tuple(step[3] for step in plan), accepted
 
 
 def _recompiled_tables(doc: PolicyDocument) -> dict:
     """``tables`` recomputed from each block's allowed actions, jobtag
-    grants and checks."""
+    grants and recompiled checks."""
     kinds = {MayContain: "attr", MustContain: "require", MustNotContain: "forbid"}
     tables = {}
     for action in JobAction:
@@ -596,15 +605,33 @@ def _recompiled_tables(doc: PolicyDocument) -> dict:
             if action not in block.allowed_actions:
                 column.append(REFUSED)
             elif action is JobAction.START:
+                checks, accepted = _recompiled(block)
                 plan = tuple(
                     (c.attr, kinds[type(c)], None if c.spec is None else c.spec.allows, c)
-                    for c in block.checks
+                    for c in checks
                 )
-                column.append((plan, block.accepted_names if block.closed_world else None))
+                column.append((plan, accepted))
             else:
                 column.append(block.jobtag_grants.get(action, PERMITTED))
         tables[action] = tuple(column)
     return tables
+
+
+def _by_value(tables: dict) -> dict:
+    """``tables`` with each plan step's bound ``allows`` as its function and
+    spec, so that the steps of equal specs compare equal (a bound method
+    equals another only when both are bound to the same object)."""
+    def entry(action, e):
+        if action is not JobAction.START or e == REFUSED:
+            return e
+        plan, accepted = e
+        steps = tuple(
+            (name, kind, allows and (allows.__func__, allows.__self__), assertion)
+            for name, kind, allows, assertion in plan
+        )
+        return steps, accepted
+
+    return {action: tuple(entry(action, e) for e in column) for action, column in tables.items()}
 
 
 def _sandbox_block(rng: random.Random) -> SubjectBlock:
@@ -619,13 +646,14 @@ def _sandbox_block(rng: random.Random) -> SubjectBlock:
 
 
 def _recomputed_caps(block: SubjectBlock) -> tuple:
-    """``caps`` recomputed from the block's checks, with the oracle's probe
-    for the largest value each spec allows."""
+    """``caps`` recomputed from the block's recompiled checks, with the
+    oracle's probe for the largest value each spec allows."""
+    checks, _ = _recompiled(block)
     caps = []
     for attr in ("maxcputime", "maxmemory"):
         found = [
             oracle.spec_cap(c.spec)
-            for c in block.checks
+            for c in checks
             if c.attr == attr and c.spec is not None and not isinstance(c, MustNotContain)
         ]
         caps.append(min((cap for cap in found if cap is not None and cap >= 1), default=None))
@@ -699,18 +727,18 @@ class TestCompiledForm:
         rng = random.Random(0xC0)
         for _ in range(500):
             block = rand_block(rng)
-            assert (block.checks, block.accepted_names) == _recompiled(block)
-        block = PINNED.blocks[0]
-        assert block.checks == (
-            MayContain("count", OrSpec((MaxSpec(4), RangeSpec(8, 9)))),
-            MustContain("jobtag"),
+            start = block.allowed_actions | {JobAction.START}
+            block = dataclasses.replace(block, allowed_actions=start)
+            assert _start_entry(block) == _recompiled(block)
+        assert _start_entry(PINNED.blocks[0]) == (
+            (MayContain("count", OrSpec((MaxSpec(4), RangeSpec(8, 9)))), MustContain("jobtag")),
+            {"count", "jobtag"},
         )
-        assert block.accepted_names == {"count", "jobtag"}
 
     def test_tables_equal_a_recomputation(self):
         for doc, _ in _random_documents():
-            assert doc.tables == _recompiled_tables(doc)
-        union, jobtag = PINNED.blocks[0].checks
+            assert _by_value(doc.tables) == _by_value(_recompiled_tables(doc))
+        union, jobtag = _start_entry(PINNED.blocks[0])[0]
         assert PINNED.tables == {
             JobAction.START: (
                 (
@@ -791,12 +819,13 @@ class TestCompiledForm:
         changed = dataclasses.replace(
             block, assertions=(MustNotContain("queue"), MayContain("queue", MaxSpec(1)))
         )
-        assert changed.checks == (MustNotContain("queue"), MayContain("queue", MaxSpec(1)))
-        assert changed.accepted_names == {"queue"}
-        assert (changed.checks, changed.accepted_names) == _recompiled(changed)
+        assert _start_entry(changed) == (
+            (MustNotContain("queue"), MayContain("queue", MaxSpec(1))), {"queue"}
+        )
+        assert _start_entry(changed) == _recompiled(changed)
 
         doc = dataclasses.replace(PINNED, blocks=(SubjectBlock(Group("g")),) + PINNED.blocks)
-        assert doc.tables == _recompiled_tables(doc)
+        assert _by_value(doc.tables) == _by_value(_recompiled_tables(doc))
         assert doc.applicable_indices("/O=Grid/CN=alice", frozenset({"g"})) == [0, 1, 2]
         assert doc.applicable_indices("/O=Grid/CN=bob", frozenset()) == [2]
 
