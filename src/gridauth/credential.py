@@ -6,6 +6,9 @@ context, and a policy fragment under an HMAC-SHA256 keyed by the
 issuing VO's registered secret.  Signing is deterministic: the MAC is
 computed over a canonical serialization of the claims, so identical
 claims always produce identical tokens.
+
+Signing checks the claims' policy fragment: on the document that
+`pdp.derive_capability` attached to them, else on a parse of the text.
 """
 
 from __future__ import annotations
@@ -188,7 +191,9 @@ class CapabilityClaims:
 
     ``policy_fragment`` is the VO policy document (DSL text) restricted
     to the blocks that apply to the subject; embedding it makes a
-    pushed token self-contained.
+    pushed token self-contained.  Only `pdp.derive_capability` sets
+    ``document``, the fragment's document, so ``replace`` and `load_token`
+    give claims without it; it takes no part in equality or the MAC.
     """
 
     subject: str
@@ -196,6 +201,9 @@ class CapabilityClaims:
     groups: frozenset
     expiry: int
     policy_fragment: str
+    document: policy_mod.PolicyDocument | None = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
     def __post_init__(self):
         object.__setattr__(self, "groups", frozenset(self.groups))
@@ -231,10 +239,14 @@ def canonical_claims_text(claims: CapabilityClaims) -> str:
 
 
 def _validate_claims(claims: CapabilityClaims) -> None:
-    try:
-        fragment = policy_mod.parse_policy(claims.policy_fragment)
-    except policy_mod.PolicyError as exc:
-        raise InvalidClaimsError(f"policy fragment does not parse: {exc}") from None
+    fragment = claims.document
+    if fragment is None or not policy_mod.format_parses(fragment) or (
+        policy_mod.format_policy(fragment) != claims.policy_fragment
+    ):
+        try:
+            fragment = policy_mod.parse_policy(claims.policy_fragment)
+        except policy_mod.PolicyError as exc:
+            raise InvalidClaimsError(f"policy fragment does not parse: {exc}") from None
     if fragment.source != "vo":
         raise InvalidClaimsError("policy fragment must be a vo document")
     if fragment.name != claims.vo:
@@ -248,7 +260,8 @@ def _validate_claims(claims: CapabilityClaims) -> None:
 
 
 def sign_capability(vo_key: bytes, claims: CapabilityClaims) -> CapabilityToken:
-    """Deterministically MAC the canonical claims under the VO key."""
+    """Deterministically MAC the canonical claims under the VO key; claims
+    without a matching ``document`` have their fragment parsed first."""
     if len(vo_key) != KEY_BYTES:
         raise ValueError(f"vo key must be exactly {KEY_BYTES} bytes")
     _validate_claims(claims)

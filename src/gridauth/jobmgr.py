@@ -253,10 +253,11 @@ class JobManager:
 
     def _register_accounting(self) -> None:
         """Write the loaded VO documents' terms into the ledger; a member the
-        ledger holds under a VO whose document sets them no quota has none."""
+        ledger holds under a VO whose document sets them no quota has none,
+        and a VO it holds whose document sets no terms is unlimited."""
         held = self.ledger.to_dict()
         for doc in self.vo_policies.values():
-            if doc.allocation is not None or doc.member_quotas:
+            if doc.allocation is not None or doc.member_quotas or doc.name in held:
                 members = held[doc.name]["members"] if doc.name in held else {}
                 quotas = dict.fromkeys(members) | doc.member_quotas
                 self.ledger.set_terms(doc.name, doc.allocation, quotas)

@@ -336,7 +336,8 @@ def derive_capability(
     The fragment keeps the applicable blocks verbatim (matchers
     included) plus the allocation clause and the member's own quota, so
     a pushed decision sees exactly the policy a pull-mode decision
-    would apply to this credential.
+    would apply to this credential.  The claims carry the fragment's
+    document too, so `sign_capability` does not parse its text.
     """
     if vo_doc.source != "vo":
         raise ValueError("capabilities derive from vo documents")
@@ -359,13 +360,15 @@ def derive_capability(
         allocation=vo_doc.allocation,
         member_quotas=quotas,
     )
-    return CapabilityClaims(
+    claims = CapabilityClaims(
         subject=cred.subject,
         vo=cred.vo,
         groups=cred.groups,
         expiry=expiry,
         policy_fragment=format_policy(fragment),
     )
+    object.__setattr__(claims, "document", fragment)
+    return claims
 
 
 @lru_cache(maxsize=FRAGMENT_CACHE_SIZE)

@@ -782,6 +782,27 @@ def format_policy(doc: PolicyDocument) -> str:
     return "\n".join(lines) + "\n"
 
 
+def format_parses(doc: PolicyDocument) -> bool:
+    """Whether `format_policy`'s text for ``doc`` parses.  It does unless
+    the document, built in code, holds a number that is no signed 64-bit
+    ``int``, a negative allocation or quota, or a jobtag grant of no tag."""
+    amounts = [*doc.member_quotas.values()] + ([] if doc.allocation is None else [doc.allocation])
+    specs, bounds = [a.spec for b in doc.blocks for a in b.assertions], []
+    while specs:
+        spec = specs.pop()
+        if isinstance(spec, OrSpec):
+            specs += spec.alternatives
+        elif isinstance(spec, RangeSpec):
+            bounds += (spec.lo, spec.hi)
+        elif isinstance(spec, (MaxSpec, MinSpec)):
+            bounds.append(spec.bound)
+    return (
+        all(type(n) is int and 0 <= n <= rsl.INT64_MAX for n in amounts)
+        and all(type(n) is int and rsl.INT64_MIN <= n <= rsl.INT64_MAX for n in bounds)
+        and all(tags for b in doc.blocks for tags in b.jobtag_grants.values())
+    )
+
+
 # ---------------------------------------------------------------------------
 # Static validation
 # ---------------------------------------------------------------------------

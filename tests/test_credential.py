@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import test_token_golden
+from generators import rand_credential, rand_policy
+from gridauth import policy
 from gridauth.credential import (
     BadSignatureError,
     CapabilityClaims,
@@ -27,6 +31,9 @@ from gridauth.credential import (
     sign_capability,
     verify_capability,
 )
+from gridauth.pdp import NoApplicableBlocksError, derive_capability
+from gridauth.rsl import JobAction
+from test_jobmgr import _count_policy_parses
 
 KEY = bytes(range(32))
 
@@ -317,3 +324,109 @@ class TestProperties:
         b = _claims(groups=frozenset({"y", "x"}), policy_fragment=fragment)
         assert canonical_claims_text(a) == canonical_claims_text(b)
         assert sign_capability(KEY, a) == sign_capability(KEY, b)
+
+
+def _by_hand(claims: CapabilityClaims) -> CapabilityClaims:
+    """Equal claims built from the same fields, so carrying no document."""
+    return CapabilityClaims(claims.subject, claims.vo, claims.groups, claims.expiry,
+                            claims.policy_fragment)
+
+
+def _refusal(claims: CapabilityClaims) -> str:
+    with pytest.raises(InvalidClaimsError) as exc:
+        sign_capability(KEY, claims)
+    return str(exc.value)
+
+
+ALICE = GridCredential("/O=Grid/CN=alice", expiry=1000, vo="fusion", groups={"analysts"})
+
+#: each refusal of `TestSignVerify`: a fragment and the message it gets
+BAD_FRAGMENTS = (
+    ("not a policy", "policy fragment does not parse: line 1, col 1: expected 'policy'"),
+    (FRAGMENT.replace("allow action start;", f"attr count max {'9' * 5000};"),
+     "policy fragment does not parse: line 3, col 20: integer out of signed 64-bit range"),
+    ('policy "x" source resource { }', "policy fragment must be a vo document"),
+    (FRAGMENT.replace('policy "fusion"', 'policy "other"'),
+     "policy fragment names vo 'other', not the claims vo 'fusion'"),
+    (FRAGMENT.replace('"analysts"', '"operators"'),
+     "fragment block 0 does not apply to the claims subject"),
+)
+
+
+class TestSignDerivedClaims:
+    def test_derived_claims_sign_without_a_parse(self, monkeypatch):
+        claims = derive_capability(policy.parse_policy(FRAGMENT), ALICE, expiry=1000)
+        calls = _count_policy_parses(monkeypatch)
+        token = sign_capability(KEY, claims)
+        assert calls == []
+        # claims without the document parse their text once, to the same token
+        assert sign_capability(KEY, _by_hand(claims)) == token
+        assert calls == [claims.policy_fragment]
+
+    def test_rebuilt_claims_sign_to_the_same_token(self, monkeypatch):
+        found = test_token_golden.cases()
+        assert len(found) > 100
+        calls = _count_policy_parses(monkeypatch)
+        for _name, doc, cred in found:
+            derived = derive_capability(doc, cred, test_token_golden.EXPIRY)
+            rebuilt = _by_hand(derived)
+            assert derived.document is not None and rebuilt.document is None
+            token, again = sign_capability(KEY, derived), sign_capability(KEY, rebuilt)
+            assert format_token(again) == format_token(token)
+            assert again.mac == token.mac
+        # only the rebuilt claims were parsed
+        assert len(calls) == len(found)
+
+    @given(st.integers(0, 2**32))
+    @settings(max_examples=150, deadline=None)
+    def test_rebuilt_random_claims_sign_to_the_same_token(self, seed):
+        rng = random.Random(seed)
+        doc = rand_policy(rng, "vo", with_accounting=True)
+        try:
+            derived = derive_capability(doc, rand_credential(rng), expiry=1000)
+        except NoApplicableBlocksError:
+            return
+        token = sign_capability(KEY, derived)
+        assert format_token(sign_capability(KEY, _by_hand(derived))) == format_token(token)
+
+    @pytest.mark.parametrize("fragment, message", BAD_FRAGMENTS)
+    def test_each_refusal_holds_on_derived_claims(self, fragment, message):
+        derived = derive_capability(policy.parse_policy(FRAGMENT), ALICE, expiry=1000)
+        edited = dataclasses.replace(derived, policy_fragment=fragment)
+        assert edited.document is None
+        assert _refusal(_claims(policy_fragment=fragment)) == message
+        assert _refusal(edited) == message
+
+    def test_a_forced_document_that_formats_otherwise_is_not_trusted(self):
+        good = derive_capability(policy.parse_policy(FRAGMENT), ALICE, expiry=1000)
+        for fragment, message in BAD_FRAGMENTS:
+            bad = _claims(policy_fragment=fragment)
+            object.__setattr__(bad, "document", good.document)
+            assert _refusal(bad) == message
+
+    def test_a_document_whose_text_does_not_parse_is_not_trusted(self, monkeypatch):
+        # built in code, a document may hold what the parser refuses; its
+        # derived claims are refused as their text would be
+        huge, start = 2**63, policy.SubjectBlock(policy.AnySubject(), {JobAction.START})
+        blocks = [
+            policy.SubjectBlock(policy.AnySubject(), {JobAction.START},
+                                assertions=(policy.MayContain("count", spec),))
+            for spec in (policy.OrSpec((policy.MinSpec(-huge - 1),)), policy.RangeSpec(0, 2.5))
+        ]
+        blocks.append(policy.SubjectBlock(policy.AnySubject(), {JobAction.CANCEL},
+                                          jobtag_grants={JobAction.CANCEL: ()}))
+        docs = [policy.PolicyDocument("fusion", "vo", blocks=(block,)) for block in blocks]
+        docs += [policy.PolicyDocument("fusion", "vo", blocks=(start,), allocation=n)
+                 for n in (huge, -1, True)]
+        docs.append(policy.PolicyDocument("fusion", "vo", blocks=(start,),
+                                          member_quotas={ALICE.subject: 1.5}))
+        for doc in docs:
+            derived = derive_capability(doc, ALICE, expiry=1000)
+            assert derived.document is not None
+            assert _refusal(derived) == _refusal(_by_hand(derived))
+        # with figures the parser takes, the document is trusted
+        doc = policy.PolicyDocument("fusion", "vo", blocks=(start,), allocation=huge - 1)
+        derived = derive_capability(doc, ALICE, expiry=1000)
+        calls = _count_policy_parses(monkeypatch)
+        sign_capability(KEY, derived)
+        assert calls == []

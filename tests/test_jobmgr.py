@@ -1082,6 +1082,21 @@ class TestPersistence:
             "member=/O=Grid/CN=alice used=700/unlimited",
         ]
 
+    def test_deleted_accounting_lines_stop_applying(self):
+        eng = _engine()
+        eng.gatekeeper_submit(ALICE, TRANSP.replace("600", "40"), SimProfile(runtime=10))
+        again = self._restore(eng, [VO_PLAIN])
+        # no allocation and no quota: the VO and alice are unlimited, and
+        # bob, who has no usage, has no record
+        assert again.ledger_report().splitlines() == [
+            "vo=fusion used=40/unlimited",
+            "member=/O=Grid/CN=alice used=40/unlimited",
+        ]
+        # as under a fresh engine with that document, her next job, beyond
+        # the deleted quota of 600, is admitted and charged nothing
+        again.gatekeeper_submit(ALICE, TRANSP.replace("600", "900"), SimProfile(runtime=10))
+        assert again.ledger_report().splitlines()[0] == "vo=fusion used=40/unlimited"
+
     def test_pushed_vo_keeps_its_stored_terms(self):
         # the site holds no fusion document; the token's fragment wrote the terms
         eng = _engine(vo=None)
