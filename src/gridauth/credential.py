@@ -8,7 +8,8 @@ computed over a canonical serialization of the claims, so identical
 claims always produce identical tokens.
 
 Signing checks the claims' policy fragment: on the document that
-`pdp.derive_capability` attached to them, else on a parse of the text.
+`pdp.derive_capability` attached to them if it formats to their text,
+which then parses to an equal document, else on a parse of the text.
 """
 
 from __future__ import annotations
@@ -98,7 +99,7 @@ def _expiry_and_groups(fields: dict) -> tuple:
 def load_credential(text: str) -> GridCredential:
     """Parse the line-oriented ``.cred`` format.
 
-    An expired credential still loads; expiry is checked at use time.
+    An expired credential still loads; no code checks expiry yet.
     """
     fields: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -239,10 +240,10 @@ def canonical_claims_text(claims: CapabilityClaims) -> str:
 
 
 def _validate_claims(claims: CapabilityClaims) -> None:
+    """Check the fragment: a vo document of the claims' vo, every block applying
+    to their subject; the attached document, if it formats to the text, stands for it."""
     fragment = claims.document
-    if fragment is None or not policy_mod.format_parses(fragment) or (
-        policy_mod.format_policy(fragment) != claims.policy_fragment
-    ):
+    if fragment is None or policy_mod.format_policy(fragment) != claims.policy_fragment:
         try:
             fragment = policy_mod.parse_policy(claims.policy_fragment)
         except policy_mod.PolicyError as exc:

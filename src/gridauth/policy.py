@@ -29,8 +29,9 @@ only the token's text, which tells its kind.  Token offsets are recomputed
 only for an error, which carries a 1-based line and a 1-based column
 counted in characters; a bad character anywhere outranks any other error.
 
-Attribute names are stored lower-case, as RSL stores them: the parser
-lowers them, and a block built in code with any other name is refused.
+A document built in code holds only what the DSL can write: attribute
+names lower-case, as RSL stores them, bounds signed 64-bit ``int``s,
+amounts non-negative ones, and jobtag grants tagged, on allowed actions.
 Blocks and documents are compiled when they are built: a document holds
 one table per job action, with one entry per block (a refusal, a permit,
 a jobtag grant set, or for ``start`` the block's check plan), and each
@@ -119,6 +120,7 @@ class RangeSpec:
     hi: int
 
     def __post_init__(self):
+        _check_int64("range bound", self.lo, self.hi)
         if self.lo > self.hi:
             raise BadRangeError(f"empty range {self.lo}..{self.hi}")
 
@@ -153,6 +155,9 @@ class RegexSpec:
 class MaxSpec:
     bound: int
 
+    def __post_init__(self):
+        _check_int64("max bound", self.bound)
+
     def allows(self, value: RslValue) -> bool:
         return _is_int(value) and value <= self.bound
 
@@ -163,6 +168,9 @@ class MaxSpec:
 @dataclass(frozen=True)
 class MinSpec:
     bound: int
+
+    def __post_init__(self):
+        _check_int64("min bound", self.bound)
 
     def allows(self, value: RslValue) -> bool:
         return _is_int(value) and value >= self.bound
@@ -192,6 +200,12 @@ ValueSpec = EnumSpec | RangeSpec | RegexSpec | MaxSpec | MinSpec | OrSpec
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_int64(what: str, *values, least: int = rsl.INT64_MIN) -> None:
+    for value in values:
+        if type(value) is not int or not least <= value <= rsl.INT64_MAX:
+            raise PolicyError(f"{what} must be an int in {least}..{rsl.INT64_MAX}, not {value!r}")
 
 
 def _interval(spec: ValueSpec):
@@ -309,11 +323,15 @@ class SubjectBlock:
 
     def __post_init__(self):
         allowed = frozenset(self.allowed_actions)
+        if not allowed <= _ACTION_POSITION.keys():
+            raise PolicyError(f"allowed actions {set(allowed - set(JobAction))} are not JobActions")
         object.__setattr__(self, "allowed_actions", allowed)
         object.__setattr__(self, "assertions", tuple(self.assertions))
         grants = {a: frozenset(tags) for a, tags in dict(self.jobtag_grants).items()}
         if JobAction.START in grants:
             raise MisplacedClauseError("jobtag grants cannot apply to 'start'")
+        if not grants.keys() <= allowed or not all(grants.values()):
+            raise PolicyError("a jobtag grant needs a tag and an action the block allows")
         object.__setattr__(self, "jobtag_grants", grants)
 
         unions: dict[str, list] = {}
@@ -385,6 +403,9 @@ class PolicyDocument:
         object.__setattr__(self, "blocks", tuple(self.blocks))
         object.__setattr__(self, "trust", tuple(self.trust))
         object.__setattr__(self, "member_quotas", dict(self.member_quotas))
+        if self.allocation is not None:
+            _check_int64("allocation", self.allocation, least=0)
+        _check_int64("member-quota", *self.member_quotas.values(), least=0)
         if self.source == "resource" and (
             self.allocation is not None or self.member_quotas
         ):
@@ -656,12 +677,10 @@ class _PolicyParser:
                     "expected 'allow', 'attr', 'require', 'forbid' or 'closed-world'"
                 )
 
-        allowed = unrestricted | set(restricted)
-        grants = {a: frozenset(tags) for a, tags in restricted.items()}
         return SubjectBlock(
             matcher=matcher,
-            allowed_actions=frozenset(allowed),
-            jobtag_grants=grants,
+            allowed_actions=unrestricted | set(restricted),
+            jobtag_grants=restricted,
             assertions=tuple(assertions),
             closed_world=closed_world,
         )
@@ -696,23 +715,19 @@ class _PolicyParser:
                 values.append(self.expect_string())
             self.expect("}")
             return EnumSpec(tuple(values))
-        if keyword == "range":
-            lo = self.expect_int()
-            self.expect("..")
-            hi = self.expect_int()
-            if lo > hi:
-                raise BadRangeError(f"line {self.where(at)[0]}: empty range {lo}..{hi}")
-            return RangeSpec(lo, hi)
-        if keyword == "matches":
-            pattern = self.expect_string()
-            try:
-                return RegexSpec(pattern)
-            except BadRegexError as exc:
-                raise BadRegexError(f"line {self.where(at)[0]}: {exc}") from None
         if keyword == "max":
             return MaxSpec(self.expect_int())
         if keyword == "min":
             return MinSpec(self.expect_int())
+        try:
+            if keyword == "range":
+                lo = self.expect_int()
+                self.expect("..")
+                return RangeSpec(lo, self.expect_int())
+            if keyword == "matches":
+                return RegexSpec(self.expect_string())
+        except (BadRangeError, BadRegexError) as exc:
+            raise type(exc)(f"line {self.where(at)[0]}: {exc}") from None
         raise self.error("expected a value spec ('in', 'range', 'matches', 'max', 'min')")
 
 
@@ -750,9 +765,10 @@ def _render_assertion(a: Assertion) -> str:
 
 
 def format_policy(doc: PolicyDocument) -> str:
-    """Render a document in canonical DSL text; reparsing yields an equal AST."""
+    """Render a document in canonical DSL text; reparsing yields an equal AST, for
+    a document built in code too, but flattens an `OrSpec` built nested or of one spec."""
     lines = [f"policy {quote_string(doc.name)} source {doc.source} {{"]
-    for vo in sorted(doc.trust):
+    for vo in doc.trust:
         lines.append(f"  trust vo {quote_string(vo)};")
     if doc.allocation is not None:
         lines.append(f"  allocation {doc.allocation} cpu-seconds;")
@@ -780,27 +796,6 @@ def format_policy(doc: PolicyDocument) -> str:
         lines.append("  }")
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def format_parses(doc: PolicyDocument) -> bool:
-    """Whether `format_policy`'s text for ``doc`` parses.  It does unless
-    the document, built in code, holds a number that is no signed 64-bit
-    ``int``, a negative allocation or quota, or a jobtag grant of no tag."""
-    amounts = [*doc.member_quotas.values()] + ([] if doc.allocation is None else [doc.allocation])
-    specs, bounds = [a.spec for b in doc.blocks for a in b.assertions], []
-    while specs:
-        spec = specs.pop()
-        if isinstance(spec, OrSpec):
-            specs += spec.alternatives
-        elif isinstance(spec, RangeSpec):
-            bounds += (spec.lo, spec.hi)
-        elif isinstance(spec, (MaxSpec, MinSpec)):
-            bounds.append(spec.bound)
-    return (
-        all(type(n) is int and 0 <= n <= rsl.INT64_MAX for n in amounts)
-        and all(type(n) is int and rsl.INT64_MIN <= n <= rsl.INT64_MAX for n in bounds)
-        and all(tags for b in doc.blocks for tags in b.jobtag_grants.values())
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ against the script's own directory, so scenario bundles are relocatable.
 
 Step forms (a key that a step does not list is an error)::
 
-    load-policy <label> <path>
+    load-policy <label> <path>   # before the site's first use
     load-cred   <label> <path>
     issue-cap   <label> policy=<label> cred=<label> key=<hex64> expiry=<int>
     submit      <label> cred=<label> rsl=<text>|rsl-file=<path> runtime=<int>
@@ -202,6 +202,8 @@ class ScenarioRunner:
     def _load_policy(self, lineno: int, rest: list) -> None:
         if len(rest) != 2:
             raise ScenarioError(lineno, "usage: load-policy <label> <path>")
+        if self.engine is not None:
+            raise ScenarioError(lineno, "load-policy must precede the first step using the site")
         label, path = rest
         try:
             doc = parse_policy(self._resolve(path).read_text(encoding="utf-8"))

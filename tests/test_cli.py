@@ -1647,6 +1647,25 @@ class TestScenarioCommand:
             assert main(["scenario", str(script)]) == 2
             assert "script error: step at line 5: unknown key" in capsys.readouterr().err
 
+    def test_load_policy_after_the_site_is_built_exits_two(self, tmp_path, capsys):
+        """The site is built from the policies loaded before its first use,
+        so a later one would go unread: the second submit was denied with
+        ``no policy document for vo 'fusion'``."""
+        submit = "rsl='&(executable=\"/opt/vo/apps/transp\")(maxcputime=600)' runtime=5"
+        script = tmp_path / "s.script"
+        script.write_text(
+            f"load-policy site {SCENARIOS / 'policies' / 's1-site.pol'}\n"
+            f"load-cred alice {SCENARIOS / 'creds' / 's1-alice.cred'}\n"
+            f"submit a1 cred=alice {submit}\n"
+            f"load-policy fusion {SCENARIOS / 'policies' / 's1-fusion.pol'}\n"
+            f"submit a2 cred=alice {submit}\n"
+            "expect a2 ok\n"
+        )
+        assert main(["scenario", str(script)]) == 2
+        assert capsys.readouterr().err == (
+            "script error: step at line 4: load-policy must precede the first step using the site\n"
+        )
+
     def test_empty_script_passes_with_empty_report(self, tmp_path, capsys):
         script = tmp_path / "empty.script"
         script.write_text("# nothing to do\n")

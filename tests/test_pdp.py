@@ -395,6 +395,17 @@ class TestDecidePush:
                 compared += 1
         assert compared > 100
 
+    def test_a_grant_on_a_refused_action_cannot_be_built(self):
+        # its text, 'allow action cancel on jobtag "t"', would permit in push
+        # mode the cancel that the block refuses in pull mode
+        with pytest.raises(PolicyError, match="jobtag grant"):
+            SubjectBlock(AnySubject(), {JobAction.START}, jobtag_grants={JobAction.CANCEL: {"t"}})
+        vo = parse_policy('policy "fusion" source vo { subject any {'
+                          ' allow action start; allow action cancel on jobtag "t"; } }')
+        q = _mgmt_query(ALICE, JobAction.CANCEL, jobtag="t")
+        assert _assert_push_equals_pull(None, ALICE, vo, OPEN_RESOURCE, q)
+        assert decide(q, PolicySourceSet(OPEN_RESOURCE, vo)).permitted
+
     def test_tampered_token_denies(self):
         claims = derive_capability(SCENARIO2_VO, ALICE, expiry=10**9)
         token = sign_capability(KEY, claims)

@@ -31,6 +31,7 @@ from gridauth.policy import (
     MustNotContain,
     OrSpec,
     PolicyDocument,
+    PolicyError,
     PolicySyntaxError,
     RangeSpec,
     RegexSpec,
@@ -40,7 +41,7 @@ from gridauth.policy import (
     parse_policy,
     validate_policy,
 )
-from gridauth.rsl import JobAction
+from gridauth.rsl import INT64_MAX, INT64_MIN, JobAction
 
 
 def _cred(subject="/O=Grid/CN=alice", vo="fusion", groups=()):
@@ -265,6 +266,37 @@ class TestSpecs:
         assert spec.allows(1)
         assert spec.allows(11)
         assert not spec.allows(5)
+
+
+ALICE_DN = "/O=Grid/CN=alice"
+
+#: each constructor given a value the DSL cannot write, by the rule it breaks
+REFUSED_BUILDS = [
+    *[(f"range lo {n!r}", lambda n=n: RangeSpec(n, INT64_MAX)) for n in (True, 2.5, "7", 2**63)],
+    *[(f"range hi {n!r}", lambda n=n: RangeSpec(INT64_MIN, n)) for n in (True, 2.5, "7", 2**63)],
+    *[(f"max {n!r}", lambda n=n: MaxSpec(n)) for n in (True, 2.5, "7", 2**63, INT64_MIN - 1)],
+    *[(f"min {n!r}", lambda n=n: MinSpec(n)) for n in (True, 2.5, "7", 2**63, INT64_MIN - 1)],
+    *[(f"allocation {n!r}", lambda n=n: PolicyDocument("fusion", "vo", allocation=n))
+      for n in (True, 2.5, "7", 2**63, -1)],
+    *[(f"member-quota {n!r}",
+       lambda n=n: PolicyDocument("fusion", "vo", member_quotas={ALICE_DN: n}))
+      for n in (True, 2.5, "7", 2**63, -1)],
+    ("jobtag grant of no tag", lambda: SubjectBlock(
+        AnySubject(), {JobAction.CANCEL}, jobtag_grants={JobAction.CANCEL: ()})),
+    ("jobtag grant on a refused action", lambda: SubjectBlock(
+        AnySubject(), {JobAction.START}, jobtag_grants={JobAction.CANCEL: {"t"}})),
+    *[(f"allowed action {a!r}", lambda a=a: SubjectBlock(AnySubject(), {JobAction.START, a}))
+      for a in ("start", "cancel", None, 0)],
+]
+
+
+class TestConstructorsRefuseWhatTheParserRefuses:
+    @pytest.mark.parametrize(
+        "build", [b for _, b in REFUSED_BUILDS], ids=[i for i, _ in REFUSED_BUILDS]
+    )
+    def test_refused(self, build):
+        with pytest.raises(PolicyError):
+            build()
 
 
 class TestApplicableBlocks:
@@ -521,6 +553,38 @@ def documents_with_arbitrary_strings(draw):
     )
 
 
+@st.composite
+def generated_documents(draw):
+    """A `generators.rand_policy` document of either source."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    return rand_policy(rng, draw(st.sampled_from(("resource", "vo"))), with_accounting=True)
+
+
+INT64 = st.integers(INT64_MIN, INT64_MAX) | st.sampled_from((INT64_MIN, -1, 0, 1, INT64_MAX))
+AMOUNTS = st.integers(0, INT64_MAX) | st.sampled_from((0, 1, INT64_MAX - 1, INT64_MAX))
+
+
+@st.composite
+def documents_at_the_int64_edges(draw):
+    """Documents whose bounds and amounts reach the ends of signed 64-bit,
+    and resource documents whose trust lines are in any order."""
+    lo, hi = sorted((draw(INT64), draw(INT64)))
+    specs = (RangeSpec(lo, hi), MaxSpec(draw(INT64)), MinSpec(draw(INT64)),
+             OrSpec((MinSpec(draw(INT64)), RangeSpec(hi, hi))))
+    block = SubjectBlock(
+        AnySubject(), {JobAction.START},
+        assertions=tuple(draw(st.sampled_from((MayContain, MustContain)))("count", spec)
+                         for spec in specs),
+    )
+    if draw(st.booleans()):
+        trust = draw(st.lists(st.sampled_from("abc"), max_size=4))
+        return PolicyDocument("site", "resource", blocks=(block,), trust=trust)
+    return PolicyDocument(
+        "fusion", "vo", blocks=(block,), allocation=draw(st.none() | AMOUNTS),
+        member_quotas=draw(st.dictionaries(st.sampled_from(("/CN=a", "/CN=b")), AMOUNTS)),
+    )
+
+
 class TestRoundTrip:
     @given(documents_with_arbitrary_strings())
     @settings(max_examples=200, deadline=None)
@@ -544,6 +608,18 @@ class TestRoundTrip:
             "}\n"
         )
         doc = parse_policy(text)
+        assert parse_policy(format_policy(doc)) == doc
+
+    @given(st.one_of(generated_documents(), documents_with_arbitrary_strings(),
+                     documents_at_the_int64_edges()))
+    @settings(max_examples=300, deadline=None)
+    def test_every_built_document_round_trips(self, doc):
+        assert parse_policy(format_policy(doc)) == doc
+
+    def test_trust_lines_keep_their_order(self):
+        doc = parse_policy('policy "site" source resource { trust vo "b"; trust vo "a"; }')
+        assert doc.trust == ("b", "a")
+        assert format_policy(doc).splitlines()[1:3] == ['  trust vo "b";', '  trust vo "a";']
         assert parse_policy(format_policy(doc)) == doc
 
     def test_formatting_is_a_fixed_point(self):
