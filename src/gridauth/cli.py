@@ -242,7 +242,10 @@ def _read_snapshot(path: str) -> tuple[dict | None, int]:
     if not isinstance(engine, dict):
         raise StateFileError(f"state file {path!r} holds no engine")
     try:
-        for i, event in enumerate(engine.get("events", ())):
+        events = engine.get("events", [])
+        if type(events) is not list:  # "" or {} would iterate as no events
+            raise ValueError(f"events must be a list, not {events!r}")
+        for i, event in enumerate(events):
             _check_event(event, "event", i)
         engine = _upgrade(engine, version)
     # AttributeError: a list where an old version holds an object
@@ -312,10 +315,11 @@ def _load_state(path: str) -> dict | None:
         if len({job["id"] for job in jobs}) < len(jobs):
             raise ValueError("a job is stored twice")
         jobs.sort(key=lambda job: int(job["id"][1:]))  # submission order
+        events += engine["events"]
     # AttributeError: a list where an old version holds an object
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise _malformed(path, exc) from None
-    return dict(engine, jobs=jobs, events=events + engine["events"])
+    return dict(engine, jobs=jobs, events=events)
 
 
 def _save_state(path: str, engine: JobManager, journal_bytes: int = 0) -> None:

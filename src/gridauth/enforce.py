@@ -59,12 +59,14 @@ class SandboxSpec:
     max_memory: int | None = None
 
     def __post_init__(self):
-        for name in ("max_cpu", "max_memory"):
-            limit = getattr(self, name)
-            if limit is not None and type(limit) is not int:  # true/false is no cap
-                raise EnforcementError(f"{name} must be an integer, not {limit!r}")
-            if limit is not None and limit <= 0:
-                raise EnforcementError(f"{name} must be positive when set")
+        cpu, memory = self.max_cpu, self.max_memory
+        if not ((cpu is None or type(cpu) is int and cpu > 0)
+                and (memory is None or type(memory) is int and memory > 0)):
+            for name, limit in (("max_cpu", cpu), ("max_memory", memory)):  # the first fault
+                if limit is not None and type(limit) is not int:  # true/false is no cap
+                    raise EnforcementError(f"{name} must be an integer, not {limit!r}")
+                if limit is not None and limit <= 0:
+                    raise EnforcementError(f"{name} must be positive when set")
 
 
 def record_usage(spec: SandboxSpec, cpu: int, memory: int) -> str | None:
@@ -98,11 +100,10 @@ class DynamicAccountPool:
                 raise ValueError(f"account {name!r} is both free and leased to {job_id}")
             holders[name] = job_id
             self.leases[job_id] = name
-        seen: set = set()
-        for name in self._free:
-            if name in seen:
-                raise EnforcementError(f"duplicate account {name!r}")
-            seen.add(name)
+        if len(free) < len(self._free):  # some free account is listed twice
+            seen: set = set()  # the first listed twice: set.add returns None
+            name = next(name for name in self._free if name in seen or seen.add(name))
+            raise EnforcementError(f"duplicate account {name!r}")
 
     @property
     def free_accounts(self) -> tuple:

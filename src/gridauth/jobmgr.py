@@ -52,7 +52,6 @@ from __future__ import annotations
 import enum
 import heapq
 import re
-from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, NamedTuple
 
@@ -140,6 +139,20 @@ def _not_int(value, what: str) -> ValueError:
 _JOB_ID = re.compile("j[1-9][0-9]*").fullmatch
 
 
+def _figure_fault(job_id: str, data: dict) -> ValueError:
+    """The first fault among a stored job's figures, names and ``reserved``
+    sign, in the order `restore` checks them, when one of its checks failed."""
+    for key in ("reserved", "consumed", "priority", "submitted_at"):
+        if type(data[key]) is not int:
+            return _not_int(data[key], f"job {job_id} {key}")
+    for key in ("owner", "account", "vo"):  # a job without a VO stores null
+        if type(data[key]) is not str and (key != "vo" or data[key] is not None):
+            return ValueError(f"job {job_id} {key} must be a string, not {data[key]!r}")
+    if data["ended_at"] is not None and type(data["ended_at"]) is not int:
+        return _not_int(data["ended_at"], f"job {job_id} ended_at")
+    return ValueError(f"job {job_id} reserved {data['reserved']} is negative")
+
+
 @dataclass(frozen=True)
 class SimProfile:
     """What the simulated job would really do if it ran."""
@@ -148,10 +161,12 @@ class SimProfile:
     memory_peak: int = 0  # MB
 
     def __post_init__(self):
-        for figure in (self.runtime, self.memory_peak):
-            _require_int(figure, "profile figure")
-            if figure < 0:
-                raise ValueError("profile figures must be non-negative")
+        runtime, peak = self.runtime, self.memory_peak
+        if not (type(runtime) is int and runtime >= 0 and type(peak) is int and peak >= 0):
+            for figure in (runtime, peak):  # the first fault
+                _require_int(figure, "profile figure")
+                if figure < 0:
+                    raise ValueError("profile figures must be non-negative")
 
 
 @dataclass(slots=True)
@@ -550,107 +565,122 @@ class JobManager:
         key_registry: Mapping | None = None,
     ) -> "JobManager":
         """The engine a `snapshot` of the current state version describes
-        (`gridauth.cli` upgrades older ones); a fault raises ValueError."""
+        (`gridauth.cli` upgrades older ones); a fault raises ValueError.
+
+        Each stored job is checked in this order, so a job with several
+        faults reports the first of them:
+
+        1. its id is ``j<n>``, not stored before, below ``next_seq`` and
+           above the previous job's (ties between endings in one second
+           go by submission number);
+        2. ``reserved``, ``consumed``, ``priority`` and ``submitted_at``
+           are integers, ``owner`` and ``account`` strings, ``vo`` a
+           string or null, ``ended_at`` an integer or null, and
+           ``reserved`` is not negative;
+        3. its sandbox holds the two caps and nothing else;
+        4. the profile's runtime, then its memory peak, is a non-negative
+           integer, then each cap a positive integer or null;
+        5. ``consumed`` lies between 0 and the most the job can be
+           charged, the lesser of its runtime and its cpu cap;
+        6. ``request`` is a map, ``state`` a job state and ``accounted``
+           true or false;
+        7. the request passes `RslRequest`'s checks;
+        8. a live accounted job's VO and member have ledger records, and
+           its ``reserved`` covers the most it can be charged.
+
+        Then each VO's and member's ledger usage must cover their live
+        jobs' reservations, and the pool must lease accounts only to
+        live jobs.
+        """
         engine = cls(resource_policy, vo_policies, gridmap, key_registry=key_registry)
         engine.clock = _require_int(state["clock"], "clock")
-        engine._next_seq = _require_int(state["next_seq"], "next_seq")
-        engine.ledger = AllocationLedger.from_dict(state["ledger"])
+        next_seq = engine._next_seq = _require_int(state["next_seq"], "next_seq")
+        engine.ledger = ledger = AllocationLedger.from_dict(state["ledger"])
+        jobs, live = engine.jobs, {}  # live: job id -> account
         # (vo, None) or (vo, member) -> what the live accounted jobs hold reserved
-        live_reserved: Counter = Counter()
+        live_reserved: dict = {}
         last_seq = 0
+        # each group of checks is one condition, and a message is built only for a fault
         for data in state["jobs"]:
             job_id = data["id"]
-            if not (isinstance(job_id, str) and _JOB_ID(job_id)):
-                raise ValueError(f"job id {job_id!r} is not j<n>")
-            if job_id in engine.jobs:
-                raise ValueError(f"job {job_id} is stored twice")
-            seq = int(job_id[1:])
-            if seq >= engine._next_seq:
-                raise ValueError(f"job {job_id} is not below next_seq {engine._next_seq}")
-            # ties between endings in one second go by submission number
-            if seq < last_seq:
+            seq = int(job_id[1:]) if type(job_id) is str and _JOB_ID(job_id) else 0
+            if not last_seq < seq < next_seq:
+                if not seq:
+                    raise ValueError(f"job id {job_id!r} is not j<n>")
+                if job_id in jobs:
+                    raise ValueError(f"job {job_id} is stored twice")
+                if seq >= next_seq:
+                    raise ValueError(f"job {job_id} is not below next_seq {next_seq}")
                 raise ValueError(f"job {job_id} is stored out of submission order")
             last_seq = seq
-            # the messages are built only for a figure that fails
-            for key in ("reserved", "consumed", "priority", "submitted_at"):
-                if type(data[key]) is not int:
-                    raise _not_int(data[key], f"job {job_id} {key}")
-            # a lease, a settlement and the pool take these on as they are
-            for key in ("owner", "account", "vo"):  # a job without a VO stores null
-                if type(data[key]) is not str and (key != "vo" or data[key] is not None):
-                    raise ValueError(f"job {job_id} {key} must be a string, not {data[key]!r}")
-            if data["ended_at"] is not None and type(data["ended_at"]) is not int:
-                raise _not_int(data["ended_at"], f"job {job_id} ended_at")
-            # figures a scheduled end second would turn into nonsense
-            if data["reserved"] < 0:
-                raise ValueError(f"job {job_id} reserved {data['reserved']} is negative")
+            # each field is read once, in the order the checks take them
+            if not (
+                type(reserved := data["reserved"]) is int
+                and type(consumed := data["consumed"]) is int
+                and type(priority := data["priority"]) is int
+                and type(submitted_at := data["submitted_at"]) is int
+                # a lease, a settlement and the pool take these on as they are
+                and type(owner := data["owner"]) is str
+                and type(account := data["account"]) is str
+                and (type(vo := data["vo"]) is str or vo is None)  # a job without a VO
+                and ((ended_at := data["ended_at"]) is None or type(ended_at) is int)
+                # a figure a scheduled end second would turn into nonsense
+                and reserved >= 0
+            ):
+                raise _figure_fault(job_id, data)
             sandbox = data["sandbox"]
             if sandbox.keys() != {"max_cpu", "max_memory"}:  # a cap no code knows goes unenforced
                 raise ValueError(f"job {job_id} sandbox holds {sorted(sandbox)}, not the two caps")
+            profile = data["profile"]
             try:  # each constructor checks its own figures
-                profile = SimProfile(data["profile"]["runtime"], data["profile"]["memory_peak"])
+                profile = SimProfile(profile["runtime"], profile["memory_peak"])
                 spec = SandboxSpec(sandbox["max_cpu"], sandbox["max_memory"])
             except ValueError as exc:
                 raise ValueError(f"job {job_id} {exc}") from None
             # the most the job can consume: a cpu kill charges exactly the cap
             most = profile.runtime if spec.max_cpu is None else min(profile.runtime, spec.max_cpu)
-            if not 0 <= data["consumed"] <= most:
-                raise ValueError(f"job {job_id} consumed {data['consumed']} is outside 0..{most}")
-            if type(data["request"]) is not dict:
-                raise ValueError(
-                    f"job {job_id} request must be an attribute map, not {data['request']!r}"
-                )
-            job_state = _STATES.get(data["state"])
-            if job_state is None:
+            if not 0 <= consumed <= most:
+                raise ValueError(f"job {job_id} consumed {consumed} is outside 0..{most}")
+            if type(request := data["request"]) is not dict:
+                raise ValueError(f"job {job_id} request must be an attribute map, not {request!r}")
+            if (job_state := _STATES.get(data["state"])) is None:
                 raise ValueError(f"job {job_id} state {data['state']!r} is not a job state")
-            if type(data["accounted"]) is not bool:
-                raise ValueError(
-                    f"job {job_id} accounted must be true or false, not {data['accounted']!r}"
-                )
-            job = Job(
-                id=data["id"],
-                owner=data["owner"],
-                vo=data["vo"],
-                # a map takes every check of `RslRequest`: names, duplicates,
-                # int64 range, types and emptiness
-                request=RslRequest(data["request"]),
-                state=job_state,
-                account=data["account"],
-                reserved=data["reserved"],
-                consumed=data["consumed"],
-                priority=data["priority"],
-                submitted_at=data["submitted_at"],
-                ended_at=data["ended_at"],
-                profile=profile,
-                sandbox=spec,
-                accounted=data["accounted"],
+            if type(accounted := data["accounted"]) is not bool:
+                raise ValueError(f"job {job_id} accounted must be true or false, not {accounted!r}")
+            # a map takes every check of `RslRequest`: names, duplicates,
+            # int64 range, types and emptiness
+            job = jobs[job_id] = Job(
+                job_id, owner, vo, RslRequest(request), job_state, account, reserved,
+                consumed, priority, submitted_at, ended_at, profile, spec, accounted,
             )
-            engine.jobs[job.id] = job
-            if job.state not in TERMINAL_STATES:
-                if job.state is JobState.PENDING:
-                    engine._pending[job.id] = job
-                elif job.state is JobState.ACTIVE:
-                    engine._unscheduled[job.id] = job
-                if job.accounted:
-                    # the job's settlement needs its VO and member records
-                    try:
-                        engine.ledger.member_used(job.vo, job.owner)
-                    except EnforcementError as exc:
-                        raise ValueError(f"live job {job.id} cannot settle: {exc}") from None
-                    # and a reservation that covers what it may consume
-                    if job.reserved < most:
-                        raise ValueError(
-                            f"live job {job.id} cannot settle: reserved {job.reserved} "
-                            f"is below the {most} cpu-seconds it may consume"
-                        )
-                    live_reserved[job.vo, None] += job.reserved
-                    live_reserved[job.vo, job.owner] += job.reserved
+            # told apart by identity: hashing a `JobState` runs Python code
+            if job_state is JobState.PENDING:
+                engine._pending[job_id] = job
+            elif job_state is JobState.ACTIVE:
+                engine._unscheduled[job_id] = job
+            elif job_state is not JobState.SUSPENDED:
+                continue  # a finished job holds no reservation and no lease
+            live[job_id] = account
+            if accounted:
+                # the job's settlement needs its VO and member records
+                try:
+                    ledger.member_used(vo, owner)
+                except EnforcementError as exc:
+                    raise ValueError(f"live job {job_id} cannot settle: {exc}") from None
+                # and a reservation that covers what it may consume
+                if reserved < most:
+                    raise ValueError(
+                        f"live job {job_id} cannot settle: reserved {reserved} "
+                        f"is below the {most} cpu-seconds it may consume"
+                    )
+                for key in ((vo, None), (vo, owner)):
+                    live_reserved[key] = live_reserved.get(key, 0) + reserved
         # each refund comes out of the usage of the job's VO and member
         for (vo, member), reserved in live_reserved.items():
             if member is None:
-                what, used = f"vo {vo}", engine.ledger.vo_used(vo)
+                what, used = f"vo {vo}", ledger.vo_used(vo)
             else:
-                what, used = f"member {member}", engine.ledger.member_used(vo, member)
+                what, used = f"member {member}", ledger.member_used(vo, member)
             if used < reserved:
                 raise ValueError(
                     f"ledger {what} used {used} is below its live reservations {reserved}"
@@ -660,12 +690,10 @@ class JobManager:
             raise ValueError(f"pool free and leased must be lists, not {free!r} and {leased!r}")
         if not all(type(account) is str for account in free):
             raise ValueError(f"pool free must list account names, not {free!r}")
-        leases = []
-        for job_id in leased:
-            job = engine.jobs.get(job_id)
-            if job is None or job.state in TERMINAL_STATES:
-                raise ValueError(f"a lease names no live job {job_id!r}")
-            leases.append((job_id, job.account))
+        try:
+            leases = [(job_id, live[job_id]) for job_id in leased]
+        except KeyError as exc:
+            raise ValueError(f"a lease names no live job {exc.args[0]!r}") from None
         engine.pool = DynamicAccountPool(free, leases)
         engine.events = [
             Event(e["t"], e["job"], e["name"], e["detail"]) for e in state["events"]

@@ -98,6 +98,7 @@ class EnumSpec:
         if not self.values:
             raise PolicyError("enumeration spec may not be empty")
         values = tuple(self.values)
+        _check_str("enumeration value", *values)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "_literals", frozenset(v for v in values if "*" not in v))
         # re.escape writes each '*' as '\*' and nothing else as that pair
@@ -138,6 +139,7 @@ class RegexSpec:
     _regex: re.Pattern = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        _check_str("regex", self.pattern)
         try:
             compiled = re.compile(self.pattern)
         except re.error as exc:
@@ -187,6 +189,8 @@ class OrSpec:
         if not self.alternatives:
             raise PolicyError("'or' spec may not be empty")
         object.__setattr__(self, "alternatives", tuple(self.alternatives))
+        for alt in self.alternatives:
+            _check_spec(alt)
 
     def allows(self, value: RslValue) -> bool:
         return any(alt.allows(value) for alt in self.alternatives)
@@ -206,6 +210,17 @@ def _check_int64(what: str, *values, least: int = rsl.INT64_MIN) -> None:
     for value in values:
         if type(value) is not int or not least <= value <= rsl.INT64_MAX:
             raise PolicyError(f"{what} must be an int in {least}..{rsl.INT64_MAX}, not {value!r}")
+
+
+def _check_str(what: str, *values) -> None:
+    for value in values:
+        if type(value) is not str:
+            raise PolicyError(f"{what} must be a string, not {value!r}")
+
+
+def _check_spec(spec, optional: bool = False) -> None:
+    if not (isinstance(spec, ValueSpec) or optional and spec is None):
+        raise PolicyError(f"a value spec is required, not {spec!r}")
 
 
 def _interval(spec: ValueSpec):
@@ -237,17 +252,26 @@ class MayContain:
     attr: str
     spec: ValueSpec
 
+    def __post_init__(self):
+        _check_spec(self.spec)
+
 
 @dataclass(frozen=True)
 class MustContain:
     attr: str
     spec: ValueSpec | None = None
 
+    def __post_init__(self):
+        _check_spec(self.spec, optional=True)
+
 
 @dataclass(frozen=True)
 class MustNotContain:
     attr: str
     spec: ValueSpec | None = None
+
+    def __post_init__(self):
+        _check_spec(self.spec, optional=True)
 
 
 Assertion = MayContain | MustContain | MustNotContain
@@ -257,10 +281,16 @@ Assertion = MayContain | MustContain | MustNotContain
 class Identity:
     dn: str
 
+    def __post_init__(self):
+        _check_str("identity", self.dn)
+
 
 @dataclass(frozen=True)
 class Group:
     name: str
+
+    def __post_init__(self):
+        _check_str("group", self.name)
 
 
 @dataclass(frozen=True)
@@ -332,6 +362,7 @@ class SubjectBlock:
             raise MisplacedClauseError("jobtag grants cannot apply to 'start'")
         if not grants.keys() <= allowed or not all(grants.values()):
             raise PolicyError("a jobtag grant needs a tag and an action the block allows")
+        _check_str("jobtag", *(tag for tags in grants.values() for tag in tags))
         object.__setattr__(self, "jobtag_grants", grants)
 
         unions: dict[str, list] = {}

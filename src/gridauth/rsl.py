@@ -114,11 +114,6 @@ _SINGLE_VALUE_TYPE = {**dict.fromkeys(INT_ATTRIBUTES, int), **dict.fromkeys(TEXT
 
 
 def _check_attribute(name: str, value: RslValue) -> None:
-    # a shortcut for what the checks below accept most often: a well-known
-    # name with a string, or with an integer in 1..INT64_MAX
-    kind = _SINGLE_VALUE_TYPE.get(name)
-    if kind is type(value) and (kind is str or 0 < value <= INT64_MAX):
-        return
     if not NORMALIZED_NAME_RE.match(name):
         raise AttributeTypeError(name, "invalid attribute name")
     if isinstance(value, bool):
@@ -161,13 +156,19 @@ class RslRequest:
     def __post_init__(self):
         normalized: dict[str, RslValue] = {}
         for name, value in self.attributes.items():
-            # a non-ASCII name stays as it is and fails the name check, even
-            # one that lowers to ASCII, as the Kelvin sign lowers to 'k'
-            lname = name.lower() if name.isascii() else name
-            if lname in normalized:
-                raise DuplicateAttributeError(lname)
-            _check_attribute(lname, value)
-            normalized[lname] = value
+            kind = _SINGLE_VALUE_TYPE.get(name)  # a well-known name is stored lower-case
+            if kind is None:
+                # a non-ASCII name stays as it is and fails the name check, even
+                # one that lowers to ASCII, as the Kelvin sign lowers to 'k'
+                name = name.lower() if name.isascii() else name
+                kind = _SINGLE_VALUE_TYPE.get(name)
+            if name in normalized:
+                raise DuplicateAttributeError(name)
+            # a shortcut for what the checks accept most often: a well-known
+            # name with a string, or with an integer in 1..INT64_MAX
+            if not (kind is type(value) and (kind is str or 0 < value <= INT64_MAX)):
+                _check_attribute(name, value)
+            normalized[name] = value
         if not normalized:
             raise EmptyRequestError("request has no attributes")
         object.__setattr__(self, "attributes", normalized)

@@ -36,6 +36,7 @@ STATE_V3 = Path(__file__).resolve().parent / "data" / "state-v3"
 STATE_V4 = Path(__file__).resolve().parent / "data" / "state-v4"
 STATE_V5 = Path(__file__).resolve().parent / "data" / "state-v5"
 STATE_V6 = Path(__file__).resolve().parent / "data" / "state-v6"
+STATE_V7 = Path(__file__).resolve().parent / "data" / "state-v7"
 
 SITE_POL = """\
 policy "site" source resource {
@@ -619,6 +620,9 @@ class TestStateVersion1:
             (("jobs", 2, "ended_at"), "2", "job j3 ended_at must be an integer, not '2'"),
             (("jobs", 3, "ended_at"), True, "job j4 ended_at must be an integer, not True"),
             (("pool", "free"), ["dyn01", 5], "pool free must list account names, not ['dyn01', 5]"),
+            (("jobs", 0, "state"), "queued", "job j1 state 'queued' is not a job state"),
+            (("jobs", 4, "profile", "memory_peak"), -1, "job j5 profile figures must be non-negative"),
+            (("jobs", 1, "sandbox", "max_cpu"), 0, "job j2 max_cpu must be positive when set"),
         ],
         ids=["unknown-lease-job", "free-and-leased", "leased-twice", "lease-on-other-account",
              "ledger-lacks-vo", "ledger-lacks-member", "done-lease-job", "text-consumed",
@@ -633,7 +637,8 @@ class TestStateVersion1:
              "set-disk-cap", "consumed-past-cpu-cap", "reserved-below-runtime",
              "vo-used-below-reservations", "member-used-below-reservations",
              "int-accounted", "text-accounted", "int-account", "null-account", "list-owner",
-             "int-vo", "text-ended-at", "bool-ended-at", "int-free-account"],
+             "int-vo", "text-ended-at", "bool-ended-at", "int-free-account", "unknown-state",
+             "negative-memory-peak", "zero-cpu-cap"],
     )
     def test_malformed_state_fails_closed_at_tick(self, v1, capsys, path, value, message):
         state = v1 / "state.json"
@@ -831,7 +836,8 @@ class TestStateVersion3:
 
 def _replay_fixture_commands(site, capsys) -> None:
     """The commands whose outputs the version-4 CLI printed on its fixture;
-    the version-5 and -6 fixtures were written with the same commands."""
+    the version-5 and -6 fixtures were written with the same commands, and
+    the version-7 one is the version-6 site rewritten."""
     state = str(site / "state.json")
     before = _files(site)
     assert main(["ledger", "--state", state]) == 0
@@ -984,10 +990,16 @@ class TestStateVersion6:
          "job j2 sandbox holds ['max_cpu', 'max_disk', 'max_memory'], not the two caps"),
         (7, ("jobs", 0, "sandbox"), {"max_cpu": 600},
          "job j1 sandbox holds ['max_cpu'], not the two caps"),
-    ], ids=["lease-map", "free-map", "text-request", "disk-cap", "v6-set-disk-cap", "no-memory-cap"])
+        # iterated, either would read as no events, and a merge with the
+        # journal's events would raise TypeError
+        (7, ("events",), "", "events must be a list, not ''"),
+        (7, ("events",), {}, "events must be a list, not {}"),
+    ], ids=["lease-map", "free-map", "text-request", "disk-cap", "v6-set-disk-cap", "no-memory-cap",
+            "text-events", "map-events"])
     def test_shape_restore_does_not_read_exits_three(self, v6, capsys, version, path, value, message):
         """Only the upgrade steps read an old shape; `restore` refuses one,
-        and a cap it does not know, which would go unenforced."""
+        and a cap it does not know, which would go unenforced.  Events that
+        are no list are refused as the snapshot is read."""
         state = v6 / "state.json"
         data = json.loads(state.read_text())
         if version == 7:
@@ -1002,6 +1014,50 @@ class TestStateVersion6:
         assert main(["ledger", "--state", str(state)]) == 3
         assert capsys.readouterr().err.endswith(f"incomplete or malformed: ValueError: {message}\n")
         assert _files(v6) == before
+
+    @pytest.mark.parametrize("edits, message", [
+        ({"consumed": "x", "state": "queued"}, "job j1 consumed must be an integer, not 'x'"),
+        ({"reserved": -5, "sandbox": {"max_cpu": 600, "max_memory": None, "max_disk": 1}},
+         "job j1 reserved -5 is negative"),
+        # the request's own checks run after the accounted flag's
+        ({"request": {"count": "x"}, "accounted": 0},
+         "job j1 accounted must be true or false, not 0"),
+    ], ids=["consumed-before-state", "reserved-before-sandbox", "accounted-before-request"])
+    def test_first_of_two_faults_is_reported_at_tick(self, v6, capsys, edits, message):
+        """`restore` checks a stored job's fields in one fixed order, so a
+        job with two faults reports the one that order reaches first."""
+        state = v6 / "state.json"
+        data = json.loads(state.read_text())
+        data["engine"]["jobs"][0].update(edits)
+        state.write_text(json.dumps(data))
+        before = _files(v6)
+        assert main(["tick", "--state", str(state), "--dt", "1"]) == 3
+        assert capsys.readouterr().err.endswith(f"incomplete or malformed: ValueError: {message}\n")
+        assert _files(v6) == before
+
+
+class TestStateVersion7:
+    """The version-6 site with its snapshot rewritten at version 7 over the
+    same journal: `JobManager.restore` of the snapshot, then `_save_state`
+    with nothing to append.  It pins what `restore` reads of the current
+    version in a committed file."""
+
+    @pytest.fixture
+    def v7(self, tmp_path):
+        for path in STATE_V7.iterdir():
+            shutil.copy(path, tmp_path / path.name)
+        return tmp_path
+
+    def test_commands_print_what_version_6_printed(self, v7, capsys):
+        _replay_fixture_commands(v7, capsys)
+
+    def test_holds_the_version_6_site(self):
+        data = json.loads((STATE_V7 / "state.json").read_text())
+        assert data["version"] == 7 and "target" not in data["engine"]
+        journal = (STATE_V7 / "state.json.journal").read_bytes()
+        assert journal == (STATE_V6 / "state.json.journal").read_bytes()
+        assert data["journal_bytes"] == len(journal)
+        assert _load_state(str(STATE_V7 / "state.json")) == _load_state(str(STATE_V6 / "state.json"))
 
 
 @pytest.mark.parametrize("fixture", [STATE_V4, STATE_V5], ids=["v4", "v5"])

@@ -287,6 +287,17 @@ REFUSED_BUILDS = [
         AnySubject(), {JobAction.START}, jobtag_grants={JobAction.CANCEL: {"t"}})),
     *[(f"allowed action {a!r}", lambda a=a: SubjectBlock(AnySubject(), {JobAction.START, a}))
       for a in ("start", "cancel", None, 0)],
+    # a value of the wrong type, which format_policy could not write
+    ("attr line of no spec", lambda: MayContain("count", None)),
+    ("identity of no string", lambda: Identity(5)),
+    ("enumeration of a tuple", lambda: EnumSpec((("a",),))),
+    ("jobtag grant tag 5", lambda: SubjectBlock(
+        AnySubject(), {JobAction.CANCEL}, jobtag_grants={JobAction.CANCEL: {5}})),
+    ("require of a number spec", lambda: MustContain("count", 5)),
+    ("forbid of a text spec", lambda: MustNotContain("queue", "x")),
+    ("or of no spec", lambda: OrSpec((MaxSpec(1), None))),
+    ("regex of no string", lambda: RegexSpec(5)),
+    ("group of no string", lambda: Group(None)),
 ]
 
 
