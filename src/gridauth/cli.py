@@ -11,7 +11,11 @@ ledger, live jobs, requests as attribute maps, so no command re-parses
 RSL); the events and finished jobs go to an append-only journal beside
 it, which only a ``manage`` of a finished job reads.  A write appends to
 the journal, then atomically replaces the snapshot, which records how
-much of the journal it covers; a command holds a lock on the state.  An
+much of the journal it covers; a command holds a lock on the state.
+Version 8 stores each job, live in the snapshot or finished in the
+journal, as one JSON array in `jobmgr.JOB_FIELDS` order, with its
+profile as ``[runtime, memory_peak]`` and its sandbox as ``[max_cpu,
+max_memory]``, so no key name is stored per job.  An
 older state version passes one upgrade step per version (`_UPGRADES`)
 before `JobManager.restore`, which reads only the current version.
 Policies, credentials and tokens are files named per command.  Exit
@@ -38,6 +42,7 @@ from .enforce import DynamicAccountPool, QuotaExceededError
 from .jobmgr import (
     DeniedByPolicyError,
     IllegalTransitionError,
+    JOB_FIELDS,
     JobManager,
     JobManagerError,
     NoAccountsAvailableError,
@@ -63,8 +68,9 @@ EXIT_DENIED = 1
 EXIT_INPUT = 2
 EXIT_STATE = 3
 
-STATE_VERSION = 7
+STATE_VERSION = 8
 _FINISHED = frozenset(state.value for state in TERMINAL_STATES)
+_ID, _STATE = JOB_FIELDS.index("id"), JOB_FIELDS.index("state")  # a row's places
 
 
 def _without(record: dict, *keys) -> dict:
@@ -113,11 +119,23 @@ def _without_disk(job: dict) -> dict:
                 sandbox=_without(sandbox, "max_disk", "groups"))
 
 
+def _job_as_row(job: dict) -> list:
+    """Versions 1-7 store a job as a map, and its profile and caps as maps.
+    A sandbox map of other keys stays as it is, for `restore` to refuse."""
+    row, profile, sandbox = [job[field] for field in JOB_FIELDS], job["profile"], job["sandbox"]
+    row[JOB_FIELDS.index("profile")] = [profile["runtime"], profile["memory_peak"]]
+    if sandbox.keys() == {"max_cpu", "max_memory"}:
+        row[JOB_FIELDS.index("sandbox")] = [sandbox["max_cpu"], sandbox["max_memory"]]
+    return row
+
+
 #: the step that turns each old version's engine dict into the next one's.
 #: Version 2 dropped each job's jobtag and dynamic-account flag, version 4
 #: moved the history to the journal (the dict kept its form), version 7 the
-#: target, which no decision read.  A step passes on a job already in the
-#: next form: a version-4 or -5 site's journal keeps each line as written.
+#: target, which no decision read; version 8 stores each job as a row.  A
+#: journal keeps each line as written, so `_load_state` sends a job line of
+#: versions 4-7 through the job steps from 4 on; the 4 and 5 steps pass on a
+#: job already in the next form.
 _UPGRADES = {
     1: _each_job(lambda job: _without(job, "jobtag", "dynamic_account")),
     2: _leases_as_list,
@@ -125,6 +143,7 @@ _UPGRADES = {
     4: _each_job(_request_as_map),
     5: _each_job(_without_disk),
     6: lambda engine: _without(engine, "target"),
+    7: _each_job(_job_as_row),
 }
 READABLE_STATE_VERSIONS = (*_UPGRADES, STATE_VERSION)
 
@@ -137,6 +156,8 @@ def _upgrade(engine: dict, version: int) -> dict:
 
 
 _COMPACT = {"sort_keys": True, "separators": (",", ":")}
+#: `json.dumps(value, **_COMPACT)` without building an encoder per call
+_encode = json.JSONEncoder(**_COMPACT).encode
 
 
 class StateFileError(Exception):
@@ -307,14 +328,18 @@ def _load_state(path: str) -> dict | None:
             (kind, record), = entry.items()
             if kind == "event":
                 events.append(_check_event(record, "journal line", n))
-            elif kind == "job" and record["state"] in _FINISHED:
-                jobs.append(_without_disk(_request_as_map(record)))
+            elif kind == "job" and type(record) is dict and record["state"] in _FINISHED:
+                # a line written before version 8
+                jobs.append(_job_as_row(_without_disk(_request_as_map(record))))
+            elif (kind == "job" and type(record) is list and len(record) == len(JOB_FIELDS)
+                  and record[_STATE] in _FINISHED):
+                jobs.append(record)
             else:
                 raise ValueError(f"journal line {n} holds no event or finished job")
         jobs += engine["jobs"]
-        if len({job["id"] for job in jobs}) < len(jobs):
+        if len({job[_ID] for job in jobs}) < len(jobs):
             raise ValueError("a job is stored twice")
-        jobs.sort(key=lambda job: int(job["id"][1:]))  # submission order
+        jobs.sort(key=lambda job: int(job[_ID][1:]))  # submission order
         events += engine["events"]
     # AttributeError: a list where an old version holds an object
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
@@ -333,10 +358,10 @@ def _save_state(path: str, engine: JobManager, journal_bytes: int = 0) -> None:
     """
     state = engine.snapshot()
     live = []
-    tail = [json.dumps({"event": e}, **_COMPACT) for e in state["events"]]
+    tail = [_encode({"event": e}) for e in state["events"]]
     for job in state["jobs"]:
-        if job["state"] in _FINISHED:
-            tail.append(json.dumps({"job": job}, **_COMPACT))
+        if job[_STATE] in _FINISHED:
+            tail.append(_encode({"job": job}))
         else:
             live.append(job)
     tail = "".join(line + "\n" for line in tail).encode("utf-8")
@@ -363,7 +388,7 @@ def _save_state(path: str, engine: JobManager, journal_bytes: int = 0) -> None:
         if created:
             _fsync_dir(path)
         with open(tmp, "w", encoding="utf-8") as f:
-            f.write(json.dumps(payload, **_COMPACT) + "\n")
+            f.write(_encode(payload) + "\n")
             f.flush()
             os.fsync(f.fileno())
         os.replace(tmp, path)

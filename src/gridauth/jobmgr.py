@@ -52,7 +52,7 @@ from __future__ import annotations
 import enum
 import heapq
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Iterable, Mapping, NamedTuple
 
 from .credential import CapabilityToken, GridCredential, GridMapFile
@@ -195,6 +195,11 @@ class Job:
         return self.request.attributes.get("jobtag")
 
 
+#: a stored job is one row of these fields, `Job`'s, in this order; its
+#: profile is the pair (runtime, memory peak), its sandbox (cpu, memory cap)
+JOB_FIELDS = tuple(field.name for field in fields(Job))
+
+
 class Event(NamedTuple):
     t: int
     job: str
@@ -235,6 +240,17 @@ class JobManager:
         pool: DynamicAccountPool | None = None,
         key_registry: Mapping | None = None,
     ):
+        self._configure(resource_policy, vo_policies, gridmap, key_registry)
+        self.clock = 0
+        self._next_seq = 1
+        self.ledger = AllocationLedger()
+        self.pool = pool or DynamicAccountPool()
+        self._register_accounting()
+
+    def _configure(self, resource_policy, vo_policies, gridmap, key_registry) -> None:
+        """All but the clock, the next job number, the ledger and the pool,
+        which `restore` takes from the state: the documents (one of the
+        wrong kind raises), the grid-mapfile, the VO keys, no jobs, no events."""
         if resource_policy is not None and resource_policy.source != "resource":
             raise PolicyError("resource_policy must have source 'resource'")
         self.resource_policy = resource_policy
@@ -244,10 +260,7 @@ class JobManager:
                 raise PolicyError(f"policy '{doc.name}' is not a vo document")
             self.vo_policies[doc.name] = doc
         self.gridmap = gridmap or GridMapFile({})
-        self.pool = pool or DynamicAccountPool()
         self.key_registry = dict(key_registry or {})
-
-        self.clock = 0
         self.jobs: dict[str, Job] = {}
         self._pending: dict[str, Job] = {}  # the pending jobs, in submission order
         # active jobs the next tick schedules: resumed or restored ones
@@ -259,10 +272,6 @@ class JobManager:
         self._ends: list = []
         self._generation = 0
         self.events: list[Event] = []
-        self.ledger = AllocationLedger()
-        self._next_seq = 1
-
-        self._register_accounting()
 
     # -- plumbing ---------------------------------------------------------
 
@@ -516,10 +525,17 @@ class JobManager:
     # -- persistence ------------------------------------------------------
 
     def snapshot(self) -> dict:
+        consumed_now = self._consumed_now
         return {
             "clock": self.clock,
             "next_seq": self._next_seq,
-            "jobs": [self._job_to_dict(j) for j in self.jobs.values()],
+            "jobs": [  # one row per job, in `JOB_FIELDS` order
+                [job.id, job.owner, job.vo, dict(job.request.attributes), job.state.value,
+                 job.account, job.reserved, consumed_now(job), job.priority, job.submitted_at,
+                 job.ended_at, [job.profile.runtime, job.profile.memory_peak],
+                 [job.sandbox.max_cpu, job.sandbox.max_memory], job.accounted]
+                for job in self.jobs.values()
+            ],
             "ledger": self.ledger.to_dict(),
             "pool": {
                 "free": list(self.pool.free_accounts),
@@ -529,30 +545,6 @@ class JobManager:
                 {"t": e.t, "job": e.job, "name": e.name, "detail": e.detail}
                 for e in self.events
             ],
-        }
-
-    def _job_to_dict(self, job: Job) -> dict:
-        return {
-            "id": job.id,
-            "owner": job.owner,
-            "vo": job.vo,
-            "request": dict(job.request.attributes),
-            "state": job.state.value,
-            "account": job.account,
-            "reserved": job.reserved,
-            "consumed": self._consumed_now(job),
-            "priority": job.priority,
-            "submitted_at": job.submitted_at,
-            "ended_at": job.ended_at,
-            "profile": {
-                "runtime": job.profile.runtime,
-                "memory_peak": job.profile.memory_peak,
-            },
-            "sandbox": {
-                "max_cpu": job.sandbox.max_cpu,
-                "max_memory": job.sandbox.max_memory,
-            },
-            "accounted": job.accounted,
         }
 
     @classmethod
@@ -567,32 +559,35 @@ class JobManager:
         """The engine a `snapshot` of the current state version describes
         (`gridauth.cli` upgrades older ones); a fault raises ValueError.
 
-        Each stored job is checked in this order, so a job with several
-        faults reports the first of them:
+        Each stored job is a row of the `JOB_FIELDS`, checked in this
+        order, so a job with several faults reports the first of them:
 
-        1. its id is ``j<n>``, not stored before, below ``next_seq`` and
+        1. it is a list of as many fields as `JOB_FIELDS` names;
+        2. its id is ``j<n>``, not stored before, below ``next_seq`` and
            above the previous job's (ties between endings in one second
            go by submission number);
-        2. ``reserved``, ``consumed``, ``priority`` and ``submitted_at``
+        3. ``reserved``, ``consumed``, ``priority`` and ``submitted_at``
            are integers, ``owner`` and ``account`` strings, ``vo`` a
            string or null, ``ended_at`` an integer or null, and
            ``reserved`` is not negative;
-        3. its sandbox holds the two caps and nothing else;
-        4. the profile's runtime, then its memory peak, is a non-negative
-           integer, then each cap a positive integer or null;
-        5. ``consumed`` lies between 0 and the most the job can be
+        4. its sandbox is the pair of the two caps (a map a version-7
+           file held with other caps is reported by its keys);
+        5. its profile is a pair, whose runtime, then memory peak, is a
+           non-negative integer, then each cap a positive integer or null;
+        6. ``consumed`` lies between 0 and the most the job can be
            charged, the lesser of its runtime and its cpu cap;
-        6. ``request`` is a map, ``state`` a job state and ``accounted``
+        7. ``request`` is a map, ``state`` a job state and ``accounted``
            true or false;
-        7. the request passes `RslRequest`'s checks;
-        8. a live accounted job's VO and member have ledger records, and
+        8. the request passes `RslRequest`'s checks;
+        9. a live accounted job's VO and member have ledger records, and
            its ``reserved`` covers the most it can be charged.
 
         Then each VO's and member's ledger usage must cover their live
         jobs' reservations, and the pool must lease accounts only to
         live jobs.
         """
-        engine = cls(resource_policy, vo_policies, gridmap, key_registry=key_registry)
+        engine = cls.__new__(cls)  # no fresh ledger or pool: both are read from the state
+        engine._configure(resource_policy, vo_policies, gridmap, key_registry)
         engine.clock = _require_int(state["clock"], "clock")
         next_seq = engine._next_seq = _require_int(state["next_seq"], "next_seq")
         engine.ledger = ledger = AllocationLedger.from_dict(state["ledger"])
@@ -601,8 +596,11 @@ class JobManager:
         live_reserved: dict = {}
         last_seq = 0
         # each group of checks is one condition, and a message is built only for a fault
-        for data in state["jobs"]:
-            job_id = data["id"]
+        for row in state["jobs"]:
+            if type(row) is not list or len(row) != len(JOB_FIELDS):
+                raise ValueError(f"stored job {row!r} is not a row of {len(JOB_FIELDS)} fields")
+            (job_id, owner, vo, request, stored_state, account, reserved, consumed,
+             priority, submitted_at, ended_at, profile, sandbox, accounted) = row
             seq = int(job_id[1:]) if type(job_id) is str and _JOB_ID(job_id) else 0
             if not last_seq < seq < next_seq:
                 if not seq:
@@ -613,39 +611,39 @@ class JobManager:
                     raise ValueError(f"job {job_id} is not below next_seq {next_seq}")
                 raise ValueError(f"job {job_id} is stored out of submission order")
             last_seq = seq
-            # each field is read once, in the order the checks take them
             if not (
-                type(reserved := data["reserved"]) is int
-                and type(consumed := data["consumed"]) is int
-                and type(priority := data["priority"]) is int
-                and type(submitted_at := data["submitted_at"]) is int
+                type(reserved) is int
+                and type(consumed) is int
+                and type(priority) is int
+                and type(submitted_at) is int
                 # a lease, a settlement and the pool take these on as they are
-                and type(owner := data["owner"]) is str
-                and type(account := data["account"]) is str
-                and (type(vo := data["vo"]) is str or vo is None)  # a job without a VO
-                and ((ended_at := data["ended_at"]) is None or type(ended_at) is int)
+                and type(owner) is str
+                and type(account) is str
+                and (type(vo) is str or vo is None)  # a job without a VO
+                and (ended_at is None or type(ended_at) is int)
                 # a figure a scheduled end second would turn into nonsense
                 and reserved >= 0
             ):
-                raise _figure_fault(job_id, data)
-            sandbox = data["sandbox"]
-            if sandbox.keys() != {"max_cpu", "max_memory"}:  # a cap no code knows goes unenforced
-                raise ValueError(f"job {job_id} sandbox holds {sorted(sandbox)}, not the two caps")
-            profile = data["profile"]
+                raise _figure_fault(job_id, dict(zip(JOB_FIELDS, row)))
+            if type(sandbox) is not list or len(sandbox) != 2:  # a cap no code knows goes unenforced
+                held = sorted(sandbox) if type(sandbox) is dict else sandbox
+                raise ValueError(f"job {job_id} sandbox holds {held!r}, not the two caps")
             try:  # each constructor checks its own figures
-                profile = SimProfile(profile["runtime"], profile["memory_peak"])
-                spec = SandboxSpec(sandbox["max_cpu"], sandbox["max_memory"])
+                if type(profile) is not list or len(profile) != 2:
+                    raise ValueError(f"profile {profile!r} is not a runtime and memory peak pair")
+                profile = SimProfile(*profile)
+                spec = SandboxSpec(*sandbox)
             except ValueError as exc:
                 raise ValueError(f"job {job_id} {exc}") from None
             # the most the job can consume: a cpu kill charges exactly the cap
             most = profile.runtime if spec.max_cpu is None else min(profile.runtime, spec.max_cpu)
             if not 0 <= consumed <= most:
                 raise ValueError(f"job {job_id} consumed {consumed} is outside 0..{most}")
-            if type(request := data["request"]) is not dict:
+            if type(request) is not dict:
                 raise ValueError(f"job {job_id} request must be an attribute map, not {request!r}")
-            if (job_state := _STATES.get(data["state"])) is None:
-                raise ValueError(f"job {job_id} state {data['state']!r} is not a job state")
-            if type(accounted := data["accounted"]) is not bool:
+            if (job_state := _STATES.get(stored_state)) is None:
+                raise ValueError(f"job {job_id} state {stored_state!r} is not a job state")
+            if type(accounted) is not bool:
                 raise ValueError(f"job {job_id} accounted must be true or false, not {accounted!r}")
             # a map takes every check of `RslRequest`: names, duplicates,
             # int64 range, types and emptiness

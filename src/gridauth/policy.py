@@ -183,14 +183,19 @@ class MinSpec:
 
 @dataclass(frozen=True)
 class OrSpec:
+    """Two or more alternatives; an `OrSpec` among them is flattened into
+    its own, as the text of the whole reparses."""
+
     alternatives: tuple
 
     def __post_init__(self):
-        if not self.alternatives:
-            raise PolicyError("'or' spec may not be empty")
-        object.__setattr__(self, "alternatives", tuple(self.alternatives))
+        alternatives = []
         for alt in self.alternatives:
             _check_spec(alt)
+            alternatives += alt.alternatives if isinstance(alt, OrSpec) else (alt,)
+        if len(alternatives) < 2:
+            raise PolicyError(f"'or' spec needs two alternatives or more, not {alternatives!r}")
+        object.__setattr__(self, "alternatives", tuple(alternatives))
 
     def allows(self, value: RslValue) -> bool:
         return any(alt.allows(value) for alt in self.alternatives)
@@ -796,8 +801,8 @@ def _render_assertion(a: Assertion) -> str:
 
 
 def format_policy(doc: PolicyDocument) -> str:
-    """Render a document in canonical DSL text; reparsing yields an equal AST, for
-    a document built in code too, but flattens an `OrSpec` built nested or of one spec."""
+    """Render a document in canonical DSL text; reparsing yields an equal AST,
+    for a document built in code too."""
     lines = [f"policy {quote_string(doc.name)} source {doc.source} {{"]
     for vo in doc.trust:
         lines.append(f"  trust vo {quote_string(vo)};")

@@ -239,7 +239,7 @@ def sandbox_caps(query, resource_doc, vo_doc) -> tuple:
                 continue
             for attr, found in caps.items():
                 union = [a.spec for a in b.assertions if isinstance(a, MayContain) and a.attr == attr]
-                specs = [OrSpec(tuple(union))] if union else []
+                specs = union[:1] if len(union) < 2 else [OrSpec(tuple(union))]
                 specs += [
                     a.spec
                     for a in b.assertions

@@ -15,12 +15,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridauth.cli import StateFileError, _load_state, _parser, _upgrade, main
+from gridauth.cli import STATE_VERSION, StateFileError, _load_state, _parser, _upgrade, main
 from gridauth.credential import GridMapFile, load_credential
 from gridauth.enforce import DynamicAccountPool, QuotaExceededError
 from gridauth.jobmgr import (
     DeniedByPolicyError,
     IllegalTransitionError,
+    JOB_FIELDS,
     JobManager,
     NoAccountsAvailableError,
     SimProfile,
@@ -37,6 +38,7 @@ STATE_V4 = Path(__file__).resolve().parent / "data" / "state-v4"
 STATE_V5 = Path(__file__).resolve().parent / "data" / "state-v5"
 STATE_V6 = Path(__file__).resolve().parent / "data" / "state-v6"
 STATE_V7 = Path(__file__).resolve().parent / "data" / "state-v7"
+STATE_V8 = Path(__file__).resolve().parent / "data" / "state-v8"
 
 SITE_POL = """\
 policy "site" source resource {
@@ -99,6 +101,23 @@ def site(tmp_path):
 
 def _p(site, name):
     return str(site / name)
+
+
+def _at(field: str) -> int:
+    """Where a job row, as version 8 stores a job, holds ``field``."""
+    return JOB_FIELDS.index(field)
+
+
+def _with(row: list, field: str, value) -> list:
+    """A copy of a job row with ``field`` set to ``value``."""
+    return [value if name == field else item for name, item in zip(JOB_FIELDS, row)]
+
+
+def _as_row(job: dict) -> list:
+    """A job map of versions 1-7, in the current form, as version 8 stores it."""
+    pairs = {"profile": ("runtime", "memory_peak"), "sandbox": ("max_cpu", "max_memory")}
+    return [[job[field][key] for key in pairs[field]] if field in pairs else job[field]
+            for field in JOB_FIELDS]
 
 
 def _submit_args(site, cred="alice.cred", rsl="job.rsl", runtime="200"):
@@ -361,9 +380,18 @@ class TestSubmitManageTickLedger:
         state.unlink()
         assert main(_submit_args(site)) == 0
         data = json.loads(state.read_text())
-        del data["engine"]["jobs"][0]["owner"]
+        del data["engine"]["jobs"][0][_at("owner")]
         state.write_text(json.dumps(data))
         capsys.readouterr()
+        assert main(["tick", "--state", str(state), "--dt", "1"]) == 3
+        assert "ValueError: stored job ['j1', 'fusion', " in capsys.readouterr().err
+
+        # a version-7 job is a map of named fields, so the missing one is named
+        for path in STATE_V7.iterdir():
+            shutil.copy(path, site / path.name)
+        data = json.loads(state.read_text())
+        del data["engine"]["jobs"][0]["owner"]
+        state.write_text(json.dumps(data))
         assert main(["tick", "--state", str(state), "--dt", "1"]) == 3
         assert "KeyError: 'owner'" in capsys.readouterr().err
 
@@ -389,7 +417,7 @@ class TestSubmitManageTickLedger:
             assert err.startswith(f"state error: cannot read state file {str(state)!r}: ")
         assert _files(site) == before
 
-    @pytest.mark.parametrize("version", [0, 8])
+    @pytest.mark.parametrize("version", [0, STATE_VERSION + 1])
     def test_unsupported_state_version_exits_three(self, site, capsys, version):
         assert main(_submit_args(site)) == 0
         state = site / "state.json"
@@ -523,19 +551,21 @@ class TestStateVersion1:
             "t=7 job=j5 event=done detail=state=done consumed=3 refunded=47\n"
         )
         data = json.loads((v1 / "state.json").read_text())
-        assert data["version"] == 7
+        assert data["version"] == STATE_VERSION
         # the snapshot keeps the live jobs; the journal has the rest
-        assert [job["id"] for job in data["engine"]["jobs"]] == ["j1", "j2"]
+        assert [job[_at("id")] for job in data["engine"]["jobs"]] == ["j1", "j2"]
         assert data["engine"]["events"] == []
         journal = (v1 / "state.json.journal").read_bytes()
         assert data["journal_bytes"] == len(journal)
         lines = [json.loads(line) for line in journal.splitlines()]
         assert [next(iter(line)) for line in lines] == ["event"] * 13 + ["job"] * 3
-        assert [line["job"]["id"] for line in lines[13:]] == ["j3", "j4", "j5"]
+        assert [line["job"][_at("id")] for line in lines[13:]] == ["j3", "j4", "j5"]
         whole = _load_state(state)
-        assert [job["id"] for job in whole["jobs"]] == ["j1", "j2", "j3", "j4", "j5"]
+        assert [job[_at("id")] for job in whole["jobs"]] == ["j1", "j2", "j3", "j4", "j5"]
+        # each job is a row of the current fields, none of them a dropped key
+        assert not self.DROPPED_JOB_KEYS & set(JOB_FIELDS)
         for job in whole["jobs"]:
-            assert not self.DROPPED_JOB_KEYS & job.keys()
+            assert len(job) == len(JOB_FIELDS)
         assert "lease_ttl" not in whole
         assert whole["pool"] == {"free": ["dyn01", "dyn02"], "leased": ["j2"]}
         assert main(["ledger", "--state", state]) == 0
@@ -670,6 +700,8 @@ class TestStateVersion1:
         # version 3 lists the leased job ids, and version 7 stores no target
         del engine["lease_ttl"], engine["target"]
         engine["pool"]["leased"] = list(engine["pool"]["leased"])
+        # version 8 stores each job as a row
+        engine["jobs"] = [_as_row(job) for job in engine["jobs"]]
         assert manager.snapshot() == engine
 
 
@@ -724,12 +756,12 @@ class TestStateVersion2:
             "member=/O=Grid/CN=dave used=609/unlimited\n"
         )
 
-    def test_next_write_is_version_7(self, v2):
+    def test_next_write_is_the_current_version(self, v2):
         state = v2 / "state.json"
         assert main(["tick", "--state", str(state), "--dt", "1"]) == 0
         text = state.read_text()
         data = json.loads(text)
-        assert data["version"] == 7
+        assert data["version"] == STATE_VERSION
         assert data["engine"]["pool"] == {"free": ["dyn01"], "leased": ["j2", "j4"]}
         assert "lease_ttl" not in text and "expires_at" not in text
         assert "expires_at" not in (v2 / "state.json.journal").read_text()
@@ -784,13 +816,13 @@ class TestStateVersion3:
             "member=/O=Grid/CN=dave used=609/unlimited\n"
         )
 
-    def test_next_write_is_version_7(self, v3):
+    def test_next_write_is_the_current_version(self, v3):
         state = v3 / "state.json"
         (v3 / "state.json.journal").write_text("left over from an older site\n")
         assert main(["tick", "--state", str(state), "--dt", "10"]) == 0
         data = json.loads(state.read_text())
-        assert data["version"] == 7
-        assert [job["id"] for job in data["engine"]["jobs"]] == ["j1", "j2"]
+        assert data["version"] == STATE_VERSION
+        assert [job[_at("id")] for job in data["engine"]["jobs"]] == ["j1", "j2"]
         assert data["engine"]["pool"] == {"free": ["dyn01", "dyn02"], "leased": ["j2"]}
         # the journal starts afresh and holds the whole history
         assert data["journal_bytes"] == (v3 / "state.json.journal").stat().st_size
@@ -909,15 +941,15 @@ class TestStateVersion4:
     def test_commands_print_what_version_4_printed(self, v4, capsys):
         _replay_fixture_commands(v4, capsys)
 
-    def test_next_write_is_version_7_and_appends_to_the_journal(self, v4):
+    def test_next_write_is_the_current_version_and_appends_to_the_journal(self, v4):
         state = v4 / "state.json"
         journal = v4 / "state.json.journal"
         old = journal.read_bytes()
         assert main(["tick", "--state", str(state), "--dt", "10"]) == 0
         data = json.loads(state.read_text())
-        assert data["version"] == 7
-        assert [job["id"] for job in data["engine"]["jobs"]] == ["j1", "j2"]
-        assert data["engine"]["jobs"][1]["request"] == self.J2_REQUEST
+        assert data["version"] == STATE_VERSION
+        assert [job[_at("id")] for job in data["engine"]["jobs"]] == ["j1", "j2"]
+        assert data["engine"]["jobs"][1][_at("request")] == self.J2_REQUEST
         assert data["engine"]["pool"] == {"free": ["dyn01", "dyn02"], "leased": ["j2"]}
         new = journal.read_bytes()
         assert new.startswith(old) and data["journal_bytes"] == len(new) > len(old)
@@ -929,10 +961,11 @@ class TestStateVersion4:
         assert main(["tick", "--state", _p(v4, "state.json"), "--dt", "10"]) == 0
         journal = v4 / "state.json.journal"
         lines = [json.loads(line) for line in journal.read_text().splitlines()]
-        assert {line["job"]["id"]: line["job"]["request"] for line in lines if "job" in line} == {
-            "j3": '&(executable="/opt/vo/apps/transp")(maxcputime=50)',
-            "j4": {"executable": "/opt/vo/apps/transp", "maxcputime": 20},
-        }
+        j3, j4 = (line["job"] for line in lines if "job" in line)
+        # j3 as version 4 wrote it, j4 as a row of the current version
+        assert (j3["id"], j3["request"]) == ("j3", '&(executable="/opt/vo/apps/transp")(maxcputime=50)')
+        assert (j4[_at("id")], j4[_at("request")]) == (
+            "j4", {"executable": "/opt/vo/apps/transp", "maxcputime": 20})
         capsys.readouterr()
         before = _files(v4)
         assert main(_manage_args(v4, "j3", "status", cred="dave.cred")) == 0
@@ -960,7 +993,7 @@ class TestStateVersion6:
     def test_commands_print_what_version_6_printed(self, v6, capsys):
         _replay_fixture_commands(v6, capsys)
 
-    def test_next_write_is_version_7_without_target(self, v6):
+    def test_next_write_is_the_current_version_without_target(self, v6):
         state = v6 / "state.json"
         journal = v6 / "state.json.journal"
         old_snapshot, old_journal = state.read_text(), journal.read_bytes()
@@ -968,7 +1001,7 @@ class TestStateVersion6:
         assert main(["tick", "--state", str(state), "--dt", "10"]) == 0
         text = state.read_text()
         data = json.loads(text)
-        assert data["version"] == 7
+        assert data["version"] == STATE_VERSION
         assert '"target"' not in text and "target" not in data["engine"]
         new_journal = journal.read_bytes()
         assert new_journal.startswith(old_journal) and b'"target"' not in new_journal
@@ -1060,6 +1093,82 @@ class TestStateVersion7:
         assert _load_state(str(STATE_V7 / "state.json")) == _load_state(str(STATE_V6 / "state.json"))
 
 
+class TestStateVersion8:
+    """The version-7 site with its snapshot rewritten at version 8 over the
+    same journal, as the version-7 fixture was made from the version-6 one.
+    Its snapshot stores each live job as a row of the `JOB_FIELDS`; its
+    journal still holds the finished job as the map version 6 wrote."""
+
+    @pytest.fixture
+    def v8(self, tmp_path):
+        for path in STATE_V8.iterdir():
+            shutil.copy(path, tmp_path / path.name)
+        return tmp_path
+
+    def test_commands_print_what_version_6_printed(self, v8, capsys):
+        _replay_fixture_commands(v8, capsys)
+
+    def test_holds_the_version_7_site(self):
+        data = json.loads((STATE_V8 / "state.json").read_text())
+        assert data["version"] == 8
+        assert [job[_at("id")] for job in data["engine"]["jobs"]] == ["j1", "j2", "j4"]
+        assert all(len(job) == len(JOB_FIELDS) for job in data["engine"]["jobs"])
+        journal = (STATE_V8 / "state.json.journal").read_bytes()
+        assert journal == (STATE_V7 / "state.json.journal").read_bytes()
+        assert data["journal_bytes"] == len(journal)
+        assert _load_state(str(STATE_V8 / "state.json")) == _load_state(str(STATE_V7 / "state.json"))
+
+    def test_finished_job_manage_reads_map_and_row_lines(self, v8, capsys):
+        """A journal written before version 8 holds job maps, and the next
+        write appends rows after them; a finished-job ``manage`` reads both."""
+        journal = v8 / "state.json.journal"
+        old = journal.read_bytes()
+        assert main(["tick", "--state", _p(v8, "state.json"), "--dt", "10"]) == 0
+        new = journal.read_bytes()
+        assert new.startswith(old)
+        old_jobs = [json.loads(line)["job"] for line in old.splitlines() if b'"job":{' in line]
+        new_jobs = [json.loads(line)["job"] for line in new[len(old):].splitlines()
+                    if b'"job":[' in line]
+        assert [job["id"] for job in old_jobs] == ["j3"]
+        assert [job[_at("id")] for job in new_jobs] == ["j4"]
+        capsys.readouterr()
+        before = _files(v8)
+        assert main(_manage_args(v8, "j3", "status", cred="dave.cred")) == 0
+        assert main(_manage_args(v8, "j4", "status", cred="dave.cred")) == 0
+        assert capsys.readouterr().out == (
+            "job=j3 state=done owner=/O=Grid/CN=dave consumed=3 reserved=50 priority=0\n"
+            "job=j4 state=done owner=/O=Grid/CN=dave consumed=6 reserved=20 priority=0\n"
+        )
+        assert main(_manage_args(v8, "j4", "cancel", cred="dave.cred")) == 1
+        assert capsys.readouterr().err == "refused: cannot cancel job j4 in state done\n"
+        assert _files(v8) == before
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda row: row[:-1], "is not a row of 14 fields"),
+        (lambda row: row + [None], "is not a row of 14 fields"),
+        (lambda row: _with(row, "sandbox", [600]), "job j1 sandbox holds [600], not the two caps"),
+        (lambda row: _with(row, "sandbox", {"max_cpu": 600, "max_memory": None}),
+         "job j1 sandbox holds ['max_cpu', 'max_memory'], not the two caps"),
+        (lambda row: _with(row, "profile", [400]),
+         "job j1 profile [400] is not a runtime and memory peak pair"),
+        (lambda row: _with(row, "profile", {"runtime": 400, "memory_peak": 0}),
+         "job j1 profile {'runtime': 400, 'memory_peak': 0} is not a runtime and memory peak pair"),
+    ], ids=["short-row", "long-row", "one-cap", "cap-map", "one-figure", "profile-map"])
+    def test_malformed_row_exits_three(self, v8, capsys, edit, message):
+        """A row, a sandbox and a profile each hold exactly their fields;
+        the maps of version 7 are refused in a version-8 file."""
+        state = v8 / "state.json"
+        data = json.loads(state.read_text())
+        data["engine"]["jobs"][0] = edit(data["engine"]["jobs"][0])
+        state.write_text(json.dumps(data))
+        before = _files(v8)
+        for argv in (["ledger", "--state", str(state)], ["tick", "--state", str(state), "--dt", "1"],
+                     _manage_args(v8, "j3", "status", cred="dave.cred")):
+            assert main(argv) == 3
+            assert capsys.readouterr().err.endswith(f"{message}\n")
+        assert _files(v8) == before
+
+
 @pytest.mark.parametrize("fixture", [STATE_V4, STATE_V5], ids=["v4", "v5"])
 def test_finished_jobs_load_and_the_next_write_drops_disk_and_groups(tmp_path, capsys, fixture):
     """A version-4 or -5 site, whose jobs store a disk figure and cap and the
@@ -1072,7 +1181,7 @@ def test_finished_jobs_load_and_the_next_write_drops_disk_and_groups(tmp_path, c
     old = (tmp_path / "state.json.journal").read_bytes()
     assert main(["tick", "--state", _p(tmp_path, "state.json"), "--dt", "10"]) == 0
     snapshot = (tmp_path / "state.json").read_text()
-    assert json.loads(snapshot)["version"] == 7
+    assert json.loads(snapshot)["version"] == STATE_VERSION
     journal = (tmp_path / "state.json.journal").read_bytes()
     assert journal.startswith(old) and b'"disk"' in old
     for written in (snapshot, journal[len(old):].decode()):
@@ -1146,10 +1255,10 @@ class TestJournal:
         data = json.loads(raw)
         assert raw == json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"
         assert sorted(data) == ["engine", "format", "journal_bytes", "version"]
-        assert [job["id"] for job in data["engine"]["jobs"]] == ["j2"]
+        assert [job[_at("id")] for job in data["engine"]["jobs"]] == ["j2"]
         assert data["engine"]["events"] == []
         journal = (busy / "state.json.journal").read_text().splitlines()
-        assert len(journal) == 6 and json.loads(journal[-1])["job"]["id"] == "j1"
+        assert len(journal) == 6 and json.loads(journal[-1])["job"][_at("id")] == "j1"
         assert data["journal_bytes"] == (busy / "state.json.journal").stat().st_size
 
     @pytest.mark.parametrize("tail", [
@@ -1204,7 +1313,7 @@ class TestJournal:
         assert _load_state(state) == before
         assert main(_submit_args(busy, cred="bob.cred", rsl="small.rsl")) == 0
         assert not tmp.exists()
-        assert [job["id"] for job in _load_state(state)["jobs"]] == ["j1", "j2", "j3"]
+        assert [job[_at("id")] for job in _load_state(state)["jobs"]] == ["j1", "j2", "j3"]
 
     def test_finished_job_is_read_from_the_journal_and_never_written(self, busy, capsys):
         before = _files(busy)
@@ -1237,15 +1346,17 @@ class TestJournal:
         (2, {"event": {}, "job": {}}, "journal line 3 is not a one-key object"),
         (2, {"note": "hello"}, "journal line 3 holds no event or finished job"),
         (2, [1, 2], "journal line 3 is not a one-key object"),
+        (5, {"job": []}, "journal line 6 holds no event or finished job"),
+        (5, {"job": ["j1", "done"]}, "journal line 6 holds no event or finished job"),
     ], ids=["text-time", "bool-time", "int-detail", "null-job", "live-job", "duplicate-job",
-            "not-json", "two-keys", "unknown-kind", "list"])
+            "not-json", "two-keys", "unknown-kind", "list", "empty-row", "short-row"])
     def test_malformed_committed_line_exits_three(self, busy, capsys, n, change, message):
         journal = busy / "state.json.journal"
         lines = journal.read_text().splitlines()
         if isinstance(change, tuple):
             kind, key, value = change
             entry = json.loads(lines[n])
-            entry[kind][key] = value
+            entry[kind][key if kind == "event" else _at(key)] = value
             lines[n] = json.dumps(entry)
         else:
             lines[n] = change if isinstance(change, str) else json.dumps(change)
@@ -1297,15 +1408,15 @@ class TestStoredRequest:
         """Store ``value`` as the request of the live job, j2."""
         state = site / "state.json"
         data = json.loads(state.read_text())
-        assert data["engine"]["jobs"][0]["id"] == "j2"
-        data["engine"]["jobs"][0]["request"] = value
+        assert data["engine"]["jobs"][0][_at("id")] == "j2"
+        data["engine"]["jobs"][0][_at("request")] = value
         state.write_text(json.dumps(data))
 
     def test_requests_are_stored_as_attribute_maps(self, busy):
         data = json.loads((busy / "state.json").read_text())
-        assert data["engine"]["jobs"][0]["request"] == self.SMALL
+        assert data["engine"]["jobs"][0][_at("request")] == self.SMALL
         journal = (busy / "state.json.journal").read_text().splitlines()
-        assert json.loads(journal[-1])["job"]["request"] == {
+        assert json.loads(journal[-1])["job"][_at("request")] == {
             "count": 1, "executable": "/opt/vo/apps/transp", "maxcputime": 600
         }
 
@@ -1344,16 +1455,23 @@ class TestStoredRequest:
             assert "incomplete or malformed" in err and message in err
         assert _files(busy) == before
 
-    def test_text_request_in_version_7_is_refused(self, busy, capsys):
+    def test_text_request_in_version_7_is_refused(self, tmp_path, capsys):
         """Only the upgrade step of a version-4 or older file parses RSL
-        text; the version-4 fixture covers that step."""
+        text; the version-4 fixture covers that step.  (The ``bad-text``
+        case above is the current version's.)"""
+        for path in STATE_V7.iterdir():
+            shutil.copy(path, tmp_path / path.name)
+        state = tmp_path / "state.json"
+        data = json.loads(state.read_text())
         text = '&(MaxCpuTime=300)( executable = "/opt/vo/apps/transp" )'
-        self._store_request(busy, text)
-        before = _files(busy)
-        assert main(_manage_args(busy, "j2", "status", cred="bob.cred")) == 3
+        assert data["engine"]["jobs"][1]["id"] == "j2"
+        data["engine"]["jobs"][1]["request"] = text
+        state.write_text(json.dumps(data))
+        before = _files(tmp_path)
+        assert main(_manage_args(tmp_path, "j2", "status", cred="carol.cred")) == 3
         assert capsys.readouterr().err.endswith(
             f"ValueError: job j2 request must be an attribute map, not {text!r}\n")
-        assert _files(busy) == before
+        assert _files(tmp_path) == before
 
 
 def _commit_journal(site, text: bytes) -> None:

@@ -26,6 +26,7 @@ from gridauth.jobmgr import (
     DeniedByPolicyError,
     Event,
     IllegalTransitionError,
+    JOB_FIELDS,
     JobManager,
     JobState,
     NoAccountsAvailableError,
@@ -755,7 +756,8 @@ class TestEventJump:
         eng.tick(1)
         state = eng.snapshot()
         finished = state["jobs"][0]
-        state["jobs"] = [dict(finished, id=f"j{i}") for i in range(1, 10_001)]
+        at = JOB_FIELDS.index("id")
+        state["jobs"] = [finished[:at] + [f"j{i}"] + finished[at + 1:] for i in range(1, 10_001)]
         state["next_seq"] = 10_001
         eng = JobManager.restore(
             state, resource_policy=RESOURCE, vo_policies=[VO_PLAIN], gridmap=GRIDMAP
@@ -821,7 +823,7 @@ class TestEventJump:
         eng.tick(1)
         eng.tick(4)
         assert eng.job_record(job_id).consumed == 10
-        assert eng.snapshot()["jobs"][0]["consumed"] == 10
+        assert eng.snapshot()["jobs"][0][JOB_FIELDS.index("consumed")] == 10
         assert eng.manage(job_id, JobAction.STATUS, ALICE).consumed == 10
         eng.manage(job_id, JobAction.SUSPEND, ALICE)
         eng.tick(7)

@@ -296,6 +296,9 @@ REFUSED_BUILDS = [
     ("require of a number spec", lambda: MustContain("count", 5)),
     ("forbid of a text spec", lambda: MustNotContain("queue", "x")),
     ("or of no spec", lambda: OrSpec((MaxSpec(1), None))),
+    # no text parses to an `or` of fewer than two alternatives
+    ("or of no alternative", lambda: OrSpec(())),
+    ("or of one alternative", lambda: OrSpec((MaxSpec(1),))),
     ("regex of no string", lambda: RegexSpec(5)),
     ("group of no string", lambda: Group(None)),
 ]
@@ -308,6 +311,15 @@ class TestConstructorsRefuseWhatTheParserRefuses:
     def test_refused(self, build):
         with pytest.raises(PolicyError):
             build()
+
+    def test_nested_or_is_built_flat(self):
+        """As its text reparses: ``max 1 or min 9 or min 5``."""
+        flat = OrSpec((MaxSpec(1), MinSpec(9), MinSpec(5)))
+        assert OrSpec((OrSpec((MaxSpec(1), MinSpec(9))), MinSpec(5))) == flat
+        assert OrSpec((MaxSpec(1), OrSpec((MinSpec(9), MinSpec(5))))) == flat
+        assert OrSpec([MaxSpec(1), MinSpec(9), MinSpec(5)]) == flat
+        # one nested alternative of two is two alternatives
+        assert OrSpec((OrSpec((MaxSpec(1), MinSpec(9))),)) == OrSpec((MaxSpec(1), MinSpec(9)))
 
 
 class TestApplicableBlocks:
@@ -578,10 +590,14 @@ AMOUNTS = st.integers(0, INT64_MAX) | st.sampled_from((0, 1, INT64_MAX - 1, INT6
 @st.composite
 def documents_at_the_int64_edges(draw):
     """Documents whose bounds and amounts reach the ends of signed 64-bit,
-    and resource documents whose trust lines are in any order."""
+    with `or` specs built nested, and resource documents whose trust lines
+    are in any order."""
     lo, hi = sorted((draw(INT64), draw(INT64)))
+    nested = OrSpec((MaxSpec(draw(INT64)), MinSpec(draw(INT64))))
     specs = (RangeSpec(lo, hi), MaxSpec(draw(INT64)), MinSpec(draw(INT64)),
-             OrSpec((MinSpec(draw(INT64)), RangeSpec(hi, hi))))
+             OrSpec((MinSpec(draw(INT64)), RangeSpec(hi, hi))),
+             # built nested, on either side: the text of either reparses flat
+             OrSpec((nested, RangeSpec(lo, lo))), OrSpec((RangeSpec(hi, hi), nested)))
     block = SubjectBlock(
         AnySubject(), {JobAction.START},
         assertions=tuple(draw(st.sampled_from((MayContain, MustContain)))("count", spec)

@@ -1,15 +1,15 @@
 """State-file mutation fuzz: every edited site fails closed or loads.
 
-Each example copies one committed site (``tests/data/state-v1`` to
-``-v7``) and makes one edit, to its snapshot or to one committed line of
-its journal: a value at some path becomes a value of another JSON type,
--1, 0 or 2**63, or its key (a list entry) is deleted.  It then runs
+Each example copies one committed site (``tests/data/state-v1`` to the
+current version's) and makes one edit, to its snapshot or to one
+committed line of its journal: a value at some path becomes a value of
+another JSON type, -1, 0 or 2**63, or its key (a list entry) is deleted.  It then runs
 ``ledger``, a ``manage --action status`` of the finished job ``j3`` and
 ``tick --dt 1`` through `cli.main`; the two reads write nothing, so all
 three see the edited site.  Each call must return one of the documented
 exit codes and raise nothing.  A call that exits non-zero leaves the
 snapshot and the journal as they were, and a ``tick`` that exits 0
-leaves a version-7 site that ``ledger`` reads again.
+leaves a current-version site that ``ledger`` reads again.
 """
 
 from __future__ import annotations
