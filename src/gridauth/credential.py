@@ -14,7 +14,6 @@ which then parses to an equal document, else on a parse of the text.
 
 from __future__ import annotations
 
-import hashlib
 import hmac
 import re
 from dataclasses import dataclass, field
@@ -195,6 +194,8 @@ class CapabilityClaims:
     pushed token self-contained.  Only `pdp.derive_capability` sets
     ``document``, the fragment's document, so ``replace`` and `load_token`
     give claims without it; it takes no part in equality or the MAC.
+    ``mac_input``, the canonical text's bytes that the MAC covers, is
+    built with the claims, so ``replace`` builds it afresh.
     """
 
     subject: str
@@ -205,6 +206,7 @@ class CapabilityClaims:
     document: policy_mod.PolicyDocument | None = field(
         default=None, init=False, compare=False, repr=False
     )
+    mac_input: bytes = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "groups", frozenset(self.groups))
@@ -214,6 +216,7 @@ class CapabilityClaims:
             raise InvalidClaimsError("claims vo may not be empty")
         if self.expiry <= 0:
             raise InvalidClaimsError("claims expiry must be positive")
+        object.__setattr__(self, "mac_input", canonical_claims_text(self).encode("utf-8"))
 
 
 @dataclass(frozen=True)
@@ -266,23 +269,18 @@ def sign_capability(vo_key: bytes, claims: CapabilityClaims) -> CapabilityToken:
     if len(vo_key) != KEY_BYTES:
         raise ValueError(f"vo key must be exactly {KEY_BYTES} bytes")
     _validate_claims(claims)
-    mac = hmac.new(
-        vo_key, canonical_claims_text(claims).encode("utf-8"), hashlib.sha256
-    ).digest()
-    return CapabilityToken(claims=claims, mac=mac)
+    return CapabilityToken(claims=claims, mac=hmac.digest(vo_key, claims.mac_input, "sha256"))
 
 
 def verify_capability(
     registry: Mapping, token: CapabilityToken, now: int
 ) -> CapabilityClaims:
-    """Return the claims iff the MAC checks out and the token is fresh."""
+    """Return the claims iff the MAC checks out and the token is fresh; both
+    are checked on every call, the MAC over the claims' ``mac_input``."""
     key = registry.get(token.claims.vo)
     if key is None:
         raise UnknownIssuerError(f"no key registered for vo '{token.claims.vo}'")
-    expected = hmac.new(
-        key, canonical_claims_text(token.claims).encode("utf-8"), hashlib.sha256
-    ).digest()
-    if not hmac.compare_digest(expected, token.mac):
+    if not hmac.compare_digest(hmac.digest(key, token.claims.mac_input, "sha256"), token.mac):
         raise BadSignatureError("token MAC does not verify")
     if now >= token.claims.expiry:
         raise ExpiredTokenError(f"token expired at {token.claims.expiry}")

@@ -165,6 +165,15 @@ class AllocationLedger:
             if quota is None and record.used == 0:  # as `settle` drops a refunded one
                 del account.members[member]
 
+    def set_document_terms(self, vo: str, allocation: int | None, quotas: Mapping) -> None:
+        """Write the terms a VO document sets, as `set_terms` does, except that
+        a member the ledger holds whom ``quotas`` omits has none; a VO the
+        ledger does not hold is registered only if the document sets a term."""
+        account = self._vos.get(vo)
+        if account is not None or allocation is not None or quotas:
+            held = () if account is None else account.members
+            self.set_terms(vo, allocation, dict.fromkeys(held) | quotas)
+
     def vos(self) -> tuple:
         return tuple(sorted(self._vos))
 

@@ -52,7 +52,8 @@ from __future__ import annotations
 import enum
 import heapq
 import re
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
+from operator import attrgetter
 from typing import Iterable, Mapping, NamedTuple
 
 from .credential import CapabilityToken, GridCredential, GridMapFile
@@ -99,6 +100,8 @@ class NoAccountsAvailableError(JobManagerError):
 
 
 class JobState(enum.Enum):
+    __hash__ = object.__hash__  # by identity, in C, as `JobAction`
+
     PENDING = "pending"
     ACTIVE = "active"
     SUSPENDED = "suspended"
@@ -198,6 +201,7 @@ class Job:
 #: a stored job is one row of these fields, `Job`'s, in this order; its
 #: profile is the pair (runtime, memory peak), its sandbox (cpu, memory cap)
 JOB_FIELDS = tuple(field.name for field in fields(Job))
+_job_row = attrgetter(*JOB_FIELDS)
 
 
 class Event(NamedTuple):
@@ -279,12 +283,8 @@ class JobManager:
         """Write the loaded VO documents' terms into the ledger; a member the
         ledger holds under a VO whose document sets them no quota has none,
         and a VO it holds whose document sets no terms is unlimited."""
-        held = self.ledger.to_dict()
         for doc in self.vo_policies.values():
-            if doc.allocation is not None or doc.member_quotas or doc.name in held:
-                members = held[doc.name]["members"] if doc.name in held else {}
-                quotas = dict.fromkeys(members) | doc.member_quotas
-                self.ledger.set_terms(doc.name, doc.allocation, quotas)
+            self.ledger.set_document_terms(doc.name, doc.allocation, doc.member_quotas)
 
     def _emit(self, job_id: str, name: str, detail: str) -> Event:
         event = Event(self.clock, job_id, name, detail)
@@ -514,7 +514,9 @@ class JobManager:
         job = self.jobs.get(job_id)
         if job is None:
             raise UnknownJobError(f"no such job '{job_id}'")
-        return replace(job, consumed=self._consumed_now(job))
+        record = Job(*_job_row(job))
+        record.consumed = self._consumed_now(job)
+        return record
 
     def event_lines(self) -> list:
         return [e.line for e in self.events]
@@ -579,8 +581,9 @@ class JobManager:
         7. ``request`` is a map, ``state`` a job state and ``accounted``
            true or false;
         8. the request passes `RslRequest`'s checks;
-        9. a live accounted job's VO and member have ledger records, and
-           its ``reserved`` covers the most it can be charged.
+        9. a live accounted job's VO and member have ledger records (read
+           at the first live job that names them), and its ``reserved``
+           covers the most it can be charged.
 
         Then each VO's and member's ledger usage must cover their live
         jobs' reservations, and the pool must lease accounts only to
@@ -592,7 +595,8 @@ class JobManager:
         next_seq = engine._next_seq = _require_int(state["next_seq"], "next_seq")
         engine.ledger = ledger = AllocationLedger.from_dict(state["ledger"])
         jobs, live = engine.jobs, {}  # live: job id -> account
-        # (vo, None) or (vo, member) -> what the live accounted jobs hold reserved
+        # (vo, None) or (vo, member) -> [its ledger usage, what the live
+        # accounted jobs hold reserved], in the order the jobs name them
         live_reserved: dict = {}
         last_seq = 0
         # each group of checks is one condition, and a message is built only for a fault
@@ -651,7 +655,6 @@ class JobManager:
                 job_id, owner, vo, RslRequest(request), job_state, account, reserved,
                 consumed, priority, submitted_at, ended_at, profile, spec, accounted,
             )
-            # told apart by identity: hashing a `JobState` runs Python code
             if job_state is JobState.PENDING:
                 engine._pending[job_id] = job
             elif job_state is JobState.ACTIVE:
@@ -660,9 +663,12 @@ class JobManager:
                 continue  # a finished job holds no reservation and no lease
             live[job_id] = account
             if accounted:
-                # the job's settlement needs its VO and member records
+                # the job's settlement needs its VO and member records, read
+                # at the first live job that names them
                 try:
-                    ledger.member_used(vo, owner)
+                    if (vo, owner) not in live_reserved:
+                        live_reserved.setdefault((vo, None), [ledger.vo_used(vo), 0])
+                        live_reserved[vo, owner] = [ledger.member_used(vo, owner), 0]
                 except EnforcementError as exc:
                     raise ValueError(f"live job {job_id} cannot settle: {exc}") from None
                 # and a reservation that covers what it may consume
@@ -671,15 +677,12 @@ class JobManager:
                         f"live job {job_id} cannot settle: reserved {reserved} "
                         f"is below the {most} cpu-seconds it may consume"
                     )
-                for key in ((vo, None), (vo, owner)):
-                    live_reserved[key] = live_reserved.get(key, 0) + reserved
+                live_reserved[vo, None][1] += reserved
+                live_reserved[vo, owner][1] += reserved
         # each refund comes out of the usage of the job's VO and member
-        for (vo, member), reserved in live_reserved.items():
-            if member is None:
-                what, used = f"vo {vo}", ledger.vo_used(vo)
-            else:
-                what, used = f"member {member}", ledger.member_used(vo, member)
+        for (vo, member), (used, reserved) in live_reserved.items():
             if used < reserved:
+                what = f"vo {vo}" if member is None else f"member {member}"
                 raise ValueError(
                     f"ledger {what} used {used} is below its live reservations {reserved}"
                 )

@@ -53,6 +53,7 @@ admission, its only user, rather than inside `decide`.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -85,27 +86,34 @@ class NoApplicableBlocksError(ValueError):
     """The VO refuses to issue a capability that grants nothing."""
 
 
-@dataclass(frozen=True)
-class AuthzQuery:
-    """One authorization question for the decision point.
+#: `_make` of a tuple class whose `__new__` checks its fields; the namedtuple
+#: one, through which `_replace` builds too, would skip `__new__`
+_checked_make = classmethod(lambda cls, iterable: cls(*iterable))
+
+
+class AuthzQuery(namedtuple("AuthzQuery", "credential action target request jobtag owner")):
+    """One authorization question for the decision point, a checked tuple:
+    every construction (``_make`` and ``_replace`` included) runs the checks.
 
     ``jobtag`` and ``owner`` describe the targeted job and are only
     meaningful for management actions; start requests carry the full
-    job description instead.
+    job description instead.  No decision reads ``target``; it is kept
+    for positional callers.
     """
 
-    credential: GridCredential
-    action: JobAction
-    target: str = "site"  # no decision reads it; kept for positional callers
-    request: RslRequest | None = None
-    jobtag: str | None = None
-    owner: str | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.action is JobAction.START and self.request is None:
-            raise InvalidQueryError("start queries require a job description")
-        if self.action is not JobAction.START and self.request is not None:
+    def __new__(cls, credential: GridCredential, action: JobAction, target: str = "site",
+                request: RslRequest | None = None, jobtag: str | None = None,
+                owner: str | None = None):
+        if action is JobAction.START:
+            if request is None:
+                raise InvalidQueryError("start queries require a job description")
+        elif request is not None:
             raise InvalidQueryError("management queries carry no job description")
+        return tuple.__new__(cls, (credential, action, target, request, jobtag, owner))
+
+    _make = _checked_make
 
 
 #: distinct verified fragment texts whose parsed documents a process keeps
@@ -182,16 +190,20 @@ class Decision:
         return self.effect == "permit"
 
 
-@dataclass(frozen=True)
-class PolicySourceSet:
-    resource: PolicyDocument
-    vo: PolicyDocument | None = None
+class PolicySourceSet(namedtuple("PolicySourceSet", "resource vo")):
+    """The documents a pull decision consults, a checked tuple: every
+    construction (``_make`` and ``_replace`` included) runs the checks."""
 
-    def __post_init__(self):
-        if self.resource.source != "resource":
+    __slots__ = ()
+
+    def __new__(cls, resource: PolicyDocument, vo: PolicyDocument | None = None):
+        if resource.source != "resource":
             raise InvalidQueryError("resource slot needs a resource-source document")
-        if self.vo is not None and self.vo.source != "vo":
+        if vo is not None and vo.source != "vo":
             raise InvalidQueryError("vo slot needs a vo-source document")
+        return tuple.__new__(cls, (resource, vo))
+
+    _make = _checked_make
 
 
 def _plan_failure(plan: tuple, accepted: frozenset | None, attrs: dict) -> tuple | None:
@@ -390,6 +402,11 @@ _TOKEN_FAILURES = {
 }
 
 
+def _vo_denial(kind: str, value: str | None = None) -> Decision:
+    """A push decision the token or its fragment denies before any block."""
+    return Decision("deny", (TraceEntry("vo", None, "deny", kind, None, value),), None)
+
+
 def decide_push(
     q: AuthzQuery,
     resource_doc: PolicyDocument,
@@ -410,24 +427,19 @@ def decide_push(
     try:
         claims = verify_capability(registry, token, now)
     except (UnknownIssuerError, BadSignatureError, ExpiredTokenError) as exc:
-        entry = TraceEntry("vo", None, "deny", _TOKEN_FAILURES[type(exc)], None, str(exc))
-        return Decision("deny", (entry,), None)
+        return _vo_denial(_TOKEN_FAILURES[type(exc)], str(exc))
     if claims.subject != q.credential.subject:
-        return Decision(
-            "deny", (TraceEntry("vo", None, "deny", "subject-mismatch"),), None
-        )
+        return _vo_denial("subject-mismatch")
     if claims.vo != q.credential.vo:
-        return Decision("deny", (TraceEntry("vo", None, "deny", "vo-mismatch"),), None)
+        return _vo_denial("vo-mismatch")
     try:
         fragment = _parse_fragment(claims.policy_fragment)
     except PolicyError as exc:
-        entry = TraceEntry("vo", None, "deny", "invalid-fragment", None, str(exc))
-        return Decision("deny", (entry,), None)
+        return _vo_denial("invalid-fragment", str(exc))
     if fragment.source != "vo":
-        return Decision("deny", (TraceEntry("vo", None, "deny", "not-a-vo-fragment"),), None)
+        return _vo_denial("not-a-vo-fragment")
     if fragment.name != claims.vo:
-        entry = TraceEntry("vo", None, "deny", "fragment-vo-mismatch", None, fragment.name)
-        return Decision("deny", (entry,), None)
+        return _vo_denial("fragment-vo-mismatch", fragment.name)
     return decide(q, PolicySourceSet(resource=resource_doc, vo=fragment))
 
 

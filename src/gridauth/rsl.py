@@ -71,6 +71,10 @@ _INT_FIRST = frozenset("-0123456789")
 class JobAction(enum.Enum):
     """The closed set of actions a job request or policy can name."""
 
+    # members are singletons that compare by identity, so they may hash by it
+    # too, in C; no output lists a set of actions unsorted
+    __hash__ = object.__hash__
+
     START = "start"
     CANCEL = "cancel"
     STATUS = "status"

@@ -15,6 +15,7 @@ from gridauth import policy
 from gridauth.credential import (
     BadSignatureError,
     CapabilityClaims,
+    CapabilityToken,
     CredentialFormatError,
     ExpiredTokenError,
     GridCredential,
@@ -261,6 +262,49 @@ class TestSignVerify:
         text = format_token(token).replace("CN=alice", "CN=mallet")
         with pytest.raises(BadSignatureError):
             verify_capability({"fusion": KEY}, load_token(text), now=0)
+
+    def test_a_flipped_mac_byte_fails_after_the_token_verified(self):
+        claims = _claims()
+        token = sign_capability(KEY, claims)
+        registry = {"fusion": KEY}
+        assert verify_capability(registry, token, now=0) is claims
+        for i in (0, 13, len(token.mac) - 1):
+            mac = bytearray(token.mac)
+            mac[i] ^= 0x01
+            with pytest.raises(BadSignatureError):
+                verify_capability(registry, CapabilityToken(claims, bytes(mac)), now=0)
+        assert verify_capability(registry, token, now=0) is claims
+
+    def test_verified_claims_under_an_unregistered_vo(self):
+        claims = _claims()
+        token = sign_capability(KEY, claims)
+        assert verify_capability({"fusion": KEY}, token, now=0) is claims
+        with pytest.raises(UnknownIssuerError, match="no key registered for vo 'fusion'"):
+            verify_capability({"astro": KEY}, token, now=0)
+        moved = dataclasses.replace(claims, vo="astro")
+        with pytest.raises(UnknownIssuerError, match="no key registered for vo 'astro'"):
+            verify_capability({"fusion": KEY}, CapabilityToken(moved, token.mac), now=0)
+
+    def test_replaced_claims_with_an_edited_fragment_are_refused(self):
+        claims = _claims()
+        token = sign_capability(KEY, claims)
+        registry = {"fusion": KEY}
+        assert verify_capability(registry, token, now=0) is claims
+        edited = dataclasses.replace(claims, policy_fragment=FRAGMENT.replace("start", "cancel"))
+        assert edited.policy_fragment != claims.policy_fragment
+        # `replace` builds the MAC input afresh, from the edited text
+        assert edited.mac_input == canonical_claims_text(edited).encode("utf-8")
+        assert edited.mac_input != claims.mac_input
+        with pytest.raises(BadSignatureError):
+            verify_capability(registry, CapabilityToken(edited, token.mac), now=0)
+
+    def test_mac_input_takes_no_part_in_equality_or_repr(self):
+        claims = _claims()
+        assert "mac_input" not in repr(claims)
+        assert hash(claims) == hash(_claims())
+        assert [f.name for f in dataclasses.fields(CapabilityClaims) if f.compare] == [
+            "subject", "vo", "groups", "expiry", "policy_fragment"
+        ]
 
     def test_duplicate_token_field_rejected(self):
         text = format_token(sign_capability(KEY, _claims()))

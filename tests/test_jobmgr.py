@@ -879,6 +879,21 @@ class TestJobRecord:
         with pytest.raises(UnknownJobError):
             _engine().job_record("j404")
 
+    def test_a_copy_with_the_consumption_of_now(self):
+        eng = _engine()
+        job_id = eng.gatekeeper_submit(ALICE, TRANSP, SimProfile(runtime=100))
+        eng.tick(30)
+        job = eng.jobs[job_id]
+        record = eng.job_record(job_id)
+        assert record is not job
+        # an active job's stored `consumed` stands at its scheduling second
+        assert (job.consumed, record.consumed) == (0, 30)
+        for name in JOB_FIELDS:
+            if name != "consumed":
+                assert getattr(record, name) is getattr(job, name), name
+        record.priority = 9
+        assert job.priority == 0
+
 
 class TestDeterminism:
     def _run(self):
@@ -1098,6 +1113,27 @@ class TestPersistence:
         # the deleted quota of 600, is admitted and charged nothing
         again.gatekeeper_submit(ALICE, TRANSP.replace("600", "900"), SimProfile(runtime=10))
         assert again.ledger_report().splitlines()[0] == "vo=fusion used=40/unlimited"
+
+    def test_a_missing_member_record_is_reported_at_its_first_live_job(self, monkeypatch):
+        eng = _engine()
+        for _ in range(2):
+            eng.gatekeeper_submit(ALICE, TRANSP.replace("600", "40"), SimProfile(runtime=10))
+        snap = eng.snapshot()
+        reads = []
+        used = jobmgr.AllocationLedger.member_used
+        monkeypatch.setattr(jobmgr.AllocationLedger, "member_used",
+                            lambda ledger, *key: reads.append(key) or used(ledger, *key))
+        # each record is read once, however many live jobs name it
+        again = JobManager.restore(json.loads(json.dumps(snap)), resource_policy=RESOURCE,
+                                   vo_policies=[VO_ACCOUNTING], gridmap=GRIDMAP)
+        assert reads == [("fusion", ALICE.subject)]
+        assert again.snapshot() == snap
+        del snap["ledger"]["fusion"]["members"][ALICE.subject]
+        with pytest.raises(ValueError) as exc:
+            JobManager.restore(snap, resource_policy=RESOURCE, vo_policies=[VO_ACCOUNTING])
+        assert str(exc.value) == (
+            "live job j1 cannot settle: '/O=Grid/CN=alice' has no record under vo 'fusion'"
+        )
 
     def test_pushed_vo_keeps_its_stored_terms(self):
         # the site holds no fusion document; the token's fragment wrote the terms

@@ -121,6 +121,69 @@ class TestQueryInvariants:
             PolicySourceSet(resource=SCENARIO2_VO)
 
 
+#: (class, fields it refuses, the refusal's message); each is refused on every path
+REFUSED_TUPLES = [
+    (AuthzQuery, (ALICE, JobAction.START, "site", None, None, None),
+     "start queries require a job description"),
+    (AuthzQuery, (ALICE, JobAction.CANCEL, "site", RslRequest({"count": 1}), None, None),
+     "management queries carry no job description"),
+    (PolicySourceSet, (SCENARIO2_VO, None), "resource slot needs a resource-source document"),
+    (PolicySourceSet, (OPEN_RESOURCE, OPEN_RESOURCE), "vo slot needs a vo-source document"),
+]
+
+
+class TestCheckedTuples:
+    """`AuthzQuery` and `PolicySourceSet` are tuples that check their fields
+    however they are built."""
+
+    def test_positional_and_keyword_construction_agree(self):
+        request = parse_rsl('&(executable="/bin/sh")')
+        by_position = AuthzQuery(ALICE, JobAction.START, "site", request)
+        by_keyword = AuthzQuery(credential=ALICE, action=JobAction.START, request=request)
+        assert by_position == by_keyword == (ALICE, JobAction.START, "site", request, None, None)
+        assert by_keyword.target == "site" and by_keyword.request is request
+        assert by_keyword._fields == (
+            "credential", "action", "target", "request", "jobtag", "owner"
+        )
+        managed = AuthzQuery(CAROL, JobAction.CANCEL, "site", None, "t1", "/O=Grid/CN=dave")
+        assert (managed.jobtag, managed.owner) == ("t1", "/O=Grid/CN=dave")
+        assert managed == AuthzQuery(
+            credential=CAROL, action=JobAction.CANCEL, jobtag="t1", owner="/O=Grid/CN=dave"
+        )
+        sources = PolicySourceSet(OPEN_RESOURCE, SCENARIO2_VO)
+        assert sources == PolicySourceSet(resource=OPEN_RESOURCE, vo=SCENARIO2_VO)
+        assert (sources.resource, sources.vo) == (OPEN_RESOURCE, SCENARIO2_VO)
+        assert PolicySourceSet(OPEN_RESOURCE).vo is None
+
+    @pytest.mark.parametrize("cls, values, message", REFUSED_TUPLES)
+    def test_every_construction_path_refuses(self, cls, values, message):
+        good = (
+            AuthzQuery(ALICE, JobAction.CANCEL)
+            if cls is AuthzQuery
+            else PolicySourceSet(OPEN_RESOURCE, SCENARIO2_VO)
+        )
+        builds = {
+            "position": lambda: cls(*values),
+            "keyword": lambda: cls(**dict(zip(cls._fields, values))),
+            "_make": lambda: cls._make(values),
+            "_replace": lambda: good._replace(**dict(zip(cls._fields, values))),
+        }
+        for path, build in builds.items():
+            with pytest.raises(InvalidQueryError) as exc:
+                build()
+            assert str(exc.value) == message, path
+
+    def test_fields_cannot_be_assigned(self):
+        query = AuthzQuery(ALICE, JobAction.STATUS)
+        sources = PolicySourceSet(OPEN_RESOURCE)
+        for value, name in ((query, "action"), (query, "request"), (query, "flag"),
+                            (sources, "vo"), (sources, "extra")):
+            with pytest.raises(AttributeError):
+                setattr(value, name, None)
+        assert query == (ALICE, JobAction.STATUS, "site", None, None, None)
+        assert sources == (OPEN_RESOURCE, None)
+
+
 def _block_reason(block: SubjectBlock, q: AuthzQuery) -> str | None:
     """``block``'s outcome for ``q``, decided against a resource document
     holding only that block, made to apply to any subject: None on a

@@ -19,7 +19,13 @@ import random
 from pathlib import Path
 
 from generators import rand_credential, rand_policy
-from gridauth.credential import format_token, load_credential, sign_capability
+from gridauth.credential import (
+    canonical_claims_text,
+    format_token,
+    load_credential,
+    load_token,
+    sign_capability,
+)
 from gridauth.pdp import NoApplicableBlocksError, derive_capability
 from gridauth.policy import parse_policy
 
@@ -75,6 +81,13 @@ def test_every_token_matches_the_golden_file():
         if (got := token_text(doc, cred)) != want
     ]
     assert not wrong, f"{len(wrong)} tokens differ, first: {wrong[:1]}"
+
+
+def test_each_token_carries_its_canonical_text_as_mac_input():
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    for (name, doc, cred), (_, text) in zip(cases(), golden):
+        for claims in (load_token(text).claims, derive_capability(doc, cred, EXPIRY)):
+            assert claims.mac_input == canonical_claims_text(claims).encode("utf-8"), name
 
 
 def test_corpus_covers_the_scenarios_and_the_draws():
