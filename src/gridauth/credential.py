@@ -293,6 +293,7 @@ def format_token(token: CapabilityToken) -> str:
 
 
 def load_token(text: str) -> CapabilityToken:
+    """Read a ``.cap`` file, which must be exactly ``format_token`` of what it holds."""
     lines = text.splitlines()
     while lines and not lines[-1].strip():
         lines.pop()
@@ -344,4 +345,8 @@ def load_token(text: str) -> CapabilityToken:
         expiry=expiry,
         policy_fragment="\n".join(fragment) + "\n",
     )
-    return CapabilityToken(claims=claims, mac=mac)
+    token = CapabilityToken(claims=claims, mac=mac)
+    # one text per token: spacing, order, case and line ends are not free
+    if format_token(token) != text:
+        raise CredentialFormatError("token is not in canonical form")
+    return token

@@ -14,11 +14,20 @@ and ``maxcputime`` must be positive integers, ``arguments`` is always a
 string list, and the remaining well-known names hold single strings.
 Unknown attributes are legal and left entirely to policy.
 
-Parsing is one pass over a token list: one regex match per token skips
-the whitespace before it (space, tab, CR and LF; the grammar is ASCII)
-and keeps only the token's text, an unclosed string included, so the
-time is linear in the text.  Offsets are found only for an error.  The
-well-known attributes' types are checked once, after the whole parse.
+Parsing takes one of two paths, decided by the text alone.  The accept
+path takes every valid request: one regex match per clause gives the
+clause's text, its name, and an integer or a run of closed strings, and
+the clause texts must tile the text after the '&', so nothing was
+skipped; then one Python step per clause converts and type checks the
+value.  It never raises: any text it does not take (a fault of syntax, a
+duplicate, a value of the wrong type) goes to the token scanner, the one
+source of every RSL error.  The scanner is one pass over a token list:
+one regex match per token skips the whitespace before it (space, tab, CR
+and LF; the grammar is ASCII) and keeps only the token's text, an
+unclosed string included.  Offsets are found only for an error.  Neither
+path's regex can backtrack over a run more than a fixed number of times
+(a clause match starts only at a '(' and string runs are written
+``S(?:WS S)*``), so either way the time is linear in the text.
 
 Quoted strings are shared with the policy DSL: this module owns their
 syntax (``quote_string``, ``unquote_string`` and ``closed_string``), and
@@ -63,6 +72,18 @@ _ESCAPE_RE = re.compile(r'\\(["\\])')
 # text, or any other single character), so the matches tile the text.
 _TOKEN_RE = re.compile(
     rf"[ \t\r\n]*([&()=]|{NAME_RE.pattern}|{STRING_TOKEN}|-?[0-9]+|\Z|(?s:.))"
+)
+_SPACE = " \t\r\n"
+_WS = r"[ \t\r\n]*"
+_CLOSED_STRING = _OPEN_STRING + '"'
+_STRING_RE = re.compile(_CLOSED_STRING)
+# The accept path's one match per clause, from its '(' through the
+# whitespace after its ')': the clause's text, its name, and an integer or
+# the first closed string and the rest of the run.  A match starts only at
+# a '(', so no whitespace run is tried from each of its characters.
+_CLAUSE_RE = re.compile(
+    rf"(\({_WS}({NAME_RE.pattern}){_WS}={_WS}"
+    rf"(?:(-?[0-9]+)|({_CLOSED_STRING})((?:{_WS}{_CLOSED_STRING})*)){_WS}\){_WS})"
 )
 _NAME_FIRST = frozenset(string.ascii_letters + "_")
 _INT_FIRST = frozenset("-0123456789")
@@ -115,6 +136,8 @@ class AttributeTypeError(RslError):
 
 #: the exact type of a well-known single-value attribute's value
 _SINGLE_VALUE_TYPE = {**dict.fromkeys(INT_ATTRIBUTES, int), **dict.fromkeys(TEXT_ATTRIBUTES, str)}
+#: the type of each well-known attribute's value
+_VALUE_KIND = {**_SINGLE_VALUE_TYPE, "arguments": list}
 
 
 def _check_attribute(name: str, value: RslValue) -> None:
@@ -187,8 +210,44 @@ def parse_rsl(text: str) -> RslRequest:
     """Parse RSL text into a request.
 
     Raises RslSyntaxError, DuplicateAttributeError, EmptyRequestError or
-    AttributeTypeError; never anything else, for any input string.
+    AttributeTypeError; never anything else, for any input string.  Only
+    the token scanner raises: the accept path takes a valid request or
+    hands the text on.
     """
+    rest = text.lstrip(_SPACE)
+    if rest[:1] == "&":
+        rest = rest[1:].lstrip(_SPACE)
+        clauses = _CLAUSE_RE.findall(rest)
+        attrs: dict[str, RslValue] = {}
+        size = 0
+        for clause, name, number, first, more in clauses:
+            size += len(clause)
+            # every request repeats a few names: interned, each is stored once
+            name = sys.intern(name.lower())
+            kind = _VALUE_KIND.get(name)
+            if number:
+                value = int64(number)
+                if value is None or (kind is not None and (kind is not int or value <= 0)):
+                    break
+            elif kind is list:
+                value = [unquote_string(first), *map(unquote_string, _STRING_RE.findall(more))]
+            elif more or kind is int:
+                break
+            else:
+                value = unquote_string(first)
+            attrs[name] = value
+        else:
+            # the clauses tile the rest of the text, and no name repeats
+            if size == len(rest) and attrs and len(attrs) == len(clauses):
+                request = object.__new__(RslRequest)  # skips __post_init__, whose checks are made
+                object.__setattr__(request, "attributes", attrs)
+                return request
+    return _parse_tokens(text)
+
+
+def _parse_tokens(text: str) -> RslRequest:
+    """The token scanner: ``parse_rsl`` of a text the accept path refused,
+    and so the one place every RSL error, its offset and ``expected`` come from."""
     tokens = _TOKEN_RE.findall(text)
     if tokens[0] != "&":
         if not tokens[0]:

@@ -3,8 +3,9 @@
 ``parse_rsl`` here is the character-stepping parser that ``gridauth.rsl``
 used to have.  It steps over whitespace one character at a time and
 validates the attributes a second time in the ``RslRequest``
-constructor.  Only the differential tests use it, as the model the token
-scanner in ``gridauth.rsl.parse_rsl`` must agree with on every input.
+constructor.  Only the differential tests use it, as the model that
+``gridauth.rsl.parse_rsl``, its accept path and its token scanner
+(``gridauth.rsl._parse_tokens``) must agree with on every input.
 
 ``serialize_rsl`` renders a request in canonical form, attributes sorted
 by name, minimal whitespace, all strings quoted; it is an exact inverse

@@ -132,6 +132,42 @@ class TestStrictExpiry:
             load_token(text.replace("expiry: 1000\n", "expiry: -5\n"))
 
 
+#: edits that keep a token's claims and MAC but not its canonical text; each
+#: loaded as the issued token before a token file had to be its canonical text
+NON_CANONICAL_TOKEN = {
+    "two spaces after a colon": ("expiry: 1000\n", "expiry:  1000\n"),
+    "no space after a colon": ("subject: /O", "subject:/O"),
+    "trailing space": ("vo: fusion\n", "vo: fusion \n"),
+    "blank line": ("vo: fusion\n", "vo: fusion\n\n"),
+    "fields swapped": ("vo: fusion\ngroups: analysts\n", "groups: analysts\nvo: fusion\n"),
+    "line ended by a vertical tab": ("---END POLICY---\n", "---END POLICY---\x0b"),
+    "carriage return": ("vo: fusion\n", "vo: fusion\r\n"),
+    "no final newline": ("\n", ""),
+    "trailing blank line": ("\n", "\n\n"),
+}
+
+
+class TestCanonicalTokenText:
+    @pytest.mark.parametrize("edit", NON_CANONICAL_TOKEN.values(), ids=NON_CANONICAL_TOKEN)
+    def test_another_spelling_of_the_claims_is_refused(self, edit):
+        token = sign_capability(KEY, _claims())
+        text = format_token(token)
+        old, new = edit
+        # an edit of the last occurrence, so "\n" edits the mac line's end
+        at = text.rindex(old)
+        edited = text[:at] + new + text[at + len(old):]
+        assert edited != text
+        with pytest.raises(CredentialFormatError, match="^token is not in canonical form$"):
+            load_token(edited)
+
+    def test_an_upper_case_mac_is_refused(self):
+        text = format_token(sign_capability(KEY, _claims()))
+        head, mac = text.rsplit("mac: ", 1)
+        assert mac.upper() != mac
+        with pytest.raises(CredentialFormatError, match="^token is not in canonical form$"):
+            load_token(head + "mac: " + mac.upper())
+
+
 class TestGridMap:
     def test_lookup_hit(self):
         gm = load_gridmap('"/O=Grid/CN=alice" alice_l\n')

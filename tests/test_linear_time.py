@@ -5,7 +5,10 @@ A tokenizer whose string alternative needs the closing quote re-scans an
 unclosed string from each '"' inside it to the end of the text, which is
 quadratic in the length of the string.  Each text here is at least 20000
 characters long and must be rejected in well under a second, with the
-same error as a short text of the same shape.
+same error as a short text of the same shape.  The RSL texts also try
+the accept path's clause regex: a whitespace run it backtracks over, a
+long run of clauses it takes before the fault, and a long string it
+scans inside a clause that does not close.
 
 A pool that looks for duplicates, or a restore that looks for an
 account both free and leased, by scanning the free list once per
@@ -39,19 +42,47 @@ def _rejection(parse, text: str, error: type):
     return exc.value
 
 
+def _clauses(n: int) -> str:
+    return "".join(f"(a{i}={i})" for i in range(n))
+
+
 @pytest.mark.parametrize(
-    "text, message, position, expected",
+    "text, short, message, position, expected",
     [
-        ("&(a=" + ESCAPED_QUOTES, "unterminated string", 4, None),
-        ("&" + WHITESPACE + "!", "unexpected input", 20001, "'('"),
+        ("&(a=" + ESCAPED_QUOTES, '&(a="\\"', "unterminated string", 4, None),
+        ("&" + WHITESPACE + "!", "& !", "unexpected input", 20001, "'('"),
+        ('&(arguments="a"' + WHITESPACE + '"b"!)', '&(arguments="a" "b"!)',
+         "unexpected input", 20018, "')'"),
+        ("&" + _clauses(4000) + "!", "&" + _clauses(3) + "!",
+         "unexpected input", 1 + len(_clauses(4000)), "'('"),
+        ("&(a=" + ESCAPED_QUOTES + '" (b=1)', '&(a="\\"" (b=1)',
+         "unexpected input", 20007, "')'"),
     ],
-    ids=["unterminated-string", "whitespace-run"],
+    ids=["unterminated-string", "whitespace-run", "argument-whitespace-run",
+         "many-clauses", "closed-string-without-paren"],
 )
-def test_rsl(text, message, position, expected):
+def test_rsl(text, short, message, position, expected):
     exc = _rejection(parse_rsl, text, RslSyntaxError)
     assert (exc.position, exc.expected) == (position, expected)
     suffix = f" (expected {expected})" if expected else ""
     assert str(exc) == f"{message} at offset {position}{suffix}"
+    with pytest.raises(RslSyntaxError) as short_exc:
+        parse_rsl(short)
+    assert str(short_exc.value).partition(" at offset ")[0] == message
+    assert short_exc.value.expected == expected
+
+
+def test_rsl_long_spaced_request_is_accepted():
+    clauses = "".join(f' ( a{i} = {i} ) \t( b{i}\n=\r\n"x\\"y" ) ' for i in range(500))
+    text = " & " + clauses + "( arguments = " + ' \n "p" "q\\\\"' * 400 + " ) "
+    assert len(text) >= 20000
+    start = time.perf_counter()
+    request = parse_rsl(text)
+    assert time.perf_counter() - start < 1.0
+    assert len(request.attributes) == 1001
+    assert request.attributes["a499"] == 499
+    assert request.attributes["b0"] == 'x"y'
+    assert request.attributes["arguments"] == ["p", "q\\"] * 400
 
 
 @pytest.mark.parametrize(
