@@ -53,11 +53,10 @@ from .jobmgr import (
 from .pdp import (
     AuthzQuery,
     NoApplicableBlocksError,
-    decide,
-    decide_push,
+    authorize,
     derive_capability,
     explain,
-    PolicySourceSet,
+    vo_documents,
 )
 from .policy import PolicyError, parse_policy
 from .rsl import JobAction, parse_rsl
@@ -173,9 +172,9 @@ class InputError(Exception):
 # ---------------------------------------------------------------------------
 
 
-def _read(path: str, what: str) -> str:
+def _read(path: str, what: str, newline: str | None = None) -> str:
     try:
-        with open(path, "r", encoding="utf-8") as f:
+        with open(path, "r", encoding="utf-8", newline=newline) as f:
             return f.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {what} {path!r}: {exc}") from None
@@ -187,6 +186,12 @@ def _load_policy_file(path: str):
 
 def _load_cred_file(path: str):
     return load_credential(_read(path, "credential"))
+
+
+def _load_token_file(path: str):
+    """The token a file holds, read with no newline translation, so that a
+    file whose lines end in CRLF or CR is refused as not canonical."""
+    return load_token(_read(path, "capability", newline=""))
 
 
 def _parse_vo_keys(entries) -> dict:
@@ -460,13 +465,12 @@ def cmd_check(args) -> int:
     query = AuthzQuery(
         credential=cred, action=action, request=request, jobtag=args.jobtag, owner=args.owner
     )
+    token, registry, vo_docs = None, {}, {}
     if args.cap:
-        token = load_token(_read(args.cap, "capability"))
-        registry = _parse_vo_keys(args.vo_key)
-        decision = decide_push(query, resource, token, registry, now=args.now)
-    else:
-        vo_doc = _load_policy_file(args.vo_policy) if args.vo_policy else None
-        decision = decide(query, PolicySourceSet(resource, vo_doc))
+        token, registry = _load_token_file(args.cap), _parse_vo_keys(args.vo_key)
+    elif args.vo_policy:
+        vo_docs = vo_documents([_load_policy_file(args.vo_policy)])
+    decision = authorize(query, resource, vo_docs, token, registry, args.now)
     print(decision.effect)
     if args.explain:
         print(explain(decision))
@@ -478,7 +482,7 @@ def cmd_submit(args) -> int:
         state, journal_bytes = _read_snapshot(args.state)
         engine = _make_engine(args, state)
         cred = _load_cred_file(args.cred)
-        token = load_token(_read(args.cap, "capability")) if args.cap else None
+        token = _load_token_file(args.cap) if args.cap else None
         profile = SimProfile(runtime=args.runtime, memory_peak=args.memory)
         job_id = engine.gatekeeper_submit(
             cred, _read(args.rsl, "rsl"), profile, token=token
@@ -499,7 +503,7 @@ def cmd_manage(args) -> int:
             # the whole site from an empty journal would still be right
             engine, journal_bytes = _make_engine(args, _load_state(args.state)), 0
         cred = _load_cred_file(args.cred)
-        token = load_token(_read(args.cap, "capability")) if args.cap else None
+        token = _load_token_file(args.cap) if args.cap else None
         action = JobAction(args.action)
         job = engine.manage(
             args.job, action, cred, token=token, priority=args.priority

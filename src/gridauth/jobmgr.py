@@ -3,9 +3,10 @@
 Submission and management requests each pass one enforcement point that
 asks the decision point before anything changes; a denied request
 leaves no state behind.  An admitted job's sandbox holds only the cpu
-and memory caps that `pdp.sandbox_limits` derives from the permit; the
-engine knows nothing of policy semantics.  Admitted jobs move through a
-fixed lifecycle (pending, active, suspended, and the absorbing
+and memory caps that the permit carries (`pdp.Decision.caps`), and its
+reservation is charged under the permit's terms (`pdp.Decision.terms`);
+the engine knows nothing of policy semantics.  Admitted jobs move
+through a fixed lifecycle (pending, active, suspended, and the absorbing
 done/failed/canceled).
 
 Simulated time moves only in `tick(dt)`, and its result is that of
@@ -64,14 +65,7 @@ from .enforce import (
     SandboxSpec,
     record_usage,
 )
-from .pdp import (
-    AuthzQuery,
-    Decision,
-    PolicySourceSet,
-    decide,
-    decide_push,
-    sandbox_limits,
-)
+from .pdp import AuthzQuery, Decision, authorize, vo_documents
 from .policy import PolicyDocument, PolicyError
 from .rsl import JobAction, RslRequest, parse_rsl
 
@@ -258,11 +252,7 @@ class JobManager:
         if resource_policy is not None and resource_policy.source != "resource":
             raise PolicyError("resource_policy must have source 'resource'")
         self.resource_policy = resource_policy
-        self.vo_policies: dict[str, PolicyDocument] = {}
-        for doc in vo_policies:
-            if doc.source != "vo":
-                raise PolicyError(f"policy '{doc.name}' is not a vo document")
-            self.vo_policies[doc.name] = doc
+        self.vo_policies: dict[str, PolicyDocument] = vo_documents(vo_policies)
         self.gridmap = gridmap or GridMapFile({})
         self.key_registry = dict(key_registry or {})
         self.jobs: dict[str, Job] = {}
@@ -300,14 +290,11 @@ class JobManager:
         job.state = new_state
 
     def _authorize(self, q: AuthzQuery, token: CapabilityToken | None) -> Decision:
-        """The PDP's permit, in push mode when a token is presented; a denial raises."""
+        """The PDP's permit (see `pdp.authorize`); a denial raises."""
         resource = self.resource_policy
         if resource is None:
             raise ValueError("no resource policy configured")
-        if token is not None:
-            decision = decide_push(q, resource, token, self.key_registry, now=self.clock)
-        else:  # the VO document is None for a credential naming no VO or an unknown one
-            decision = decide(q, PolicySourceSet(resource, self.vo_policies.get(q.credential.vo)))
+        decision = authorize(q, resource, self.vo_policies, token, self.key_registry, self.clock)
         if not decision.permitted:
             raise DeniedByPolicyError(decision)
         return decision
@@ -326,20 +313,14 @@ class JobManager:
         Raises RslError for malformed requests, DeniedByPolicyError,
         QuotaExceededError or NoAccountsAvailableError (a quota refusal
         first when both hold); each is raised before anything changes.
-        An accounted job's reservation writes the permit's VO terms, its
+        The job runs under the permit's obligations: its caps, and for an
+        accounted job a reservation that writes the permit's terms, the VO
         allocation and the member's quota, into the ledger.
         """
         request = parse_rsl(rsl_text)
         query = AuthzQuery(credential=cred, action=JobAction.START, request=request)
         decision = self._authorize(query, token)
-        max_cpu, max_memory = sandbox_limits(decision, request, self.resource_policy)
-        sandbox = SandboxSpec(max_cpu, max_memory)
-
-        vo_doc = decision.vo_document
-        reserved = decision.charged_estimate or 0
-        terms = None
-        if cred.vo is not None and vo_doc is not None and vo_doc.accounts_for(cred.subject):
-            terms = vo_doc.allocation, vo_doc.member_quotas.get(cred.subject)
+        reserved, terms = decision.charged_estimate or 0, decision.terms
         account = self.gridmap.lookup(cred.subject)
         if account is None and self.pool.exhausted:
             if terms is not None:
@@ -366,7 +347,7 @@ class JobManager:
             submitted_at=self.clock,
             ended_at=None,
             profile=profile,
-            sandbox=sandbox,
+            sandbox=SandboxSpec(*decision.caps),
             accounted=terms is not None,
         )
         self.jobs[job_id] = job

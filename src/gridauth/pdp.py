@@ -27,8 +27,11 @@ on every call: `_parse_fragment` is a `functools.lru_cache` of at most
 ``FRAGMENT_CACHE_SIZE`` (128) documents keyed on the whole fragment
 text, so a forged token that copies a genuine MAC but edits the text
 fails verification before the cache is consulted.  A permitted start's
-`Decision` carries the VO document it was decided against, so the
-gatekeeper needs no second parse.
+obligations come from the fragment through the `decide` that push mode
+delegates to, so the gatekeeper needs no second parse.  `authorize`,
+which the gatekeeper, the job manager and ``gridauth check`` call, is
+the one place that picks push mode (a token is presented) or pull mode
+(the VO document is the one held under the credential's VO).
 
 A trace entry records what failed (the kind, the failing check and the
 offending value), and its `reason` renders the sentence only when read.
@@ -46,16 +49,19 @@ attributes by their stored, lower-case names.  All entry points are pure
 functions over immutable inputs.
 
 A permitted start obliges the site to run the job within the caps of
-its permitting blocks.  Each block compiles its caps when it is built
-(`SubjectBlock.caps`), and `sandbox_limits` takes their least at
-admission, its only user, rather than inside `decide`.
+its permitting blocks and to charge it under the VO document's terms.
+As in XACML 3.0, the decision point returns these obligations with the
+permit (`Decision.caps`, `Decision.terms`, from the caps each block
+compiles when it is built, `SubjectBlock.caps`) and the enforcement
+point, the gatekeeper, discharges them.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterable, Mapping
 
 from .credential import (
     BadSignatureError,
@@ -173,17 +179,28 @@ _trace_entry = lru_cache(maxsize=TRACE_ENTRY_CACHE_SIZE)(TraceEntry)
 
 @dataclass(frozen=True, slots=True)
 class Decision:
+    """The effect, the trace and, on a permitted start, its obligations,
+    all None otherwise: ``charged_estimate``, the ``count * maxcputime``
+    cpu-seconds admission reserves (None without ``maxcputime``);
+    ``caps``, the job's ``(max_cpu, max_memory)`` sandbox, None for no
+    cap; and ``terms``, the ``(allocation, quota)`` the reservation is
+    charged under, None when the VO document does not account for the
+    subject.
+
+    ``caps`` holds the least of the request's own ``maxcputime`` and
+    ``maxmemory`` and the caps of every permitting block of a consulted
+    source (`SubjectBlock.caps`: the least upper bound of at least 1 its
+    checks set on the attribute; an ``or`` with an open end sets none),
+    with ``max_cpu`` then multiplied by ``count``.  ``terms`` are the VO
+    document's allocation and the subject's own quota: the local document
+    in pull mode, in push mode the token's fragment.
+    """
+
     effect: str  # "permit" | "deny"
     trace: tuple
     charged_estimate: int | None = None
-    #: on a permitted start, the VO document of the sources it was
-    #: decided against, whose accounting and caps admission applies: the
-    #: local one in pull mode, in push mode the token's fragment, parsed
-    #: once per distinct text per process and shared with the fragment
-    #: cache (see `_parse_fragment`).  None otherwise.
-    vo_document: PolicyDocument | None = field(
-        default=None, compare=False, repr=False
-    )
+    caps: tuple | None = None
+    terms: tuple | None = None
 
     @property
     def permitted(self) -> bool:
@@ -276,7 +293,8 @@ def _evaluate_source(name: str, doc: PolicyDocument, q: AuthzQuery, trace: list)
 
 
 def decide(q: AuthzQuery, sources: PolicySourceSet) -> Decision:
-    """Evaluate a query against every consulted source and combine."""
+    """Evaluate a query against every consulted source and combine; a
+    permitted start carries its obligations (see `Decision`)."""
     if q.action is not JobAction.START and q.owner is not None:
         if q.owner == q.credential.subject:
             return Decision(
@@ -293,51 +311,54 @@ def decide(q: AuthzQuery, sources: PolicySourceSet) -> Decision:
         else:
             all_permit = _evaluate_source("vo", sources.vo, q, trace) and all_permit
 
-    charged: int | None = None
-    if q.action is JobAction.START:
-        attrs = q.request.attributes
-        maxcputime = attrs.get("maxcputime")
-        if maxcputime is None:
-            # a permit with a claimed vo means the vo document was consulted
-            if (
-                all_permit
-                and q.credential.vo is not None
-                and sources.vo.accounts_for(q.credential.subject)
-            ):
-                trace.append(TraceEntry("accounting", None, "deny", "accounting"))
-                all_permit = False
-        else:
-            charged = (attrs.get("count") or 1) * maxcputime
-
     if not all_permit:
         return Decision("deny", tuple(trace), None)
-    vo_document = sources.vo if q.action is JobAction.START else None
-    return Decision("permit", tuple(trace), charged, vo_document)
-
-
-def sandbox_limits(
-    decision: Decision, request: RslRequest, resource_doc: PolicyDocument
-) -> tuple:
-    """``(max_cpu, max_memory)`` for a permitted start; None is no limit.
-
-    Each is the least of the request's own value and the caps of every
-    permitting block of a consulted source, which each block compiles
-    when it is built (`SubjectBlock.caps`: the least upper bound of at
-    least 1 its checks set on ``maxcputime`` or ``maxmemory``; an ``or``
-    with an open end sets none).  ``max_cpu`` is then multiplied by
-    ``count``.
-    """
-    attrs = request.attributes  # names are stored lower-case
+    if q.action is not JobAction.START:
+        return Decision("permit", tuple(trace), None)
+    subject, vo = q.credential.subject, sources.vo
+    terms = None
+    # a permit with a claimed vo means the vo document was consulted
+    if q.credential.vo is not None and vo.accounts_for(subject):
+        terms = vo.allocation, vo.member_quotas.get(subject)
+    attrs = q.request.attributes  # names are stored lower-case
     cpu, memory = attrs.get("maxcputime"), attrs.get("maxmemory")
-    for entry in decision.trace:
-        if entry.outcome == "permit" and entry.block is not None:
-            doc = resource_doc if entry.source == "resource" else decision.vo_document
+    if cpu is None and terms is not None:
+        trace.append(TraceEntry("accounting", None, "deny", "accounting"))
+        return Decision("deny", tuple(trace), None)
+    count = attrs.get("count") or 1
+    charged = None if cpu is None else count * cpu
+    for entry in trace:  # every permit names its block
+        if entry.outcome == "permit":
+            doc = sources.resource if entry.source == "resource" else vo
             block_cpu, block_memory = doc.blocks[entry.block].caps
             if block_cpu is not None and (cpu is None or block_cpu < cpu):
                 cpu = block_cpu
             if block_memory is not None and (memory is None or block_memory < memory):
                 memory = block_memory
-    return (None if cpu is None else (attrs.get("count") or 1) * cpu), memory
+    caps = (None if cpu is None else count * cpu), memory
+    return Decision("permit", tuple(trace), charged, caps, terms)
+
+
+def authorize(q: AuthzQuery, resource: PolicyDocument, vo_policies: Mapping,
+              token: CapabilityToken | None, registry, now: int) -> Decision:
+    """The decision at the gatekeeper, pull or push: `decide_push` when a
+    ``token`` is presented, else `decide` with the document that
+    ``vo_policies`` (see `vo_documents`) holds under the credential's VO,
+    none for a credential that names no VO or one it does not hold."""
+    if token is not None:
+        return decide_push(q, resource, token, registry, now)
+    return decide(q, PolicySourceSet(resource, vo_policies.get(q.credential.vo)))
+
+
+def vo_documents(docs: Iterable) -> dict:
+    """``docs`` by name, as `authorize` looks a credential's VO up; a
+    document of another source raises `PolicyError`."""
+    by_name = {}
+    for doc in docs:
+        if doc.source != "vo":
+            raise PolicyError(f"policy '{doc.name}' is not a vo document")
+        by_name[doc.name] = doc
+    return by_name
 
 
 def derive_capability(
@@ -421,8 +442,7 @@ def decide_push(
     fragment, which `_parse_fragment` parses once per distinct text per
     process (at most ``FRAGMENT_CACHE_SIZE`` texts are kept).  It must be
     a VO document named for the token's VO, or the query is denied before
-    any block is evaluated; a permitted start carries that document as
-    its ``vo_document``.
+    any block is evaluated; a permitted start's obligations come from it.
     """
     try:
         claims = verify_capability(registry, token, now)

@@ -336,7 +336,7 @@ class SubjectBlock:
     without one.
 
     ``caps`` is the ``(maxcputime, maxmemory)`` pair of caps a permit by
-    the block sets on a job (see `pdp.sandbox_limits`), None for no cap:
+    the block sets on a job (see `pdp.Decision.caps`), None for no cap:
     the least upper end of at least 1 of the block's ``attr`` and
     ``require`` checks on the attribute.  A non-numeric spec or an ``or``
     with an open upper end sets none.  Neither field takes part in

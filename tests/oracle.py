@@ -254,3 +254,15 @@ def sandbox_caps(query, resource_doc, vo_doc) -> tuple:
             found.append(attrs[attr])
     cpu = min(caps["maxcputime"]) * attrs.get("count", 1) if caps["maxcputime"] else None
     return cpu, (min(caps["maxmemory"]) if caps["maxmemory"] else None)
+
+
+def ledger_terms(query, vo_doc):
+    """``(allocation, quota)`` a permitted start is charged under: the VO
+    document's allocation and the member's own quota, when the credential
+    claims a VO and the document sets either; None otherwise."""
+    subject = query.credential.subject
+    if query.credential.vo is None:
+        return None
+    if vo_doc.allocation is None and subject not in vo_doc.member_quotas:
+        return None
+    return vo_doc.allocation, vo_doc.member_quotas.get(subject)

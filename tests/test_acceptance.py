@@ -345,6 +345,9 @@ def test_a4_push_equals_pull():
             continue
         assert push.effect == pull.effect
         assert push.charged_estimate == pull.charged_estimate
+        # a permitted start's obligations: the fragment keeps the blocks
+        # verbatim, the allocation and the member's own quota
+        assert (push.caps, push.terms) == (pull.caps, pull.terms)
         applicable = [
             i
             for i, b in enumerate(vo_doc.blocks)

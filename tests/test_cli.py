@@ -216,6 +216,47 @@ class TestCheck:
         assert "builtin-owner: permit" in out
 
 
+    def test_vo_document_is_chosen_by_the_credentials_vo(self, site, capsys):
+        # a fusion document does not decide for an astro credential, in
+        # check as in submit
+        (site / "astro.cred").write_text(ALICE_CRED.replace("vo: fusion", "vo: astro"))
+        code = main([
+            "check",
+            "--resource-policy", _p(site, "site.pol"),
+            "--vo-policy", _p(site, "fusion.pol"),
+            "--cred", _p(site, "astro.cred"),
+            "--rsl", _p(site, "job.rsl"),
+            "--action", "start",
+            "--explain",
+        ])
+        assert code == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "deny",
+            "resource/block[0]: permit",
+            "vo: deny — no policy document for vo 'astro'",
+        ]
+        assert main(_submit_args(site, cred="astro.cred")) == 1
+        assert capsys.readouterr().err == (
+            "denied: denied by policy: no policy document for vo 'astro'\n"
+        )
+        assert not (site / "state.json").exists()
+
+    def test_vo_policy_of_another_source_exits_two(self, site, capsys):
+        argv = [
+            "check",
+            "--resource-policy", _p(site, "site.pol"),
+            "--vo-policy", _p(site, "site.pol"),
+            "--cred", _p(site, "alice.cred"),
+            "--rsl", _p(site, "job.rsl"),
+            "--action", "start",
+        ]
+        submit = _submit_args(site)
+        submit[submit.index("--vo-policy") + 1] = _p(site, "site.pol")
+        for command in (argv, submit):
+            assert main(command) == 2
+            assert capsys.readouterr().err == "error: policy 'site' is not a vo document\n"
+
+
 class TestSubmitManageTickLedger:
     def test_full_cycle(self, site, capsys):
         assert main(_submit_args(site)) == 0
@@ -1737,6 +1778,41 @@ class TestIssueCap:
         ])
         assert code == 0
         assert capsys.readouterr().out == "job=j1 state=pending reserved=600\n"
+
+    @pytest.mark.parametrize("ending", ["\r\n", "\r"])
+    def test_token_file_with_other_line_ends_exits_two(self, site, capsys, ending):
+        cap = site / "alice.cap"
+        assert main([
+            "issue-cap",
+            "--vo-policy", _p(site, "fusion.pol"),
+            "--cred", _p(site, "alice.cred"),
+            "--vo-key", f"fusion={KEY_HEX}",
+            "--expiry", "1000000",
+            "--cap", str(cap),
+        ]) == 0
+        (site / "other.cap").write_bytes(cap.read_bytes().replace(b"\n", ending.encode()))
+        push = ["--cap", _p(site, "other.cap"), "--vo-key", f"fusion={KEY_HEX}"]
+        assert main([
+            "check",
+            "--resource-policy", _p(site, "site.pol"),
+            *push,
+            "--cred", _p(site, "alice.cred"),
+            "--rsl", _p(site, "job.rsl"),
+            "--action", "start",
+        ]) == 2
+        assert main(_submit_args(site)) == 0
+        files = sorted(site.glob("state.json*"))
+        before = [path.read_bytes() for path in files]
+        pushed = _submit_args(site)
+        pushed[pushed.index("--vo-policy"):pushed.index("--vo-policy") + 2] = push
+        assert main(pushed) == 2
+        managed = _manage_args(site, "j1", "cancel")
+        managed[managed.index("--vo-policy"):managed.index("--vo-policy") + 2] = push
+        assert main(managed) == 2
+        assert sorted(site.glob("state.json*")) == files
+        assert [path.read_bytes() for path in files] == before
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: token is not in canonical form"] * 3
 
     def test_bad_vo_key_exits_two(self, site):
         code = main([

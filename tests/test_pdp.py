@@ -32,7 +32,6 @@ from gridauth.pdp import (
     decide_push,
     derive_capability,
     explain,
-    sandbox_limits,
 )
 from gridauth.policy import (
     AnySubject,
@@ -78,6 +77,20 @@ SCENARIO2_VO = parse_policy(
     "    allow action start;\n"
     '    attr executable in {"/opt/vo/apps/transp"};\n'
     "    attr count range 1..512;\n"
+    "  }\n"
+    "}\n"
+)
+
+#: a VO document with both terms and both caps
+ACCOUNTED_VO = parse_policy(
+    'policy "fusion" source vo {\n'
+    "  allocation 1000 cpu-seconds;\n"
+    '  member-quota "/O=Grid/CN=alice" 600 cpu-seconds;\n'
+    '  member-quota "/O=Grid/CN=bob" 50 cpu-seconds;\n'
+    '  subject group "analysts" {\n'
+    "    allow action start;\n"
+    "    attr maxcputime max 300;\n"
+    "    attr maxmemory max 64;\n"
     "  }\n"
     "}\n"
 )
@@ -502,7 +515,7 @@ class TestDecidePush:
         d = decide_push(q, OPEN_RESOURCE, token, {"fusion": KEY, "astro": KEY}, now=0)
         assert d.effect == "deny"
         assert d.trace == (TraceEntry("vo", None, "deny", "vo-mismatch"),)
-        assert d.vo_document is None
+        assert d.caps is None and d.terms is None
 
     def test_subject_is_checked_before_vo(self):
         bob = GridCredential("/O=Grid/CN=bob", expiry=10**9, vo="fusion", groups={"analysts"})
@@ -512,13 +525,13 @@ class TestDecidePush:
         d = decide_push(q, OPEN_RESOURCE, token, {"fusion": KEY}, now=0)
         assert d.trace == (TraceEntry("vo", None, "deny", "subject-mismatch"),)
 
-    def test_decision_carries_the_parsed_fragment(self):
-        claims = derive_capability(SCENARIO2_VO, ALICE, expiry=10**9)
+    def test_decision_carries_the_fragments_obligations(self):
+        claims = derive_capability(ACCOUNTED_VO, ALICE, expiry=10**9)
         token = sign_capability(KEY, claims)
-        q = _start_query(ALICE, '&(executable="/opt/vo/apps/transp")(count=1)')
+        q = _start_query(ALICE, '&(executable="/x")(count=2)(maxcputime=200)')
         d = decide_push(q, OPEN_RESOURCE, token, {"fusion": KEY}, now=0)
         assert d.permitted
-        assert d.vo_document == parse_policy(claims.policy_fragment)
+        assert (d.charged_estimate, d.caps, d.terms) == (400, (400, 64), (1000, 600))
 
     def test_over_long_integer_in_fragment_denies(self):
         # sign_capability refuses such claims, so the token is MACed by hand
@@ -547,7 +560,7 @@ class TestDecidePush:
         d = decide_push(q, OPEN_RESOURCE, token, {"fusion": KEY}, now=0)
         assert d.trace == (TraceEntry("vo", None, "deny", "fragment-vo-mismatch", None, "other"),)
         assert d.trace[0].reason == "policy fragment names vo 'other', not the token's"
-        assert d.vo_document is None
+        assert d.caps is None and d.terms is None
 
     def test_expired_token_denies(self):
         claims = derive_capability(SCENARIO2_VO, ALICE, expiry=50)
@@ -587,17 +600,8 @@ def _assert_push_equals_fresh_decide(resource_doc, token, q) -> Decision:
     fresh = parse_policy(token.claims.policy_fragment)
     want = decide(q, PolicySourceSet(resource_doc, fresh))
     got = decide_push(q, resource_doc, token, {"fusion": KEY}, now=0)
-    assert (got.effect, got.trace, got.charged_estimate) == (
-        want.effect,
-        want.trace,
-        want.charged_estimate,
-    )
+    assert got == want  # the obligations, caps and terms, included
     assert explain(got) == explain(want)
-    assert got.vo_document == want.vo_document
-    if want.permitted and q.action is JobAction.START:
-        assert sandbox_limits(got, q.request, resource_doc) == sandbox_limits(
-            want, q.request, resource_doc
-        )
     return got
 
 
@@ -664,27 +668,31 @@ class TestExplain:
         assert "vo/block[1]: permit" in lines
 
 
-class TestDecisionVoDocument:
-    def test_only_a_permitted_start_carries_the_document(self):
+class TestDecisionObligations:
+    def test_only_a_permitted_start_carries_obligations(self):
+        q = _start_query(ALICE, '&(executable="/x")(count=2)(maxcputime=200)')
+        d = decide(q, PolicySourceSet(OPEN_RESOURCE, ACCOUNTED_VO))
+        assert (d.charged_estimate, d.caps, d.terms) == (400, (400, 64), (1000, 600))
         q = _start_query(ALICE, '&(executable="/opt/vo/apps/transp")(count=1)')
         d = decide(q, PolicySourceSet(OPEN_RESOURCE, SCENARIO2_VO))
-        assert d.vo_document is SCENARIO2_VO
-        # only an admission needs it
+        assert d.permitted and (d.caps, d.terms) == ((None, None), None)
+        # only an admission needs them
         denied = _start_query(ALICE, '&(executable="/bin/sh")')
-        assert decide(denied, PolicySourceSet(OPEN_RESOURCE, SCENARIO2_VO)).vo_document is None
+        d = decide(denied, PolicySourceSet(OPEN_RESOURCE, SCENARIO2_VO))
+        assert not d.permitted and (d.caps, d.terms) == (None, None)
         managed = _mgmt_query(CAROL, JobAction.SUSPEND, jobtag="fusion-prod")
         d = decide(managed, PolicySourceSet(OPEN_RESOURCE, ADMINS_VO))
-        assert d.permitted and d.vo_document is None
+        assert d.permitted and (d.caps, d.terms) == (None, None)
         owner = _mgmt_query(ALICE, JobAction.STATUS, owner=ALICE.subject)
-        assert decide(owner, PolicySourceSet(OPEN_RESOURCE, SCENARIO2_VO)).vo_document is None
+        d = decide(owner, PolicySourceSet(OPEN_RESOURCE, ACCOUNTED_VO))
+        assert d.permitted and (d.caps, d.terms) == (None, None)
 
-    def test_document_takes_no_part_in_equality_or_repr(self):
-        q = _start_query(ALICE, '&(executable="/opt/vo/apps/transp")(count=1)')
-        with_vo = decide(q, PolicySourceSet(OPEN_RESOURCE, SCENARIO2_VO))
-        other = type(with_vo)(with_vo.effect, with_vo.trace, with_vo.charged_estimate)
-        assert with_vo == other and hash(with_vo) == hash(other)
-        assert repr(with_vo) == repr(other)
-        assert "vo_document" not in repr(with_vo)
+    def test_obligations_take_part_in_equality_and_repr(self):
+        q = _start_query(ALICE, '&(executable="/x")(count=2)(maxcputime=200)')
+        d = decide(q, PolicySourceSet(OPEN_RESOURCE, ACCOUNTED_VO))
+        assert d != dataclasses.replace(d, terms=None)
+        assert d != dataclasses.replace(d, caps=(None, None))
+        assert "caps=(400, 64), terms=(1000, 600)" in repr(d)
 
 
 def _rand_cap_spec(rng, depth=0):
@@ -716,14 +724,18 @@ def _rand_cap_policy(rng, source):
             allowed_actions={JobAction.START},
             assertions=tuple(assertions),
         ))
-    return PolicyDocument(name="fusion" if source == "vo" else "site", source=source,
-                          blocks=tuple(blocks))
+    if source == "resource":
+        return PolicyDocument(name="site", source=source, blocks=tuple(blocks))
+    quotas = {ALICE.subject: 600} if rng.random() < 0.3 else {}
+    return PolicyDocument(name="fusion", source=source, blocks=tuple(blocks),
+                          allocation=rng.choice((None, None, 1000)), member_quotas=quotas)
 
 
 class TestSandboxLimits:
     def test_agreement_with_brute_force_oracle(self):
+        """A permitted start's caps and terms, each against its oracle rule."""
         rng = random.Random("sandbox-limits/1")
-        permits = 0
+        permits = accounted = 0
         for _ in range(3000):
             res, vo = _rand_cap_policy(rng, "resource"), _rand_cap_policy(rng, "vo")
             cred = ALICE if rng.random() < 0.8 else LOCAL
@@ -737,8 +749,10 @@ class TestSandboxLimits:
             d = decide(q, PolicySourceSet(res, vo))
             if d.permitted:
                 permits += 1
-                assert sandbox_limits(d, request, res) == oracle.sandbox_caps(q, res, vo)
-        assert permits >= 500
+                assert d.caps == oracle.sandbox_caps(q, res, vo)
+                assert d.terms == oracle.ledger_terms(q, vo)
+                accounted += d.terms is not None
+        assert permits >= 500 and accounted >= 100
 
 
 class TestProperties:
