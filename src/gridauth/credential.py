@@ -5,7 +5,9 @@ tokens carry a cryptographic tag.  A token binds a subject, its VO
 context, and a policy fragment under an HMAC-SHA256 keyed by the
 issuing VO's registered secret.  Signing is deterministic: the MAC is
 computed over a canonical serialization of the claims, so identical
-claims always produce identical tokens.
+claims always produce identical tokens.  Verification computes the MAC
+once per distinct (key, claims bytes, MAC) per process and checks the
+issuer and expiry on every call.
 
 Signing checks the claims' policy fragment: on the document that
 `pdp.derive_capability` attached to them if it formats to their text,
@@ -17,12 +19,15 @@ from __future__ import annotations
 import hmac
 import re
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Mapping
 
 from . import policy as policy_mod
 
 KEY_BYTES = 32
 MAC_BYTES = 32
+#: distinct verified (key, claims bytes, MAC) triples a process keeps
+MAC_CACHE_SIZE = 128
 
 _ACCOUNT_RE = re.compile(r"[a-z_][a-z0-9_-]*\Z")
 #: the canonical form of an integer, the only one a token's MAC covers
@@ -272,16 +277,35 @@ def sign_capability(vo_key: bytes, claims: CapabilityClaims) -> CapabilityToken:
     return CapabilityToken(claims=claims, mac=hmac.digest(vo_key, claims.mac_input, "sha256"))
 
 
+def _as_bytes(buffer) -> bytes:
+    """``buffer`` as a cache key: itself if it is ``bytes``, else a copy of
+    a bytes-like one (a ``bytearray`` key, say); any other value raises
+    `TypeError`, as HMAC itself would."""
+    return buffer if type(buffer) is bytes else bytes(memoryview(buffer))
+
+
+@lru_cache(maxsize=MAC_CACHE_SIZE)
+def _verify_mac(key: bytes, mac_input: bytes, mac: bytes) -> None:
+    """Raise `BadSignatureError` unless ``mac`` is the HMAC-SHA256 of
+    ``mac_input`` under ``key``.  A success is cached under exactly these
+    three values; a failure raises, and is not cached."""
+    if not hmac.compare_digest(hmac.digest(key, mac_input, "sha256"), mac):
+        raise BadSignatureError("token MAC does not verify")
+
+
 def verify_capability(
     registry: Mapping, token: CapabilityToken, now: int
 ) -> CapabilityClaims:
-    """Return the claims iff the MAC checks out and the token is fresh; both
-    are checked on every call, the MAC over the claims' ``mac_input``."""
+    """Return the claims iff the issuer is registered, the MAC checks out
+    and the token is fresh.  The issuer and expiry are checked on every
+    call; the MAC over the claims' ``mac_input`` once per distinct (key,
+    claims bytes, MAC) per process, by `_verify_mac`, which keeps at most
+    ``MAC_CACHE_SIZE`` verified triples, so another key, a rotated
+    registry key or edited claims miss it and are verified afresh."""
     key = registry.get(token.claims.vo)
     if key is None:
         raise UnknownIssuerError(f"no key registered for vo '{token.claims.vo}'")
-    if not hmac.compare_digest(hmac.digest(key, token.claims.mac_input, "sha256"), token.mac):
-        raise BadSignatureError("token MAC does not verify")
+    _verify_mac(_as_bytes(key), token.claims.mac_input, _as_bytes(token.mac))
     if now >= token.claims.expiry:
         raise ExpiredTokenError(f"token expired at {token.claims.expiry}")
     return token.claims

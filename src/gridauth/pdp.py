@@ -20,10 +20,12 @@ the fragment is parsed, with reason ``subject-mismatch`` or
 ``vo-mismatch``.  The fragment must be a VO document named for the
 token's VO; one of another source or naming another VO is denied
 (``not-a-vo-fragment``, ``fragment-vo-mismatch``) before any block is
-evaluated, so its allocation never reaches admission.  The fragment is
-parsed once per distinct text per
-process, and only after the MAC, expiry and binding checks, which run
-on every call: `_parse_fragment` is a `functools.lru_cache` of at most
+evaluated, so its allocation never reaches admission.  The token's MAC
+is verified once per distinct (key, claims bytes, MAC) per process
+(`credential.verify_capability`); its issuer and expiry, then the
+binding, are checked on every call.  The fragment is parsed once per
+distinct text per process, and only after those checks:
+`_parse_fragment` is a `functools.lru_cache` of at most
 ``FRAGMENT_CACHE_SIZE`` (128) documents keyed on the whole fragment
 text, so a forged token that copies a genuine MAC but edits the text
 fails verification before the cache is consulted.  A permitted start's
@@ -344,8 +346,12 @@ def authorize(q: AuthzQuery, resource: PolicyDocument, vo_policies: Mapping,
     """The decision at the gatekeeper, pull or push: `decide_push` when a
     ``token`` is presented, else `decide` with the document that
     ``vo_policies`` (see `vo_documents`) holds under the credential's VO,
-    none for a credential that names no VO or one it does not hold."""
+    none for a credential that names no VO or one it does not hold.  A
+    ``resource`` of another source raises `InvalidQueryError` in either
+    mode, before any token check, so the refusal does not depend on the
+    token."""
     if token is not None:
+        PolicySourceSet(resource)  # refuses a document of another source
         return decide_push(q, resource, token, registry, now)
     return decide(q, PolicySourceSet(resource, vo_policies.get(q.credential.vo)))
 
@@ -437,8 +443,10 @@ def decide_push(
 ) -> Decision:
     """Decide from a pushed capability instead of a local VO document.
 
-    The token's MAC and expiry, then its subject and VO binding, are
-    checked on every call.  Only a token that passes them reaches the
+    The token's issuer, MAC and expiry, then its subject and VO binding,
+    are checked on every call, though the MAC's HMAC is computed once per
+    distinct (key, claims bytes, MAC) per process (see
+    `verify_capability`).  Only a token that passes them reaches the
     fragment, which `_parse_fragment` parses once per distinct text per
     process (at most ``FRAGMENT_CACHE_SIZE`` texts are kept).  It must be
     a VO document named for the token's VO, or the query is denied before

@@ -256,6 +256,36 @@ class TestCheck:
             assert main(command) == 2
             assert capsys.readouterr().err == "error: policy 'site' is not a vo document\n"
 
+    @pytest.mark.parametrize("key", [KEY_HEX, "cd" * 32], ids=["genuine-key", "wrong-key"])
+    def test_pushed_check_with_a_vo_document_as_resource_policy_exits_two(self, site, capsys, key):
+        # refused before any token check, so the key makes no difference,
+        # and submit refuses the same file as well
+        assert main([
+            "issue-cap",
+            "--vo-policy", _p(site, "fusion.pol"),
+            "--cred", _p(site, "alice.cred"),
+            "--vo-key", f"fusion={KEY_HEX}",
+            "--expiry", "1000000",
+            "--cap", _p(site, "alice.cap"),
+        ]) == 0
+        push = ["--cap", _p(site, "alice.cap"), "--vo-key", f"fusion={key}"]
+        code = main([
+            "check",
+            "--resource-policy", _p(site, "fusion.pol"),
+            *push,
+            "--cred", _p(site, "alice.cred"),
+            "--rsl", _p(site, "job.rsl"),
+            "--action", "start",
+        ])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "error: resource slot needs a resource-source document\n")
+        submit = _submit_args(site)
+        submit[submit.index("--resource-policy") + 1] = _p(site, "fusion.pol")
+        submit[submit.index("--vo-policy"):submit.index("--vo-policy") + 2] = push
+        assert main(submit) == 2
+        assert not (site / "state.json").exists()
+
 
 class TestSubmitManageTickLedger:
     def test_full_cycle(self, site, capsys):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hmac
 import random
 
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 import test_token_golden
 from generators import rand_credential, rand_policy
-from gridauth import policy
+from gridauth import credential, policy
 from gridauth.credential import (
     BadSignatureError,
     CapabilityClaims,
@@ -37,6 +38,7 @@ from gridauth.rsl import JobAction
 from test_jobmgr import _count_policy_parses
 
 KEY = bytes(range(32))
+OTHER_KEY = bytes(range(32, 64))
 
 FRAGMENT = (
     'policy "fusion" source vo {\n'
@@ -331,8 +333,9 @@ class TestSignVerify:
         # `replace` builds the MAC input afresh, from the edited text
         assert edited.mac_input == canonical_claims_text(edited).encode("utf-8")
         assert edited.mac_input != claims.mac_input
-        with pytest.raises(BadSignatureError):
-            verify_capability(registry, CapabilityToken(edited, token.mac), now=0)
+        for _ in range(2):  # the genuine token's cached MAC does not stand for it
+            with pytest.raises(BadSignatureError):
+                verify_capability(registry, CapabilityToken(edited, token.mac), now=0)
 
     def test_mac_input_takes_no_part_in_equality_or_repr(self):
         claims = _claims()
@@ -347,6 +350,116 @@ class TestSignVerify:
         doubled = text.replace("vo: fusion\n", "vo: astro\nvo: fusion\n")
         with pytest.raises(CredentialFormatError, match="duplicate field 'vo'"):
             load_token(doubled)
+
+
+def _cached_macs() -> int:
+    return credential._verify_mac.cache_info().currsize
+
+
+class TestVerifiedMacCache:
+    """`verify_capability` computes a token's HMAC once per (key, claims
+    bytes, MAC) per process; the issuer and expiry it checks on every call."""
+
+    def setup_method(self):
+        credential._verify_mac.cache_clear()
+
+    def test_a_verified_token_computes_no_second_hmac(self, monkeypatch):
+        token = sign_capability(KEY, _claims())
+        calls = []
+        digest = hmac.digest
+        monkeypatch.setattr(credential.hmac, "digest", lambda *a: calls.append(a) or digest(*a))
+        for _ in range(3):
+            assert verify_capability({"fusion": KEY}, token, now=0) is token.claims
+        # equal claims built afresh have the same bytes, so they hit too
+        assert verify_capability({"fusion": KEY}, CapabilityToken(_claims(), token.mac), now=0)
+        assert len(calls) == 1
+        assert _cached_macs() == 1
+
+    def test_a_verified_token_past_its_expiry_is_expired_on_every_call(self):
+        token = sign_capability(KEY, _claims(expiry=100))
+        registry = {"fusion": KEY}
+        assert verify_capability(registry, token, now=99) is token.claims
+        for now in (100, 100, 5000):
+            with pytest.raises(ExpiredTokenError, match="token expired at 100"):
+                verify_capability(registry, token, now=now)
+        assert verify_capability(registry, token, now=0) is token.claims
+
+    def test_the_claims_under_another_key_stay_refused(self):
+        claims = _claims()
+        genuine, forged = sign_capability(KEY, claims), sign_capability(OTHER_KEY, claims)
+        registry = {"fusion": KEY}
+        assert verify_capability(registry, genuine, now=0) is claims
+        for _ in range(3):
+            with pytest.raises(BadSignatureError, match="token MAC does not verify"):
+                verify_capability(registry, forged, now=0)
+        assert _cached_macs() == 1
+
+    def test_a_replaced_registry_key_refuses_the_old_token(self):
+        token = sign_capability(KEY, _claims())
+        registry = {"fusion": KEY}
+        assert verify_capability(registry, token, now=0) is token.claims
+        registry["fusion"] = OTHER_KEY
+        for _ in range(2):
+            with pytest.raises(BadSignatureError):
+                verify_capability(registry, token, now=0)
+        assert verify_capability(registry, sign_capability(OTHER_KEY, _claims()), now=0)
+
+    def test_a_failed_verification_caches_nothing(self):
+        token = sign_capability(KEY, _claims())
+        zeroed = CapabilityToken(token.claims, bytes(32))
+        failures = [({"fusion": OTHER_KEY}, token), ({"fusion": KEY}, zeroed)]
+        for registry, presented in failures:
+            with pytest.raises(BadSignatureError):
+                verify_capability(registry, presented, now=0)
+            assert _cached_macs() == 0
+        with pytest.raises(UnknownIssuerError):
+            verify_capability({}, token, now=0)
+        assert _cached_macs() == 0
+        assert verify_capability({"fusion": KEY}, token, now=0) is token.claims
+        for registry, presented in failures:
+            with pytest.raises(BadSignatureError):
+                verify_capability(registry, presented, now=0)
+            assert _cached_macs() == 1
+
+    def test_more_tokens_than_the_cache_holds(self):
+        tokens = [sign_capability(KEY, _claims(expiry=1000 + i))
+                  for i in range(credential.MAC_CACHE_SIZE + 40)]
+        registry = {"fusion": KEY}
+        for _ in range(2):  # the second round verifies evicted tokens afresh
+            for token in tokens:
+                assert verify_capability(registry, token, now=0) is token.claims
+                with pytest.raises(BadSignatureError):
+                    verify_capability(registry, CapabilityToken(token.claims, bytes(32)), now=0)
+        assert _cached_macs() == credential.MAC_CACHE_SIZE
+
+    @pytest.mark.parametrize("view", [bytearray, memoryview])
+    def test_a_bytes_like_registry_key_verifies_as_bytes_do(self, view):
+        token = sign_capability(KEY, _claims())
+        buffer = bytearray(KEY)
+        registry = {"fusion": buffer if view is bytearray else view(buffer)}
+        for _ in range(2):
+            assert verify_capability(registry, token, now=0) is token.claims
+        buffer[0] ^= 1  # the key edited in place no longer verifies the token
+        with pytest.raises(BadSignatureError):
+            verify_capability(registry, token, now=0)
+        buffer[0] ^= 1
+        assert verify_capability(registry, token, now=0) is token.claims
+        mac = bytearray(token.mac)
+        assert verify_capability(registry, CapabilityToken(token.claims, mac), now=0)
+        mac[0] ^= 1
+        with pytest.raises(BadSignatureError):
+            verify_capability(registry, CapabilityToken(token.claims, mac), now=0)
+
+    @pytest.mark.parametrize("key", [KEY.hex(), 32, None], ids=["text", "int", "none"])
+    def test_a_key_that_is_not_bytes_like_is_a_type_error(self, key):
+        token = sign_capability(KEY, _claims())
+        if key is None:  # the registry holds no key for the VO
+            with pytest.raises(UnknownIssuerError):
+                verify_capability({"fusion": key}, token, now=0)
+            return
+        with pytest.raises(TypeError, match="bytes-like object is required"):
+            verify_capability({"fusion": key}, token, now=0)
+        assert _cached_macs() == 0
 
 
 class TestRejectionTotality:

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import oracle
 from generators import rand_credential, rand_policy, rand_query
+from gridauth import credential
 from gridauth.credential import (
     CapabilityToken,
     GridCredential,
@@ -28,6 +29,7 @@ from gridauth.pdp import (
     NoApplicableBlocksError,
     PolicySourceSet,
     TraceEntry,
+    authorize,
     decide,
     decide_push,
     derive_capability,
@@ -643,6 +645,102 @@ class TestFragmentMemo:
         after = decisions()
         assert after == before
         assert [explain(d) for d in after] == [explain(d) for d in before]
+
+
+def _bad_signature() -> Decision:
+    return Decision("deny", (TraceEntry("vo", None, "deny", "BadSignature", None,
+                                        "token MAC does not verify"),))
+
+
+class TestVerifiedMacCache:
+    """Push decisions through the cache of verified token MACs: a token is
+    refused on every presentation that its MAC, key or expiry fails."""
+
+    RSL = '&(executable="/opt/vo/apps/transp")(count=1)'
+
+    def setup_method(self):
+        credential._verify_mac.cache_clear()
+
+    def _genuine(self, expiry=10**9):
+        token = sign_capability(KEY, derive_capability(SCENARIO2_VO, ALICE, expiry=expiry))
+        q = _start_query(ALICE, self.RSL)
+        assert decide_push(q, OPEN_RESOURCE, token, {"fusion": KEY}, now=0).permitted
+        return token, q
+
+    def test_a_verified_token_past_its_expiry_is_denied_on_every_call(self):
+        token, q = self._genuine(expiry=50)
+        want = Decision("deny", (TraceEntry("vo", None, "deny", "Expired", None,
+                                            "token expired at 50"),))
+        for now in (50, 50, 10**6):
+            assert decide_push(q, OPEN_RESOURCE, token, {"fusion": KEY}, now) == want
+        assert decide_push(q, OPEN_RESOURCE, token, {"fusion": KEY}, now=49).permitted
+
+    def test_a_registry_whose_key_was_replaced_refuses_the_old_token(self):
+        token, q = self._genuine()
+        registry = {"fusion": KEY}
+        registry["fusion"] = bytes(reversed(KEY))
+        for _ in range(2):
+            assert decide_push(q, OPEN_RESOURCE, token, registry, now=0) == _bad_signature()
+
+    def test_the_same_claims_under_another_key_are_refused(self):
+        token, q = self._genuine()
+        forged = sign_capability(bytes(reversed(KEY)), token.claims)
+        for _ in range(2):
+            assert decide_push(q, OPEN_RESOURCE, forged, {"fusion": KEY}, now=0) == _bad_signature()
+
+    def test_a_genuine_mac_on_an_edited_fragment_is_refused(self):
+        token, q = self._genuine()
+        fragment = token.claims.policy_fragment.replace("1..512", "1..4096")
+        assert fragment != token.claims.policy_fragment
+        edited = CapabilityToken(dataclasses.replace(token.claims, policy_fragment=fragment),
+                                 token.mac)
+        pdp._parse_fragment.cache_clear()
+        for _ in range(2):
+            assert decide_push(q, OPEN_RESOURCE, edited, {"fusion": KEY}, now=0) == _bad_signature()
+        assert pdp._parse_fragment.cache_info().currsize == 0
+        assert credential._verify_mac.cache_info().currsize == 1
+
+    def test_more_tokens_than_the_cache_holds(self):
+        cases = _pushed_cases(random.Random("mac/1"), credential.MAC_CACHE_SIZE + 40)
+        assert len({token.mac for _, token, _ in cases}) > credential.MAC_CACHE_SIZE
+        for _ in range(2):  # the second round decides on evicted tokens
+            for resource_doc, token, queries in cases:
+                _assert_push_equals_fresh_decide(resource_doc, token, queries[0])
+                forged = CapabilityToken(token.claims, bytes(32))
+                got = decide_push(queries[0], resource_doc, forged, {"fusion": KEY}, now=0)
+                assert got == _bad_signature()
+        assert credential._verify_mac.cache_info().currsize <= credential.MAC_CACHE_SIZE
+
+    def test_clearing_the_cache_changes_no_decision(self):
+        cases = _pushed_cases(random.Random("mac/2"), 60)
+
+        def decisions():
+            return [
+                decide_push(q, resource_doc, token, {"fusion": KEY}, now)
+                for resource_doc, token, queries in cases
+                for q in queries
+                for now in (0, 10**9)  # fresh, then expired
+            ]
+
+        before = decisions()
+        credential._verify_mac.cache_clear()
+        after = decisions()
+        assert after == before
+        assert [explain(d) for d in after] == [explain(d) for d in before]
+        assert sum(d.permitted for d in after) >= 20
+
+
+class TestAuthorize:
+    @pytest.mark.parametrize("registry", [{"fusion": KEY}, {"fusion": bytes(32)}, {}],
+                             ids=["genuine-key", "wrong-key", "unknown-issuer"])
+    def test_a_vo_document_as_resource_is_refused_before_the_token(self, registry):
+        token = sign_capability(KEY, derive_capability(SCENARIO2_VO, ALICE, expiry=10**9))
+        q = _start_query(ALICE, '&(executable="/opt/vo/apps/transp")(count=1)')
+        assert authorize(q, OPEN_RESOURCE, {}, token, {"fusion": KEY}, 0).permitted
+        with pytest.raises(InvalidQueryError, match="resource slot needs a resource-source"):
+            authorize(q, SCENARIO2_VO, {}, token, registry, 0)
+        with pytest.raises(InvalidQueryError, match="resource slot needs a resource-source"):
+            authorize(q, SCENARIO2_VO, {"fusion": SCENARIO2_VO}, None, registry, 0)
 
 
 class TestExplain:
