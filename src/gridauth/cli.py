@@ -52,6 +52,7 @@ from .jobmgr import (
 )
 from .pdp import (
     AuthzQuery,
+    InvalidQueryError,
     NoApplicableBlocksError,
     authorize,
     derive_capability,
@@ -427,7 +428,7 @@ def _make_engine(args, state: dict | None) -> JobManager:
         try:
             return JobManager.restore(state, resource_policy=resource, vo_policies=vo_docs,
                                       gridmap=gridmap, key_registry=registry)
-        except PolicyError:
+        except (PolicyError, InvalidQueryError):
             raise  # a policy of the wrong kind is bad input, not bad state
         # AttributeError: a list where the ledger holds an object
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
@@ -469,7 +470,7 @@ def cmd_check(args) -> int:
     if args.cap:
         token, registry = _load_token_file(args.cap), _parse_vo_keys(args.vo_key)
     elif args.vo_policy:
-        vo_docs = vo_documents([_load_policy_file(args.vo_policy)])
+        vo_docs = vo_documents(_load_policy_file(path) for path in args.vo_policy)
     decision = authorize(query, resource, vo_docs, token, registry, args.now)
     print(decision.effect)
     if args.explain:
@@ -586,17 +587,14 @@ def _parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", metavar="command")
 
-    def add_policy_flags(p, vo_multi=True):
+    def add_policy_flags(p):
         p.add_argument("--resource-policy", metavar="FILE", required=True)
-        if vo_multi:
-            p.add_argument("--vo-policy", metavar="FILE", action="append")
-        else:
-            p.add_argument("--vo-policy", metavar="FILE")
+        p.add_argument("--vo-policy", metavar="FILE", action="append")
         p.add_argument("--cap", metavar="FILE")
         p.add_argument("--vo-key", metavar="VO=HEX", action="append")
 
     check = sub.add_parser("check", help="evaluate one authorization query")
-    add_policy_flags(check, vo_multi=False)
+    add_policy_flags(check)
     check.add_argument("--cred", metavar="FILE", required=True)
     check.add_argument("--rsl", metavar="FILE")
     check.add_argument(

@@ -1,17 +1,24 @@
 """Simulated grid identities, grid-mapfile lookup, and capability tokens.
 
 Credentials are plain local files the simulator trusts; only capability
-tokens carry a cryptographic tag.  A token binds a subject, its VO
-context, and a policy fragment under an HMAC-SHA256 keyed by the
-issuing VO's registered secret.  Signing is deterministic: the MAC is
-computed over a canonical serialization of the claims, so identical
-claims always produce identical tokens.  Verification computes the MAC
-once per distinct (key, claims bytes, MAC) per process and checks the
-issuer and expiry on every call.
+tokens carry a cryptographic tag.  A credential's expiry is checked by
+`pdp.authorize`, not here, so an expired credential still loads.  A
+token binds a subject, its VO context, and a policy fragment under an
+HMAC-SHA256 keyed by the issuing VO's registered secret.  Signing is
+deterministic: the MAC is computed over a canonical serialization of the
+claims, so identical claims always produce identical tokens.
+Verification computes the MAC once per distinct (key, claims bytes, MAC)
+per process and checks the issuer and expiry on every call.
 
 Signing checks the claims' policy fragment: on the document that
 `pdp.derive_capability` attached to them if it formats to their text,
 which then parses to an equal document, else on a parse of the text.
+
+A ``.cap`` file is read the way `format_token` writes it: one match of
+its layout, whose fragment runs to the last end fence, so a fragment may
+hold any string `policy.format_policy` writes (a fence line, a character
+`str.splitlines` would break at), and then one comparison with the
+token's own text, which refuses every other spelling.
 """
 
 from __future__ import annotations
@@ -25,7 +32,6 @@ from typing import Mapping
 from . import policy as policy_mod
 
 KEY_BYTES = 32
-MAC_BYTES = 32
 #: distinct verified (key, claims bytes, MAC) triples a process keeps
 MAC_CACHE_SIZE = 128
 
@@ -35,6 +41,13 @@ _EXPIRY_RE = re.compile(r"-?(0|[1-9][0-9]*)\Z")
 
 _POLICY_BEGIN = "---BEGIN POLICY---"
 _POLICY_END = "---END POLICY---"
+#: `format_token`'s layout, matched in linear time: the four header lines in
+#: their order with any value (the canonical comparison checks its spelling),
+#: the fragment up to the last end fence, and the HMAC-SHA256 as lower-case hex
+_TOKEN_RE = re.compile(
+    r"subject:(.*)\nvo:(.*)\ngroups:(.*)\nexpiry:(.*)\n"
+    rf"{_POLICY_BEGIN}\n(?s:(.*))\n{_POLICY_END}\nmac: ([0-9a-f]{{64}})\n\Z"
+)
 
 
 class CredentialError(ValueError):
@@ -86,7 +99,7 @@ class GridCredential:
             raise CredentialFormatError("groups require a vo")
 
 
-def _expiry_and_groups(fields: dict) -> tuple:
+def _expiry_and_groups(expiry: str, groups: str) -> tuple:
     """The ``expiry`` and ``groups`` fields of a credential or token file.
 
     ``expiry`` is an optional ``-`` and ASCII digits with no leading zero:
@@ -94,16 +107,15 @@ def _expiry_and_groups(fields: dict) -> tuple:
     too, would load as the integer that a token's MAC covers in its
     canonical form.
     """
-    if not _EXPIRY_RE.match(fields["expiry"]):
+    if not _EXPIRY_RE.match(expiry):
         raise CredentialFormatError("expiry must be an integer")
-    groups = frozenset(g.strip() for g in fields.get("groups", "").split(",") if g.strip())
-    return int(fields["expiry"]), groups
+    return int(expiry), frozenset(g.strip() for g in groups.split(",") if g.strip())
 
 
 def load_credential(text: str) -> GridCredential:
     """Parse the line-oriented ``.cred`` format.
 
-    An expired credential still loads; no code checks expiry yet.
+    An expired credential still loads; `pdp.authorize` denies it.
     """
     fields: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -124,7 +136,7 @@ def load_credential(text: str) -> GridCredential:
         raise MissingFieldError("subject")
     if "expiry" not in fields:
         raise MissingFieldError("expiry")
-    expiry, groups = _expiry_and_groups(fields)
+    expiry, groups = _expiry_and_groups(fields["expiry"], fields.get("groups", ""))
     return GridCredential(
         subject=fields["subject"],
         expiry=expiry,
@@ -318,58 +330,19 @@ def format_token(token: CapabilityToken) -> str:
 
 def load_token(text: str) -> CapabilityToken:
     """Read a ``.cap`` file, which must be exactly ``format_token`` of what it holds."""
-    lines = text.splitlines()
-    while lines and not lines[-1].strip():
-        lines.pop()
-    if not lines or not lines[-1].startswith("mac: "):
-        raise CredentialFormatError("token must end with a 'mac:' line")
-    mac_hex = lines.pop()[len("mac: ") :].strip()
-    if len(mac_hex) != 2 * MAC_BYTES:
-        raise CredentialFormatError("mac must be 64 hex characters")
-    try:
-        mac = bytes.fromhex(mac_hex)
-    except ValueError:
-        raise CredentialFormatError("mac must be 64 hex characters") from None
-
-    fields: dict[str, str] = {}
-    fragment: list[str] | None = None
-    in_fragment = False
-    for lineno, line in enumerate(lines, start=1):
-        if in_fragment:
-            if line == _POLICY_END:
-                in_fragment = False
-            else:
-                fragment.append(line)
-            continue
-        if line == _POLICY_BEGIN:
-            if fragment is not None:
-                raise CredentialFormatError(f"line {lineno}: duplicate policy fence")
-            fragment = []
-            in_fragment = True
-            continue
-        if not line.strip():
-            continue
-        key, sep, value = line.partition(":")
-        key = key.strip()
-        if not sep or key not in ("subject", "vo", "groups", "expiry"):
-            raise CredentialFormatError(f"line {lineno}: unexpected line in token")
-        if key in fields:
-            raise CredentialFormatError(f"line {lineno}: duplicate field '{key}'")
-        fields[key] = value.strip()
-    if in_fragment or fragment is None:
-        raise CredentialFormatError("token is missing its policy fragment")
-    for required in ("subject", "vo", "expiry"):
-        if required not in fields:
-            raise MissingFieldError(required)
-    expiry, groups = _expiry_and_groups(fields)
+    match = _TOKEN_RE.match(text)
+    if match is None:
+        raise CredentialFormatError("token is not in canonical form")
+    subject, vo, groups, expiry, fragment, mac_hex = match.groups()
+    expiry, groups = _expiry_and_groups(expiry.strip(), groups)
     claims = CapabilityClaims(
-        subject=fields["subject"],
-        vo=fields["vo"],
+        subject=subject.strip(),
+        vo=vo.strip(),
         groups=groups,
         expiry=expiry,
-        policy_fragment="\n".join(fragment) + "\n",
+        policy_fragment=fragment + "\n",
     )
-    token = CapabilityToken(claims=claims, mac=mac)
+    token = CapabilityToken(claims=claims, mac=bytes.fromhex(mac_hex))
     # one text per token: spacing, order, case and line ends are not free
     if format_token(token) != text:
         raise CredentialFormatError("token is not in canonical form")

@@ -65,8 +65,8 @@ from .enforce import (
     SandboxSpec,
     record_usage,
 )
-from .pdp import AuthzQuery, Decision, authorize, vo_documents
-from .policy import PolicyDocument, PolicyError
+from .pdp import AuthzQuery, Decision, PolicySourceSet, authorize, vo_documents
+from .policy import PolicyDocument
 from .rsl import JobAction, RslRequest, parse_rsl
 
 
@@ -249,8 +249,8 @@ class JobManager:
         """All but the clock, the next job number, the ledger and the pool,
         which `restore` takes from the state: the documents (one of the
         wrong kind raises), the grid-mapfile, the VO keys, no jobs, no events."""
-        if resource_policy is not None and resource_policy.source != "resource":
-            raise PolicyError("resource_policy must have source 'resource'")
+        if resource_policy is not None:
+            PolicySourceSet(resource_policy)  # refuses a document of another source
         self.resource_policy = resource_policy
         self.vo_policies: dict[str, PolicyDocument] = vo_documents(vo_policies)
         self.gridmap = gridmap or GridMapFile({})

@@ -33,7 +33,9 @@ obligations come from the fragment through the `decide` that push mode
 delegates to, so the gatekeeper needs no second parse.  `authorize`,
 which the gatekeeper, the job manager and ``gridauth check`` call, is
 the one place that picks push mode (a token is presented) or pull mode
-(the VO document is the one held under the credential's VO).
+(the VO document is the one held under the credential's VO), and the one
+place that denies a credential from its expiry on (``credential-expired``),
+before either mode runs.
 
 A trace entry records what failed (the kind, the failing check and the
 offending value), and its `reason` renders the sentence only when read.
@@ -168,6 +170,7 @@ _REASONS = {
     "closed-world": lambda e: f"closed-world rejects attribute '{e.value}'",
     "no-blocks": lambda e: "no applicable blocks",
     "no-vo-document": lambda e: f"no policy document for vo '{e.value}'",
+    "credential-expired": lambda e: f"credential expired at {e.value}",
     "accounting": lambda e: "accounting-requires-maxcputime",
     **dict.fromkeys(("BadSignature", "Expired", "UnknownIssuer"), lambda e: f"{e.kind}: {e.value}"),
     **dict.fromkeys(("subject-mismatch", "vo-mismatch"), lambda e: e.kind),
@@ -348,12 +351,20 @@ def authorize(q: AuthzQuery, resource: PolicyDocument, vo_policies: Mapping,
     ``vo_policies`` (see `vo_documents`) holds under the credential's VO,
     none for a credential that names no VO or one it does not hold.  A
     ``resource`` of another source raises `InvalidQueryError` in either
-    mode, before any token check, so the refusal does not depend on the
-    token."""
+    mode, first, so the refusal depends on neither the token nor the
+    credential.  A credential whose ``expiry`` is at or before ``now`` is
+    then denied before either mode runs, with one ``credential-expired``
+    entry."""
+    # refuses a document of another source, whatever the token or the credential
+    sources = PolicySourceSet(resource, vo_policies.get(q.credential.vo))
+    expiry = q.credential.expiry
+    if expiry <= now:
+        return Decision(
+            "deny", (TraceEntry("credential", None, "deny", "credential-expired", None, expiry),)
+        )
     if token is not None:
-        PolicySourceSet(resource)  # refuses a document of another source
         return decide_push(q, resource, token, registry, now)
-    return decide(q, PolicySourceSet(resource, vo_policies.get(q.credential.vo)))
+    return decide(q, sources)
 
 
 def vo_documents(docs: Iterable) -> dict:

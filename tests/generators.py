@@ -47,7 +47,7 @@ def rand_value(rng: random.Random, attr: str):
     return rng.choice(TEXT_VALUES)
 
 
-def rand_spec(rng: random.Random, attr: str, depth: int = 0):
+def rand_spec(rng: random.Random, attr: str, depth: int = 0, values: tuple = TEXT_VALUES):
     if attr == INT_ATTR:
         kind = rng.randrange(4 if depth else 5)
         if kind == 0:
@@ -63,25 +63,26 @@ def rand_spec(rng: random.Random, attr: str, depth: int = 0):
         return OrSpec((rand_spec(rng, attr, 1), rand_spec(rng, attr, 1)))
     kind = rng.randrange(3 if depth else 4)
     if kind == 0:
-        values = rng.sample(TEXT_VALUES, rng.randrange(1, 3))
-        return EnumSpec(tuple(values))
+        return EnumSpec(tuple(rng.sample(values, rng.randrange(1, 3))))
     if kind == 1:
         return EnumSpec((rng.choice(GLOBS),))
     if kind == 2:
         return RegexSpec(rng.choice(SAFE_REGEXES))
-    return OrSpec((rand_spec(rng, attr, 1), rand_spec(rng, attr, 1)))
+    return OrSpec((rand_spec(rng, attr, 1, values), rand_spec(rng, attr, 1, values)))
 
 
-def rand_assertion(rng: random.Random):
+def rand_assertion(rng: random.Random, values: tuple = TEXT_VALUES):
     attr = rng.choice(ATTRS)
     kind = rng.randrange(4)
     if kind == 0:
-        return MayContain(attr, rand_spec(rng, attr))
+        return MayContain(attr, rand_spec(rng, attr, values=values))
     if kind == 1:
-        return MustContain(attr, rand_spec(rng, attr) if rng.random() < 0.5 else None)
+        spec = rand_spec(rng, attr, values=values) if rng.random() < 0.5 else None
+        return MustContain(attr, spec)
     if kind == 2:
-        return MustNotContain(attr, rand_spec(rng, attr) if rng.random() < 0.5 else None)
-    return MayContain(attr, rand_spec(rng, attr))
+        spec = rand_spec(rng, attr, values=values) if rng.random() < 0.5 else None
+        return MustNotContain(attr, spec)
+    return MayContain(attr, rand_spec(rng, attr, values=values))
 
 
 def rand_matcher(rng: random.Random):
@@ -93,7 +94,7 @@ def rand_matcher(rng: random.Random):
     return Identity(rng.choice(SUBJECTS))
 
 
-def rand_block(rng: random.Random) -> SubjectBlock:
+def rand_block(rng: random.Random, values: tuple = TEXT_VALUES) -> SubjectBlock:
     allowed = {a for a in JobAction if rng.random() < 0.35}
     if rng.random() < 0.7:
         allowed.add(JobAction.START)
@@ -103,7 +104,7 @@ def rand_block(rng: random.Random) -> SubjectBlock:
     for action in sorted(allowed, key=lambda a: a.value):
         if action is not JobAction.START and rng.random() < 0.4:
             grants[action] = frozenset(rng.sample(JOBTAGS, rng.randrange(1, 3)))
-    assertions = tuple(rand_assertion(rng) for _ in range(rng.randrange(0, 5)))
+    assertions = tuple(rand_assertion(rng, values) for _ in range(rng.randrange(0, 5)))
     return SubjectBlock(
         matcher=rand_matcher(rng),
         allowed_actions=frozenset(allowed),
@@ -119,8 +120,11 @@ def rand_policy(
     name: str = "fusion",
     min_blocks: int = 0,
     with_accounting: bool = False,
+    values: tuple = TEXT_VALUES,
 ) -> PolicyDocument:
-    blocks = tuple(rand_block(rng) for _ in range(rng.randrange(min_blocks, 4)))
+    """A document of at most three blocks; its enum specs draw their strings
+    from ``values``."""
+    blocks = tuple(rand_block(rng, values) for _ in range(rng.randrange(min_blocks, 4)))
     allocation = None
     quotas = {}
     if source == "vo" and with_accounting and rng.random() < 0.5:

@@ -284,7 +284,61 @@ class TestCheck:
         submit[submit.index("--resource-policy") + 1] = _p(site, "fusion.pol")
         submit[submit.index("--vo-policy"):submit.index("--vo-policy") + 2] = push
         assert main(submit) == 2
+        assert capsys.readouterr() == ("", err)
         assert not (site / "state.json").exists()
+
+    def test_a_vo_document_as_resource_policy_of_a_site_exits_two(self, site, capsys):
+        # restoring a site under it is bad input, as for a new site, not
+        # bad state: the message is check's and the files stay as they are
+        assert main(_submit_args(site)) == 0
+        capsys.readouterr()
+        files = {path.name: path.read_bytes() for path in site.iterdir()}
+        submit, manage = _submit_args(site), _manage_args(site, "j1", "cancel")
+        for command in (submit, manage):
+            command[command.index("--resource-policy") + 1] = _p(site, "fusion.pol")
+            assert main(command) == 2
+            assert capsys.readouterr() == (
+                "", "error: resource slot needs a resource-source document\n"
+            )
+        assert {path.name: path.read_bytes() for path in site.iterdir()} == files
+
+    def test_a_credential_is_denied_from_its_expiry_on(self, site, capsys):
+        argv = [
+            "check",
+            "--resource-policy", _p(site, "site.pol"),
+            "--vo-policy", _p(site, "fusion.pol"),
+            "--cred", _p(site, "alice.cred"),
+            "--rsl", _p(site, "job.rsl"),
+            "--action", "start",
+            "--explain",
+        ]
+        assert main([*argv, "--now", "1899999999"]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == "permit"
+        for now in ("1900000000", "1900000001"):
+            assert main([*argv, "--now", now]) == 1
+            assert capsys.readouterr().out.splitlines() == [
+                "deny", "credential: deny — credential expired at 1900000000",
+            ]
+
+    def test_check_takes_every_vo_document(self, site, capsys):
+        # each credential is decided under its own VO's document, wherever
+        # it stands among the --vo-policy files
+        (site / "astro.pol").write_text(FUSION_POL.replace('"fusion"', '"astro"'))
+        (site / "astro.cred").write_text(ALICE_CRED.replace("vo: fusion", "vo: astro"))
+        vo_policies = ["--vo-policy", _p(site, "strict.pol"), "--vo-policy", _p(site, "astro.pol")]
+        (site / "other.rsl").write_text('&(executable="/bin/sh")(count=1)(maxcputime=10)\n')
+        for cred, rsl, code, last in [
+            ("alice.cred", "job.rsl", 0, "vo/block[0]: permit"),
+            ("alice.cred", "other.rsl", 1, "vo/block[0]: deny — attr executable: value "
+             '"/bin/sh" fails in {"/opt/vo/apps/transp"}'),
+            ("astro.cred", "other.rsl", 0, "vo/block[0]: permit"),
+        ]:
+            assert main([
+                "check", "--resource-policy", _p(site, "site.pol"), *vo_policies,
+                "--cred", _p(site, cred), "--rsl", _p(site, rsl), "--action", "start",
+                "--explain",
+            ]) == code
+            assert capsys.readouterr().out.splitlines()[-1] == last
 
 
 class TestSubmitManageTickLedger:

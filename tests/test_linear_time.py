@@ -1,5 +1,5 @@
-"""Both parsers reject long adversarial texts in linear time, and a large
-dynamic-account pool loads in linear time.
+"""Both parsers and the token reader reject long adversarial texts in
+linear time, and a large dynamic-account pool loads in linear time.
 
 A tokenizer whose string alternative needs the closing quote re-scans an
 unclosed string from each '"' inside it to the end of the text, which is
@@ -8,7 +8,9 @@ characters long and must be rejected in well under a second, with the
 same error as a short text of the same shape.  The RSL texts also try
 the accept path's clause regex: a whitespace run it backtracks over, a
 long run of clauses it takes before the fault, and a long string it
-scans inside a clause that does not close.
+scans inside a clause that does not close.  The token texts make the
+token's match look back from the end for the mac line past every end
+fence, or past every character of a long header line.
 
 A pool that looks for duplicates, or a restore that looks for an
 account both free and leased, by scanning the free list once per
@@ -21,7 +23,7 @@ import time
 
 import pytest
 
-from gridauth.credential import GridCredential
+from gridauth.credential import CredentialFormatError, GridCredential, load_token
 from gridauth.enforce import DynamicAccountPool, EnforcementError
 from gridauth.jobmgr import JobManager, SimProfile
 from gridauth.policy import PolicySyntaxError, parse_policy
@@ -97,6 +99,27 @@ def test_policy(text, message, line, col):
     exc = _rejection(parse_policy, text, PolicySyntaxError)
     assert (exc.line, exc.col) == (line, col)
     assert str(exc) == f"line {line}, col {col}: {message}"
+
+
+def _token_head(subject: str) -> str:
+    return f"subject: {subject}\nvo: fusion\ngroups: \nexpiry: 1000\n---BEGIN POLICY---\n"
+
+
+@pytest.mark.parametrize(
+    "text, short",
+    [
+        (_token_head("/CN=a") + "\n---END POLICY---\n" * 20000,
+         _token_head("/CN=a") + "\n---END POLICY---\n"),
+        (_token_head("/CN=a" * 4000) + "x\n---END POLICY---\nmac: 00\n",
+         _token_head("/CN=a") + "x\n---END POLICY---\nmac: 00\n"),
+    ],
+    ids=["end-fences-without-mac", "long-header-line"],
+)
+def test_token(text, short):
+    exc = _rejection(load_token, text, CredentialFormatError)
+    assert str(exc) == "token is not in canonical form"
+    with pytest.raises(CredentialFormatError, match="^token is not in canonical form$"):
+        load_token(short)
 
 
 #: enough accounts that a scan per account takes seconds

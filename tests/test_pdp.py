@@ -743,6 +743,44 @@ class TestAuthorize:
             authorize(q, SCENARIO2_VO, {"fusion": SCENARIO2_VO}, None, registry, 0)
 
 
+class TestCredentialExpiry:
+    """`authorize` denies a credential at and after its expiry, in either
+    mode, with one entry and before any block or token check."""
+
+    CRED = GridCredential(ALICE.subject, expiry=500, vo="fusion", groups=ALICE.groups)
+    EXPIRED = (TraceEntry("credential", None, "deny", "credential-expired", None, 500),)
+
+    def _modes(self):
+        token = sign_capability(KEY, derive_capability(SCENARIO2_VO, self.CRED, expiry=10**9))
+        return {"pull": ({"fusion": SCENARIO2_VO}, None), "push": ({}, token)}
+
+    @pytest.mark.parametrize("mode", ["pull", "push"])
+    def test_a_start_is_denied_from_the_expiry_on(self, mode):
+        vo_policies, token = self._modes()[mode]
+        q = _start_query(self.CRED, '&(executable="/opt/vo/apps/transp")(count=1)')
+        live = authorize(q, OPEN_RESOURCE, vo_policies, token, {"fusion": KEY}, 499)
+        assert live.permitted and live.trace[-1].source == "vo"
+        for now in (500, 501, 10**9 + 1):
+            d = authorize(q, OPEN_RESOURCE, vo_policies, token, {"fusion": KEY}, now)
+            assert (d.effect, d.trace, d.caps, d.terms) == ("deny", self.EXPIRED, None, None)
+            assert explain(d) == "credential: deny — credential expired at 500"
+
+    @pytest.mark.parametrize("mode", ["pull", "push"])
+    def test_an_expired_owner_may_not_manage_its_job(self, mode):
+        vo_policies, token = self._modes()[mode]
+        q = _mgmt_query(self.CRED, JobAction.STATUS, owner=self.CRED.subject)
+        assert authorize(q, OPEN_RESOURCE, vo_policies, token, {"fusion": KEY}, 499).permitted
+        d = authorize(q, OPEN_RESOURCE, vo_policies, token, {"fusion": KEY}, 500)
+        assert d.trace == self.EXPIRED
+
+    @pytest.mark.parametrize("mode", ["pull", "push"])
+    def test_a_vo_document_as_resource_is_refused_for_an_expired_credential(self, mode):
+        vo_policies, token = self._modes()[mode]
+        q = _start_query(self.CRED, '&(executable="/opt/vo/apps/transp")(count=1)')
+        with pytest.raises(InvalidQueryError, match="resource slot needs a resource-source"):
+            authorize(q, SCENARIO2_VO, vo_policies, token, {"fusion": KEY}, 500)
+
+
 class TestExplain:
     def test_closed_world_line(self):
         q = _start_query(
