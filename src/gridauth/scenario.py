@@ -29,6 +29,14 @@ Assertions::
 
 The runner executes every step in order and evaluates every
 expectation; the report carries one pass/fail line per expectation.
+Two rules hold for every script.  Every fault in it, a value a step's
+callee refuses included, stops the run as ``ScenarioError``, which
+``gridauth scenario`` prints as ``script error: step at line N: ...``
+and exits 2 (line 0 is the script itself).  A label names one policy,
+one credential and one step: loading a policy or a credential under a
+label already loaded is a fault, as giving two steps one label is.
+A domain error an action step meets is no fault but the step's failed
+outcome, which ``expect`` can assert.
 """
 
 from __future__ import annotations
@@ -87,11 +95,6 @@ class ScenarioReport:
         return self.failed == 0
 
 
-def _error_name(exc: Exception) -> str:
-    name = type(exc).__name__
-    return name[: -len("Error")] if name.endswith("Error") else name
-
-
 def _kv(tokens: list, lineno: int, step: str, keys: tuple, required: tuple = ()) -> dict:
     """The key=value pairs of a step that takes ``keys``; any other key fails."""
     pairs = {}
@@ -110,9 +113,13 @@ def _kv(tokens: list, lineno: int, step: str, keys: tuple, required: tuple = ())
     return pairs
 
 
-def _failed(exc: Exception) -> StepOutcome:
-    decision = getattr(exc, "decision", None)
-    return StepOutcome(False, _error_name(exc), str(exc), None, decision)
+def _read(path: Path, lineno: int, failure: str) -> str:
+    """The text of ``path``; a file that cannot be read, or that is no
+    UTF-8, is a script error whose message ``failure`` begins."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ScenarioError(lineno, f"{failure}: {exc}") from None
 
 
 def _int(value: str, lineno: int, what: str) -> int:
@@ -133,12 +140,7 @@ class ScenarioRunner:
         self.outcomes: dict[str, StepOutcome] = {}
         self.engine: JobManager | None = None
         self.report_lines: list[str] = []
-        self.passed = 0
         self.failed = 0
-
-    def _resolve(self, path: str) -> Path:
-        p = Path(path)
-        return p if p.is_absolute() else self.base / p
 
     def _require_engine(self, lineno: int) -> JobManager:
         if self.engine is None:
@@ -157,108 +159,92 @@ class ScenarioRunner:
             )
         return self.engine
 
-    def _record(self, lineno: int, label: str, outcome: StepOutcome) -> None:
-        if label in self.outcomes:
-            raise ScenarioError(lineno, f"duplicate step label {label!r}")
-        self.outcomes[label] = outcome
-
     def run(self) -> ScenarioReport:
-        try:
-            text = self.path.read_text(encoding="utf-8")
-        except OSError as exc:
-            raise ScenarioError(0, f"cannot read script: {exc}") from None
+        text = _read(self.path, 0, "cannot read script")
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
             try:
-                tokens = shlex.split(line)
+                verb, *rest = shlex.split(line)
             except ValueError as exc:
                 raise ScenarioError(lineno, f"bad quoting: {exc}") from None
-            self._step(lineno, tokens)
-        return ScenarioReport(self.report_lines, self.passed, self.failed)
-
-    def _step(self, lineno: int, tokens: list) -> None:
-        verb = tokens[0]
-        if verb == "load-policy":
-            self._load_policy(lineno, tokens[1:])
-        elif verb == "load-cred":
-            self._load_cred(lineno, tokens[1:])
-        elif verb == "issue-cap":
-            self._issue_cap(lineno, tokens[1:])
-        elif verb == "submit":
-            self._submit(lineno, tokens[1:])
-        elif verb == "manage":
-            self._manage(lineno, tokens[1:])
-        elif verb == "tick":
-            self._tick(lineno, tokens[1:])
-        elif verb == "expect":
-            self._expect(lineno, tokens[1:])
-        else:
-            raise ScenarioError(lineno, f"unknown step {verb!r}")
+            try:
+                if verb in self._ACTIONS:
+                    self._act(lineno, verb, rest)
+                elif verb in ("load-policy", "load-cred"):
+                    self._load(lineno, verb, rest)
+                elif verb == "tick":
+                    if len(rest) != 1:
+                        raise ScenarioError(lineno, "usage: tick <dt>")
+                    self._require_engine(lineno).tick(_int(rest[0], lineno, "dt"))
+                elif verb == "expect":
+                    self._expect(lineno, rest)
+                else:
+                    raise ScenarioError(lineno, f"unknown step {verb!r}")
+            except ValueError as exc:  # a value a step's callee refuses
+                raise ScenarioError(lineno, str(exc)) from None
+        passed = len(self.report_lines) - self.failed
+        return ScenarioReport(self.report_lines, passed, self.failed)
 
     # -- action steps -----------------------------------------------------
 
-    def _load_policy(self, lineno: int, rest: list) -> None:
+    def _load(self, lineno: int, verb: str, rest: list) -> None:
+        """``load-policy`` or ``load-cred``: parse a file under a new label."""
         if len(rest) != 2:
-            raise ScenarioError(lineno, "usage: load-policy <label> <path>")
-        if self.engine is not None:
+            raise ScenarioError(lineno, f"usage: {verb} <label> <path>")
+        if verb == "load-cred":
+            kind, store, parse = "credential", self.creds, load_credential
+        elif self.engine is None:
+            kind, store, parse = "policy", self.policies, parse_policy
+        else:
             raise ScenarioError(lineno, "load-policy must precede the first step using the site")
         label, path = rest
+        if label in store:
+            raise ScenarioError(lineno, f"duplicate {kind} label {label!r}")
+        text = _read(self.base / path, lineno, f"cannot load {kind}")
         try:
-            doc = parse_policy(self._resolve(path).read_text(encoding="utf-8"))
-        except (OSError, PolicyError) as exc:
-            raise ScenarioError(lineno, f"cannot load policy: {exc}") from None
-        self.policies[label] = doc
+            store[label] = parse(text)
+        except (PolicyError, CredentialError) as exc:
+            raise ScenarioError(lineno, f"cannot load {kind}: {exc}") from None
 
-    def _load_cred(self, lineno: int, rest: list) -> None:
-        if len(rest) != 2:
-            raise ScenarioError(lineno, "usage: load-cred <label> <path>")
-        label, path = rest
-        try:
-            cred = load_credential(self._resolve(path).read_text(encoding="utf-8"))
-        except (OSError, CredentialError) as exc:
-            raise ScenarioError(lineno, f"cannot load credential: {exc}") from None
-        self.creds[label] = cred
-
-    def _issue_cap(self, lineno: int, rest: list) -> None:
+    def _act(self, lineno: int, verb: str, rest: list) -> None:
+        """A labelled step: its body's outcome, or the domain error it
+        raised as a failed one, is recorded under the label."""
         if not rest:
-            raise ScenarioError(lineno, "issue-cap needs a label")
-        keys = ("policy", "cred", "key", "expiry")
-        label, kv = rest[0], _kv(rest[1:], lineno, "issue-cap", keys, required=keys)
-        doc = self.policies.get(kv["policy"])
-        cred = self.creds.get(kv["cred"])
+            raise ScenarioError(lineno, f"{verb} needs a label")
+        body, keys, required = self._ACTIONS[verb]
+        label, kv = rest[0], _kv(rest[1:], lineno, verb, keys, required)
+        try:
+            outcome = body(self, lineno, label, kv)
+        except _DOMAIN_ERRORS as exc:
+            name = type(exc).__name__.removesuffix("Error")
+            decision = getattr(exc, "decision", None)
+            outcome = StepOutcome(False, name, str(exc), None, decision)
+        if label in self.outcomes:
+            raise ScenarioError(lineno, f"duplicate step label {label!r}")
+        self.outcomes[label] = outcome
+
+    def _issue_cap(self, lineno: int, label: str, kv: dict) -> StepOutcome:
+        doc, cred = self.policies.get(kv["policy"]), self.creds.get(kv["cred"])
         if doc is None or cred is None:
             raise ScenarioError(lineno, "issue-cap references an unknown label")
         try:
             key = bytes.fromhex(kv["key"])
         except ValueError:
             raise ScenarioError(lineno, "key must be hex") from None
-        try:
-            claims = derive_capability(doc, cred, _int(kv["expiry"], lineno, "expiry"))
-            token = sign_capability(key, claims)
-        except _DOMAIN_ERRORS as exc:
-            self._record(lineno, label, _failed(exc))
-            return
+        claims = derive_capability(doc, cred, _int(kv["expiry"], lineno, "expiry"))
+        token = sign_capability(key, claims)
         self.caps[label] = token
         self.registry[token.claims.vo] = key
-        self._record(lineno, label, StepOutcome(True))
+        return StepOutcome(True)
 
-    def _submit(self, lineno: int, rest: list) -> None:
-        if not rest:
-            raise ScenarioError(lineno, "submit needs a label")
-        keys = ("cred", "rsl", "rsl-file", "runtime", "memory", "cap")
-        label, kv = rest[0], _kv(rest[1:], lineno, "submit", keys, required=("runtime",))
-        cred = self.creds.get(kv.get("cred", ""))
-        if cred is None:
-            raise ScenarioError(lineno, "submit references an unknown credential")
+    def _submit(self, lineno: int, label: str, kv: dict) -> StepOutcome:
+        cred = self._cred(lineno, "submit", kv)
         if "rsl" in kv:
             rsl_text = kv["rsl"]
         elif "rsl-file" in kv:
-            try:
-                rsl_text = self._resolve(kv["rsl-file"]).read_text(encoding="utf-8")
-            except OSError as exc:
-                raise ScenarioError(lineno, f"cannot read rsl file: {exc}") from None
+            rsl_text = _read(self.base / kv["rsl-file"], lineno, "cannot read rsl file")
         else:
             raise ScenarioError(lineno, "submit needs rsl= or rsl-file=")
         profile = SimProfile(
@@ -267,21 +253,11 @@ class ScenarioRunner:
         )
         token = self._token(lineno, kv)
         engine = self._require_engine(lineno)
-        try:
-            job_id = engine.gatekeeper_submit(cred, rsl_text, profile, token=token)
-        except _DOMAIN_ERRORS as exc:
-            self._record(lineno, label, _failed(exc))
-            return
-        self._record(lineno, label, StepOutcome(True, job_id=job_id))
+        job_id = engine.gatekeeper_submit(cred, rsl_text, profile, token=token)
+        return StepOutcome(True, job_id=job_id)
 
-    def _manage(self, lineno: int, rest: list) -> None:
-        if not rest:
-            raise ScenarioError(lineno, "manage needs a label")
-        keys = ("job", "action", "cred", "priority", "cap")
-        label, kv = rest[0], _kv(rest[1:], lineno, "manage", keys)
-        cred = self.creds.get(kv.get("cred", ""))
-        if cred is None:
-            raise ScenarioError(lineno, "manage references an unknown credential")
+    def _manage(self, lineno: int, label: str, kv: dict) -> StepOutcome:
+        cred = self._cred(lineno, "manage", kv)
         target = self.outcomes.get(kv.get("job", ""))
         if target is None or target.job_id is None:
             raise ScenarioError(lineno, "manage references an unknown job label")
@@ -293,18 +269,25 @@ class ScenarioRunner:
             _int(kv["priority"], lineno, "priority") if "priority" in kv else None
         )
         token = self._token(lineno, kv)
-        engine = self._require_engine(lineno)
-        try:
-            job = engine.manage(
-                target.job_id, action, cred, token=token, priority=priority
-            )
-        except _DOMAIN_ERRORS as exc:
-            self._record(lineno, label, _failed(exc))
-            return
-        self._record(
-            lineno, label,
-            StepOutcome(True, job_id=job.id, detail=job.state.value),
+        job = self._require_engine(lineno).manage(
+            target.job_id, action, cred, token=token, priority=priority
         )
+        return StepOutcome(True, job_id=job.id, detail=job.state.value)
+
+    #: labelled step -> (body, the keys it takes, the keys it needs)
+    _ACTIONS = {
+        "issue-cap": (_issue_cap, ("policy", "cred", "key", "expiry"),
+                      ("policy", "cred", "key", "expiry")),
+        "submit": (_submit, ("cred", "rsl", "rsl-file", "runtime", "memory", "cap"), ("runtime",)),
+        "manage": (_manage, ("job", "action", "cred", "priority", "cap"), ()),
+    }
+
+    def _cred(self, lineno: int, verb: str, kv: dict):
+        """The credential a step's ``cred=`` names."""
+        cred = self.creds.get(kv.get("cred", ""))
+        if cred is None:
+            raise ScenarioError(lineno, f"{verb} references an unknown credential")
+        return cred
 
     def _token(self, lineno: int, kv: dict):
         """The capability a step's ``cap=`` names, or None without one."""
@@ -316,116 +299,71 @@ class ScenarioRunner:
             raise ScenarioError(lineno, f"cap {kv['cap']!r} unknown or not issued{detail}")
         return token
 
-    def _tick(self, lineno: int, rest: list) -> None:
-        if len(rest) != 1:
-            raise ScenarioError(lineno, "usage: tick <dt>")
-        self._require_engine(lineno).tick(_int(rest[0], lineno, "dt"))
-
     # -- expectations -----------------------------------------------------
 
-    def _check(self, lineno: int, description: str, ok: bool, detail: str = "") -> None:
-        if ok:
-            self.passed += 1
-            self.report_lines.append(f"step {lineno}: expect {description} -> ok")
-        else:
-            self.failed += 1
-            suffix = f" ({detail})" if detail else ""
-            self.report_lines.append(
-                f"step {lineno}: expect {description} -> FAIL{suffix}"
-            )
-
     def _expect(self, lineno: int, rest: list) -> None:
+        """One report line for each check an ``expect`` step makes."""
+        for description, ok, detail in self._checks(lineno, rest):
+            suffix = f" ({detail})" if detail else ""
+            result = "ok" if ok else f"FAIL{suffix}"
+            self.failed += not ok
+            self.report_lines.append(f"step {lineno}: expect {description} -> {result}")
+
+    def _checks(self, lineno: int, rest: list):
+        """``(description, passed, detail)`` for each check of an expectation."""
         if not rest:
             raise ScenarioError(lineno, "empty expectation")
-        head = rest[0]
+        head, args = rest[0], rest[1:]
         if head == "job":
-            self._expect_job(lineno, rest[1:])
+            if not args:
+                raise ScenarioError(lineno, "expect job needs a label")
+            label = args[0]
+            outcome = self.outcomes.get(label)
+            if outcome is None or outcome.job_id is None:
+                raise ScenarioError(lineno, f"label {label!r} does not name a job")
+            job = self._require_engine(lineno).job_record(outcome.job_id)
+            actual = {
+                "state": job.state.value,
+                "consumed": str(job.consumed),
+                "reserved": str(job.reserved),
+                "priority": str(job.priority),
+            }
+            for key, wanted in _kv(args[1:], lineno, "expect job", tuple(actual)).items():
+                yield f"job {label} {key}={wanted}", actual[key] == wanted, f"got {actual[key]}"
         elif head == "ledger":
-            self._expect_ledger(lineno, rest[1:])
+            if len(args) != 1:
+                raise ScenarioError(lineno, "usage: expect ledger <exact line>")
+            report = self._require_engine(lineno).ledger_report().splitlines()
+            yield f"ledger {args[0]!r}", args[0] in report, "line not in report"
         elif head == "log":
-            self._expect_log(lineno, rest[1:])
+            lines = self._require_engine(lineno).event_lines()
+            if len(args) == 2 and args[0] == "contains":
+                yield f"log contains {args[1]!r}", args[1] in lines, "line not in log"
+            elif len(args) == 1:
+                wanted = _read(self.base / args[0], lineno, "cannot read expected log")
+                actual = "".join(line + "\n" for line in lines)
+                yield f"log matches {args[0]}", actual == wanted, "event log differs"
+            else:
+                raise ScenarioError(
+                    lineno, "usage: expect log <path> | expect log contains <line>"
+                )
         else:
-            self._expect_outcome(lineno, rest)
-
-    def _expect_outcome(self, lineno: int, rest: list) -> None:
-        label = rest[0]
-        outcome = self.outcomes.get(label)
-        if outcome is None:
-            raise ScenarioError(lineno, f"unknown step label {label!r}")
-        what = rest[1] if len(rest) > 1 else "ok"
-        description = f"{label} {' '.join(rest[1:]) if len(rest) > 1 else 'ok'}"
-        if what == "ok":
-            self._check(lineno, description, outcome.ok, outcome.detail or "")
-        elif what == "denied" or what.startswith("error="):
-            wanted = "DeniedByPolicy" if what == "denied" else what[len("error=") :]
-            self._check(
-                lineno,
-                description,
-                not outcome.ok and outcome.error == wanted,
-                f"got {outcome.error or 'ok'}",
-            )
-        elif what == "trace" and len(rest) == 4 and rest[2] == "contains":
-            text = rest[3]
-            rendered = explain(outcome.decision) if outcome.decision else ""
-            self._check(
-                lineno, description, text in rendered, "trace does not contain it"
-            )
-        else:
-            raise ScenarioError(lineno, f"bad expectation {' '.join(rest)!r}")
-
-    def _expect_job(self, lineno: int, rest: list) -> None:
-        if not rest:
-            raise ScenarioError(lineno, "expect job needs a label")
-        label = rest[0]
-        outcome = self.outcomes.get(label)
-        if outcome is None or outcome.job_id is None:
-            raise ScenarioError(lineno, f"label {label!r} does not name a job")
-        job = self._require_engine(lineno).job_record(outcome.job_id)
-        actual = {
-            "state": job.state.value,
-            "consumed": str(job.consumed),
-            "reserved": str(job.reserved),
-            "priority": str(job.priority),
-        }
-        for key, wanted in _kv(rest[1:], lineno, "expect job", tuple(actual)).items():
-            self._check(
-                lineno,
-                f"job {label} {key}={wanted}",
-                actual[key] == wanted,
-                f"got {actual[key]}",
-            )
-
-    def _expect_ledger(self, lineno: int, rest: list) -> None:
-        if len(rest) != 1:
-            raise ScenarioError(lineno, "usage: expect ledger <exact line>")
-        line = rest[0]
-        report = self._require_engine(lineno).ledger_report().splitlines()
-        self._check(lineno, f"ledger {line!r}", line in report, "line not in report")
-
-    def _expect_log(self, lineno: int, rest: list) -> None:
-        engine = self._require_engine(lineno)
-        log_text = "\n".join(engine.event_lines())
-        if len(rest) == 2 and rest[0] == "contains":
-            self._check(
-                lineno,
-                f"log contains {rest[1]!r}",
-                rest[1] in engine.event_lines(),
-                "line not in log",
-            )
-            return
-        if len(rest) != 1:
-            raise ScenarioError(lineno, "usage: expect log <path> | expect log contains <line>")
-        try:
-            wanted = self._resolve(rest[0]).read_text(encoding="utf-8")
-        except OSError as exc:
-            raise ScenarioError(lineno, f"cannot read expected log: {exc}") from None
-        actual = log_text + "\n" if log_text else ""
-        self._check(
-            lineno,
-            f"log matches {rest[0]}",
-            actual == wanted,
-            "event log differs",
-        )
+            outcome = self.outcomes.get(head)
+            if outcome is None:
+                raise ScenarioError(lineno, f"unknown step label {head!r}")
+            what = args[0] if args else "ok"
+            description = f"{head} {' '.join(args) if args else 'ok'}"
+            if what == "ok":
+                yield description, outcome.ok, outcome.detail or ""
+            elif what == "denied" or what.startswith("error="):
+                wanted = "DeniedByPolicy" if what == "denied" else what[len("error=") :]
+                ok = not outcome.ok and outcome.error == wanted
+                yield description, ok, f"got {outcome.error or 'ok'}"
+            elif what == "trace" and len(args) == 3 and args[1] == "contains":
+                rendered = explain(outcome.decision) if outcome.decision else ""
+                yield description, args[2] in rendered, "trace does not contain it"
+            else:
+                raise ScenarioError(lineno, f"bad expectation {' '.join(rest)!r}")
 
 
 def run_scenario(script_path: str | Path) -> ScenarioReport:
