@@ -12,13 +12,20 @@ RSL); the events and finished jobs go to an append-only journal beside
 it, which only a ``manage`` of a finished job reads.  A write appends to
 the journal, then atomically replaces the snapshot, which records how
 much of the journal it covers; a command holds a lock on the state.
+The four site commands open it through one skeleton, `_site`: lock,
+read the snapshot, load the documents, grid-mapfile and VO keys once
+(`_make_engine`), restore.  A missing state file is an empty new site
+for ``submit`` and ``manage``, and exit 3 (``no state file at ...``)
+for ``tick`` and ``ledger``.
 Version 8 stores each job, live in the snapshot or finished in the
 journal, as one JSON array in `jobmgr.JOB_FIELDS` order, with its
 profile as ``[runtime, memory_peak]`` and its sandbox as ``[max_cpu,
 max_memory]``, so no key name is stored per job.  An
 older state version passes one upgrade step per version (`_UPGRADES`)
 before `JobManager.restore`, which reads only the current version.
-Policies, credentials and tokens are files named per command.  Exit
+Policies, credentials and tokens are files named per command.  Two
+``--vo-policy`` documents of one name are refused, as is an
+``issue-cap --expiry`` past the credential's own (both exit 2).  Exit
 codes: 0 success/permit, 1 denied or illegal, 2 bad input, 3 state-file trouble.
 """
 
@@ -217,7 +224,7 @@ def _state_lock(path: str):
         f = open(path + ".lock", "w")
     except OSError as exc:
         raise StateFileError(f"cannot lock state file {path!r}: {exc}") from None
-    try:
+    with f:
         try:
             import fcntl
 
@@ -225,8 +232,6 @@ def _state_lock(path: str):
         except ImportError:  # pragma: no cover
             pass
         yield
-    finally:
-        f.close()
 
 
 def _malformed(path: str, exc: Exception) -> StateFileError:
@@ -336,7 +341,7 @@ def _load_state(path: str) -> dict | None:
                 events.append(_check_event(record, "journal line", n))
             elif kind == "job" and type(record) is dict and record["state"] in _FINISHED:
                 # a line written before version 8
-                jobs.append(_job_as_row(_without_disk(_request_as_map(record))))
+                jobs += _upgrade({"jobs": [record]}, 4)["jobs"]
             elif (kind == "job" and type(record) is list and len(record) == len(JOB_FIELDS)
                   and record[_STATE] in _FINISHED):
                 jobs.append(record)
@@ -363,13 +368,9 @@ def _save_state(path: str, engine: JobManager, journal_bytes: int = 0) -> None:
     it replaces the old one, which is the commit point.
     """
     state = engine.snapshot()
-    live = []
+    live = [job for job in state["jobs"] if job[_STATE] not in _FINISHED]
     tail = [_encode({"event": e}) for e in state["events"]]
-    for job in state["jobs"]:
-        if job[_STATE] in _FINISHED:
-            tail.append(_encode({"job": job}))
-        else:
-            live.append(job)
+    tail += [_encode({"job": job}) for job in state["jobs"] if job[_STATE] in _FINISHED]
     tail = "".join(line + "\n" for line in tail).encode("utf-8")
     state.update(jobs=live, events=[])
     payload = {
@@ -411,40 +412,52 @@ def _fsync_dir(path: str) -> None:
         os.close(fd)
 
 
-def _make_engine(args, state: dict | None) -> JobManager:
-    resource = (
-        _load_policy_file(args.resource_policy)
-        if getattr(args, "resource_policy", None)
-        else None
+def _make_engine(args):
+    """Load the documents, grid-mapfile and VO keys ``args`` names, each
+    once, and return the builder of a site under them: it restores a
+    stored engine dict, or opens a new site for None."""
+    inputs = dict(
+        resource_policy=_load_policy_file(args.resource_policy) if args.resource_policy else None,
+        vo_policies=[_load_policy_file(path) for path in args.vo_policy or []],
+        gridmap=load_gridmap(_read(args.map, "grid-mapfile")) if args.map else None,
+        key_registry=_parse_vo_keys(args.vo_key),
     )
-    vo_docs = [_load_policy_file(p) for p in getattr(args, "vo_policy", None) or []]
-    gridmap = (
-        load_gridmap(_read(args.map, "grid-mapfile"))
-        if getattr(args, "map", None)
-        else None
-    )
-    registry = _parse_vo_keys(getattr(args, "vo_key", None))
-    if state is not None:
+
+    def build(state: dict | None) -> JobManager:
+        if state is None:
+            pool = [name.strip() for name in (args.pool or "").split(",") if name.strip()]
+            return JobManager(pool=DynamicAccountPool(pool), **inputs)
         try:
-            return JobManager.restore(state, resource_policy=resource, vo_policies=vo_docs,
-                                      gridmap=gridmap, key_registry=registry)
+            return JobManager.restore(state, **inputs)
         except (PolicyError, InvalidQueryError):
             raise  # a policy of the wrong kind is bad input, not bad state
         # AttributeError: a list where the ledger holds an object
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise _malformed(args.state, exc) from None
-    pool_names = [
-        name.strip()
-        for name in (getattr(args, "pool", None) or "").split(",")
-        if name.strip()
-    ]
-    return JobManager(
-        resource_policy=resource,
-        vo_policies=vo_docs,
-        gridmap=gridmap,
-        pool=DynamicAccountPool(pool_names),
-        key_registry=registry,
-    )
+
+    return build
+
+
+@contextmanager
+def _site(args, new: bool, job: str | None = None):
+    """The site stored at ``args.state``, locked for the command, as
+    ``(engine, journal_bytes)``.
+
+    A missing file is an empty new site if ``new``, else a state error.
+    The engine holds the snapshot's live site, or, when the snapshot lacks
+    ``job``, the whole site from an empty journal: a finished job lives
+    only in the journal.  No change is legal on such a job, but were one
+    made, saving the whole site from an empty journal would still be right.
+    """
+    with _state_lock(args.state):
+        state, journal_bytes = _read_snapshot(args.state)
+        if state is None and not new:
+            raise StateFileError(f"no state file at {args.state!r}")
+        build = _make_engine(args)
+        engine = build(state)
+        if journal_bytes and job is not None and job not in engine.jobs:
+            engine, journal_bytes = build(_load_state(args.state)), 0
+        yield engine, journal_bytes
 
 
 # ---------------------------------------------------------------------------
@@ -479,9 +492,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_submit(args) -> int:
-    with _state_lock(args.state):
-        state, journal_bytes = _read_snapshot(args.state)
-        engine = _make_engine(args, state)
+    with _site(args, new=True) as (engine, journal_bytes):
         cred = _load_cred_file(args.cred)
         token = _load_token_file(args.cap) if args.cap else None
         profile = SimProfile(runtime=args.runtime, memory_peak=args.memory)
@@ -495,14 +506,7 @@ def cmd_submit(args) -> int:
 
 
 def cmd_manage(args) -> int:
-    with _state_lock(args.state):
-        state, journal_bytes = _read_snapshot(args.state)
-        engine = _make_engine(args, state)
-        if args.job not in engine.jobs and journal_bytes:
-            # a finished job is only in the journal, so read the whole site;
-            # no change is legal on such a job, but were one made, saving
-            # the whole site from an empty journal would still be right
-            engine, journal_bytes = _make_engine(args, _load_state(args.state)), 0
+    with _site(args, new=True, job=args.job) as (engine, journal_bytes):
         cred = _load_cred_file(args.cred)
         token = _load_token_file(args.cap) if args.cap else None
         action = JobAction(args.action)
@@ -522,11 +526,7 @@ def cmd_manage(args) -> int:
 
 
 def cmd_tick(args) -> int:
-    with _state_lock(args.state):
-        state, journal_bytes = _read_snapshot(args.state)
-        if state is None:
-            raise StateFileError(f"no state file at {args.state!r}")
-        engine = _make_engine(args, state)
+    with _site(args, new=False) as (engine, journal_bytes):
         events = engine.tick(args.dt)
         _save_state(args.state, engine, journal_bytes)
         for event in events:
@@ -535,11 +535,7 @@ def cmd_tick(args) -> int:
 
 
 def cmd_ledger(args) -> int:
-    with _state_lock(args.state):
-        state, _ = _read_snapshot(args.state)
-        if state is None:
-            raise StateFileError(f"no state file at {args.state!r}")
-        engine = _make_engine(args, state)
+    with _site(args, new=False) as (engine, _):
         report = engine.ledger_report()
         if report:
             print(report)
@@ -585,17 +581,28 @@ def _parser() -> argparse.ArgumentParser:
         prog="gridauth",
         description="Fine-grain authorization simulator for grid job management.",
     )
+    # what a command without the flag reads: tick and ledger restore the
+    # site under no documents, grid-mapfile or keys
+    parser.set_defaults(resource_policy=None, vo_policy=None, map=None, vo_key=None,
+                        pool=None, explain=False)
     sub = parser.add_subparsers(dest="command", metavar="command")
 
-    def add_policy_flags(p):
+    def command(name: str, func, help: str, site: bool = False):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        if site:  # a site command names its state file first
+            p.add_argument("--state", metavar="FILE", required=True)
+        return p
+
+    def add_decision_flags(p):
         p.add_argument("--resource-policy", metavar="FILE", required=True)
         p.add_argument("--vo-policy", metavar="FILE", action="append")
         p.add_argument("--cap", metavar="FILE")
         p.add_argument("--vo-key", metavar="VO=HEX", action="append")
+        p.add_argument("--cred", metavar="FILE", required=True)
 
-    check = sub.add_parser("check", help="evaluate one authorization query")
-    add_policy_flags(check)
-    check.add_argument("--cred", metavar="FILE", required=True)
+    check = command("check", cmd_check, "evaluate one authorization query")
+    add_decision_flags(check)
     check.add_argument("--rsl", metavar="FILE")
     check.add_argument(
         "--action", required=True, choices=[a.value for a in JobAction]
@@ -604,24 +611,18 @@ def _parser() -> argparse.ArgumentParser:
     check.add_argument("--owner", metavar="DN")
     check.add_argument("--now", type=int, default=0)
     check.add_argument("--explain", action="store_true")
-    check.set_defaults(func=cmd_check)
 
-    submit = sub.add_parser("submit", help="submit a job to the simulated site")
-    submit.add_argument("--state", metavar="FILE", required=True)
-    add_policy_flags(submit)
-    submit.add_argument("--cred", metavar="FILE", required=True)
+    submit = command("submit", cmd_submit, "submit a job to the simulated site", site=True)
+    add_decision_flags(submit)
     submit.add_argument("--rsl", metavar="FILE", required=True)
     submit.add_argument("--map", metavar="FILE", help="grid-mapfile")
     submit.add_argument("--pool", metavar="A,B,...", help="dynamic accounts (new state only)")
     submit.add_argument("--runtime", type=int, required=True)
     submit.add_argument("--memory", type=int, default=0)
     submit.add_argument("--explain", action="store_true")
-    submit.set_defaults(func=cmd_submit)
 
-    manage = sub.add_parser("manage", help="manage an existing job")
-    manage.add_argument("--state", metavar="FILE", required=True)
-    add_policy_flags(manage)
-    manage.add_argument("--cred", metavar="FILE", required=True)
+    manage = command("manage", cmd_manage, "manage an existing job", site=True)
+    add_decision_flags(manage)
     manage.add_argument("--map", metavar="FILE", help="grid-mapfile")
     manage.add_argument("--job", required=True)
     manage.add_argument(
@@ -631,28 +632,20 @@ def _parser() -> argparse.ArgumentParser:
     )
     manage.add_argument("--priority", type=int)
     manage.add_argument("--explain", action="store_true")
-    manage.set_defaults(func=cmd_manage)
 
-    tick = sub.add_parser("tick", help="advance the simulated clock")
-    tick.add_argument("--state", metavar="FILE", required=True)
+    tick = command("tick", cmd_tick, "advance the simulated clock", site=True)
     tick.add_argument("--dt", type=int, required=True)
-    tick.set_defaults(func=cmd_tick)
+    command("ledger", cmd_ledger, "print the allocation ledger", site=True)
 
-    ledger = sub.add_parser("ledger", help="print the allocation ledger")
-    ledger.add_argument("--state", metavar="FILE", required=True)
-    ledger.set_defaults(func=cmd_ledger)
-
-    issue = sub.add_parser("issue-cap", help="derive and sign a capability token")
+    issue = command("issue-cap", cmd_issue_cap, "derive and sign a capability token")
     issue.add_argument("--vo-policy", metavar="FILE", required=True)
     issue.add_argument("--cred", metavar="FILE", required=True)
     issue.add_argument("--vo-key", metavar="VO=HEX", action="append", required=True)
     issue.add_argument("--expiry", type=int, required=True)
     issue.add_argument("--cap", metavar="FILE", help="write the token here instead of stdout")
-    issue.set_defaults(func=cmd_issue_cap)
 
-    scenario = sub.add_parser("scenario", help="run a scripted scenario")
+    scenario = command("scenario", cmd_scenario, "run a scripted scenario")
     scenario.add_argument("script", metavar="SCRIPT")
-    scenario.set_defaults(func=cmd_scenario)
 
     return parser
 
@@ -667,7 +660,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except DeniedByPolicyError as exc:
         print(f"denied: {exc}", file=sys.stderr)
-        if getattr(args, "explain", False):
+        if args.explain:
             print(explain(exc.decision), file=sys.stderr)
         return EXIT_DENIED
     except (

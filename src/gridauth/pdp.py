@@ -369,11 +369,14 @@ def authorize(q: AuthzQuery, resource: PolicyDocument, vo_policies: Mapping,
 
 def vo_documents(docs: Iterable) -> dict:
     """``docs`` by name, as `authorize` looks a credential's VO up; a
-    document of another source raises `PolicyError`."""
+    document of another source, or a second one of a name, raises
+    `PolicyError`."""
     by_name = {}
     for doc in docs:
         if doc.source != "vo":
             raise PolicyError(f"policy '{doc.name}' is not a vo document")
+        if doc.name in by_name:
+            raise PolicyError(f"two vo documents are named '{doc.name}'")
         by_name[doc.name] = doc
     return by_name
 
@@ -387,7 +390,9 @@ def derive_capability(
     included) plus the allocation clause and the member's own quota, so
     a pushed decision sees exactly the policy a pull-mode decision
     would apply to this credential.  The claims carry the fragment's
-    document too, so `sign_capability` does not parse its text.
+    document too, so `sign_capability` does not parse its text.  A
+    capability may not outlive its credential: an ``expiry`` past
+    ``cred.expiry`` raises ValueError.
     """
     if vo_doc.source != "vo":
         raise ValueError("capabilities derive from vo documents")
@@ -400,6 +405,8 @@ def derive_capability(
         raise NoApplicableBlocksError(
             f"no blocks of '{vo_doc.name}' apply to {cred.subject}"
         )
+    if expiry > cred.expiry:
+        raise ValueError(f"capability would outlive its credential: {expiry} > {cred.expiry}")
     quotas = {}
     if cred.subject in vo_doc.member_quotas:
         quotas[cred.subject] = vo_doc.member_quotas[cred.subject]

@@ -150,13 +150,18 @@ class ScenarioRunner:
                     lineno, "exactly one resource policy must be loaded first"
                 )
             vos = [d for d in self.policies.values() if d.source == "vo"]
-            self.engine = JobManager(
-                resource_policy=resource[0],
-                vo_policies=vos,
-                gridmap=GridMapFile({}),
-                pool=DynamicAccountPool(SCENARIO_POOL),
-                key_registry=self.registry,
-            )
+            try:
+                self.engine = JobManager(
+                    resource_policy=resource[0],
+                    vo_policies=vos,
+                    gridmap=GridMapFile({}),
+                    pool=DynamicAccountPool(SCENARIO_POOL),
+                    key_registry=self.registry,
+                )
+            except PolicyError as exc:  # two vo documents of one name
+                raise ScenarioError(lineno, str(exc)) from None
+            # the site keeps a copy of the keys: a later issue-cap adds to it
+            self.registry = self.engine.key_registry
         return self.engine
 
     def run(self) -> ScenarioReport:

@@ -144,7 +144,7 @@ def rand_policy(
 def rand_credential(rng: random.Random, vo: str | None = "fusion") -> GridCredential:
     groups = frozenset(g for g in GROUPS if rng.random() < 0.5) if vo else frozenset()
     return GridCredential(
-        subject=rng.choice(SUBJECTS), expiry=10**9, vo=vo, groups=groups
+        subject=rng.choice(SUBJECTS), expiry=1900000000, vo=vo, groups=groups
     )
 
 

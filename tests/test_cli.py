@@ -256,6 +256,23 @@ class TestCheck:
             assert main(command) == 2
             assert capsys.readouterr().err == "error: policy 'site' is not a vo document\n"
 
+    def test_two_vo_documents_of_one_name_exit_two(self, site, capsys):
+        """The last one read used to win silently, with its blocks and terms."""
+        assert main(_submit_args(site, rsl="job.rsl")) == 0
+        capsys.readouterr()
+        two = ["--vo-policy", _p(site, "fusion.pol"), "--vo-policy", _p(site, "strict.pol")]
+        check = ["check", "--resource-policy", _p(site, "site.pol"), *two,
+                 "--cred", _p(site, "alice.cred"), "--rsl", _p(site, "job.rsl"), "--action", "start"]
+        submit = _submit_args(site)
+        submit[submit.index("--vo-policy"):submit.index("--vo-policy") + 2] = two
+        manage = _manage_args(site, "j1", "status")
+        manage[manage.index("--vo-policy"):manage.index("--vo-policy") + 2] = two
+        before = (site / "state.json").read_bytes()
+        for command in (check, submit, manage):
+            assert main(command) == 2
+            assert capsys.readouterr() == ("", "error: two vo documents are named 'fusion'\n")
+        assert (site / "state.json").read_bytes() == before
+
     @pytest.mark.parametrize("key", [KEY_HEX, "cd" * 32], ids=["genuine-key", "wrong-key"])
     def test_pushed_check_with_a_vo_document_as_resource_policy_exits_two(self, site, capsys, key):
         # refused before any token check, so the key makes no difference,
@@ -1838,6 +1855,22 @@ class TestIssueCap:
         ])
         assert code == 1
 
+    def test_a_capability_may_not_outlive_its_credential(self, site, capsys):
+        argv = [
+            "issue-cap",
+            "--vo-policy", _p(site, "fusion.pol"),
+            "--cred", _p(site, "alice.cred"),
+            "--vo-key", f"fusion={KEY_HEX}",
+            "--cap", _p(site, "alice.cap"),
+        ]
+        assert main([*argv, "--expiry", "1900000001"]) == 2
+        assert capsys.readouterr() == (
+            "", "error: capability would outlive its credential: 1900000001 > 1900000000\n"
+        )
+        assert not (site / "alice.cap").exists()
+        assert main([*argv, "--expiry", "1900000000"]) == 0
+        assert "expiry: 1900000000\n" in (site / "alice.cap").read_text()
+
     def test_push_submission_via_state(self, site, capsys):
         cap = _p(site, "alice.cap")
         main([
@@ -1999,6 +2032,47 @@ class TestScenarioCommand:
         assert capsys.readouterr().err == (
             "script error: step at line 4: load-policy must precede the first step using the site\n"
         )
+
+    def test_issue_cap_past_the_credentials_expiry_is_a_script_error(self, tmp_path, capsys):
+        script = tmp_path / "s.script"
+        script.write_text(
+            f"load-policy fusion {SCENARIOS / 'policies' / 's1-fusion.pol'}\n"
+            f"load-cred alice {SCENARIOS / 'creds' / 's1-alice.cred'}\n"
+            f"issue-cap c1 policy=fusion cred=alice key={KEY_HEX} expiry=1900000001\n"
+            "expect c1 ok\n"
+        )
+        assert main(["scenario", str(script)]) == 2
+        assert capsys.readouterr() == ("", "script error: step at line 3: capability would "
+                                       "outlive its credential: 1900000001 > 1900000000\n")
+
+    def test_two_vo_documents_of_one_name_are_a_script_error(self, tmp_path, capsys):
+        script = tmp_path / "s.script"
+        script.write_text(
+            f"load-policy site {SCENARIOS / 'policies' / 's1-site.pol'}\n"
+            f"load-policy fusion {SCENARIOS / 'policies' / 's1-fusion.pol'}\n"
+            f"load-policy mgmt {SCENARIOS / 'policies' / 's3-fusion.pol'}\n"
+            "tick 1\n"
+        )
+        assert main(["scenario", str(script)]) == 2
+        assert capsys.readouterr() == (
+            "", "script error: step at line 4: two vo documents are named 'fusion'\n"
+        )
+
+    def test_a_key_registered_after_the_site_is_built_reaches_it(self, tmp_path, capsys):
+        """The site copied the keys when it was built, so it denied this
+        token ``UnknownIssuer: no key registered for vo 'fusion'``."""
+        script = tmp_path / "s.script"
+        script.write_text(
+            f"load-policy site {SCENARIOS / 'policies' / 's1-site.pol'}\n"
+            f"load-policy fusion {SCENARIOS / 'policies' / 's1-fusion.pol'}\n"
+            f"load-cred alice {SCENARIOS / 'creds' / 's1-alice.cred'}\n"
+            "tick 1\n"
+            f"issue-cap c1 policy=fusion cred=alice key={KEY_HEX} expiry=1000000\n"
+            "submit p1 cred=alice rsl='&(executable=\"/x\")(maxcputime=60)' runtime=5 cap=c1\n"
+            "expect p1 ok\n"
+        )
+        assert main(["scenario", str(script)]) == 0
+        assert capsys.readouterr().out == "step 7: expect p1 ok -> ok\n"
 
     def test_empty_script_passes_with_empty_report(self, tmp_path, capsys):
         script = tmp_path / "empty.script"

@@ -1049,6 +1049,13 @@ class TestPersistence:
                                   vo_policies=vo_policies, gridmap=GRIDMAP,
                                   key_registry={"fusion": KEY})
 
+    def test_two_vo_documents_of_one_name_are_refused(self):
+        # VO_PLAIN would silently replace VO_ACCOUNTING's allocation and quotas
+        with pytest.raises(policy.PolicyError, match="two vo documents are named 'fusion'"):
+            JobManager(resource_policy=RESOURCE, vo_policies=[VO_ACCOUNTING, VO_PLAIN])
+        with pytest.raises(policy.PolicyError, match="two vo documents are named 'fusion'"):
+            self._restore(_engine(), [VO_ACCOUNTING, VO_PLAIN])
+
     def test_restore_takes_the_loaded_documents_terms(self):
         eng = _engine()
         eng.gatekeeper_submit(ALICE, TRANSP.replace("600", "40"), SimProfile(runtime=10))

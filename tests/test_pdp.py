@@ -34,6 +34,7 @@ from gridauth.pdp import (
     decide_push,
     derive_capability,
     explain,
+    vo_documents,
 )
 from gridauth.policy import (
     AnySubject,
@@ -417,6 +418,16 @@ class TestDeriveCapability:
             assert len(fragment.blocks) >= 1
         assert derived > 50
 
+    def test_a_capability_may_not_outlive_its_credential(self):
+        cred = dataclasses.replace(ALICE, expiry=500)
+        assert derive_capability(SCENARIO2_VO, cred, expiry=500).expiry == 500
+        with pytest.raises(ValueError, match=r"outlive its credential: 501 > 500"):
+            derive_capability(SCENARIO2_VO, cred, expiry=501)
+        # a credential the document does not serve is refused for that first
+        outsider = GridCredential("/O=Grid/CN=eve", expiry=500, vo="fusion")
+        with pytest.raises(NoApplicableBlocksError):
+            derive_capability(SCENARIO2_VO, outsider, expiry=501)
+
     def test_quota_restricted_to_subject(self):
         vo = parse_policy(
             'policy "fusion" source vo { allocation 100 cpu-seconds;'
@@ -743,6 +754,14 @@ class TestAuthorize:
             authorize(q, SCENARIO2_VO, {"fusion": SCENARIO2_VO}, None, registry, 0)
 
 
+class TestVoDocuments:
+    def test_two_documents_of_one_name_are_refused(self):
+        # the second would silently replace the first's blocks and terms
+        for docs in ([SCENARIO2_VO, ACCOUNTED_VO], [SCENARIO2_VO, SCENARIO2_VO]):
+            with pytest.raises(PolicyError, match="two vo documents are named 'fusion'"):
+                vo_documents(docs)
+
+
 class TestCredentialExpiry:
     """`authorize` denies a credential at and after its expiry, in either
     mode, with one entry and before any block or token check."""
@@ -751,7 +770,7 @@ class TestCredentialExpiry:
     EXPIRED = (TraceEntry("credential", None, "deny", "credential-expired", None, 500),)
 
     def _modes(self):
-        token = sign_capability(KEY, derive_capability(SCENARIO2_VO, self.CRED, expiry=10**9))
+        token = sign_capability(KEY, derive_capability(SCENARIO2_VO, self.CRED, expiry=500))
         return {"pull": ({"fusion": SCENARIO2_VO}, None), "push": ({}, token)}
 
     @pytest.mark.parametrize("mode", ["pull", "push"])

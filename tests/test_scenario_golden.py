@@ -68,6 +68,8 @@ FAULTS = {
     "load-cred alice creds/s1-alice.cred\n"
     f"submit a1 cred=alice {RSL} runtime=200\n",
     "two-resource-policies": SITE + "load-policy site2 policies/s2-site.pol\ntick 1\n",
+    "two-vo-documents-one-name": SITE + "load-policy fusion3 policies/s3-fusion.pol\n"
+    f"submit a1 cred=alice {RSL} runtime=200\n",
     "tick-before-policies": "tick 1\n",
     # key=value pairs
     "expected-key-value": A1 + "manage m1 job=a1 action status cred=alice\n",
@@ -140,8 +142,11 @@ FAULTS = {
     "expect m1 ok\nexpect m2 ok\nexpect m3 error=IllegalTransition\n"
     "expect job p1 state=canceled priority=7\ntick 60\n"
     "expect log contains \"t=0 job=j1 event=cancel detail=state=canceled by=/O=Grid/CN=alice\"\n",
-    # the site copies the VO keys when it is built, so it cannot verify this token
-    "issue-cap-after-site": A1 + CAP + f"submit p1 cred=alice {RSL} runtime=50 cap=c1\nexpect p1 ok\n",
+    # a key registered after the site is built still reaches it; a1 ends
+    # first, so that alice's member quota has room for p1
+    "issue-cap-after-site": A1 + "tick 200\n" + CAP + "submit p1 cred=alice "
+    "rsl='&(executable=\"/opt/vo/apps/transp\")(count=1)(maxcputime=300)' runtime=50 cap=c1\n"
+    "expect p1 ok\n",
 }
 
 
