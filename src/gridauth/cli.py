@@ -9,24 +9,31 @@ State persists between invocations so shell scripts can chain them.
 ``--state`` names a small JSON snapshot of the live site (clock, pool,
 ledger, live jobs, requests as attribute maps, so no command re-parses
 RSL); the events and finished jobs go to an append-only journal beside
-it, which only a ``manage`` of a finished job reads.  A write appends to
-the journal, then atomically replaces the snapshot, which records how
-much of the journal it covers; a command holds a lock on the state.
+it, which only a ``manage`` of a finished job reads.  The snapshot,
+which records how much of the journal it covers, lives in two slot
+files, ``<state>`` and ``<state>.alt``, each a header line
+(``gridauth-state 9 <seq> <length> <crc32>``) and the JSON payload.  A
+read takes the newest slot whose checksum holds.  A write appends to the
+journal, then overwrites the other slot in place with the next seq; its
+fsync is the commit point, so a crash leaves the site before or after
+the write.  A command holds a lock on the state.
 The four site commands open it through one skeleton, `_site`: lock,
 read the snapshot, load the documents, grid-mapfile and VO keys once
-(`_make_engine`), restore.  A missing state file is an empty new site
-for ``submit`` and ``manage``, and exit 3 (``no state file at ...``)
-for ``tick`` and ``ledger``.
-Version 8 stores each job, live in the snapshot or finished in the
+(`_make_engine`), restore.  A missing state file (neither slot exists)
+is an empty new site for ``submit`` and ``manage``, and exit 3 (``no
+state file at ...``) for ``tick`` and ``ledger``; slot files of which
+none is valid exit 3 for every command.
+Versions 8 and 9 store each job, live in the snapshot or finished in the
 journal, as one JSON array in `jobmgr.JOB_FIELDS` order, with its
 profile as ``[runtime, memory_peak]`` and its sandbox as ``[max_cpu,
 max_memory]``, so no key name is stored per job.  An
 older state version passes one upgrade step per version (`_UPGRADES`)
 before `JobManager.restore`, which reads only the current version.
 Policies, credentials and tokens are files named per command.  Two
-``--vo-policy`` documents of one name are refused, as is an
-``issue-cap --expiry`` past the credential's own (both exit 2).  Exit
-codes: 0 success/permit, 1 denied or illegal, 2 bad input, 3 state-file trouble.
+``--vo-policy`` documents of one name are refused, as are two
+``--vo-key`` entries for one VO and an ``issue-cap --expiry`` past the
+credential's own (all exit 2).  Exit codes: 0 success/permit, 1 denied
+or illegal, 2 bad input, 3 state-file trouble.
 """
 
 from __future__ import annotations
@@ -35,7 +42,9 @@ import argparse
 import functools
 import json
 import os
+import re
 import sys
+import zlib
 from contextlib import contextmanager
 
 from .credential import (
@@ -75,7 +84,7 @@ EXIT_DENIED = 1
 EXIT_INPUT = 2
 EXIT_STATE = 3
 
-STATE_VERSION = 8
+STATE_VERSION = 9
 _FINISHED = frozenset(state.value for state in TERMINAL_STATES)
 _ID, _STATE = JOB_FIELDS.index("id"), JOB_FIELDS.index("state")  # a row's places
 
@@ -139,7 +148,8 @@ def _job_as_row(job: dict) -> list:
 #: the step that turns each old version's engine dict into the next one's.
 #: Version 2 dropped each job's jobtag and dynamic-account flag, version 4
 #: moved the history to the journal (the dict kept its form), version 7 the
-#: target, which no decision read; version 8 stores each job as a row.  A
+#: target, which no decision read; version 8 stores each job as a row, and
+#: version 9 only moved the snapshot into two checksummed slots.  A
 #: journal keeps each line as written, so `_load_state` sends a job line of
 #: versions 4-7 through the job steps from 4 on; the 4 and 5 steps pass on a
 #: job already in the next form.
@@ -151,6 +161,7 @@ _UPGRADES = {
     5: _each_job(_without_disk),
     6: lambda engine: _without(engine, "target"),
     7: _each_job(_job_as_row),
+    8: lambda engine: engine,
 }
 READABLE_STATE_VERSIONS = (*_UPGRADES, STATE_VERSION)
 
@@ -163,8 +174,13 @@ def _upgrade(engine: dict, version: int) -> dict:
 
 
 _COMPACT = {"sort_keys": True, "separators": (",", ":")}
-#: `json.dumps(value, **_COMPACT)` without building an encoder per call
-_encode = json.JSONEncoder(**_COMPACT).encode
+#: `json.dumps(value, **_COMPACT)` without building an encoder per call; the
+#: snapshot it encodes is fresh dicts and lists, so it holds no cycle to check
+_encode = json.JSONEncoder(check_circular=False, **_COMPACT).encode
+
+#: the two snapshot slots, as suffixes of the state path, and a slot's header
+_SLOTS = ("", ".alt")
+_HEADER = re.compile(rb"gridauth-state 9 ([0-9]{1,20}) .*\n")
 
 
 class StateFileError(Exception):
@@ -214,6 +230,8 @@ def _parse_vo_keys(entries) -> dict:
             raise InputError(f"--vo-key for '{name}' is not hex") from None
         if len(key) != 32:
             raise InputError(f"--vo-key for '{name}' must be 32 bytes (64 hex chars)")
+        if name in registry:
+            raise InputError(f"--vo-key for '{name}' is given twice")
         registry[name] = key
     return registry
 
@@ -249,21 +267,61 @@ def _check_event(event, where: str, n: int) -> dict:
     return event
 
 
-def _read_snapshot(path: str) -> tuple[dict | None, int]:
-    """The engine dict stored at ``path`` and the journal length it covers.
+def _seal(seq: int, payload: bytes) -> bytes:
+    """One slot's bytes: the header line, whose checksum covers ``seq``,
+    the payload's length and the payload, then the payload."""
+    head = b"%d %d" % (seq, len(payload))
+    return b"gridauth-state 9 %s %d\n%s" % (head, zlib.crc32(payload, zlib.crc32(head)), payload)
+
+
+def _newest_slot(path: str) -> tuple[tuple[int, int], bytes] | None:
+    """``((seq, slot), payload)`` of the newest valid slot at ``path``, the
+    slot an index into `_SLOTS`, or None if neither slot file exists.
+
+    The headers order the slots, and the first, newest one whose length
+    and checksum hold wins; a slot that fails them (a torn write) is
+    skipped.  A ``path`` without a header is a version 1-8 file, at seq 0.
+    """
+    files, candidates = 0, []
+    for slot, suffix in enumerate(_SLOTS):
+        try:
+            with open(path + suffix, "rb") as f:
+                data = f.read()
+        except FileNotFoundError:
+            continue
+        except OSError as exc:
+            raise StateFileError(f"cannot read state file {path + suffix!r}: {exc}") from None
+        files += 1
+        if (header := _HEADER.match(data)) is not None:
+            candidates.append((int(header[1]), slot, data, header.end()))
+        elif not (slot or data.startswith(b"gridauth-state ")):
+            candidates.append((0, slot, data, 0))  # no header, so no checksum
+    for seq, slot, data, start in sorted(candidates, reverse=True):
+        payload = data[start:]
+        if not start or _seal(seq, payload) == data:
+            return (seq, slot), payload
+    if files:
+        raise StateFileError(f"no slot of state file {path!r} is valid")
+    return None
+
+
+def _read_snapshot(path: str) -> tuple[dict | None, int, tuple[int, int] | None]:
+    """The engine dict stored at ``path``, the journal length it covers and
+    the ``(seq, slot)`` of the slot that holds it.
 
     A snapshot of version 4 or later holds only what its journal does
     not: the live jobs and the site's clock, pool and ledger.  An older
-    file holds the whole site and covers no journal.  A missing file
-    reads as ``(None, 0)``.
+    file holds the whole site and covers no journal.  A state with
+    neither slot file reads as ``(None, 0, None)``.
     """
-    if not os.path.exists(path):
-        return None, 0
+    newest = _newest_slot(path)
+    if newest is None:
+        return None, 0, None
+    where, payload = newest
     try:
-        with open(path, "r", encoding="utf-8") as f:
-            data = json.load(f)
-    # ValueError: also an integer past the int-string digit limit
-    except (OSError, ValueError) as exc:
+        data = json.loads(payload.decode("utf-8"))
+    # ValueError: also bad UTF-8, and an integer past the int-string digit limit
+    except ValueError as exc:
         raise StateFileError(f"cannot read state file {path!r}: {exc}") from None
     if not isinstance(data, dict) or data.get("format") != "gridauth-state":
         raise StateFileError(f"{path!r} is not a gridauth state file")
@@ -284,7 +342,7 @@ def _read_snapshot(path: str) -> tuple[dict | None, int]:
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise _malformed(path, exc) from None
     if version < 4:
-        return engine, 0
+        return engine, 0, where
     journal_bytes = data.get("journal_bytes")
     if type(journal_bytes) is not int or journal_bytes < 0:
         raise StateFileError(
@@ -298,7 +356,7 @@ def _read_snapshot(path: str) -> tuple[dict | None, int]:
     except OSError as exc:
         raise StateFileError(f"cannot read journal {journal!r}: {exc}") from None
     _require_journal(journal, have, journal_bytes)
-    return engine, journal_bytes
+    return engine, journal_bytes, where
 
 
 def _require_journal(journal: str, have: int, journal_bytes: int) -> None:
@@ -316,7 +374,7 @@ def _load_state(path: str) -> dict | None:
     Journal bytes past the snapshot's ``journal_bytes`` belong to a
     command that never committed and are ignored.
     """
-    engine, journal_bytes = _read_snapshot(path)
+    engine, journal_bytes, _ = _read_snapshot(path)
     if not journal_bytes:
         return engine
     journal = path + ".journal"
@@ -358,14 +416,19 @@ def _load_state(path: str) -> dict | None:
     return dict(engine, jobs=jobs, events=events)
 
 
-def _save_state(path: str, engine: JobManager, journal_bytes: int = 0) -> None:
+def _save_state(path: str, engine: JobManager, journal_bytes: int = 0,
+                newest: tuple[int, int] | None = None) -> None:
     """Commit ``engine``, which holds the history after the journal's first
     ``journal_bytes`` bytes: all of it, by default.
 
     Finished jobs and events go to the journal, the rest to the snapshot.
     The journal is cut back to ``journal_bytes`` (dropping what a crashed
-    command left), appended to and synced; then a new snapshot covering
-    it replaces the old one, which is the commit point.
+    command left), appended to and synced.  Then the snapshot covering it
+    overwrites, in place and with the next seq, the slot that does not
+    hold ``newest``, the ``(seq, slot)`` of the newest valid slot as the
+    caller read it (None: read it here); the sync of that slot is the
+    commit point.  A slot file that does not exist yet is created whole:
+    a temporary file, synced, replaces it, and the directory is synced.
     """
     state = engine.snapshot()
     live = [job for job in state["jobs"] if job[_STATE] not in _FINISHED]
@@ -379,7 +442,12 @@ def _save_state(path: str, engine: JobManager, journal_bytes: int = 0) -> None:
         "journal_bytes": journal_bytes + len(tail),
         "engine": state,
     }
-    journal, tmp = path + ".journal", path + ".tmp"
+    if newest is None:
+        found = _newest_slot(path)
+        newest = found[0] if found else (0, 1)  # a new site's first commit: slot 0, seq 1
+    seq, slot = newest[0] + 1, 1 - newest[1]
+    record = _seal(seq, (_encode(payload) + "\n").encode("utf-8"))
+    journal, target, tmp = path + ".journal", path + _SLOTS[slot], path + ".tmp"
     try:
         created = not os.path.exists(journal)
         # only an empty journal may be created; a missing one that should
@@ -394,12 +462,18 @@ def _save_state(path: str, engine: JobManager, journal_bytes: int = 0) -> None:
             os.fsync(f.fileno())
         if created:
             _fsync_dir(path)
-        with open(tmp, "w", encoding="utf-8") as f:
-            f.write(_encode(payload) + "\n")
+        try:
+            f, new_slot = open(target, "r+b"), False
+        except FileNotFoundError:
+            f, new_slot = open(tmp, "wb"), True
+        with f:
+            f.write(record)
+            f.truncate()  # the slot may have held a longer record
             f.flush()
             os.fsync(f.fileno())
-        os.replace(tmp, path)
-        _fsync_dir(path)
+        if new_slot:
+            os.replace(tmp, target)
+            _fsync_dir(path)
     except OSError as exc:
         raise StateFileError(f"cannot write state file {path!r}: {exc}") from None
 
@@ -441,7 +515,8 @@ def _make_engine(args):
 @contextmanager
 def _site(args, new: bool, job: str | None = None):
     """The site stored at ``args.state``, locked for the command, as
-    ``(engine, journal_bytes)``.
+    ``(engine, save)``: ``save()`` commits the engine to the slot that
+    does not hold the snapshot read.
 
     A missing file is an empty new site if ``new``, else a state error.
     The engine holds the snapshot's live site, or, when the snapshot lacks
@@ -450,14 +525,14 @@ def _site(args, new: bool, job: str | None = None):
     made, saving the whole site from an empty journal would still be right.
     """
     with _state_lock(args.state):
-        state, journal_bytes = _read_snapshot(args.state)
+        state, journal_bytes, newest = _read_snapshot(args.state)
         if state is None and not new:
             raise StateFileError(f"no state file at {args.state!r}")
         build = _make_engine(args)
         engine = build(state)
         if journal_bytes and job is not None and job not in engine.jobs:
             engine, journal_bytes = build(_load_state(args.state)), 0
-        yield engine, journal_bytes
+        yield engine, functools.partial(_save_state, args.state, engine, journal_bytes, newest)
 
 
 # ---------------------------------------------------------------------------
@@ -492,21 +567,21 @@ def cmd_check(args) -> int:
 
 
 def cmd_submit(args) -> int:
-    with _site(args, new=True) as (engine, journal_bytes):
+    with _site(args, new=True) as (engine, save):
         cred = _load_cred_file(args.cred)
         token = _load_token_file(args.cap) if args.cap else None
         profile = SimProfile(runtime=args.runtime, memory_peak=args.memory)
         job_id = engine.gatekeeper_submit(
             cred, _read(args.rsl, "rsl"), profile, token=token
         )
-        _save_state(args.state, engine, journal_bytes)
+        save()
         job = engine.job_record(job_id)
         print(f"job={job.id} state={job.state.value} reserved={job.reserved}")
     return EXIT_OK
 
 
 def cmd_manage(args) -> int:
-    with _site(args, new=True, job=args.job) as (engine, journal_bytes):
+    with _site(args, new=True, job=args.job) as (engine, save):
         cred = _load_cred_file(args.cred)
         token = _load_token_file(args.cap) if args.cap else None
         action = JobAction(args.action)
@@ -520,15 +595,15 @@ def cmd_manage(args) -> int:
                 f"priority={job.priority}"
             )
         else:
-            _save_state(args.state, engine, journal_bytes)
+            save()
             print(f"job={job.id} state={job.state.value}")
     return EXIT_OK
 
 
 def cmd_tick(args) -> int:
-    with _site(args, new=False) as (engine, journal_bytes):
+    with _site(args, new=False) as (engine, save):
         events = engine.tick(args.dt)
-        _save_state(args.state, engine, journal_bytes)
+        save()
         for event in events:
             print(event.line)
     return EXIT_OK

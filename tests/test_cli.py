@@ -30,6 +30,8 @@ from gridauth.jobmgr import (
 from gridauth.policy import parse_policy
 from gridauth.rsl import JobAction, parse_rsl
 
+import state_slots
+
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 STATE_V1 = Path(__file__).resolve().parent / "data" / "state-v1"
 STATE_V2 = Path(__file__).resolve().parent / "data" / "state-v2"
@@ -39,6 +41,7 @@ STATE_V5 = Path(__file__).resolve().parent / "data" / "state-v5"
 STATE_V6 = Path(__file__).resolve().parent / "data" / "state-v6"
 STATE_V7 = Path(__file__).resolve().parent / "data" / "state-v7"
 STATE_V8 = Path(__file__).resolve().parent / "data" / "state-v8"
+STATE_V9 = Path(__file__).resolve().parent / "data" / "state-v9"
 
 SITE_POL = """\
 policy "site" source resource {
@@ -521,9 +524,9 @@ class TestSubmitManageTickLedger:
 
         state.unlink()
         assert main(_submit_args(site)) == 0
-        data = json.loads(state.read_text())
+        data = state_slots.read(state)
         del data["engine"]["jobs"][0][_at("owner")]
-        state.write_text(json.dumps(data))
+        state_slots.write(state, json.dumps(data))
         capsys.readouterr()
         assert main(["tick", "--state", str(state), "--dt", "1"]) == 3
         assert "ValueError: stored job ['j1', 'fusion', " in capsys.readouterr().err
@@ -531,9 +534,9 @@ class TestSubmitManageTickLedger:
         # a version-7 job is a map of named fields, so the missing one is named
         for path in STATE_V7.iterdir():
             shutil.copy(path, site / path.name)
-        data = json.loads(state.read_text())
+        data = state_slots.read(state)
         del data["engine"]["jobs"][0]["owner"]
-        state.write_text(json.dumps(data))
+        state_slots.write(state, json.dumps(data))
         assert main(["tick", "--state", str(state), "--dt", "1"]) == 3
         assert "KeyError: 'owner'" in capsys.readouterr().err
 
@@ -543,10 +546,10 @@ class TestSubmitManageTickLedger:
     def test_oversized_integer_in_state_exits_three(self, site, capsys):
         assert main(_submit_args(site)) == 0
         state = site / "state.json"
-        text = state.read_text()
+        text = state_slots.read_text(state)
         assert '"clock":0,' in text
         # past the limit on digits that int() converts, json.load raises ValueError
-        state.write_text(text.replace('"clock":0,', '"clock":' + "9" * 5000 + ","))
+        state_slots.write(state, text.replace('"clock":0,', '"clock":' + "9" * 5000 + ","))
         before = _files(site)
         capsys.readouterr()
         for argv in (
@@ -563,9 +566,9 @@ class TestSubmitManageTickLedger:
     def test_unsupported_state_version_exits_three(self, site, capsys, version):
         assert main(_submit_args(site)) == 0
         state = site / "state.json"
-        data = json.loads(state.read_text())
+        data = state_slots.read(state)
         data["version"] = version
-        state.write_text(json.dumps(data))
+        state_slots.write(state, json.dumps(data))
         assert main(["ledger", "--state", str(state)]) == 3
         assert f"version {version} unsupported" in capsys.readouterr().err
 
@@ -584,12 +587,12 @@ class TestSubmitManageTickLedger:
     def test_snapshot_without_journal_bytes_exits_three(self, site, capsys, journal_bytes):
         assert main(_submit_args(site)) == 0
         state = site / "state.json"
-        data = json.loads(state.read_text())
+        data = state_slots.read(state)
         if journal_bytes is None:
             del data["journal_bytes"]
         else:
             data["journal_bytes"] = journal_bytes
-        state.write_text(json.dumps(data))
+        state_slots.write(state, json.dumps(data))
         capsys.readouterr()
         assert main(["ledger", "--state", str(state)]) == 3
         assert "state error: " in capsys.readouterr().err
@@ -685,14 +688,14 @@ class TestStateVersion1:
         assert capsys.readouterr().out == (
             "job=j2 state=active owner=/O=Grid/CN=dave consumed=8 reserved=600 priority=0\n"
         )
-        assert json.loads((v1 / "state.json").read_text())["version"] == 1
+        assert state_slots.read(v1 / "state.json")["version"] == 1
 
         assert main(["tick", "--state", state, "--dt", "4"]) == 0
         assert capsys.readouterr().out == (
             "t=4 job=j5 event=activate detail=state=active\n"
             "t=7 job=j5 event=done detail=state=done consumed=3 refunded=47\n"
         )
-        data = json.loads((v1 / "state.json").read_text())
+        data = state_slots.read(v1 / "state.json")
         assert data["version"] == STATE_VERSION
         # the snapshot keeps the live jobs; the journal has the rest
         assert [job[_at("id")] for job in data["engine"]["jobs"]] == ["j1", "j2"]
@@ -814,12 +817,12 @@ class TestStateVersion1:
     )
     def test_malformed_state_fails_closed_at_tick(self, v1, capsys, path, value, message):
         state = v1 / "state.json"
-        data = json.loads(state.read_text())
+        data = state_slots.read(state)
         entry = data["engine"]
         for key in path[:-1]:
             entry = entry[key]
         entry[path[-1]] = value
-        state.write_text(json.dumps(data))
+        state_slots.write(state, json.dumps(data))
         before = state.read_bytes()
         assert main(["tick", "--state", str(state), "--dt", "1"]) == 3
         err = capsys.readouterr().err
@@ -827,7 +830,7 @@ class TestStateVersion1:
         assert state.read_bytes() == before
 
     def test_restore_keeps_everything_but_the_dropped_keys(self):
-        engine = json.loads((STATE_V1 / "state.json").read_text())["engine"]
+        engine = state_slots.read(STATE_V1 / "state.json")["engine"]
         stored = json.dumps(engine)
         manager = JobManager.restore(_upgrade(engine, 1))
         assert json.dumps(engine) == stored  # the steps change no dict they are given
@@ -884,7 +887,7 @@ class TestStateVersion2:
         assert capsys.readouterr().out == (
             "job=j2 state=active owner=/O=Grid/CN=dave consumed=10 reserved=600 priority=0\n"
         )
-        assert json.loads((v2 / "state.json").read_text())["version"] == 2
+        assert state_slots.read(v2 / "state.json")["version"] == 2
 
         assert main(["tick", "--state", state, "--dt", "10"]) == 0
         assert capsys.readouterr().out == (
@@ -901,7 +904,7 @@ class TestStateVersion2:
     def test_next_write_is_the_current_version(self, v2):
         state = v2 / "state.json"
         assert main(["tick", "--state", str(state), "--dt", "1"]) == 0
-        text = state.read_text()
+        text = state_slots.read_text(state)
         data = json.loads(text)
         assert data["version"] == STATE_VERSION
         assert data["engine"]["pool"] == {"free": ["dyn01"], "leased": ["j2", "j4"]}
@@ -943,7 +946,7 @@ class TestStateVersion3:
         )
         assert main(_manage_args(v3, "j3", "cancel", cred="dave.cred")) == 1
         assert capsys.readouterr().err == "refused: cannot cancel job j3 in state done\n"
-        assert json.loads((v3 / "state.json").read_text())["version"] == 3
+        assert state_slots.read(v3 / "state.json")["version"] == 3
         assert not (v3 / "state.json.journal").exists()
 
         assert main(["tick", "--state", state, "--dt", "10"]) == 0
@@ -962,14 +965,14 @@ class TestStateVersion3:
         state = v3 / "state.json"
         (v3 / "state.json.journal").write_text("left over from an older site\n")
         assert main(["tick", "--state", str(state), "--dt", "10"]) == 0
-        data = json.loads(state.read_text())
+        data = state_slots.read(state)
         assert data["version"] == STATE_VERSION
         assert [job[_at("id")] for job in data["engine"]["jobs"]] == ["j1", "j2"]
         assert data["engine"]["pool"] == {"free": ["dyn01", "dyn02"], "leased": ["j2"]}
         # the journal starts afresh and holds the whole history
         assert data["journal_bytes"] == (v3 / "state.json.journal").stat().st_size
         expected = JobManager.restore(
-            _upgrade(json.loads((STATE_V3 / "state.json").read_text())["engine"], 3))
+            _upgrade(state_slots.read(STATE_V3 / "state.json")["engine"], 3))
         expected.tick(10)
         assert _load_state(str(state)) == expected.snapshot()
 
@@ -988,12 +991,12 @@ class TestStateVersion3:
     def test_malformed_state_fails_closed_at_submit(self, v3, capsys, path, value, message):
         # with next_seq 1, a submit would replace alice's suspended j1
         state = v3 / "state.json"
-        data = json.loads(state.read_text())
+        data = state_slots.read(state)
         entry = data["engine"]
         for key in path[:-1]:
             entry = entry[key]
         entry[path[-1]] = value
-        state.write_text(json.dumps(data))
+        state_slots.write(state, json.dumps(data))
         (v3 / "job.rsl").write_text(RSL)
         before = _files(v3)
         for command in (
@@ -1088,7 +1091,7 @@ class TestStateVersion4:
         journal = v4 / "state.json.journal"
         old = journal.read_bytes()
         assert main(["tick", "--state", str(state), "--dt", "10"]) == 0
-        data = json.loads(state.read_text())
+        data = state_slots.read(state)
         assert data["version"] == STATE_VERSION
         assert [job[_at("id")] for job in data["engine"]["jobs"]] == ["j1", "j2"]
         assert data["engine"]["jobs"][1][_at("request")] == self.J2_REQUEST
@@ -1138,10 +1141,10 @@ class TestStateVersion6:
     def test_next_write_is_the_current_version_without_target(self, v6):
         state = v6 / "state.json"
         journal = v6 / "state.json.journal"
-        old_snapshot, old_journal = state.read_text(), journal.read_bytes()
+        old_snapshot, old_journal = state_slots.read_text(state), journal.read_bytes()
         assert json.loads(old_snapshot)["version"] == 6 and '"target"' in old_snapshot
         assert main(["tick", "--state", str(state), "--dt", "10"]) == 0
-        text = state.read_text()
+        text = state_slots.read_text(state)
         data = json.loads(text)
         assert data["version"] == STATE_VERSION
         assert '"target"' not in text and "target" not in data["engine"]
@@ -1176,7 +1179,7 @@ class TestStateVersion6:
         and a cap it does not know, which would go unenforced.  Events that
         are no list are refused as the snapshot is read."""
         state = v6 / "state.json"
-        data = json.loads(state.read_text())
+        data = state_slots.read(state)
         if version == 7:
             data["version"] = 7
             del data["engine"]["target"]
@@ -1184,7 +1187,7 @@ class TestStateVersion6:
         for key in path[:-1]:
             entry = entry[key]
         entry[path[-1]] = value
-        state.write_text(json.dumps(data))
+        state_slots.write(state, json.dumps(data))
         before = _files(v6)
         assert main(["ledger", "--state", str(state)]) == 3
         assert capsys.readouterr().err.endswith(f"incomplete or malformed: ValueError: {message}\n")
@@ -1202,9 +1205,9 @@ class TestStateVersion6:
         """`restore` checks a stored job's fields in one fixed order, so a
         job with two faults reports the one that order reaches first."""
         state = v6 / "state.json"
-        data = json.loads(state.read_text())
+        data = state_slots.read(state)
         data["engine"]["jobs"][0].update(edits)
-        state.write_text(json.dumps(data))
+        state_slots.write(state, json.dumps(data))
         before = _files(v6)
         assert main(["tick", "--state", str(state), "--dt", "1"]) == 3
         assert capsys.readouterr().err.endswith(f"incomplete or malformed: ValueError: {message}\n")
@@ -1227,7 +1230,7 @@ class TestStateVersion7:
         _replay_fixture_commands(v7, capsys)
 
     def test_holds_the_version_6_site(self):
-        data = json.loads((STATE_V7 / "state.json").read_text())
+        data = state_slots.read(STATE_V7 / "state.json")
         assert data["version"] == 7 and "target" not in data["engine"]
         journal = (STATE_V7 / "state.json.journal").read_bytes()
         assert journal == (STATE_V6 / "state.json.journal").read_bytes()
@@ -1251,7 +1254,7 @@ class TestStateVersion8:
         _replay_fixture_commands(v8, capsys)
 
     def test_holds_the_version_7_site(self):
-        data = json.loads((STATE_V8 / "state.json").read_text())
+        data = state_slots.read(STATE_V8 / "state.json")
         assert data["version"] == 8
         assert [job[_at("id")] for job in data["engine"]["jobs"]] == ["j1", "j2", "j4"]
         assert all(len(job) == len(JOB_FIELDS) for job in data["engine"]["jobs"])
@@ -1259,6 +1262,19 @@ class TestStateVersion8:
         assert journal == (STATE_V7 / "state.json.journal").read_bytes()
         assert data["journal_bytes"] == len(journal)
         assert _load_state(str(STATE_V8 / "state.json")) == _load_state(str(STATE_V7 / "state.json"))
+
+    def test_first_write_goes_to_the_other_slot(self, v8, capsys):
+        """A version-8 file has no header and reads as seq 0: the first write
+        creates ``state.json.alt`` at seq 1 and leaves ``state.json`` as it
+        was, and the second overwrites ``state.json`` in place at seq 2."""
+        state, alt = v8 / "state.json", v8 / "state.json.alt"
+        old = state.read_bytes()
+        assert main(["tick", "--state", str(state), "--dt", "1"]) == 0
+        assert state.read_bytes() == old
+        assert state_slots.newest(state)[:2] == (alt, 1)
+        assert main(["tick", "--state", str(state), "--dt", "1"]) == 0
+        assert state_slots.newest(state)[:2] == (state, 2)
+        assert state_slots.unseal(alt.read_bytes())[0] == 1
 
     def test_finished_job_manage_reads_map_and_row_lines(self, v8, capsys):
         """A journal written before version 8 holds job maps, and the next
@@ -1300,15 +1316,50 @@ class TestStateVersion8:
         """A row, a sandbox and a profile each hold exactly their fields;
         the maps of version 7 are refused in a version-8 file."""
         state = v8 / "state.json"
-        data = json.loads(state.read_text())
+        data = state_slots.read(state)
         data["engine"]["jobs"][0] = edit(data["engine"]["jobs"][0])
-        state.write_text(json.dumps(data))
+        state_slots.write(state, json.dumps(data))
         before = _files(v8)
         for argv in (["ledger", "--state", str(state)], ["tick", "--state", str(state), "--dt", "1"],
                      _manage_args(v8, "j3", "status", cred="dave.cred")):
             assert main(argv) == 3
             assert capsys.readouterr().err.endswith(f"{message}\n")
         assert _files(v8) == before
+
+
+class TestStateVersion9:
+    """The version-8 site with its snapshot rewritten twice at version 9
+    over the same journal, so that both slots hold it: ``state.json.alt``
+    at seq 1 (the first write after a version-8 file) and ``state.json``,
+    overwritten in place, at seq 2."""
+
+    @pytest.fixture
+    def v9(self, tmp_path):
+        for path in STATE_V9.iterdir():
+            shutil.copy(path, tmp_path / path.name)
+        return tmp_path
+
+    def test_commands_print_what_version_6_printed(self, v9, capsys):
+        _replay_fixture_commands(v9, capsys)
+
+    def test_holds_the_version_8_site_in_both_slots(self):
+        state, alt = (STATE_V9 / name for name in ("state.json", "state.json.alt"))
+        assert [state_slots.unseal(path.read_bytes())[0] for path in (state, alt)] == [2, 1]
+        assert state_slots.newest(state)[:2] == (state, 2)
+        data = state_slots.read(state)
+        assert data["version"] == 9
+        assert state_slots.unseal(alt.read_bytes())[1] == state_slots.newest(state)[2]
+        journal = (STATE_V9 / "state.json.journal").read_bytes()
+        assert journal == (STATE_V8 / "state.json.journal").read_bytes()
+        assert data["journal_bytes"] == len(journal)
+        assert _load_state(str(state)) == _load_state(str(STATE_V8 / "state.json"))
+
+    def test_next_writes_alternate_the_slots(self, v9, capsys):
+        state = v9 / "state.json"
+        for seq, slot in ((3, "state.json.alt"), (4, "state.json"), (5, "state.json.alt")):
+            assert main(["tick", "--state", str(state), "--dt", "1"]) == 0
+            assert state_slots.newest(state)[:2] == (v9 / slot, seq)
+            assert not (v9 / "state.json.tmp").exists()
 
 
 @pytest.mark.parametrize("fixture", [STATE_V4, STATE_V5], ids=["v4", "v5"])
@@ -1322,7 +1373,7 @@ def test_finished_jobs_load_and_the_next_write_drops_disk_and_groups(tmp_path, c
     assert capsys.readouterr().out == j3
     old = (tmp_path / "state.json.journal").read_bytes()
     assert main(["tick", "--state", _p(tmp_path, "state.json"), "--dt", "10"]) == 0
-    snapshot = (tmp_path / "state.json").read_text()
+    snapshot = state_slots.read_text(tmp_path / "state.json")
     assert json.loads(snapshot)["version"] == STATE_VERSION
     journal = (tmp_path / "state.json.journal").read_bytes()
     assert journal.startswith(old) and b'"disk"' in old
@@ -1373,10 +1424,10 @@ def _make_busy(site) -> None:
 
 
 def _files(site) -> dict:
-    """The bytes and mtime of the snapshot and the journal."""
+    """The bytes and mtime of both snapshot slots and the journal."""
     return {
         name: (path.read_bytes(), path.stat().st_mtime_ns)
-        for name in ("state.json", "state.json.journal")
+        for name in ("state.json", "state.json.alt", "state.json.journal")
         if (path := site / name).exists()
     }
 
@@ -1388,12 +1439,12 @@ class TestJournal:
     def busy(self, site, capsys):
         _make_busy(site)
         capsys.readouterr()
-        for path in (site / "state.json", site / "state.json.journal"):
+        for path in (site / "state.json", site / "state.json.alt", site / "state.json.journal"):
             os.utime(path, ns=(10**18, 10**18))
         return site
 
     def test_snapshot_holds_the_live_site_and_the_journal_the_rest(self, busy):
-        raw = (busy / "state.json").read_text()
+        raw = state_slots.read_text(busy / "state.json")
         data = json.loads(raw)
         assert raw == json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"
         assert sorted(data) == ["engine", "format", "journal_bytes", "version"]
@@ -1422,7 +1473,7 @@ class TestJournal:
         capsys.readouterr()
         text = journal.read_bytes()
         assert text.startswith(committed) and b"j9" not in text
-        assert json.loads((busy / "state.json").read_text())["journal_bytes"] == len(text)
+        assert state_slots.read(busy / "state.json")["journal_bytes"] == len(text)
         assert len(_load_state(state)["events"]) == len(before["events"]) + 1
 
     @pytest.mark.parametrize("command", ["ledger", "tick", "submit", "status", "done-status"])
@@ -1434,6 +1485,10 @@ class TestJournal:
         else:
             with journal.open("r+b") as f:
                 f.truncate(journal.stat().st_size - cut)
+            # the older slot covers no more than is left, so it would load:
+            # a journal too short for the newest slot never falls back to it
+            older = state_slots.unseal((busy / "state.json.alt").read_bytes())[1]
+            assert json.loads(older)["journal_bytes"] <= journal.stat().st_size
         before = _files(busy)
         argv = {
             "ledger": ["ledger", "--state", _p(busy, "state.json")],
@@ -1453,7 +1508,12 @@ class TestJournal:
         before = _load_state(state)
         assert main(["ledger", "--state", state]) == 0
         assert _load_state(state) == before
+        # a write in place leaves it be; the write that creates a slot file
+        # (here state.json, the older slot, is gone) replaces it
         assert main(_submit_args(busy, cred="bob.cred", rsl="small.rsl")) == 0
+        assert tmp.exists()
+        (busy / "state.json").unlink()
+        assert main(["tick", "--state", state, "--dt", "1"]) == 0
         assert not tmp.exists()
         assert [job[_at("id")] for job in _load_state(state)["jobs"]] == ["j1", "j2", "j3"]
 
@@ -1514,9 +1574,9 @@ class TestJournal:
 
     def test_job_stored_twice_in_the_snapshot_exits_three(self, busy, capsys):
         state = busy / "state.json"
-        data = json.loads(state.read_text())
+        data = state_slots.read(state)
         data["engine"]["jobs"] *= 2
-        state.write_text(json.dumps(data))
+        state_slots.write(state, json.dumps(data))
         before = _files(busy)
         assert main(["ledger", "--state", str(state)]) == 3
         assert "job j2 is stored twice" in capsys.readouterr().err
@@ -1529,6 +1589,104 @@ class TestJournal:
         journal.write_bytes(text)
         assert main(_manage_args(busy, "j1", "status")) == 3
         assert "bytes end mid-line" in capsys.readouterr().err
+
+
+class TestSlots:
+    """Version 9: the snapshot lives in two slot files, ``state.json`` and
+    ``state.json.alt``, each sealed by a header whose checksum covers its
+    seq, length and payload.  A write overwrites the slot that does not
+    hold the newest valid commit; a torn slot is skipped."""
+
+    @pytest.fixture
+    def three(self, site, capsys):
+        """`_make_busy`'s site, and what the site and its ledger were at the
+        commit before the newest: seq 2 in ``state.json.alt``, while the
+        tick's seq 3 is in ``state.json``."""
+        (site / "small.rsl").write_text('&(executable="/opt/vo/apps/transp")(maxcputime=300)\n')
+        assert main(_submit_args(site, runtime="2")) == 0
+        assert main(_submit_args(site, cred="bob.cred", rsl="small.rsl")) == 0
+        capsys.readouterr()
+        assert main(["ledger", "--state", _p(site, "state.json")]) == 0
+        second = _load_state(_p(site, "state.json")), capsys.readouterr().out
+        assert main(["tick", "--state", _p(site, "state.json"), "--dt", "5"]) == 0
+        capsys.readouterr()
+        assert state_slots.newest(site / "state.json")[:2] == (site / "state.json", 3)
+        return site, second
+
+    def test_writes_alternate_between_two_sealed_slots(self, site, capsys):
+        state, alt = site / "state.json", site / "state.json.alt"
+        assert main(_submit_args(site)) == 0
+        assert not alt.exists()
+        first = state.read_bytes()
+        for seq, (written, kept) in enumerate([(alt, state), (state, alt), (alt, state)], 2):
+            old = kept.read_bytes()
+            assert main(["tick", "--state", str(state), "--dt", "1"]) == 0
+            assert kept.read_bytes() == old  # the newest commit is never overwritten
+            payload = (json.dumps(state_slots.read(written), sort_keys=True, separators=(",", ":"))
+                       + "\n").encode()
+            assert written.read_bytes() == state_slots.seal(seq, payload)
+            assert state_slots.newest(state)[:2] == (written, seq)
+        assert first.startswith(b"gridauth-state 9 1 ")
+        assert not (site / "state.json.tmp").exists()
+
+    @pytest.mark.parametrize("tear", [
+        lambda data: data[: len(data) // 2],
+        lambda data: data[:-2] + bytes([data[-2] ^ 1]) + data[-1:],
+        lambda data: data + b" ",
+        lambda data: data.replace(b"gridauth-state 9 3 ", b"gridauth-state 9 4 ", 1),
+        lambda data: b"\0" * len(data),
+    ], ids=["cut-mid-payload", "flipped-byte", "longer-than-its-length", "other-seq", "zeroed"])
+    def test_a_torn_newest_slot_loads_the_commit_before_it(self, three, capsys, tear):
+        site, (second, ledger) = three
+        state = site / "state.json"
+        alt = state_slots.slot_files(state)[1].read_bytes()
+        state.write_bytes(tear(state.read_bytes()))
+        assert _load_state(str(state)) == second
+        assert main(["ledger", "--state", str(state)]) == 0
+        assert capsys.readouterr().out == ledger
+        # the next write overwrites the torn slot, at the seq after the one read
+        assert main(["tick", "--state", str(state), "--dt", "1"]) == 0
+        assert state_slots.newest(state)[:2] == (state, 3)
+        assert (site / "state.json.alt").read_bytes() == alt
+
+    def test_a_torn_older_slot_is_ignored_then_rewritten(self, three, capsys):
+        site, _ = three
+        state, alt = site / "state.json", site / "state.json.alt"
+        before, newest = _load_state(str(state)), state.read_bytes()
+        data = alt.read_bytes()
+        alt.write_bytes(data[:-2] + bytes([data[-2] ^ 1]) + data[-1:])
+        assert state_slots.unseal(alt.read_bytes()) is None
+        assert _load_state(str(state)) == before
+        assert main(_manage_args(site, "j1", "status")) == 0
+        assert main(["tick", "--state", str(state), "--dt", "1"]) == 0
+        assert state.read_bytes() == newest
+        assert state_slots.newest(state)[:2] == (alt, 4)
+
+    @pytest.mark.parametrize("slots", [
+        ("torn", "torn"), ("torn", None), (None, "torn"), ("torn", "headerless"),
+    ], ids=["both-torn", "only-state-torn", "only-alt-torn", "torn-and-headerless-alt"])
+    def test_no_valid_slot_exits_three_and_writes_nothing(self, three, capsys, slots):
+        site, _ = three
+        for path, kind in zip(state_slots.slot_files(site / "state.json"), slots):
+            data = path.read_bytes()
+            if kind is None:
+                path.unlink()
+            elif kind == "torn":
+                path.write_bytes(data[: len(data) // 2])
+            else:  # a version-8 file is valid only as state.json
+                path.write_bytes(state_slots.unseal(data)[1])
+        before = _files(site)
+        state = _p(site, "state.json")
+        for argv in (
+            ["ledger", "--state", state],
+            ["tick", "--state", state, "--dt", "1"],
+            _submit_args(site, cred="bob.cred", rsl="small.rsl"),
+            _manage_args(site, "j2", "status", cred="bob.cred"),
+            _manage_args(site, "j1", "status"),
+        ):
+            assert main(argv) == 3
+            assert capsys.readouterr().err == f"state error: no slot of state file {state!r} is valid\n"
+        assert _files(site) == before
 
 
 class TestStoredRequest:
@@ -1549,13 +1707,13 @@ class TestStoredRequest:
     def _store_request(self, site, value) -> None:
         """Store ``value`` as the request of the live job, j2."""
         state = site / "state.json"
-        data = json.loads(state.read_text())
+        data = state_slots.read(state)
         assert data["engine"]["jobs"][0][_at("id")] == "j2"
         data["engine"]["jobs"][0][_at("request")] = value
-        state.write_text(json.dumps(data))
+        state_slots.write(state, json.dumps(data))
 
     def test_requests_are_stored_as_attribute_maps(self, busy):
-        data = json.loads((busy / "state.json").read_text())
+        data = state_slots.read(busy / "state.json")
         assert data["engine"]["jobs"][0][_at("request")] == self.SMALL
         journal = (busy / "state.json.journal").read_text().splitlines()
         assert json.loads(journal[-1])["job"][_at("request")] == {
@@ -1604,11 +1762,11 @@ class TestStoredRequest:
         for path in STATE_V7.iterdir():
             shutil.copy(path, tmp_path / path.name)
         state = tmp_path / "state.json"
-        data = json.loads(state.read_text())
+        data = state_slots.read(state)
         text = '&(MaxCpuTime=300)( executable = "/opt/vo/apps/transp" )'
         assert data["engine"]["jobs"][1]["id"] == "j2"
         data["engine"]["jobs"][1]["request"] = text
-        state.write_text(json.dumps(data))
+        state_slots.write(state, json.dumps(data))
         before = _files(tmp_path)
         assert main(_manage_args(tmp_path, "j2", "status", cred="carol.cred")) == 3
         assert capsys.readouterr().err.endswith(
@@ -1620,9 +1778,9 @@ def _commit_journal(site, text: bytes) -> None:
     """Write ``text`` as the journal and make the snapshot cover all of it."""
     (site / "state.json.journal").write_bytes(text)
     state = site / "state.json"
-    data = json.loads(state.read_text())
+    data = state_slots.read(state)
     data["journal_bytes"] = len(text)
-    state.write_text(json.dumps(data))
+    state_slots.write(state, json.dumps(data))
 
 
 class _Crash(BaseException):
@@ -1644,58 +1802,105 @@ class TestCrashDuringWrite:
         return main(self.TICK[:1] + ["--state", _p(site, "state.json")] + self.TICK[1:])
 
     def test_every_cut_of_the_journal_tail_loads_to_before(self, busy, capsys):
-        state, journal, tmp = (busy / name for name in ("state.json", "state.json.journal",
-                                                      "state.json.tmp"))
-        old_snapshot, old_journal = state.read_bytes(), journal.read_bytes()
+        state, journal = busy / "state.json", busy / "state.json.journal"
+        slot = busy / "state.json.alt"  # the older slot, which the tick rewrites in place
+        newest, old_slot, old_journal = state.read_bytes(), slot.read_bytes(), journal.read_bytes()
         before = _load_state(str(state))
         assert self._tick(busy) == 0
         after = _load_state(str(state))
-        new_snapshot, new_journal = state.read_bytes(), journal.read_bytes()
+        new_slot, new_journal = slot.read_bytes(), journal.read_bytes()
+        assert state.read_bytes() == newest
         assert before != after and new_journal.startswith(old_journal)
+        # the tick ends j2, so the new record is the shorter one
+        assert len(new_slot) < len(old_slot)
         tail = new_journal[len(old_journal):]
-        # until the replace, the old snapshot is in place: the journal holds
-        # any prefix of the new lines and the tmp any prefix of the new snapshot
+        # until the slot is synced whole, the newest slot is the old commit:
+        # the journal holds any prefix of the new lines...
+        slot.write_bytes(old_slot)
         for cut in range(len(tail) + 1):
-            state.write_bytes(old_snapshot)
             journal.write_bytes(old_journal + tail[:cut])
-            tmp.write_bytes(new_snapshot[:cut])
             assert _load_state(str(state)) == before
-        # after it, the new snapshot covers the whole tail
-        state.write_bytes(new_snapshot)
+        # ...and the rewritten slot any prefix of its new bytes, over the old
+        # ones or alone, or all of them before the file is cut to their length
+        torn = [new_slot[:cut] + old_slot[cut:] for cut in range(len(new_slot))]
+        torn += [new_slot[:cut] for cut in range(len(new_slot))]
+        torn.append(new_slot + old_slot[len(new_slot):])
+        for data in torn:
+            slot.write_bytes(data)
+            assert _load_state(str(state)) == before
+        # once it is whole, it covers the whole tail
+        slot.write_bytes(new_slot)
         assert _load_state(str(state)) == after
-        # a crashed write redone from the old snapshot writes the same bytes
-        state.write_bytes(old_snapshot)
+        # a crashed write redone from the old commit writes the same bytes
+        slot.write_bytes(torn[len(new_slot) // 2])
         journal.write_bytes(old_journal + tail[: len(tail) // 2])
         assert self._tick(busy) == 0
-        assert (state.read_bytes(), journal.read_bytes()) == (new_snapshot, new_journal)
+        assert (state.read_bytes(), slot.read_bytes(), journal.read_bytes()) == (
+            newest, new_slot, new_journal)
 
-    @pytest.mark.parametrize("calls", range(4), ids=lambda n: f"after-{n}-calls")
-    def test_crash_at_each_sync_or_replace(self, busy, capsys, monkeypatch, calls):
-        state = _p(busy, "state.json")
+    #: the calls to os.fsync and os.replace that each write makes, and from
+    #: which one on a crash leaves the new site.  In place (busy's older
+    #: slot): fsync the journal, fsync the slot, which already holds the new
+    #: bytes.  Creating the slot file (after a version-8 file):  fsync the
+    #: journal, fsync the tmp, replace, fsync the directory.  A new site also
+    #: creates the journal and fsyncs the directory after it.
+    CALLS = {"in-place": (2, 1), "version-8": (4, 3), "new-site": (5, 4)}
+
+    @pytest.mark.parametrize("kind, calls", [
+        *[pytest.param("version-8", n, id=f"after-{n}-calls") for n in range(4)],
+        *[pytest.param("in-place", n, id=f"in-place-after-{n}-calls") for n in range(2)],
+        *[pytest.param("new-site", n, id=f"new-site-after-{n}-calls") for n in range(5)],
+    ])
+    def test_crash_at_each_sync_or_replace(self, site, tmp_path_factory, capsys, monkeypatch,
+                                          kind, calls):
+        def prepare(d: Path) -> list:
+            """Set up ``kind``'s site in ``d`` and return its write's argv."""
+            if kind == "in-place":
+                _make_busy(d)
+            elif kind == "version-8":
+                for path in STATE_V8.iterdir():
+                    shutil.copy(path, d / path.name)
+            if kind == "new-site":
+                return _submit_args(d)
+            return self.TICK[:1] + ["--state", _p(d, "state.json")] + self.TICK[1:]
+
+        def run(argv, crash_at=None) -> list:
+            """Run ``argv`` with each fsync and replace counted, raising
+            `_Crash` in place of call number ``crash_at``; the calls made."""
+            made = []
+
+            def counted(real):
+                def call(*args):
+                    if len(made) == crash_at:
+                        raise _Crash
+                    made.append(real)
+                    return real(*args)
+                return call
+
+            with monkeypatch.context() as patch:
+                for name in ("fsync", "replace"):
+                    patch.setattr(os, name, counted(getattr(os, name)))
+                if crash_at is None:
+                    assert main(argv) == 0
+                else:
+                    with pytest.raises(_Crash):
+                        main(argv)
+            return made
+
+        # the same write, whole, on a twin of the site gives the site after it
+        twin = tmp_path_factory.mktemp("twin")
+        for path in site.iterdir():
+            shutil.copy(path, twin / path.name)
+        total, first_after = self.CALLS[kind]
+        assert len(run(prepare(twin))) == total
+        after = _load_state(_p(twin, "state.json"))
+        argv = prepare(site)
+        state = _p(site, "state.json")
         before = _load_state(state)
-        engine = JobManager.restore(before)
-        engine.tick(500)
-        after = engine.snapshot()
-        made = []
-
-        def crashing(real):
-            def call(*args):
-                if len(made) == calls:
-                    raise _Crash
-                made.append(real)
-                return real(*args)
-            return call
-
-        # a write makes four such calls: fsync the journal, fsync the tmp,
-        # replace the snapshot, fsync the directory
-        with monkeypatch.context() as patch:
-            for name in ("fsync", "replace"):
-                patch.setattr(os, name, crashing(getattr(os, name)))
-            with pytest.raises(_Crash):
-                self._tick(busy)
-        assert _load_state(state) == (before if calls < 3 else after)
-        if calls < 3:
-            assert self._tick(busy) == 0
+        run(argv, crash_at=calls)
+        assert _load_state(state) == (before if calls < first_after else after)
+        if calls < first_after:
+            assert main(argv) == 0
             assert _load_state(state) == after
 
 
@@ -1940,6 +2145,32 @@ class TestIssueCap:
             "--expiry", "1000000",
         ])
         assert code == 2
+
+    @pytest.mark.parametrize("other", ["cd" * 32, KEY_HEX], ids=["other-key", "same-key"])
+    def test_two_keys_for_one_vo_exit_two(self, site, capsys, other):
+        """Neither the first nor the last of two keys for one VO wins."""
+        cap = _p(site, "alice.cap")
+        one = ["--vo-key", f"fusion={KEY_HEX}"]
+        assert main(["issue-cap", "--vo-policy", _p(site, "fusion.pol"), "--cred",
+                     _p(site, "alice.cred"), *one, "--expiry", "1000000", "--cap", cap]) == 0
+        assert main(_submit_args(site)) == 0
+        capsys.readouterr()
+        before = _files(site)
+        push = ["--resource-policy", _p(site, "site.pol"), "--cap", cap,
+                "--cred", _p(site, "alice.cred")]
+        for keys in ([*one, "--vo-key", f"fusion={other}"], ["--vo-key", f"fusion={other}", *one]):
+            for argv in (
+                ["check", *push, *keys, "--rsl", _p(site, "job.rsl"), "--action", "start"],
+                ["submit", "--state", _p(site, "state.json"), *push, *keys,
+                 "--rsl", _p(site, "job.rsl"), "--runtime", "10"],
+                ["manage", "--state", _p(site, "state.json"), *push, *keys,
+                 "--job", "j1", "--action", "status"],
+                ["issue-cap", "--vo-policy", _p(site, "fusion.pol"), "--cred",
+                 _p(site, "alice.cred"), *keys, "--expiry", "1000000"],
+            ):
+                assert main(argv) == 2, argv[0]
+                assert capsys.readouterr() == ("", "error: --vo-key for 'fusion' is given twice\n")
+        assert _files(site) == before
 
 
 class TestScenarioCommand:

@@ -14,9 +14,9 @@ token whose lines end in CRLF.
 ``tests/data/cli-golden.json`` stores ``[name, exit code, stdout, stderr,
 state sha256, journal sha256]`` for each case, with the directory's path
 masked as ``<dir>``.  The digests are those of the case's ``--state``
-file and of its journal (``state.json`` for a command without one), or
-null for a file that does not exist, so any change to what a command
-prints or stores fails the test.
+snapshot slots, ``<state>`` then ``<state>.alt``, and of its journal
+(``state.json`` for a command without one), or null where no such file
+exists, so any change to what a command prints or stores fails the test.
 
 Regenerate the file (only when the outcomes are meant to change) with
 ``PYTHONPATH=src:tests python tests/test_cli_golden.py``.
@@ -73,7 +73,8 @@ def _crlf(d: Path) -> None:
 
 def _short_journal(d: Path) -> None:
     """``short.json``: a copy of the site whose journal lost its last byte."""
-    shutil.copy(d / "state.json", d / "short.json")
+    for suffix in ("", ".alt"):
+        shutil.copy(d / f"state.json{suffix}", d / f"short.json{suffix}")
     journal = (d / "state.json.journal").read_bytes()
     (d / "short.json.journal").write_bytes(journal[:-1])
 
@@ -201,11 +202,15 @@ CASES = [
      f"submit --state {{d}}/two.json {PULL} --vo-policy {{d}}/s3-fusion.pol {ALICE} "
      "--rsl {d}/job.rsl --runtime 5 --pool dyn00", None),
     ("ledger-two-vo-documents-one-name", "ledger --state {d}/two.json", None),
+    # two keys for one VO
+    ("check-two-vo-keys-one-vo", f"{CHECK} {PUSH} --vo-key {WRONG_KEY}", None),
 ]
 
 
-def _sha256(path: Path):
-    return hashlib.sha256(path.read_bytes()).hexdigest() if path.exists() else None
+def _sha256(*paths: Path):
+    """The digest of the files that exist among ``paths``, one after another."""
+    found = [path.read_bytes() for path in paths if path.exists()]
+    return hashlib.sha256(b"".join(found)).hexdigest() if found else None
 
 
 def outcome(d: Path, name: str, template: str, prep) -> list:
@@ -218,7 +223,8 @@ def outcome(d: Path, name: str, template: str, prep) -> list:
         code = main(argv)
     state = Path(argv[argv.index("--state") + 1]) if "--state" in argv else d / "state.json"
     printed = [s.getvalue().replace(str(d), "<dir>") for s in (out, err)]
-    return [name, code, *printed, _sha256(state), _sha256(Path(f"{state}.journal"))]
+    slots = _sha256(state, Path(f"{state}.alt"))
+    return [name, code, *printed, slots, _sha256(Path(f"{state}.journal"))]
 
 
 def run_all(d: Path) -> list:

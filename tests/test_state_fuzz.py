@@ -3,7 +3,10 @@
 Each example copies one committed site (``tests/data/state-v1`` to the
 current version's) and makes one edit, to its snapshot or to one
 committed line of its journal: a value at some path becomes a value of
-another JSON type, -1, 0 or 2**63, or its key (a list entry) is deleted.  It then runs
+another JSON type, -1, 0 or 2**63, or its key (a list entry) is deleted.
+A snapshot edit goes to the newest slot, sealed again with its seq
+(`state_slots`), so that it reaches `restore`'s checks, not the
+checksum's.  It then runs
 ``ledger``, a ``manage --action status`` of the finished job ``j3`` and
 ``tick --dt 1`` through `cli.main`; the two reads write nothing, so all
 three see the edited site.  Each call must return one of the documented
@@ -25,6 +28,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gridauth.cli import EXIT_DENIED, EXIT_INPUT, EXIT_OK, EXIT_STATE, STATE_VERSION, main
+
+import state_slots
 
 DATA = Path(__file__).resolve().parent / "data"
 SITES = tuple(f"state-v{v}" for v in range(1, STATE_VERSION + 1))
@@ -51,7 +56,7 @@ def _targets() -> list:
     value an edit can change."""
     targets = []
     for site in SITES:
-        snapshot = json.loads((DATA / site / "state.json").read_text())
+        snapshot = state_slots.read(DATA / site / "state.json")
         targets += [(site, None, path) for path in _paths(snapshot)]
         journal = DATA / site / "state.json.journal"
         if journal.exists():
@@ -80,7 +85,7 @@ def _edit(document, path, mutation):
 def _files(site: Path) -> dict:
     return {
         name: (site / name).read_bytes()
-        for name in ("state.json", "state.json.journal")
+        for name in ("state.json", "state.json.alt", "state.json.journal")
         if (site / name).exists()
     }
 
@@ -106,7 +111,7 @@ def test_one_edit_fails_closed_or_loads(target, mutation):
         for source in (DATA / name).iterdir():
             shutil.copy(source, site / source.name)
         state = site / "state.json"
-        snapshot = json.loads(state.read_text())
+        snapshot = state_slots.read(state)
         if line is None:
             snapshot = _edit(snapshot, path, mutation)
         else:  # the edited line is committed: the snapshot covers the new journal
@@ -115,7 +120,7 @@ def test_one_edit_fails_closed_or_loads(target, mutation):
             journal = "".join(text + "\n" for text in lines).encode()
             (site / "state.json.journal").write_bytes(journal)
             snapshot["journal_bytes"] = len(journal)
-        state.write_text(json.dumps(snapshot))
+        state_slots.write(state, json.dumps(snapshot))
 
         cred = "dave.cred" if (site / "dave.cred").exists() else "carol.cred"
         policies = ["--resource-policy", str(site / "site.pol"),
@@ -132,5 +137,5 @@ def test_one_edit_fails_closed_or_loads(target, mutation):
             if code != EXIT_OK:
                 assert _files(site) == before, argv[0]
             elif argv[0] == "tick":
-                assert json.loads(state.read_text())["version"] == STATE_VERSION
+                assert state_slots.read(state)["version"] == STATE_VERSION
                 assert _run(ledger) == EXIT_OK
