@@ -34,7 +34,7 @@ from .pdp import (
     derive_capability,
     explain,
 )
-from .policy import PolicyDocument, applicable_blocks, format_policy, parse_policy, validate_policy
+from .policy import PolicyDocument, applicable_blocks, format_policy, parse_policy
 from .rsl import JobAction, RslRequest, parse_rsl
 
 __all__ = [
@@ -70,7 +70,6 @@ __all__ = [
     "parse_rsl",
     "record_usage",
     "sign_capability",
-    "validate_policy",
     "verify_capability",
 ]
 

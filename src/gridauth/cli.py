@@ -368,13 +368,19 @@ def _require_journal(journal: str, have: int, journal_bytes: int) -> None:
 
 
 def _load_state(path: str) -> dict | None:
-    """The whole site's engine dict: the snapshot merged with the journal
-    lines it covers, jobs in submission order.
+    """The whole site's engine dict stored at ``path``: `_read_snapshot`,
+    then `_with_journal`."""
+    return _with_journal(path, *_read_snapshot(path)[:2])
+
+
+def _with_journal(path: str, engine: dict | None, journal_bytes: int) -> dict | None:
+    """The snapshot ``engine`` read at ``path`` merged with the first
+    ``journal_bytes`` bytes of its journal, jobs in submission order.
 
     Journal bytes past the snapshot's ``journal_bytes`` belong to a
-    command that never committed and are ignored.
+    command that never committed and are ignored.  A job the journal and
+    the snapshot both hold is left for `JobManager.restore` to refuse.
     """
-    engine, journal_bytes, _ = _read_snapshot(path)
     if not journal_bytes:
         return engine
     journal = path + ".journal"
@@ -406,8 +412,6 @@ def _load_state(path: str) -> dict | None:
             else:
                 raise ValueError(f"journal line {n} holds no event or finished job")
         jobs += engine["jobs"]
-        if len({job[_ID] for job in jobs}) < len(jobs):
-            raise ValueError("a job is stored twice")
         jobs.sort(key=lambda job: int(job[_ID][1:]))  # submission order
         events += engine["events"]
     # AttributeError: a list where an old version holds an object
@@ -521,8 +525,10 @@ def _site(args, new: bool, job: str | None = None):
     A missing file is an empty new site if ``new``, else a state error.
     The engine holds the snapshot's live site, or, when the snapshot lacks
     ``job``, the whole site from an empty journal: a finished job lives
-    only in the journal.  No change is legal on such a job, but were one
-    made, saving the whole site from an empty journal would still be right.
+    only in the journal, which is merged into the snapshot already read
+    (`restore` leaves its input as it was), so the slots are read once.
+    No change is legal on such a job, but were one made, saving the whole
+    site from an empty journal would still be right.
     """
     with _state_lock(args.state):
         state, journal_bytes, newest = _read_snapshot(args.state)
@@ -531,7 +537,7 @@ def _site(args, new: bool, job: str | None = None):
         build = _make_engine(args)
         engine = build(state)
         if journal_bytes and job is not None and job not in engine.jobs:
-            engine, journal_bytes = build(_load_state(args.state)), 0
+            engine, journal_bytes = build(_with_journal(args.state, state, journal_bytes)), 0
         yield engine, functools.partial(_save_state, args.state, engine, journal_bytes, newest)
 
 

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gridauth import cli
 from gridauth.cli import STATE_VERSION, StateFileError, _load_state, _parser, _upgrade, main
 from gridauth.credential import GridMapFile, load_credential
 from gridauth.enforce import DynamicAccountPool, QuotaExceededError
@@ -1200,7 +1201,12 @@ class TestStateVersion6:
         # the request's own checks run after the accounted flag's
         ({"request": {"count": "x"}, "accounted": 0},
          "job j1 accounted must be true or false, not 0"),
-    ], ids=["consumed-before-state", "reserved-before-sandbox", "accounted-before-request"])
+        # within the figures: the integers, then the names, ended_at and the sign
+        ({"priority": "x", "owner": 5}, "job j1 priority must be an integer, not 'x'"),
+        ({"owner": 5, "ended_at": "2"}, "job j1 owner must be a string, not 5"),
+        ({"ended_at": "2", "reserved": -5}, "job j1 ended_at must be an integer, not '2'"),
+    ], ids=["consumed-before-state", "reserved-before-sandbox", "accounted-before-request",
+            "priority-before-owner", "owner-before-ended-at", "ended-at-before-sign"])
     def test_first_of_two_faults_is_reported_at_tick(self, v6, capsys, edits, message):
         """`restore` checks a stored job's fields in one fixed order, so a
         job with two faults reports the one that order reaches first."""
@@ -1360,6 +1366,19 @@ class TestStateVersion9:
             assert main(["tick", "--state", str(state), "--dt", "1"]) == 0
             assert state_slots.newest(state)[:2] == (v9 / slot, seq)
             assert not (v9 / "state.json.tmp").exists()
+
+    @pytest.mark.parametrize("job, out", [
+        ("j2", "job=j2 state=active owner=/O=Grid/CN=dave consumed=10 reserved=600 priority=0\n"),
+        ("j3", "job=j3 state=done owner=/O=Grid/CN=dave consumed=3 reserved=50 priority=0\n"),
+    ], ids=["live", "finished"])
+    def test_manage_reads_the_snapshot_once(self, v9, capsys, monkeypatch, job, out):
+        """A finished job, which the snapshot lacks, is merged from the
+        journal into the snapshot already read: the slots are read once."""
+        newest_slot, reads = cli._newest_slot, []
+        monkeypatch.setattr(cli, "_newest_slot", lambda path: reads.append(path) or newest_slot(path))
+        assert main(_manage_args(v9, job, "status", cred="dave.cred")) == 0
+        assert capsys.readouterr().out == out
+        assert reads == [str(v9 / "state.json")]
 
 
 @pytest.mark.parametrize("fixture", [STATE_V4, STATE_V5], ids=["v4", "v5"])
@@ -1543,7 +1562,7 @@ class TestJournal:
         (3, ("event", "detail", 3), "journal line 4 detail must be a string, not 3"),
         (4, ("event", "job", None), "journal line 5 job must be a string, not None"),
         (5, ("job", "state", "active"), "journal line 6 holds no event or finished job"),
-        (5, ("job", "id", "j2"), "a job is stored twice"),
+        (5, ("job", "id", "j2"), "job j2 is stored twice"),
         (2, "{not json", "JSONDecodeError"),
         (2, {"event": {}, "job": {}}, "journal line 3 is not a one-key object"),
         (2, {"note": "hello"}, "journal line 3 holds no event or finished job"),
@@ -1569,8 +1588,15 @@ class TestJournal:
         err = capsys.readouterr().err
         assert "incomplete or malformed" in err and message in err
         assert _files(busy) == before
-        with pytest.raises(StateFileError, match="incomplete or malformed"):
-            _load_state(_p(busy, "state.json"))
+        if change == ("job", "id", "j2"):
+            # the merge keeps both rows, and `restore` refuses the site by name
+            site = _load_state(_p(busy, "state.json"))
+            assert [job[_at("id")] for job in site["jobs"]] == ["j2", "j2"]
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                JobManager.restore(site)
+        else:
+            with pytest.raises(StateFileError, match="incomplete or malformed"):
+                _load_state(_p(busy, "state.json"))
 
     def test_job_stored_twice_in_the_snapshot_exits_three(self, busy, capsys):
         state = busy / "state.json"

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import oracle
 from generators import rand_block, rand_credential, rand_policy
+from policy_lint import validate_policy
 from gridauth.credential import GridCredential
 from gridauth.policy import (
     PERMITTED,
@@ -39,7 +40,6 @@ from gridauth.policy import (
     applicable_blocks,
     format_policy,
     parse_policy,
-    validate_policy,
 )
 from gridauth.rsl import INT64_MAX, INT64_MIN, JobAction
 
