@@ -18,8 +18,11 @@ journal, then overwrites the other slot in place with the next seq; its
 fsync is the commit point, so a crash leaves the site before or after
 the write.  A command holds a lock on the state.
 The four site commands open it through one skeleton, `_site`: lock,
-read the snapshot, load the documents, grid-mapfile and VO keys once
-(`_make_engine`), restore.  A missing state file (neither slot exists)
+read the snapshot, load the documents, grid-mapfile and VO keys once,
+merge the journal only for a ``manage`` of a job the snapshot lacks,
+and restore once; `JobManager.restore` alone judges the stored job rows
+(a snapshot of version 4 or later must hold no events: the journal holds
+the history).  A missing state file (neither slot exists)
 is an empty new site for ``submit`` and ``manage``, and exit 3 (``no
 state file at ...``) for ``tick`` and ``ledger``; slot files of which
 none is valid exit 3 for every command.
@@ -40,6 +43,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import heapq
 import json
 import os
 import re
@@ -310,9 +314,11 @@ def _read_snapshot(path: str) -> tuple[dict | None, int, tuple[int, int] | None]
     the ``(seq, slot)`` of the slot that holds it.
 
     A snapshot of version 4 or later holds only what its journal does
-    not: the live jobs and the site's clock, pool and ledger.  An older
-    file holds the whole site and covers no journal.  A state with
-    neither slot file reads as ``(None, 0, None)``.
+    not: the live jobs and the site's clock, pool and ledger.  Its
+    ``events`` must be empty, since the journal holds the history.  An
+    older file holds the whole site, events included, and covers no
+    journal.  A state with neither slot file reads as ``(None, 0, None)``.
+    The stored rows are left for `JobManager.restore` to judge.
     """
     newest = _newest_slot(path)
     if newest is None:
@@ -332,9 +338,11 @@ def _read_snapshot(path: str) -> tuple[dict | None, int, tuple[int, int] | None]
     if not isinstance(engine, dict):
         raise StateFileError(f"state file {path!r} holds no engine")
     try:
-        events = engine.get("events", [])
+        events = engine["events"]
         if type(events) is not list:  # "" or {} would iterate as no events
             raise ValueError(f"events must be a list, not {events!r}")
+        if events and version >= 4:
+            raise ValueError(f"a version-{version} snapshot's events belong in its journal")
         for i, event in enumerate(events):
             _check_event(event, "event", i)
         engine = _upgrade(engine, version)
@@ -369,20 +377,24 @@ def _require_journal(journal: str, have: int, journal_bytes: int) -> None:
 
 def _load_state(path: str) -> dict | None:
     """The whole site's engine dict stored at ``path``: `_read_snapshot`,
-    then `_with_journal`."""
-    return _with_journal(path, *_read_snapshot(path)[:2])
+    then `_with_journal` if the snapshot covers any journal."""
+    engine, journal_bytes, _ = _read_snapshot(path)
+    return _with_journal(path, engine, journal_bytes) if journal_bytes else engine
 
 
-def _with_journal(path: str, engine: dict | None, journal_bytes: int) -> dict | None:
+def _with_journal(path: str, engine: dict, journal_bytes: int) -> dict:
     """The snapshot ``engine`` read at ``path`` merged with the first
-    ``journal_bytes`` bytes of its journal, jobs in submission order.
+    ``journal_bytes`` (at least one) bytes of its journal: the journal's
+    events, and its finished jobs merged in submission order into the
+    snapshot's live ones.
 
     Journal bytes past the snapshot's ``journal_bytes`` belong to a
-    command that never committed and are ignored.  A job the journal and
-    the snapshot both hold is left for `JobManager.restore` to refuse.
+    command that never committed and are ignored.  Each line must be an
+    event or a finished job, but the rows themselves are not judged here:
+    the merge never raises on a row, and a malformed one, a job the
+    journal and the snapshot both hold, or snapshot rows out of order
+    are left for `JobManager.restore` to refuse in its own words.
     """
-    if not journal_bytes:
-        return engine
     journal = path + ".journal"
     try:
         with open(journal, "rb") as f:
@@ -411,13 +423,21 @@ def _with_journal(path: str, engine: dict | None, journal_bytes: int) -> dict | 
                 jobs.append(record)
             else:
                 raise ValueError(f"journal line {n} holds no event or finished job")
-        jobs += engine["jobs"]
-        jobs.sort(key=lambda job: int(job[_ID][1:]))  # submission order
-        events += engine["events"]
+        # merged, not sorted, into the snapshot's rows, whose order `restore` checks
+        jobs = list(heapq.merge(sorted(jobs, key=_job_order), engine["jobs"], key=_job_order))
     # AttributeError: a list where an old version holds an object
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise _malformed(path, exc) from None
     return dict(engine, jobs=jobs, events=events)
+
+
+def _job_order(row) -> tuple[int, str]:
+    """A job row's place in submission order: its id's length, then its
+    text, which order ``j<n>`` ids by ``n``.  It never raises: a row that
+    is not a list, or whose id is not text, goes first, and `restore`
+    names the fault of each row it refuses wherever the row sits."""
+    job_id = row[_ID] if type(row) is list and row else None
+    return (len(job_id), job_id) if type(job_id) is str else (0, "")
 
 
 def _save_state(path: str, engine: JobManager, journal_bytes: int = 0,
@@ -490,32 +510,6 @@ def _fsync_dir(path: str) -> None:
         os.close(fd)
 
 
-def _make_engine(args):
-    """Load the documents, grid-mapfile and VO keys ``args`` names, each
-    once, and return the builder of a site under them: it restores a
-    stored engine dict, or opens a new site for None."""
-    inputs = dict(
-        resource_policy=_load_policy_file(args.resource_policy) if args.resource_policy else None,
-        vo_policies=[_load_policy_file(path) for path in args.vo_policy or []],
-        gridmap=load_gridmap(_read(args.map, "grid-mapfile")) if args.map else None,
-        key_registry=_parse_vo_keys(args.vo_key),
-    )
-
-    def build(state: dict | None) -> JobManager:
-        if state is None:
-            pool = [name.strip() for name in (args.pool or "").split(",") if name.strip()]
-            return JobManager(pool=DynamicAccountPool(pool), **inputs)
-        try:
-            return JobManager.restore(state, **inputs)
-        except (PolicyError, InvalidQueryError):
-            raise  # a policy of the wrong kind is bad input, not bad state
-        # AttributeError: a list where the ledger holds an object
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
-            raise _malformed(args.state, exc) from None
-
-    return build
-
-
 @contextmanager
 def _site(args, new: bool, job: str | None = None):
     """The site stored at ``args.state``, locked for the command, as
@@ -523,21 +517,40 @@ def _site(args, new: bool, job: str | None = None):
     does not hold the snapshot read.
 
     A missing file is an empty new site if ``new``, else a state error.
-    The engine holds the snapshot's live site, or, when the snapshot lacks
-    ``job``, the whole site from an empty journal: a finished job lives
-    only in the journal, which is merged into the snapshot already read
-    (`restore` leaves its input as it was), so the slots are read once.
-    No change is legal on such a job, but were one made, saving the whole
-    site from an empty journal would still be right.
+    The documents, grid-mapfile and VO keys are loaded once, and
+    `JobManager.restore` runs once.  It restores the snapshot's live
+    site, or, when no row of the snapshot has ``job``'s id, the whole
+    site: a finished job lives only in the journal, which is merged into
+    the snapshot already read, so the slots are read once.  No change is
+    legal on a finished job, but were one made, saving the whole site
+    from an empty journal would still be right.
     """
     with _state_lock(args.state):
         state, journal_bytes, newest = _read_snapshot(args.state)
         if state is None and not new:
             raise StateFileError(f"no state file at {args.state!r}")
-        build = _make_engine(args)
-        engine = build(state)
-        if journal_bytes and job is not None and job not in engine.jobs:
-            engine, journal_bytes = build(_with_journal(args.state, state, journal_bytes)), 0
+        inputs = dict(
+            resource_policy=_load_policy_file(args.resource_policy) if args.resource_policy else None,
+            vo_policies=[_load_policy_file(path) for path in args.vo_policy or []],
+            gridmap=load_gridmap(_read(args.map, "grid-mapfile")) if args.map else None,
+            key_registry=_parse_vo_keys(args.vo_key),
+        )
+        if state is None:
+            pool = [name.strip() for name in (args.pool or "").split(",") if name.strip()]
+            engine = JobManager(pool=DynamicAccountPool(pool), **inputs)
+        else:
+            # does a decoded row hold the job (by `_job_order`'s key for its id)?
+            # The probe judges no row and never raises: `restore` judges them
+            live = map(_job_order, state["jobs"] if type(state.get("jobs")) is list else ())
+            if journal_bytes and job is not None and (len(job), job) not in live:
+                state, journal_bytes = _with_journal(args.state, state, journal_bytes), 0
+            try:
+                engine = JobManager.restore(state, **inputs)
+            except (PolicyError, InvalidQueryError):
+                raise  # a policy of the wrong kind is bad input, not bad state
+            # AttributeError: a list where the ledger holds an object
+            except (AttributeError, KeyError, TypeError, ValueError) as exc:
+                raise _malformed(args.state, exc) from None
         yield engine, functools.partial(_save_state, args.state, engine, journal_bytes, newest)
 
 

@@ -165,7 +165,28 @@ def test_one_parser_serves_every_call(capsys, argv, code):
     assert _parser() is _parser()
 
 
+def test_no_command_prints_help_and_exits_two(capsys):
+    assert main([]) == 2
+    assert capsys.readouterr().out.startswith("usage: gridauth ")
+
+
 class TestCheck:
+    @pytest.mark.parametrize("flags, message", [
+        (["--cap", "alice.cap", "--rsl", "job.rsl"],
+         "use either --vo-policy (pull) or --cap (push), not both"),
+        ([], "start checks need --rsl"),
+    ], ids=["pull-and-push", "start-without-rsl"])
+    def test_conflicting_or_missing_flag_exits_two(self, site, capsys, flags, message):
+        assert main([
+            "check",
+            "--resource-policy", _p(site, "site.pol"),
+            "--vo-policy", _p(site, "fusion.pol"),
+            "--cred", _p(site, "alice.cred"),
+            "--action", "start",
+            *(flag if flag.startswith("--") else _p(site, flag) for flag in flags),
+        ]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
     def test_permit_exits_zero(self, site, capsys):
         code = main([
             "check",
@@ -1367,18 +1388,90 @@ class TestStateVersion9:
             assert state_slots.newest(state)[:2] == (v9 / slot, seq)
             assert not (v9 / "state.json.tmp").exists()
 
-    @pytest.mark.parametrize("job, out", [
-        ("j2", "job=j2 state=active owner=/O=Grid/CN=dave consumed=10 reserved=600 priority=0\n"),
-        ("j3", "job=j3 state=done owner=/O=Grid/CN=dave consumed=3 reserved=50 priority=0\n"),
-    ], ids=["live", "finished"])
-    def test_manage_reads_the_snapshot_once(self, v9, capsys, monkeypatch, job, out):
-        """A finished job, which the snapshot lacks, is merged from the
-        journal into the snapshot already read: the slots are read once."""
+    @pytest.mark.parametrize("job, code, out, jobs", [
+        ("j2", 0, "job=j2 state=active owner=/O=Grid/CN=dave consumed=10 reserved=600 priority=0\n",
+         3),
+        ("j3", 0, "job=j3 state=done owner=/O=Grid/CN=dave consumed=3 reserved=50 priority=0\n",
+         4),
+        ("j9", 2, "", 4),
+    ], ids=["live", "finished", "unknown"])
+    def test_manage_reads_the_snapshot_once(self, v9, capsys, monkeypatch, job, code, out, jobs):
+        """A job the snapshot lacks, finished or unknown, is looked for in
+        the journal merged into the snapshot already read: the slots are
+        read once, and the site (3 live jobs, or all 4) is restored once."""
         newest_slot, reads = cli._newest_slot, []
         monkeypatch.setattr(cli, "_newest_slot", lambda path: reads.append(path) or newest_slot(path))
-        assert main(_manage_args(v9, job, "status", cred="dave.cred")) == 0
+        restore, restored = JobManager.restore, []
+        monkeypatch.setattr(JobManager, "restore", classmethod(
+            lambda cls, state, **inputs: restored.append(len(state["jobs"])) or restore(state, **inputs)
+        ))
+        assert main(_manage_args(v9, job, "status", cred="dave.cred")) == code
         assert capsys.readouterr().out == out
         assert reads == [str(v9 / "state.json")]
+        assert restored == [jobs]
+
+    @pytest.mark.parametrize("what, value, message", [
+        ("row", 5, "stored job 5 is not a row of 14 fields"),
+        ("row", {"id": "j2"}, "stored job {'id': 'j2'} is not a row of 14 fields"),
+        ("id", "jx", "job id 'jx' is not j<n>"),
+        ("id", 77, "job id 77 is not j<n>"),
+        ("reserved", "x", "job j2 reserved must be an integer, not 'x'"),
+        ("row", "after j4", "job j2 is stored out of submission order"),
+        ("journal", "jx", "job id 'jx' is not j<n>"),
+        ("journal", 1234, "job id 1234 is not j<n>"),
+    ], ids=["number-row", "map-row", "text-id", "number-id", "text-reserved", "out-of-order",
+            "journal-text-id", "journal-number-id"])
+    def test_finished_job_manage_reports_restores_own_fault(self, v9, capsys, what, value, message):
+        """A ``manage`` of a finished job merges the journal before the one
+        restore, and the merge judges no row: a malformed live row j2, j2
+        stored after j4, or a finished journal row with a bad id is refused
+        in `restore`'s words, and the files stay as they were."""
+        state = v9 / "state.json"
+        if what == "journal":  # the journal's one finished job, stored as a version-6 map
+            lines = (v9 / "state.json.journal").read_text().splitlines()
+            n = next(n for n, line in enumerate(lines) if line.startswith('{"job"'))
+            entry = json.loads(lines[n])
+            entry["job"]["id"] = value
+            lines[n] = json.dumps(entry)
+            _commit_journal(v9, "".join(line + "\n" for line in lines).encode())
+        else:
+            def change(data):
+                rows = data["engine"]["jobs"]  # j1, j2, j4
+                if value == "after j4":
+                    rows[1:] = rows[2], rows[1]
+                elif what == "row":
+                    rows[1] = value
+                else:
+                    rows[1][_at(what)] = value
+            state_slots.edit(state, change)
+        before = _files(v9)
+        assert main(_manage_args(v9, "j3", "status", cred="dave.cred")) == 3
+        assert capsys.readouterr().err == (
+            f"state error: state file {str(state)!r} is incomplete or malformed: ValueError: {message}\n"
+        )
+        assert _files(v9) == before
+
+    def test_snapshot_with_events_exits_three(self, v9, tmp_path_factory, capsys):
+        """A version-4 or later snapshot keeps its history in the journal,
+        so an event stored in it is refused, not read as history; versions
+        1-3, which have no journal, keep their events in the snapshot."""
+        state = v9 / "state.json"
+        forged = {"t": 1, "job": "j9", "name": "done", "detail": "forged"}
+        state_slots.edit(state, lambda data: data["engine"]["events"].append(forged))
+        before = _files(v9)
+        for argv in (["ledger", "--state", str(state)], ["tick", "--state", str(state), "--dt", "1"],
+                     _manage_args(v9, "j3", "status", cred="dave.cred")):
+            assert main(argv) == 3
+            assert capsys.readouterr().err == (
+                f"state error: state file {str(state)!r} is incomplete or malformed: ValueError: "
+                "a version-9 snapshot's events belong in its journal\n"
+            )
+            assert _files(v9) == before
+        v3 = tmp_path_factory.mktemp("v3")
+        for path in STATE_V3.iterdir():
+            shutil.copy(path, v3 / path.name)
+        assert state_slots.read(v3 / "state.json")["engine"]["events"]
+        assert main(["ledger", "--state", str(v3 / "state.json")]) == 0
 
 
 @pytest.mark.parametrize("fixture", [STATE_V4, STATE_V5], ids=["v4", "v5"])
@@ -1443,11 +1536,12 @@ def _make_busy(site) -> None:
 
 
 def _files(site) -> dict:
-    """The bytes and mtime of both snapshot slots and the journal."""
+    """The bytes and mtime of both snapshot slots and the journal, of
+    each that is a file."""
     return {
         name: (path.read_bytes(), path.stat().st_mtime_ns)
         for name in ("state.json", "state.json.alt", "state.json.journal")
-        if (path := site / name).exists()
+        if (path := site / name).is_file()
     }
 
 
@@ -1569,8 +1663,9 @@ class TestJournal:
         (2, [1, 2], "journal line 3 is not a one-key object"),
         (5, {"job": []}, "journal line 6 holds no event or finished job"),
         (5, {"job": ["j1", "done"]}, "journal line 6 holds no event or finished job"),
+        (2, "1, 2", "a journal line holds other than one JSON value"),
     ], ids=["text-time", "bool-time", "int-detail", "null-job", "live-job", "duplicate-job",
-            "not-json", "two-keys", "unknown-kind", "list", "empty-row", "short-row"])
+            "not-json", "two-keys", "unknown-kind", "list", "empty-row", "short-row", "two-values"])
     def test_malformed_committed_line_exits_three(self, busy, capsys, n, change, message):
         journal = busy / "state.json.journal"
         lines = journal.read_text().splitlines()
@@ -1797,6 +1892,49 @@ class TestStoredRequest:
         assert main(_manage_args(tmp_path, "j2", "status", cred="carol.cred")) == 3
         assert capsys.readouterr().err.endswith(
             f"ValueError: job j2 request must be an attribute map, not {text!r}\n")
+        assert _files(tmp_path) == before
+
+
+@pytest.mark.parametrize("case", ["slot-is-a-directory", "journal-name-too-long",
+                                  "journal-is-a-directory", "new-slot-is-a-directory"])
+def test_os_error_on_a_state_file_exits_three(tmp_path, capsys, case):
+    """An OS error reading a slot or the journal, or writing a slot, is a
+    state error that names the file, and the committed site stays as it
+    was.  A directory in a file's place, or a name one suffix too long,
+    stands in for an unreadable file: permissions would not stop root."""
+    fixture = STATE_V8 if case == "new-slot-is-a-directory" else STATE_V9
+    name = "s" * 245 + ".json" if case == "journal-name-too-long" else "state.json"
+    for path in fixture.iterdir():  # the journal's long name is the fault
+        if not (case == "journal-name-too-long" and path.name.endswith(".journal")):
+            shutil.copy(path, tmp_path / path.name.replace("state.json", name))
+    state = tmp_path / name
+    ledger = ["ledger", "--state", str(state)]
+    argv, what = ledger, f"cannot read journal {str(state) + '.journal'!r}"
+    if case == "slot-is-a-directory":
+        (tmp_path / "state.json.alt").unlink()
+        (tmp_path / "state.json.alt").mkdir()
+        what = f"cannot read state file {str(state) + '.alt'!r}"
+    elif case == "journal-is-a-directory":
+        # a finished job's manage opens the journal, whose size (a directory
+        # holding a file) covers the one byte the snapshot names
+        (tmp_path / "state.json.journal").unlink()
+        (tmp_path / "state.json.journal").mkdir()
+        (tmp_path / "state.json.journal" / "x").write_text("x")
+        state_slots.edit(state, lambda data: data.update(journal_bytes=1))
+        argv = _manage_args(tmp_path, "j3", "status", cred="dave.cred")
+    elif case == "new-slot-is-a-directory":
+        # a version-8 file has no second slot, so the first write creates one
+        assert main(ledger) == 0
+        (tmp_path / "state.json.tmp").mkdir()
+        argv, what = ["tick", "--state", str(state), "--dt", "1"], f"cannot write state file {str(state)!r}"
+    printed, before = capsys.readouterr().out, _files(tmp_path)
+    assert main(argv) == 3
+    assert capsys.readouterr().err.startswith(f"state error: {what}: ")
+    if case == "new-slot-is-a-directory":  # the journal holds an uncommitted tail
+        assert main(ledger) == 0
+        assert capsys.readouterr().out == printed
+        assert _files(tmp_path)["state.json"] == before["state.json"]
+    else:
         assert _files(tmp_path) == before
 
 
@@ -2085,6 +2223,29 @@ class TestIssueCap:
             "--expiry", "1000000",
         ])
         assert code == 1
+
+    @pytest.mark.parametrize("case", ["key-of-another-vo", "cap-is-a-directory"])
+    def test_missing_key_or_unwritable_cap_exits_two(self, site, capsys, case):
+        cap = site / "alice.cap"
+        vo = "astro" if case == "key-of-another-vo" else "fusion"
+        if case == "cap-is-a-directory":  # a file without write permission would not stop root
+            cap.mkdir()
+        assert main([
+            "issue-cap",
+            "--vo-policy", _p(site, "fusion.pol"),
+            "--cred", _p(site, "alice.cred"),
+            "--vo-key", f"{vo}={KEY_HEX}",
+            "--expiry", "1000000",
+            "--cap", str(cap),
+        ]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        if case == "key-of-another-vo":
+            assert err == "error: --vo-key must provide the key for vo 'fusion'\n"
+            assert not cap.exists()
+        else:
+            assert err.startswith(f"error: cannot write {str(cap)!r}: ")
+            assert cap.is_dir()
 
     def test_a_capability_may_not_outlive_its_credential(self, site, capsys):
         argv = [

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import hmac
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -79,6 +80,10 @@ class TestLoadCredential:
     def test_groups_without_vo(self):
         with pytest.raises(CredentialFormatError):
             load_credential("subject: /CN=x\ngroups: a\nexpiry: 10\n")
+
+    def test_empty_subject(self):
+        with pytest.raises(CredentialFormatError, match="^credential subject may not be empty$"):
+            GridCredential("", expiry=10)
 
     def test_missing_expiry(self):
         with pytest.raises(MissingFieldError):
@@ -221,6 +226,19 @@ class TestGridMap:
         with pytest.raises(CredentialFormatError):
             load_gridmap('"/CN=a" Nope\n')
 
+    @pytest.mark.parametrize("text, message", [
+        ('"/CN=a\n', "line 1: unterminated DN"),
+        ('# x\n"/CN=a"\n', "line 2: expected '\"<DN>\" <account>'"),
+        ('"/CN=a" one two\n', "line 1: expected '\"<DN>\" <account>'"),
+    ], ids=["unterminated-dn", "no-account", "two-accounts"])
+    def test_malformed_line(self, text, message):
+        with pytest.raises(CredentialFormatError, match=f"^{re.escape(message)}$"):
+            load_gridmap(text)
+
+    def test_built_map_checks_account_names(self):
+        with pytest.raises(CredentialFormatError, match="^bad local account name 'Nope' for '/CN=a'$"):
+            GridMapFile({"/CN=a": "Nope"})
+
 
 class TestSignVerify:
     def test_round_trip(self):
@@ -247,6 +265,11 @@ class TestSignVerify:
     def test_bad_key_length(self):
         with pytest.raises(ValueError):
             sign_capability(b"short", _claims())
+
+    @pytest.mark.parametrize("field", ["subject", "vo"])
+    def test_claims_need_a_subject_and_a_vo(self, field):
+        with pytest.raises(InvalidClaimsError, match=f"^claims {field} may not be empty$"):
+            _claims(**{field: ""})
 
     def test_fragment_must_parse(self):
         with pytest.raises(InvalidClaimsError):

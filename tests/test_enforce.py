@@ -235,6 +235,19 @@ class TestLedger:
         with pytest.raises(LedgerUnderflowError):
             ledger.settle("fusion", "alice", 100, 150)
 
+    def test_negative_reservation_is_refused(self):
+        ledger = self._ledger()
+        with pytest.raises(ValueError, match="^reservation amount must be non-negative$"):
+            ledger.reserve("fusion", "alice", -5, FUSION)
+        assert ledger.vo_used("fusion") == 0
+
+    def test_settle_refund_past_usage_underflows(self):
+        ledger = self._ledger()
+        ledger.reserve("fusion", "alice", 100, FUSION)
+        with pytest.raises(LedgerUnderflowError, match="^refund 200 exceeds outstanding usage$"):
+            ledger.settle("fusion", "alice", 200, 0)
+        assert ledger.vo_used("fusion") == ledger.member_used("fusion", "alice") == 100
+
     def test_settle_unknown_member(self):
         ledger = self._ledger()
         with pytest.raises(UnknownMemberError):

@@ -402,6 +402,13 @@ class TestDeriveCapability:
         with pytest.raises(NoApplicableBlocksError):
             derive_capability(SCENARIO2_VO, outsider, expiry=10**9)
 
+    @pytest.mark.parametrize("vo", ["astro", None])
+    def test_credential_of_another_vo_is_refused(self, vo):
+        cred = dataclasses.replace(ALICE, vo=vo, groups=frozenset())
+        with pytest.raises(NoApplicableBlocksError,
+                           match=f"^credential vo {vo!r} does not match policy 'fusion'$"):
+            derive_capability(SCENARIO2_VO, cred, expiry=10**9)
+
     def test_fragment_always_reparses(self):
         rng = random.Random(11)
         derived = 0

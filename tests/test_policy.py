@@ -301,6 +301,13 @@ REFUSED_BUILDS = [
     ("or of one alternative", lambda: OrSpec((MaxSpec(1),))),
     ("regex of no string", lambda: RegexSpec(5)),
     ("group of no string", lambda: Group(None)),
+    # clauses the parser refuses by where they stand, or never writes
+    ("enumeration of no value", lambda: EnumSpec(())),
+    ("jobtag grant on start", lambda: SubjectBlock(
+        AnySubject(), {JobAction.START}, jobtag_grants={JobAction.START: {"t"}})),
+    ("source of no kind", lambda: PolicyDocument("p", "site")),
+    ("allocation in a resource document", lambda: PolicyDocument("site", "resource", allocation=10)),
+    ("trust in a vo document", lambda: PolicyDocument("fusion", "vo", trust=("astro",))),
 ]
 
 
