@@ -332,7 +332,8 @@ def _read_snapshot(path: str) -> tuple[dict | None, int, tuple[int, int] | None]
     if not isinstance(data, dict) or data.get("format") != "gridauth-state":
         raise StateFileError(f"{path!r} is not a gridauth state file")
     version = data.get("version")
-    if version not in READABLE_STATE_VERSIONS:
+    # `True == 1` and `1.0 == 1`, so the type is checked first
+    if type(version) is not int or version not in READABLE_STATE_VERSIONS:
         raise StateFileError(f"state file version {version!r} unsupported")
     engine = data.get("engine")
     if not isinstance(engine, dict):

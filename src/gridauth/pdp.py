@@ -49,8 +49,11 @@ applicable blocks from the index, in document order, and looks the
 query's action up once per source, in the document's per-action table.
 A block's entry in it is the action's refusal, a permit, a jobtag grant
 set, or for a start the block's check plan, which reads the request's
-attributes by their stored, lower-case names.  All entry points are pure
-functions over immutable inputs.
+attributes by their stored, lower-case names.  A document memoizes the
+applicable blocks of each subject and groups it is asked about
+(`PolicyDocument.applicable_indices`), and each assertion hashes once,
+when it is built; neither changes a result, so every entry point is a
+pure function of its inputs, and those are immutable but for that memo.
 
 A permitted start obliges the site to run the job within the caps of
 its permitting blocks and to charge it under the VO document's terms.
@@ -182,15 +185,16 @@ _REASONS = {
 _trace_entry = lru_cache(maxsize=TRACE_ENTRY_CACHE_SIZE)(TraceEntry)
 
 
-@dataclass(frozen=True, slots=True)
-class Decision:
-    """The effect, the trace and, on a permitted start, its obligations,
-    all None otherwise: ``charged_estimate``, the ``count * maxcputime``
-    cpu-seconds admission reserves (None without ``maxcputime``);
-    ``caps``, the job's ``(max_cpu, max_memory)`` sandbox, None for no
-    cap; and ``terms``, the ``(allocation, quota)`` the reservation is
-    charged under, None when the VO document does not account for the
-    subject.
+class Decision(namedtuple("Decision", "effect trace charged_estimate caps terms",
+                          defaults=(None, None, None))):
+    """A decision, as a named tuple: the effect (``"permit"`` or
+    ``"deny"``), the trace and, on a permitted start, its obligations,
+    all None otherwise.  ``charged_estimate`` is the ``count *
+    maxcputime`` cpu-seconds admission reserves (None without
+    ``maxcputime``); ``caps``, the job's ``(max_cpu, max_memory)``
+    sandbox, None for no cap; and ``terms``, the ``(allocation, quota)``
+    the reservation is charged under, None when the VO document does not
+    account for the subject.
 
     ``caps`` holds the least of the request's own ``maxcputime`` and
     ``maxmemory`` and the caps of every permitting block of a consulted
@@ -201,11 +205,7 @@ class Decision:
     in pull mode, in push mode the token's fragment.
     """
 
-    effect: str  # "permit" | "deny"
-    trace: tuple
-    charged_estimate: int | None = None
-    caps: tuple | None = None
-    terms: tuple | None = None
+    __slots__ = ()
 
     @property
     def permitted(self) -> bool:

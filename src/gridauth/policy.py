@@ -35,9 +35,11 @@ amounts non-negative ones, and jobtag grants tagged, on allowed actions.
 Blocks and documents are compiled when they are built: a document holds
 one table per job action, with one entry per block (a refusal, a permit,
 a jobtag grant set, or for ``start`` the block's check plan), and each
-block holds the sandbox caps a permit by it sets.  Documents
-are immutable after parsing and safe to share between concurrent
-evaluations.
+block holds the sandbox caps a permit by it sets.  A document memoizes
+the blocks that apply to each subject it is asked about, and each
+assertion stores its hash.  Documents are immutable after parsing, their
+memo aside, which holds only what the index gives, and safe to share
+between concurrent evaluations.
 """
 
 from __future__ import annotations
@@ -252,13 +254,35 @@ def _interval(spec: ValueSpec):
 # ---------------------------------------------------------------------------
 
 
+def _stored_hash(self) -> int:
+    return self._hash
+
+
+def _check_and_hash(assertion, optional: bool) -> None:
+    """Check an assertion's spec, then hash the assertion once, when it is
+    built, over its class and its fields, so the hash agrees with equality.
+    A name that cannot hash is left out of the hash, and left for
+    `SubjectBlock` to refuse in its own words."""
+    _check_spec(assertion.spec, optional)
+    cls, spec = type(assertion), assertion.spec
+    try:
+        stored = hash((cls, assertion.attr, spec))
+    except TypeError:
+        stored = hash((cls, spec))
+    object.__setattr__(assertion, "_hash", stored)
+
+
 @dataclass(frozen=True)
 class MayContain:
     attr: str
     spec: ValueSpec
 
+    _hash: int = field(init=False, repr=False, compare=False)
+
     def __post_init__(self):
-        _check_spec(self.spec)
+        _check_and_hash(self, optional=False)
+
+    __hash__ = _stored_hash
 
 
 @dataclass(frozen=True)
@@ -266,8 +290,12 @@ class MustContain:
     attr: str
     spec: ValueSpec | None = None
 
+    _hash: int = field(init=False, repr=False, compare=False)
+
     def __post_init__(self):
-        _check_spec(self.spec, optional=True)
+        _check_and_hash(self, optional=True)
+
+    __hash__ = _stored_hash
 
 
 @dataclass(frozen=True)
@@ -275,8 +303,12 @@ class MustNotContain:
     attr: str
     spec: ValueSpec | None = None
 
+    _hash: int = field(init=False, repr=False, compare=False)
+
     def __post_init__(self):
-        _check_spec(self.spec, optional=True)
+        _check_and_hash(self, optional=True)
+
+    __hash__ = _stored_hash
 
 
 Assertion = MayContain | MustContain | MustNotContain
@@ -315,6 +347,8 @@ _ACTION_POSITION = {a: i for i, a in enumerate(JobAction)}
 REFUSED = "refused"
 #: table entry: the block allows a management action on every job
 PERMITTED = "permitted"
+#: distinct (subject, groups) pairs whose applicable blocks a document keeps
+SUBJECT_CACHE_SIZE = 4096
 
 
 @dataclass(frozen=True)
@@ -419,6 +453,13 @@ class PolicyDocument:
     `SubjectBlock.entries` for it, by block position, so a decision
     looks its action up once per document.  Neither takes part in
     equality or ``repr``.
+
+    `applicable_indices` memoizes its result per ``(subject, groups)``
+    in ``_subjects``, a dict that fills on first use, holds at most
+    ``SUBJECT_CACHE_SIZE`` entries and is emptied when full; it holds
+    only what the index gives, so it never changes a result.  Like the
+    index, it takes no part in equality or ``repr``, and
+    ``dataclasses.replace`` starts an empty one.
     """
 
     name: str
@@ -432,6 +473,7 @@ class PolicyDocument:
     _by_group: Mapping = field(init=False, repr=False, compare=False)
     _any: tuple = field(init=False, repr=False, compare=False)
     tables: Mapping = field(init=False, repr=False, compare=False)
+    _subjects: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.source not in ("resource", "vo"):
@@ -469,20 +511,32 @@ class PolicyDocument:
         object.__setattr__(self, "tables", {
             action: tuple(row[k] for row in rows) for action, k in _ACTION_POSITION.items()
         })
+        object.__setattr__(self, "_subjects", {})
 
     def accounts_for(self, subject: str) -> bool:
         """Whether jobs ``subject`` starts under this document are charged."""
         return self.allocation is not None or subject in self.member_quotas
 
-    def applicable_indices(self, subject: str, groups: frozenset) -> list:
+    def applicable_indices(self, subject: str, groups: frozenset) -> tuple:
         """Positions of the blocks matching ``subject`` or one of the set
-        ``groups``, in ascending order."""
+        ``groups``, in ascending order, memoized per subject and groups."""
+        memo = self._subjects
+        key = subject, frozenset(groups)  # a frozenset argument is the key's own
+        found = memo.get(key)
+        if found is None:
+            if len(memo) >= SUBJECT_CACHE_SIZE:
+                memo.clear()
+            found = memo[key] = self._scan_index(subject, groups)
+        return found
+
+    def _scan_index(self, subject: str, groups: frozenset) -> tuple:
+        """`applicable_indices` from the index, unmemoized."""
         found = [*self._any, *self._by_dn.get(subject, ())]
         by_group = self._by_group
         for group in groups:
             found += by_group.get(group, ())
         found.sort()
-        return found
+        return tuple(found)
 
 
 def applicable_blocks(doc: PolicyDocument, cred: "GridCredential") -> list:

@@ -584,15 +584,23 @@ class TestSubmitManageTickLedger:
             assert err.startswith(f"state error: cannot read state file {str(state)!r}: ")
         assert _files(site) == before
 
-    @pytest.mark.parametrize("version", [0, STATE_VERSION + 1])
+    # True and 1.0 equal 1, a readable version, but are no integer version
+    @pytest.mark.parametrize("version", [0, STATE_VERSION + 1, True, 1.0])
     def test_unsupported_state_version_exits_three(self, site, capsys, version):
         assert main(_submit_args(site)) == 0
         state = site / "state.json"
         data = state_slots.read(state)
         data["version"] = version
         state_slots.write(state, json.dumps(data))
-        assert main(["ledger", "--state", str(state)]) == 3
-        assert f"version {version} unsupported" in capsys.readouterr().err
+        capsys.readouterr()
+        before = _files(site)
+        for argv in (["ledger", "--state", str(state)],
+                     ["tick", "--state", str(state), "--dt", "1"]):
+            assert main(argv) == 3
+            assert capsys.readouterr().err == (
+                f"state error: state file version {version!r} unsupported\n"
+            )
+        assert _files(site) == before
 
     @pytest.mark.parametrize("text", [
         '{"format": "gridauth-state", "version": 3}',

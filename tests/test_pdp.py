@@ -665,6 +665,44 @@ class TestFragmentMemo:
         assert [explain(d) for d in after] == [explain(d) for d in before]
 
 
+class TestSubjectIndexScans:
+    """Each document scans its index once per subject and groups."""
+
+    @pytest.fixture
+    def scans(self, monkeypatch):
+        counts = {}
+        scan = PolicyDocument._scan_index
+
+        def counted(doc, subject, groups):
+            counts[doc.source] = counts.get(doc.source, 0) + 1
+            return scan(doc, subject, groups)
+
+        monkeypatch.setattr(PolicyDocument, "_scan_index", counted)
+        return counts
+
+    def test_a_repeated_pull_decision_scans_once_per_source(self, scans):
+        fresh = (parse_policy(format_policy(doc)) for doc in (OPEN_RESOURCE, ACCOUNTED_VO))
+        sources = PolicySourceSet(*fresh)
+        q = _start_query(ALICE, '&(executable="/x")(count=2)(maxcputime=200)')
+        first = decide(q, sources)
+        assert first.permitted and scans == {"resource": 1, "vo": 1}
+        for action in (JobAction.CANCEL, JobAction.STATUS):  # other actions, one credential
+            decide(_mgmt_query(ALICE, action), sources)
+        assert decide(q, sources) == first and scans == {"resource": 1, "vo": 1}
+
+    def test_a_repeated_push_decision_scans_once_per_source(self, scans):
+        resource = parse_policy(format_policy(OPEN_RESOURCE))
+        token = sign_capability(KEY, derive_capability(ACCOUNTED_VO, ALICE, expiry=10**9))
+        pdp._parse_fragment.cache_clear()
+        scans.clear()
+        q = _start_query(ALICE, '&(executable="/x")(count=2)(maxcputime=200)')
+        first = decide_push(q, resource, token, {"fusion": KEY}, now=0)
+        assert first.permitted and scans == {"resource": 1, "vo": 1}
+        for _ in range(3):
+            assert decide_push(q, resource, token, {"fusion": KEY}, now=0) == first
+        assert scans == {"resource": 1, "vo": 1}
+
+
 def _bad_signature() -> Decision:
     return Decision("deny", (TraceEntry("vo", None, "deny", "BadSignature", None,
                                         "token MAC does not verify"),))
@@ -852,9 +890,18 @@ class TestDecisionObligations:
     def test_obligations_take_part_in_equality_and_repr(self):
         q = _start_query(ALICE, '&(executable="/x")(count=2)(maxcputime=200)')
         d = decide(q, PolicySourceSet(OPEN_RESOURCE, ACCOUNTED_VO))
-        assert d != dataclasses.replace(d, terms=None)
-        assert d != dataclasses.replace(d, caps=(None, None))
+        assert d != d._replace(terms=None)
+        assert d != d._replace(caps=(None, None))
         assert "caps=(400, 64), terms=(1000, 600)" in repr(d)
+
+    def test_a_decision_is_a_named_tuple(self):
+        d = Decision("deny", ())
+        assert tuple(d) == ("deny", (), None, None, None) and not hasattr(d, "__dict__")
+        assert Decision._fields == ("effect", "trace", "charged_estimate", "caps", "terms")
+        assert not dataclasses.is_dataclass(d) and not d.permitted
+        assert repr(d) == (
+            "Decision(effect='deny', trace=(), charged_estimate=None, caps=None, terms=None)"
+        )
 
 
 def _rand_cap_spec(rng, depth=0):

@@ -12,9 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
-from generators import rand_block, rand_credential, rand_policy
+from generators import rand_assertion, rand_block, rand_credential, rand_policy, rand_query
 from policy_lint import validate_policy
+from gridauth import policy
 from gridauth.credential import GridCredential
+from gridauth.pdp import PolicySourceSet, decide
 from gridauth.policy import (
     PERMITTED,
     REFUSED,
@@ -793,12 +795,12 @@ def _random_documents():
         yield doc, rand_credential(rng, vo=rng.choice(("fusion", None)))
 
 
-def _scanned(doc: PolicyDocument, cred: GridCredential) -> list:
-    return [
+def _scanned(doc: PolicyDocument, cred: GridCredential) -> tuple:
+    return tuple(
         i
         for i, b in enumerate(doc.blocks)
         if oracle.matcher_applies(b.matcher, cred.subject, cred.groups)
-    ]
+    )
 
 
 PINNED = parse_policy(
@@ -828,10 +830,10 @@ class TestCompiledForm:
                 SubjectBlock(AnySubject()),
             ),
         )
-        assert doc.applicable_indices("/O=Grid/CN=alice", frozenset({"g"})) == [0, 1, 2, 3, 4]
-        assert doc.applicable_indices("/O=Grid/CN=alice", frozenset()) == [0, 1, 3, 4]
-        assert doc.applicable_indices("/O=Grid/CN=bob", frozenset()) == [1, 4]
-        assert PolicyDocument("e", "vo").applicable_indices("x", frozenset({"g"})) == []
+        assert doc.applicable_indices("/O=Grid/CN=alice", frozenset({"g"})) == (0, 1, 2, 3, 4)
+        assert doc.applicable_indices("/O=Grid/CN=alice", frozenset()) == (0, 1, 3, 4)
+        assert doc.applicable_indices("/O=Grid/CN=bob", frozenset()) == (1, 4)
+        assert PolicyDocument("e", "vo").applicable_indices("x", frozenset({"g"})) == ()
 
     def test_checks_and_names_equal_a_recomputation(self):
         rng = random.Random(0xC0)
@@ -936,14 +938,16 @@ class TestCompiledForm:
 
         doc = dataclasses.replace(PINNED, blocks=(SubjectBlock(Group("g")),) + PINNED.blocks)
         assert _by_value(doc.tables) == _by_value(_recompiled_tables(doc))
-        assert doc.applicable_indices("/O=Grid/CN=alice", frozenset({"g"})) == [0, 1, 2]
-        assert doc.applicable_indices("/O=Grid/CN=bob", frozenset()) == [2]
+        assert doc.applicable_indices("/O=Grid/CN=alice", frozenset({"g"})) == (0, 1, 2)
+        assert doc.applicable_indices("/O=Grid/CN=bob", frozenset()) == (2,)
 
     def test_equality_repr_and_text_are_unchanged(self):
         again = PolicyDocument(
             PINNED.name, PINNED.source, blocks=list(PINNED.blocks), allocation=10
         )
         assert again == PINNED and again is not PINNED
+        again.applicable_indices("/O=Memo/CN=only-here", frozenset())  # the memo is no field
+        assert again == PINNED and again._subjects != PINNED._subjects
         assert [f.name for f in dataclasses.fields(SubjectBlock) if f.compare] == [
             "matcher",
             "allowed_actions",
@@ -978,3 +982,57 @@ class TestCompiledForm:
             "  }\n"
             "}\n"
         )
+
+
+class TestSubjectMemo:
+    """`PolicyDocument.applicable_indices` memoizes per subject and groups."""
+
+    def test_memo_equals_a_scan(self, monkeypatch):
+        monkeypatch.setattr(policy, "SUBJECT_CACHE_SIZE", 3)
+        for doc, cred in _random_documents():
+            expected = _scanned(doc, cred)
+            first = doc.applicable_indices(cred.subject, cred.groups)
+            assert first == expected
+            assert doc.applicable_indices(cred.subject, cred.groups) is first
+            assert doc.applicable_indices(cred.subject, set(cred.groups)) is first
+            for k in range(3):  # the third other subject finds the memo full
+                doc.applicable_indices(f"/O=Other/CN={k}", frozenset())
+                assert len(doc._subjects) <= 3
+            assert (cred.subject, cred.groups) not in doc._subjects
+            assert doc.applicable_indices(cred.subject, cred.groups) == expected
+            assert len(doc._subjects) <= 3
+            assert dataclasses.replace(doc)._subjects == {}
+
+    def test_a_decision_after_eviction_equals_the_one_before(self, monkeypatch):
+        monkeypatch.setattr(policy, "SUBJECT_CACHE_SIZE", 2)
+        rng = random.Random(0x3E30)
+        for _ in range(200):
+            sources = PolicySourceSet(
+                rand_policy(rng, "resource"), rand_policy(rng, "vo", with_accounting=True)
+            )
+            q = rand_query(rng, rand_credential(rng), with_budget=True)
+            before = decide(q, sources)
+            for doc in sources:
+                for k in range(2):
+                    doc.applicable_indices(f"/O=Other/CN={k}", frozenset())
+                assert (q.credential.subject, q.credential.groups) not in doc._subjects
+            assert decide(q, sources) == before
+
+
+class TestAssertionHash:
+    @given(st.integers(0, 2**32))
+    @settings(max_examples=300, deadline=None)
+    def test_equal_assertions_hash_equal(self, seed):
+        a = rand_assertion(random.Random(seed))
+        twin = rand_assertion(random.Random(seed))
+        assert a == twin and a is not twin and hash(a) == hash(twin)
+        replaced = dataclasses.replace(a, attr=a.attr)
+        assert replaced == a and hash(replaced) == hash(a)
+        must, must_not = MustContain(a.attr, a.spec), MustNotContain(a.attr, a.spec)
+        assert must != must_not and len({must, must_not}) == 2
+
+    @pytest.mark.parametrize("cls", [MayContain, MustContain, MustNotContain])
+    @pytest.mark.parametrize("name", [["count"], 5, "Count"], ids=["list", "int", "upper"])
+    def test_a_bad_name_is_refused_by_the_block(self, cls, name):
+        with pytest.raises(PolicyError, match="is not lower-case"):
+            SubjectBlock(AnySubject(), assertions=(cls(name, MaxSpec(1)),))
