@@ -43,17 +43,18 @@ Entries are immutable and one policy yields few distinct ones, so
 `_evaluate_source` takes them from a cache of at most
 ``TRACE_ENTRY_CACHE_SIZE`` (4096) and decisions share them.
 
-Documents are compiled and indexed when they are built (see
-`SubjectBlock` and `PolicyDocument`).  A decision takes a source's
-applicable blocks from the index, in document order, and looks the
-query's action up once per source, in the document's per-action table.
+Documents are compiled when they are built (see `SubjectBlock` and
+`PolicyDocument`).  A decision takes a source's applicable blocks from
+one pass over its blocks, in document order, and looks the query's
+action up once per source, in the document's per-action table.
 A block's entry in it is the action's refusal, a permit, a jobtag grant
 set, or for a start the block's check plan, which reads the request's
 attributes by their stored, lower-case names.  A document memoizes the
 applicable blocks of each subject and groups it is asked about
-(`PolicyDocument.applicable_indices`), and each assertion hashes once,
-when it is built; neither changes a result, so every entry point is a
-pure function of its inputs, and those are immutable but for that memo.
+(`PolicyDocument.applicable_indices`), so it scans only on a miss, and
+each assertion hashes once, when it is built; neither changes a result,
+so every entry point is a pure function of its inputs, and those are
+immutable but for that memo.
 
 A permitted start obliges the site to run the job within the caps of
 its permitting blocks and to charge it under the VO document's terms.

@@ -35,11 +35,11 @@ amounts non-negative ones, and jobtag grants tagged, on allowed actions.
 Blocks and documents are compiled when they are built: a document holds
 one table per job action, with one entry per block (a refusal, a permit,
 a jobtag grant set, or for ``start`` the block's check plan), and each
-block holds the sandbox caps a permit by it sets.  A document memoizes
-the blocks that apply to each subject it is asked about, and each
-assertion stores its hash.  Documents are immutable after parsing, their
-memo aside, which holds only what the index gives, and safe to share
-between concurrent evaluations.
+block holds the sandbox caps a permit by it sets.  A document finds the
+blocks that apply to a subject by one pass over its blocks, and memoizes
+the answer per subject and groups; each assertion stores its hash.
+Documents are immutable after parsing, their memo aside, which holds
+only what a scan gives, and safe to share between concurrent evaluations.
 """
 
 from __future__ import annotations
@@ -391,6 +391,10 @@ class SubjectBlock:
     caps: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not isinstance(self.matcher, Matcher):
+            raise PolicyError(f"a subject matcher is required, not {self.matcher!r}")
+        if type(self.closed_world) is not bool:
+            raise PolicyError(f"closed_world must be a bool, not {self.closed_world!r}")
         allowed = frozenset(self.allowed_actions)
         if not allowed <= _ACTION_POSITION.keys():
             raise PolicyError(f"allowed actions {set(allowed - set(JobAction))} are not JobActions")
@@ -445,21 +449,22 @@ class SubjectBlock:
 
 @dataclass(frozen=True)
 class PolicyDocument:
-    """A policy document, indexed for evaluation when it is built.
+    """A policy document, compiled for evaluation when it is built.
 
-    The index maps each identity DN and each group name to the positions
-    of the blocks that match on it, and keeps the positions of the
-    ``any`` blocks.  ``tables`` maps each `JobAction` to the blocks'
-    `SubjectBlock.entries` for it, by block position, so a decision
-    looks its action up once per document.  Neither takes part in
-    equality or ``repr``.
+    ``tables`` maps each `JobAction` to the blocks' `SubjectBlock.entries`
+    for it, by block position, so a decision looks its action up once per
+    document.
 
-    `applicable_indices` memoizes its result per ``(subject, groups)``
-    in ``_subjects``, a dict that fills on first use, holds at most
-    ``SUBJECT_CACHE_SIZE`` entries and is emptied when full; it holds
-    only what the index gives, so it never changes a result.  Like the
-    index, it takes no part in equality or ``repr``, and
-    ``dataclasses.replace`` starts an empty one.
+    `applicable_indices` finds a subject's blocks by one pass over
+    ``blocks``, in document order, and memoizes the result per
+    ``(subject, groups)`` in ``_subjects``, a dict that fills on first
+    use, holds at most ``SUBJECT_CACHE_SIZE`` entries and is emptied when
+    full; it holds only what the scan gives, so it never changes a
+    result.  The scan runs only on a miss, and a process that keeps its
+    documents misses rarely: only one that cycles more subjects than the
+    bound through one large document scans on most decisions.  Neither
+    field takes part in equality or ``repr``, and ``dataclasses.replace``
+    starts an empty memo.
     """
 
     name: str
@@ -469,9 +474,6 @@ class PolicyDocument:
     allocation: int | None = None
     member_quotas: Mapping = field(default_factory=dict)
 
-    _by_dn: Mapping = field(init=False, repr=False, compare=False)
-    _by_group: Mapping = field(init=False, repr=False, compare=False)
-    _any: tuple = field(init=False, repr=False, compare=False)
     tables: Mapping = field(init=False, repr=False, compare=False)
     _subjects: dict = field(init=False, repr=False, compare=False)
 
@@ -481,6 +483,9 @@ class PolicyDocument:
         object.__setattr__(self, "blocks", tuple(self.blocks))
         object.__setattr__(self, "trust", tuple(self.trust))
         object.__setattr__(self, "member_quotas", dict(self.member_quotas))
+        _check_str("policy name", self.name)
+        _check_str("trusted vo", *self.trust)
+        _check_str("member-quota subject", *self.member_quotas)
         if self.allocation is not None:
             _check_int64("allocation", self.allocation, least=0)
         _check_int64("member-quota", *self.member_quotas.values(), least=0)
@@ -493,20 +498,6 @@ class PolicyDocument:
         if self.source == "vo" and self.trust:
             raise MisplacedClauseError("trust clauses belong to resource documents")
 
-        by_dn: dict[str, list] = {}
-        by_group: dict[str, list] = {}
-        any_blocks: list[int] = []
-        for i, block in enumerate(self.blocks):
-            matcher = block.matcher
-            if isinstance(matcher, Identity):
-                by_dn.setdefault(matcher.dn, []).append(i)
-            elif isinstance(matcher, Group):
-                by_group.setdefault(matcher.name, []).append(i)
-            else:
-                any_blocks.append(i)
-        object.__setattr__(self, "_by_dn", by_dn)
-        object.__setattr__(self, "_by_group", by_group)
-        object.__setattr__(self, "_any", tuple(any_blocks))
         rows = [block.entries for block in self.blocks]
         object.__setattr__(self, "tables", {
             action: tuple(row[k] for row in rows) for action, k in _ACTION_POSITION.items()
@@ -526,16 +517,19 @@ class PolicyDocument:
         if found is None:
             if len(memo) >= SUBJECT_CACHE_SIZE:
                 memo.clear()
-            found = memo[key] = self._scan_index(subject, groups)
+            found = memo[key] = self._scan_blocks(subject, groups)
         return found
 
-    def _scan_index(self, subject: str, groups: frozenset) -> tuple:
-        """`applicable_indices` from the index, unmemoized."""
-        found = [*self._any, *self._by_dn.get(subject, ())]
-        by_group = self._by_group
-        for group in groups:
-            found += by_group.get(group, ())
-        found.sort()
+    def _scan_blocks(self, subject: str, groups: frozenset) -> tuple:
+        """`applicable_indices` by one pass over the blocks, unmemoized."""
+        found = []
+        for i, block in enumerate(self.blocks):
+            matcher = block.matcher
+            if isinstance(matcher, Identity):
+                if matcher.dn == subject:
+                    found.append(i)
+            elif not isinstance(matcher, Group) or matcher.name in groups:
+                found.append(i)
         return tuple(found)
 
 

@@ -53,7 +53,6 @@ INT_ATTRIBUTES = frozenset({"count", "maxmemory", "maxcputime"})
 TEXT_ATTRIBUTES = frozenset(
     {"executable", "queue", "jobtag", "directory", "stdout", "stderr"}
 )
-WELL_KNOWN_ATTRIBUTES = INT_ATTRIBUTES | TEXT_ATTRIBUTES | {"arguments"}
 
 NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 #: an attribute name as a request stores it: ASCII, lower-case
@@ -141,7 +140,7 @@ _VALUE_KIND = {**_SINGLE_VALUE_TYPE, "arguments": list}
 
 
 def _check_attribute(name: str, value: RslValue) -> None:
-    if not NORMALIZED_NAME_RE.match(name):
+    if not (isinstance(name, str) and NORMALIZED_NAME_RE.match(name)):
         raise AttributeTypeError(name, "invalid attribute name")
     if isinstance(value, bool):
         raise AttributeTypeError(name, "boolean values are not part of the value model")
@@ -157,11 +156,7 @@ def _check_attribute(name: str, value: RslValue) -> None:
             raise AttributeTypeError(name, "'arguments' entries must be strings")
     elif not isinstance(value, str):
         raise AttributeTypeError(name, f"unsupported value type {type(value).__name__}")
-    _check_type(name, value)
-
-
-def _check_type(name: str, value: RslValue) -> None:
-    """The well-known attributes' types, which the grammar leaves open."""
+    # the well-known attributes' types, which the grammar leaves open
     if name in INT_ATTRIBUTES and (not isinstance(value, int) or value <= 0):
         raise AttributeTypeError(name, "must be a positive integer")
     if name in TEXT_ATTRIBUTES and not isinstance(value, str):
@@ -186,8 +181,9 @@ class RslRequest:
             kind = _SINGLE_VALUE_TYPE.get(name)  # a well-known name is stored lower-case
             if kind is None:
                 # a non-ASCII name stays as it is and fails the name check, even
-                # one that lowers to ASCII, as the Kelvin sign lowers to 'k'
-                name = name.lower() if name.isascii() else name
+                # one that lowers to ASCII, as the Kelvin sign lowers to 'k'; so
+                # does a name that is no string
+                name = name.lower() if isinstance(name, str) and name.isascii() else name
                 kind = _SINGLE_VALUE_TYPE.get(name)
             if name in normalized:
                 raise DuplicateAttributeError(name)
@@ -247,7 +243,8 @@ def parse_rsl(text: str) -> RslRequest:
 
 def _parse_tokens(text: str) -> RslRequest:
     """The token scanner: ``parse_rsl`` of a text the accept path refused,
-    and so the one place every RSL error, its offset and ``expected`` come from."""
+    and so the one place every RSL error, its offset and ``expected`` come
+    from; the `RslRequest` it builds applies the type rules."""
     tokens = _TOKEN_RE.findall(text)
     if tokens[0] != "&":
         if not tokens[0]:
@@ -296,12 +293,7 @@ def _parse_tokens(text: str) -> RslRequest:
         attrs[name] = value
     if not attrs:
         raise EmptyRequestError("request has no attribute clauses")
-    for name, value in attrs.items():
-        if name in WELL_KNOWN_ATTRIBUTES:
-            _check_type(name, value)
-    request = object.__new__(RslRequest)  # skips __post_init__, whose checks are made
-    object.__setattr__(request, "attributes", attrs)
-    return request
+    return RslRequest(attrs)
 
 
 def int64(literal: str) -> int | None:

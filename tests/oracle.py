@@ -12,6 +12,7 @@ from __future__ import annotations
 import re
 
 from gridauth.policy import (
+    AnySubject,
     EnumSpec,
     Group,
     Identity,
@@ -67,7 +68,9 @@ def matcher_applies(matcher, subject, groups) -> bool:
         return matcher.dn == subject
     if isinstance(matcher, Group):
         return matcher.name in groups
-    return True
+    if isinstance(matcher, AnySubject):
+        return True
+    raise TypeError(f"unknown matcher {matcher!r}")
 
 
 def block_permits_start(block, attrs: dict) -> bool:

@@ -665,19 +665,19 @@ class TestFragmentMemo:
         assert [explain(d) for d in after] == [explain(d) for d in before]
 
 
-class TestSubjectIndexScans:
-    """Each document scans its index once per subject and groups."""
+class TestSubjectScans:
+    """Each document scans its blocks once per subject and groups."""
 
     @pytest.fixture
     def scans(self, monkeypatch):
         counts = {}
-        scan = PolicyDocument._scan_index
+        scan = PolicyDocument._scan_blocks
 
         def counted(doc, subject, groups):
             counts[doc.source] = counts.get(doc.source, 0) + 1
             return scan(doc, subject, groups)
 
-        monkeypatch.setattr(PolicyDocument, "_scan_index", counted)
+        monkeypatch.setattr(PolicyDocument, "_scan_blocks", counted)
         return counts
 
     def test_a_repeated_pull_decision_scans_once_per_source(self, scans):

@@ -303,6 +303,12 @@ REFUSED_BUILDS = [
     ("or of one alternative", lambda: OrSpec((MaxSpec(1),))),
     ("regex of no string", lambda: RegexSpec(5)),
     ("group of no string", lambda: Group(None)),
+    # each of these matchers once applied to every subject, and was written `subject any`
+    *[(f"matcher {m!r}", lambda m=m: SubjectBlock(m)) for m in (None, "identity", ("x",))],
+    ("closed-world of no bool", lambda: SubjectBlock(AnySubject(), closed_world=1)),
+    ("policy name of no string", lambda: PolicyDocument(5, "vo")),
+    ("trust of no string", lambda: PolicyDocument("site", "resource", trust=(5,))),
+    ("member-quota of no subject string", lambda: PolicyDocument("vo", "vo", member_quotas={5: 1})),
     # clauses the parser refuses by where they stand, or never writes
     ("enumeration of no value", lambda: EnumSpec(())),
     ("jobtag grant on start", lambda: SubjectBlock(
@@ -410,6 +416,50 @@ def _brute_force_unsatisfiable(block) -> bool:
         if oracle.block_permits_start(block, request):
             return False
     return True
+
+
+#: every matcher of the small scope, and every credential it is judged against
+_SMALL_MATCHERS = (
+    AnySubject(), Identity("/O=Grid/CN=a"), Identity("/O=Grid/CN=b"), Group("g"), Group("h")
+)
+_SMALL_CREDENTIALS = [
+    _cred(subject=f"/O=Grid/CN={who}", groups=groups)
+    for who in "abc"
+    for groups in ((), ("g",), ("h",), ("g", "h"))
+]
+
+
+class TestSubjectMatchingInASmallScope:
+    """Every document of 0-3 blocks over five matchers, against every
+    credential of three subjects and the subsets of two groups."""
+
+    def test_every_case_equals_the_oracle(self):
+        cases = 0
+        for size in range(4):
+            for matchers in itertools.product(_SMALL_MATCHERS, repeat=size):
+                blocks = tuple(SubjectBlock(m) for m in matchers)
+                shared = PolicyDocument("p", "vo", blocks=blocks)
+                for cred in _SMALL_CREDENTIALS:
+                    expected = tuple(
+                        i for i, m in enumerate(matchers)
+                        if oracle.matcher_applies(m, cred.subject, cred.groups)
+                    )
+                    doc = PolicyDocument("p", "vo", blocks=blocks)
+                    cold = doc.applicable_indices(cred.subject, cred.groups)
+                    warm = doc.applicable_indices(cred.subject, cred.groups)
+                    assert cold == expected and warm is cold
+                    assert applicable_blocks(doc, cred) == [blocks[i] for i in expected]
+                    assert shared.applicable_indices(cred.subject, cred.groups) == expected
+                    cases += 1
+                for cred in _SMALL_CREDENTIALS:  # the shared memo now holds every key
+                    assert applicable_blocks(shared, cred) == [
+                        b for b in blocks if oracle.matcher_applies(b.matcher, cred.subject, cred.groups)
+                    ]
+        assert cases == (1 + 5 + 25 + 125) * 12
+
+    def test_the_oracle_refuses_an_unknown_matcher(self):
+        with pytest.raises(TypeError, match="unknown matcher"):
+            oracle.matcher_applies(("x",), "/O=Grid/CN=a", frozenset())
 
 
 class TestValidate:
@@ -558,7 +608,8 @@ class TestRejectionTotality:
 def _compiles(pattern: str) -> bool:
     try:
         re.compile(pattern)
-    except re.error:
+    # under -W error a pattern Python warns about, such as "[[", does not compile
+    except (re.error, FutureWarning):
         return False
     return True
 
@@ -675,7 +726,7 @@ class TestRoundTrip:
 
 
 # ---------------------------------------------------------------------------
-# Compiled form: per-block checks and the document's matcher index
+# Compiled form: per-block checks, per-action tables and the subject memo
 # ---------------------------------------------------------------------------
 
 
@@ -812,13 +863,13 @@ PINNED = parse_policy(
 
 
 class TestCompiledForm:
-    def test_index_candidates_equal_a_scan(self):
+    def test_applicable_indices_equal_a_scan(self):
         for doc, cred in _random_documents():
             expected = _scanned(doc, cred)
             assert doc.applicable_indices(cred.subject, cred.groups) == expected
             assert applicable_blocks(doc, cred) == [doc.blocks[i] for i in expected]
 
-    def test_index_edge_cases(self):
+    def test_applicable_indices_edge_cases(self):
         doc = PolicyDocument(
             "p",
             "vo",

@@ -18,10 +18,11 @@ from gridauth.rsl import (
     RslRequest,
     RslSyntaxError,
     TEXT_ATTRIBUTES,
-    WELL_KNOWN_ATTRIBUTES,
     parse_rsl,
 )
 from rsl_reference import serialize_rsl
+
+WELL_KNOWN_ATTRIBUTES = INT_ATTRIBUTES | TEXT_ATTRIBUTES | {"arguments"}
 
 
 class TestParse:
@@ -249,6 +250,9 @@ class TestRequestChecks:
         ({"\u212aount": 1}, "attribute '\u212aount': invalid attribute name"),
         ({"Count": 1, "COUNT": 2}, "duplicate attribute 'count'"),
         ({}, "request has no attributes"),
+        # a name that is no string
+        ({5: 1}, "attribute '5': invalid attribute name"),
+        ({("count",): 1}, "attribute '('count',)': invalid attribute name"),
     ])
     def test_rejects(self, attrs, message):
         with pytest.raises(RslError) as exc:
