@@ -52,6 +52,7 @@ import zlib
 from contextlib import contextmanager
 
 from .credential import (
+    ACCOUNT_NAME_RE,
     load_credential,
     load_gridmap,
     load_token,
@@ -526,6 +527,10 @@ def _site(args, new: bool, job: str | None = None):
     legal on a finished job, but were one made, saving the whole site
     from an empty journal would still be right.
     """
+    pool = [name.strip() for name in (args.pool or "").split(",") if name.strip()]
+    for name in pool:  # checked before the lock, so a bad name writes no file
+        if not ACCOUNT_NAME_RE.match(name):
+            raise InputError(f"--pool: bad account name {name!r}")
     with _state_lock(args.state):
         state, journal_bytes, newest = _read_snapshot(args.state)
         if state is None and not new:
@@ -537,7 +542,6 @@ def _site(args, new: bool, job: str | None = None):
             key_registry=_parse_vo_keys(args.vo_key),
         )
         if state is None:
-            pool = [name.strip() for name in (args.pool or "").split(",") if name.strip()]
             engine = JobManager(pool=DynamicAccountPool(pool), **inputs)
         else:
             # does a decoded row hold the job (by `_job_order`'s key for its id)?

@@ -35,7 +35,8 @@ KEY_BYTES = 32
 #: distinct verified (key, claims bytes, MAC) triples a process keeps
 MAC_CACHE_SIZE = 128
 
-_ACCOUNT_RE = re.compile(r"[a-z_][a-z0-9_-]*\Z")
+#: a local account name, as a grid-mapfile maps a DN to it or ``--pool`` lists it
+ACCOUNT_NAME_RE = re.compile(r"[a-z_][a-z0-9_-]*\Z")
 #: the canonical form of an integer, the only one a token's MAC covers
 _EXPIRY_RE = re.compile(r"-?(0|[1-9][0-9]*)\Z")
 
@@ -164,7 +165,7 @@ class GridMapFile:
     def __post_init__(self):
         object.__setattr__(self, "entries", dict(self.entries))
         for dn, account in self.entries.items():
-            if not _ACCOUNT_RE.match(account):
+            if not ACCOUNT_NAME_RE.match(account):
                 raise CredentialFormatError(
                     f"bad local account name {account!r} for {dn!r}"
                 )
@@ -196,7 +197,7 @@ def load_gridmap(text: str) -> GridMapFile:
             raise CredentialFormatError(f"line {lineno}: expected '\"<DN>\" <account>'")
         if dn in entries:
             raise CredentialFormatError(f"line {lineno}: duplicate entry for {dn!r}")
-        if not _ACCOUNT_RE.match(account):
+        if not ACCOUNT_NAME_RE.match(account):
             raise CredentialFormatError(f"line {lineno}: bad account name {account!r}")
         entries[dn] = account
     return GridMapFile(entries)

@@ -30,14 +30,17 @@ only for an error, which carries a 1-based line and a 1-based column
 counted in characters; a bad character anywhere outranks any other error.
 
 A document built in code holds only what the DSL can write: attribute
-names lower-case, as RSL stores them, bounds signed 64-bit ``int``s,
-amounts non-negative ones, and jobtag grants tagged, on allowed actions.
+names lower-case, as RSL stores them (an assertion refuses any other name
+when it is built), bounds signed 64-bit ``int``s, amounts non-negative
+ones, and jobtag grants tagged, on allowed actions.  The three assertions
+share one base, which checks and hashes them; each names its clause's
+keyword, which a ``start`` plan and ``format_policy`` read.
 Blocks and documents are compiled when they are built: a document holds
 one table per job action, with one entry per block (a refusal, a permit,
 a jobtag grant set, or for ``start`` the block's check plan), and each
 block holds the sandbox caps a permit by it sets.  A document finds the
 blocks that apply to a subject by one pass over its blocks, and memoizes
-the answer per subject and groups; each assertion stores its hash.
+the answer per subject and groups.
 Documents are immutable after parsing, their memo aside, which holds
 only what a scan gives, and safe to share between concurrent evaluations.
 """
@@ -46,8 +49,9 @@ from __future__ import annotations
 
 import re
 import string
+import warnings
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, ClassVar, Mapping
 
 from . import rsl
 from .rsl import JobAction, RslValue, quote_string
@@ -143,8 +147,12 @@ class RegexSpec:
     def __post_init__(self):
         _check_str("regex", self.pattern)
         try:
-            compiled = re.compile(self.pattern)
-        except re.error as exc:
+            # a pattern Python warns about (say, a possible nested set) is
+            # refused under every warning filter, not only under -W error
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                compiled = re.compile(self.pattern)
+        except (re.error, Warning) as exc:
             raise BadRegexError(f"bad regex {self.pattern!r}: {exc}") from None
         object.__setattr__(self, "_regex", compiled)
 
@@ -254,64 +262,49 @@ def _interval(spec: ValueSpec):
 # ---------------------------------------------------------------------------
 
 
-def _stored_hash(self) -> int:
-    return self._hash
-
-
-def _check_and_hash(assertion, optional: bool) -> None:
-    """Check an assertion's spec, then hash the assertion once, when it is
-    built, over its class and its fields, so the hash agrees with equality.
-    A name that cannot hash is left out of the hash, and left for
-    `SubjectBlock` to refuse in its own words."""
-    _check_spec(assertion.spec, optional)
-    cls, spec = type(assertion), assertion.spec
-    try:
-        stored = hash((cls, assertion.attr, spec))
-    except TypeError:
-        stored = hash((cls, spec))
-    object.__setattr__(assertion, "_hash", stored)
-
-
 @dataclass(frozen=True)
-class MayContain:
+class _Assertion:
+    """One ``attr``, ``require`` or ``forbid`` line of a block: ``keyword``
+    names the clause.  Its name must be lower-case (``[a-z_][a-z0-9_]*``),
+    as RSL stores it and the parser writes it, so a plan reads a request's
+    attributes by the name as it is stored.  The assertion is hashed once,
+    when it is built, over its class and its fields, so the hash agrees
+    with equality, which holds only between assertions of one class."""
+
+    keyword: ClassVar[str]
+
     attr: str
-    spec: ValueSpec
+    spec: ValueSpec | None
 
     _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        _check_and_hash(self, optional=False)
+        _check_spec(self.spec, optional=self.keyword != "attr")
+        if not (isinstance(self.attr, str) and rsl.NORMALIZED_NAME_RE.match(self.attr)):
+            raise PolicyError(
+                f"attribute name {self.attr!r} is not lower-case ([a-z_][a-z0-9_]*)"
+            )
+        object.__setattr__(self, "_hash", hash((type(self), self.attr, self.spec)))
 
-    __hash__ = _stored_hash
+    def __hash__(self) -> int:
+        return self._hash
 
 
-@dataclass(frozen=True)
-class MustContain:
-    attr: str
+@dataclass(frozen=True, eq=False)
+class MayContain(_Assertion):
+    keyword = "attr"
+
+
+@dataclass(frozen=True, eq=False)
+class MustContain(_Assertion):
     spec: ValueSpec | None = None
-
-    _hash: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        _check_and_hash(self, optional=True)
-
-    __hash__ = _stored_hash
+    keyword = "require"
 
 
-@dataclass(frozen=True)
-class MustNotContain:
-    attr: str
+@dataclass(frozen=True, eq=False)
+class MustNotContain(_Assertion):
     spec: ValueSpec | None = None
-
-    _hash: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        _check_and_hash(self, optional=True)
-
-    __hash__ = _stored_hash
-
-
-Assertion = MayContain | MustContain | MustNotContain
+    keyword = "forbid"
 
 
 @dataclass(frozen=True)
@@ -338,9 +331,6 @@ class AnySubject:
 Matcher = Identity | Group | AnySubject
 
 
-#: a plan step's check kind, by assertion class
-_CHECK_KINDS = {MayContain: "attr", MustContain: "require", MustNotContain: "forbid"}
-
 #: each action's position in `SubjectBlock.entries`, in the enum's order
 _ACTION_POSITION = {a: i for i, a in enumerate(JobAction)}
 #: table entry: the block does not allow the action
@@ -363,8 +353,8 @@ class SubjectBlock:
     ``entries`` holds one entry per `JobAction`, in the enum's order:
     `REFUSED` when the block does not allow the action; for ``start``,
     ``(plan, accepted)``, the plan holding one ``(name, kind, spec's
-    allows or None, assertion)`` step per check, of kind ``attr``,
-    ``require`` or ``forbid``, and ``accepted`` the names of the ``attr``
+    allows or None, assertion)`` step per check, its kind the
+    assertion's ``keyword``, and ``accepted`` the names of the ``attr``
     and ``require`` checks of a closed-world block, or None for an open
     one; for a management action, its jobtag grant set, or `PERMITTED`
     without one.
@@ -375,10 +365,6 @@ class SubjectBlock:
     ``require`` checks on the attribute.  A non-numeric spec or an ``or``
     with an open upper end sets none.  Neither field takes part in
     equality or ``repr``.
-
-    Assertion names must be lower-case (``[a-z_][a-z0-9_]*``), as RSL
-    stores them and the parser writes them, so a plan reads a request's
-    attributes by the name as it is stored.
     """
 
     matcher: Matcher
@@ -410,10 +396,6 @@ class SubjectBlock:
 
         unions: dict[str, list] = {}
         for a in self.assertions:
-            if not (isinstance(a.attr, str) and rsl.NORMALIZED_NAME_RE.match(a.attr)):
-                raise PolicyError(
-                    f"attribute name {a.attr!r} is not lower-case ([a-z_][a-z0-9_]*)"
-                )
             if isinstance(a, MayContain):
                 unions.setdefault(a.attr, []).append(a.spec)
         checks = []
@@ -436,7 +418,7 @@ class SubjectBlock:
         for action in allowed:
             if action is JobAction.START:
                 plan = tuple(
-                    (c.attr, _CHECK_KINDS[type(c)], None if c.spec is None else c.spec.allows, c)
+                    (c.attr, c.keyword, None if c.spec is None else c.spec.allows, c)
                     for c in checks
                 )
                 names = (a.attr for a in self.assertions if not isinstance(a, MustNotContain))
@@ -712,7 +694,7 @@ class _PolicyParser:
 
         unrestricted: set[JobAction] = set()
         restricted: dict[JobAction, set] = {}
-        assertions: list[Assertion] = []
+        assertions: list[_Assertion] = []
         closed_world = False
 
         while (keyword := self.take()) != "}":
@@ -839,13 +821,9 @@ def _render_matcher(matcher: Matcher) -> str:
     return "any"
 
 
-def _render_assertion(a: Assertion) -> str:
-    if isinstance(a, MayContain):
-        return f"attr {a.attr} {a.spec.describe()};"
-    keyword = "require" if isinstance(a, MustContain) else "forbid"
-    if a.spec is None:
-        return f"{keyword} attr {a.attr};"
-    return f"{keyword} attr {a.attr} {a.spec.describe()};"
+def _render_assertion(a: _Assertion) -> str:
+    clause = "attr" if a.keyword == "attr" else f"{a.keyword} attr"
+    return f"{clause} {a.attr}" + ("" if a.spec is None else f" {a.spec.describe()}") + ";"
 
 
 def format_policy(doc: PolicyDocument) -> str:

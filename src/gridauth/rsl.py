@@ -11,8 +11,10 @@ Attribute names are case-insensitive and stored lowercase.
 A handful of well-known attribute names carry type constraints so that
 policy evaluation can treat values uniformly: ``count``, ``maxmemory``
 and ``maxcputime`` must be positive integers, ``arguments`` is always a
-string list, and the remaining well-known names hold single strings.
-Unknown attributes are legal and left entirely to policy.
+string list, and ``executable``, ``queue``, ``jobtag``, ``directory``,
+``stdout`` and ``stderr`` hold single strings.  One table gives each its
+type, and both parsing paths and `RslRequest` read it.  Unknown
+attributes are legal and left entirely to policy.
 
 Parsing takes one of two paths, decided by the text alone.  The accept
 path takes every valid request: one regex match per clause gives the
@@ -46,13 +48,6 @@ RslValue = int | str | list
 
 INT64_MIN = -(2**63)
 INT64_MAX = 2**63 - 1
-
-#: attributes that must hold a positive integer
-INT_ATTRIBUTES = frozenset({"count", "maxmemory", "maxcputime"})
-#: attributes that must hold a single string
-TEXT_ATTRIBUTES = frozenset(
-    {"executable", "queue", "jobtag", "directory", "stdout", "stderr"}
-)
 
 NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 #: an attribute name as a request stores it: ASCII, lower-case
@@ -133,10 +128,13 @@ class AttributeTypeError(RslError):
         super().__init__(f"attribute '{name}': {message}")
 
 
-#: the exact type of a well-known single-value attribute's value
-_SINGLE_VALUE_TYPE = {**dict.fromkeys(INT_ATTRIBUTES, int), **dict.fromkeys(TEXT_ATTRIBUTES, str)}
-#: the type of each well-known attribute's value
-_VALUE_KIND = {**_SINGLE_VALUE_TYPE, "arguments": list}
+#: the type of each well-known attribute's value: an ``int`` must be
+#: positive, a ``str`` is one string, and a ``list`` holds strings
+_VALUE_KIND = {
+    **dict.fromkeys(("count", "maxmemory", "maxcputime"), int),
+    **dict.fromkeys(("executable", "queue", "jobtag", "directory", "stdout", "stderr"), str),
+    "arguments": list,
+}
 
 
 def _check_attribute(name: str, value: RslValue) -> None:
@@ -157,11 +155,12 @@ def _check_attribute(name: str, value: RslValue) -> None:
     elif not isinstance(value, str):
         raise AttributeTypeError(name, f"unsupported value type {type(value).__name__}")
     # the well-known attributes' types, which the grammar leaves open
-    if name in INT_ATTRIBUTES and (not isinstance(value, int) or value <= 0):
+    kind = _VALUE_KIND.get(name)
+    if kind is int and (not isinstance(value, int) or value <= 0):
         raise AttributeTypeError(name, "must be a positive integer")
-    if name in TEXT_ATTRIBUTES and not isinstance(value, str):
+    if kind is str and not isinstance(value, str):
         raise AttributeTypeError(name, "must be a quoted string")
-    if name == "arguments" and not isinstance(value, list):
+    if kind is list and not isinstance(value, list):
         raise AttributeTypeError(name, "must be a list of quoted strings")
 
 
@@ -178,18 +177,19 @@ class RslRequest:
     def __post_init__(self):
         normalized: dict[str, RslValue] = {}
         for name, value in self.attributes.items():
-            kind = _SINGLE_VALUE_TYPE.get(name)  # a well-known name is stored lower-case
+            kind = _VALUE_KIND.get(name)  # a well-known name is stored lower-case
             if kind is None:
                 # a non-ASCII name stays as it is and fails the name check, even
                 # one that lowers to ASCII, as the Kelvin sign lowers to 'k'; so
                 # does a name that is no string
                 name = name.lower() if isinstance(name, str) and name.isascii() else name
-                kind = _SINGLE_VALUE_TYPE.get(name)
+                kind = _VALUE_KIND.get(name)
             if name in normalized:
                 raise DuplicateAttributeError(name)
             # a shortcut for what the checks accept most often: a well-known
             # name with a string, or with an integer in 1..INT64_MAX
-            if not (kind is type(value) and (kind is str or 0 < value <= INT64_MAX)):
+            if not (kind is type(value)
+                    and (kind is str or kind is int and 0 < value <= INT64_MAX)):
                 _check_attribute(name, value)
             normalized[name] = value
         if not normalized:

@@ -515,6 +515,21 @@ class TestSubmitManageTickLedger:
         args[args.index(_p(site, "job.rsl"))] = _p(site, "nope.rsl")
         assert main(args) == 2
 
+    @pytest.mark.parametrize("name", ["Root", "dyn 01", "1st", "a/b"])
+    def test_a_pool_account_the_gridmap_would_refuse_exits_two(self, site, capsys, name):
+        # unmapped, alice would lease the first free account
+        args = _submit_args(site)[:-4] + ["--runtime", "200", "--pool", f"{name},dyn01"]
+        assert "--map" not in args
+        before = sorted(site.iterdir())
+        assert main(args) == 2
+        assert capsys.readouterr().err == f"error: --pool: bad account name {name!r}\n"
+        assert sorted(site.iterdir()) == before
+        # the grid-mapfile refuses the same name
+        (site / "gridmap").write_text(f'"/O=Grid/CN=alice" {name}\n')
+        assert main(_submit_args(site)) == 2
+        assert capsys.readouterr().err.startswith("error: line 1: ")
+        assert not (site / "state.json").exists()
+
     @pytest.mark.parametrize(
         "name, what",
         [("site.pol", "policy"), ("alice.cred", "credential"), ("job.rsl", "rsl")],
@@ -828,6 +843,9 @@ class TestStateVersion1:
             (("jobs", 0, "state"), "queued", "job j1 state 'queued' is not a job state"),
             (("jobs", 4, "profile", "memory_peak"), -1, "job j5 profile figures must be non-negative"),
             (("jobs", 1, "sandbox", "max_cpu"), 0, "job j2 max_cpu must be positive when set"),
+            # at least what j1 has consumed (4), yet below what it may (400)
+            (("jobs", 0, "reserved"), 100, "live job j1 cannot settle: reserved 100 is below "
+             "the 400 cpu-seconds it may consume"),
         ],
         ids=["unknown-lease-job", "free-and-leased", "leased-twice", "lease-on-other-account",
              "ledger-lacks-vo", "ledger-lacks-member", "done-lease-job", "text-consumed",
@@ -843,7 +861,7 @@ class TestStateVersion1:
              "vo-used-below-reservations", "member-used-below-reservations",
              "int-accounted", "text-accounted", "int-account", "null-account", "list-owner",
              "int-vo", "text-ended-at", "bool-ended-at", "int-free-account", "unknown-state",
-             "negative-memory-peak", "zero-cpu-cap"],
+             "negative-memory-peak", "zero-cpu-cap", "reserved-above-consumed-below-runtime"],
     )
     def test_malformed_state_fails_closed_at_tick(self, v1, capsys, path, value, message):
         state = v1 / "state.json"

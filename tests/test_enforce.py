@@ -159,6 +159,22 @@ class TestLedger:
         assert ledger.vo_used("fusion") == 600
         assert ledger.member_used("fusion", "bob") == 0
 
+    def test_each_bound_admits_up_to_itself_exactly(self):
+        ledger = self._ledger()
+        ledger.reserve("fusion", "alice", 600, FUSION)  # alice's quota, exactly
+        with pytest.raises(QuotaExceededError) as exc:
+            ledger.reserve("fusion", "alice", 1, FUSION)
+        assert exc.value.scope == "member"
+        ledger.reserve("fusion", "bob", 400, FUSION)  # the VO's allocation, exactly
+        with pytest.raises(QuotaExceededError) as exc:
+            ledger.reserve("fusion", "bob", 1, FUSION)
+        assert exc.value.scope == "vo"
+        assert ledger.report().splitlines() == [
+            "vo=fusion used=1000/1000",
+            "member=alice used=600/600",
+            "member=bob used=400/600",
+        ]
+
     def test_zero_reserve_is_a_no_op(self):
         ledger = self._ledger()
         before = ledger.to_dict()
@@ -247,6 +263,16 @@ class TestLedger:
         with pytest.raises(LedgerUnderflowError, match="^refund 200 exceeds outstanding usage$"):
             ledger.settle("fusion", "alice", 200, 0)
         assert ledger.vo_used("fusion") == ledger.member_used("fusion", "alice") == 100
+
+    def test_settle_refund_past_the_vos_usage_underflows(self):
+        # no reservation leaves a member's use above its VO's; a ledger read
+        # from a mapping can, and settle refuses it without a change
+        data = {"fusion": {"allocation": 1000, "used": 50,
+                           "members": {"alice": {"quota": None, "used": 200}}}}
+        ledger = AllocationLedger.from_dict(data)
+        with pytest.raises(LedgerUnderflowError, match="^refund 100 exceeds outstanding usage$"):
+            ledger.settle("fusion", "alice", 100, 0)
+        assert ledger.to_dict() == data
 
     def test_settle_unknown_member(self):
         ledger = self._ledger()

@@ -545,6 +545,21 @@ class TestTick:
         activations = [e.job for e in events if e.name == "activate"]
         assert activations == [j2, j1]
 
+    def test_equal_priorities_activate_by_submission_time_then_id(self):
+        # restore checks that ids grow, not that submission times do, so a
+        # restored site may hold pending jobs whose two orders differ
+        eng = _engine(vo=VO_PLAIN)
+        eng.tick(5)
+        for _ in range(3):
+            eng.gatekeeper_submit(ALICE, TRANSP, SimProfile(runtime=5))
+        snap = eng.snapshot()
+        at = JOB_FIELDS.index("submitted_at")
+        for row, submitted_at in zip(snap["jobs"], (5, 4, 4)):
+            row[at] = submitted_at
+        again = JobManager.restore(snap, resource_policy=RESOURCE, vo_policies=[VO_PLAIN],
+                                   gridmap=GRIDMAP, key_registry={"fusion": KEY})
+        assert [e.job for e in again.tick(1) if e.name == "activate"] == ["j2", "j3", "j1"]
+
     def test_done_settles_and_refunds(self):
         eng = _engine()
         job_id = eng.gatekeeper_submit(ALICE, TRANSP, SimProfile(runtime=200))

@@ -6,6 +6,7 @@ import dataclasses
 import itertools
 import random
 import re
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -89,6 +90,18 @@ class TestParse:
             parse_policy(
                 'policy "p" source vo { subject any { attr queue matches "[unclosed"; } }'
             )
+
+    @pytest.mark.parametrize("action", ["default", "error"])
+    def test_a_regex_python_warns_about_is_refused(self, action):
+        # re caches what it compiles and a failed compile is not cached, so
+        # this holds only while nothing compiles "[[a]" without the guard
+        text = 'policy "p" source vo { subject any { attr queue matches "[[a]"; } }'
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter(action)
+            with pytest.raises(BadRegexError) as exc:
+                parse_policy(text)
+        assert str(exc.value) == "line 1: bad regex '[[a]': Possible nested set at position 1"
+        assert caught == []
 
     def test_allocation_in_resource_is_misplaced(self):
         with pytest.raises(MisplacedClauseError):
@@ -606,10 +619,11 @@ class TestRejectionTotality:
 
 
 def _compiles(pattern: str) -> bool:
+    """Whether `RegexSpec` takes the pattern; one Python warns about, such
+    as "[[", it refuses under every warning filter."""
     try:
-        re.compile(pattern)
-    # under -W error a pattern Python warns about, such as "[[", does not compile
-    except (re.error, FutureWarning):
+        RegexSpec(pattern)
+    except BadRegexError:
         return False
     return True
 

@@ -12,16 +12,18 @@ from gridauth.rsl import (
     EmptyRequestError,
     INT64_MAX,
     INT64_MIN,
-    INT_ATTRIBUTES,
     JobAction,
     RslError,
     RslRequest,
     RslSyntaxError,
-    TEXT_ATTRIBUTES,
     parse_rsl,
 )
 from rsl_reference import serialize_rsl
 
+# the README's list of well-known attributes, written out here rather than
+# read from gridauth.rsl, so a change to the type table shows as a failure
+INT_ATTRIBUTES = frozenset({"count", "maxmemory", "maxcputime"})
+TEXT_ATTRIBUTES = frozenset({"executable", "queue", "jobtag", "directory", "stdout", "stderr"})
 WELL_KNOWN_ATTRIBUTES = INT_ATTRIBUTES | TEXT_ATTRIBUTES | {"arguments"}
 
 
