@@ -9,15 +9,17 @@ when a job settles.  Its terms, a VO's allocation and its members'
 quotas, have one writer, `AllocationLedger.set_terms`: the engine writes
 the loaded VO documents' terms when it is built or restored (a member a
 document sets no quota for has none), and each accounted admission
-writes its permit's, so a report shows the terms written last.  A
-sandbox holds the two caps a policy can set, cpu-seconds and memory.
-Limits are inclusive: usage may equal a cap, exceeding it is a breach.
+writes its permit's, so a report shows the terms written last.  The
+ledger keeps its records as the maps a state file stores (see
+`AllocationLedger`), and `to_dict` and `from_dict` copy them.  A sandbox
+holds the two caps a policy can set, cpu-seconds and memory.  Limits are
+inclusive: usage may equal a cap, exceeding it is a breach.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 
@@ -128,42 +130,35 @@ class DynamicAccountPool:
     def renew(self, *_) -> None: ...
 
 
-@dataclass
-class _MemberAccount:
-    quota: int | None = None
-    used: int = 0
-
-
-@dataclass
-class _VoAccount:
-    allocation: int | None = None
-    used: int = 0
-    members: dict = field(default_factory=dict)
-
-
 class AllocationLedger:
     """VO-allocation and member-quota accounting in whole cpu-seconds.
 
     ``reserve`` is all-or-nothing: both bounds are checked before any
     figure moves.  ``settle`` refunds the unconsumed part of an earlier
     reservation; the consumed part stays charged.
+
+    The ledger holds the maps a state file stores: each VO maps to
+    ``{"allocation", "used", "members"}``, and ``members`` each member's
+    DN to ``{"quota", "used"}``.  An allocation or a quota of None is
+    unlimited.
     """
 
     def __init__(self):
-        self._vos: dict[str, _VoAccount] = {}
+        self._vos: dict[str, dict] = {}
 
     def set_terms(self, vo: str, allocation: int | None, quotas: Mapping) -> None:
         """Write ``vo``'s allocation and the quota of each member ``quotas``
         names, registering the VO and those members if they are missing.
         A quota of None removes the member's, and with it a record that
         holds no usage."""
-        account = self._vos.setdefault(vo, _VoAccount())
-        account.allocation = allocation
+        account = self._vos.setdefault(vo, {"allocation": None, "used": 0, "members": {}})
+        account["allocation"] = allocation
+        members = account["members"]
         for member, quota in quotas.items():
-            record = account.members.setdefault(member, _MemberAccount())
-            record.quota = quota
-            if quota is None and record.used == 0:  # as `settle` drops a refunded one
-                del account.members[member]
+            record = members.setdefault(member, {"quota": None, "used": 0})
+            record["quota"] = quota
+            if quota is None and record["used"] == 0:  # as `settle` drops a refunded one
+                del members[member]
 
     def set_document_terms(self, vo: str, allocation: int | None, quotas: Mapping) -> None:
         """Write the terms a VO document sets, as `set_terms` does, except that
@@ -171,22 +166,22 @@ class AllocationLedger:
         ledger does not hold is registered only if the document sets a term."""
         account = self._vos.get(vo)
         if account is not None or allocation is not None or quotas:
-            held = () if account is None else account.members
+            held = () if account is None else account["members"]
             self.set_terms(vo, allocation, dict.fromkeys(held) | quotas)
 
     def vos(self) -> tuple:
         return tuple(sorted(self._vos))
 
     def vo_used(self, vo: str) -> int:
-        return self._require_vo(vo).used
+        return self._require_vo(vo)["used"]
 
     def member_used(self, vo: str, member: str) -> int:
-        account = self._require_vo(vo)
-        if member not in account.members:
+        members = self._require_vo(vo)["members"]
+        if member not in members:
             raise UnknownMemberError(f"'{member}' has no record under vo '{vo}'")
-        return account.members[member].used
+        return members[member]["used"]
 
-    def _require_vo(self, vo: str) -> _VoAccount:
+    def _require_vo(self, vo: str) -> dict:
         account = self._vos.get(vo)
         if account is None:
             raise UnknownVoError(f"vo '{vo}' is not registered")
@@ -202,22 +197,22 @@ class AllocationLedger:
         self.set_terms(vo, allocation, {} if quota is None else {member: quota})
         if amount:
             account = self._vos[vo]
-            account.used += amount
-            account.members.setdefault(member, _MemberAccount()).used += amount
+            account["used"] += amount
+            account["members"].setdefault(member, {"quota": None, "used": 0})["used"] += amount
 
     def check_reserve(self, vo: str, member: str, amount: int, terms: tuple) -> None:
         """Raise what `reserve` would raise, changing nothing."""
         if amount < 0:
             raise ValueError("reservation amount must be non-negative")
         allocation, quota = terms
-        account = self._vos.get(vo) or _VoAccount()
-        record = account.members.get(member)
+        account = self._vos.get(vo) or {"used": 0, "members": {}}
+        record = account["members"].get(member)
         if quota is None and record is not None:
-            quota = record.quota
-        used = 0 if record is None else record.used
-        if amount and allocation is not None and account.used + amount > allocation:
+            quota = record["quota"]
+        used = 0 if record is None else record["used"]
+        if amount and allocation is not None and account["used"] + amount > allocation:
             raise QuotaExceededError(
-                "vo", f"vo '{vo}' allocation exceeded: {account.used} + {amount} > {allocation}"
+                "vo", f"vo '{vo}' allocation exceeded: {account['used']} + {amount} > {allocation}"
             )
         if amount and quota is not None and used + amount > quota:
             raise QuotaExceededError(
@@ -226,65 +221,56 @@ class AllocationLedger:
 
     def settle(self, vo: str, member: str, reserved: int, consumed: int) -> None:
         if consumed > reserved:
-            raise LedgerUnderflowError(
-                f"consumed {consumed} exceeds reservation {reserved}"
-            )
+            raise LedgerUnderflowError(f"consumed {consumed} exceeds reservation {reserved}")
         account = self._require_vo(vo)
-        record = account.members.get(member)
+        members = account["members"]
+        record = members.get(member)
         if record is None:
             raise UnknownMemberError(f"'{member}' has no record under vo '{vo}'")
         refund = reserved - consumed
-        if refund > record.used or refund > account.used:
-            raise LedgerUnderflowError(
-                f"refund {refund} exceeds outstanding usage"
-            )
-        account.used -= refund
-        record.used -= refund
+        if refund > record["used"] or refund > account["used"]:
+            raise LedgerUnderflowError(f"refund {refund} exceeds outstanding usage")
+        account["used"] -= refund
+        record["used"] -= refund
         # an auto-created record (no quota) disappears once fully refunded,
         # so a rolled-back reservation leaves no trace
-        if record.quota is None and record.used == 0:
-            del account.members[member]
+        if record["quota"] is None and record["used"] == 0:
+            del members[member]
 
     def report(self) -> str:
         """One line per scope: ``vo=... used=n/alloc``, ``member=... used=n/quota``."""
         lines = []
         for vo in sorted(self._vos):
             account = self._vos[vo]
-            alloc = "unlimited" if account.allocation is None else account.allocation
-            lines.append(f"vo={vo} used={account.used}/{alloc}")
-            for member in sorted(account.members):
-                record = account.members[member]
-                quota = "unlimited" if record.quota is None else record.quota
-                lines.append(f"member={member} used={record.used}/{quota}")
+            alloc = "unlimited" if account["allocation"] is None else account["allocation"]
+            lines.append(f"vo={vo} used={account['used']}/{alloc}")
+            members = account["members"]
+            for member in sorted(members):
+                record = members[member]
+                quota = "unlimited" if record["quota"] is None else record["quota"]
+                lines.append(f"member={member} used={record['used']}/{quota}")
         return "\n".join(lines)
 
     def to_dict(self) -> dict:
+        """A copy of the ledger's maps that shares none of them with it."""
         return {
-            vo: {
-                "allocation": acct.allocation,
-                "used": acct.used,
-                "members": {
-                    dn: {"quota": m.quota, "used": m.used}
-                    for dn, m in acct.members.items()
-                },
-            }
-            for vo, acct in self._vos.items()
+            vo: {**account, "members": {dn: dict(m) for dn, m in account["members"].items()}}
+            for vo, account in self._vos.items()
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "AllocationLedger":
-        """The inverse of `to_dict`; a bad figure raises ValueError."""
+        """The inverse of `to_dict`, which keeps only the keys it stores; a
+        bad figure raises ValueError."""
         ledger = cls()
         for vo, acct in data.items():
-            ledger._vos[vo] = account = _VoAccount(
-                _figure(acct["allocation"], f"vo {vo} allocation", bound=True),
-                _figure(acct["used"], f"vo {vo} used"),
-            )
-            for dn, m in acct["members"].items():
-                account.members[dn] = _MemberAccount(
-                    _figure(m["quota"], f"member {dn} quota", bound=True),
-                    _figure(m["used"], f"member {dn} used"),
-                )
+            ledger._vos[vo] = {
+                "allocation": _figure(acct["allocation"], f"vo {vo} allocation", bound=True),
+                "used": _figure(acct["used"], f"vo {vo} used"),
+                "members": {dn: {"quota": _figure(m["quota"], f"member {dn} quota", bound=True),
+                                 "used": _figure(m["used"], f"member {dn} used")}
+                            for dn, m in acct["members"].items()},
+            }
         return ledger
 
 

@@ -30,10 +30,12 @@ that second move while the job stays active, so it is computed once,
 when `tick` schedules the job: at activation, or at the start of the
 first tick after a resume or a restore (the clock cannot move before
 then, so an unscheduled job's ``consumed`` stays current).  Scheduling
-enters the end second in a heap, and the job keeps ``consumed`` as it
-stood at the second it was scheduled; `job_record`, `snapshot`, suspend
-and cancel work out the current figure from the seconds gone since.  A
-suspend or a cancel voids the heap entry, which is dropped when it
+pushes one heap entry, ``(end second, submission number, second
+scheduled, job)``, and that entry is the job's whole schedule: the job
+keeps ``consumed`` as it stood at the second scheduled, and
+`job_record`, `snapshot`, suspend and cancel work out the current figure
+from the seconds gone since.  A suspend or a cancel forgets the entry,
+which leaves it void in the heap; a void entry is dropped when it
 surfaces or when void entries outnumber valid ones.
 
 A tick therefore touches only the pending jobs it activates, the jobs
@@ -245,12 +247,11 @@ class JobManager:
         self._pending: dict[str, Job] = {}  # the pending jobs, in submission order
         # active jobs the next tick schedules: resumed or restored ones
         self._unscheduled: dict[str, Job] = {}
-        # scheduled job id -> (second at which its `consumed` stands, generation)
-        self._scheduled: dict[str, tuple] = {}
-        # heap of (end second, submission number, generation, job); an entry
-        # whose generation `_scheduled` does not hold for its job is void
+        # heap of (end second, submission number, second at which the job's
+        # `consumed` stands, job), and each scheduled job id -> its entry; an
+        # entry `_scheduled` does not hold is void
         self._ends: list = []
-        self._generation = 0
+        self._scheduled: dict[str, tuple] = {}
         self.events: list[Event] = []
 
     # -- plumbing ---------------------------------------------------------
@@ -421,9 +422,9 @@ class JobManager:
         horizon = start + dt
         ends, scheduled = self._ends, self._scheduled
         while ends and ends[0][0] <= horizon:
-            end, _, generation, job = heapq.heappop(ends)
-            since, valid = scheduled.get(job.id, (None, None))
-            if valid != generation:
+            entry = heapq.heappop(ends)
+            end, _, since, job = entry
+            if scheduled.get(job.id) is not entry:
                 continue  # suspended or canceled after it was scheduled
             del scheduled[job.id]
             self.clock = end
@@ -450,18 +451,20 @@ class JobManager:
         self.clock = horizon
         if len(ends) > 2 * len(scheduled):
             # void entries outnumber valid ones: keep only the valid ones
-            self._ends = [e for e in ends if scheduled.get(e[3].id, (None, None))[1] == e[2]]
+            self._ends = [e for e in ends if scheduled.get(e[3].id) is e]
             heapq.heapify(self._ends)
         return self.events[first_new:]
 
     def _schedule(self, job: Job) -> None:
-        """Enter an active job's end second in the heap, as of the current second."""
-        self._generation += 1
-        self._scheduled[job.id] = (self.clock, self._generation)
-        heapq.heappush(
-            self._ends,
-            (self.clock + _end_step(job), int(job.id[1:]), self._generation, job),
+        """Enter an active job's end second in the heap, as of the current second.
+
+        Only a tick's start schedules, at most once per job, so two entries
+        of one job differ in their third field and the heap never compares
+        two jobs."""
+        entry = self._scheduled[job.id] = (
+            self.clock + _end_step(job), int(job.id[1:]), self.clock, job
         )
+        heapq.heappush(self._ends, entry)
 
     def _unschedule(self, job: Job) -> None:
         """Store a job's consumption as of now and void its heap entry."""
@@ -473,7 +476,7 @@ class JobManager:
         entry = self._scheduled.get(job.id)
         if entry is None:
             return job.consumed
-        return _consumed_after(job, self.clock - entry[0])
+        return _consumed_after(job, self.clock - entry[2])
 
     # -- inspection -------------------------------------------------------
 

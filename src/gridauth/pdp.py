@@ -9,7 +9,11 @@ outcomes:
 * across sources, every consulted source must permit (deny-overrides);
 * no applicable policy means deny;
 * a management request by the job's own owner is permitted outright,
-  reproducing the stock gatekeeper behaviour the VO extensions build on.
+  reproducing the stock gatekeeper behaviour the VO extensions build on;
+* otherwise a credential that claims a VO the resource document does not
+  trust (a document with no ``trust`` clause trusts none) is denied
+  before any block, with one ``untrusted-vo`` entry: the resource owner
+  decides which VOs' policy may apply at all.
 
 Pull mode (`decide`) evaluates locally available documents; push mode
 (`decide_push`) verifies a capability token, reconstructs the VO
@@ -30,7 +34,8 @@ distinct text per process, and only after those checks:
 text, so a forged token that copies a genuine MAC but edits the text
 fails verification before the cache is consulted.  A permitted start's
 obligations come from the fragment through the `decide` that push mode
-delegates to, so the gatekeeper needs no second parse.  `authorize`,
+delegates to, so the gatekeeper needs no second parse, and the trust
+check runs in push mode after the token's checks.  `authorize`,
 which the gatekeeper, the job manager and ``gridauth check`` call, is
 the one place that picks push mode (a token is presented) or pull mode
 (the VO document is the one held under the credential's VO), and the one
@@ -175,6 +180,7 @@ _REASONS = {
     "no-blocks": lambda e: "no applicable blocks",
     "no-vo-document": lambda e: f"no policy document for vo '{e.value}'",
     "credential-expired": lambda e: f"credential expired at {e.value}",
+    "untrusted-vo": lambda e: f"vo '{e.value}' is not trusted by this resource",
     "accounting": lambda e: "accounting-requires-maxcputime",
     **dict.fromkeys(("BadSignature", "Expired", "UnknownIssuer"), lambda e: f"{e.kind}: {e.value}"),
     **dict.fromkeys(("subject-mismatch", "vo-mismatch"), lambda e: e.kind),
@@ -299,13 +305,17 @@ def _evaluate_source(name: str, doc: PolicyDocument, q: AuthzQuery, trace: list)
 
 
 def decide(q: AuthzQuery, sources: PolicySourceSet) -> Decision:
-    """Evaluate a query against every consulted source and combine; a
-    permitted start carries its obligations (see `Decision`)."""
+    """Apply the owner rule, then the resource's trust in the credential's
+    VO, then evaluate the query against every consulted source and
+    combine; a permitted start carries its obligations (see `Decision`)."""
     if q.action is not JobAction.START and q.owner is not None:
         if q.owner == q.credential.subject:
             return Decision(
                 "permit", (TraceEntry("builtin-owner", None, "permit"),), None
             )
+    if q.credential.vo is not None and q.credential.vo not in sources.resource.trust:
+        entry = TraceEntry("resource", None, "deny", "untrusted-vo", None, q.credential.vo)
+        return Decision("deny", (entry,), None)
 
     trace: list[TraceEntry] = []
     all_permit = _evaluate_source("resource", sources.resource, q, trace)

@@ -121,9 +121,10 @@ def rand_policy(
     min_blocks: int = 0,
     with_accounting: bool = False,
     values: tuple = TEXT_VALUES,
+    trust: tuple = (),
 ) -> PolicyDocument:
-    """A document of at most three blocks; its enum specs draw their strings
-    from ``values``."""
+    """A document of at most three blocks that trusts the VOs ``trust``
+    names; its enum specs draw their strings from ``values``."""
     blocks = tuple(rand_block(rng, values) for _ in range(rng.randrange(min_blocks, 4)))
     allocation = None
     quotas = {}
@@ -138,7 +139,19 @@ def rand_policy(
         blocks=blocks,
         allocation=allocation,
         member_quotas=quotas,
+        trust=trust,
     )
+
+
+def rand_trust(rng: random.Random) -> tuple:
+    """The VOs a resource document trusts: mostly the VO `rand_credential`
+    claims, with or without another, and sometimes none or only another."""
+    roll = rng.random()
+    if roll < 0.6:
+        return ("fusion",)
+    if roll < 0.8:
+        return ("astro", "fusion")
+    return () if roll < 0.9 else ("astro",)
 
 
 def rand_credential(rng: random.Random, vo: str | None = "fusion") -> GridCredential:

@@ -190,14 +190,25 @@ def source_permits(doc, query) -> bool:
     return any(block_permits(b, query) for b in applicable)
 
 
+def trusts(resource_doc, query) -> bool:
+    """Whether the resource accepts the query's VO: a credential that
+    claims no VO needs no trust; one that claims a VO needs the resource
+    document to name it in a ``trust`` clause."""
+    vo = query.credential.vo
+    return vo is None or any(trusted == vo for trusted in resource_doc.trust)
+
+
 def brute_decide(query, resource_doc, vo_doc) -> str:
-    """Full combination rule: owner bypass, per-source, deny-overrides."""
+    """Full combination rule: owner bypass, then trust, then per-source,
+    deny-overrides."""
     if (
         query.action is not JobAction.START
         and query.owner is not None
         and query.owner == query.credential.subject
     ):
         return "permit"
+    if not trusts(resource_doc, query):
+        return "deny"
     if not source_permits(resource_doc, query):
         return "deny"
     if query.credential.vo is not None:

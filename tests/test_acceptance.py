@@ -25,7 +25,7 @@ from pathlib import Path
 import pytest
 
 import oracle
-from generators import rand_credential, rand_policy, rand_query
+from generators import rand_credential, rand_policy, rand_query, rand_trust
 from gridauth.credential import GridCredential, GridMapFile, sign_capability
 from gridauth.enforce import DynamicAccountPool, QuotaExceededError
 from gridauth.jobmgr import (
@@ -315,7 +315,7 @@ def test_a4_push_equals_pull():
         assert attempts < 20_000, "generator starved"
         cred = rand_credential(rng)
         vo_doc = rand_policy(rng, "vo", min_blocks=1, with_accounting=True)
-        resource_doc = rand_policy(rng, "resource", name="site")
+        resource_doc = rand_policy(rng, "resource", name="site", trust=rand_trust(rng))
         # the token is issued to ``cred``; the query may present another VO
         presented = rng.choice(
             (cred,) * 8
@@ -384,7 +384,7 @@ def test_a5_brute_force_agreement():
     for _ in range(1000):
         has_vo = rng.random() < 0.8
         cred = rand_credential(rng, vo="fusion" if has_vo else None)
-        resource_doc = rand_policy(rng, "resource", name="site")
+        resource_doc = rand_policy(rng, "resource", name="site", trust=rand_trust(rng))
         vo_doc = rand_policy(rng, "vo") if rng.random() < 0.8 else None
         query = rand_query(rng, cred)
         expected = oracle.brute_decide(query, resource_doc, vo_doc)
@@ -461,7 +461,7 @@ def test_a6_structural_properties():
     rng = random.Random(0xA6)
 
     resource = parse_policy(
-        'policy "site" source resource { subject any {'
+        'policy "site" source resource { trust vo "fusion"; subject any {'
         " allow action start, suspend, resume, cancel, status, set_priority; } }"
     )
     vo = parse_policy(

@@ -47,6 +47,7 @@ STATE_V9 = Path(__file__).resolve().parent / "data" / "state-v9"
 SITE_POL = """\
 policy "site" source resource {
   trust vo "fusion";
+  trust vo "astro";
   subject any { allow action start, suspend, resume, cancel, status, set_priority; }
 }
 """

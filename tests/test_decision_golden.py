@@ -3,8 +3,8 @@
 The cases are hand-written pull and push decisions that reach each
 failure a trace can record (an action, a jobtag grant, each assertion
 kind, a list-valued ``arguments``, closed-world, no applicable blocks,
-no VO document, accounting, the built-in owner rule and every push
-refusal), plus decisions on `generators` documents and queries drawn
+no VO document, an untrusted VO, accounting, the built-in owner rule
+and every push refusal), plus decisions on `generators` documents and queries drawn
 from a fixed seed.  ``tests/data/decision-golden.json`` stores, for each
 case, its name, the effect, ``charged_estimate``, the full ``explain``
 text and, for a denial, the message of the `DeniedByPolicyError` the
@@ -42,7 +42,7 @@ from gridauth.pdp import (
     derive_capability,
     explain,
 )
-from gridauth.policy import parse_policy
+from gridauth.policy import format_policy, parse_policy
 from gridauth.rsl import JobAction, parse_rsl
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -53,12 +53,13 @@ N_PUSH = 100
 KEY = bytes(range(32))
 
 RESOURCE = parse_policy(
-    'policy "site" source resource { trust vo "fusion"; subject any {'
+    'policy "site" source resource { trust vo "fusion"; trust vo "astro"; subject any {'
     " allow action start, cancel, status, suspend, resume, set_priority; } }"
 )
 #: a resource document no credential below but ``staff`` members reach
 STAFF_ONLY = parse_policy(
-    'policy "site" source resource { subject group "staff" { allow action start; } }'
+    'policy "site" source resource { trust vo "fusion";'
+    ' subject group "staff" { allow action start; } }'
 )
 VO = parse_policy(
     'policy "fusion" source vo {\n'
@@ -109,6 +110,9 @@ AUDITOR = _cred("aud", {"auditors"})
 NOBODY = _cred("eve", {"visitors"})
 LOCAL = _cred("local", vo=None)
 ASTRO = _cred("ana", {"analysts"}, vo="astro")
+#: a member of a VO that `RESOURCE` does not trust, and that VO's document
+OTHER = _cred("ana", {"analysts"}, vo="other")
+OTHER_VO = parse_policy(format_policy(VO).replace('policy "fusion"', 'policy "other"'))
 
 #: an analysts request that the VO document permits; cases edit one clause
 ANA_OK = (
@@ -168,6 +172,7 @@ def _pull_cases() -> list:
          PolicySourceSet(RESOURCE, ACCOUNTED_VO)),
         ("builtin-owner", _manage(ANA, JobAction.CANCEL, owner=ANA.subject), PolicySourceSet(STAFF_ONLY)),
         ("not-owner", _manage(ANA, JobAction.CANCEL, owner=DEV.subject), both),
+        ("untrusted-vo", _start(OTHER, ANA_OK), PolicySourceSet(RESOURCE, OTHER_VO)),
     ]
 
 
@@ -208,6 +213,8 @@ def _push_cases() -> list:
         ("push-invalid-fragment-int64", ok, too_long, registry, 0),
         ("push-not-a-vo-fragment", ok, resource_fragment, registry, 0),
         ("push-fragment-vo-mismatch", ok, other_vo_fragment, registry, 0),
+        ("push-untrusted-vo", ok._replace(credential=OTHER),
+         sign_capability(KEY, derive_capability(OTHER_VO, OTHER, expiry=1000)), {"other": KEY}, 0),
     ]
 
 
@@ -221,7 +228,7 @@ def cases() -> list:
     rng = random.Random(SEED)
     for i in range(N_PULL):
         cred = rand_credential(rng, vo="fusion" if rng.random() < 0.8 else None)
-        resource_doc = rand_policy(rng, "resource", name="site")
+        resource_doc = rand_policy(rng, "resource", name="site", trust=("fusion",))
         vo_doc = rand_policy(rng, "vo", with_accounting=True) if rng.random() < 0.8 else None
         q = rand_query(rng, cred, with_budget=True)
         out.append((f"random-pull-{i}", decide(q, PolicySourceSet(resource_doc, vo_doc))))
@@ -229,7 +236,7 @@ def cases() -> list:
     while pushed < N_PUSH:
         cred = rand_credential(rng)
         vo_doc = rand_policy(rng, "vo", min_blocks=1, with_accounting=True)
-        resource_doc = rand_policy(rng, "resource", name="site")
+        resource_doc = rand_policy(rng, "resource", name="site", trust=("fusion",))
         try:
             token = sign_capability(KEY, derive_capability(vo_doc, cred, expiry=10**9))
         except NoApplicableBlocksError:
@@ -268,6 +275,7 @@ LINE_FORMS = {
     "closed-world": r"closed-world rejects attribute '\w+'",
     "no-blocks": r"no applicable blocks",
     "no-vo-document": r"no policy document for vo '\w+'",
+    "untrusted-vo": r"vo '\w+' is not trusted by this resource",
     "accounting": r"accounting-requires-maxcputime",
     "BadSignature": r"BadSignature: .+",
     "Expired": r"Expired: .+",

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -302,6 +303,35 @@ class TestLedger:
         ledger.reserve("fusion", "alice", 250, FUSION)
         again = AllocationLedger.from_dict(ledger.to_dict())
         assert again.report() == ledger.report()
+
+
+    def test_a_copy_shares_no_map_with_the_ledger(self):
+        ledger = self._ledger()
+        ledger.reserve("fusion", "alice", 250, FUSION)
+        report, stored = ledger.report(), ledger.to_dict()
+        copy = ledger.to_dict()
+        copy["fusion"]["used"] = 7
+        copy["fusion"]["members"]["alice"]["quota"] = None
+        del copy["fusion"]["members"]["bob"]
+        copy["astro"] = {"allocation": None, "used": 0, "members": {}}
+        assert ledger.report() == report
+        assert ledger.to_dict() == stored
+        # nor does a ledger built from a map share it
+        again = AllocationLedger.from_dict(stored)
+        stored["fusion"]["members"]["alice"]["used"] = 0
+        again.settle("fusion", "alice", 250, 0)
+        assert again.vo_used("fusion") == 0
+
+    def test_from_dict_keeps_only_the_stored_keys(self):
+        data = {"fusion": {
+            "note": "x", "members": {"alice": {"used": 5, "quota": 600, "since": 3}},
+            "used": 5, "allocation": 1000,
+        }}
+        # in the order a state file stores them
+        assert json.dumps(AllocationLedger.from_dict(data).to_dict()) == (
+            '{"fusion": {"allocation": 1000, "used": 5,'
+            ' "members": {"alice": {"quota": 600, "used": 5}}}}'
+        )
 
 
 def _check_ledger_invariants(ledger: AllocationLedger):

@@ -38,6 +38,7 @@ from gridauth.jobmgr import (
 from gridauth.pdp import derive_capability
 from gridauth.policy import format_policy, parse_policy
 from gridauth.rsl import JobAction, RslError, parse_rsl
+from reference_clock import reference_tick
 
 KEY = bytes(range(32))
 
@@ -830,6 +831,26 @@ class TestEventJump:
             f"t=10 job={job_id} event=done detail=state=done consumed=10 refunded=0"
         ]
 
+    def test_suspended_and_resumed_twice_between_ticks_ends_once(self):
+        # the entry scheduled at activation is void once j1 is suspended, and
+        # stays in the heap (j2's entry keeps it from being compacted away),
+        # so it surfaces at t=20 while j1 is scheduled again to end at t=23
+        fast, slow = _engine(vo=VO_PLAIN), _engine(vo=VO_PLAIN)
+        for eng, tick in ((fast, JobManager.tick), (slow, reference_tick)):
+            eng.gatekeeper_submit(ALICE, '&(executable="/x")', SimProfile(runtime=20))
+            eng.gatekeeper_submit(BOB, '&(executable="/x")', SimProfile(runtime=1000))
+            tick(eng, 5)
+            eng.manage("j1", JobAction.SUSPEND, ALICE)
+            tick(eng, 3)
+            for action in (JobAction.RESUME, JobAction.SUSPEND, JobAction.RESUME):
+                eng.manage("j1", action, ALICE)
+            tick(eng, 30)
+        assert fast.event_lines() == slow.event_lines()
+        assert [line for line in fast.event_lines() if "job=j1 event=done" in line] == [
+            "t=23 job=j1 event=done detail=state=done consumed=20 refunded=0"
+        ]
+        assert fast.snapshot() == slow.snapshot()
+
     def test_current_consumption_between_ticks(self):
         eng = _engine(vo=VO_PLAIN)
         job_id = eng.gatekeeper_submit(
@@ -1033,6 +1054,26 @@ class TestStructuralProperties:
 
 
 class TestPersistence:
+    def test_editing_a_snapshots_ledger_changes_no_later_one(self):
+        eng = _engine()
+        eng.gatekeeper_submit(ALICE, TRANSP, SimProfile(runtime=50))
+        report, earlier = eng.ledger_report(), eng.snapshot()
+        fusion = earlier["ledger"]["fusion"]
+        fusion["used"] += 1
+        fusion["members"]["/O=Grid/CN=alice"]["quota"] = None
+        fusion["members"].clear()
+        earlier["ledger"]["astro"] = {"allocation": 5, "used": 0, "members": {}}
+        assert eng.ledger_report() == report
+        later = eng.snapshot()
+        assert later["ledger"] == {"fusion": {
+            "allocation": 1000, "used": 600, "members": {
+                "/O=Grid/CN=alice": {"quota": 600, "used": 600},
+                "/O=Grid/CN=bob": {"quota": 600, "used": 0},
+            },
+        }}
+        later["ledger"]["fusion"]["members"]["/O=Grid/CN=bob"]["used"] = 7
+        assert eng.ledger_report() == report
+
     def test_snapshot_restore_round_trip(self):
         eng = _engine(pool=("dyn00", "dyn01"))
         eng.gatekeeper_submit(ALICE, TRANSP, SimProfile(runtime=50))

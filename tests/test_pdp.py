@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
-from generators import rand_credential, rand_policy, rand_query
+from generators import rand_credential, rand_policy, rand_query, rand_trust
 from gridauth import credential
 from gridauth.credential import (
     CapabilityToken,
@@ -63,7 +63,7 @@ CAROL = GridCredential("/O=Grid/CN=carol", expiry=10**9, vo="fusion", groups={"a
 LOCAL = GridCredential("/O=Grid/CN=local", expiry=10**9)
 
 OPEN_RESOURCE = parse_policy(
-    'policy "site" source resource { subject any {'
+    'policy "site" source resource { trust vo "fusion"; subject any {'
     " allow action start, cancel, status, suspend, resume, set_priority; } }"
 )
 
@@ -205,7 +205,7 @@ def _block_reason(block: SubjectBlock, q: AuthzQuery) -> str | None:
     holding only that block, made to apply to any subject: None on a
     permit, else the denial's sentence."""
     applying = dataclasses.replace(block, matcher=AnySubject())
-    doc = PolicyDocument("one-block", "resource", blocks=(applying,))
+    doc = PolicyDocument("one-block", "resource", blocks=(applying,), trust=("fusion",))
     entry = decide(q, PolicySourceSet(doc)).trace[0]
     assert (entry.source, entry.block) == ("resource", 0)
     return entry.reason
@@ -484,7 +484,7 @@ class TestDecidePush:
         for _ in range(300):
             cred = rand_credential(rng)
             vo_doc = rand_policy(rng, "vo", min_blocks=1, with_accounting=True)
-            resource_doc = rand_policy(rng, "resource", name="site")
+            resource_doc = rand_policy(rng, "resource", name="site", trust=rand_trust(rng))
             query = rand_query(rng, cred, with_budget=True)
             if _assert_push_equals_pull(rng, cred, vo_doc, resource_doc, query):
                 compared += 1
@@ -604,7 +604,7 @@ def _pushed_cases(rng, n):
     while len(cases) < n:
         cred = rand_credential(rng)
         vo_doc = rand_policy(rng, "vo", min_blocks=1, with_accounting=True)
-        resource_doc = rand_policy(rng, "resource", name="site")
+        resource_doc = rand_policy(rng, "resource", name="site", trust=("fusion",))
         try:
             claims = derive_capability(vo_doc, cred, expiry=10**9)
         except NoApplicableBlocksError:
@@ -844,6 +844,56 @@ class TestCredentialExpiry:
             authorize(q, SCENARIO2_VO, vo_policies, token, {"fusion": KEY}, 500)
 
 
+class TestTrust:
+    """A credential's VO must be one the resource document trusts; the
+    check runs after the owner rule and before any block, in either mode."""
+
+    RSL = '&(executable="/opt/vo/apps/transp")(count=1)'
+    UNTRUSTED = (TraceEntry("resource", None, "deny", "untrusted-vo", None, "fusion"),)
+
+    def _resource(self, *trusted):
+        clauses = "".join(f'trust vo "{vo}"; ' for vo in trusted)
+        return parse_policy(
+            f'policy "site" source resource {{ {clauses}subject any {{'
+            " allow action start, cancel, status, suspend, resume, set_priority; } }"
+        )
+
+    @pytest.mark.parametrize("trusted", [(), ("astro",)], ids=["no-trust-line", "another-vo"])
+    @pytest.mark.parametrize("mode", ["pull", "push"])
+    def test_an_untrusted_vo_is_denied_before_any_block(self, trusted, mode):
+        token = sign_capability(KEY, derive_capability(SCENARIO2_VO, ALICE, expiry=10**9))
+        token = token if mode == "push" else None
+        q = _start_query(ALICE, self.RSL)
+        live = authorize(q, OPEN_RESOURCE, {"fusion": SCENARIO2_VO}, token, {"fusion": KEY}, 0)
+        assert live.permitted
+        d = authorize(q, self._resource(*trusted), {"fusion": SCENARIO2_VO}, token,
+                      {"fusion": KEY}, 0)
+        assert (d.effect, d.trace, d.caps, d.terms) == ("deny", self.UNTRUSTED, None, None)
+        assert explain(d) == "resource: deny — vo 'fusion' is not trusted by this resource"
+
+    def test_a_management_request_is_denied_too(self):
+        q = _mgmt_query(CAROL, JobAction.SUSPEND, jobtag="fusion-prod")
+        assert decide(q, PolicySourceSet(OPEN_RESOURCE, ADMINS_VO)).permitted
+        d = decide(q, PolicySourceSet(self._resource(), ADMINS_VO))
+        assert d.trace == self.UNTRUSTED
+
+    def test_the_owner_rule_comes_first(self):
+        q = _mgmt_query(ALICE, JobAction.CANCEL, owner=ALICE.subject)
+        d = decide(q, PolicySourceSet(self._resource(), SCENARIO2_VO))
+        assert d.permitted
+        assert explain(d) == "builtin-owner: permit"
+
+    def test_a_credential_without_a_vo_needs_no_trust(self):
+        d = decide(_start_query(LOCAL, self.RSL), PolicySourceSet(self._resource()))
+        assert d.permitted
+
+    def test_a_token_is_checked_before_trust(self):
+        token = sign_capability(KEY, derive_capability(SCENARIO2_VO, ALICE, expiry=10**9))
+        q = _start_query(ALICE, self.RSL)
+        d = decide_push(q, self._resource(), token, {"fusion": bytes(32)}, 0)
+        assert [e.kind for e in d.trace] == ["BadSignature"]
+
+
 class TestExplain:
     def test_closed_world_line(self):
         q = _start_query(
@@ -933,7 +983,7 @@ def _rand_cap_policy(rng, source):
             assertions=tuple(assertions),
         ))
     if source == "resource":
-        return PolicyDocument(name="site", source=source, blocks=tuple(blocks))
+        return PolicyDocument(name="site", source=source, blocks=tuple(blocks), trust=("fusion",))
     quotas = {ALICE.subject: 600} if rng.random() < 0.3 else {}
     return PolicyDocument(name="fusion", source=source, blocks=tuple(blocks),
                           allocation=rng.choice((None, None, 1000)), member_quotas=quotas)
@@ -968,7 +1018,7 @@ class TestProperties:
         rng = random.Random(5)
         for _ in range(100):
             cred = rand_credential(rng, vo="fusion" if rng.random() < 0.8 else None)
-            res = rand_policy(rng, "resource", name="site")
+            res = rand_policy(rng, "resource", name="site", trust=rand_trust(rng))
             vo = rand_policy(rng, "vo") if rng.random() < 0.8 else None
             q = rand_query(rng, cred)
             sources = PolicySourceSet(res, vo)
@@ -990,7 +1040,7 @@ class TestProperties:
         rng = random.Random(7)
         for _ in range(300):
             cred = rand_credential(rng)
-            res = rand_policy(rng, "resource", name="site")
+            res = rand_policy(rng, "resource", name="site", trust=rand_trust(rng))
             vo = rand_policy(rng, "vo") if rng.random() < 0.8 else None
             q = rand_query(rng, cred)
             d = decide(q, PolicySourceSet(res, vo))
@@ -1026,7 +1076,7 @@ class TestProperties:
         rng = random.Random(9)
         for _ in range(200):
             cred = rand_credential(rng, vo="fusion" if rng.random() < 0.5 else None)
-            res = rand_policy(rng, "resource", name="site")
+            res = rand_policy(rng, "resource", name="site", trust=rand_trust(rng))
             vo = rand_policy(rng, "vo") if rng.random() < 0.5 else None
             d = decide(rand_query(rng, cred), PolicySourceSet(res, vo))
             assert len(d.trace) >= 1
@@ -1036,7 +1086,7 @@ class TestProperties:
         for _ in range(400):
             has_vo = rng.random() < 0.8
             cred = rand_credential(rng, vo="fusion" if has_vo else None)
-            res = rand_policy(rng, "resource", name="site")
+            res = rand_policy(rng, "resource", name="site", trust=rand_trust(rng))
             vo = rand_policy(rng, "vo") if rng.random() < 0.8 else None
             q = rand_query(rng, cred)
             expected = oracle.brute_decide(q, res, vo)
@@ -1064,7 +1114,7 @@ class TestTraceFields:
         # the A5 draws for a pull, the A4 draws for a push
         rng = random.Random(seed)
         cred = rand_credential(rng, vo="fusion" if push or rng.random() < 0.8 else None)
-        resource_doc = rand_policy(rng, "resource", name="site")
+        resource_doc = rand_policy(rng, "resource", name="site", trust=rand_trust(rng))
         vo_doc = None
         if push or rng.random() < 0.8:
             vo_doc = rand_policy(rng, "vo", min_blocks=int(push), with_accounting=True)
@@ -1079,6 +1129,9 @@ class TestTraceFields:
             d = decide(q, PolicySourceSet(resource_doc, vo_doc))
         if d.trace[0].source == "builtin-owner":
             assert q.owner == cred.subject
+            return
+        if not oracle.trusts(resource_doc, q):
+            assert d.trace == (TraceEntry("resource", None, "deny", "untrusted-vo", None, "fusion"),)
             return
         for source, doc in (("resource", resource_doc), ("vo", vo_doc)):
             entries = [e for e in d.trace if e.source == source]
