@@ -243,18 +243,20 @@ def _parse_vo_keys(entries) -> dict:
 
 @contextmanager
 def _state_lock(path: str):
-    try:
-        f = open(path + ".lock", "w")
+    try:  # a descriptor, not a text file: the lock file is never read or written
+        fd = os.open(path + ".lock", os.O_WRONLY | os.O_CREAT, 0o666)
     except OSError as exc:
         raise StateFileError(f"cannot lock state file {path!r}: {exc}") from None
-    with f:
+    try:
         try:
             import fcntl
 
-            fcntl.flock(f, fcntl.LOCK_EX)
+            fcntl.flock(fd, fcntl.LOCK_EX)
         except ImportError:  # pragma: no cover
             pass
         yield
+    finally:
+        os.close(fd)
 
 
 def _malformed(path: str, exc: Exception) -> StateFileError:

@@ -12,15 +12,17 @@ document sets no quota for has none), and each accounted admission
 writes its permit's, so a report shows the terms written last.  The
 ledger keeps its records as the maps a state file stores (see
 `AllocationLedger`), and `to_dict` and `from_dict` copy them.  A sandbox
-holds the two caps a policy can set, cpu-seconds and memory.  Limits are
-inclusive: usage may equal a cap, exceeding it is a breach.
+holds the two caps a policy can set, cpu-seconds and memory, in
+`SandboxSpec`, a checked tuple.  Limits are inclusive: usage may equal a
+cap, exceeding it is a breach.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
+from collections import deque, namedtuple
 from typing import Iterable, Mapping
+
+from .rsl import _checked_make
 
 
 class EnforcementError(ValueError):
@@ -53,22 +55,24 @@ class LedgerUnderflowError(EnforcementError):
     pass
 
 
-@dataclass(frozen=True)
-class SandboxSpec:
-    """Per-job resource caps; None means the dimension is unlimited."""
+class SandboxSpec(namedtuple("SandboxSpec", "max_cpu max_memory")):
+    """Per-job resource caps, a checked tuple; None means the dimension is
+    unlimited."""
 
-    max_cpu: int | None = None
-    max_memory: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        cpu, memory = self.max_cpu, self.max_memory
-        if not ((cpu is None or type(cpu) is int and cpu > 0)
-                and (memory is None or type(memory) is int and memory > 0)):
-            for name, limit in (("max_cpu", cpu), ("max_memory", memory)):  # the first fault
+    def __new__(cls, max_cpu: int | None = None, max_memory: int | None = None):
+        if not ((max_cpu is None or type(max_cpu) is int and max_cpu > 0)
+                and (max_memory is None or type(max_memory) is int and max_memory > 0)):
+            # the first fault
+            for name, limit in (("max_cpu", max_cpu), ("max_memory", max_memory)):
                 if limit is not None and type(limit) is not int:  # true/false is no cap
                     raise EnforcementError(f"{name} must be an integer, not {limit!r}")
                 if limit is not None and limit <= 0:
                     raise EnforcementError(f"{name} must be positive when set")
+        return tuple.__new__(cls, (max_cpu, max_memory))
+
+    _make = _checked_make
 
 
 def record_usage(spec: SandboxSpec, cpu: int, memory: int) -> str | None:

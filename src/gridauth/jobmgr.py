@@ -55,6 +55,7 @@ from __future__ import annotations
 import enum
 import heapq
 import re
+from collections import namedtuple
 from dataclasses import dataclass, fields
 from operator import attrgetter
 from typing import Iterable, Mapping, NamedTuple
@@ -69,7 +70,7 @@ from .enforce import (
 )
 from .pdp import AuthzQuery, Decision, PolicySourceSet, authorize, vo_documents
 from .policy import PolicyDocument
-from .rsl import JobAction, RslRequest, parse_rsl
+from .rsl import JobAction, RslRequest, _checked_make, parse_rsl
 
 
 class JobManagerError(Exception):
@@ -107,8 +108,10 @@ class JobState(enum.Enum):
 
 
 TERMINAL_STATES = frozenset({JobState.DONE, JobState.FAILED, JobState.CANCELED})
-#: each state by its stored value; a lookup is cheaper than `JobState(value)`
+#: each state by its stored value, and each state's stored value; a lookup
+#: is cheaper than `JobState(value)` and than the `value` property
 _STATES = {state.value: state for state in JobState}
+_STATE_VALUES = {state: value for value, state in _STATES.items()}
 
 #: the only lifecycle moves the engine will ever perform
 TRANSITIONS: Mapping = {
@@ -138,20 +141,23 @@ def _not_int(value, what: str) -> ValueError:
 _JOB_ID = re.compile("j[1-9][0-9]*").fullmatch
 
 
-@dataclass(frozen=True)
-class SimProfile:
-    """What the simulated job would really do if it ran."""
+class SimProfile(namedtuple("SimProfile", "runtime memory_peak")):
+    """What the simulated job would really do if it ran, a checked tuple:
+    the total cpu-seconds it consumes before finishing, and its memory
+    peak in MB."""
 
-    runtime: int  # total cpu-seconds the job consumes before finishing
-    memory_peak: int = 0  # MB
+    __slots__ = ()
 
-    def __post_init__(self):
-        runtime, peak = self.runtime, self.memory_peak
-        if not (type(runtime) is int and runtime >= 0 and type(peak) is int and peak >= 0):
-            for figure in (runtime, peak):  # the first fault
+    def __new__(cls, runtime: int, memory_peak: int = 0):
+        if not (type(runtime) is int and runtime >= 0
+                and type(memory_peak) is int and memory_peak >= 0):
+            for figure in (runtime, memory_peak):  # the first fault
                 _require_int(figure, "profile figure")
                 if figure < 0:
                     raise ValueError("profile figures must be non-negative")
+        return tuple.__new__(cls, (runtime, memory_peak))
+
+    _make = _checked_make
 
 
 @dataclass(slots=True)
@@ -502,10 +508,9 @@ class JobManager:
             "clock": self.clock,
             "next_seq": self._next_seq,
             "jobs": [  # one row per job, in `JOB_FIELDS` order
-                [job.id, job.owner, job.vo, dict(job.request.attributes), job.state.value,
+                [job.id, job.owner, job.vo, dict(job.request.attributes), _STATE_VALUES[job.state],
                  job.account, job.reserved, consumed_now(job), job.priority, job.submitted_at,
-                 job.ended_at, [job.profile.runtime, job.profile.memory_peak],
-                 [job.sandbox.max_cpu, job.sandbox.max_memory], job.accounted]
+                 job.ended_at, list(job.profile), list(job.sandbox), job.accounted]
                 for job in self.jobs.values()
             ],
             "ledger": self.ledger.to_dict(),
@@ -541,7 +546,8 @@ class JobManager:
         3. ``reserved``, ``consumed``, ``priority`` and ``submitted_at``
            are integers, ``owner`` and ``account`` strings, ``vo`` a
            string or null, ``ended_at`` an integer or null, and
-           ``reserved`` is not negative;
+           ``reserved`` is not negative (one test passes a well-formed
+           row; only a row that fails it runs these one by one);
         4. its sandbox is the pair of the two caps (a map a version-7
            file held with other caps is reported by its keys);
         5. its profile is a pair, whose runtime, then memory peak, is a
@@ -565,12 +571,14 @@ class JobManager:
         next_seq = engine._next_seq = _require_int(state["next_seq"], "next_seq")
         engine.ledger = ledger = AllocationLedger.from_dict(state["ledger"])
         jobs, live = engine.jobs, {}  # live: job id -> account
-        # (vo, None) or (vo, member) -> [its ledger usage, what the live
-        # accounted jobs hold reserved], in the order the jobs name them
+        # (vo, None) -> ([the VO's ledger usage, what its live accounted jobs
+        # hold reserved],) and (vo, member) -> (the VO's record, [the member's
+        # usage, reserved]), in the order the jobs name them: a scope's own
+        # record is last, and a live row reads both records in one lookup
         live_reserved: dict = {}
         last_seq = 0
-        # each check is one inline condition, and a message is built only for
-        # a fault; a loop over (name, value) pairs made restore about 10% slower
+        # a well-formed row passes each group of checks as one condition, and
+        # a message is built only for a fault
         for row in state["jobs"]:
             if type(row) is not list or len(row) != len(JOB_FIELDS):
                 raise ValueError(f"stored job {row!r} is not a row of {len(JOB_FIELDS)} fields")
@@ -586,25 +594,24 @@ class JobManager:
                     raise ValueError(f"job {job_id} is not below next_seq {next_seq}")
                 raise ValueError(f"job {job_id} is stored out of submission order")
             last_seq = seq
-            if type(reserved) is not int:
-                raise _not_int(reserved, f"job {job_id} reserved")
-            if type(consumed) is not int:
-                raise _not_int(consumed, f"job {job_id} consumed")
-            if type(priority) is not int:
-                raise _not_int(priority, f"job {job_id} priority")
-            if type(submitted_at) is not int:
-                raise _not_int(submitted_at, f"job {job_id} submitted_at")
-            # a lease, a settlement and the pool take these on as they are
-            if type(owner) is not str:
-                raise ValueError(f"job {job_id} owner must be a string, not {owner!r}")
-            if type(account) is not str:
-                raise ValueError(f"job {job_id} account must be a string, not {account!r}")
-            if type(vo) is not str and vo is not None:  # a job without a VO stores null
-                raise ValueError(f"job {job_id} vo must be a string, not {vo!r}")
-            if ended_at is not None and type(ended_at) is not int:
-                raise _not_int(ended_at, f"job {job_id} ended_at")
-            # a figure a scheduled end second would turn into nonsense
-            if reserved < 0:
+            # step 3 as one test; only a row that fails it runs the checks
+            # one by one, which name its first fault
+            if not (type(reserved) is type(consumed) is type(priority) is type(submitted_at) is int
+                    and type(owner) is type(account) is str and (vo is None or type(vo) is str)
+                    and (ended_at is None or type(ended_at) is int) and reserved >= 0):
+                for name, figure in (("reserved", reserved), ("consumed", consumed),
+                                     ("priority", priority), ("submitted_at", submitted_at)):
+                    _require_int(figure, f"job {job_id} {name}")
+                # a lease, a settlement and the pool take these on as they are
+                if type(owner) is not str:
+                    raise ValueError(f"job {job_id} owner must be a string, not {owner!r}")
+                if type(account) is not str:
+                    raise ValueError(f"job {job_id} account must be a string, not {account!r}")
+                if type(vo) is not str and vo is not None:  # a job without a VO stores null
+                    raise ValueError(f"job {job_id} vo must be a string, not {vo!r}")
+                if ended_at is not None and type(ended_at) is not int:
+                    raise _not_int(ended_at, f"job {job_id} ended_at")
+                # a figure a scheduled end second would turn into nonsense
                 raise ValueError(f"job {job_id} reserved {reserved} is negative")
             if type(sandbox) is not list or len(sandbox) != 2:  # a cap no code knows goes unenforced
                 held = sorted(sandbox) if type(sandbox) is dict else sandbox
@@ -642,22 +649,25 @@ class JobManager:
             if accounted:
                 # the job's settlement needs its VO and member records, read
                 # at the first live job that names them
-                try:
-                    if (vo, owner) not in live_reserved:
-                        live_reserved.setdefault((vo, None), [ledger.vo_used(vo), 0])
-                        live_reserved[vo, owner] = [ledger.member_used(vo, owner), 0]
-                except EnforcementError as exc:
-                    raise ValueError(f"live job {job_id} cannot settle: {exc}") from None
+                records = live_reserved.get((vo, owner))
+                if records is None:
+                    try:
+                        held = live_reserved.setdefault((vo, None), ([ledger.vo_used(vo), 0],))
+                        records = live_reserved[vo, owner] = (
+                            *held, [ledger.member_used(vo, owner), 0])
+                    except EnforcementError as exc:
+                        raise ValueError(f"live job {job_id} cannot settle: {exc}") from None
                 # and a reservation that covers what it may consume
                 if reserved < most:
                     raise ValueError(
                         f"live job {job_id} cannot settle: reserved {reserved} "
                         f"is below the {most} cpu-seconds it may consume"
                     )
-                live_reserved[vo, None][1] += reserved
-                live_reserved[vo, owner][1] += reserved
+                records[0][1] += reserved
+                records[1][1] += reserved
         # each refund comes out of the usage of the job's VO and member
-        for (vo, member), (used, reserved) in live_reserved.items():
+        for (vo, member), records in live_reserved.items():
+            used, reserved = records[-1]
             if used < reserved:
                 what = f"vo {vo}" if member is None else f"member {member}"
                 raise ValueError(

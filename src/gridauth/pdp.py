@@ -94,7 +94,7 @@ from .policy import (
     format_policy,
     parse_policy,
 )
-from .rsl import JobAction, RslRequest, render_value
+from .rsl import JobAction, RslRequest, _checked_make, render_value
 
 
 class InvalidQueryError(ValueError):
@@ -103,11 +103,6 @@ class InvalidQueryError(ValueError):
 
 class NoApplicableBlocksError(ValueError):
     """The VO refuses to issue a capability that grants nothing."""
-
-
-#: `_make` of a tuple class whose `__new__` checks its fields; the namedtuple
-#: one, through which `_replace` builds too, would skip `__new__`
-_checked_make = classmethod(lambda cls, iterable: cls(*iterable))
 
 
 class AuthzQuery(namedtuple("AuthzQuery", "credential action target request jobtag owner")):

@@ -463,10 +463,16 @@ class PolicyDocument:
         if self.source not in ("resource", "vo"):
             raise PolicyError(f"unknown policy source {self.source!r}")
         object.__setattr__(self, "blocks", tuple(self.blocks))
+        if isinstance(self.trust, str):  # which would trust each of its characters
+            raise PolicyError(f"trust must list vo names, not the string {self.trust!r}")
         object.__setattr__(self, "trust", tuple(self.trust))
         object.__setattr__(self, "member_quotas", dict(self.member_quotas))
         _check_str("policy name", self.name)
         _check_str("trusted vo", *self.trust)
+        seen: set = set()  # each repeat of a vo: set.add returns None
+        twice = [vo for vo in self.trust if vo in seen or seen.add(vo)]
+        if twice:
+            raise PolicyError(f"trusted vo {twice[0]!r} is listed twice")
         _check_str("member-quota subject", *self.member_quotas)
         if self.allocation is not None:
             _check_int64("allocation", self.allocation, least=0)
@@ -630,7 +636,7 @@ class _PolicyParser:
         self.expect("{")
 
         blocks: list[SubjectBlock] = []
-        trust: list[str] = []
+        trust: dict[str, None] = {}  # the trusted vos, in order
         allocation: int | None = None
         quotas: dict[str, int] = {}
 
@@ -643,7 +649,9 @@ class _PolicyParser:
                 vo_name = self.expect_string()
                 self.expect(";")
                 self.check_home("trust", at, source, "resource")
-                trust.append(vo_name)
+                if vo_name in trust:
+                    raise self.error(f"duplicate trust for {vo_name!r}", at)
+                trust[vo_name] = None
             elif keyword == "allocation":
                 amount = self.expect_int()
                 self.expect("cpu-seconds")

@@ -16,6 +16,11 @@ string list, and ``executable``, ``queue``, ``jobtag``, ``directory``,
 type, and both parsing paths and `RslRequest` read it.  Unknown
 attributes are legal and left entirely to policy.
 
+A request is an `RslRequest`, a checked tuple of its one attribute map:
+its constructor lower-cases the names and applies every check below to a
+ready-made map (a state file stores one), while the accept path, whose
+checks are made as it reads the text, builds the tuple directly.
+
 Parsing takes one of two paths, decided by the text alone.  The accept
 path takes every valid request: one regex match per clause gives the
 clause's text, its name, and an integer or a run of closed strings, and
@@ -42,7 +47,7 @@ import enum
 import re
 import string
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 
 RslValue = int | str | list
 
@@ -164,19 +169,25 @@ def _check_attribute(name: str, value: RslValue) -> None:
         raise AttributeTypeError(name, "must be a list of quoted strings")
 
 
-@dataclass(frozen=True)
-class RslRequest:
-    """A parsed job description: an ordered attribute-name -> value map.
+#: `_make` of a tuple class whose `__new__` checks its fields; the namedtuple
+#: one, through which `_replace` builds too, would skip `__new__`
+_checked_make = classmethod(lambda cls, iterable: cls(*iterable))
+
+
+class RslRequest(namedtuple("RslRequest", "attributes")):
+    """A parsed job description, a checked tuple: an ordered attribute-name
+    -> value map, which every construction (``_make`` and ``_replace``
+    included) checks.
 
     Names are stored lower-case, so ``attributes`` is read with the
     lower-case name.
     """
 
-    attributes: dict
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, attributes: dict):
         normalized: dict[str, RslValue] = {}
-        for name, value in self.attributes.items():
+        for name, value in attributes.items():
             kind = _VALUE_KIND.get(name)  # a well-known name is stored lower-case
             if kind is None:
                 # a non-ASCII name stays as it is and fails the name check, even
@@ -194,7 +205,9 @@ class RslRequest:
             normalized[name] = value
         if not normalized:
             raise EmptyRequestError("request has no attributes")
-        object.__setattr__(self, "attributes", normalized)
+        return tuple.__new__(cls, (normalized,))
+
+    _make = _checked_make
 
 
 def _offset(text: str, at: int) -> int:
@@ -235,9 +248,7 @@ def parse_rsl(text: str) -> RslRequest:
         else:
             # the clauses tile the rest of the text, and no name repeats
             if size == len(rest) and attrs and len(attrs) == len(clauses):
-                request = object.__new__(RslRequest)  # skips __post_init__, whose checks are made
-                object.__setattr__(request, "attributes", attrs)
-                return request
+                return tuple.__new__(RslRequest, (attrs,))  # skips __new__'s checks, made here
     return _parse_tokens(text)
 
 

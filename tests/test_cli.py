@@ -1443,16 +1443,29 @@ class TestStateVersion9:
         ("id", "jx", "job id 'jx' is not j<n>"),
         ("id", 77, "job id 77 is not j<n>"),
         ("reserved", "x", "job j2 reserved must be an integer, not 'x'"),
+        # each term of the one test of a row's scalar fields
+        ("reserved", True, "job j2 reserved must be an integer, not True"),
+        ("consumed", 10.0, "job j2 consumed must be an integer, not 10.0"),
+        ("priority", None, "job j2 priority must be an integer, not None"),
+        ("submitted_at", "0", "job j2 submitted_at must be an integer, not '0'"),
+        ("owner", None, "job j2 owner must be a string, not None"),
+        ("account", 0, "job j2 account must be a string, not 0"),
+        ("vo", 7, "job j2 vo must be a string, not 7"),
+        ("ended_at", "5", "job j2 ended_at must be an integer, not '5'"),
+        ("reserved", -1, "job j2 reserved -1 is negative"),
         ("row", "after j4", "job j2 is stored out of submission order"),
         ("journal", "jx", "job id 'jx' is not j<n>"),
         ("journal", 1234, "job id 1234 is not j<n>"),
-    ], ids=["number-row", "map-row", "text-id", "number-id", "text-reserved", "out-of-order",
+    ], ids=["number-row", "map-row", "text-id", "number-id", "text-reserved", "bool-reserved",
+            "float-consumed", "null-priority", "text-submitted-at", "null-owner", "int-account",
+            "int-vo", "text-ended-at", "negative-reserved", "out-of-order",
             "journal-text-id", "journal-number-id"])
     def test_finished_job_manage_reports_restores_own_fault(self, v9, capsys, what, value, message):
         """A ``manage`` of a finished job merges the journal before the one
-        restore, and the merge judges no row: a malformed live row j2, j2
-        stored after j4, or a finished journal row with a bad id is refused
-        in `restore`'s words, and the files stay as they were."""
+        restore, and the merge judges no row: a malformed live row j2 (each
+        scalar field failing alone what a well-formed row passes as one
+        test), j2 stored after j4, or a finished journal row with a bad id
+        is refused in `restore`'s words, and the files stay as they were."""
         state = v9 / "state.json"
         if what == "journal":  # the journal's one finished job, stored as a version-6 map
             lines = (v9 / "state.json.journal").read_text().splitlines()

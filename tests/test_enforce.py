@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from gridauth.enforce import (
     AllocationLedger,
     DynamicAccountPool,
+    EnforcementError,
     LedgerUnderflowError,
     PoolExhaustedError,
     QuotaExceededError,
@@ -130,6 +131,37 @@ class TestRecordUsage:
     def test_positive_limits_enforced(self):
         with pytest.raises(Exception):
             SandboxSpec(max_cpu=0)
+
+
+class TestSandboxSpec:
+    """`SandboxSpec` is a checked tuple of the two caps."""
+
+    def test_keywords_defaults_and_repr(self):
+        assert SandboxSpec() == SandboxSpec(None, None)
+        spec = SandboxSpec(max_memory=64)
+        assert (spec.max_cpu, spec.max_memory) == (None, 64)
+        assert repr(spec) == "SandboxSpec(max_cpu=None, max_memory=64)"
+
+    @pytest.mark.parametrize("caps, message", [
+        ({"max_cpu": True}, "max_cpu must be an integer, not True"),
+        ({"max_memory": False}, "max_memory must be an integer, not False"),
+        ({"max_cpu": 5, "max_memory": 2.5}, "max_memory must be an integer, not 2.5"),
+        ({"max_cpu": -1}, "max_cpu must be positive when set"),
+        ({"max_memory": 0}, "max_memory must be positive when set"),
+        # the first fault, cpu before memory
+        ({"max_cpu": 0, "max_memory": True}, "max_cpu must be positive when set"),
+    ])
+    def test_refuses(self, caps, message):
+        with pytest.raises(EnforcementError) as exc:
+            SandboxSpec(**caps)
+        assert str(exc.value) == message
+
+    def test_make_and_replace_run_the_checks(self):
+        assert SandboxSpec(4, 8)._replace(max_memory=None) == SandboxSpec(max_cpu=4)
+        with pytest.raises(EnforcementError, match="max_memory must be positive"):
+            SandboxSpec(4, 8)._replace(max_memory=0)
+        with pytest.raises(EnforcementError, match="max_cpu must be an integer"):
+            SandboxSpec._make((True, None))
 
 
 #: the terms of the VO document `TestLedger._ledger` registers, its quotas

@@ -322,6 +322,37 @@ class TestCapsCompiledOnce:
             assert (sandbox.max_cpu, sandbox.max_memory) == caps
 
 
+class TestSimProfile:
+    """`SimProfile` is a checked tuple of a runtime and a memory peak."""
+
+    def test_keywords_defaults_and_repr(self):
+        profile = SimProfile(runtime=5)
+        assert (profile.runtime, profile.memory_peak) == (5, 0)
+        assert SimProfile(memory_peak=3, runtime=0) == SimProfile(0, 3)
+        assert repr(profile) == "SimProfile(runtime=5, memory_peak=0)"
+
+    @pytest.mark.parametrize("figures, message", [
+        ((True,), "profile figure must be an integer, not True"),
+        ((5, False), "profile figure must be an integer, not False"),
+        ((5, 2.5), "profile figure must be an integer, not 2.5"),
+        ((-1,), "profile figures must be non-negative"),
+        ((5, -1), "profile figures must be non-negative"),
+        # the first fault, runtime before memory peak
+        ((-1, True), "profile figures must be non-negative"),
+    ])
+    def test_refuses(self, figures, message):
+        with pytest.raises(ValueError) as exc:
+            SimProfile(*figures)
+        assert str(exc.value) == message
+
+    def test_make_and_replace_run_the_checks(self):
+        assert SimProfile(5)._replace(memory_peak=9) == SimProfile(5, 9)
+        with pytest.raises(ValueError, match="non-negative"):
+            SimProfile(5)._replace(runtime=-5)
+        with pytest.raises(ValueError, match="not True"):
+            SimProfile._make((1, True))
+
+
 class TestEvent:
     def test_fields_and_line(self):
         event = Event(3, "j1", "done", "state=done consumed=2 refunded=598")

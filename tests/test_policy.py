@@ -169,6 +169,10 @@ class TestParse:
                 'policy "p" source vo {\n allocation 1 cpu-seconds;\n\tallocation 2 cpu-seconds;',
                 "duplicate allocation clause", 3, 2,
             ),
+            (
+                'policy "p" source resource {\n trust vo "a"; trust vo "b";\n  trust vo "a";',
+                "duplicate trust for 'a'", 3, 3,
+            ),
         ],
     )
     def test_syntax_error_positions(self, text, message, line, col):
@@ -321,6 +325,9 @@ REFUSED_BUILDS = [
     ("closed-world of no bool", lambda: SubjectBlock(AnySubject(), closed_world=1)),
     ("policy name of no string", lambda: PolicyDocument(5, "vo")),
     ("trust of no string", lambda: PolicyDocument("site", "resource", trust=(5,))),
+    # a bare string would trust each of its characters
+    ("trust as one string", lambda: PolicyDocument("site", "resource", trust="fusion")),
+    ("trust of one vo twice", lambda: PolicyDocument("site", "resource", trust=("a", "b", "a"))),
     ("member-quota of no subject string", lambda: PolicyDocument("vo", "vo", member_quotas={5: 1})),
     # clauses the parser refuses by where they stand, or never writes
     ("enumeration of no value", lambda: EnumSpec(())),
@@ -339,6 +346,16 @@ class TestConstructorsRefuseWhatTheParserRefuses:
     def test_refused(self, build):
         with pytest.raises(PolicyError):
             build()
+
+    @pytest.mark.parametrize("trust, message", [
+        ("fusion", "trust must list vo names, not the string 'fusion'"),
+        (("fusion", "astro", "astro", "fusion"), "trusted vo 'astro' is listed twice"),
+    ])
+    def test_trust_names_each_vo_once(self, trust, message):
+        with pytest.raises(PolicyError) as exc:
+            PolicyDocument("site", "resource", trust=trust)
+        assert str(exc.value) == message
+        assert PolicyDocument("site", "resource", trust=["fusion"]).trust == ("fusion",)
 
     def test_nested_or_is_built_flat(self):
         """As its text reparses: ``max 1 or min 9 or min 5``."""
@@ -678,7 +695,7 @@ def documents_at_the_int64_edges(draw):
                          for spec in specs),
     )
     if draw(st.booleans()):
-        trust = draw(st.lists(st.sampled_from("abc"), max_size=4))
+        trust = draw(st.lists(st.sampled_from("abc"), max_size=3, unique=True))
         return PolicyDocument("site", "resource", blocks=(block,), trust=trust)
     return PolicyDocument(
         "fusion", "vo", blocks=(block,), allocation=draw(st.none() | AMOUNTS),

@@ -255,11 +255,35 @@ class TestRequestChecks:
         # a name that is no string
         ({5: 1}, "attribute '5': invalid attribute name"),
         ({("count",): 1}, "attribute '('count',)': invalid attribute name"),
+        ({"Count": 1, "count": 2}, "duplicate attribute 'count'"),
     ])
     def test_rejects(self, attrs, message):
         with pytest.raises(RslError) as exc:
             RslRequest(attrs)
         assert str(exc.value) == message
+
+
+class TestRequestTuple:
+    """`RslRequest` is a checked tuple of its one attribute map."""
+
+    def test_keyword_repr_and_lower_case_names(self):
+        request = RslRequest(attributes={"COUNT": 1, "Queue": "q"})
+        assert request.attributes == {"count": 1, "queue": "q"}
+        assert repr(request) == "RslRequest(attributes={'count': 1, 'queue': 'q'})"
+        assert request == parse_rsl('&(COUNT=1)(Queue="q")')
+        assert type(parse_rsl('&(count=1)')) is RslRequest
+
+    def test_is_unhashable(self):
+        with pytest.raises(TypeError):
+            hash(RslRequest({"count": 1}))
+
+    def test_make_and_replace_run_the_checks(self):
+        request = RslRequest({"count": 1})
+        assert request._replace(attributes={"QUEUE": "q"}).attributes == {"queue": "q"}
+        with pytest.raises(AttributeTypeError, match="must be a positive integer"):
+            request._replace(attributes={"count": 0})
+        with pytest.raises(EmptyRequestError):
+            RslRequest._make(({},))
 
 
 class TestJobAction:
