@@ -676,7 +676,7 @@ class JobManager:
         free, leased = state["pool"]["free"], state["pool"]["leased"]
         if type(free) is not list or type(leased) is not list:
             raise ValueError(f"pool free and leased must be lists, not {free!r} and {leased!r}")
-        if not all(type(account) is str for account in free):
+        if not set(map(type, free)) <= {str}:  # one pass in C, not a Python step per account
             raise ValueError(f"pool free must list account names, not {free!r}")
         try:
             leases = [(job_id, live[job_id]) for job_id in leased]

@@ -45,8 +45,12 @@ before either mode runs.
 A trace entry records what failed (the kind, the failing check and the
 offending value), and its `reason` renders the sentence only when read.
 Entries are immutable and one policy yields few distinct ones, so
-`_evaluate_source` takes them from a cache of at most
-``TRACE_ENTRY_CACHE_SIZE`` (4096) and decisions share them.
+`_evaluate_source` takes a block's entries from a cache of at most
+``TRACE_ENTRY_CACHE_SIZE`` (4096) and decisions share them: a permit, an
+action's refusal, which goes straight to the trace, or the first failure
+of a block's checks, which each call one function, the spec's compiled
+``allows``.  The builtin owner rule's decision and the accounting denial
+are built once, when the module is loaded, and shared too.
 
 Documents are compiled when they are built (see `SubjectBlock` and
 `PolicyDocument`).  A decision takes a source's applicable blocks from
@@ -230,15 +234,17 @@ class PolicySourceSet(namedtuple("PolicySourceSet", "resource vo")):
     _make = _checked_make
 
 
-def _plan_failure(plan: tuple, accepted: frozenset | None, attrs: dict) -> tuple | None:
-    """Check a start request's ``attrs`` against a block's plan; None when
-    it passes, else the first failure ``(kind, assertion, value)``.
+def _plan_failure(entry: tuple, attrs: dict) -> tuple | None:
+    """Check a start request's ``attrs`` against a block's start entry,
+    ``(plan, accepted)``; None when it passes, else the first failure
+    ``(kind, assertion, value)``.
 
     The steps run in document order, then closed-world (``accepted`` is
     None for an open block).  A numeric spec tested against a non-integer
     value (or vice versa) counts as a violation with a reason, never an
     error: a malformed clause must not fail open or abort the decision.
     """
+    plan, accepted = entry
     for attr, kind, allows, check in plan:
         value = attrs.get(attr)
         if value is None:
@@ -277,11 +283,12 @@ def _evaluate_source(name: str, doc: PolicyDocument, q: AuthzQuery, trace: list)
     for i in indices:
         entry = table[i]
         if entry is REFUSED:
-            failure = "action", None, action
-        elif entry is PERMITTED:
+            trace.append(_trace_entry(name, i, "deny", "action", None, action))
+            continue
+        if entry is PERMITTED:
             failure = None
         elif attrs is not None:  # a start's entry: (plan, accepted names)
-            failure = _plan_failure(*entry, attrs)
+            failure = _plan_failure(entry, attrs)
         elif q.jobtag is None:
             failure = "jobtag-only", (action, entry), None
         elif q.jobtag not in entry:
@@ -299,15 +306,19 @@ def _evaluate_source(name: str, doc: PolicyDocument, q: AuthzQuery, trace: list)
     return permitted
 
 
+#: the decision of the builtin owner rule, shared by every decision it makes
+_OWNER_PERMIT = Decision("permit", (TraceEntry("builtin-owner", None, "permit"),), None)
+#: the denial of a start that the VO accounts for but that names no maxcputime
+_ACCOUNTING_DENIAL = TraceEntry("accounting", None, "deny", "accounting")
+
+
 def decide(q: AuthzQuery, sources: PolicySourceSet) -> Decision:
     """Apply the owner rule, then the resource's trust in the credential's
     VO, then evaluate the query against every consulted source and
     combine; a permitted start carries its obligations (see `Decision`)."""
     if q.action is not JobAction.START and q.owner is not None:
         if q.owner == q.credential.subject:
-            return Decision(
-                "permit", (TraceEntry("builtin-owner", None, "permit"),), None
-            )
+            return _OWNER_PERMIT
     if q.credential.vo is not None and q.credential.vo not in sources.resource.trust:
         entry = TraceEntry("resource", None, "deny", "untrusted-vo", None, q.credential.vo)
         return Decision("deny", (entry,), None)
@@ -334,7 +345,7 @@ def decide(q: AuthzQuery, sources: PolicySourceSet) -> Decision:
     attrs = q.request.attributes  # names are stored lower-case
     cpu, memory = attrs.get("maxcputime"), attrs.get("maxmemory")
     if cpu is None and terms is not None:
-        trace.append(TraceEntry("accounting", None, "deny", "accounting"))
+        trace.append(_ACCOUNTING_DENIAL)
         return Decision("deny", tuple(trace), None)
     count = attrs.get("count") or 1
     charged = None if cpu is None else count * cpu

@@ -20,7 +20,11 @@ VO documents may additionally carry an ``allocation`` and per-member
 lines.  Value specs are enumerations (with ``*`` globs, anchored; plain
 values are tested by set membership and a spec's globs by one compiled
 alternation), integer ranges, ``max``/``min`` bounds, regular expressions
-(unanchored search, egrep style), or ``or`` combinations.
+(unanchored search, egrep style), or ``or`` combinations.  Each spec
+compiles its test when it is built: its ``allows`` field holds a closure
+over the spec's own values (an ``or``, a loop over its alternatives'),
+which passes only an ``int`` to a numeric spec and only a ``str`` to the
+others, exactly the types RSL text gives, so ``True`` passes neither.
 
 Quoted strings follow RSL's syntax (only ``\\"`` and ``\\\\`` escape), and
 the tokenizer takes its string pattern from ``rsl``; integers are signed
@@ -51,7 +55,7 @@ import re
 import string
 import warnings
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, ClassVar, Mapping
+from typing import TYPE_CHECKING, Callable, ClassVar, Mapping
 
 from . import rsl
 from .rsl import JobAction, RslValue, quote_string
@@ -89,7 +93,15 @@ class MisplacedClauseError(PolicyError):
 
 
 @dataclass(frozen=True)
-class EnumSpec:
+class _Spec:
+    """The value specs' base: ``allows``, the test each spec compiles when
+    it is built, takes no part in equality, hashing or ``repr``."""
+
+    allows: Callable[[RslValue], bool] = field(init=False, repr=False, compare=False)
+
+
+@dataclass(frozen=True)
+class EnumSpec(_Spec):
     """Membership in a set of literal values; ``*`` acts as a glob.
 
     A ``*`` matches any run of characters, newlines included.
@@ -97,32 +109,26 @@ class EnumSpec:
 
     values: tuple
 
-    _literals: frozenset = field(init=False, repr=False, compare=False)
-    _globs: re.Pattern = field(init=False, repr=False, compare=False)
-
     def __post_init__(self):
         if not self.values:
             raise PolicyError("enumeration spec may not be empty")
         values = tuple(self.values)
         _check_str("enumeration value", *values)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "_literals", frozenset(v for v in values if "*" not in v))
+        literals = frozenset(v for v in values if "*" not in v)
         # re.escape writes each '*' as '\*' and nothing else as that pair
         globs = "|".join(re.escape(v).replace("\\*", ".*") for v in values if "*" in v)
         # with no glob, '(?!)' matches nothing
-        object.__setattr__(self, "_globs", re.compile(f"(?s:{globs})\\Z" if globs else "(?!)"))
-
-    def allows(self, value: RslValue) -> bool:
-        return isinstance(value, str) and (
-            value in self._literals or self._globs.match(value) is not None
-        )
+        match = re.compile(f"(?s:{globs})\\Z" if globs else "(?!)").match
+        object.__setattr__(self, "allows", lambda value: type(value) is str
+                           and (value in literals or match(value) is not None))
 
     def describe(self) -> str:
         return "in {" + ", ".join(quote_string(v) for v in self.values) + "}"
 
 
 @dataclass(frozen=True)
-class RangeSpec:
+class RangeSpec(_Spec):
     lo: int
     hi: int
 
@@ -130,19 +136,16 @@ class RangeSpec:
         _check_int64("range bound", self.lo, self.hi)
         if self.lo > self.hi:
             raise BadRangeError(f"empty range {self.lo}..{self.hi}")
-
-    def allows(self, value: RslValue) -> bool:
-        return _is_int(value) and self.lo <= value <= self.hi
+        lo, hi = self.lo, self.hi
+        object.__setattr__(self, "allows", lambda value: type(value) is int and lo <= value <= hi)
 
     def describe(self) -> str:
         return f"range {self.lo}..{self.hi}"
 
 
 @dataclass(frozen=True)
-class RegexSpec:
+class RegexSpec(_Spec):
     pattern: str
-
-    _regex: re.Pattern = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _check_str("regex", self.pattern)
@@ -151,48 +154,45 @@ class RegexSpec:
             # refused under every warning filter, not only under -W error
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                compiled = re.compile(self.pattern)
+                search = re.compile(self.pattern).search
         except (re.error, Warning) as exc:
             raise BadRegexError(f"bad regex {self.pattern!r}: {exc}") from None
-        object.__setattr__(self, "_regex", compiled)
-
-    def allows(self, value: RslValue) -> bool:
-        return isinstance(value, str) and self._regex.search(value) is not None
+        object.__setattr__(
+            self, "allows", lambda value: type(value) is str and search(value) is not None
+        )
 
     def describe(self) -> str:
         return f"matches {quote_string(self.pattern)}"
 
 
 @dataclass(frozen=True)
-class MaxSpec:
+class MaxSpec(_Spec):
     bound: int
 
     def __post_init__(self):
         _check_int64("max bound", self.bound)
-
-    def allows(self, value: RslValue) -> bool:
-        return _is_int(value) and value <= self.bound
+        bound = self.bound
+        object.__setattr__(self, "allows", lambda value: type(value) is int and value <= bound)
 
     def describe(self) -> str:
         return f"max {self.bound}"
 
 
 @dataclass(frozen=True)
-class MinSpec:
+class MinSpec(_Spec):
     bound: int
 
     def __post_init__(self):
         _check_int64("min bound", self.bound)
-
-    def allows(self, value: RslValue) -> bool:
-        return _is_int(value) and value >= self.bound
+        bound = self.bound
+        object.__setattr__(self, "allows", lambda value: type(value) is int and value >= bound)
 
     def describe(self) -> str:
         return f"min {self.bound}"
 
 
 @dataclass(frozen=True)
-class OrSpec:
+class OrSpec(_Spec):
     """Two or more alternatives; an `OrSpec` among them is flattened into
     its own, as the text of the whole reparses."""
 
@@ -206,19 +206,21 @@ class OrSpec:
         if len(alternatives) < 2:
             raise PolicyError(f"'or' spec needs two alternatives or more, not {alternatives!r}")
         object.__setattr__(self, "alternatives", tuple(alternatives))
+        tests = tuple(alt.allows for alt in alternatives)
 
-    def allows(self, value: RslValue) -> bool:
-        return any(alt.allows(value) for alt in self.alternatives)
+        def allows(value: RslValue) -> bool:
+            for test in tests:
+                if test(value):
+                    return True
+            return False
+
+        object.__setattr__(self, "allows", allows)
 
     def describe(self) -> str:
         return " or ".join(alt.describe() for alt in self.alternatives)
 
 
 ValueSpec = EnumSpec | RangeSpec | RegexSpec | MaxSpec | MinSpec | OrSpec
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _check_int64(what: str, *values, least: int = rsl.INT64_MIN) -> None:
@@ -352,12 +354,12 @@ class SubjectBlock:
 
     ``entries`` holds one entry per `JobAction`, in the enum's order:
     `REFUSED` when the block does not allow the action; for ``start``,
-    ``(plan, accepted)``, the plan holding one ``(name, kind, spec's
-    allows or None, assertion)`` step per check, its kind the
-    assertion's ``keyword``, and ``accepted`` the names of the ``attr``
-    and ``require`` checks of a closed-world block, or None for an open
-    one; for a management action, its jobtag grant set, or `PERMITTED`
-    without one.
+    ``(plan, accepted)``, the plan holding one ``(name, kind, test,
+    assertion)`` step per check, its kind the assertion's ``keyword`` and
+    its test the spec's compiled ``allows`` (None without a spec), and
+    ``accepted`` the names of the ``attr`` and ``require`` checks of a
+    closed-world block, or None for an open one; for a management action,
+    its jobtag grant set, or `PERMITTED` without one.
 
     ``caps`` is the ``(maxcputime, maxmemory)`` pair of caps a permit by
     the block sets on a job (see `pdp.Decision.caps`), None for no cap:

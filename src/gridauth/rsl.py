@@ -19,7 +19,10 @@ attributes are legal and left entirely to policy.
 A request is an `RslRequest`, a checked tuple of its one attribute map:
 its constructor lower-cases the names and applies every check below to a
 ready-made map (a state file stores one), while the accept path, whose
-checks are made as it reads the text, builds the tuple directly.
+checks are made as it reads the text, builds the tuple directly.  A
+value must be of exactly a type that text gives, an ``int``, a ``str``
+or a ``list`` of ``str``, not a subclass of one (an ``IntEnum``, say),
+so that a policy's exact-type tests decide every request.
 
 Parsing takes one of two paths, decided by the text alone.  The accept
 path takes every valid request: one regex match per clause gives the
@@ -147,25 +150,26 @@ def _check_attribute(name: str, value: RslValue) -> None:
         raise AttributeTypeError(name, "invalid attribute name")
     if isinstance(value, bool):
         raise AttributeTypeError(name, "boolean values are not part of the value model")
-    if isinstance(value, int):
+    # RSL text gives exactly these types, never a subclass (an IntEnum, say)
+    if type(value) is int:
         if not INT64_MIN <= value <= INT64_MAX:
             raise AttributeTypeError(name, "integer out of signed 64-bit range")
-    elif isinstance(value, list):
+    elif type(value) is list:
         if name != "arguments":
             raise AttributeTypeError(name, "only 'arguments' may hold a string list")
         if not value:
             raise AttributeTypeError(name, "'arguments' list may not be empty")
-        if not all(isinstance(item, str) for item in value):
+        if not all(type(item) is str for item in value):
             raise AttributeTypeError(name, "'arguments' entries must be strings")
-    elif not isinstance(value, str):
+    elif type(value) is not str:
         raise AttributeTypeError(name, f"unsupported value type {type(value).__name__}")
     # the well-known attributes' types, which the grammar leaves open
     kind = _VALUE_KIND.get(name)
-    if kind is int and (not isinstance(value, int) or value <= 0):
+    if kind is int and (type(value) is not int or value <= 0):
         raise AttributeTypeError(name, "must be a positive integer")
-    if kind is str and not isinstance(value, str):
+    if kind is str and type(value) is not str:
         raise AttributeTypeError(name, "must be a quoted string")
-    if kind is list and not isinstance(value, list):
+    if kind is list and type(value) is not list:
         raise AttributeTypeError(name, "must be a list of quoted strings")
 
 

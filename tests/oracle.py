@@ -50,12 +50,14 @@ def glob_match(pattern: str, value: str) -> bool:
 def spec_allows(spec, value) -> bool:
     if isinstance(spec, EnumSpec):
         return isinstance(value, str) and any(glob_match(p, value) for p in spec.values)
+    # booleans are not part of the value model: True is no integer here
+    is_int = isinstance(value, int) and not isinstance(value, bool)
     if isinstance(spec, RangeSpec):
-        return isinstance(value, int) and spec.lo <= value <= spec.hi
+        return is_int and spec.lo <= value <= spec.hi
     if isinstance(spec, MaxSpec):
-        return isinstance(value, int) and value <= spec.bound
+        return is_int and value <= spec.bound
     if isinstance(spec, MinSpec):
-        return isinstance(value, int) and value >= spec.bound
+        return is_int and value >= spec.bound
     if isinstance(spec, RegexSpec):
         return isinstance(value, str) and re.search(spec.pattern, value) is not None
     if isinstance(spec, OrSpec):

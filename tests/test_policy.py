@@ -623,6 +623,57 @@ class TestEnumSpecMatching:
         assert EnumSpec(tuple(values)).allows(value) == _reference_allows(values, value)
 
 
+_INT64 = st.one_of(
+    st.integers(INT64_MIN, INT64_MAX),
+    st.sampled_from([INT64_MIN, INT64_MIN + 1, -(2**31), -1, 0, 1, 2**31, INT64_MAX - 1, INT64_MAX]),
+)
+_SPEC_TEXT = st.text(alphabet="ab*/.\n", max_size=6)
+_PATTERNS = ["a", "^a", "b$", "a.b", "^(a|b)*$", "[ab]{2}", "\\.", "(?s)a.*b", "^$", "/\\*"]
+
+
+#: every spec kind, and `or`s of them nested (which `OrSpec` flattens)
+_SPECS = st.recursive(
+    st.one_of(
+        st.lists(_SPEC_TEXT, min_size=1, max_size=4).map(lambda vs: EnumSpec(tuple(vs))),
+        st.tuples(_INT64, _INT64).map(lambda ends: RangeSpec(*sorted(ends))),
+        _INT64.map(MaxSpec),
+        _INT64.map(MinSpec),
+        st.sampled_from(_PATTERNS).map(RegexSpec),
+    ),
+    lambda inner: st.lists(inner, min_size=2, max_size=3).map(lambda alts: OrSpec(tuple(alts))),
+    max_leaves=6,
+)
+
+
+def _near(spec) -> list:
+    """Strategies for values at or next to the edges of what ``spec``
+    allows: its ints and their neighbours, its enumeration values with
+    each ``*`` filled, and strings its regex finds."""
+    if isinstance(spec, OrSpec):
+        return [near for alt in spec.alternatives for near in _near(alt)]
+    if isinstance(spec, EnumSpec):
+        filled = st.tuples(st.sampled_from(spec.values), _SPEC_TEXT)
+        return [filled.map(lambda vf: vf[0].replace("*", vf[1]))]
+    if isinstance(spec, RegexSpec):
+        return [st.from_regex(spec.pattern)]
+    ends = (spec.lo, spec.hi) if isinstance(spec, RangeSpec) else (spec.bound,)
+    return [st.sampled_from([end + step for end in ends for step in (-1, 0, 1)])]
+
+
+class TestSpecsAgreeWithTheOracle:
+    @given(spec=_SPECS, data=st.data())
+    @settings(max_examples=500, deadline=None)
+    def test_allows_agrees_with_the_oracle(self, spec, data):
+        value = data.draw(st.one_of(
+            *_near(spec),
+            _INT64,
+            _SPEC_TEXT,
+            st.booleans(),
+            st.lists(_SPEC_TEXT, min_size=1, max_size=3),
+        ))
+        assert spec.allows(value) is oracle.spec_allows(spec, value)
+
+
 class TestRejectionTotality:
     @given(st.text(max_size=60))
     @settings(max_examples=300, deadline=None)
@@ -812,18 +863,20 @@ def _recompiled_tables(doc: PolicyDocument) -> dict:
 
 
 def _by_value(tables: dict) -> dict:
-    """``tables`` with each plan step's bound ``allows`` as its function and
-    spec, so that the steps of equal specs compare equal (a bound method
-    equals another only when both are bound to the same object)."""
+    """``tables`` with each plan step's test, once it is checked to be the
+    very ``allows`` object its assertion's spec compiled (None for a check
+    without a spec), replaced by that spec, so that the steps of equal
+    specs compare equal (a compiled test equals only itself)."""
     def entry(action, e):
         if action is not JobAction.START or e == REFUSED:
             return e
         plan, accepted = e
-        steps = tuple(
-            (name, kind, allows and (allows.__func__, allows.__self__), assertion)
-            for name, kind, allows, assertion in plan
-        )
-        return steps, accepted
+        steps = []
+        for name, kind, allows, assertion in plan:
+            spec = assertion.spec
+            assert allows is (None if spec is None else spec.allows)
+            steps.append((name, kind, spec, assertion))
+        return tuple(steps), accepted
 
     return {action: tuple(entry(action, e) for e in column) for action, column in tables.items()}
 
@@ -950,7 +1003,11 @@ class TestCompiledForm:
             JobAction.RESUME: (REFUSED, REFUSED),
             JobAction.SET_PRIORITY: (REFUSED, REFUSED),
         }
-        assert union.spec.allows.__func__ is OrSpec.allows
+        # the union's test is a loop over its alternatives' own compiled tests
+        assert union.spec.alternatives == (MaxSpec(4), RangeSpec(8, 9))
+        assert [cell.cell_contents for cell in union.spec.allows.__closure__] == [
+            tuple(alt.allows for alt in union.spec.alternatives)
+        ]
         open_block = SubjectBlock(AnySubject(), {JobAction.START, JobAction.STATUS})
         assert PolicyDocument("e", "vo", blocks=(open_block,)).tables == {
             JobAction.START: (((), None),),

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import enum
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -222,6 +224,14 @@ class _Text(str):
     pass
 
 
+class _Size(enum.IntEnum):
+    ONE = 1
+
+
+class _Args(list):
+    pass
+
+
 class TestRequestChecks:
     """`RslRequest` checks a ready-made attribute map as the parser checks text."""
 
@@ -229,7 +239,7 @@ class TestRequestChecks:
         {"count": INT64_MAX},
         {"maxmemory": 1},
         {"executable": ""},
-        {"executable": _Text("/bin/date")},
+        {"executable": "/bin/d\u00e4te", "note": "\u00e9t\u00e9"},
         {"arguments": ["a", ""]},
         {"weird_num": INT64_MIN, "other": "x"},
     ])
@@ -256,6 +266,14 @@ class TestRequestChecks:
         ({5: 1}, "attribute '5': invalid attribute name"),
         ({("count",): 1}, "attribute '('count',)': invalid attribute name"),
         ({"Count": 1, "count": 2}, "duplicate attribute 'count'"),
+        # RSL text gives exactly int, str and a list of str, never a subclass
+        ({"executable": _Text("/bin/date")}, "attribute 'executable': unsupported value type _Text"),
+        ({"note": _Text("x")}, "attribute 'note': unsupported value type _Text"),
+        ({"count": _Size.ONE}, "attribute 'count': unsupported value type _Size"),
+        ({"weird_num": _Size.ONE}, "attribute 'weird_num': unsupported value type _Size"),
+        ({"arguments": _Args(["a"])}, "attribute 'arguments': unsupported value type _Args"),
+        ({"arguments": ["a", _Text("b")]}, "attribute 'arguments': 'arguments' entries must be strings"),
+        ({"arguments": ["a", 1]}, "attribute 'arguments': 'arguments' entries must be strings"),
     ])
     def test_rejects(self, attrs, message):
         with pytest.raises(RslError) as exc:
